@@ -96,7 +96,6 @@ def build_xcbc_cluster(
     roll_version: str = CURRENT_RELEASE.version,
     include_optional_rolls: bool = True,
     extra_rolls: list[Roll] | None = None,
-    wave_size: int | None = None,
 ) -> XcbcBuildReport:
     """Run the complete XCBC from-scratch installation on a machine.
 
@@ -104,11 +103,6 @@ def build_xcbc_cluster(
     selected, a job-management roll chosen, and (by default) the full Table
     1 optional roll set.  The machine must have a disk in every node —
     Rocks refuses diskless hardware (Section 5.1).
-
-    ``wave_size`` passes through to :func:`~repro.rocks.install_cluster`:
-    ``None`` auto-selects (waves of 32 above 32 compute nodes, else
-    node-at-a-time), an explicit value forces that wave size regardless of
-    site scale.
     """
     release = get_xcbc_release(roll_version)  # validates the version
     rolls: list[Roll] = [build_xsede_roll(roll_version)]
@@ -123,7 +117,6 @@ def build_xcbc_cluster(
         rolls=rolls,
         scheduler=scheduler,
         release=release.os_release,
-        wave_size=wave_size,
     )
     return XcbcBuildReport(
         cluster=cluster, roll_version=roll_version, scheduler=scheduler

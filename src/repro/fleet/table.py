@@ -5,9 +5,9 @@ bottleneck (ROADMAP item 1).  A :class:`FleetTable` stores every
 per-appliance fact in parallel columns — ``array`` module arrays for
 numeric state, ``bytearray`` for flags, plain lists for strings — so hot
 paths (installer waves, monitoring rollups, scheduler usability masks)
-run as column scans instead of attribute chases.  Existing call sites
-keep working through :class:`FleetRow`, a thin cached proxy that exposes
-the legacy ``HostRecord``-style attribute API over a row index.
+run as column scans instead of attribute chases.  Call sites that want
+one node read and write it through :class:`FleetRow`, a thin cached proxy
+that exposes a row index as attributes — the node record.
 
 Cache coherence follows the repo's epoch protocol (docs/ANALYZE.md,
 SL201): every mutation bumps :attr:`epoch`; the sorted-order index used
@@ -39,11 +39,10 @@ DEFAULT_STATES: tuple[str, ...] = (
 class FleetRow:
     """A live window onto one row of a :class:`FleetTable`.
 
-    Attribute-compatible with the legacy ``HostRecord`` (name, mac, ip,
-    appliance, rack, rank, state) plus the node-facing columns the
-    scheduler and monitors read (cores, powered_on, load, ...).  Rows are
-    cached per index, so two lookups of the same host return the *same*
-    proxy object.
+    The hosts-table columns (name, mac, ip, appliance, rack, rank, state)
+    plus the node-facing columns the scheduler and monitors read (cores,
+    powered_on, load, ...).  Rows are cached per index, so two lookups of
+    the same host return the *same* proxy object.
     """
 
     __slots__ = ("_table", "_index")

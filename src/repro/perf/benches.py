@@ -246,15 +246,7 @@ def bench_scheduler_churn(quick: bool = False) -> BenchResult:
 def bench_kansas_install(quick: bool = False) -> BenchResult:
     """End-to-end XCBC build: hardware, leaf/spine network, PXE discovery,
     and the full software install on every node.  Quick mode builds Table
-    3's Marshall row (22 nodes) instead of Kansas (one timed round).
-
-    Quick mode forces ``wave_size=11`` so Marshall installs through the
-    same wave-shared-plan path Kansas auto-selects.  The auto-select
-    threshold (>32 nodes) would put Marshall on the node-at-a-time path,
-    whose per-node O(n²) validation is a *different* hot region — the
-    quick floor was measuring setup cost, ~15x off the full bench's
-    per-node rate, and a regression in the wave path could sail through
-    the smoke gate."""
+    3's Marshall row (22 nodes) instead of Kansas (one timed round)."""
     from ..core import build_xcbc_cluster
     from ..core.deployments import TABLE3_SITES, rebuild_site_hardware
     from ..yum.depsolver import clear_resolution_cache
@@ -267,10 +259,7 @@ def bench_kansas_install(quick: bool = False) -> BenchResult:
     clear_resolution_cache()
     machine = rebuild_site_hardware(site)
     t0 = time.perf_counter()
-    report = build_xcbc_cluster(
-        machine, include_optional_rolls=False,
-        wave_size=11 if quick else None,
-    )
+    report = build_xcbc_cluster(machine, include_optional_rolls=False)
     wall = time.perf_counter() - t0
     nodes = report.node_count
     return BenchResult("kansas_install", nodes / wall, wall, nodes)

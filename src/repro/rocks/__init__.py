@@ -4,7 +4,7 @@ insert-ethers discovery, the from-scratch installer, and update rolls.
 This is the machinery under XCBC's "all at once, from scratch" path.
 """
 
-from .database import HostRecord, InstallState, RocksDatabase
+from .database import InstallState, RocksDatabase
 from .distribution import apply_update_roll, create_update_roll
 from .insert_ethers import InsertEthers
 from .installer import ProvisionedCluster, RocksInstaller, install_cluster
@@ -27,7 +27,6 @@ __all__ = [
     "GraphNode",
     "Profile",
     "RocksDatabase",
-    "HostRecord",
     "InstallState",
     "InsertEthers",
     "RocksInstaller",

@@ -5,24 +5,23 @@
 rack/rank position, and install state — the table ``rocks list host`` shows.
 
 Storage is a columnar :class:`~repro.fleet.FleetTable` (ROADMAP item 1:
-10k+ node fleets stop being viable with one Python object per row).  The
-legacy API is unchanged — lookups return :class:`~repro.fleet.FleetRow`
-proxies that are attribute-compatible with :class:`HostRecord` and *live*:
-two lookups of one host return the same proxy, and mutations land in the
-table columns the installer, scheduler, and monitors read directly.
+10k+ node fleets stop being viable with one Python object per row).
+:class:`~repro.fleet.FleetRow` is the node record: ``add_host`` and every
+lookup return proxies that are *live* — two lookups of one host return the
+same proxy, and mutations land in the table columns the installer,
+scheduler, and monitors read directly.
 ``compute-<rack>-<rank>`` naming is O(1) via an incremental per-rack
 high-water mark instead of a full-table scan per discovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import RocksError
 from ..fleet import FleetRow, FleetTable
 
-__all__ = ["InstallState", "HostRecord", "RocksDatabase"]
+__all__ = ["InstallState", "RocksDatabase"]
 
 
 class InstallState(str, Enum):
@@ -32,23 +31,6 @@ class InstallState(str, Enum):
     INSTALLING = "installing"   # kickstart in progress
     INSTALLED = "os-installed"  # ready for jobs
     FAILED = "install-failed"   # kickstart crashed; node needs attention
-
-
-@dataclass
-class HostRecord:
-    """One row of the hosts table (the value type ``add_host`` accepts).
-
-    Stored rows live in the columnar fleet table; reads come back as
-    :class:`~repro.fleet.FleetRow` proxies exposing these same attributes.
-    """
-
-    name: str
-    mac: str
-    ip: str
-    appliance: str  # "frontend" | "compute"
-    rack: int
-    rank: int
-    state: InstallState = InstallState.DISCOVERED
 
 
 class RocksDatabase:
@@ -69,28 +51,38 @@ class RocksDatabase:
         self._max_rank: dict[int, int] = {}
         self._stale_racks: set[int] = set()
 
-    def add_host(self, record: HostRecord) -> FleetRow:
+    def add_host(
+        self,
+        *,
+        name: str,
+        mac: str,
+        ip: str,
+        appliance: str,  # "frontend" | "compute"
+        rack: int,
+        rank: int,
+        state: InstallState = InstallState.DISCOVERED,
+    ) -> FleetRow:
         """Register an appliance (name and MAC must both be new).
 
         Returns the live row proxy for the new appliance.
         """
-        if self.fleet.has(record.name):
-            raise RocksError(f"host {record.name} already in database")
-        if record.mac and self.fleet.has_mac(record.mac):
-            raise RocksError(f"MAC {record.mac} already in database")
+        if self.fleet.has(name):
+            raise RocksError(f"host {name} already in database")
+        if mac and self.fleet.has_mac(mac):
+            raise RocksError(f"MAC {mac} already in database")
         row = self.fleet.add_row(
-            name=record.name,
-            mac=record.mac,
-            ip=record.ip,
-            appliance=record.appliance,
-            rack=record.rack,
-            rank=record.rank,
-            state=record.state,
+            name=name,
+            mac=mac,
+            ip=ip,
+            appliance=appliance,
+            rack=rack,
+            rank=rank,
+            state=state,
         )
-        if record.appliance == "compute" and record.rack not in self._stale_racks:
-            current = self._max_rank.get(record.rack)
-            if current is None or record.rank > current:
-                self._max_rank[record.rack] = record.rank
+        if appliance == "compute" and rack not in self._stale_racks:
+            current = self._max_rank.get(rack)
+            if current is None or rank > current:
+                self._max_rank[rack] = rank
         return row
 
     def remove_host(self, name: str) -> None:

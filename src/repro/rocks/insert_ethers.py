@@ -1,10 +1,9 @@
 """insert-ethers: Rocks' node-discovery tool.
 
 The administrator runs ``insert-ethers`` on the frontend, powers compute
-nodes on one at a time, and each unknown MAC seen by dhcpd gets registered
-as the next ``compute-<rack>-<rank>`` appliance and handed the install
-image.  This module reproduces that loop against the simulated DHCP/PXE
-services.
+nodes on, and each unknown MAC seen by dhcpd gets registered as the next
+``compute-<rack>-<rank>`` appliance and handed the install image.  This
+module reproduces that loop against the simulated DHCP/PXE services.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 from ..errors import RocksError
 from ..network.dhcp import DhcpServer
 from ..network.pxe import BootImage, PxeServer
-from .database import HostRecord, InstallState, RocksDatabase
+from .database import InstallState, RocksDatabase
 
 __all__ = ["InsertEthers"]
 
@@ -40,15 +39,13 @@ class InsertEthers:
         name = self.db.next_compute_name(self.rack)
         rank = int(name.rsplit("-", 1)[1])
         row = self.db.add_host(
-            HostRecord(
-                name=name,
-                mac=mac,
-                ip=ip,
-                appliance=self.appliance,
-                rack=self.rack,
-                rank=rank,
-                state=InstallState.DISCOVERED,
-            )
+            name=name,
+            mac=mac,
+            ip=ip,
+            appliance=self.appliance,
+            rack=self.rack,
+            rank=rank,
+            state=InstallState.DISCOVERED,
         )
         self.discovered.append(row)
         return row
@@ -67,29 +64,17 @@ class InsertEthers:
         return new_records
 
     def discover_boot(self, mac: str):
-        """Drive one node's full discovery: PXE boot then register.
-
-        Raises :class:`RocksError` if the MAC is already known (re-running
-        insert-ethers against an installed node is an operator error the
-        real tool also refuses).
-        """
-        if self.db.has_mac(mac):
-            raise RocksError(f"MAC {mac} is already registered")
-        self.pxe.boot(mac)
-        records = self.poll()
-        for record in records:
-            if record.mac == mac:
-                return record
-        raise RocksError(f"discovery failed for MAC {mac}")  # pragma: no cover
+        """Drive one node's full discovery: a wave of one."""
+        return self.discover_wave([mac])[0]
 
     def discover_wave(self, macs: list[str]) -> list:
         """Drive one install wave's discovery: boot and register a batch.
 
-        The scalable replacement for per-node :meth:`discover_boot`, which
-        rescans the whole DHCP request log (O(log x nodes) across an
-        install) per discovery.  A wave PXE-boots its MACs in order, then
-        registers each directly from its lease — no log scan — preserving
-        the exact name assignment order the sequential path produces.
+        PXE-boots the MACs in order, then registers each directly from its
+        lease (no DHCP-log scan; :meth:`poll` is the log-tailing form), so
+        names are assigned in the order given.  Raises :class:`RocksError`
+        if a MAC is already known (re-running insert-ethers against an
+        installed node is an operator error the real tool also refuses).
         """
         for mac in macs:
             if self.db.has_mac(mac):

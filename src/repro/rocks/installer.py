@@ -20,7 +20,7 @@ from typing import Callable
 
 from ..distro.distribution import CENTOS_6_5, DistroRelease
 from ..distro.host import Host
-from ..errors import ProvisionError, RocksError
+from ..errors import HeadnodeCrashError, ProvisionError, ReproError, RocksError
 from ..fleet import fold_names
 from ..hardware.chassis import Machine
 from ..network.pxe import BootImage, PxeServer
@@ -29,7 +29,7 @@ from ..rpm.database import RpmDatabase
 from ..rpm.transaction import Transaction
 from ..yum.depsolver import resolve_install
 from ..yum.repository import Repository, RepoSet
-from .database import HostRecord, InstallState, RocksDatabase
+from .database import InstallState, RocksDatabase
 from .insert_ethers import InsertEthers
 from .kickstart import GraphNode, KickstartGraph, Profile
 from .roll import Roll
@@ -61,8 +61,9 @@ class ProvisionedCluster:
     #: the template compute (host, db) when installed golden-image style
     #: (``materialize=False``); per-node state lives in the fleet table.
     golden_image: tuple[Host, RpmDatabase] | None = None
-    #: lazy per-node builder wired up by golden-image installs
-    _materializer: Callable[[str], tuple[Host, RpmDatabase]] | None = None
+    #: lazy per-node builder ``(cluster, mac, hostname)`` wired up by
+    #: golden-image installs
+    _materializer: Callable[..., tuple[Host, RpmDatabase]] | None = None
 
     def host_for(self, name: str) -> Host:
         """The live :class:`Host` of any installed cluster member.
@@ -82,9 +83,8 @@ class ProvisionedCluster:
             or record.state is not InstallState.INSTALLED
         ):
             raise RocksError(f"host {name} is not part of this cluster")
-        host, db = self._materializer(name)
-        self.compute[name] = (host, db)
-        return host
+        self.compute[name] = self._materializer(self, record.mac, name)
+        return self.compute[name][0]
 
     def hosts(self) -> list[Host]:
         """Frontend first, then compute nodes in database order."""
@@ -162,6 +162,10 @@ class RocksInstaller:
         #: first reference instead of assuming a pre-populated mirror.
         self.delivery = delivery
         self._crash_macs: set[str] = set()
+        #: MAC -> compute board, kept in step by :meth:`replace_node`
+        self._nodes = {n.mac_address: n for n in machine.compute_nodes}
+        #: validated plans shared by identical kickstarts, reset per run
+        self._plans: dict = {}
 
     def inject_kickstart_crash(self, mac: str) -> None:
         """The next kickstart of this MAC dies mid-install (lost power,
@@ -191,14 +195,6 @@ class RocksInstaller:
         pre-flight entry point: the analyzer lints this graph before
         :meth:`run` ever touches a node.
         """
-        return self._build_graph()
-
-    def build_distribution(self) -> Repository:
-        """The local distribution :meth:`run` would populate (side-effect
-        free, for pre-flight analysis)."""
-        return self._build_distribution()
-
-    def _build_graph(self) -> KickstartGraph:
         graph = KickstartGraph()
         graph.add_node(GraphNode(name=Profile.FRONTEND, roll="base"))
         graph.add_node(GraphNode(name=Profile.COMPUTE, roll="base"))
@@ -215,8 +211,9 @@ class RocksInstaller:
             roll.apply_to_graph(graph)
         return graph
 
-    def _build_distribution(self) -> Repository:
-        """The frontend's local distribution: OS packages + roll packages."""
+    def build_distribution(self) -> Repository:
+        """The frontend's local distribution: OS packages + roll packages
+        (side-effect free, for pre-flight analysis)."""
         dist = Repository(
             "rocks-dist",
             name=f"Rocks {self.release.release_string} distribution",
@@ -232,35 +229,20 @@ class RocksInstaller:
                     dist.add(pkg)
         return dist
 
-    def _consume_crash(self, hostname: str, mac: str) -> None:
-        """Raise the injected mid-kickstart crash for ``mac``, if armed."""
-        if mac in self._crash_macs:
-            # Injected mid-kickstart crash: the transaction never commits,
-            # so the node holds no packages — there is no half-installed
-            # state to reconcile, only a FAILED record.
-            self._crash_macs.discard(mac)
-            raise ProvisionError(
-                f"{hostname}: node lost power mid-kickstart; "
-                f"install transaction aborted"
-            )
-
     def _kickstart_host(
         self,
         host: Host,
         graph: KickstartGraph,
         distribution: Repository,
         profile: str,
-        *,
-        plan_cache: dict | None = None,
-        inject: bool = True,
     ) -> RpmDatabase:
         """Install a profile's package closure onto a host and enable its
         services — one node's kickstart.
 
-        ``plan_cache`` enables wave-shared transaction plans: identical
-        kickstarts (same profile, same empty-DB fingerprint, same package
-        set) validate and order once, then every other host in the wave
-        commits through the cached :class:`TransactionPlan`.
+        Identical kickstarts (same profile, architecture, DB fingerprint
+        and package set) validate and order once: the first builds a
+        :class:`~repro.rpm.transaction.TransactionPlan`, the rest commit
+        through it — across waves and later replace/reinstall/lazy installs.
         """
         db = RpmDatabase(host)
         repos = RepoSet([distribution])
@@ -269,21 +251,16 @@ class RocksInstaller:
         txn = Transaction(db, delivery=self.delivery)
         for pkg in resolution.to_install:
             txn.install(pkg)
-        if inject:
-            self._consume_crash(host.hostname, host.node.mac_address)
-        if plan_cache is None:
-            txn.commit()
-        else:
-            key = (
-                profile,
-                db.fingerprint(),
-                tuple(sorted(p.nevra for p in resolution.to_install)),
-            )
-            plan = plan_cache.get(key)
-            if plan is None:
-                plan = txn.plan()
-                plan_cache[key] = plan
-            txn.commit_planned(plan)
+        key = (
+            profile,
+            host.arch,
+            db.fingerprint(),
+            tuple(sorted(p.nevra for p in resolution.to_install)),
+        )
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = txn.plan()
+        txn.commit_planned(plan)
         for service in graph.resolve_services(profile):
             host.services.enable(service)
         host.services.boot()
@@ -294,30 +271,48 @@ class RocksInstaller:
             )
         return db
 
-    # -- the install ------------------------------------------------------------------
-
-    def _build_golden_image(
-        self, graph, distribution, plan_cache: dict
+    def _kickstart_compute(
+        self, cluster: ProvisionedCluster, mac: str, hostname: str
     ) -> tuple[Host, RpmDatabase]:
-        """Kickstart one template compute host off-fleet (golden image)."""
-        template_node = self.machine.compute_nodes[0]
-        host = Host(template_node, self.release)
-        host.hostname = "compute-image"
+        """Kickstart the compute board with ``mac`` as ``hostname``."""
+        host = Host(self._nodes[mac], self.release)
+        host.hostname = hostname
         db = self._kickstart_host(
-            host,
-            graph,
-            distribution,
-            Profile.COMPUTE,
-            plan_cache=plan_cache,
-            inject=False,
+            host, cluster.graph, cluster.distribution, Profile.COMPUTE
         )
         return host, db
+
+    def _install_compute(
+        self, cluster: ProvisionedCluster, row, *, materialize: bool = True
+    ) -> None:
+        """Install the compute node behind a hosts-table ``row``: kickstart
+        its board (unless the golden image stands in for it), then fill the
+        fleet columns monitoring and the scheduler read off the table."""
+        if row.mac in self._crash_macs:
+            # Injected mid-kickstart crash: the transaction never commits,
+            # so the node holds no packages — there is no half-installed
+            # state to reconcile, only a FAILED record.
+            self._crash_macs.discard(row.mac)
+            raise ProvisionError(
+                f"{row.name}: node lost power mid-kickstart; "
+                f"install transaction aborted"
+            )
+        if materialize:
+            cluster.compute[row.name] = self._kickstart_compute(
+                cluster, row.mac, row.name
+            )
+        node = self._nodes[row.mac]
+        row.cores = node.cores
+        row.mem_kb = node.memory_bytes / 1024
+        row.state = InstallState.INSTALLED
+
+    # -- the install ------------------------------------------------------------------
 
     def run(
         self,
         *,
         continue_on_error: bool = False,
-        wave_size: int = 1,
+        wave_size: int = 32,
         kernel=None,
         materialize: bool = True,
     ) -> ProvisionedCluster:
@@ -329,14 +324,11 @@ class RocksInstaller:
         resources built from it); the install proceeds to the next node.
         Without it, the first crash raises :class:`ProvisionError`.
 
-        ``wave_size`` batches compute nodes into bounded-concurrency
-        install waves: each wave discovers its MACs in one insert-ethers
-        pass and its (identical) kickstart transactions share one
-        validated :class:`~repro.rpm.transaction.TransactionPlan` instead
-        of re-validating per node.  ``wave_size=1`` is the classic
-        node-at-a-time path.  Pass a ``kernel`` to emit one
-        ``install.wave`` trace event per wave (nodes as a folded NodeSet
-        string — MAC-free, so same-seed traces stay byte-identical).
+        Compute nodes install in waves of ``wave_size`` — one insert-ethers
+        discovery pass per wave; the resulting cluster does not depend on
+        the size.  Pass a ``kernel`` to emit one ``install.wave`` trace
+        event per wave (nodes as a folded NodeSet string — MAC-free, so
+        same-seed traces stay byte-identical).
 
         ``materialize=False`` installs golden-image style: one template
         compute host is kickstarted, per-node state (install state, cores,
@@ -347,8 +339,9 @@ class RocksInstaller:
         if wave_size < 1:
             raise RocksError(f"wave size must be positive, got {wave_size}")
         self._check_disks()
-        graph = self._build_graph()
-        distribution = self._build_distribution()
+        self._plans = {}
+        graph = self.build_graph()
+        distribution = self.build_distribution()
         network = build_cluster_network(self.machine)
 
         # 1. Frontend install (from the install media, no PXE involved).
@@ -359,15 +352,13 @@ class RocksInstaller:
         )
         rocksdb = RocksDatabase()
         head_row = rocksdb.add_host(
-            HostRecord(
-                name=head.name,
-                mac=head.mac_address,
-                ip="10.1.1.1",
-                appliance="frontend",
-                rack=0,
-                rank=0,
-                state=InstallState.INSTALLED,
-            )
+            name=head.name,
+            mac=head.mac_address,
+            ip="10.1.1.1",
+            appliance="frontend",
+            rack=0,
+            rank=0,
+            state=InstallState.INSTALLED,
         )
         head_row.cores = head.cores
         head_row.mem_kb = head.memory_bytes / 1024
@@ -392,139 +383,101 @@ class RocksInstaller:
             scheduler_choice=self.scheduler,
         )
 
-        # 3. Power compute nodes on under insert-ethers — one at a time
-        # (the classic path) or in bounded-concurrency waves.  Each node is
-        # one journaled transaction: register (the database row
-        # insert-ethers writes) then install.  A frontend crash leaves the
-        # transaction open and recover_install() removes the
-        # half-registered row; a *node*-side kickstart crash is a clean
-        # abort (the FAILED record is deliberate state, not a phantom).
-        compute_nodes = self.machine.compute_nodes
-        plan_cache: dict = {}
-
-        golden_db: RpmDatabase | None = None
-        if not materialize and compute_nodes:
-            golden = self._build_golden_image(graph, distribution, plan_cache)
-            golden_db = golden[1]
-            cluster.golden_image = golden
-
-            def _materialize_host(name: str) -> tuple[Host, RpmDatabase]:
-                rec = rocksdb.get(name)
-                node = next(
-                    n for n in compute_nodes if n.mac_address == rec.mac
-                )
-                host = Host(node, self.release)
-                host.hostname = name
-                db = self._kickstart_host(
-                    host,
-                    graph,
-                    distribution,
-                    Profile.COMPUTE,
-                    plan_cache=plan_cache,
-                    inject=False,
-                )
-                return host, db
-
-            cluster._materializer = _materialize_host
-
-        for wave_index, start in enumerate(
-            range(0, len(compute_nodes), wave_size)
-        ):
-            wave = compute_nodes[start : start + wave_size]
-            if wave_size == 1:
-                rows = None
-            else:
-                rows = inserter.discover_wave([n.mac_address for n in wave])
-            wave_names: list[str] = []
-            wave_pkgs = len(golden_db.names()) if golden_db is not None else 0
-            for pos, node in enumerate(wave):
-                txn = (
-                    self.journal.begin("rocks.install", mac=node.mac_address)
-                    if self.journal is not None
-                    else None
-                )
-                record = (
-                    rows[pos]
-                    if rows is not None
-                    else inserter.discover_boot(node.mac_address)
-                )
-                if txn is not None:
-                    reg_op = self.journal.intent(
-                        txn, "register", name=record.name, mac=node.mac_address
-                    )
-                    self.journal.applied(txn, reg_op)
-                rocksdb.set_state(record.name, InstallState.INSTALLING)
-                compute_host: Host | None = None
-                if materialize:
-                    compute_host = Host(node, self.release)
-                    compute_host.hostname = record.name
-                install_op = (
-                    self.journal.intent(txn, "install", name=record.name)
-                    if txn is not None
-                    else None
-                )
-                try:
-                    if materialize:
-                        assert compute_host is not None
-                        # wave_size=1 calls with the exact legacy signature
-                        # (tests wrap _kickstart_host positionally).
-                        if wave_size > 1:
-                            compute_db = self._kickstart_host(
-                                compute_host,
-                                graph,
-                                distribution,
-                                Profile.COMPUTE,
-                                plan_cache=plan_cache,
-                            )
-                        else:
-                            compute_db = self._kickstart_host(
-                                compute_host, graph, distribution,
-                                Profile.COMPUTE,
-                            )
-                    else:
-                        # Golden-image install: the image already holds the
-                        # packages; only the injected-crash check runs per
-                        # node.
-                        self._consume_crash(record.name, node.mac_address)
-                except ProvisionError:
-                    if not continue_on_error:
-                        if txn is not None:
-                            self.journal.abort(txn, note="kickstart failed")
-                        raise
-                    rocksdb.set_state(record.name, InstallState.FAILED)
-                    node.powered_on = False
-                    pxe.clear_assignment(node.mac_address)
-                    if txn is not None:
-                        self.journal.abort(
-                            txn, note="kickstart failed; node recorded FAILED"
-                        )
-                    continue
-                # Fill the node-facing fleet columns monitoring and the
-                # scheduler read straight off the table.
-                record.cores = node.cores
-                record.mem_kb = node.memory_bytes / 1024
-                rocksdb.set_state(record.name, InstallState.INSTALLED)
-                pxe.clear_assignment(node.mac_address)
-                if materialize:
-                    assert compute_host is not None
-                    cluster.compute[record.name] = (compute_host, compute_db)
-                    wave_pkgs = len(compute_db.names())
-                if txn is not None:
-                    assert install_op is not None
-                    self.journal.applied(txn, install_op)
-                    self.journal.commit(txn)
-                wave_names.append(record.name)
-            if kernel is not None and wave_names:
+        # 3. Power compute nodes on under insert-ethers, a wave at a time.
+        macs = [n.mac_address for n in self.machine.compute_nodes]
+        if not materialize and macs:
+            cluster.golden_image = self._kickstart_compute(
+                cluster, macs[0], "compute-image"
+            )
+            cluster._materializer = self._kickstart_compute
+        for wave_index, start in enumerate(range(0, len(macs), wave_size)):
+            installed = self._install_wave(
+                cluster,
+                inserter,
+                macs[start : start + wave_size],
+                continue_on_error=continue_on_error,
+                materialize=materialize,
+            )
+            if kernel is not None and installed:
+                _host, db = cluster.golden_image or cluster.compute[installed[-1]]
                 kernel.trace.emit(
                     "install.wave",
                     t_s=kernel.now_s,
                     subsystem="rocks",
                     wave=wave_index,
-                    nodes=fold_names(wave_names),
-                    count=len(wave_names),
-                    pkgs=wave_pkgs,
+                    nodes=fold_names(installed),
+                    count=len(installed),
+                    pkgs=len(db.names()),
                 )
         return cluster
+
+    def _install_wave(
+        self,
+        cluster: ProvisionedCluster,
+        inserter: InsertEthers,
+        macs: list[str],
+        *,
+        continue_on_error: bool,
+        materialize: bool,
+    ) -> list[str]:
+        """Discover and install one wave; returns the names installed.
+
+        Each node is one journaled ``rocks.install`` transaction: register
+        (the database row insert-ethers writes) then install.  Only a
+        frontend crash leaves it open, for :func:`recover_install` to
+        remove the half-registered row; a kickstart failure is a clean
+        abort (a FAILED record is deliberate state, not a phantom).
+        """
+        journal, rocksdb = self.journal, cluster.rocksdb
+        # Write-ahead: every register intent reaches the journal before
+        # insert-ethers writes any of the wave's rows.  A row with no open
+        # transaction is invisible to recovery and would block that MAC's
+        # next discovery forever.
+        txns: list = [None] * len(macs)
+        if journal is not None:
+            txns = [journal.begin("rocks.install", mac=mac) for mac in macs]
+            registers = [
+                journal.intent(txn, "register", mac=mac)
+                for txn, mac in zip(txns, macs)
+            ]
+        installed: list[str] = []
+        try:
+            rows = inserter.discover_wave(macs)
+            if journal is not None:
+                for txn, register in zip(txns, registers):
+                    journal.applied(txn, register)
+            for row, txn in zip(rows, txns):
+                row.state = InstallState.INSTALLING
+                if txn is not None:
+                    install_op = journal.intent(txn, "install", name=row.name)
+                try:
+                    self._install_compute(cluster, row, materialize=materialize)
+                except ProvisionError:
+                    if not continue_on_error:
+                        raise
+                    row.state = InstallState.FAILED
+                    self._nodes[row.mac].powered_on = False
+                    if txn is not None:
+                        journal.abort(
+                            txn, note="kickstart failed; node recorded FAILED"
+                        )
+                else:
+                    if txn is not None:
+                        journal.applied(txn, install_op)
+                        journal.commit(txn)
+                    installed.append(row.name)
+                inserter.pxe.clear_assignment(row.mac)
+        except HeadnodeCrashError:
+            raise  # a dead frontend runs no cleanup; recover_install() does
+        except ReproError:
+            for txn in txns:
+                if txn is not None and txn.open:
+                    journal.abort(txn, note="kickstart failed")
+            for row in rocksdb.compute_hosts():
+                if row.state is InstallState.DISCOVERED:
+                    rocksdb.remove_host(row.name)
+            raise
+        return installed
 
     def replace_node(
         self, cluster: ProvisionedCluster, name: str, *, new_mac: str
@@ -539,54 +492,31 @@ class RocksInstaller:
         record = cluster.rocksdb.get(name)
         if record.appliance != "compute":
             raise RocksError("only compute nodes can be replaced")
-        node = next(
-            n for n in self.machine.compute_nodes if n.mac_address == record.mac
-        )
+        node = self._nodes.pop(record.mac)
         cluster.rocksdb.remove_host(name)
         node.mac_address = new_mac  # the replacement board's NIC
         node.powered_on = True
-        cluster.rocksdb.add_host(
-            HostRecord(
-                name=name,
-                mac=new_mac,
-                ip=record.ip,
-                appliance="compute",
-                rack=record.rack,
-                rank=record.rank,
-                state=InstallState.INSTALLING,
-            )
+        self._nodes[new_mac] = node
+        row = cluster.rocksdb.add_host(
+            name=name,
+            mac=new_mac,
+            ip=record.ip,
+            appliance="compute",
+            rack=record.rack,
+            rank=record.rank,
+            state=InstallState.INSTALLING,
         )
-        host = Host(node, self.release)
-        host.hostname = name
-        db = self._kickstart_host(
-            host, cluster.graph, cluster.distribution, Profile.COMPUTE
-        )
-        cluster.compute[name] = (host, db)
-        record = cluster.rocksdb.get(name)
-        record.cores = node.cores
-        record.mem_kb = node.memory_bytes / 1024
-        cluster.rocksdb.set_state(name, InstallState.INSTALLED)
-        return host
+        self._install_compute(cluster, row)
+        return cluster.compute[name][0]
 
     def reinstall_node(self, cluster: ProvisionedCluster, name: str) -> Host:
         """Re-kickstart one compute node (Rocks' usual fix for drift)."""
-        record = cluster.rocksdb.get(name)
-        if record.appliance != "compute":
+        row = cluster.rocksdb.get(name)
+        if row.appliance != "compute":
             raise RocksError("only compute nodes can be reinstalled in place")
-        node = next(
-            n for n in self.machine.compute_nodes if n.mac_address == record.mac
-        )
-        cluster.rocksdb.set_state(name, InstallState.INSTALLING)
-        host = Host(node, self.release)
-        host.hostname = name
-        db = self._kickstart_host(
-            host, cluster.graph, cluster.distribution, Profile.COMPUTE
-        )
-        cluster.compute[name] = (host, db)
-        record.cores = node.cores
-        record.mem_kb = node.memory_bytes / 1024
-        cluster.rocksdb.set_state(name, InstallState.INSTALLED)
-        return host
+        row.state = InstallState.INSTALLING
+        self._install_compute(cluster, row)
+        return cluster.compute[name][0]
 
 
 def recover_install(journal, rocksdb: RocksDatabase) -> list:
@@ -595,9 +525,10 @@ def recover_install(journal, rocksdb: RocksDatabase) -> list:
     A frontend that died between registering a node (insert-ethers wrote
     the database row) and finishing its kickstart leaves the row pointing
     at a node with no OS — a half-registered host that would poison every
-    tool reading the hosts table.  Recovery removes those rows in strict
-    reverse order; the node re-registers cleanly on the next insert-ethers
-    run.  Returns the transactions rolled back.
+    tool reading the hosts table.  Recovery removes those rows, found by
+    the MAC each register intent recorded, in strict reverse order; the
+    node re-registers cleanly on the next insert-ethers run.  Returns the
+    transactions rolled back.
     """
     from ..recovery.journal import OpState
 
@@ -606,14 +537,9 @@ def recover_install(journal, rocksdb: RocksDatabase) -> list:
         for op in reversed(txn.ops):
             if op.state is OpState.UNDONE:
                 continue
-            if op.op == "register":
-                name = op.payload["name"]
-                try:
-                    rocksdb.get(name)
-                except RocksError:
-                    pass  # row never landed; nothing to remove
-                else:
-                    rocksdb.remove_host(name)
+            # A register whose row never landed has nothing to remove.
+            if op.op == "register" and rocksdb.has_mac(op.payload["mac"]):
+                rocksdb.remove_host(rocksdb.by_mac(op.payload["mac"]).name)
             journal.undone(txn, op)
         journal.rolled_back(txn)
         resolved.append(txn)
@@ -626,17 +552,8 @@ def install_cluster(
     rolls: list[Roll] | None = None,
     scheduler: str = "torque",
     release: DistroRelease = CENTOS_6_5,
-    wave_size: int | None = None,
 ) -> ProvisionedCluster:
-    """Convenience wrapper: build and run a :class:`RocksInstaller`.
-
-    ``wave_size=None`` auto-selects: small sites install node-at-a-time
-    (the classic insert-ethers cadence), campus-scale sites in waves of 32
-    with a shared transaction plan per wave — same resulting cluster,
-    linear instead of quadratic validation cost.
-    """
-    if wave_size is None:
-        wave_size = 32 if len(machine.compute_nodes) > 32 else 1
+    """Convenience wrapper: build and run a :class:`RocksInstaller`."""
     return RocksInstaller(
         machine, rolls=rolls, scheduler=scheduler, release=release
-    ).run(wave_size=wave_size)
+    ).run()

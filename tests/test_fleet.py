@@ -255,25 +255,90 @@ def test_fleet_nodeset_select_roundtrip():
 # -- wave installs ----------------------------------------------------------------
 
 
-def _states(cluster):
-    return {r.name: r.state for r in cluster.rocksdb.hosts()}
-
-
-def test_wave_install_matches_sequential():
-    """Waves of 3 and node-at-a-time produce the same cluster (names, IPs,
-    states, per-node package sets); only MACs differ (hardware serials)."""
+def _install_summary(**run_kw):
+    """Everything an install leaves behind that must not depend on how the
+    nodes were batched (MACs are hardware serials, so keyed out)."""
     from repro.hardware import build_littlefe_modified
+    from repro.recovery import Journal, TxnState
 
-    seq = RocksInstaller(build_littlefe_modified().machine).run(wave_size=1)
-    wav = RocksInstaller(build_littlefe_modified().machine).run(wave_size=3)
-    assert _states(seq) == _states(wav)
-    assert {r.name: r.ip for r in seq.rocksdb.hosts()} == {
-        r.name: r.ip for r in wav.rocksdb.hosts()
+    journal = Journal()
+    kernel = SimKernel(seed=3)
+    cluster = RocksInstaller(
+        build_littlefe_modified().machine, journal=journal
+    ).run(kernel=kernel, **run_kw)
+    db = cluster.rocksdb
+    waves = [e.data for e in kernel.trace.events if e.kind == "install.wave"]
+    txns = journal.transactions("rocks.install")
+    assert all(t.state is TxnState.COMMITTED for t in txns)
+    return {
+        "hosts": [
+            {k: v for k, v in host.items() if k != "mac"}
+            for host in db.state_dict()["hosts"]
+        ],
+        "leases": {
+            db.by_mac(l.mac).name: l.ip for l in cluster.network.dhcp.leases()
+        },
+        "fingerprints": {
+            name: rpmdb.fingerprint()
+            for name, (_host, rpmdb) in sorted(cluster.compute.items())
+        },
+        "uniform": cluster.installed_everywhere(),
+        "txns": len(txns),
+        "wave_nodes": [
+            n for w in waves for n in NodeSet.parse(w["nodes"]).expand()
+        ],
+        "wave_pkgs": {w["pkgs"] for w in waves},
+        "wave_counts": [w["count"] for w in waves],
     }
-    assert sorted(seq.compute) == sorted(wav.compute)
-    for name in seq.compute:
-        assert seq.compute[name][1].names() == wav.compute[name][1].names()
-    assert seq.installed_everywhere() == wav.installed_everywhere()
+
+
+@pytest.fixture(scope="module")
+def default_wave_summary():
+    return _install_summary()
+
+
+@pytest.mark.parametrize("wave_size", [1, 3, 64])
+def test_install_does_not_depend_on_wave_size(default_wave_summary, wave_size):
+    """``wave_size`` is a batch size and nothing else: a wave of one, a
+    partial last wave and one wave wider than the site all build the
+    cluster the default does."""
+    summary = _install_summary(wave_size=wave_size)
+    assert summary == {
+        **default_wave_summary,
+        "wave_counts": [min(wave_size, 5 - i) for i in range(0, 5, wave_size)],
+    }
+    assert summary["txns"] == len(summary["fingerprints"]) == 5
+    assert len(set(summary["fingerprints"].values())) == 1
+
+
+def test_one_plan_per_profile_is_reused_for_the_cluster_lifetime(monkeypatch):
+    """A LittleFe install validates and orders twice — the frontend and
+    one compute plan — and every later kickstart of that cluster
+    (replace, reinstall, lazy materialization) commits through them."""
+    from repro.hardware import build_littlefe_modified
+    from repro.rocks import install_cluster
+    from repro.rpm import Transaction
+
+    plans = []
+    real_plan = Transaction.plan
+    monkeypatch.setattr(
+        Transaction, "plan", lambda txn: plans.append(txn) or real_plan(txn)
+    )
+    install_cluster(build_littlefe_modified().machine)
+    assert len(plans) == 2
+
+    del plans[:]
+    installer = RocksInstaller(build_littlefe_modified().machine)
+    cluster = installer.run()
+    installer.reinstall_node(cluster, "compute-0-0")
+    installer.replace_node(cluster, "compute-0-1", new_mac="02:xc:bc:ff:ff:02")
+    assert len(plans) == 2
+
+    del plans[:]
+    installer = RocksInstaller(build_littlefe_modified().machine)
+    lazy = installer.run(materialize=False)
+    assert lazy.host_for("compute-0-3").hostname == "compute-0-3"
+    assert len(plans) == 2
 
 
 def test_wave_install_emits_folded_trace(littlefe_machine):

@@ -326,16 +326,125 @@ class TestRocksInstallWal:
         assert "kickstart failed" in aborted[0].meta["abort_note"]
         assert journal.open_txns() == []
 
+    @staticmethod
+    def _failing_install(machine, monkeypatch, *, wave_size, fail_at, error):
+        """Run an install whose ``fail_at``-th compute kickstart raises
+        ``error``; returns the journal and the insert-ethers session (the
+        handle on the hosts table, DHCP and PXE the dead run leaves)."""
+        from repro.rocks import installer as installer_mod
+
+        journal = Journal()
+        installer = RocksInstaller(machine, journal=journal)
+        sessions = []
+        real_session = installer_mod.InsertEthers
+
+        def capture(**kw):
+            sessions.append(real_session(**kw))
+            return sessions[-1]
+
+        monkeypatch.setattr(installer_mod, "InsertEthers", capture)
+        kickstart = installer._kickstart_host
+        calls = {"n": 0}
+
+        def failing(*args, **kw):
+            calls["n"] += 1
+            if calls["n"] == fail_at + 2:  # call 1 is the frontend
+                raise error
+            return kickstart(*args, **kw)
+
+        monkeypatch.setattr(installer, "_kickstart_host", failing)
+        with pytest.raises(type(error)):
+            installer.run(wave_size=wave_size)
+        return journal, sessions[0]
+
+    @pytest.mark.parametrize("crash_at", [0, 1, 4])
+    @pytest.mark.parametrize("wave_size", [1, 3, 32])
+    def test_crash_mid_wave_recovers_to_a_clean_table(
+        self, littlefe_machine, monkeypatch, wave_size, crash_at
+    ):
+        """Every row a dead frontend leaves behind has an open transaction,
+        whatever the wave size: recovery removes them all and the MACs
+        re-register."""
+        from repro.rocks import InsertEthers
+
+        journal, session = self._failing_install(
+            littlefe_machine, monkeypatch, wave_size=wave_size,
+            fail_at=crash_at, error=HeadnodeCrashError("power cut"),
+        )
+        assert journal.open_txns("rocks.install")
+        recover_install(journal, session.db)
+        assert journal.open_txns("rocks.install") == []
+        assert [r.name for r in session.db.compute_hosts()] == [
+            f"compute-0-{i}" for i in range(crash_at)
+        ]
+        assert {r.state for r in session.db.compute_hosts()} <= {
+            InstallState.INSTALLED, InstallState.FAILED,
+        }
+        rolled_back = [
+            n.mac_address for n in littlefe_machine.compute_nodes[crash_at:]
+        ]
+        fresh = InsertEthers(db=session.db, dhcp=session.dhcp, pxe=session.pxe)
+        assert [r.name for r in fresh.discover_wave(rolled_back)] == [
+            f"compute-0-{i}" for i in range(crash_at, 5)
+        ]
+
+    def test_crash_during_discovery_recovers(self, littlefe_machine, monkeypatch):
+        """A frontend that dies while the wave is still PXE-booting holds
+        register intents whose rows never landed; recovery closes them."""
+        from repro.network import PxeServer
+        from repro.rocks.database import RocksDatabase
+
+        journal = Journal()
+        boot_once = PxeServer._boot_once
+        third = littlefe_machine.compute_nodes[2].mac_address
+
+        def dying(pxe, mac, hostname):
+            if mac == third:
+                raise HeadnodeCrashError("power cut")
+            return boot_once(pxe, mac, hostname)
+
+        monkeypatch.setattr(PxeServer, "_boot_once", dying)
+        with pytest.raises(HeadnodeCrashError):
+            RocksInstaller(littlefe_machine, journal=journal).run()
+        open_txns = journal.open_txns("rocks.install")
+        assert len(open_txns) == 5
+        assert all(not t.applied_ops() for t in open_txns)
+        recover_install(journal, RocksDatabase())
+        assert journal.open_txns() == []
+
+    @pytest.mark.parametrize("wave_size", [1, 3, 32])
+    def test_node_failure_does_not_strand_the_wave(
+        self, littlefe_machine, monkeypatch, wave_size
+    ):
+        """Only a crash leaves transactions open: a kickstart failure that
+        stops the install aborts the rest of its wave too, and drops the
+        rows of nodes that were discovered but never kickstarted."""
+        from repro.errors import ProvisionError
+
+        journal, session = self._failing_install(
+            littlefe_machine, monkeypatch, wave_size=wave_size,
+            fail_at=1, error=ProvisionError("disk died mid-install"),
+        )
+        assert journal.open_txns() == []
+        states = [r.state for r in session.db.compute_hosts()]
+        assert states == [InstallState.INSTALLED, InstallState.INSTALLING]
+        # compute-0-0 committed; the failed node and whatever else its
+        # wave had already discovered aborted.
+        discovered = {1: 2, 3: 3, 32: 5}[wave_size]
+        assert [t.state for t in journal.transactions("rocks.install")] == (
+            [TxnState.COMMITTED] + [TxnState.ABORTED] * (discovered - 1)
+        )
+
     def test_recover_install_removes_half_registered_host(self):
-        from repro.rocks.database import HostRecord, RocksDatabase
+        from repro.rocks.database import RocksDatabase
 
         journal = Journal()
         rocksdb = RocksDatabase()
-        rocksdb.add_host(HostRecord(
+        rocksdb.add_host(
             name="compute-0-1", mac="aa:bb:cc:00:00:02", ip="10.1.255.253",
             appliance="compute", rack=0, rank=1,
             state=InstallState.INSTALLING,
-        ))
+        )
         # The exact shape installer.run() leaves behind when the frontend
         # dies between insert-ethers' row write and the kickstart finish.
         txn = journal.begin("rocks.install", mac="aa:bb:cc:00:00:02")

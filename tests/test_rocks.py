@@ -12,7 +12,6 @@ from repro.errors import (
 from repro.network import DhcpServer, PxeServer, BootImage
 from repro.rocks import (
     GraphNode,
-    HostRecord,
     InsertEthers,
     InstallState,
     KickstartGraph,
@@ -145,35 +144,41 @@ class TestRolls:
         assert "hpc" in g.rolls_in(Profile.FRONTEND)
 
 
+def _add_host(db, name, mac, *, ip="ip", appliance="compute", rank=0):
+    return db.add_host(
+        name=name, mac=mac, ip=ip, appliance=appliance, rack=0, rank=rank
+    )
+
+
 class TestRocksDatabase:
     def test_add_and_lookup(self):
         db = RocksDatabase()
-        db.add_host(HostRecord("frontend-0", "02:aa", "10.1.1.1", "frontend", 0, 0))
-        db.add_host(HostRecord("compute-0-0", "02:bb", "10.1.1.10", "compute", 0, 0))
+        _add_host(db, "frontend-0", "02:aa", ip="10.1.1.1", appliance="frontend")
+        _add_host(db, "compute-0-0", "02:bb", ip="10.1.1.10")
         assert db.get("compute-0-0").mac == "02:bb"
         assert db.by_mac("02:aa").name == "frontend-0"
         assert [r.name for r in db.hosts()] == ["frontend-0", "compute-0-0"]
 
     def test_duplicate_name_and_mac_rejected(self):
         db = RocksDatabase()
-        db.add_host(HostRecord("n", "02:aa", "ip", "compute", 0, 0))
+        _add_host(db, "n", "02:aa")
         with pytest.raises(RocksError):
-            db.add_host(HostRecord("n", "02:bb", "ip", "compute", 0, 1))
+            _add_host(db, "n", "02:bb", rank=1)
         with pytest.raises(RocksError):
-            db.add_host(HostRecord("m", "02:aa", "ip", "compute", 0, 1))
+            _add_host(db, "m", "02:aa", rank=1)
 
     def test_next_compute_name_sequence(self):
         db = RocksDatabase()
         assert db.next_compute_name(0) == "compute-0-0"
-        db.add_host(HostRecord("compute-0-0", "02:aa", "ip", "compute", 0, 0))
+        _add_host(db, "compute-0-0", "02:aa")
         assert db.next_compute_name(0) == "compute-0-1"
         assert db.next_compute_name(1) == "compute-1-0"
 
     def test_remove_host_frees_mac(self):
         db = RocksDatabase()
-        db.add_host(HostRecord("n", "02:aa", "ip", "compute", 0, 0))
+        _add_host(db, "n", "02:aa")
         db.remove_host("n")
-        db.add_host(HostRecord("m", "02:aa", "ip", "compute", 0, 0))
+        _add_host(db, "m", "02:aa")
 
 
 class TestInsertEthers:
