@@ -21,8 +21,10 @@ def monitored_day():
     gmetad = monitor_cluster(cluster, scheduler=scheduler)
 
     gmetad.run_cycles(2)  # idle baseline
+    # Half an hour, so the whole day fits the archives' one-hour ring
+    # (240 slots x 15 s) and the mid-day samples are not overwritten.
     scheduler.submit(Job("md-sweep", "alice", cores=8,
-                         walltime_limit_s=7200, runtime_s=3600))
+                         walltime_limit_s=7200, runtime_s=1800))
     loaded = gmetad.poll_cycle()
     # a node fails mid-day and comes back
     machine.compute_nodes[-1].powered_on = False

@@ -48,6 +48,7 @@ __all__ = [
     "CheckpointError",
     "SchedulerError",
     "JobError",
+    "MonitoringError",
     "ShellError",
     "RepodError",
     "RepodFetchError",
@@ -269,6 +270,13 @@ class SchedulerError(ReproError):
 
 class JobError(SchedulerError):
     """Invalid job specification or state transition."""
+
+
+# --- monitoring ----------------------------------------------------------------
+
+
+class MonitoringError(ReproError):
+    """Invalid monitoring operation."""
 
 
 # --- parallel admin execution (repro.shell) --------------------------------------

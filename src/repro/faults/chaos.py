@@ -39,14 +39,15 @@ harness twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping
 
 from ..distro.distribution import CENTOS_6_5
 from ..distro.host import Host
 from ..errors import FaultError, HeadnodeCrashError, RetryExhaustedError
 from ..hardware.builder import build_limulus_hpc200, build_littlefe_modified
-from ..monitoring.gmetad import Gmetad
 from ..monitoring.gmond import Gmond
+from ..monitoring.hierarchy import GmetadTree, GmondRack
 from ..recovery.checkpoint import register_world_factory
 from ..recovery.journal import Journal
 from ..recovery.supervisor import Supervisor
@@ -130,7 +131,7 @@ class ChaosRun:
 
     kernel: SimKernel
     scheduler: MauiScheduler
-    gmetad: Gmetad
+    gmetad: GmetadTree
     mirror: RepoMirror | None
     injector: FaultInjector
     report: ChaosReport
@@ -261,22 +262,23 @@ class ChaosWorld:
         self.kernel = kernel
         self.journal = Journal()
         self.scheduler = MauiScheduler(ClusterResources(self.machine), kernel=kernel)
-        self.gmetad = Gmetad(self.machine.name, poll_period_s=15.0, kernel=kernel)
+        self.gmetad = GmetadTree(
+            self.machine.name, poll_period_s=15.0, kernel=kernel
+        )
+        rack = GmondRack(self.machine.name)
+        self.gmetad.add_rack(rack)
         scheduler = self.scheduler
+        resources = scheduler.resources
+        # The frontend takes no jobs, so it has no load to report.
+        scheduled = set(resources.node_names())
         for node in self.machine.nodes:
             host = Host(node, CENTOS_6_5, diskless_image=node.diskless)
-
-            def load_for(node_name=node.name):
-                total = 0
-                for job in scheduler.running:
-                    if job.allocation is None:
-                        continue
-                    for name, cores in job.allocation.by_node:
-                        if name == node_name:
-                            total += cores
-                return total
-
-            self.gmetad.attach(Gmond(host, load_source=load_for))
+            load_source = (
+                partial(resources.allocated_of, node.name)
+                if node.name in scheduled
+                else None
+            )
+            rack.attach(Gmond(host, load_source=load_source))
 
         self.mirror = (
             _build_mirror(kernel, self.journal) if merged["with_mirror"] else None
@@ -471,7 +473,7 @@ def run_chaos(
 def _audit(
     kernel: SimKernel,
     scheduler: MauiScheduler,
-    gmetad: Gmetad,
+    gmetad: GmetadTree,
     injector: FaultInjector,
     jobs: list[Job],
     mirror_outcome: bool | None,

@@ -11,9 +11,10 @@ Every injection emits ``fault.inject`` and every automatic repair emits
 diffable record of what broke and when it healed.
 
 The injector is duck-typed on purpose: it holds whatever subsystem
-handles you give it (scheduler, machine, gmetad, mirrors, PXE) and raises
-:class:`~repro.errors.FaultError` at *apply* time if a plan needs one
-that is missing — never silently dropping a fault.
+handles you give it (scheduler, machine, mirrors, PXE, and ``gmetad`` — a
+:class:`~repro.monitoring.GmetadTree`, reached through ``gmond_for``) and
+raises :class:`~repro.errors.FaultError` at *apply* time if a plan needs
+one that is missing — never silently dropping a fault.
 """
 
 from __future__ import annotations

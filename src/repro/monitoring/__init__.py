@@ -1,15 +1,16 @@
 """The Ganglia-like monitoring substrate (Table 1's ganglia roll): per-host
-gmond agents, the frontend gmetad aggregator, round-robin archives, and the
-text dashboard.
+gmond agents, the gmetad tree that aggregates them rack by rack,
+round-robin archives, and the text dashboard.
 
 :func:`monitor_cluster` wires a provisioned Rocks cluster into a working
 monitoring mesh in one call.
 """
 
+from functools import partial
+
 from ..rocks.installer import ProvisionedCluster
-from .gmetad import ClusterSummary, Gmetad
 from .gmond import Gmond
-from .hierarchy import FleetRack, GmetadTree, GmondRack, monitor_fleet
+from .hierarchy import ClusterSummary, FleetRack, GmetadTree, GmondRack, monitor_fleet
 from .metrics import CORE_METRICS, MetricKind, MetricSample, MetricSpec, MonitoringError
 from .rrd import Rrd, RrdPoint
 
@@ -22,7 +23,6 @@ __all__ = [
     "Rrd",
     "RrdPoint",
     "Gmond",
-    "Gmetad",
     "ClusterSummary",
     "monitor_cluster",
     "FleetRack",
@@ -38,8 +38,13 @@ def monitor_cluster(
     scheduler=None,
     poll_period_s: float = 15.0,
     kernel=None,
-) -> Gmetad:
+) -> GmetadTree:
     """Attach gmonds to every node of a provisioned cluster.
+
+    The mesh is one :class:`GmondRack` named after the cluster under a
+    :class:`GmetadTree` — full per-host fidelity (RRDs, ``metric.sample``,
+    the dashboard), which is what a deskside cluster wants;
+    :func:`monitor_fleet` is the agent-free wiring for 10k-node fleets.
 
     When ``scheduler`` (any :class:`~repro.scheduler.base.BaseScheduler`) is
     given, each node's load metric reports the cores the scheduler currently
@@ -50,26 +55,13 @@ def monitor_cluster(
     """
     if kernel is None and scheduler is not None:
         kernel = scheduler.kernel
-    gmetad = Gmetad(
+    tree = GmetadTree(
         cluster.machine.name, poll_period_s=poll_period_s, kernel=kernel
     )
-
-    def load_source_for(node_name: str):
-        if scheduler is None:
-            return None
-
-        def busy() -> int:
-            total = 0
-            for job in scheduler.running:
-                if job.allocation is None:
-                    continue
-                for name, cores in job.allocation.by_node:
-                    if name == node_name:
-                        total += cores
-            return total
-
-        return busy
-
+    rack = GmondRack(cluster.machine.name)
+    tree.add_rack(rack)
+    # Hosts the scheduler does not place jobs on (the frontend) report 0.
+    scheduled = set(scheduler.resources.node_names()) if scheduler else ()
     for host in cluster.hosts():
         # ProvisionedCluster exposes db_for; ExistingCluster (vendor-built
         # machines like the Limulus) reaches the database via its client.
@@ -77,7 +69,11 @@ def monitor_cluster(
             db = cluster.db_for(host)
         else:
             db = cluster.client_for(host).db
-        gmetad.attach(
-            Gmond(host, db, load_source=load_source_for(host.node.name))
+        node = host.node.name
+        load_source = (
+            partial(scheduler.resources.allocated_of, node)
+            if node in scheduled
+            else None
         )
-    return gmetad
+        rack.attach(Gmond(host, db, load_source=load_source))
+    return tree

@@ -3,9 +3,10 @@
 Each monitored host runs a :class:`Gmond` that snapshots the simulated
 host's real state — load derived from the scheduler's allocations, memory
 from the hardware model, package count from the RPM database, failed
-services from the service manager.  Samples are pulled by gmetad
-(:mod:`repro.monitoring.gmetad`) exactly the way the real mesh works
-(gmetad polls a gmond, which answers with the cluster's current samples).
+services from the service manager.  Samples are pulled by the agent's
+:class:`~repro.monitoring.hierarchy.GmondRack` leaf of the gmetad tree,
+exactly the way the real mesh works (gmetad polls a gmond, which answers
+with the host's current samples).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ class Gmond:
     """One host's monitoring agent.
 
     ``load_source`` is an optional callable returning the host's busy-core
-    count (wired to the scheduler by :class:`~repro.monitoring.gmetad.Gmetad`
-    integrations or tests); without one, load reports 0.
+    count (:func:`~repro.monitoring.monitor_cluster` wires it to the
+    scheduler's ``ClusterResources.allocated_of``); without one, load
+    reports 0.
 
     ``responsive`` models the daemon itself: a crashed node or a
     heartbeat-loss fault makes the gmond stop answering (``poll`` raises

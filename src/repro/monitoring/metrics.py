@@ -4,7 +4,7 @@ Table 1 ships the **ganglia** roll ("Cluster monitoring system"), and the
 conclusion counts monitoring among the skills a student cluster teaches.
 The model mirrors Ganglia's: a *metric* is a named, typed, unit-carrying
 sample attached to a host; gmond collects them per host, gmetad aggregates
-per cluster (:mod:`repro.monitoring.gmond` / ``gmetad``); history is kept in
+per cluster (:mod:`repro.monitoring.gmond` / ``hierarchy``); history is kept in
 round-robin archives (:mod:`repro.monitoring.rrd`).
 """
 
@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..errors import ReproError
+from ..errors import MonitoringError
 
 __all__ = ["MetricKind", "MetricSample", "MetricSpec", "CORE_METRICS", "MonitoringError"]
-
-
-class MonitoringError(ReproError):
-    """Invalid monitoring operation."""
 
 
 class MetricKind(str, Enum):

@@ -1,10 +1,11 @@
 """The self-healing supervisor: detection becomes repair, declaratively.
 
-PR 3's fault machinery can *detect* a dead node (gmetad's missed
-heartbeats), a failed kickstart (``InstallState.FAILED``), or a starved
-job (failed at submit on a degraded cluster) — but nothing repaired them,
-which is exactly the gap between "a cluster that reports failures" and
-the paper's one-part-time-admin cluster that *keeps running*.  The
+PR 3's fault machinery can *detect* a dead node (missed heartbeats at the
+:class:`~repro.monitoring.GmetadTree` leaves), a failed kickstart
+(``InstallState.FAILED``), or a starved job (failed at submit on a
+degraded cluster) — but nothing repaired them, which is exactly the gap
+between "a cluster that reports failures" and the paper's
+one-part-time-admin cluster that *keeps running*.  The
 :class:`Supervisor` closes the loop: a periodic kernel event sweeps the
 wired subsystems against a set of declarative :class:`RecoveryPolicy`
 entries and performs bounded, observable repairs:
@@ -13,7 +14,8 @@ entries and performs bounded, observable repairs:
   (a ``power_probe`` callback arbitrates; a dead PSU cannot be rebooted
   away), after a modelled reboot delay;
 * ``restart.gmond`` — restart unresponsive monitoring daemons on
-  powered-on hosts;
+  powered-on hosts (the tree's agent hosts; table-summarized
+  ``FleetRack`` hosts have no daemon to restart);
 * ``undrain.node`` — return healthy drained nodes to service;
 * ``resubmit.job`` — resubmit jobs that failed *in the queue* (never
   started) once usable capacity can hold them again;
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ProvisionError, RecoveryError
+from ..errors import MonitoringError, ProvisionError, RecoveryError
 from ..faults.retry import RetryPolicy
 
 __all__ = ["RecoveryPolicy", "Supervisor", "default_policies"]
@@ -226,8 +228,8 @@ class Supervisor:
         if self.gmetad is not None:
             try:
                 self.gmetad.gmond_for(node).restore_heartbeat()
-            except Exception:
-                pass  # not in the monitoring mesh
+            except MonitoringError:
+                pass  # not in the mesh, or on an agent-free FleetRack leaf
         self.scheduler.recover_node(node)
         self.repaired_nodes.add(node)
         self.repairs.append(

@@ -160,6 +160,12 @@ class ClusterResources:
         pos = self._position(node)
         return 0 if self._flag("offline", pos) else self._freev[pos]
 
+    def allocated_of(self, node: str) -> int:
+        """Cores running jobs hold on the node, whatever its flags (the
+        per-node load monitoring reports)."""
+        pos = self._position(node)
+        return self._capv[pos] - self._freev[pos]
+
     @property
     def usable_cores(self) -> int:
         """Cores a job could ever be given: not failed, not draining.

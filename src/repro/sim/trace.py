@@ -57,7 +57,6 @@ EVENT_SCHEMA: dict[str, dict[str, type]] = {
     "mpi.barrier": {"ranks": int},
     # monitoring mesh
     "metric.sample": {"host": str, "metric": str, "value": float},
-    "monitor.cycle": {"hosts_up": int, "hosts_total": int, "load_total": float},
     # package mirror and grid data movement
     "mirror.sync": {"repo": str, "nbytes": int, "files": int, "skipped": bool},
     "grid.xfer": {"file": str, "nbytes": int, "retries": int},

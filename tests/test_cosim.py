@@ -39,7 +39,7 @@ class TestOneTimeline:
         events = run["kernel"].trace.events
         starts = [e.seq for e in events if e.kind == "job.start"]
         ends = [e.seq for e in events if e.kind == "job.end"]
-        cycles = [e.seq for e in events if e.kind == "monitor.cycle"]
+        cycles = [e.seq for e in events if e.kind == "monitor.rollup"]
         assert any(min(starts) < c < max(ends) for c in cycles)
 
     def test_jobs_completed_with_boot_delay(self, run):

@@ -61,7 +61,7 @@ def test_training_workshop():
 def test_cosim_limulus():
     output = run_example("cosim_limulus")
     assert "traces byte-identical: True" in output
-    assert "monitor.cycle" in output  # the trace-bus counter table
+    assert "monitor.rollup" in output  # the trace-bus counter table
     assert "ranks" in output and "communication" in output
 
 

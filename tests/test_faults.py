@@ -32,7 +32,7 @@ from repro.faults import (
 )
 from repro.faults.chaos import demo_plan, run_chaos
 from repro.hardware import build_littlefe_modified
-from repro.monitoring import Gmetad, Gmond
+from repro.monitoring import GmetadTree, Gmond, GmondRack
 from repro.network.dhcp import DhcpServer
 from repro.network.pxe import BootImage, PxeServer
 from repro.rocks.database import InstallState
@@ -321,12 +321,13 @@ class TestGracefulDegradation:
     def test_gmetad_survives_dead_gmond_and_reports_degraded(self):
         kernel = SimKernel()
         machine = build_littlefe_modified().machine
-        gmetad = Gmetad(machine.name, poll_period_s=10.0, kernel=kernel,
-                        dead_after_misses=2)
+        gmetad = GmetadTree(machine.name, poll_period_s=10.0, kernel=kernel)
+        rack = GmondRack(machine.name, dead_after_misses=2)
+        gmetad.add_rack(rack)
         from repro.distro import CENTOS_6_5, Host
 
         for node in machine.nodes:
-            gmetad.attach(Gmond(Host(node, CENTOS_6_5)))
+            rack.attach(Gmond(Host(node, CENTOS_6_5)))
         victim = machine.compute_nodes[0].name
         gmetad.gmond_for(victim).fail_heartbeat()
         summary = gmetad.run_cycles(2)

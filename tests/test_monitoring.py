@@ -1,19 +1,26 @@
 """Monitoring substrate tests: RRDs, gmond sampling, gmetad aggregation."""
 
+import random
+from dataclasses import replace
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitoring import (
     CORE_METRICS,
-    Gmetad,
+    FleetRack,
+    GmetadTree,
     Gmond,
+    GmondRack,
     MonitoringError,
     Rrd,
     monitor_cluster,
 )
 from repro.rocks import install_cluster, optional_rolls
 from repro.scheduler import ClusterResources, Job, MauiScheduler
+from repro.sim import TraceBus
 
 
 @pytest.fixture(scope="module")
@@ -185,11 +192,13 @@ class TestGmetad:
 
     def test_duplicate_attach_rejected(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
-        gmetad = Gmetad("x")
+        gmetad = GmetadTree("x")
+        rack = GmondRack("x")
+        gmetad.add_rack(rack)
         gmond = Gmond(cluster.frontend, cluster.frontend_db)
-        gmetad.attach(gmond)
+        rack.attach(gmond)
         with pytest.raises(MonitoringError):
-            gmetad.attach(gmond)
+            rack.attach(gmond)
 
     def test_unknown_metric_or_host_rejected(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
@@ -206,3 +215,126 @@ class TestGmetad:
         rrd = gmetad.rrd_for(cluster.frontend.name, "cpu_num")
         assert len(rrd.series()) == 5
         assert rrd.mean() == pytest.approx(2.0)  # Celeron: 2 cores
+
+    def test_unreported_stream_has_no_archive(self, ganglia_cluster):
+        _machine, cluster = ganglia_cluster
+        gmetad = monitor_cluster(cluster)
+        with pytest.raises(MonitoringError, match="no samples archived"):
+            gmetad.rrd_for(cluster.frontend.name, "load_one")
+
+    @pytest.mark.parametrize("cycles,silent", [(0, False), (2, False), (2, True)])
+    def test_reads_do_not_mutate_checkpointed_state(
+        self, ganglia_cluster, cycles, silent
+    ):
+        """down_hosts() and render_dashboard() are lookups: the state that
+        CheckpointManager compares is the same before and after them — on
+        a never-polled mesh, a polled one, and one with a host that never
+        reported (so has no archives to look up)."""
+        _machine, cluster = ganglia_cluster
+        gmetad = monitor_cluster(cluster)
+        if silent:
+            gmetad.gmond_for(cluster.frontend.name).fail_heartbeat()
+        for _ in range(cycles):
+            gmetad.poll_cycle()
+        before = gmetad.state_dict()
+        assert gmetad.down_hosts() == []
+        if cycles:
+            assert cluster.frontend.name in gmetad.render_dashboard()
+        else:
+            with pytest.raises(MonitoringError):
+                gmetad.render_dashboard()
+        assert gmetad.state_dict() == before
+
+    def test_single_leaf_tree_summary_is_its_leaf_summary(self, ganglia_cluster):
+        """Folding one leaf's deltas from zero adds no float drift: the
+        merged summary equals a direct sum over the same agents exactly,
+        cycle after cycle, while load (and so free memory) keeps moving."""
+        machine, cluster = ganglia_cluster
+        scheduler = MauiScheduler(ClusterResources(machine))
+        tree = monitor_cluster(cluster, scheduler=scheduler)
+        twin = GmondRack("twin")
+        for host in tree.hosts():
+            twin.attach(tree.gmond_for(host))
+        rng = random.Random(13)
+        loads = set()
+        for cycle in range(50):
+            scheduler.submit(
+                Job(f"j{cycle}", "a", cores=rng.randint(1, 5),
+                    walltime_limit_s=1000, runtime_s=rng.choice([10, 25, 40]))
+            )
+            merged = tree.poll_cycle()
+            direct, _changed = twin.sample(tree.now_s, TraceBus())
+            assert merged == direct
+            loads.add(merged.load_total)
+        assert len(loads) > 3
+
+
+# -- the two leaf kinds agree --------------------------------------------------------
+
+_OPS = ("power_off", "power_on", "mute", "unmute", "allocate", "release")
+
+
+@pytest.fixture(scope="module")
+def fleet_littlefe():
+    from repro.hardware import build_littlefe_modified
+    from repro.rocks import RocksInstaller
+
+    return RocksInstaller(build_littlefe_modified().machine).run(wave_size=3)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_OPS), st.integers(min_value=0, max_value=5)),
+        max_size=40,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
+    """One GmondRack (agents) and one FleetRack (table columns) over the
+    same hosts see the same cluster: equal summaries (service failures
+    aside — the table has no such column) and equal dead lists, every
+    cycle, under power-offs, heartbeat loss, recovery and job load."""
+    cluster = fleet_littlefe
+    fleet = cluster.rocksdb.fleet
+    resources = ClusterResources.from_fleet(fleet)
+    scheduled = set(resources.node_names())
+    hosts = sorted(cluster.hosts(), key=lambda h: h.name)
+    rows = [fleet.by_name(h.name) for h in hosts]
+    for host, row in zip(hosts, rows):  # undo the previous example
+        host.node.powered_on = row.powered_on = row.responsive = True
+
+    agents = GmondRack("agents")
+    for host in hosts:  # fleet-built resources go by Rocks host name
+        load = (
+            partial(resources.allocated_of, host.name)
+            if host.name in scheduled
+            else None
+        )
+        agents.attach(Gmond(host, cluster.db_for(host), load_source=load))
+    # same summation order as the agent leaf, so float sums match bit for bit
+    columns = FleetRack("columns", fleet, [row.index for row in rows])
+
+    trace = TraceBus()
+    held = []
+    try:
+        for t, (op, pick) in enumerate(ops, start=1):
+            host, row = hosts[pick], rows[pick]
+            if op in ("power_off", "power_on"):
+                host.node.powered_on = row.powered_on = op == "power_on"
+            elif op in ("mute", "unmute"):
+                row.responsive = op == "unmute"
+                gmond = agents.gmond_for(host.name)
+                gmond.restore_heartbeat() if row.responsive else gmond.fail_heartbeat()
+            elif op == "allocate":
+                allocation = resources.try_allocate(pick + 1)
+                if allocation is not None:
+                    held.append(allocation)
+            elif held:
+                resources.release(held.pop(pick % len(held)))
+            a, _ = agents.sample(15.0 * t, trace)
+            c, _ = columns.sample(15.0 * t, trace)
+            assert a == replace(c, failed_services=a.failed_services)
+            assert agents.dead_hosts() == columns.dead_hosts()
+    finally:
+        for allocation in held:
+            resources.release(allocation)

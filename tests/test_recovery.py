@@ -660,6 +660,48 @@ class TestSupervisorPolicies:
         assert kernel.trace.count("recover.node") == 1
         assert [r.action for r in sup.repairs] == ["reboot.node"]
 
+    def test_reboot_tolerates_node_outside_the_mesh(self, littlefe_machine):
+        """MonitoringError from gmond_for (no agent for the node) is the one
+        failure the reboot absorbs."""
+        from repro.monitoring import GmetadTree
+
+        kernel, scheduler = _mini_stack(littlefe_machine)
+        sup = Supervisor(kernel, scheduler=scheduler,
+                         gmetad=GmetadTree("empty", kernel=kernel),
+                         period_s=60.0)
+        victim = littlefe_machine.compute_nodes[0].name
+        scheduler.crash_node(victim, reason="test")
+        sup.sweep()
+        kernel.run_until(kernel.now_s + sup.policy("reboot.node").delay_s + 1)
+        assert not scheduler.resources.is_failed(victim)
+        assert victim in sup.repaired_nodes
+
+    def test_reboot_propagates_programming_errors(self, littlefe_machine):
+        """A non-ReproError out of the monitoring handle is a bug, not a
+        node outside the mesh: it must not be swallowed."""
+
+        class BrokenGmond:
+            def restore_heartbeat(self):
+                raise RuntimeError("bug in the agent")
+
+        class StubMesh:
+            def hosts(self):
+                return []
+
+            def gmond_for(self, host):
+                return BrokenGmond()
+
+        kernel, scheduler = _mini_stack(littlefe_machine)
+        sup = Supervisor(kernel, scheduler=scheduler, gmetad=StubMesh(),
+                         period_s=60.0)
+        victim = littlefe_machine.compute_nodes[0].name
+        scheduler.crash_node(victim, reason="test")
+        sup.sweep()
+        with pytest.raises(RuntimeError, match="bug in the agent"):
+            kernel.run_until(
+                kernel.now_s + sup.policy("reboot.node").delay_s + 1
+            )
+
     def test_reboot_skipped_when_power_is_dead(self, littlefe_machine):
         kernel, scheduler = _mini_stack(littlefe_machine)
         sup = Supervisor(kernel, scheduler=scheduler,
@@ -691,12 +733,14 @@ class TestSupervisorPolicies:
 
     def test_restart_gmond_restores_heartbeat(self, littlefe_machine):
         from repro.distro import CENTOS_6_5, Host
-        from repro.monitoring import Gmetad, Gmond
+        from repro.monitoring import GmetadTree, Gmond, GmondRack
 
         kernel, scheduler = _mini_stack(littlefe_machine)
-        gmetad = Gmetad(littlefe_machine.name, kernel=kernel)
+        gmetad = GmetadTree(littlefe_machine.name, kernel=kernel)
+        rack = GmondRack(littlefe_machine.name)
+        gmetad.add_rack(rack)
         for node in littlefe_machine.nodes:
-            gmetad.attach(Gmond(Host(node, CENTOS_6_5)))
+            rack.attach(Gmond(Host(node, CENTOS_6_5)))
         sup = Supervisor(kernel, scheduler=scheduler, gmetad=gmetad,
                          period_s=60.0)
         victim = littlefe_machine.compute_nodes[0].name
@@ -707,12 +751,14 @@ class TestSupervisorPolicies:
 
     def test_restart_gmond_skips_powered_off_hosts(self, littlefe_machine):
         from repro.distro import CENTOS_6_5, Host
-        from repro.monitoring import Gmetad, Gmond
+        from repro.monitoring import GmetadTree, Gmond, GmondRack
 
         kernel, scheduler = _mini_stack(littlefe_machine)
-        gmetad = Gmetad(littlefe_machine.name, kernel=kernel)
+        gmetad = GmetadTree(littlefe_machine.name, kernel=kernel)
+        rack = GmondRack(littlefe_machine.name)
+        gmetad.add_rack(rack)
         for node in littlefe_machine.nodes:
-            gmetad.attach(Gmond(Host(node, CENTOS_6_5)))
+            rack.attach(Gmond(Host(node, CENTOS_6_5)))
         victim = littlefe_machine.compute_nodes[0]
         victim.powered_on = False
         gmetad.gmond_for(victim.name).fail_heartbeat()
