@@ -40,48 +40,12 @@ def _violations(order):
 
 
 def test_ablation_closure(benchmark, save_artifact):
-    import time
-
-    from repro.perf import naive_mode
-    from repro.yum.depsolver import clear_resolution_cache
-
     resolution = benchmark(closure_for_gromacs)
     names = sorted(resolution.install_names)
-
-    # The index/cache ablation, measured live on the resolve alone
-    # (catalogue and host built once, outside the timed region): the same
-    # closure through the retained _scan_* paths with every cache disabled,
-    # through the capability indexes with the resolution cache cleared per
-    # round, and fully warm (docs/PERF.md).
-    repo = Repository("xsede", priority=50)
-    repo.add_all(xsede_packages())
-    repos = RepoSet([repo])
-    host = Host(build_littlefe_modified().machine.head, CENTOS_6_5)
-    rounds = 50
-
-    def per_resolve(clear_each_round):
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            if clear_each_round:
-                clear_resolution_cache()
-            resolve_install(["gromacs"], repos, RpmDatabase(host))
-        return (time.perf_counter() - t0) / rounds
-
-    with naive_mode():
-        clear_resolution_cache()
-        naive_s = per_resolve(clear_each_round=False)
-    indexed_s = per_resolve(clear_each_round=True)
-    warm_s = per_resolve(clear_each_round=False)
     save_artifact(
         "ablation_depsolver_closure",
         "requested: gromacs\n"
-        "resolved closure: " + ", ".join(names) + "\n"
-        "\n"
-        f"naive scan resolve (s)             {naive_s:>10.6f}\n"
-        f"indexed resolve, cold cache (s)    {indexed_s:>10.6f}"
-        f"   ({naive_s / indexed_s:.1f}x)\n"
-        f"indexed resolve, warm cache (s)    {warm_s:>10.6f}"
-        f"   ({naive_s / warm_s:.1f}x)",
+        "resolved closure: " + ", ".join(names),
     )
     # one name became the full chain
     assert "gromacs" in names and "openmpi" in names and "fftw" in names

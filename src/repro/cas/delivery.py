@@ -64,23 +64,25 @@ class LazyDelivery:
                 seen.add(chunk.digest)
                 needed.append(chunk)
         stats = self.stats
-        stats.packages += 1
-        stats.chunks_requested += len(manifest.chunks)
-        stats.per_node[node] = stats.per_node.get(node, 0) + 1
-        if not needed:
-            stats.bytes_reused += reused
-            return ChunkFetchStats(
+        if needed:
+            # May raise: nothing is counted as delivered until the site
+            # cache has actually served the chunks.
+            fetch = self.site.fetch_chunks(
+                needed, artifact=manifest.nevra, requester=node
+            )
+            held.update(c.digest for c in needed)
+            stats.chunks_fetched += len(needed)
+            stats.bytes_fetched += sum(c.size for c in needed)
+        else:
+            fetch = ChunkFetchStats(
                 artifact=manifest.nevra,
                 chunks=len(manifest.chunks),
                 hit_chunks=len(manifest.chunks),
                 nbytes=0,
             )
-        fetch = self.site.fetch_chunks(
-            needed, artifact=manifest.nevra, requester=node
-        )
-        held.update(c.digest for c in needed)
-        stats.chunks_fetched += len(needed)
-        stats.bytes_fetched += sum(c.size for c in needed)
+        stats.packages += 1
+        stats.chunks_requested += len(manifest.chunks)
+        stats.per_node[node] = stats.per_node.get(node, 0) + 1
         stats.bytes_reused += reused
         return fetch
 

@@ -562,10 +562,11 @@ class SiteChunkCache:
         seen: set[str] = set()
         missing: list[Chunk] = []
         hit_chunks = 0
+        hit_bytes = 0
         for chunk in chunks:
             if self.holds(chunk.digest):
                 hit_chunks += 1
-                self.hit_bytes += chunk.size
+                hit_bytes += chunk.size
             elif chunk.digest not in seen:
                 seen.add(chunk.digest)
                 missing.append(chunk)
@@ -583,7 +584,10 @@ class SiteChunkCache:
             self._spend(self.link.transfer_time_s(nbytes))
             for chunk in missing:
                 self._chunk_cache[chunk.digest] = chunk.size
+        # Counters commit together, after the upstream pull can no longer
+        # raise, so a failed fetch leaves all four untouched.
         self.hits += hit_chunks
+        self.hit_bytes += hit_bytes
         self.misses += len(missing)
         self.wan_bytes += nbytes
         stats = ChunkFetchStats(

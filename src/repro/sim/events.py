@@ -8,7 +8,7 @@ deterministic and traces byte-identical across runs.
 The heap stores plain ``(time_s, seq, handle)`` tuples, so sift
 comparisons run on C-level float/int pairs instead of calling back into
 ``EventHandle.__lt__`` — the single hottest line of the kernel before the
-perf overhaul (see docs/PERF.md and ``python -m repro.perf``).
+perf overhaul (see docs/PERF.md).
 
 Cancellation is lazy: a cancelled handle stays in the heap and is skipped
 at pop time, the standard O(log n) trick that avoids heap surgery.

@@ -338,15 +338,23 @@ class TestLazyInstall:
 
         host = Host(build_littlefe_modified().machine.head, CENTOS_6_5)
         db = RpmDatabase(host)
-        # A site cache with no upstream and no content: every fetch fails.
+        # A site cache with no upstream, warm with the previous version
+        # only: the shared chunks hit, the delta chunks cannot be pulled.
         site = SiteChunkCache(
             "island", policy=ChunkingPolicy(), kernel=SimKernel(seed=14)
         )
-        txn = Transaction(db, delivery=LazyDelivery(site))
+        site.ingest_package(Package("solo", "0.9", size_bytes=MB))
+        delivery = LazyDelivery(site)
+        txn = Transaction(db, delivery=delivery)
         txn.install(Package("solo", "1.0", size_bytes=MB))
         with pytest.raises(TransactionError):
             txn.commit()
         assert not db.has("solo")  # rolled back, nothing half-landed
+        # ...and nothing counted as delivered or served
+        assert delivery.stats.packages == 0
+        assert delivery.stats.chunks_requested == 0
+        assert delivery.stats.per_node == {}
+        assert site.hits == site.misses == site.hit_bytes == site.wan_bytes == 0
 
     def test_installer_delivery_matches_plain_install(self):
         from repro.hardware import build_littlefe_modified
@@ -371,6 +379,68 @@ class TestLazyInstall:
         assert not cas_confluence_problems(
             kernel.trace.events, strata=[s0], replicas=[s1], caches=[site]
         )
+
+
+# --- the delivery contract: update storm vs full mirroring ------------------------
+
+
+def test_update_storm_wan_is_3x_below_full_mirroring_and_deterministic():
+    """A release (v1, cold) and a security update (v2, the storm) reach
+    6 campuses x 10 nodes x 40 packages of 512 KiB two ways.  Whole-NEVRA
+    ``RepoMirror`` syncs are the "ship every chunk" world; through the
+    chunk hierarchy only the version-specific chunks cross the WAN, so
+    the storm must move >= 3x fewer bytes — and the same seed must give
+    a byte-identical trace."""
+    campuses, nodes_per_campus, n_pkgs = 6, 10, 40
+
+    def mirrored_storm_wan():
+        total = 0
+        for c in range(campuses):
+            v1 = Repository("xsede")
+            v1.add_all(release("1.0", n=n_pkgs, size=MB // 2))
+            mirror = RepoMirror(v1, make_link(), kernel=SimKernel(seed=100 + c))
+            mirror.sync()
+            v2 = Repository("xsede")
+            v2.add_all(release("2.0", n=n_pkgs, size=MB // 2))
+            mirror.upstream = v2
+            total += mirror.sync().bytes_transferred
+        return total
+
+    def chunked_run():
+        kernel = SimKernel(seed=77)
+        s0 = Stratum0("xsede", kernel=kernel)
+        s1 = Stratum1("us-east", s0, make_link(), kernel=kernel)
+        sites = [
+            SiteChunkCache(f"campus{c}", s1, make_link(), kernel=kernel)
+            for c in range(campuses)
+        ]
+        deliveries = [LazyDelivery(site) for site in sites]
+
+        def roll_out(version):
+            packages = release(version, n=n_pkgs, size=MB // 2)
+            s0.publish(packages)
+            replicated = s1.replicate()
+            for site in sites:
+                site.notice_release(s0.serial)
+            for delivery in deliveries:
+                for node in range(nodes_per_campus):
+                    for pkg in packages:
+                        delivery.fetch_package(f"node{node}", pkg)
+            return replicated.nbytes
+
+        roll_out("1.0")
+        cold_wan = sum(site.wan_bytes for site in sites)
+        replicated = roll_out("2.0")
+        storm_wan = replicated + sum(site.wan_bytes for site in sites) - cold_wan
+        assert all(
+            d.stats.packages == 2 * nodes_per_campus * n_pkgs
+            for d in deliveries
+        )
+        return storm_wan, kernel.trace.to_jsonl()
+
+    storm_wan, trace = chunked_run()
+    assert 0 < storm_wan * 3 <= mirrored_storm_wan()
+    assert chunked_run() == (storm_wan, trace)
 
 
 # --- chunked mirror sync ----------------------------------------------------------

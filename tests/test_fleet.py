@@ -460,7 +460,7 @@ def test_cluster_resources_from_fleet_rejects_empty():
 
 
 def test_fleet_cycle_same_seed_traces_identical():
-    """The bench_scale_10k contract at test scale: build + wave install +
+    """The fleet-cycle determinism contract: build + wave install +
     one monitoring cycle twice with one seed -> byte-identical traces."""
     from repro.core.deployments import build_synthetic_fleet
 

@@ -1,4 +1,4 @@
-"""Cache correctness across epochs, and the repro.perf harness itself.
+"""Cache correctness across epochs.
 
 The depsolver now memoises ``best_provider`` per RepoSet epoch and whole
 resolutions per (goals, repo epoch, db fingerprint).  The dangerous bug
@@ -7,8 +7,6 @@ package install) being served afterwards.  These tests mutate the world
 through every supported channel — direct repo edits, ``RepoMirror.sync``,
 db install/erase — and assert the caches notice.
 """
-
-import json
 
 import pytest
 
@@ -133,101 +131,3 @@ class TestResolutionCacheEpochs:
         update = resolve_update(repos, db)
         assert [p.version for p in update.to_install] == ["4.2.10"]
 
-
-class TestPerfHarness:
-    def test_run_benches_rejects_unknown_names(self):
-        from repro.perf import run_benches
-
-        with pytest.raises(KeyError, match="unknown bench"):
-            run_benches(["not_a_bench"])
-
-    def test_quick_results_are_keyed_separately(self):
-        from repro.perf import run_benches
-
-        results = run_benches(["trace_bus"], quick=True)
-        assert list(results) == ["trace_bus@quick"]
-        assert results["trace_bus@quick"].n == 10_000
-
-    def test_compare_results_flags_regressions_only(self):
-        from repro.perf import BenchResult, compare_results
-
-        baseline = {
-            "fast": {"ops_per_s": 1000.0, "wall_s": 1.0, "n": 1000},
-            "slow": {"ops_per_s": 1000.0, "wall_s": 1.0, "n": 1000},
-        }
-        current = {
-            "fast": BenchResult("fast", 900.0, 1.1, 1000),   # -10%: fine
-            "slow": BenchResult("slow", 700.0, 1.4, 1000),   # -30%: regression
-            "new": BenchResult("new", 1.0, 1.0, 1),          # no baseline: skip
-        }
-        problems = compare_results(current, baseline, tolerance=0.25)
-        assert len(problems) == 1 and problems[0].startswith("slow:")
-
-    def test_write_results_merges_and_sorts(self, tmp_path):
-        from repro.perf import BenchResult, load_results, write_results
-
-        out = tmp_path / "bench.json"
-        write_results({"b": BenchResult("b", 2.0, 0.5, 1)}, out)
-        merged = write_results({"a": BenchResult("a", 1.0, 1.0, 1)}, out)
-        assert list(merged) == ["a", "b"]
-        assert load_results(out)["b"]["ops_per_s"] == 2.0
-
-    def test_cli_gate_exits_nonzero_on_regression(self, tmp_path, capsys):
-        from repro.perf import main
-
-        baseline = tmp_path / "base.json"
-        # An impossible baseline: any real run regresses against it.
-        baseline.write_text(
-            json.dumps({"trace_bus@quick": {"ops_per_s": 1e12, "wall_s": 0.0, "n": 1}})
-        )
-        code = main(["trace_bus", "--quick", "--against", str(baseline)])
-        assert code == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-
-    def test_cli_gate_passes_within_tolerance(self, tmp_path, capsys):
-        from repro.perf import main
-
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps({"trace_bus@quick": {"ops_per_s": 1.0, "wall_s": 1.0, "n": 1}})
-        )
-        code = main(["trace_bus", "--quick", "--against", str(baseline)])
-        assert code == 0
-        assert "perf gate OK" in capsys.readouterr().out
-        assert not (tmp_path / "BENCH_hotpaths.json").exists()
-
-    def test_naive_mode_restores_everything(self):
-        from repro.perf import naive_mode
-        from repro.sim import SimKernel, TraceBus
-        from repro.yum.repository import RepoSet as RS, Repository as R
-
-        orig_providers = R.providers_of
-        orig_cache = RS.cache
-        orig_run_until = SimKernel.run_until
-        with naive_mode():
-            assert R.providers_of is R._scan_providers_of
-            assert RS.cache is not orig_cache
-            assert TraceBus().strict is True  # forced strict
-            repo = R("r")
-            repo.add(mk("alpha"))
-            assert [p.name for p in repo.providers_of(Requirement("alpha"))] == ["alpha"]
-        assert R.providers_of is orig_providers
-        assert RS.cache is orig_cache
-        assert SimKernel.run_until is orig_run_until
-        assert TraceBus().strict is False
-
-    def test_naive_mode_results_match_indexed_results(self, db):
-        """Same resolution either way — naive mode is slower, not different."""
-        from repro.perf import naive_mode
-
-        repo = Repository("r")
-        repo.add(mk("gromacs", "5.0.4", requires=(Requirement("libfftw"),)))
-        repo.add(mk("fftw", "3.3", provides=(Capability("libfftw"),)))
-        repos = RepoSet([repo])
-        indexed = resolve_install(["gromacs"], repos, db)
-        clear_resolution_cache()
-        with naive_mode():
-            naive = resolve_install(["gromacs"], repos, db)
-        assert [p.nevra for p in indexed.to_install] == [
-            p.nevra for p in naive.to_install
-        ]

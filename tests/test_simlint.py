@@ -215,14 +215,6 @@ class TestSourceTree:
             "src/repro/linpack/hpl.py:61",
         }
 
-    def test_perf_harness_wallclock_reads_still_fire_without_optout(
-        self, monkeypatch
-    ):
-        monkeypatch.chdir(ROOT)
-        result = analyze_source(["src/repro/perf/benches.py"], config=ALL)
-        assert {d.code for d in result.diagnostics} == {"SL101"}
-        assert len(result.diagnostics) == 12
-
     def test_iter_source_files_is_sorted_and_deduped(self, tmp_path):
         (tmp_path / "b.py").write_text("x = 1\n")
         (tmp_path / "a.py").write_text("x = 1\n")
