@@ -11,7 +11,8 @@ installs, rebuilt around content instead of NEVRAs:
   :class:`Stratum0` origin (journaled transactional publish/rollback) →
   :class:`Stratum1` replica (chunk-delta replication, resumable) →
   :class:`SiteChunkCache` campus tier (lazy fetch-on-reference, seedable
-  by a :class:`~repro.repod.SiteProxy`).
+  by a :class:`~repro.repod.SiteProxy`) — the last two are one
+  :class:`ChunkTier` pull-through path.
 * :mod:`repro.cas.delivery` — :class:`LazyDelivery` fetch-on-install for
   installers, plus the chaos-invariant audit.
 
@@ -23,6 +24,7 @@ from .delivery import DeliveryStats, LazyDelivery, cas_confluence_problems
 from .store import ChunkStore
 from .stratum import (
     ChunkFetchStats,
+    ChunkTier,
     PublishStats,
     ReplicateStats,
     SiteChunkCache,
@@ -39,6 +41,7 @@ __all__ = [
     "chunk_package",
     "ChunkStore",
     "Stratum0",
+    "ChunkTier",
     "Stratum1",
     "SiteChunkCache",
     "PublishStats",

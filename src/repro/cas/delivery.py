@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..rpm.package import Package
+from ..sim import audit_events
 from .stratum import ChunkFetchStats, SiteChunkCache, Stratum0, Stratum1
 
 __all__ = ["DeliveryStats", "LazyDelivery", "cas_confluence_problems"]
@@ -58,7 +59,7 @@ class LazyDelivery:
         seen: set[str] = set()
         reused = 0
         for chunk in manifest.chunks:
-            if self.node_holds(node, chunk.digest):
+            if chunk.digest in held:
                 reused += chunk.size
             elif chunk.digest not in seen:
                 seen.add(chunk.digest)
@@ -86,12 +87,13 @@ class LazyDelivery:
         stats.bytes_reused += reused
         return fetch
 
-    def node_holds(self, node: str, digest: str) -> bool:
-        """Does this node already hold a chunk (from any prior install)?"""
-        return digest in self._node_chunks.get(node, ())
 
-    def node_chunk_count(self, node: str) -> int:
-        return len(self._node_chunks.get(node, ()))
+_AUDIT_READS = {
+    "cas.publish": ("catalog", "serial"),
+    "cas.rollback": ("catalog", "serial"),
+    "cas.replicate": ("replica", "serial"),
+    "cas.fetch": ("tier", "artifact", "chunks", "hit_chunks"),
+}
 
 
 def cas_confluence_problems(
@@ -113,47 +115,38 @@ def cas_confluence_problems(
     problems: list[str] = []
     catalog_serial: dict[str, int] = {}
     replica_serial: dict[str, int] = {}
-    for event in events:
-        if event.kind not in ("cas.publish", "cas.rollback", "cas.replicate",
-                              "cas.fetch"):
-            continue
-        data = event.data
-        if event.kind in ("cas.publish", "cas.rollback"):
-            name = data["catalog"]
-            serial = data["serial"]
-            last = catalog_serial.get(name)
-            if last is not None and serial <= last:
+    for kind, data, seq in audit_events(events, _AUDIT_READS):
+        if kind == "cas.fetch":
+            if data["hit_chunks"] > data["chunks"]:
                 problems.append(
-                    f"catalog {name}: serial did not advance "
-                    f"({last} -> {serial}) at seq {event.seq}"
+                    f"tier {data['tier']}: {data['hit_chunks']} hits for "
+                    f"{data['chunks']} requested chunks "
+                    f"({data['artifact']}) at seq {seq}"
                 )
-            catalog_serial[name] = serial
-        elif event.kind == "cas.replicate":
+        elif kind == "cas.replicate":
             name = data["replica"]
             serial = data["serial"]
             last = replica_serial.get(name)
             if last is not None and serial < last:
                 problems.append(
                     f"replica {name}: replicated serial regressed "
-                    f"({last} -> {serial}) at seq {event.seq}"
+                    f"({last} -> {serial}) at seq {seq}"
                 )
             replica_serial[name] = serial
-        elif event.kind == "cas.fetch":
-            if data["hit_chunks"] > data["chunks"]:
+        else:  # cas.publish / cas.rollback
+            name = data["catalog"]
+            serial = data["serial"]
+            last = catalog_serial.get(name)
+            if last is not None and serial <= last:
                 problems.append(
-                    f"tier {data['tier']}: {data['hit_chunks']} hits for "
-                    f"{data['chunks']} requested chunks "
-                    f"({data['artifact']}) at seq {event.seq}"
+                    f"catalog {name}: serial did not advance "
+                    f"({last} -> {serial}) at seq {seq}"
                 )
+            catalog_serial[name] = serial
     for s0 in strata:
         problems.extend(s0.store.refcount_problems(s0.live_manifests()))
     for replica in replicas:
         problems.extend(replica.problems())
-    for cache in caches:
-        for digest in sorted(cache._chunk_cache):
-            if cache._chunk_cache[digest] < 0:
-                problems.append(
-                    f"site cache {cache.name}: negative size for chunk "
-                    f"{digest[:12]}"
-                )
+    for cache in caches:  # a site cache pins nothing
+        problems.extend(cache.store.refcount_problems(()))
     return problems

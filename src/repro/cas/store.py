@@ -61,12 +61,6 @@ class ChunkStore:
     def has(self, digest: str) -> bool:
         return digest in self._chunks
 
-    def size_of(self, digest: str) -> int:
-        size = self._chunks.get(digest)
-        if size is None:
-            raise CasError(f"store {self.name}: unknown chunk {digest[:12]}")
-        return size
-
     def missing_of(self, chunks: Iterable[Chunk]) -> list[Chunk]:
         """The chunks not yet held — the transfer delta, order-preserving.
 
@@ -128,9 +122,6 @@ class ChunkStore:
     def total_bytes(self) -> int:
         """Deduplicated bytes held (each unique chunk counted once)."""
         return sum(self._chunks.values())
-
-    def bytes_missing_of(self, chunks: Iterable[Chunk]) -> int:
-        return sum(c.size for c in self.missing_of(chunks))
 
     # -- audit -----------------------------------------------------------------
 

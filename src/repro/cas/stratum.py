@@ -12,24 +12,29 @@ CVMFS's deployment shape, applied to package delivery:
   *new* generation pointing at the previous content (Guix-style: the
   serial only ever moves forward, which is what lets downstream caches
   keep their monotonic release protocol).
-* :class:`Stratum1` — a full replica.  :meth:`Stratum1.replicate` moves
-  only the chunks the replica does not already hold — the delta is
-  *missing chunks*, not missing NEVRAs — and an interrupted replication
-  keeps everything that landed, so the retry resumes at chunk
-  granularity.
-* :class:`SiteChunkCache` — the campus tier.  It holds whatever chunks
-  local installs have pulled (``_chunk_cache``), fetches misses from its
-  upstream on first reference, and can be seeded for free by a
-  :class:`~repro.repod.SiteProxy` that already paid to move a package
-  over its uplink (:meth:`SiteChunkCache.ingest_package`).
+* :class:`ChunkTier` — every level below the origin: a
+  :class:`ChunkStore` in front of one upstream, reached over one
+  :class:`~repro.yum.mirror.MirrorLink`.  It owns the only pull-through
+  path (:meth:`ChunkTier.fetch_chunks`: hits from the store, misses
+  pulled from upstream on first reference, counted, traced as
+  ``cas.fetch``); a deeper hierarchy is one more tier in the chain.
+* :class:`Stratum1` — that tier plus a replicated catalog.
+  :meth:`Stratum1.replicate` moves only the chunks the replica does not
+  already hold — the delta is *missing chunks*, not missing NEVRAs — and
+  an interrupted replication keeps everything that landed, so the retry
+  resumes at chunk granularity.
+* :class:`SiteChunkCache` — that tier plus the release-serial marker.
+  It holds whatever chunks local installs have pulled and can be seeded
+  for free by a :class:`~repro.repod.SiteProxy` that already paid to
+  move a package over its uplink (:meth:`SiteChunkCache.ingest_package`).
 
 Chunks are content-addressed, so a release never *invalidates* cached
 chunks — the ``_chunk_epoch`` marker records the newest origin serial the
-cache has heard of (the simlint SL202 validity marker), and only catalog
-lookups go stale, never content.
+cache has heard of, and only catalog lookups go stale, never content.
 
-All transfer time is spent on the shared simulation kernel; every tier
-traces its traffic as ``cas.*`` events.
+All transfer time is spent on the shared simulation kernel
+(:meth:`MirrorLink.spend`); every tier traces its traffic as ``cas.*``
+events.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "ReplicateStats",
     "ChunkFetchStats",
     "Stratum0",
+    "ChunkTier",
     "Stratum1",
     "SiteChunkCache",
     "recover_stratum0",
@@ -74,6 +80,7 @@ class ReplicateStats:
     chunks: int    # chunks transferred (the missing delta)
     nbytes: int
     skipped: bool = False  # catalog already current; nothing to do
+    interrupted: bool = False  # cut mid-transfer; what landed is counted here
 
 
 @dataclass
@@ -126,6 +133,18 @@ class Stratum0:
             )
         return gen
 
+    def fetch_chunks(
+        self, chunks: list[Chunk], *, artifact: str, requester: str = "replica"
+    ) -> None:
+        """The top of the pull-through chain: content is retained here or
+        nowhere.  A presence check — no link, no cost, no event."""
+        for chunk in chunks:
+            if not self.store.has(chunk.digest):
+                raise CasError(
+                    f"stratum0 {self.name}: chunk {chunk.short} of "
+                    f"{artifact} not at the origin (requested by {requester})"
+                )
+
     def manifest_for(self, nevra: str) -> PackageManifest:
         manifest = self.catalog.get(nevra)
         if manifest is None:
@@ -133,10 +152,6 @@ class Stratum0:
                 f"stratum0 {self.name}: {nevra} not in generation {self.serial}"
             )
         return manifest
-
-    @property
-    def generations(self) -> list[int]:
-        return sorted(self._catalogs)
 
     # -- the transactional flip ------------------------------------------------
 
@@ -290,8 +305,87 @@ def recover_stratum0(journal, s0: Stratum0) -> list:
     return resolved
 
 
-class Stratum1:
+class ChunkTier:
+    """One pull-through level of the chunk hierarchy.
+
+    A :class:`ChunkStore` in front of one upstream, reached over one link.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        upstream: Stratum0 | ChunkTier | None,
+        link: MirrorLink,
+        kernel: SimKernel,
+        policy: ChunkingPolicy,
+    ) -> None:
+        self.name = name
+        self.upstream = upstream
+        self.link = link
+        self.kernel = kernel
+        self.policy = policy
+        self.store = ChunkStore(f"{name}-store")
+        # accounting
+        self.hits = 0
+        self.misses = 0
+        self.hit_bytes = 0
+        self.wan_bytes = 0
+
+    def _pull(self, missing: list[Chunk], *, artifact: str, requester: str) -> int:
+        """Move ``missing`` from upstream over the link into the store;
+        returns the bytes moved (the tier's WAN cost)."""
+        if not missing:
+            return 0
+        if self.upstream is None:
+            raise CasError(
+                f"tier {self.name}: {len(missing)} chunk(s) of {artifact} "
+                f"not held and no upstream to pull from (requested by "
+                f"{requester})"
+            )
+        self.upstream.fetch_chunks(missing, artifact=artifact, requester=self.name)
+        nbytes = sum(c.size for c in missing)
+        self.link.spend(self.kernel, nbytes)
+        for chunk in missing:
+            self.store.put(chunk)
+        self.wan_bytes += nbytes
+        return nbytes
+
+    def fetch_chunks(
+        self, chunks: list[Chunk], *, artifact: str, requester: str = "node"
+    ) -> ChunkFetchStats:
+        """Serve a chunk list: hits from the store, misses pulled from
+        upstream on first reference (lazy hierarchy fill)."""
+        missing = self.store.missing_of(chunks)
+        nbytes = self._pull(missing, artifact=artifact, requester=requester)
+        # Counters commit together, after the upstream pull can no longer
+        # raise, so a failed fetch leaves all four untouched.
+        hit_chunks = len(chunks) - len(missing)
+        self.hits += hit_chunks
+        self.hit_bytes += sum(c.size for c in chunks) - nbytes
+        self.misses += len(missing)
+        self.kernel.trace.emit(
+            "cas.fetch", t_s=self.kernel.now_s, subsystem="cas",
+            tier=self.name, artifact=artifact, chunks=len(chunks),
+            hit_chunks=hit_chunks, nbytes=nbytes,
+        )
+        return ChunkFetchStats(
+            artifact=artifact, chunks=len(chunks), hit_chunks=hit_chunks, nbytes=nbytes
+        )
+
+    def fetch_package(
+        self, pkg: Package, *, requester: str = "node"
+    ) -> ChunkFetchStats:
+        """Fetch every chunk of one package (manifest from the policy)."""
+        manifest = self.policy.manifest(pkg)
+        return self.fetch_chunks(
+            list(manifest.chunks), artifact=manifest.nevra, requester=requester
+        )
+
+
+class Stratum1(ChunkTier):
     """A full replica of one stratum-0, synced at chunk granularity."""
+
+    fetch_chunks = ChunkTier.fetch_chunks  # own __dict__: bench/spans.py wraps it here
 
     def __init__(
         self,
@@ -302,13 +396,12 @@ class Stratum1:
         kernel: SimKernel | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        self.name = name
+        super().__init__(
+            name, origin, link,
+            kernel if kernel is not None else origin.kernel, origin.policy,
+        )
         self.origin = origin
-        self.link = link
-        self.kernel = kernel if kernel is not None else origin.kernel
         self.retry = retry
-        self.policy = origin.policy
-        self.store = ChunkStore(f"{name}-store")
         #: the replicated catalog (NEVRA -> manifest), valid for origin
         #: serial ``_catalog_epoch`` — the SL202 validity marker.
         self._catalog_cache: dict[str, PackageManifest] = {}
@@ -328,9 +421,6 @@ class Stratum1:
         self._interruptions_pending = count
 
     # -- replication -----------------------------------------------------------
-
-    def _spend(self, seconds: float) -> None:
-        self.kernel.run_until(self.kernel.now_s + seconds)
 
     @property
     def is_current(self) -> bool:
@@ -359,46 +449,46 @@ class Stratum1:
             retry_on=(CasError, FaultError),
         )
 
+    def _replicated(self, stats: ReplicateStats) -> ReplicateStats:
+        self.replicate_history.append(stats)
+        self.kernel.trace.emit(
+            "cas.replicate", t_s=self.kernel.now_s, subsystem="cas",
+            replica=self.name, serial=stats.serial, chunks=stats.chunks,
+            nbytes=stats.nbytes, skipped=stats.skipped,
+        )
+        return stats
+
     def _replicate_once(self) -> ReplicateStats:
         # Catalog probe always costs one round trip.
-        self._spend(self.link.transfer_time_s(16 * 1024))
+        self.link.spend(self.kernel, 16 * 1024)
         target_serial = self.origin.serial
         if self._catalog_epoch == target_serial:
-            stats = ReplicateStats(
-                serial=target_serial, chunks=0, nbytes=0, skipped=True
+            return self._replicated(
+                ReplicateStats(serial=target_serial, chunks=0, nbytes=0, skipped=True)
             )
-            self.replicate_history.append(stats)
-            self.kernel.trace.emit(
-                "cas.replicate", t_s=self.kernel.now_s, subsystem="cas",
-                replica=self.name, serial=target_serial, chunks=0, nbytes=0,
-                skipped=True,
-            )
-            return stats
         target = self.origin.catalog_at(target_serial)
         ordered = [target[nevra] for nevra in sorted(target)]
         missing = self.store.missing_of(
             [c for manifest in ordered for c in manifest.chunks]
         )
-        if self._interruptions_pending > 0:
+        cut = self._interruptions_pending > 0
+        landing = missing[: len(missing) // 2] if cut else missing
+        nbytes = self._pull(
+            landing, artifact=f"generation {target_serial}", requester=self.name
+        )
+        stats = ReplicateStats(
+            serial=target_serial, chunks=len(landing), nbytes=nbytes, interrupted=cut
+        )
+        if cut:
+            # The half that landed crossed the WAN: it is counted (history
+            # entry, ``wan_bytes``) though the pass fails and traces nothing.
             self._interruptions_pending -= 1
-            landed = missing[: len(missing) // 2]
-            nbytes = 0
-            for chunk in landed:
-                self.store.put(chunk)
-                nbytes += chunk.size
-            if nbytes:
-                self._spend(self.link.transfer_time_s(nbytes))
+            self.replicate_history.append(stats)
             raise CasError(
                 f"stratum1 {self.name}: replication interrupted after "
-                f"{len(landed)}/{len(missing)} chunk(s); landed chunks kept "
+                f"{len(landing)}/{len(missing)} chunk(s); landed chunks kept "
                 f"for resume"
             )
-        nbytes = 0
-        for chunk in missing:
-            self.store.put(chunk)
-            nbytes += chunk.size
-        if missing:
-            self._spend(self.link.transfer_time_s(nbytes))
         # Flip: pin the new generation before unpinning the old one, so a
         # chunk shared by both is never transiently collectable.
         for manifest in ordered:
@@ -408,65 +498,15 @@ class Stratum1:
         self._retained = ordered
         self._catalog_cache = dict(target)
         self._catalog_epoch = target_serial
-        stats = ReplicateStats(
-            serial=target_serial, chunks=len(missing), nbytes=nbytes
-        )
-        self.replicate_history.append(stats)
-        self.kernel.trace.emit(
-            "cas.replicate", t_s=self.kernel.now_s, subsystem="cas",
-            replica=self.name, serial=target_serial, chunks=len(missing),
-            nbytes=nbytes, skipped=False,
-        )
-        return stats
-
-    # -- the lazy downstream pull path -----------------------------------------
-
-    def fetch_chunks(
-        self, chunks: list[Chunk], *, artifact: str, requester: str = "cache"
-    ) -> ChunkFetchStats:
-        """Serve chunks to a downstream tier, pulling misses from the
-        origin on first reference (lazy hierarchy fill)."""
-        missing = self.store.missing_of(chunks)
-        nbytes = 0
-        for chunk in missing:
-            if not self.origin.store.has(chunk.digest):
-                raise CasError(
-                    f"stratum1 {self.name}: chunk {chunk.short} of "
-                    f"{artifact} not at origin {self.origin.name} "
-                    f"(requested by {requester})"
-                )
-            nbytes += chunk.size
-        if missing:
-            self._spend(self.link.transfer_time_s(nbytes))
-            for chunk in missing:
-                self.store.put(chunk)
-        stats = ChunkFetchStats(
-            artifact=artifact,
-            chunks=len(chunks),
-            hit_chunks=len(chunks) - len(missing),
-            nbytes=nbytes,
-        )
-        self.kernel.trace.emit(
-            "cas.fetch", t_s=self.kernel.now_s, subsystem="cas",
-            tier=self.name, artifact=artifact, chunks=stats.chunks,
-            hit_chunks=stats.hit_chunks, nbytes=nbytes,
-        )
-        return stats
+        return self._replicated(stats)
 
     def problems(self) -> list[str]:
-        """Replica audit: retained catalog content must all be present."""
-        out = self.store.refcount_problems(self._retained)
-        for manifest in self._retained:
-            for chunk in manifest.chunks:
-                if not self.store.has(chunk.digest):
-                    out.append(
-                        f"stratum1 {self.name}: replicated manifest "
-                        f"{manifest.nevra} missing chunk {chunk.short}"
-                    )
-        return out
+        """Replica audit: the store pins exactly the replicated generation
+        and holds the content of every chunk it pins."""
+        return self.store.refcount_problems(self._retained)
 
 
-class SiteChunkCache:
+class SiteChunkCache(ChunkTier):
     """The campus tier: a lazy chunk cache in front of one upstream.
 
     Chunks are content-addressed, so :meth:`notice_release` never evicts —
@@ -475,10 +515,14 @@ class SiteChunkCache:
     release still references is already warm.
     """
 
+    # own __dict__: bench/spans.py wraps both on this class
+    fetch_chunks = ChunkTier.fetch_chunks
+    fetch_package = ChunkTier.fetch_package
+
     def __init__(
         self,
         name: str,
-        upstream: Stratum1 | None = None,
+        upstream: Stratum0 | ChunkTier | None = None,
         link: MirrorLink | None = None,
         *,
         kernel: SimKernel | None = None,
@@ -489,30 +533,17 @@ class SiteChunkCache:
                 f"site cache {name}: need an upstream or an explicit "
                 f"chunking policy"
             )
-        self.name = name
-        self.upstream = upstream
-        self.link = link if link is not None else MirrorLink(
-            bandwidth_bytes_s=100 * 1024 * 1024, latency_s=0.002
+        if kernel is None:
+            kernel = upstream.kernel if upstream is not None else SimKernel()
+        super().__init__(
+            name, upstream,
+            link if link is not None else MirrorLink(
+                bandwidth_bytes_s=100 * 1024 * 1024, latency_s=0.002
+            ),
+            kernel, policy if policy is not None else upstream.policy,
         )
-        if kernel is not None:
-            self.kernel = kernel
-        elif upstream is not None:
-            self.kernel = upstream.kernel
-        else:
-            self.kernel = SimKernel()
-        self.policy = policy if policy is not None else upstream.policy
-        #: digest -> size; validity marker ``_chunk_epoch`` below (SL202).
-        self._chunk_cache: dict[str, int] = {}
         self._chunk_epoch = 0
-        # accounting
-        self.hits = 0
-        self.misses = 0
-        self.hit_bytes = 0
-        self.wan_bytes = 0
         self.ingested = 0
-
-    def _spend(self, seconds: float) -> None:
-        self.kernel.run_until(self.kernel.now_s + seconds)
 
     # -- release protocol ------------------------------------------------------
 
@@ -533,81 +564,6 @@ class SiteChunkCache:
         """Seed the cache from a package whose bytes already arrived by
         other means (a :class:`~repro.repod.SiteProxy` fetch paid the WAN
         cost; the chunks come along for free).  Returns chunks added."""
-        added = 0
-        for chunk in self.policy.manifest(pkg).chunks:
-            if chunk.digest not in self._chunk_cache:
-                self._chunk_cache[chunk.digest] = chunk.size
-                added += 1
+        added = sum(self.store.put(c) for c in self.policy.manifest(pkg).chunks)
         self.ingested += added
         return added
-
-    def holds(self, digest: str) -> bool:
-        return digest in self._chunk_cache
-
-    @property
-    def chunk_count(self) -> int:
-        return len(self._chunk_cache)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self._chunk_cache.values())
-
-    # -- the lazy fetch path ---------------------------------------------------
-
-    def fetch_chunks(
-        self, chunks: list[Chunk], *, artifact: str, requester: str = "node"
-    ) -> ChunkFetchStats:
-        """Serve a chunk list: hits from the cache, misses pulled from
-        upstream on first reference."""
-        seen: set[str] = set()
-        missing: list[Chunk] = []
-        hit_chunks = 0
-        hit_bytes = 0
-        for chunk in chunks:
-            if self.holds(chunk.digest):
-                hit_chunks += 1
-                hit_bytes += chunk.size
-            elif chunk.digest not in seen:
-                seen.add(chunk.digest)
-                missing.append(chunk)
-        nbytes = 0
-        if missing:
-            if self.upstream is None:
-                raise CasError(
-                    f"site cache {self.name}: {len(missing)} chunk(s) of "
-                    f"{artifact} not cached and no upstream to pull from"
-                )
-            self.upstream.fetch_chunks(
-                missing, artifact=artifact, requester=self.name
-            )
-            nbytes = sum(c.size for c in missing)
-            self._spend(self.link.transfer_time_s(nbytes))
-            for chunk in missing:
-                self._chunk_cache[chunk.digest] = chunk.size
-        # Counters commit together, after the upstream pull can no longer
-        # raise, so a failed fetch leaves all four untouched.
-        self.hits += hit_chunks
-        self.hit_bytes += hit_bytes
-        self.misses += len(missing)
-        self.wan_bytes += nbytes
-        stats = ChunkFetchStats(
-            artifact=artifact,
-            chunks=len(chunks),
-            hit_chunks=hit_chunks,
-            nbytes=nbytes,
-        )
-        self.kernel.trace.emit(
-            "cas.fetch", t_s=self.kernel.now_s, subsystem="cas",
-            tier=self.name, artifact=artifact, chunks=stats.chunks,
-            hit_chunks=hit_chunks, nbytes=nbytes,
-        )
-        return stats
-
-    def fetch_package(
-        self, pkg: Package, *, requester: str = "node"
-    ) -> ChunkFetchStats:
-        """Fetch every chunk of one package (manifest from the policy)."""
-        manifest = self.policy.manifest(pkg)
-        return self.fetch_chunks(
-            list(manifest.chunks), artifact=manifest.nevra, requester=requester
-        )

@@ -51,7 +51,6 @@ __all__ = [
     "MonitoringError",
     "ShellError",
     "RepodError",
-    "RepodFetchError",
     "CasError",
     "CasIntegrityError",
     "LinpackError",
@@ -291,20 +290,6 @@ class ShellError(ReproError):
 
 class RepodError(ReproError):
     """Invalid repository-service request or configuration."""
-
-
-class RepodFetchError(RepodError):
-    """A fetch through the repository service failed (shed, refused, reset).
-
-    ``kind`` classifies the failure so callers can distinguish load
-    shedding (``shed``) from a dead origin (``refused``/``crash``) and a
-    flapping uplink (``reset``) — shedding is the service protecting
-    itself and is worth retrying later; a reset mid-transfer is transient.
-    """
-
-    def __init__(self, message: str, *, kind: str = "failed"):
-        super().__init__(message)
-        self.kind = kind
 
 
 # --- content-addressed delivery (repro.cas) --------------------------------------

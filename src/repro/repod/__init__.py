@@ -23,7 +23,7 @@ kernel, with robustness — not raw capacity — as the headline:
 
 Every decision lands on the trace bus as ``repod.*`` events (request /
 shed / coalesce / stale / retry_budget) — same seed, byte-identical
-JSONL, even mid-storm.  See docs/REPOD.md.
+JSONL, even mid-storm.  See docs/DELIVERY.md.
 """
 
 from .client import RepoClient, RequestRecord

@@ -37,7 +37,7 @@ from ..faults.inject import FaultInjector
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.retry import RetryBudget, RetryPolicy
 from ..rpm.package import Package
-from ..sim import SimKernel
+from ..sim import SimKernel, audit_events
 from ..yum.mirror import MirrorLink, RepoMirror
 from ..yum.repository import Repository
 from .client import RepoClient
@@ -423,13 +423,7 @@ def repod_confluence_problems(
     problems: list[str] = []
     terminals: dict[str, int] = {}
     outcomes: dict[str, int] = {"ok": 0, "stale": 0, "failed": 0}
-    for event in events:
-        if hasattr(event, "kind"):
-            kind, data = event.kind, event.data
-        else:
-            kind, data = event.get("kind"), event.get("data", {})
-        if kind != "repod.request":
-            continue
+    for _, data, _ in audit_events(events, {"repod.request": ("req", "outcome")}):
         req = data["req"]
         terminals[req] = terminals.get(req, 0) + 1
         outcomes[data["outcome"]] = outcomes.get(data["outcome"], 0) + 1

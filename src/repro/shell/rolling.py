@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from ..errors import ShellError
 from ..faults import RetryPolicy
 from ..fleet import NodeSet, fold_names
+from ..sim import audit_events
 from .engine import ShellCommand, ShellEngine, ShellReport
 
 __all__ = [
@@ -427,16 +428,14 @@ def rolling_confluence_problems(events, *, resources=None) -> list[str]:
     wave_status: dict[int, str] = {}
     aborts: list[tuple[int, str]] = []
     saw_rolling = False
-    for event in events:
-        if hasattr(event, "kind"):
-            kind, data = event.kind, event.data
-        else:
-            kind, data = event.get("kind"), event.get("data", {})
+    for kind, data, _ in audit_events(
+        events,
+        {"shell.wave": ("wave", "status"), "shell.abort": ("wave", "reason")},
+    ):
+        saw_rolling = True
         if kind == "shell.wave":
-            saw_rolling = True
             wave_status[data["wave"]] = data["status"]
-        elif kind == "shell.abort":
-            saw_rolling = True
+        else:
             aborts.append((data["wave"], data["reason"]))
     for wave, reason in aborts:
         if wave_status.get(wave) == "ok":

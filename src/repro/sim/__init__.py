@@ -19,6 +19,7 @@ from .trace import (
     EVENT_SCHEMA,
     TraceBus,
     TraceEvent,
+    audit_events,
     register_event_kind,
     validate_event,
     validate_jsonl,
@@ -37,4 +38,5 @@ __all__ = [
     "register_event_kind",
     "validate_event",
     "validate_jsonl",
+    "audit_events",
 ]

@@ -219,7 +219,8 @@ class SimKernel:
 
     def run_until(self, time_s: float) -> int:
         """Fire every event due at or before ``time_s``, then land the
-        clock exactly there; returns the number of events fired.
+        clock there (or leave it later, if a callback spent past
+        ``time_s``); returns the number of events fired.
 
         This is how a subsystem "spends" a modelled duration (a mirror
         sync, a file transfer) on the shared timeline: everything else
@@ -257,7 +258,8 @@ class SimKernel:
                 # the queue looks exactly as under one-at-a-time stepping.
                 queue.requeue(batch[index + 1 :])
                 raise
-        self.clock.advance_to(time_s)
+        # As in run(): a callback's own nested spend may have passed time_s.
+        clock.advance_to(max(self.now_s, time_s))
         return fired
 
     def run(

@@ -38,6 +38,7 @@ __all__ = [
     "register_event_kind",
     "validate_event",
     "validate_jsonl",
+    "audit_events",
 ]
 
 #: Required data fields (and their types) per event kind.  ``float`` accepts
@@ -243,6 +244,33 @@ def validate_jsonl(text: str) -> tuple[int, list[str]]:
                 problems.append(f"line {lineno}: seq {seq} not increasing")
             last_seq = seq
     return count, problems
+
+
+def audit_events(events, reads: Mapping[str, tuple[str, ...]]):
+    """Yield ``(kind, data, seq)`` for every event a trace audit reads.
+
+    ``events`` are live :class:`TraceEvent` objects or ``json.loads`` of
+    exported JSONL lines (``seq`` is ``None`` if a hand-built dict has
+    none).  ``reads`` maps each kind the audit looks at to the data fields
+    it reads: other kinds are skipped, and an event lacking one of those
+    fields raises :class:`TraceError`.
+    """
+    for event in events:
+        if isinstance(event, TraceEvent):
+            kind, data, seq = event.kind, event.data, event.seq
+        elif isinstance(event, Mapping):
+            kind, data, seq = event.get("kind"), event.get("data"), event.get("seq")
+        else:
+            raise TraceError(f"not a trace event: {event!r}")
+        fields = reads.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            continue
+        for name in fields:
+            if not isinstance(data, Mapping) or name not in data:
+                raise TraceError(
+                    f"{kind} event (seq {seq}) has no data field {name!r}"
+                )
+        yield kind, data, seq
 
 
 class TraceBus:

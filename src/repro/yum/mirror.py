@@ -18,13 +18,9 @@ per-package checksum verification and re-fetched within the same sync.
 Give the mirror a :class:`~repro.faults.RetryPolicy` and :meth:`sync`
 retries interruptions with seeded backoff instead of surfacing them.
 
-Pass a :class:`~repro.cas.ChunkStore` and the mirror goes
-**content-addressed**: the transfer delta becomes *missing chunks*
-instead of missing NEVRAs, so a version bump re-fetches only the chunks
-the new build actually changed, and an interruption resumes at chunk
-granularity — chunks that landed before the cut (including a partial
-package) are never moved twice.  The local repository contents are
-byte-for-byte identical either way; only the traffic shrinks.
+The mirror moves whole NEVRAs.  The content-addressed replica — delta =
+missing *chunks*, resume at chunk granularity — is
+:class:`repro.cas.Stratum1` (docs/DELIVERY.md).
 """
 
 from __future__ import annotations
@@ -53,6 +49,14 @@ class MirrorLink:
             raise YumError("invalid transfer parameters")
         return self.latency_s * requests + nbytes / self.bandwidth_bytes_s
 
+    def spend(self, kernel: SimKernel, nbytes: int, *, requests: int = 1) -> None:
+        """Charge one transfer to the shared clock: advance ``kernel`` by
+        its modelled duration, firing whatever else falls due inside the
+        window.  Every delivery tier pays for its link here."""
+        kernel.run_until(
+            kernel.now_s + self.transfer_time_s(nbytes, requests=requests)
+        )
+
 
 @dataclass
 class SyncStats:
@@ -78,8 +82,6 @@ class RepoMirror:
         kernel: SimKernel | None = None,
         retry: RetryPolicy | None = None,
         journal=None,
-        chunk_store=None,
-        chunking=None,
     ):
         self.upstream = upstream
         self.link = link
@@ -91,18 +93,6 @@ class RepoMirror:
         #: aborted).  Mirror syncs recover by *replay* — the delta recomputes
         #: against whatever landed, so a resync is idempotent.
         self.journal = journal
-        #: optional :class:`~repro.cas.ChunkStore`: syncs become
-        #: content-addressed (delta = missing chunks, dedup across RPM
-        #: versions).  ``chunking`` pins the hierarchy-wide
-        #: :class:`~repro.cas.ChunkingPolicy`; every tier must agree on it.
-        self.chunk_store = chunk_store
-        if chunk_store is not None and chunking is None:
-            from ..cas.chunks import ChunkingPolicy  # lazy: cas sits above yum
-
-            chunking = ChunkingPolicy()
-        self.chunking = chunking
-        #: nevra -> manifest the store currently pins for this mirror
-        self._retained_manifests: dict = {}
         self.local = Repository(
             repo_id or f"{upstream.repo_id}-mirror",
             name=f"{upstream.name} (local mirror)",
@@ -146,10 +136,6 @@ class RepoMirror:
         self._corrupt_once |= set(nevras)
 
     # -- sync ----------------------------------------------------------------
-
-    def _spend(self, seconds: float) -> None:
-        """Advance shared simulated time by a modelled transfer duration."""
-        self.kernel.run_until(self.kernel.now_s + seconds)
 
     @property
     def is_current(self) -> bool:
@@ -218,7 +204,7 @@ class RepoMirror:
             else None
         )
         # Metadata probe always costs one round trip.
-        self._spend(self.link.transfer_time_s(16 * 1024))
+        self.link.spend(self.kernel, 16 * 1024)
         if self._disk_full:
             if txn is not None:
                 self.journal.abort(txn, note="disk full before staging")
@@ -260,9 +246,6 @@ class RepoMirror:
         for nevra in to_remove:
             self.local.remove(nevra)
             stats.removed_nevras.append(nevra)
-            manifest = self._retained_manifests.pop(nevra, None)
-            if manifest is not None:
-                self.chunk_store.release(manifest)
 
         interrupted = self._interruptions_pending > 0 or (
             self._loss_probability > 0
@@ -275,18 +258,7 @@ class RepoMirror:
         for index, pkg in enumerate(to_fetch):
             if interrupted and index >= cutoff:
                 # The connection died mid-transfer.  Everything fetched so
-                # far stays on disk — the retry resumes from here.  In
-                # chunked mode the cut lands mid-*package*: the chunks of
-                # the in-flight package that already arrived are staged in
-                # the store (content is content), so the retry re-fetches
-                # only the remainder — resume at chunk granularity.
-                if self.chunk_store is not None:
-                    pending = self.chunk_store.missing_of(
-                        self.chunking.manifest(pkg).chunks
-                    )
-                    for chunk in pending[: len(pending) // 2]:
-                        self.chunk_store.put(chunk)
-                        stats.bytes_transferred += chunk.size
+                # far stays on disk — the retry resumes from here.
                 if stats.bytes_transferred:
                     # Round trips follow what actually moved: one per
                     # package that landed (plus corruption re-fetches),
@@ -294,10 +266,9 @@ class RepoMirror:
                     requests = len(stats.fetched_nevras) + len(
                         stats.refetched_nevras
                     )
-                    self._spend(
-                        self.link.transfer_time_s(
-                            stats.bytes_transferred, requests=max(1, requests)
-                        )
+                    self.link.spend(
+                        self.kernel, stats.bytes_transferred,
+                        requests=max(1, requests),
                     )
                 stats.elapsed_s = self.kernel.now_s - started_s
                 self.sync_history.append(stats)
@@ -315,32 +286,20 @@ class RepoMirror:
                     f"{len(stats.fetched_nevras)}/{len(to_fetch)} package(s); "
                     f"partial state kept for resume"
                 )
-            delta_bytes = pkg.size_bytes
-            if self.chunk_store is not None:
-                manifest = self.chunking.manifest(pkg)
-                delta_bytes = 0
-                for chunk in self.chunk_store.missing_of(manifest.chunks):
-                    self.chunk_store.put(chunk)
-                    delta_bytes += chunk.size
-                self.chunk_store.retain(manifest)
-                self._retained_manifests[pkg.nevra] = manifest
             self.local.add(pkg)
             stats.fetched_nevras.append(pkg.nevra)
-            stats.bytes_transferred += delta_bytes
+            stats.bytes_transferred += pkg.size_bytes
             if pkg.nevra in self._corrupt_once:
                 # Payload checksum mismatch: drop and fetch again (costing
                 # the extra bytes) — yum's "[Errno -1] Package does not
                 # match intended download" path.
                 self._corrupt_once.discard(pkg.nevra)
                 stats.refetched_nevras.append(pkg.nevra)
-                stats.bytes_transferred += delta_bytes
+                stats.bytes_transferred += pkg.size_bytes
         if stats.fetched_nevras:
-            self._spend(
-                self.link.transfer_time_s(
-                    stats.bytes_transferred,
-                    requests=len(stats.fetched_nevras)
-                    + len(stats.refetched_nevras),
-                )
+            self.link.spend(
+                self.kernel, stats.bytes_transferred,
+                requests=len(stats.fetched_nevras) + len(stats.refetched_nevras),
             )
         stats.elapsed_s = self.kernel.now_s - started_s
         self._synced_checksum = upstream_sum

@@ -1,10 +1,13 @@
 """Content-addressed lazy delivery: chunking, the store, the hierarchy.
 
-The heavyweight guarantees are property-based: a chunked mirror must end
-byte-identical to a whole-NEVRA mirror under any interleaving of
-publishes, interruptions, and corruptions; and no publish / rollback /
-prune churn may ever leak a chunk refcount.
+The heavyweight guarantees are property-based: no publish / rollback /
+prune churn may ever leak a chunk refcount, and under any interleaving
+of publishes, replications, interruptions and two-site fetches every
+tier's counters, store and ``cas.fetch`` events tell the same story.
 """
+
+import json
+
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from repro.cas import (
     chunk_package,
     recover_stratum0,
 )
-from repro.errors import CasError, CasIntegrityError, YumError
+from repro.errors import CasError, CasIntegrityError, TraceError, YumError
 from repro.faults.retry import RetryPolicy
 from repro.recovery import Journal
 from repro.rpm import Package
@@ -203,6 +206,10 @@ class TestStratum1:
         assert resumed.chunks + landed == s0.store.chunk_count
         assert s1.is_current
         assert not s1.problems()
+        # the half that landed before the cut crossed the WAN too
+        assert [r.interrupted for r in s1.replicate_history] == [True, False]
+        assert sum(r.nbytes for r in s1.replicate_history) == s1.store.total_bytes
+        assert s1.wan_bytes == s1.store.total_bytes
 
     def test_retry_policy_drives_resume(self):
         kernel = SimKernel(seed=8)
@@ -307,7 +314,7 @@ class TestProxyIntegration:
         assert cache._chunk_epoch == server.serial  # forwarded
         result = proxy.fetch_blocking(pkgs[0].name)
         assert result.ok
-        assert cache.chunk_count == len(s0.policy.manifest(pkgs[0]).chunks)
+        assert cache.store.chunk_count == len(s0.policy.manifest(pkgs[0]).chunks)
         # the package that came through the proxy now installs WAN-free
         stats = LazyDelivery(cache).fetch_package("node0", pkgs[0])
         assert stats.nbytes == 0
@@ -443,7 +450,7 @@ def test_update_storm_wan_is_3x_below_full_mirroring_and_deterministic():
     assert chunked_run() == (storm_wan, trace)
 
 
-# --- chunked mirror sync ----------------------------------------------------------
+# --- whole-NEVRA mirror accounting (the baseline the hierarchy is compared to) ----
 
 
 class TestChunkedMirror:
@@ -477,101 +484,8 @@ class TestChunkedMirror:
         )
         assert kernel.now_s - t0 == pytest.approx(expected)
 
-    def test_chunked_update_sync_moves_only_delta(self):
-        kernel = SimKernel(seed=18)
-        upstream = Repository("xsede")
-        upstream.add_all(release("1.0"))
-        mirror = RepoMirror(
-            upstream, make_link(), kernel=kernel, chunk_store=ChunkStore()
-        )
-        cold = mirror.sync()
-        v2 = Repository("xsede")
-        v2.add_all(release("2.0"))
-        mirror.upstream = v2
-        update = mirror.sync()
-        assert update.bytes_transferred < cold.bytes_transferred / 3
-        assert {p.nevra for p in mirror.local.all_packages()} == {
-            p.nevra for p in v2.all_packages()
-        }
-
-    def test_interrupted_chunked_sync_resumes_mid_package(self):
-        kernel = SimKernel(seed=19)
-        upstream = Repository("one")
-        upstream.add(Package("big", "1.0", size_bytes=8 * MB))
-        store = ChunkStore()
-        mirror = RepoMirror(
-            upstream, make_link(), kernel=kernel, chunk_store=store
-        )
-        mirror.inject_interruptions(1)
-        with pytest.raises(YumError):
-            mirror.sync()
-        staged = store.chunk_count
-        assert 0 < staged < 32  # half of one package's chunks landed
-        resumed = mirror.sync()
-        total = -(-8 * MB // CHUNK_SIZE) * CHUNK_SIZE
-        assert resumed.bytes_transferred == total - staged * CHUNK_SIZE
-
 
 # --- properties -------------------------------------------------------------------
-
-mirror_ops = st.lists(
-    st.sampled_from(["publish", "interrupt", "corrupt", "sync"]),
-    min_size=1,
-    max_size=10,
-)
-
-
-@given(mirror_ops)
-@settings(max_examples=25, deadline=None)
-def test_property_chunked_mirror_matches_whole_nevra(ops):
-    """Under any interleaving of publishes, interruptions, and corruptions,
-    a chunked mirror converges to the same contents as a whole-NEVRA
-    mirror, the chunked run is same-seed deterministic, and the store's
-    refcounts match its retained manifests."""
-
-    def drive(chunk_store):
-        kernel = SimKernel(seed=42)
-        version = 1
-        upstream = Repository("xsede")
-        upstream.add_all(release(f"{version}.0", n=4, size=MB))
-        mirror = RepoMirror(
-            upstream, make_link(), kernel=kernel, chunk_store=chunk_store
-        )
-        for op in ops:
-            if op == "publish":
-                version += 1
-                upstream = Repository("xsede")
-                upstream.add_all(release(f"{version}.0", n=4, size=MB))
-                mirror.upstream = upstream
-            elif op == "interrupt":
-                mirror.inject_interruptions(1)
-            elif op == "corrupt":
-                mirror.corrupt_next({f"pkg0-{version}.0-1.x86_64"})
-            else:
-                try:
-                    mirror.sync()
-                except YumError:
-                    pass
-        while True:  # final converging sync (interruptions may be pending)
-            try:
-                mirror.sync()
-                break
-            except YumError:
-                continue
-        return mirror, kernel.trace.to_jsonl()
-
-    plain, _ = drive(None)
-    store = ChunkStore()
-    chunked, trace_a = drive(store)
-    assert {p.nevra for p in chunked.local.all_packages()} == {
-        p.nevra for p in plain.local.all_packages()
-    }
-    _, trace_b = drive(ChunkStore())
-    assert trace_a == trace_b  # same-seed chunked runs are byte-identical
-    assert not store.refcount_problems(
-        list(chunked._retained_manifests.values())
-    )
-
 
 stratum_ops = st.lists(
     st.sampled_from(["publish", "rollback", "prune", "replicate", "interrupt"]),
@@ -615,6 +529,64 @@ def test_property_refcounts_never_leak(ops):
     )
 
 
+tier_ops = st.lists(
+    st.sampled_from(["publish", "replicate", "interrupt", "fetch_a", "fetch_b"]),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(tier_ops)
+@settings(max_examples=25, deadline=None)
+def test_property_tier_accounting_is_conserved(ops):
+    """Any interleaving of publish / replicate / interrupt / two-site
+    fetches: on every tier the bytes pulled over its link are the bytes
+    its store gained, hits + misses is the chunks it was asked for, and
+    the ``cas.fetch`` events add up to the counters."""
+    kernel = SimKernel(seed=11)
+    s0 = Stratum0("origin", kernel=kernel)
+    s1 = Stratum1("replica", s0, make_link(), kernel=kernel)
+    sites = {
+        "fetch_a": SiteChunkCache("campus-a", s1, make_link(), kernel=kernel),
+        "fetch_b": SiteChunkCache("campus-b", s1, make_link(), kernel=kernel),
+    }
+    asked = {site.name: 0 for site in sites.values()}
+    version = 0
+    for op in ops:
+        if op == "publish":
+            version += 1
+            s0.publish(release(f"{version}.0", n=3, size=MB))
+        elif op == "interrupt":
+            s1.inject_interruptions(1)
+        elif op == "replicate":
+            try:
+                s1.replicate()
+            except CasError:
+                pass
+        elif version:
+            site = sites[op]
+            for pkg in release(f"{version}.0", n=3, size=MB):
+                asked[site.name] += site.fetch_package(pkg).chunks
+    fetched = {}
+    for event in kernel.trace.events:
+        if event.kind == "cas.fetch":
+            chunks, nbytes = fetched.get(event.data["tier"], (0, 0))
+            fetched[event.data["tier"]] = (
+                chunks + event.data["chunks"], nbytes + event.data["nbytes"]
+            )
+    replicated = sum(r.nbytes for r in s1.replicate_history)
+    for tier in (s1, *sites.values()):
+        chunks, nbytes = fetched.get(tier.name, (0, 0))
+        assert tier.wan_bytes == tier.store.total_bytes
+        assert tier.hits + tier.misses == chunks
+        assert nbytes == tier.wan_bytes - (replicated if tier is s1 else 0)
+    for site in sites.values():
+        assert site.hits + site.misses == asked[site.name]
+    assert not cas_confluence_problems(
+        kernel.trace.events, strata=[s0], caches=sites.values()
+    )
+
+
 # --- chaos invariant 9 ------------------------------------------------------------
 
 
@@ -649,3 +621,48 @@ class TestConfluenceAudit:
         from repro.sim import TraceBus
 
         assert cas_confluence_problems(TraceBus().events) == []
+
+    def test_malformed_decoded_event_is_a_typed_error(self):
+        with pytest.raises(TraceError, match="hit_chunks|tier"):
+            cas_confluence_problems([{"kind": "cas.fetch", "data": {}}])
+        with pytest.raises(TraceError, match="not a trace event"):
+            cas_confluence_problems(["cas.fetch"])
+
+    def test_three_audits_agree_on_live_events_and_decoded_jsonl(self):
+        from repro.repod import repod_confluence_problems
+        from repro.shell import rolling_confluence_problems
+        from repro.sim import TraceBus
+
+        bus = TraceBus()
+        for serial in (2, 1):  # a catalog serial that moves backwards
+            bus.emit(
+                "cas.publish", t_s=0.0, subsystem="cas", catalog="o",
+                serial=serial, packages=1, chunks=1, new_chunks=1, nbytes=1,
+            )
+        bus.emit(
+            "cas.fetch", t_s=1.0, subsystem="cas", tier="campus",
+            artifact="a", chunks=2, hit_chunks=3, nbytes=0,
+        )
+        for outcome in ("ok", "failed"):  # one request, two terminals
+            bus.emit(
+                "repod.request", t_s=2.0, subsystem="repod", req="c0:a",
+                client="c0", artifact="a", outcome=outcome, source="origin",
+                elapsed_s=0.1,
+            )
+        bus.emit(
+            "shell.wave", t_s=3.0, subsystem="shell", wave=4, nodes="n[0-1]",
+            count=2, ok=2, failed=0, skipped=0, status="ok",
+        )
+        bus.emit(
+            "shell.abort", t_s=3.0, subsystem="shell", reason="rack 0",
+            wave=4, nodes="n[0-1]",
+        )
+        decoded = [json.loads(line) for line in bus.to_jsonl().splitlines()]
+        for audit, expected in (
+            (cas_confluence_problems, 2),
+            (repod_confluence_problems, 1),
+            (rolling_confluence_problems, 1),
+        ):
+            live = audit(bus.events)
+            assert len(live) == expected
+            assert audit(decoded) == live

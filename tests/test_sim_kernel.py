@@ -187,6 +187,13 @@ class TestKernel:
         fired = kernel.run_until(5.0)
         assert fired == 1 and seen == [1] and kernel.now_s == 5.0
 
+    def test_run_until_survives_a_longer_nested_spend(self):
+        # A callback spends 10 s (a WAN pull) inside a 5 s outer window.
+        k = SimKernel()
+        k.at(1.0, lambda: k.run_until(k.now_s + 10))
+        k.run_until(5.0)
+        assert k.now_s == 11.0
+
     def test_run_unbounded_with_periodic_raises(self):
         kernel = SimKernel()
         kernel.every(10.0, lambda: None)
