@@ -146,10 +146,14 @@ class Filesystem:
         except KeyError:
             raise FilesystemError(f"no such file or directory: {key}") from None
 
+    def lookup(self, path: str) -> FsNode | None:
+        """The node at ``path``, or None if absent (one mount-table route)."""
+        fs, key = self._route(path)
+        return fs._nodes.get(key)
+
     def is_dir(self, path: str) -> bool:
         """True if ``path`` exists and is a directory."""
-        fs, key = self._route(path)
-        node = fs._nodes.get(key)
+        node = self.lookup(path)
         return node is not None and node.kind is FileKind.DIRECTORY
 
     def listdir(self, path: str) -> list[str]:

@@ -6,7 +6,7 @@ repository for installation or updates of RPMs" (Section 1).
 """
 
 from .database import RpmDatabase
-from .package import Capability, Flag, Package, Requirement, nevra
+from .package import Capability, Flag, Package, ProvidesIndex, Requirement, nevra
 from .specfile import build_spec, parse_spec
 from .transaction import Transaction, TransactionResult
 from .version import EVR, compare_evr, parse_evr, rpmvercmp
@@ -20,6 +20,7 @@ __all__ = [
     "Capability",
     "Requirement",
     "Flag",
+    "ProvidesIndex",
     "nevra",
     "RpmDatabase",
     "Transaction",

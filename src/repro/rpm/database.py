@@ -10,7 +10,7 @@ innermost loop) are served from an inverted provides-name → packages index.
 Every mutation bumps a monotonic :attr:`epoch`; the index is kept current
 incrementally once built, and downstream caches (the depsolver's resolution
 cache) key on ``(host, epoch)`` or on :meth:`fingerprint` to stay sound.
-The pre-index scans survive as ``_scan_*`` reference oracles.
+The pre-index scans survive as oracles in ``tests/oracles/rpm_scans.py``.
 
 The bump discipline is machine-checked: simlint's SL201 walks every
 method of this class path-sensitively and flags any route that mutates
@@ -26,7 +26,7 @@ from typing import Iterable
 from ..distro.host import Host
 from ..distro.modules_env import ModuleFile
 from ..errors import PackageNotFoundError, RpmError
-from .package import Capability, Package, Requirement
+from .package import Package, ProvidesIndex, Requirement
 
 __all__ = ["RpmDatabase"]
 
@@ -39,7 +39,7 @@ class RpmDatabase:
         self._by_name: dict[str, Package] = {}
         self._epoch = 0
         self._index_epoch = -1
-        self._provides_index: dict[str, list[Package]] = {}
+        self._provides_index = ProvidesIndex()
         self._fingerprint_epoch = -1
         self._fingerprint = ""
 
@@ -66,28 +66,9 @@ class RpmDatabase:
     # -- capability index ----------------------------------------------------
 
     def _ensure_index(self) -> None:
-        if self._index_epoch == self._epoch:
-            return
-        index: dict[str, list[Package]] = {}
-        for pkg in self._by_name.values():
-            for cap in pkg.all_provides():
-                index.setdefault(cap.name, []).append(pkg)
-        self._provides_index = index
-        self._index_epoch = self._epoch
-
-    def _index_add(self, pkg: Package) -> None:
-        """Fold one installed package into a current index (incremental)."""
-        for cap in pkg.all_provides():
-            self._provides_index.setdefault(cap.name, []).append(pkg)
-
-    def _index_discard(self, pkg: Package) -> None:
-        """Drop one erased package from a current index (incremental)."""
-        for cap in pkg.all_provides():
-            bucket = self._provides_index.get(cap.name)
-            if bucket is not None:
-                self._provides_index[cap.name] = [
-                    p for p in bucket if p is not pkg
-                ]
+        if self._index_epoch != self._epoch:
+            self._provides_index = ProvidesIndex(self._by_name.values())
+            self._index_epoch = self._epoch
 
     # -- queries ------------------------------------------------------------
 
@@ -115,28 +96,12 @@ class RpmDatabase:
     def providers_of(self, req: Requirement) -> list[Package]:
         """Installed packages satisfying ``req`` (index lookup)."""
         self._ensure_index()
-        candidates = self._provides_index.get(req.name)
-        if not candidates:
-            return []
-        return sorted(
-            (p for p in candidates if p.satisfies(req)), key=lambda p: p.name
-        )
-
-    def _scan_providers_of(self, req: Requirement) -> list[Package]:
-        """Reference oracle for :meth:`providers_of`: the pre-index scan."""
-        return [p for p in self.installed() if p.satisfies(req)]
+        return sorted(self._provides_index.providers(req), key=lambda p: p.name)
 
     def is_satisfied(self, req: Requirement) -> bool:
         """True if some installed package satisfies ``req``."""
         self._ensure_index()
-        candidates = self._provides_index.get(req.name)
-        if not candidates:
-            return False
-        return any(p.satisfies(req) for p in candidates)
-
-    def _scan_is_satisfied(self, req: Requirement) -> bool:
-        """Reference oracle for :meth:`is_satisfied`."""
-        return any(p.satisfies(req) for p in self._by_name.values())
+        return self._provides_index.is_satisfied(req)
 
     def unsatisfied_requirements(self) -> list[tuple[Package, Requirement]]:
         """Integrity check: every requirement of every installed package that
@@ -159,11 +124,10 @@ class RpmDatabase:
         pkg = self.get(name)
         problems: list[str] = []
         for path in pkg.default_paths():
-            if not self.host.fs.exists(path):
+            node = self.host.fs.lookup(path)
+            if node is None:
                 problems.append(f"missing   {path}")
-                continue
-            node = self.host.fs.get(path)
-            if node.owner_package != pkg.name:
+            elif node.owner_package != pkg.name:
                 problems.append(
                     f"replaced  {path} (now owned by {node.owner_package})"
                 )
@@ -224,7 +188,7 @@ class RpmDatabase:
             )
         self._by_name[pkg.name] = pkg
         if self._index_epoch == self._epoch:
-            self._index_add(pkg)
+            self._provides_index.add(pkg)
             self._index_epoch += 1
         self._epoch += 1
         for path in pkg.files:
@@ -263,7 +227,7 @@ class RpmDatabase:
         pkg = self.get(name)
         del self._by_name[name]
         if self._index_epoch == self._epoch:
-            self._index_discard(pkg)
+            self._provides_index.discard(pkg)
             self._index_epoch += 1
         self._epoch += 1
         self.host.fs.remove_owned(name)

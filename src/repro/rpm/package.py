@@ -17,13 +17,15 @@ Capability matching follows RPM:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Iterable
 
 from ..errors import RpmError
 from .version import EVR, parse_evr
 
-__all__ = ["Flag", "Capability", "Requirement", "Package", "nevra"]
+__all__ = ["Flag", "Capability", "Requirement", "Package", "ProvidesIndex", "nevra"]
 
 
 class Flag(str, Enum):
@@ -136,17 +138,19 @@ class Package:
             raise RpmError(f"package {self.name}: negative size")
 
     # -- identity ----------------------------------------------------------
+    # Derived from frozen fields, so computed once; ``cached_property`` keeps
+    # them in ``__dict__``, outside the dataclass ``==``/``hash``/``repr``.
 
-    @property
+    @cached_property
     def evr(self) -> EVR:
         """The package's own epoch:version-release."""
         return EVR(self.epoch, self.version, self.release)
 
-    @property
+    @cached_property
     def evr_string(self) -> str:
         return str(self.evr)
 
-    @property
+    @cached_property
     def nevra(self) -> str:
         """Full ``name-[epoch:]version-release.arch`` identity."""
         e = f"{self.epoch}:" if self.epoch else ""
@@ -154,14 +158,21 @@ class Package:
 
     # -- capabilities -------------------------------------------------------
 
+    @cached_property
+    def _all_provides(self) -> tuple[Capability, ...]:
+        return (Capability(self.name, self.evr_string),) + tuple(self.provides)
+
+    @cached_property
+    def _provided_names(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(cap.name for cap in self._all_provides))
+
     def all_provides(self) -> tuple[Capability, ...]:
         """Explicit provides plus the implicit self-provide."""
-        self_cap = Capability(self.name, str(self.evr))
-        return (self_cap,) + tuple(self.provides)
+        return self._all_provides
 
     def satisfies(self, req: Requirement) -> bool:
         """True if this package satisfies ``req`` via any capability."""
-        return any(req.matches(cap) for cap in self.all_provides())
+        return any(req.matches(cap) for cap in self._all_provides)
 
     def conflicts_with(self, other: "Package") -> bool:
         """True if either package declares a conflict matched by the other."""
@@ -172,7 +183,8 @@ class Package:
     def obsoletes_package(self, other: "Package") -> bool:
         """True if this package obsoletes ``other`` (by name match)."""
         return any(
-            o.name == other.name and o.matches(Capability(other.name, str(other.evr)))
+            o.name == other.name
+            and o.matches(Capability(other.name, other.evr_string))
             for o in self.obsoletes
         )
 
@@ -194,6 +206,44 @@ class Package:
 
     def __str__(self) -> str:
         return self.nevra
+
+
+class ProvidesIndex:
+    """Inverted capability-name → providers map over a set of packages.
+
+    :meth:`Requirement.matches` rejects a capability whose name differs from
+    the requirement's, so the bucket for ``req.name`` holds every package
+    that can satisfy ``req``; callers test those instead of the whole set.
+    """
+
+    def __init__(self, pkgs: Iterable[Package] = ()) -> None:
+        self._by_name: dict[str, list[Package]] = {}
+        for pkg in pkgs:
+            self.add(pkg)
+
+    def add(self, pkg: Package) -> None:
+        """Index ``pkg`` once under each capability name it provides."""
+        for name in pkg._provided_names:
+            self._by_name.setdefault(name, []).append(pkg)
+
+    def discard(self, pkg: Package) -> None:
+        """Drop ``pkg`` (by identity); emptied buckets are removed."""
+        for name in pkg._provided_names:
+            bucket = self._by_name.get(name, ())
+            for i, held in enumerate(bucket):
+                if held is pkg:
+                    del bucket[i]
+                    break
+            if not bucket:
+                self._by_name.pop(name, None)
+
+    def providers(self, req: Requirement) -> list[Package]:
+        """Indexed packages satisfying ``req``, in insertion order."""
+        return [p for p in self._by_name.get(req.name, ()) if p.satisfies(req)]
+
+    def is_satisfied(self, req: Requirement) -> bool:
+        """True if some indexed package satisfies ``req``."""
+        return any(p.satisfies(req) for p in self._by_name.get(req.name, ()))
 
 
 def nevra(pkg: Package) -> str:

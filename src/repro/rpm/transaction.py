@@ -33,6 +33,7 @@ recovery's job, not the corpse's.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..analyze.diagnostic import Diagnostic, Severity
@@ -46,7 +47,7 @@ from ..errors import (
 )
 from ..recovery.journal import Journal, JournalTxn, OpState
 from .database import RpmDatabase
-from .package import Package, Requirement
+from .package import Package, ProvidesIndex
 
 __all__ = [
     "Transaction",
@@ -61,13 +62,13 @@ class TransactionPlan:
     """A validated, ordered commit plan — shareable across identical hosts.
 
     Validation (:meth:`Transaction.check_diagnostics`) and install ordering
-    (:meth:`Transaction._install_order`) are both O(n²) in the package set
-    and depend only on the DB contents, the host architecture, and the
-    queued package set.  A uniform install wave kickstarts hundreds of
-    hosts whose transactions are byte-for-byte identical, so one plan is
-    computed and every other host commits through
-    :meth:`Transaction.commit_planned`, which verifies the match keys below
-    and skips straight to execution.
+    (:meth:`Transaction._install_order`) walk every requirement of the
+    final package set and depend only on the DB contents, the host
+    architecture, and the queued package set.  A uniform install wave
+    kickstarts hundreds of hosts whose transactions are byte-for-byte
+    identical, so one plan is computed and every other host commits
+    through :meth:`Transaction.commit_planned`, which verifies the match
+    keys below and skips straight to execution.
     """
 
     #: :meth:`RpmDatabase.fingerprint` of the DB the plan was validated on
@@ -176,7 +177,8 @@ class Transaction:
         :mod:`repro.analyze.txn` and docs/ANALYZE.md).  Order is the
         validation order — arch, erases, installs, requires, conflicts —
         not severity order, so :meth:`check` stays byte-identical to its
-        historical output.
+        historical output.  The requires and conflicts passes share one
+        :class:`ProvidesIndex` over the final set: linear in what is declared.
         """
 
         def problem(code: str, message: str, location: str) -> Diagnostic:
@@ -232,25 +234,33 @@ class Transaction:
                         f"transaction:install/{name}",
                     ))
         final = self._final_set()
+        by_name = sorted(final.values(), key=lambda p: p.name)
+        provided = ProvidesIndex(by_name)
         # Dependency closure of the final state.
-        for pkg in sorted(final.values(), key=lambda p: p.name):
+        for pkg in by_name:
             for req in pkg.requires:
-                if not any(p.satisfies(req) for p in final.values()):
+                if not provided.is_satisfied(req):
                     problems.append(problem(
                         "TX705",
                         f"{pkg.nevra} requires {req} which nothing provides",
                         f"transaction:require/{pkg.name}",
                     ))
-        # Pairwise conflicts among final packages that declare any.
-        declaring = [p for p in final.values() if p.conflicts]
-        for pkg in sorted(declaring, key=lambda p: p.name):
-            for other in sorted(final.values(), key=lambda p: p.name):
-                if other.name != pkg.name and pkg.conflicts_with(other):
-                    problems.append(problem(
-                        "TX706",
-                        f"{pkg.nevra} conflicts with {other.nevra}",
-                        f"transaction:conflict/{pkg.name}",
-                    ))
+        # Conflicts among final packages: a pair is reported from each side
+        # that declares any conflict, whichever side's declaration matched.
+        clashes: set[tuple[str, str]] = set()
+        for pkg in by_name:
+            for conflict in pkg.conflicts:
+                for other in provided.providers(conflict):
+                    if other.name != pkg.name:
+                        clashes.add((pkg.name, other.name))
+                        if other.conflicts:
+                            clashes.add((other.name, pkg.name))
+        for name, other in sorted(clashes):
+            problems.append(problem(
+                "TX706",
+                f"{final[name].nevra} conflicts with {final[other].nevra}",
+                f"transaction:conflict/{name}",
+            ))
         return problems
 
     def check(self) -> list[str]:
@@ -287,26 +297,25 @@ class Transaction:
         deterministic; any cycle remainder is co-installed in name order.
         """
         pkgs = self._installs
+        provided = ProvidesIndex(pkgs.values())
         dependants: dict[str, set[str]] = {n: set() for n in pkgs}
         indegree: dict[str, int] = {n: 0 for n in pkgs}
         for name, pkg in pkgs.items():
             for req in pkg.requires:
-                for provider_name, provider in pkgs.items():
-                    if provider_name != name and provider.satisfies(req):
-                        if name not in dependants[provider_name]:
-                            dependants[provider_name].add(name)
-                            indegree[name] += 1
-        ready = sorted(n for n, d in indegree.items() if d == 0)
+                for provider in provided.providers(req):
+                    if provider.name != name and name not in dependants[provider.name]:
+                        dependants[provider.name].add(name)
+                        indegree[name] += 1
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
         order: list[Package] = []
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(pkgs[current])
-            newly_ready = []
             for child in dependants[current]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    newly_ready.append(child)
-            ready = sorted(ready + newly_ready)
+                    heapq.heappush(ready, child)
         if len(order) < len(pkgs):
             # Cycle: co-install the remainder deterministically.
             remaining = sorted(set(pkgs) - {p.name for p in order})
@@ -391,17 +400,17 @@ class Transaction:
         fs = self.db.host.fs
         for pkg in self._installs.values():
             for path in pkg.default_paths():
-                if fs.exists(path):
-                    owner = fs.get(path).owner_package
-                    if (
-                        owner
-                        and owner != pkg.name
-                        and owner not in self._erases
-                        and self.db.has(owner)
-                    ):
-                        result.file_conflicts.append(
-                            f"{path} ({owner} -> {pkg.name})"
-                        )
+                node = fs.lookup(path)
+                owner = node.owner_package if node is not None else None
+                if (
+                    owner
+                    and owner != pkg.name
+                    and owner not in self._erases
+                    and self.db.has(owner)
+                ):
+                    result.file_conflicts.append(
+                        f"{path} ({owner} -> {pkg.name})"
+                    )
         journal = self.journal if self.journal is not None else Journal()
         txn = journal.begin("rpm.txn", host=self.db.host.name)
         try:

@@ -33,12 +33,12 @@ publishes a newer EVR, or a db install/erase, must drop stale entries).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from ..errors import DependencyError, PackageNotFoundError
 from ..rpm.database import RpmDatabase
-from ..rpm.package import Package, Requirement
+from ..rpm.package import Package, ProvidesIndex, Requirement
 from .repository import RepoSet
 
 __all__ = [
@@ -125,27 +125,28 @@ def _closure(
     """Compute the install closure of ``goals`` against ``db``."""
     resolution = Resolution()
     selected: dict[str, Package] = {}
-    queue: list[Package] = []
+    #: what ``selected`` provides, kept in step by ``select``
+    provided = ProvidesIndex()
+    queue: deque[Package] = deque()
 
     def select(pkg: Package) -> None:
         held = selected.get(pkg.name)
         if held is not None:
-            if held.nevra != pkg.nevra:
-                # Keep the newer of the two candidates.
-                if pkg.evr > held.evr:
-                    selected[pkg.name] = pkg
-                    queue.append(pkg)
-            return
+            # Keep the newer of the two candidates.
+            if held.nevra == pkg.nevra or not pkg.evr > held.evr:
+                return
+            provided.discard(held)
         selected[pkg.name] = pkg
+        provided.add(pkg)
         queue.append(pkg)
 
     for goal in goals:
         select(goal)
 
     while queue:
-        pkg = queue.pop(0)
+        pkg = queue.popleft()
         for req in pkg.requires:
-            if any(p.satisfies(req) for p in selected.values()):
+            if provided.is_satisfied(req):
                 continue
             if db.is_satisfied(req):
                 resolution.already_satisfied.append(req)

@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..errors import PackageNotFoundError, RepoPriorityError, YumError
-from ..rpm.package import Package, Requirement
+from ..rpm.package import Package, ProvidesIndex, Requirement
 
 __all__ = ["Repository", "RepoSet", "DEFAULT_PRIORITY"]
 
@@ -64,7 +64,7 @@ class Repository:
         #: indexes and downstream caches key their validity on it.
         self.revision = 0
         self._index_epoch = -1
-        self._provides_index: dict[str, list[Package]] = {}
+        self._provides_index = ProvidesIndex()
         self._obsoletes_index: dict[str, list[Package]] = {}
         self._checksum_epoch = -1
         self._checksum = ""
@@ -110,12 +110,11 @@ class Repository:
         """(Re)build the inverted capability maps iff the epoch moved."""
         if self._index_epoch == self.revision:
             return
-        provides: dict[str, list[Package]] = {}
+        provides = ProvidesIndex()
         obsoletes: dict[str, list[Package]] = {}
         for versions in self._packages.values():
             for pkg in versions:
-                for cap in pkg.all_provides():
-                    provides.setdefault(cap.name, []).append(pkg)
+                provides.add(pkg)
                 for obs in pkg.obsoletes:
                     obsoletes.setdefault(obs.name, []).append(pkg)
         self._provides_index = provides
@@ -157,11 +156,9 @@ class Repository:
     def providers_of(self, req: Requirement) -> list[Package]:
         """Every published package satisfying ``req`` (index lookup)."""
         self._ensure_index()
-        candidates = self._provides_index.get(req.name)
-        if not candidates:
-            return []
-        out = [p for p in candidates if p.satisfies(req)]
-        return sorted(out, key=lambda p: (p.name, p.evr))
+        return sorted(
+            self._provides_index.providers(req), key=lambda p: (p.name, p.evr)
+        )
 
     def _scan_providers_of(self, req: Requirement) -> list[Package]:
         """Reference oracle for :meth:`providers_of`: the pre-index scan."""

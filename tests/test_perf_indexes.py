@@ -1,22 +1,39 @@
-"""Property tests: indexed query paths vs the retained ``_scan_*`` oracles.
+"""Property tests: indexed query paths vs the retained scan oracles.
 
 The hot-path overhaul gave Repository / RepoSet / RpmDatabase inverted
 capability indexes with lazy build and epoch-based invalidation, keeping
-every pre-index implementation as a ``_scan_*`` reference method.  These
-tests drive random add/remove/install/erase sequences through each
-container and compare the indexed answers against the scans *after every
-mutation* — a stale index (missed invalidation, missed discard) diverges
-here.  The same idea pins the batched ``run_until`` against one-at-a-time
-stepping.
+every pre-index implementation as a reference (``_scan_*`` methods on the
+repository classes, ``tests/oracles/rpm_scans.py`` for the RPM database,
+the transaction and the depsolver closure).  These tests drive random
+add/remove/install/erase sequences through each container and compare the
+indexed answers against the scans *after every mutation* — a stale index
+(missed invalidation, missed discard) diverges here.  The transaction and
+``_closure`` properties do the same over random package universes.  The
+same idea pins the batched ``run_until`` against one-at-a-time stepping.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PackageNotFoundError, TraceError, YumError
-from repro.rpm import Capability, Flag, Package, Requirement
+from repro.errors import (
+    DependencyError,
+    PackageNotFoundError,
+    TraceError,
+    TransactionError,
+    YumError,
+)
+from repro.rpm import Capability, Flag, Package, Requirement, Transaction
 from repro.yum import RepoSet, Repository
+from repro.yum.depsolver import _closure
+
+from .oracles.rpm_scans import (
+    scan_check_diagnostics,
+    scan_closure,
+    scan_install_order,
+    scan_is_satisfied,
+    scan_providers_of,
+)
 
 NAMES = ["alpha", "bravo", "charlie", "delta"]
 CAPS = ["mpi-impl", "libfoo.so", "batch-system"]
@@ -25,7 +42,9 @@ CAPS = ["mpi-impl", "libfoo.so", "batch-system"]
 def _package(name_i, version_i, cap_i, obsoletes_i):
     kw = {}
     if cap_i is not None:
-        kw["provides"] = (Capability(CAPS[cap_i]),)
+        # Past CAPS the index wraps onto NAMES: a package may provide another
+        # package's name, or (explicitly, a second time) its own.
+        kw["provides"] = (Capability((CAPS + NAMES)[cap_i]),)
     if obsoletes_i is not None and NAMES[obsoletes_i] != NAMES[name_i]:
         kw["obsoletes"] = (Requirement(NAMES[obsoletes_i]),)
     return Package(NAMES[name_i], f"{version_i}.0", **kw)
@@ -35,7 +54,7 @@ packages = st.builds(
     _package,
     st.integers(0, len(NAMES) - 1),
     st.integers(1, 3),
-    st.one_of(st.none(), st.integers(0, len(CAPS) - 1)),
+    st.one_of(st.none(), st.integers(0, len(CAPS) + len(NAMES) - 1)),
     st.one_of(st.none(), st.integers(0, len(NAMES) - 1)),
 )
 
@@ -153,8 +172,8 @@ class TestRpmDatabaseIndex:
             except Exception:
                 pass  # duplicate install / missing erase
             for req in QUERIES:
-                assert db.providers_of(req) == db._scan_providers_of(req)
-                assert db.is_satisfied(req) == db._scan_is_satisfied(req)
+                assert db.providers_of(req) == scan_providers_of(db, req)
+                assert db.is_satisfied(req) == scan_is_satisfied(db, req)
 
     def test_fingerprint_tracks_content_not_identity(self, littlefe_machine):
         from repro.distro import CENTOS_6_5, Host
@@ -167,6 +186,134 @@ class TestRpmDatabaseIndex:
         assert a.fingerprint() != b.fingerprint()
         b._install_unchecked(Package("alpha", "1.0"))
         assert a.fingerprint() == b.fingerprint()
+
+
+# --- transaction + depsolver closure: ProvidesIndex ≡ whole-set scans -------------
+
+UNIVERSE_NAMES = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+
+
+def _requirement(name, flag, version_i):
+    if flag is Flag.ANY:
+        return Requirement(name)
+    return Requirement(name, flag, f"{version_i}.0")
+
+
+def _universe_packages(names, versions):
+    """Packages over ``names`` whose provides/requires/conflicts draw from
+    the package names themselves plus ``CAPS``: provides are unversioned,
+    versioned, or an explicit second self-provide; requirements are bare or
+    ``=``/``<``/``>=``.  Fewer names and versions mean more collisions."""
+    caps = names + CAPS
+    requirements = st.builds(
+        _requirement,
+        st.sampled_from(caps),
+        st.sampled_from([Flag.ANY, Flag.ANY, Flag.EQ, Flag.LT, Flag.GE]),
+        st.integers(1, versions),
+    )
+    capabilities = st.builds(
+        lambda name, version_i: Capability(name, f"{version_i}.0" if version_i else ""),
+        st.sampled_from(caps),
+        st.integers(0, versions),
+    )
+    return st.builds(
+        lambda name, version_i, provides, requires, conflicts: Package(
+            name, f"{version_i}.0", provides=tuple(provides),
+            requires=tuple(requires), conflicts=tuple(conflicts),
+        ),
+        st.sampled_from(names),
+        st.integers(1, versions),
+        st.lists(capabilities, max_size=2),
+        st.lists(requirements, max_size=3),
+        st.lists(requirements, max_size=2),
+    )
+
+
+universe_packages = _universe_packages(UNIVERSE_NAMES, versions=3)
+#: three names, two versions: goal lists keep naming one package twice
+crowded_packages = _universe_packages(UNIVERSE_NAMES[:3], versions=2)
+
+
+def _fresh_db(installed):
+    from repro.distro import CENTOS_6_5, Host
+    from repro.rpm import RpmDatabase
+
+    db = RpmDatabase(Host(_machine().head, CENTOS_6_5))
+    for pkg in installed:
+        if not db.has(pkg.name):
+            db._install_unchecked(pkg)
+    return db
+
+
+txn_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["install", "upgrade"]), universe_packages),
+        st.tuples(st.just("erase"), st.sampled_from(UNIVERSE_NAMES)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestTransactionIndex:
+    @given(st.lists(universe_packages, max_size=8), txn_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_diagnostics_and_order_match_scans(self, installed, steps):
+        """Random universes — multi-provider names, versioned requires,
+        one- and two-sided conflicts, cycles, erases under a dependant,
+        upgrades — validate and order exactly as the whole-set scans did."""
+        txn = Transaction(_fresh_db(installed))
+        for verb, arg in steps:
+            try:
+                getattr(txn, verb)(arg)
+            except TransactionError:
+                pass  # second NEVRA of a queued name / not-newer upgrade
+        problems = txn.check_diagnostics()
+        assert problems == scan_check_diagnostics(txn)
+        order = [p.nevra for p in scan_install_order(txn)]
+        assert [p.nevra for p in txn._install_order()] == order
+        if not problems and not txn.is_empty:
+            assert list(txn.plan().order_nevras) == order
+
+
+def _resolve(closure, goals, repos, db):
+    try:
+        return closure(goals, repos, db)
+    except DependencyError as exc:
+        return (str(exc), exc.missing)
+
+
+#: delta-1.0 provides ``mpi-impl``, delta-2.0 does not: once ``select`` swaps
+#: them, charlie's requirement must pull bravo in rather than look satisfied
+_REPLACED = [
+    Package("delta", "1.0", provides=(Capability("mpi-impl"),)),
+    Package("delta", "2.0"),
+    Package("charlie", "1.0", requires=(Requirement("mpi-impl"),)),
+    Package("bravo", "1.0", provides=(Capability("mpi-impl"),)),
+]
+
+
+class TestClosureIndex:
+    @given(
+        st.lists(crowded_packages, min_size=1, max_size=10),
+        st.lists(crowded_packages, max_size=3),
+        st.lists(st.integers(0, 9), min_size=1, max_size=5),
+    )
+    @example(published=_REPLACED, installed=[], goal_picks=[2, 3, 1])
+    @settings(max_examples=300, deadline=None)
+    def test_resolution_matches_scan(self, published, installed, goal_picks):
+        """Goals are arbitrary published NEVRAs, so two versions of one
+        name often meet in ``select`` and the newer replaces the held one."""
+        repo = Repository("r")
+        for pkg in published:
+            _apply(repo, "add", pkg)
+        available = repo.all_packages()
+        goals = [available[i % len(available)] for i in goal_picks]
+        db = _fresh_db(installed)
+        repos = RepoSet([repo])
+        assert _resolve(_closure, goals, repos, db) == _resolve(
+            scan_closure, goals, repos, db
+        )
 
 
 # --- batched run_until ≡ one-at-a-time stepping ----------------------------------

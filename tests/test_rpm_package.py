@@ -1,5 +1,9 @@
 """Package model tests: capabilities, conflicts, obsoletes, spec round-trip."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import RpmError
@@ -11,6 +15,7 @@ from repro.rpm import (
     build_spec,
     parse_spec,
 )
+from repro.rpm.version import EVR
 
 
 def pkg(name="demo", version="1.0", **kw):
@@ -37,6 +42,75 @@ class TestIdentity:
         with pytest.raises(RpmError):
             pkg("a").is_newer_than(pkg("b"))
 
+
+
+def _warm(p):
+    """Touch every once-per-instance derived value."""
+    return p.evr, p.evr_string, p.nevra, p.all_provides(), p.satisfies(Requirement(p.name))
+
+
+class TestDerivedIdentityIsCachedSafely:
+    """evr / evr_string / nevra / all_provides() are computed once and kept
+    on the instance — outside the dataclass fields, so nothing that works on
+    fields (``==``, ``hash``, ``repr``, ``replace``) can see or carry them."""
+
+    BASE = dict(name="openmpi", version="1.6.5", release="2", epoch=1,
+                provides=(Capability("mpi-impl", "1.6"),))
+
+    def test_computed_once(self):
+        p = Package(**self.BASE)
+        assert p.evr is p.evr
+        assert p.nevra is p.nevra
+        assert p.all_provides() is p.all_provides()
+
+    def test_replace_recomputes_every_derived_value(self):
+        p = Package(**self.BASE)
+        _warm(p)
+        q = dataclasses.replace(
+            p, version="1.8.1", release="1", epoch=0,
+            provides=(Capability("mpi-impl", "1.8"),),
+        )
+        assert q.evr == EVR(0, "1.8.1", "1") and q.evr_string == "1.8.1-1"
+        assert q.nevra == "openmpi-1.8.1-1.x86_64"
+        assert q.all_provides() == (
+            Capability("openmpi", "1.8.1-1"), Capability("mpi-impl", "1.8"),
+        )
+        assert q.satisfies(Requirement("mpi-impl", Flag.GE, "1.8"))
+        assert not p.satisfies(Requirement("mpi-impl", Flag.GE, "1.8"))
+        assert p.nevra == "openmpi-1:1.6.5-2.x86_64"  # the original is untouched
+
+    def test_equality_hash_and_repr_ignore_warm_caches(self):
+        cold, warm = Package(**self.BASE), Package(**self.BASE)
+        cold_repr = repr(cold)
+        _warm(warm)
+        assert cold == warm and warm == cold and warm == dataclasses.replace(warm)
+        assert hash(cold) == hash(warm)
+        assert len({cold, warm}) == 1
+        assert repr(warm) == cold_repr
+        assert "evr" not in repr(warm) and "nevra" not in repr(warm)
+        assert {f.name for f in dataclasses.fields(warm)} == {
+            f.name for f in dataclasses.fields(cold)
+        }
+
+    @pytest.mark.parametrize("warm_first", [False, True])
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_pickle_and_deepcopy_round_trip(self, clone, warm_first):
+        p = Package(**self.BASE, requires=(Requirement("glibc"),))
+        if warm_first:
+            _warm(p)
+        q = clone(p)
+        assert q == p and q is not p and hash(q) == hash(p)
+        assert _warm(q) == _warm(p)
+        for req in (
+            Requirement("openmpi", Flag.EQ, "1:1.6.5"),
+            Requirement("openmpi", Flag.GE, "2.0"),
+            Requirement("mpi-impl", Flag.LT, "1.7"),
+            Requirement("slurm"),
+        ):
+            assert q.satisfies(req) == p.satisfies(req)
 
 class TestCapabilities:
     def test_implicit_self_provide(self):

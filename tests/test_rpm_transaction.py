@@ -262,6 +262,36 @@ class TestTransactionOrderingAndAtomicity:
         assert "Install 2" in result.summary()
         assert result.change_count == 2
 
+    def test_plan_satisfies_calls_scale_linearly(self, db, monkeypatch):
+        """The contract that keeps the whole-set scan from creeping back:
+        planning a 300-package chain over 300 unrelated installed packages
+        asks ``Package.satisfies`` a constant number of times per declared
+        requirement or conflict — a count, not a wall time.  The scanning
+        validator and orderer asked ~10^5 times here."""
+        for i in range(300):
+            db._install_unchecked(mk(f"site-{i:03d}"))
+        txn = Transaction(db)
+        chain = [mk("link-000", conflicts=(Requirement("vendor-mpi"),))]
+        chain += [
+            mk(f"link-{i:03d}", requires=(Requirement(f"link-{i - 1:03d}"),))
+            for i in range(1, 300)
+        ]
+        for pkg in reversed(chain):
+            txn.install(pkg)
+        declared = sum(len(p.requires) + len(p.conflicts) for p in chain)
+        calls = 0
+        real = Package.satisfies
+
+        def counting(self, req):
+            nonlocal calls
+            calls += 1
+            return real(self, req)
+
+        monkeypatch.setattr(Package, "satisfies", counting)
+        plan = txn.plan()
+        assert plan.order_nevras == tuple(p.nevra for p in chain)
+        assert 0 < calls <= 4 * declared
+
 
 # --- property: closure integrity over random dependency DAGs --------------------
 
