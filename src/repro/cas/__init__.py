@@ -10,9 +10,8 @@ installs, rebuilt around content instead of NEVRAs:
 * :mod:`repro.cas.stratum` — the delivery hierarchy:
   :class:`Stratum0` origin (journaled transactional publish/rollback) →
   :class:`Stratum1` replica (chunk-delta replication, resumable) →
-  :class:`SiteChunkCache` campus tier (lazy fetch-on-reference, seedable
-  by a :class:`~repro.repod.SiteProxy`) — the last two are one
-  :class:`ChunkTier` pull-through path.
+  :class:`SiteChunkCache` campus tier (lazy fetch-on-reference) — the
+  last two are one :class:`ChunkTier` pull-through path.
 * :mod:`repro.cas.delivery` — :class:`LazyDelivery` fetch-on-install for
   installers, plus the chaos-invariant audit.
 

@@ -24,9 +24,7 @@ CVMFS's deployment shape, applied to package delivery:
   an interrupted replication keeps everything that landed, so the retry
   resumes at chunk granularity.
 * :class:`SiteChunkCache` — that tier plus the release-serial marker.
-  It holds whatever chunks local installs have pulled and can be seeded
-  for free by a :class:`~repro.repod.SiteProxy` that already paid to
-  move a package over its uplink (:meth:`SiteChunkCache.ingest_package`).
+  It holds whatever chunks local installs have pulled.
 
 Chunks are content-addressed, so a release never *invalidates* cached
 chunks — the ``_chunk_epoch`` marker records the newest origin serial the
@@ -144,14 +142,6 @@ class Stratum0:
                     f"stratum0 {self.name}: chunk {chunk.short} of "
                     f"{artifact} not at the origin (requested by {requester})"
                 )
-
-    def manifest_for(self, nevra: str) -> PackageManifest:
-        manifest = self.catalog.get(nevra)
-        if manifest is None:
-            raise CasError(
-                f"stratum0 {self.name}: {nevra} not in generation {self.serial}"
-            )
-        return manifest
 
     # -- the transactional flip ------------------------------------------------
 
@@ -314,7 +304,7 @@ class ChunkTier:
     def __init__(
         self,
         name: str,
-        upstream: Stratum0 | ChunkTier | None,
+        upstream: Stratum0 | ChunkTier,
         link: MirrorLink,
         kernel: SimKernel,
         policy: ChunkingPolicy,
@@ -336,12 +326,6 @@ class ChunkTier:
         returns the bytes moved (the tier's WAN cost)."""
         if not missing:
             return 0
-        if self.upstream is None:
-            raise CasError(
-                f"tier {self.name}: {len(missing)} chunk(s) of {artifact} "
-                f"not held and no upstream to pull from (requested by "
-                f"{requester})"
-            )
         self.upstream.fetch_chunks(missing, artifact=artifact, requester=self.name)
         nbytes = sum(c.size for c in missing)
         self.link.spend(self.kernel, nbytes)
@@ -522,28 +506,16 @@ class SiteChunkCache(ChunkTier):
     def __init__(
         self,
         name: str,
-        upstream: Stratum0 | ChunkTier | None = None,
-        link: MirrorLink | None = None,
+        upstream: Stratum0 | ChunkTier,
+        link: MirrorLink,
         *,
         kernel: SimKernel | None = None,
-        policy: ChunkingPolicy | None = None,
     ) -> None:
-        if upstream is None and policy is None:
-            raise CasError(
-                f"site cache {name}: need an upstream or an explicit "
-                f"chunking policy"
-            )
-        if kernel is None:
-            kernel = upstream.kernel if upstream is not None else SimKernel()
         super().__init__(
-            name, upstream,
-            link if link is not None else MirrorLink(
-                bandwidth_bytes_s=100 * 1024 * 1024, latency_s=0.002
-            ),
-            kernel, policy if policy is not None else upstream.policy,
+            name, upstream, link,
+            kernel if kernel is not None else upstream.kernel, upstream.policy,
         )
         self._chunk_epoch = 0
-        self.ingested = 0
 
     # -- release protocol ------------------------------------------------------
 
@@ -557,13 +529,3 @@ class SiteChunkCache(ChunkTier):
                 f"({self._chunk_epoch} -> {serial})"
             )
         self._chunk_epoch = serial
-
-    # -- seeding ---------------------------------------------------------------
-
-    def ingest_package(self, pkg: Package) -> int:
-        """Seed the cache from a package whose bytes already arrived by
-        other means (a :class:`~repro.repod.SiteProxy` fetch paid the WAN
-        cost; the chunks come along for free).  Returns chunks added."""
-        added = sum(self.store.put(c) for c in self.policy.manifest(pkg).chunks)
-        self.ingested += added
-        return added

@@ -29,12 +29,7 @@ JSONL, even mid-storm.  See docs/DELIVERY.md.
 from .client import RepoClient, RequestRecord
 from .proxy import SiteProxy
 from .server import FetchResult, RepoServer, payload_for
-from .storm import (
-    StormReport,
-    UpdateStormScenario,
-    repod_confluence_problems,
-    run_storm,
-)
+from .storm import StormReport, UpdateStormScenario, repod_confluence_problems
 
 __all__ = [
     "FetchResult",
@@ -46,5 +41,4 @@ __all__ = [
     "UpdateStormScenario",
     "payload_for",
     "repod_confluence_problems",
-    "run_storm",
 ]

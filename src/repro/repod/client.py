@@ -18,7 +18,8 @@ exactly-once property is chaos invariant 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from ..errors import RepodError
 
@@ -35,7 +36,6 @@ class RequestRecord:
     outcome: str = ""  # ok | stale | failed
     source: str = ""
     finished_s: float = 0.0
-    failure_kinds: list[str] = field(default_factory=list)
 
 
 class RepoClient:
@@ -50,7 +50,6 @@ class RepoClient:
         policy,
         budget=None,
         patience_s: float = 900.0,
-        local=None,
     ) -> None:
         if patience_s <= 0:
             raise RepodError(f"patience must be positive, got {patience_s}")
@@ -60,8 +59,6 @@ class RepoClient:
         self.policy = policy
         self.budget = budget
         self.patience_s = patience_s
-        #: optional local Repository that delivered packages land in
-        self.local = local
         self.records: dict[str, RequestRecord] = {}
         self.done = False
 
@@ -69,7 +66,7 @@ class RepoClient:
 
     def sync(self, artifacts, *, at_s: float = 0.0) -> None:
         """Schedule a sequential sync of ``artifacts`` starting at ``at_s``."""
-        queue = list(artifacts)
+        queue = deque(artifacts)
         if not queue:
             self.done = True
             return
@@ -82,7 +79,7 @@ class RepoClient:
         if not queue:
             self.done = True
             return
-        artifact = queue.pop(0)
+        artifact = queue.popleft()
         record = RequestRecord(artifact=artifact, started_s=self.kernel.now_s)
         self.records[artifact] = record
         self._attempt(record, queue)
@@ -97,9 +94,8 @@ class RepoClient:
         def on_result(result) -> None:
             if result.ok:
                 self._finish(record, result, queue)
-                return
-            record.failure_kinds.append(result.error_kind or "failed")
-            self._maybe_retry(record, result, queue)
+            else:
+                self._maybe_retry(record, result, queue)
 
         self.proxy.request(
             record.artifact,
@@ -143,8 +139,6 @@ class RepoClient:
             )
         if result.ok:
             record.outcome = "stale" if result.source.endswith("-stale") else "ok"
-            if self.local is not None and result.package is not None:
-                self.local.add(result.package)
         else:
             record.outcome = "failed"
         record.source = result.source

@@ -32,13 +32,15 @@ from .server import FetchResult
 
 __all__ = ["SiteProxy"]
 
+#: one LAN hop from the proxy to a campus client
+_LAN_LATENCY_S = 0.02
+
 
 @dataclass
 class _CacheEntry:
     payload: str
     serial: int
     fetched_at_s: float
-    package: object | None
 
 
 class SiteProxy:
@@ -50,15 +52,11 @@ class SiteProxy:
         origin,
         *,
         kernel,
-        lan_latency_s: float = 0.02,
         serve_stale: bool = True,
     ) -> None:
-        if lan_latency_s < 0:
-            raise RepodError(f"LAN latency must be >= 0, got {lan_latency_s}")
         self.name = name
         self.origin = origin
         self.kernel = kernel
-        self.lan_latency_s = lan_latency_s
         self.serve_stale = serve_stale
         #: artifact -> _CacheEntry; invalidated by bumping _content_epoch,
         #: never by mutation — entries older than the epoch are stale.
@@ -70,9 +68,6 @@ class SiteProxy:
         self._uplink_loss = 0.0
         #: scheduled LAN deliveries not yet fired (leak audit)
         self._pending_deliveries = 0
-        #: optional :class:`~repro.cas.SiteChunkCache` layered under this
-        #: proxy (see :meth:`attach_chunk_cache`)
-        self.chunk_cache = None
         # accounting
         self.hits = 0
         self.misses = 0
@@ -90,18 +85,6 @@ class SiteProxy:
                 f"({self._content_epoch} -> {serial})"
             )
         self._content_epoch = serial
-        if self.chunk_cache is not None:
-            self.chunk_cache.notice_release(serial)
-
-    def attach_chunk_cache(self, cache) -> None:
-        """Layer a content-addressed chunk cache under this proxy.
-
-        Release notices are forwarded (so the chunk tier's epoch tracks the
-        proxy's), and every package that resolves through the proxy seeds
-        the chunk cache for free — the bytes already crossed the WAN once;
-        nodes installing that package afterwards fetch zero upstream chunks.
-        """
-        self.chunk_cache = cache
 
     def set_uplink_loss(self, probability: float) -> None:
         """Flapping uplink: each origin fetch dies with this probability
@@ -130,7 +113,7 @@ class SiteProxy:
                 on_result,
                 FetchResult(
                     artifact, True, payload=entry.payload, serial=entry.serial,
-                    source=f"{self.name}-hit", package=entry.package,
+                    source=f"{self.name}-hit",
                 ),
             )
             return
@@ -155,7 +138,7 @@ class SiteProxy:
             # without the origin ever seeing the request complete.
             self.uplink_resets += 1
             self.kernel.after(
-                self.lan_latency_s,
+                _LAN_LATENCY_S,
                 lambda: self._resolve(
                     artifact,
                     FetchResult(
@@ -180,17 +163,14 @@ class SiteProxy:
         if result.ok:
             self._content[artifact] = _CacheEntry(
                 payload=result.payload, serial=result.serial,
-                fetched_at_s=self.kernel.now_s, package=result.package,
+                fetched_at_s=self.kernel.now_s,
             )
-            if self.chunk_cache is not None and result.package is not None:
-                self.chunk_cache.ingest_package(result.package)
             for on_result in waiters:
                 self._deliver(
                     on_result,
                     FetchResult(
                         artifact, True, payload=result.payload,
                         serial=result.serial, source=f"{self.name}-miss",
-                        package=result.package,
                     ),
                 )
             return
@@ -208,7 +188,6 @@ class SiteProxy:
                     FetchResult(
                         artifact, True, payload=stale.payload,
                         serial=stale.serial, source=f"{self.name}-stale",
-                        package=stale.package,
                     ),
                 )
             return
@@ -224,7 +203,7 @@ class SiteProxy:
             on_result(result)
 
         self.kernel.after(
-            self.lan_latency_s, arrive,
+            _LAN_LATENCY_S, arrive,
             label=f"repod.deliver:{self.name}:{result.artifact}",
         )
 

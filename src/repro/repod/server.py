@@ -19,6 +19,7 @@ mid-flight; ``recover()`` brings the daemon back empty.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from ..errors import RepodError
@@ -48,7 +49,6 @@ class FetchResult:
     error: str = ""
     #: failure class: shed | refused | reset | crash | missing
     error_kind: str = ""
-    package: object | None = None
 
 
 @dataclass
@@ -88,7 +88,7 @@ class RepoServer:
         self.serial = 0
         #: in-service transfers: id(request) -> (request, EventHandle)
         self._active: dict[int, tuple[_QueuedRequest, object]] = {}
-        self._queue: list[_QueuedRequest] = []
+        self._queue: deque[_QueuedRequest] = deque()
         # accounting — the invariant audit checks these sum up exactly
         self.arrivals = 0
         self.served = 0
@@ -196,7 +196,7 @@ class RepoServer:
             req.on_result(
                 FetchResult(
                     req.artifact, True, payload=payload_for(pkg),
-                    serial=self.serial, source=self.name, package=pkg,
+                    serial=self.serial, source=self.name,
                 )
             )
             self._admit()
@@ -209,7 +209,7 @@ class RepoServer:
     def _admit(self) -> None:
         """Fill freed slots from the queue, shedding expired waiters."""
         while self._queue and len(self._active) < self.slots:
-            req = self._queue.pop(0)
+            req = self._queue.popleft()
             if req.deadline_s is not None and self.kernel.now_s >= req.deadline_s:
                 self._shed(req, reason="deadline expired", counter="deadline")
                 continue
@@ -232,7 +232,7 @@ class RepoServer:
             )
         self._active.clear()
         while self._queue:
-            req = self._queue.pop(0)
+            req = self._queue.popleft()
             self.crashed_inflight += 1
             req.on_result(
                 FetchResult(

@@ -29,7 +29,7 @@ origin sheds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..core.deployments import TABLE3_SITES
 from ..errors import RepodError
@@ -42,12 +42,12 @@ from ..yum.mirror import MirrorLink, RepoMirror
 from ..yum.repository import Repository
 from .client import RepoClient
 from .proxy import SiteProxy
+from .server import RepoServer
 
 __all__ = [
     "StormReport",
     "UpdateStormScenario",
     "repod_confluence_problems",
-    "run_storm",
 ]
 
 #: Safety bound on kernel events for one storm run; a storm that needs
@@ -71,6 +71,22 @@ _V1_ARTIFACTS: dict[str, int] = {
 _NEW_ARTIFACTS: dict[str, int] = {
     "openssl-fips-hotfix": 12 * 1024 * 1024,
 }
+
+
+#: The storm's timeline, in simulated seconds: clients start inside
+#: ``[_STORM_START_S, _STORM_START_S + _STAGGER_S)`` and give each artifact
+#: ``_PATIENCE_S``; the origin is down for ``_CRASH_DURATION_S`` from
+#: ``_CRASH_AT_S``; the two largest campuses' uplinks reset connections
+#: with probability ``_FLAP_LOSS_PROB`` for ``_FLAP_DURATION_S`` from
+#: ``_FLAP_AT_S`` (while clients are still retrying the crash).
+_STORM_START_S = 100.0
+_STAGGER_S = 240.0
+_PATIENCE_S = 1200.0
+_CRASH_AT_S = 105.0
+_CRASH_DURATION_S = 180.0
+_FLAP_AT_S = 220.0
+_FLAP_DURATION_S = 90.0
+_FLAP_LOSS_PROB = 0.6
 
 
 def _slug(site: str) -> str:
@@ -116,32 +132,10 @@ class StormReport:
         return self.goodput / self.offered if self.offered else 1.0
 
     def state_dict(self) -> dict[str, object]:
-        return {
-            "seed": self.seed,
-            "governed": self.governed,
-            "campuses": self.campuses,
-            "clients": self.clients,
-            "offered": self.offered,
-            "ok": self.ok,
-            "stale": self.stale,
-            "failed": self.failed,
-            "goodput_ratio": round(self.goodput_ratio, 4),
-            "elapsed_s": round(self.elapsed_s, 3),
-            "origin_arrivals": self.origin_arrivals,
-            "origin_served": self.origin_served,
-            "origin_shed_full": self.origin_shed_full,
-            "origin_shed_deadline": self.origin_shed_deadline,
-            "origin_refused": self.origin_refused,
-            "proxy_hits": self.proxy_hits,
-            "proxy_misses": self.proxy_misses,
-            "proxy_coalesced": self.proxy_coalesced,
-            "proxy_stale_served": self.proxy_stale_served,
-            "uplink_resets": self.uplink_resets,
-            "retries": self.retries,
-            "budget_granted": self.budget_granted,
-            "budget_denied": self.budget_denied,
-            "problems": list(self.problems),
-        }
+        state = asdict(self)
+        state["elapsed_s"] = round(self.elapsed_s, 3)
+        state["goodput_ratio"] = round(self.goodput_ratio, 4)
+        return state
 
 
 #: Governed clients: exponential backoff, jittered, deadline left to the
@@ -172,14 +166,6 @@ class UpdateStormScenario:
         governed: bool = True,
         slots: int = 2,
         queue_limit: int = 2,
-        storm_start_s: float = 100.0,
-        stagger_s: float = 240.0,
-        patience_s: float = 1200.0,
-        crash_at_s: float = 105.0,
-        crash_duration_s: float = 180.0,
-        flap_at_s: float = 220.0,
-        flap_duration_s: float = 90.0,
-        flap_loss_prob: float = 0.6,
         budget_capacity: float = 14.0,
         budget_refill_per_s: float = 0.04,
         goodput_floor: float = 0.9,
@@ -201,14 +187,6 @@ class UpdateStormScenario:
         self.governed = governed
         self.slots = slots
         self.queue_limit = queue_limit
-        self.storm_start_s = storm_start_s
-        self.stagger_s = stagger_s
-        self.patience_s = patience_s
-        self.crash_at_s = crash_at_s
-        self.crash_duration_s = crash_duration_s
-        self.flap_at_s = flap_at_s
-        self.flap_duration_s = flap_duration_s
-        self.flap_loss_prob = flap_loss_prob
         self.budget_capacity = budget_capacity
         self.budget_refill_per_s = budget_refill_per_s
         self.goodput_floor = goodput_floor
@@ -239,9 +217,11 @@ class UpdateStormScenario:
             kernel=kernel,
         )
         self.mirror.sync()
-        self.origin = self.mirror.as_origin(
-            slots=self.slots, queue_limit=self.queue_limit
+        self.origin = RepoServer(
+            self.mirror.local.repo_id, kernel=kernel, link=self.mirror.link,
+            slots=self.slots, queue_limit=self.queue_limit,
         )
+        self.origin.publish(self.mirror.local.all_packages())
 
         self.proxies = [
             SiteProxy(f"proxy-{name}", self.origin, kernel=kernel)
@@ -292,13 +272,13 @@ class UpdateStormScenario:
             for i in range(self.clients_per_campus):
                 client = RepoClient(
                     f"{campus}-c{i:02d}", proxy, kernel=kernel,
-                    policy=policy, budget=budget, patience_s=self.patience_s,
+                    policy=policy, budget=budget, patience_s=_PATIENCE_S,
                 )
                 offset = (
-                    self.stagger_s * i / self.clients_per_campus
-                    + kernel.rng.random() * self.stagger_s / self.clients_per_campus
+                    _STAGGER_S * i / self.clients_per_campus
+                    + kernel.rng.random() * _STAGGER_S / self.clients_per_campus
                 )
-                client.sync(release, at_s=self.storm_start_s + offset)
+                client.sync(release, at_s=_STORM_START_S + offset)
                 self.clients.append(client)
 
         # Mid-storm faults: the origin dies, and the two largest campuses'
@@ -310,14 +290,14 @@ class UpdateStormScenario:
                 [
                     FaultSpec(
                         kind=FaultKind.ORIGIN_CRASH, target=self.origin.name,
-                        at_s=self.crash_at_s, duration_s=self.crash_duration_s,
+                        at_s=_CRASH_AT_S, duration_s=_CRASH_DURATION_S,
                     ),
                 ]
                 + [
                     FaultSpec(
                         kind=FaultKind.CONN_RESET, target=name,
-                        at_s=self.flap_at_s, duration_s=self.flap_duration_s,
-                        params={"loss_prob": self.flap_loss_prob},
+                        at_s=_FLAP_AT_S, duration_s=_FLAP_DURATION_S,
+                        params={"loss_prob": _FLAP_LOSS_PROB},
                     )
                     for name in flapped
                 ]
@@ -387,11 +367,6 @@ class UpdateStormScenario:
             report.budget_granted += budget.granted
             report.budget_denied += budget.denied
         return report
-
-
-def run_storm(*, seed: int = 2015, governed: bool = True, **kwargs) -> StormReport:
-    """One-call convenience: build, run, audit."""
-    return UpdateStormScenario(seed=seed, governed=governed, **kwargs).run()
 
 
 def repod_confluence_problems(

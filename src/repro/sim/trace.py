@@ -276,9 +276,9 @@ def audit_events(events, reads: Mapping[str, tuple[str, ...]]):
 class TraceBus:
     """The simulation's structured event log.
 
-    ``enabled=False`` turns the bus into a no-op (the overhead benchmark's
-    baseline).  Subscribers are called synchronously on every emit — the
-    hook co-simulation harnesses use to react to events as they happen.
+    ``enabled=False`` turns the bus into a no-op.  Subscribers are called
+    synchronously on every emit — the hook co-simulation harnesses use to
+    react to events as they happen.
 
     Validation fast path: by default each ``(kind, data-key-tuple)`` *shape*
     is schema-checked once — the first emit from a call site validates field

@@ -46,7 +46,9 @@ class MirrorLink:
     def transfer_time_s(self, nbytes: int, *, requests: int = 1) -> float:
         """Time to move ``nbytes`` over this link in ``requests`` requests."""
         if nbytes < 0 or requests < 1:
-            raise YumError("invalid transfer parameters")
+            raise YumError(
+                f"invalid transfer parameters: nbytes={nbytes}, requests={requests}"
+            )
         return self.latency_s * requests + nbytes / self.bandwidth_bytes_s
 
     def spend(self, kernel: SimKernel, nbytes: int, *, requests: int = 1) -> None:
@@ -154,25 +156,6 @@ class RepoMirror:
             "disk_full": self._disk_full,
             "corrupt_once": sorted(self._corrupt_once),
         }
-
-    def as_origin(self, *, slots: int = 4, queue_limit: int = 16):
-        """Expose this mirror as a :class:`~repro.repod.RepoServer` origin.
-
-        The paper's XNIT mirror is also the repository *service* every
-        campus pulls from; this wraps the mirror's local contents in the
-        admission-controlled daemon from :mod:`repro.repod` (same kernel,
-        same link model).  Re-publish after each :meth:`sync` by calling
-        ``origin.publish(mirror.local.all_packages())`` — publishing is a
-        release decision, not a side effect of syncing.
-        """
-        from ..repod.server import RepoServer  # lazy: repod imports errors only
-
-        origin = RepoServer(
-            self.local.repo_id, kernel=self.kernel, link=self.link,
-            slots=slots, queue_limit=queue_limit,
-        )
-        origin.publish(self.local.all_packages())
-        return origin
 
     def sync(self) -> SyncStats:
         """Bring the mirror up to date, transferring only the delta.

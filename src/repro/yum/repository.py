@@ -15,7 +15,7 @@ keeps inverted maps — provides-name → packages, obsoleted-name → packages 
 built lazily and invalidated by a monotonic mutation epoch (``revision``),
 so :meth:`Repository.providers_of` is a dict lookup instead of a walk over
 every published NEVRA.  The pre-index scan implementations are retained as
-``_scan_*`` reference oracles; the hypothesis suite in
+reference oracles in ``tests/oracles/yum_scans.py``; the hypothesis suite in
 ``tests/test_perf_indexes.py`` checks they agree under random mutation.
 See ``docs/PERF.md`` for the invalidation rules; simlint's SL201/SL202
 (docs/ANALYZE.md) enforce them statically — every mutation path must
@@ -131,16 +131,6 @@ class Repository:
         """All published versions of a name, oldest first."""
         return list(self._packages.get(name, []))
 
-    def _scan_versions_of(self, name: str) -> list[Package]:
-        """Reference oracle for :meth:`versions_of`: full walk, no dict."""
-        out = [
-            p
-            for versions in self._packages.values()
-            for p in versions
-            if p.name == name
-        ]
-        return sorted(out, key=lambda p: p.evr)
-
     def latest(self, name: str) -> Package:
         """Newest published version of a name."""
         versions = self._packages.get(name)
@@ -160,13 +150,6 @@ class Repository:
             self._provides_index.providers(req), key=lambda p: (p.name, p.evr)
         )
 
-    def _scan_providers_of(self, req: Requirement) -> list[Package]:
-        """Reference oracle for :meth:`providers_of`: the pre-index scan."""
-        out = []
-        for versions in self._packages.values():
-            out.extend(p for p in versions if p.satisfies(req))
-        return sorted(out, key=lambda p: (p.name, p.evr))
-
     def obsoleters_of(self, target: Package) -> list[Package]:
         """Published packages (other than ``target``'s name) that obsolete
         ``target`` — the update path's obsoletes scan, as an index lookup."""
@@ -177,15 +160,6 @@ class Repository:
         out = [
             p
             for p in candidates
-            if p.name != target.name and p.obsoletes_package(target)
-        ]
-        return sorted(out, key=lambda p: (p.name, p.evr))
-
-    def _scan_obsoleters_of(self, target: Package) -> list[Package]:
-        """Reference oracle for :meth:`obsoleters_of`: full catalogue walk."""
-        out = [
-            p
-            for p in self.all_packages()
             if p.name != target.name and p.obsoletes_package(target)
         ]
         return sorted(out, key=lambda p: (p.name, p.evr))
@@ -327,11 +301,11 @@ class RepoSet:
         hit = self._candidates_cache.get(name)
         if hit is not None:
             return list(hit)
-        result = self._scan_candidates_by_name(name)
+        result = self._candidates_uncached(name)
         self._candidates_cache[name] = result
         return list(result)
 
-    def _scan_candidates_by_name(self, name: str) -> list[Package]:
+    def _candidates_uncached(self, name: str) -> list[Package]:
         """Uncached candidate selection (also the memo's fill path)."""
         offering = [r for r in self.enabled_repos() if r.has(name)]
         if not offering:
@@ -370,19 +344,6 @@ class RepoSet:
             out.extend(p for p in self.candidates_by_name(name) if p.satisfies(req))
         cache[req] = out
         return list(out)
-
-    def _scan_providers_of(self, req: Requirement) -> list[Package]:
-        """Reference oracle for :meth:`providers_of`: uncached, scan-based."""
-        names: set[str] = set()
-        for repo in self.enabled_repos():
-            for pkg in repo._scan_providers_of(req):
-                names.add(pkg.name)
-        out: list[Package] = []
-        for name in sorted(names):
-            out.extend(
-                p for p in self._scan_candidates_by_name(name) if p.satisfies(req)
-            )
-        return out
 
     def all_names(self) -> set[str]:
         """Union of names across enabled repositories."""

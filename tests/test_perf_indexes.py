@@ -2,9 +2,9 @@
 
 The hot-path overhaul gave Repository / RepoSet / RpmDatabase inverted
 capability indexes with lazy build and epoch-based invalidation, keeping
-every pre-index implementation as a reference (``_scan_*`` methods on the
-repository classes, ``tests/oracles/rpm_scans.py`` for the RPM database,
-the transaction and the depsolver closure).  These tests drive random
+every pre-index implementation as a reference (``tests/oracles/yum_scans.py``
+for the repository classes, ``tests/oracles/rpm_scans.py`` for the RPM
+database, the transaction and the depsolver closure).  These tests drive random
 add/remove/install/erase sequences through each container and compare the
 indexed answers against the scans *after every mutation* — a stale index
 (missed invalidation, missed discard) diverges here.  The transaction and
@@ -27,6 +27,7 @@ from repro.rpm import Capability, Flag, Package, Requirement, Transaction
 from repro.yum import RepoSet, Repository
 from repro.yum.depsolver import _closure
 
+from .oracles import yum_scans
 from .oracles.rpm_scans import (
     scan_check_diagnostics,
     scan_closure,
@@ -99,11 +100,13 @@ class TestRepositoryIndex:
         for action, pkg in edits:
             _apply(repo, action, pkg)
             for req in QUERIES:
-                assert repo.providers_of(req) == repo._scan_providers_of(req)
+                assert repo.providers_of(req) == yum_scans.scan_providers_of(repo, req)
             for name in NAMES:
-                assert repo.versions_of(name) == repo._scan_versions_of(name)
+                assert repo.versions_of(name) == yum_scans.scan_versions_of(repo, name)
             for target in repo.all_packages():
-                assert repo.obsoleters_of(target) == repo._scan_obsoleters_of(target)
+                assert repo.obsoleters_of(target) == yum_scans.scan_obsoleters_of(
+                    repo, target
+                )
 
     def test_epoch_advances_on_every_mutation(self):
         repo = Repository("r")
@@ -127,11 +130,11 @@ class TestRepoSetIndex:
         for repo, action, pkg in script:
             _apply(repo, action, pkg)
             for req in QUERIES:
-                assert repos.providers_of(req) == repos._scan_providers_of(req)
-            for name in NAMES:
-                assert repos.candidates_by_name(name) == repos._scan_candidates_by_name(
-                    name
+                assert repos.providers_of(req) == yum_scans.scan_reposet_providers_of(
+                    repos, req
                 )
+            for name in NAMES:
+                assert repos.candidates_by_name(name) == repos._candidates_uncached(name)
 
     def test_epoch_is_content_addressed_across_instances(self):
         """Two RepoSets over repos with identical content share an epoch —
