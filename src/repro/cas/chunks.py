@@ -69,12 +69,9 @@ class PackageManifest:
 
 @dataclass(frozen=True)
 class ChunkingPolicy:
-    """The chunking parameters one hierarchy agrees on.
-
-    Every tier of a stratum hierarchy must chunk identically or digests
-    stop matching; the policy object travels from the stratum-0 down so
-    there is exactly one source of truth.
-    """
+    """The chunking parameters of one hierarchy; its stratum-0 holds them.
+    Every tier below looks manifests up in the catalog instead, so there is
+    exactly one source of truth and digests cannot stop matching."""
 
     chunk_size: int = CHUNK_SIZE
     #: fraction of a package's slices that are version-specific

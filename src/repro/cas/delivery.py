@@ -53,7 +53,7 @@ class LazyDelivery:
         The site cache serves (and lazily fills) the chunks; the node's
         holdings filter out what it already has from other versions.
         """
-        manifest = self.site.policy.manifest(pkg)
+        manifest = self.site.manifest_of(pkg)
         held = self._node_chunks.setdefault(node, set())
         needed = []
         seen: set[str] = set()

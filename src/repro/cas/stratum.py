@@ -18,6 +18,8 @@ CVMFS's deployment shape, applied to package delivery:
   path (:meth:`ChunkTier.fetch_chunks`: hits from the store, misses
   pulled from upstream on first reference, counted, traced as
   ``cas.fetch``); a deeper hierarchy is one more tier in the chain.
+  Chunk lists are looked up, never re-derived: ``manifest_of`` asks up
+  the chain for a catalog entry; only the origin holds a chunking policy.
 * :class:`Stratum1` — that tier plus a replicated catalog.
   :meth:`Stratum1.replicate` moves only the chunks the replica does not
   already hold — the delta is *missing chunks*, not missing NEVRAs — and
@@ -122,14 +124,10 @@ class Stratum0:
         """The current generation's catalog (NEVRA -> manifest)."""
         return self._catalogs[self.serial]
 
-    def catalog_at(self, serial: int) -> dict[str, PackageManifest]:
-        gen = self._catalogs.get(serial)
-        if gen is None:
-            raise CasError(
-                f"stratum0 {self.name}: generation {serial} unknown "
-                f"(pruned or never published)"
-            )
-        return gen
+    def manifest_of(self, pkg: Package) -> PackageManifest:
+        """The chunk list of ``pkg``: the current generation's entry, else
+        chunked by the policy (a package this catalog does not hold)."""
+        return _held(self.catalog, pkg) or self.policy.manifest(pkg)
 
     def fetch_chunks(
         self, chunks: list[Chunk], *, artifact: str, requester: str = "replica"
@@ -189,9 +187,16 @@ class Stratum0:
 
         The whole release is chunked and retained before the flip lands;
         the chunk store deduplicates, so a version bump only adds the
-        delta chunks.
+        delta chunks.  One NEVRA with two payload sizes is refused whole.
         """
-        catalog = {p.nevra: self.policy.manifest(p) for p in packages}
+        catalog: dict[str, PackageManifest] = {}
+        for p in packages:
+            first = catalog.setdefault(p.nevra, self.manifest_of(p))
+            if first.size_bytes != p.size_bytes:
+                raise CasError(
+                    f"stratum0 {self.name}: {p.nevra} published twice, with "
+                    f"{first.size_bytes} and {p.size_bytes} bytes"
+                )
         stats = self._flip(catalog, "publish")
         self.kernel.trace.emit(
             "cas.publish", t_s=self.kernel.now_s, subsystem="cas",
@@ -263,6 +268,13 @@ class Stratum0:
         return out
 
 
+def _held(catalog: dict[str, PackageManifest], pkg: Package) -> PackageManifest | None:
+    """``catalog``'s manifest of exactly this build: a NEVRA held with
+    another payload size is a miss, never a wrong answer."""
+    held = catalog.get(pkg.nevra)
+    return held if held is not None and held.size_bytes == pkg.size_bytes else None
+
+
 def recover_stratum0(journal, s0: Stratum0) -> list:
     """Resolve open ``cas.publish`` transactions after a crash.
 
@@ -307,13 +319,11 @@ class ChunkTier:
         upstream: Stratum0 | ChunkTier,
         link: MirrorLink,
         kernel: SimKernel,
-        policy: ChunkingPolicy,
     ) -> None:
         self.name = name
         self.upstream = upstream
         self.link = link
         self.kernel = kernel
-        self.policy = policy
         self.store = ChunkStore(f"{name}-store")
         # accounting
         self.hits = 0
@@ -356,11 +366,15 @@ class ChunkTier:
             artifact=artifact, chunks=len(chunks), hit_chunks=hit_chunks, nbytes=nbytes
         )
 
+    def manifest_of(self, pkg: Package) -> PackageManifest:
+        """The chunk list of ``pkg``, from the nearest catalog upstream."""
+        return self.upstream.manifest_of(pkg)
+
     def fetch_package(
         self, pkg: Package, *, requester: str = "node"
     ) -> ChunkFetchStats:
-        """Fetch every chunk of one package (manifest from the policy)."""
-        manifest = self.policy.manifest(pkg)
+        """Fetch every chunk of one package (manifest from the catalog)."""
+        manifest = self.manifest_of(pkg)
         return self.fetch_chunks(
             list(manifest.chunks), artifact=manifest.nevra, requester=requester
         )
@@ -381,8 +395,7 @@ class Stratum1(ChunkTier):
         retry: RetryPolicy | None = None,
     ) -> None:
         super().__init__(
-            name, origin, link,
-            kernel if kernel is not None else origin.kernel, origin.policy,
+            name, origin, link, kernel if kernel is not None else origin.kernel
         )
         self.origin = origin
         self.retry = retry
@@ -414,6 +427,10 @@ class Stratum1(ChunkTier):
     def catalog(self) -> dict[str, PackageManifest]:
         """The replicated catalog (may lag the origin until replicate())."""
         return self._catalog_cache
+
+    def manifest_of(self, pkg: Package) -> PackageManifest:
+        """From the replicated catalog; a lagging replica asks the origin."""
+        return _held(self._catalog_cache, pkg) or self.origin.manifest_of(pkg)
 
     def replicate(self) -> ReplicateStats:
         """Bring the replica to the origin's generation, moving only the
@@ -450,7 +467,7 @@ class Stratum1(ChunkTier):
             return self._replicated(
                 ReplicateStats(serial=target_serial, chunks=0, nbytes=0, skipped=True)
             )
-        target = self.origin.catalog_at(target_serial)
+        target = self.origin.catalog
         ordered = [target[nevra] for nevra in sorted(target)]
         missing = self.store.missing_of(
             [c for manifest in ordered for c in manifest.chunks]
@@ -495,8 +512,8 @@ class SiteChunkCache(ChunkTier):
 
     Chunks are content-addressed, so :meth:`notice_release` never evicts —
     it advances ``_chunk_epoch`` (the newest origin serial this cache has
-    heard of), which gates *catalog* staleness only; any chunk the new
-    release still references is already warm.
+    heard of).  Manifests are the upstream catalog's, never kept here, and
+    any chunk the new release still references is already warm.
     """
 
     # own __dict__: bench/spans.py wraps both on this class
@@ -512,8 +529,7 @@ class SiteChunkCache(ChunkTier):
         kernel: SimKernel | None = None,
     ) -> None:
         super().__init__(
-            name, upstream, link,
-            kernel if kernel is not None else upstream.kernel, upstream.policy,
+            name, upstream, link, kernel if kernel is not None else upstream.kernel
         )
         self._chunk_epoch = 0
 

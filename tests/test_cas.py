@@ -10,7 +10,7 @@ import json
 
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cas import (
@@ -152,6 +152,18 @@ class TestStratum0:
         assert evicted > 0 and freed > 0
         assert not s0.store.refcount_problems(s0.live_manifests())
 
+    def test_one_nevra_two_sizes_is_refused_before_the_journal(self):
+        journal = Journal()
+        s0 = Stratum0("origin", kernel=SimKernel(seed=5), journal=journal)
+        twin = Package("pkg0", "1.0", size_bytes=MB)
+        assert s0.publish([twin, twin]).packages == 1  # equal duplicates collapse
+        bigger = Package("pkg0", "1.0", size_bytes=MB + 1)
+        with pytest.raises(CasError, match=rf"{twin.nevra}.* {MB} and {MB + 1} bytes"):
+            s0.publish([twin, bigger])
+        assert s0.serial == 1 and s0.catalog == {twin.nevra: chunk_package(twin)}
+        assert len(journal.transactions("cas.publish")) == 1  # nothing half-published
+        assert not s0.store.refcount_problems(s0.live_manifests())
+
     def test_crash_mid_publish_recovers(self):
         journal = Journal()
         s0 = Stratum0("origin", kernel=SimKernel(seed=5), journal=journal)
@@ -251,6 +263,30 @@ class TestSiteCache:
         assert not cas_confluence_problems(
             kernel.trace.events, strata=[s0], replicas=[s1], caches=[site]
         )
+
+    def test_delivery_chunks_each_published_package_once(self, monkeypatch):
+        """Scaling guard: the read side looks manifests up in the catalog;
+        only the origin's publish ever chunks (a count, so it cannot flake)."""
+        import repro.cas.chunks as chunks_module
+
+        chunked = []
+        real = chunks_module.chunk_package
+
+        def counting(pkg, **kwargs):
+            chunked.append(pkg.nevra)
+            return real(pkg, **kwargs)
+
+        monkeypatch.setattr(chunks_module, "chunk_package", counting)
+        _, s0, s1, site = self.chain()
+        pkgs = release("1.0", n=12, size=MB)
+        s0.publish(pkgs)
+        s1.replicate()
+        delivery = LazyDelivery(site)
+        for node in range(200):
+            for pkg in pkgs:
+                delivery.fetch_package(f"node{node}", pkg)
+        assert delivery.stats.packages == 200 * len(pkgs)
+        assert sorted(chunked) == sorted(p.nevra for p in pkgs)
 
     def test_update_moves_only_delta_chunks(self):
         kernel, s0, s1, site = self.chain()
@@ -473,6 +509,76 @@ def test_property_refcounts_never_leak(ops):
     assert not cas_confluence_problems(
         kernel.trace.events, strata=[s0], replicas=[s1]
     )
+
+
+LOOKUP_POLICY = ChunkingPolicy(chunk_size=64 * 1024, delta_fraction=0.5)
+lookup_packages = st.builds(
+    Package,
+    st.sampled_from(["alpha", "bravo", "charlie"]),
+    st.sampled_from(["1.0", "2.0"]),
+    size_bytes=st.one_of(
+        st.sampled_from([0, 1, 64 * 1024, 3 * 64 * 1024]), st.integers(0, 300_000)
+    ),
+)
+lookup_ops = st.lists(
+    st.one_of(
+        st.lists(lookup_packages, max_size=4, unique_by=lambda p: p.nevra),
+        st.sampled_from(["rollback", "prune", "replicate", "interrupt"]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+_A1, _B1, _A2 = (
+    Package("alpha", "1.0", size_bytes=100_000),
+    Package("bravo", "1.0", size_bytes=0),
+    Package("alpha", "2.0", size_bytes=64 * 1024 + 1),
+)
+
+
+@given(lookup_ops)
+# published+replicated, dropped (bravo), lagging replica (alpha-2.0), then a
+# republish of alpha-1.0's NEVRA at another size the replica has not seen
+@example([[_A1, _B1], "replicate", [_A1, _A2], "interrupt", "replicate",
+          [Package("alpha", "1.0", size_bytes=1)], "rollback", "prune"])
+@settings(max_examples=40, deadline=None)
+def test_property_manifest_lookup_equals_chunking(ops):
+    """Catalog lookup vs the chunker: after every step of a random
+    publish / rollback / prune / replicate / interrupt run, every tier's
+    ``manifest_of`` is exactly ``chunk_package`` under the *origin's*
+    policy — for packages current, dropped, not yet replicated, never
+    published, and reusing a published NEVRA at another size.  A stale or
+    lagging catalog may miss; it may never answer with another build."""
+    kernel = SimKernel(seed=13)
+    s0 = Stratum0("origin", kernel=kernel, policy=LOOKUP_POLICY)
+    s1 = Stratum1("replica", s0, make_link(), kernel=kernel)
+    site = SiteChunkCache("campus", s1, make_link(), kernel=kernel)
+    probes = [Package("ghost", "1.0", size_bytes=70_000)]  # never published
+    for op in ops:
+        if op == "rollback":
+            if s0.serial > 0 and s0.serial - 1 in s0._catalogs:
+                s0.rollback()
+        elif op == "prune":
+            s0.prune(keep=2)
+        elif op == "interrupt":
+            s1.inject_interruptions(1)
+        elif op == "replicate":
+            try:
+                s1.replicate()
+            except CasError:
+                pass
+        else:
+            s0.publish(op)
+            for pkg in op:
+                resized = Package(pkg.name, pkg.version, size_bytes=pkg.size_bytes + 1)
+                probes += [pkg, resized]
+        for pkg in probes:
+            expected = chunk_package(
+                pkg,
+                chunk_size=LOOKUP_POLICY.chunk_size,
+                delta_fraction=LOOKUP_POLICY.delta_fraction,
+            )
+            for tier in (s0, s1, site):
+                assert tier.manifest_of(pkg) == expected, (tier.name, pkg.nevra)
 
 
 tier_ops = st.lists(
