@@ -117,13 +117,6 @@ class ClusterDefinition:
             return HardwarePlan.from_machine(self.machine)
         return None
 
-    def node_inventory(self) -> set[str] | None:
-        """Known node names (for scheduler checks); None when unknown."""
-        plan = self.effective_hardware_plan()
-        if plan is None:
-            return None
-        return {n.name for n in plan.nodes}
-
     def effective_macs(self) -> tuple[str, ...]:
         """MACs insert-ethers will see: explicit list, else compute nodes'."""
         if self.macs:

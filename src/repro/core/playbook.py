@@ -112,10 +112,6 @@ class RecordingSession:
             PlaybookStep(action=action, arguments=tuple(arguments), comment=comment)
         )
 
-    def setup_repo_rpm(self) -> None:
-        setup_via_repo_rpm(self.client, self.repo)
-        self._record("setup-repo-rpm", comment="xsede-release drops xsede.repo")
-
     def setup_repo_manual(self) -> None:
         setup_via_manual_repo_file(self.client, self.repo)
         self._record(

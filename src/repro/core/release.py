@@ -75,10 +75,6 @@ class XcbcRelease:
     added: tuple[str, ...]
     notes: str
 
-    @property
-    def addition_count(self) -> int:
-        return len(self.added)
-
 
 RELEASES: tuple[XcbcRelease, ...] = (
     XcbcRelease(

@@ -67,12 +67,6 @@ class UserDatabase:
         self._groups[name] = group
         return group
 
-    def get_group(self, name: str) -> Group:
-        try:
-            return self._groups[name]
-        except KeyError:
-            raise UserError(f"no such group: {name}") from None
-
     # -- users --------------------------------------------------------------
 
     def add_user(

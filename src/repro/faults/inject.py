@@ -274,6 +274,3 @@ class FaultInjector:
             spec.at_s, inject, label=f"fault.inject:{spec.kind.value}:{spec.target}"
         )
         return record
-
-    def active_faults(self) -> list[ActiveFault]:
-        return [r for r in self.history if r.active]

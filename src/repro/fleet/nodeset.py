@@ -71,11 +71,6 @@ class RangeSet:
             ivals.append((lo, hi))
         return cls(ivals, padding=padding)
 
-    @classmethod
-    def from_values(cls, values: Iterable[int], *, padding: int = 0) -> "RangeSet":
-        """Build from arbitrary integers (folds runs into intervals)."""
-        return cls(((v, v) for v in values), padding=padding)
-
     # -- queries -------------------------------------------------------------
 
     def intervals(self) -> list[tuple[int, int]]:

@@ -50,10 +50,6 @@ class PsuModel:
         if not 0.0 < self.efficiency <= 1.0:
             raise CatalogError(f"PSU {self.model} efficiency out of (0,1]")
 
-    def wall_watts(self, delivered_watts: float) -> float:
-        """Wall draw needed to deliver ``delivered_watts`` to components."""
-        return delivered_watts / self.efficiency
-
 
 #: Historical LittleFe per-frame DC brick: enough for six Atom boards only.
 PICO_PSU_80 = PsuModel("picoPSU-80", rating_watts=80.0, efficiency=0.90, price_usd=30.0)
@@ -102,7 +98,7 @@ def check_budget(
     :class:`~repro.errors.PowerBudgetError` with a diagnostic naming the
     build when the budget is violated — this is the check the historical
     LittleFe single-PSU design fails once Haswell CPUs, drives, and fans are
-    added (see ``benchmarks/bench_littlefe_modification.py``).
+    added (see ``repro.paper``'s ``littlefe_modification`` artefact).
     """
     if headroom < 1.0:
         raise PowerBudgetError(f"headroom must be >= 1.0, got {headroom}")

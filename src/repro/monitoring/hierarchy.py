@@ -462,12 +462,6 @@ class GmetadTree:
     def racks(self) -> list[str]:
         return sorted(self._racks)
 
-    def rack_for(self, name: str) -> FleetRack | GmondRack:
-        try:
-            return self._racks[name]
-        except KeyError:
-            raise MonitoringError(f"unknown rack {name!r}") from None
-
     def dead_hosts(self) -> list[str]:
         """Dead hosts across every rack (leaf detection, merged view)."""
         out: list[str] = []

@@ -118,9 +118,6 @@ class RocksDatabase:
     def known_macs(self) -> set[str]:
         return self.fleet.known_macs()
 
-    def set_state(self, name: str, state: InstallState) -> None:
-        self.get(name).state = state
-
     def state_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot of the hosts table (checkpointing)."""
         return {

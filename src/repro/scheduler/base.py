@@ -303,15 +303,6 @@ class ClusterResources:
         pos = self._position(node)
         return self._freev[pos] == self._capv[pos]
 
-    def busy_nodes(self) -> list[str]:
-        """Nodes with at least one allocated core."""
-        off = self._mask("offline")
-        return [
-            n
-            for p, n in enumerate(self._names)
-            if not off[p] and self._freev[p] < self._capv[p]
-        ]
-
     def idle_nodes(self) -> list[str]:
         """Online nodes with all cores free."""
         off = self._mask("offline")

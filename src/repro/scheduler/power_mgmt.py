@@ -9,7 +9,7 @@ a boot delay, charged to the jobs that needed them) when demand returns.
 Energy is integrated exactly over the simulation: busy nodes draw their full
 power, idle-but-on nodes their idle power, off nodes nothing.
 
-The comparison bench (`bench_limulus_power_mgmt`) runs the same trace with
+``repro.paper``'s ``limulus_power_mgmt`` artefact runs the same trace with
 management on and off and reports energy saved vs added wait.
 """
 

@@ -14,12 +14,10 @@ helpers are for *construction* and *formatting*.
 from __future__ import annotations
 
 __all__ = [
-    "ghz",
     "mhz",
     "gflops",
     "tflops",
     "gflops_to_tflops",
-    "tflops_to_gflops",
     "watts",
     "kib",
     "mib",
@@ -27,9 +25,7 @@ __all__ = [
     "tib",
     "gb",
     "tb",
-    "usd",
     "dollars_per_gflops",
-    "fmt_gflops",
     "fmt_tflops",
     "fmt_bytes",
     "fmt_usd",
@@ -42,11 +38,6 @@ __all__ = [
 seconds_per_hour = 3600.0
 #: hours in a (non-leap) year, used by the cloud cost model
 hours_per_year = 8760.0
-
-
-def ghz(value: float) -> float:
-    """Clock rate in GHz (canonical unit for clocks)."""
-    return float(value)
 
 
 def mhz(value: float) -> float:
@@ -67,11 +58,6 @@ def tflops(value: float) -> float:
 def gflops_to_tflops(value_gflops: float) -> float:
     """Convert canonical GFLOPS to TFLOPS for reporting."""
     return value_gflops / 1000.0
-
-
-def tflops_to_gflops(value_tflops: float) -> float:
-    """Convert TFLOPS to canonical GFLOPS."""
-    return value_tflops * 1000.0
 
 
 def watts(value: float) -> float:
@@ -109,11 +95,6 @@ def tb(value: float) -> int:
     return int(value * 10**12)
 
 
-def usd(value: float) -> float:
-    """Money in US dollars (canonical currency)."""
-    return float(value)
-
-
 def dollars_per_gflops(cost_usd: float, rate_gflops: float) -> float:
     """Price/performance as reported in Table 5 ($/GFLOPS).
 
@@ -121,11 +102,6 @@ def dollars_per_gflops(cost_usd: float, rate_gflops: float) -> float:
     cluster with no compute capability — always a modelling bug upstream.
     """
     return cost_usd / rate_gflops
-
-
-def fmt_gflops(value_gflops: float) -> str:
-    """Render a GFLOPS value the way the paper's tables do (one decimal)."""
-    return f"{value_gflops:.1f} GFLOPS"
 
 
 def fmt_tflops(value_gflops: float) -> str:

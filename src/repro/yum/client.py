@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from ..distro.host import Host
 from ..errors import DependencyError, YumError
 from ..rpm.database import RpmDatabase
-from ..rpm.package import Package
 from ..rpm.transaction import Transaction, TransactionResult
 from .depsolver import Resolution, resolve_install, resolve_update
 from .repoconfig import RepoStanza, parse_repo_file
@@ -86,10 +85,6 @@ class YumClient:
         return self.repos.repolist()
 
     # -- queries -----------------------------------------------------------------
-
-    def list_installed(self) -> list[Package]:
-        """``yum list installed``."""
-        return self.db.installed()
 
     def list_available(self) -> list[str]:
         """``yum list available``: names with at least one candidate that is

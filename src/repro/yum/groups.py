@@ -42,10 +42,6 @@ class PackageGroup:
                 f"optional: {sorted(overlap)}"
             )
 
-    @property
-    def all_members(self) -> tuple[str, ...]:
-        return self.mandatory + self.optional
-
 
 class GroupCatalog:
     """The groups a repository publishes (its comps.xml)."""

@@ -7,7 +7,7 @@ which the paper's setup instructions require installing (Section 3): when
 several repositories offer a package name, only repositories with the best
 (numerically lowest) priority for that name contribute candidates — this is
 what stops the base OS from shadowing the XSEDE builds (and is ablated in
-``benchmarks/bench_ablation_priorities.py``).
+``repro.paper``'s ``ablation_priorities`` artefact).
 
 Hot-path queries are served from *capability indexes* (the move yum itself
 made when it swapped scan-based depsolving for libsolv): each repository
@@ -175,10 +175,6 @@ class Repository:
         """Total published NEVRAs."""
         return sum(len(v) for v in self._packages.values())
 
-    def total_size_bytes(self) -> int:
-        """Sum of payload sizes (drives the mirror bandwidth model)."""
-        return sum(p.size_bytes for p in self.all_packages())
-
     def repomd_checksum(self) -> str:
         """Stable fingerprint of the current metadata (changes iff content
         changes) — what a mirror compares to decide whether to resync.
@@ -225,11 +221,6 @@ class RepoSet:
         if repo.repo_id in self._repos:
             raise YumError(f"duplicate repo id {repo.repo_id}")
         self._repos[repo.repo_id] = repo
-
-    def remove_repo(self, repo_id: str) -> None:
-        if repo_id not in self._repos:
-            raise YumError(f"no such repo {repo_id}")
-        del self._repos[repo_id]
 
     def get(self, repo_id: str) -> Repository:
         try:

@@ -1,21 +1,107 @@
-"""End-to-end reproduction checks: one test per headline paper claim.
+"""The reproduction record, asserted: ``repro.paper`` regenerates every
+committed artefact byte for byte and every paper number sits inside its
+tolerance.
 
-These are the integration tests tying the whole stack together — each
-asserts a number or behaviour the paper states, through the same code paths
-the benchmark harness uses.
+One session-scoped regeneration feeds the whole file.  Paper numbers are
+written in ``repro.paper.PAPER`` only; the named tests below say which of
+its cells back which sentence of the paper, and keep the behaviour checks
+no table cell can express.
 """
+
+import dataclasses
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+from repro import paper
 from repro.core import (
-    TABLE3_SITES,
     audit_host,
+    build_xcbc_cluster,
     build_xnit_repository,
     diff_environments,
-    table3_totals,
     xsede_package_names,
 )
-from repro.linpack import benchmark_machine, price_performance
+from repro.errors import ProvisionError
+
+ROOT = pathlib.Path(__file__).parent.parent
+RESULTS = ROOT / "benchmarks" / "results"
+T3, T4, T5 = "table3_deployments", "table4_cluster_specs", "table5_price_performance"
+
+
+@pytest.fixture(scope="session")
+def texts():
+    return paper.regenerate()
+
+
+def measured(texts, artefact, label):
+    return paper.paper_cell(artefact, label).measured(texts[artefact])
+
+
+def assert_cells_hold(texts, artefact, prefix):
+    """Every PAPER cell of ``artefact`` whose label starts with ``prefix``."""
+    cells = [
+        c for c in paper.PAPER
+        if c.artefact == artefact and c.label.startswith(prefix)
+    ]
+    assert cells, f"no PAPER cell {artefact}: {prefix}*"
+    for cell in cells:
+        assert cell.holds(cell.measured(texts[artefact])), cell.label
+
+
+class TestRecord:
+    def test_committed_files_are_the_artefacts_plus_fidelity(self):
+        committed = {path.name for path in RESULTS.iterdir()}
+        assert committed == {f"{name}.txt" for name in (*paper.ARTEFACTS, "fidelity")}
+
+    @pytest.mark.parametrize("name", list(paper.ARTEFACTS))
+    def test_artefact_regenerates_byte_identical(self, name, texts):
+        assert texts[name].encode() == (RESULTS / f"{name}.txt").read_bytes()
+
+    def test_fidelity_file_is_the_generated_table(self, texts):
+        table, failed = paper.fidelity(texts)
+        assert failed == []
+        assert table.encode() == (RESULTS / "fidelity.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "cell", paper.PAPER, ids=lambda cell: f"{cell.artefact}:{cell.label}"
+    )
+    def test_cell_within_tolerance(self, cell, texts):
+        value = cell.measured(texts[cell.artefact])
+        assert cell.holds(value), f"paper {cell.paper}, measured {value}"
+
+    def test_hash_seed_does_not_change_a_byte(self, tmp_path):
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.paper", str(tmp_path / seed)],
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(ROOT / "src")},
+                stdout=subprocess.DEVNULL,
+            )
+            for seed in ("0", "1")
+        ]
+        assert [run.wait(timeout=300) for run in runs] == [0, 0]
+        trees = [
+            {path.name: path.read_bytes() for path in (tmp_path / seed).iterdir()}
+            for seed in ("0", "1")
+        ]
+        assert trees[0] == trees[1]
+        assert trees[0] == {path.name: path.read_bytes() for path in RESULTS.iterdir()}
+
+    def test_cell_outside_tolerance_fails_the_run_and_is_named(
+        self, texts, monkeypatch, capsys
+    ):
+        victim = paper.PAPER[0]
+        forced = dataclasses.replace(victim, paper=victim.paper * 2)
+        monkeypatch.setattr(paper, "PAPER", (forced, *paper.PAPER[1:]))
+        monkeypatch.setattr(paper, "regenerate", lambda: texts)
+        assert paper.main([]) == 1
+        captured = capsys.readouterr()
+        assert f"{victim.artefact}: {victim.label}" in captured.err
+        assert "OUTSIDE" in captured.out
 
 
 class TestAbstractClaims:
@@ -52,92 +138,63 @@ class TestAbstractClaims:
 
 
 class TestTable3:
-    def test_published_totals(self):
-        assert table3_totals() == (304, 2708, 49.61)
+    def test_published_totals(self, texts):
+        assert_cells_hold(texts, T3, "total ")
 
-    def test_almost_50_tflops_claim(self):
+    def test_almost_50_tflops_claim(self, texts):
         # "Clusters making use of XCBC or XNIT total almost 50 TFLOPS"
-        _n, _c, tf = table3_totals()
-        assert 49.0 < tf < 50.0
+        assert_cells_hold(texts, T3, "abstract: 'almost 50 TFLOPS'")
 
 
 class TestTable4:
-    def test_row_littlefe(self, littlefe_quote):
-        m = littlefe_quote.machine
-        assert (m.node_count, m.clock_ghz, m.cpu_count, m.total_cores) == (
-            6, pytest.approx(2.8), 6, 12,
-        )
+    def test_row_littlefe(self, texts):
+        assert_cells_hold(texts, T4, "LittleFe ")
 
-    def test_row_limulus(self, limulus_quote):
-        m = limulus_quote.machine
-        assert (m.node_count, m.clock_ghz, m.cpu_count, m.total_cores) == (
-            4, pytest.approx(3.1), 4, 16,
-        )
+    def test_row_limulus(self, texts):
+        assert_cells_hold(texts, T4, "Limulus ")
 
 
 class TestTable5:
-    def test_littlefe_row(self, littlefe_quote):
-        # the table row uses the paper's own 75 %-of-peak estimation rule
-        report = benchmark_machine(littlefe_quote.machine, estimate_fraction=0.75)
-        pp = price_performance(report, littlefe_quote.quoted_usd)
-        assert report.rpeak_gflops == pytest.approx(537.6)
-        assert report.rmax_gflops == pytest.approx(403.2)
-        assert round(pp.usd_per_rpeak_gflops) == 7
-        assert round(pp.usd_per_rmax_gflops) == 9
-        assert report.estimated
-        # the model's genuine prediction lands near the paper's estimate
-        model = benchmark_machine(littlefe_quote.machine)
-        assert model.rmax_gflops == pytest.approx(403.2, rel=0.10)
+    def test_littlefe_row(self, texts):
+        # Rpeak, the 75 %-of-peak Rmax* and both $/GFLOPS columns exactly;
+        # the HPL model's genuine prediction near the paper's estimate
+        assert_cells_hold(texts, T5, "LittleFe ")
+        assert re.search(r"(?m)^littlefe-iu.*\*", texts[T5])  # flagged estimated
 
-    def test_limulus_row(self, limulus_quote):
-        report = benchmark_machine(limulus_quote.machine)
-        pp = price_performance(report, limulus_quote.quoted_usd)
-        assert report.rpeak_gflops == pytest.approx(793.6)
-        assert report.rmax_gflops == pytest.approx(498.3, rel=0.05)
-        assert round(pp.usd_per_rpeak_gflops) == 8
-        assert round(pp.usd_per_rmax_gflops) == 12
+    def test_limulus_row(self, texts):
+        assert_cells_hold(texts, T5, "Limulus ")
 
-    def test_half_teraflops_deskside_under_4000(self, littlefe_quote):
+    def test_half_teraflops_deskside_under_4000(self, texts):
         # "A half-TeraFLOPS deskside cluster for under $4,000"
-        assert littlefe_quote.machine.rpeak_gflops > 500
-        assert littlefe_quote.quoted_usd < 4000
+        assert_cells_hold(texts, T5, "LittleFe Rpeak")
+        assert_cells_hold(texts, T5, "LittleFe cost")
 
-    def test_three_quarter_teraflops_commercial(self, limulus_quote):
+    def test_three_quarter_teraflops_commercial(self, texts):
         # "a roughly $6,000, three-quarter-TeraFLOPS deskside system"
-        assert limulus_quote.machine.rpeak_gflops > 750
-        assert limulus_quote.quoted_usd == pytest.approx(5995.0)
+        assert_cells_hold(texts, T5, "Limulus Rpeak")
+        assert_cells_hold(texts, T5, "Limulus cost")
 
-    def test_littlefe_cheaper_per_gflops(self, littlefe_quote, limulus_quote):
+    def test_littlefe_cheaper_per_gflops(self, texts):
         # Section 8: "the LittleFe modified design we present offers
         # performance comparable to the Limulus HPC200 at a lower price point"
-        lf = price_performance(
-            benchmark_machine(littlefe_quote.machine, estimate_fraction=0.75),
-            littlefe_quote.quoted_usd,
-        )
-        lm = price_performance(
-            benchmark_machine(limulus_quote.machine), limulus_quote.quoted_usd
-        )
-        assert lf.usd_per_rpeak_gflops < lm.usd_per_rpeak_gflops
-        assert lf.usd_per_rmax_gflops < lm.usd_per_rmax_gflops
+        for column in ("$/GFLOPS of Rpeak", "$/GFLOPS of Rmax"):
+            assert measured(texts, T5, f"LittleFe {column}") < measured(
+                texts, T5, f"Limulus {column}"
+            )
 
 
 class TestSection5Engineering:
     def test_rocks_needs_disks_story(self, original_littlefe_quote, littlefe_quote):
         """Stock LittleFe (diskless) fails XCBC; modified build passes."""
-        from repro.core import build_xcbc_cluster
-        from repro.errors import ProvisionError
-
         with pytest.raises(ProvisionError):
             build_xcbc_cluster(original_littlefe_quote.machine)
         report = build_xcbc_cluster(littlefe_quote.machine)
-        assert report.node_count == 6
+        assert report.node_count == littlefe_quote.machine.node_count
 
-    def test_atom_vs_celeron_power_ratio(self):
-        from repro.hardware import ATOM_D510, CELERON_G1840
-
-        # 43.06 / 10.56 — the 4x power jump that forced per-node PSUs
-        ratio = CELERON_G1840.tdp_watts / ATOM_D510.tdp_watts
-        assert ratio == pytest.approx(4.08, abs=0.01)
+    def test_atom_vs_celeron_power_ratio(self, texts):
+        # the 4x per-node power jump that forced per-node PSUs
+        assert_cells_hold(texts, "littlefe_modification", "Atom D510 watts")
+        assert_cells_hold(texts, "littlefe_modification", "Celeron G1840 watts")
 
 
 class TestRepositoryScale:
