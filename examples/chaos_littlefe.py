@@ -54,10 +54,6 @@ def main(argv=None):
     print("\nfinal Ganglia view:")
     print(run.gmetad.render_dashboard())
 
-    again = run_chaos(demo_plan(machine), seed=args.seed, cluster="littlefe")
-    print(f"\nsame seed re-run, traces byte-identical: "
-          f"{again.jsonl == run.jsonl}")
-
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(run.jsonl)

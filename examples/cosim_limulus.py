@@ -15,7 +15,7 @@ of them on one :class:`~repro.sim.SimKernel`:
 4. every subsystem publishing typed events on the kernel's trace bus.
 
 The trace serialises to JSONL deterministically: two runs with the same
-seed produce byte-identical files (checked below; CI diffs them too).
+seed produce byte-identical files (CI's ``trace-schema`` job diffs them).
 
 Run with ``--trace cosim.jsonl`` to write the trace, then validate it with
 ``python -m repro.sim cosim.jsonl``.
@@ -122,11 +122,8 @@ def main(argv=None) -> None:
     print("\n=== Trace bus ===")
     print(kernel.trace.render_counters())
 
-    again = run_cosim(args.seed)
-    identical = again["jsonl"] == run["jsonl"]
-    print(f"\nsame seed re-run, traces byte-identical: {identical}")
     if args.trace:
-        print(f"trace written to {args.trace} "
+        print(f"\ntrace written to {args.trace} "
               f"(validate: python -m repro.sim {args.trace})")
 
 

@@ -51,8 +51,9 @@ SL202 = rule(
     "source",
     Severity.ERROR,
     "memo cache is not tied to an epoch or content fingerprint",
-    "key the cache on an epoch/fingerprint (or use RepoSet.cache(), which "
-    "auto-clears on epoch change); an unkeyed memo survives mutation",
+    "key the cache on an epoch/fingerprint (as Repository.repomd_checksum "
+    "and the depsolver's resolution LRU do); an unkeyed memo survives "
+    "mutation",
 )
 
 #: Attribute names that hold a class's mutation epoch.

@@ -47,7 +47,10 @@ def bytes_of(data: object) -> int:
     if isinstance(data, str):
         return len(data.encode())
     if isinstance(data, (list, tuple)):
-        return sum(bytes_of(x) for x in data)
+        # a plain number is one double; only other elements recurse
+        return sum(
+            _DOUBLE if type(x) in (int, float) else bytes_of(x) for x in data
+        )
     if hasattr(data, "nbytes"):  # numpy arrays
         return int(data.nbytes)  # type: ignore[attr-defined]
     return _DOUBLE

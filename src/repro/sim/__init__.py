@@ -20,7 +20,6 @@ from .trace import (
     TraceBus,
     TraceEvent,
     audit_events,
-    register_event_kind,
     validate_event,
     validate_jsonl,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "TraceBus",
     "TraceEvent",
     "EVENT_SCHEMA",
-    "register_event_kind",
     "validate_event",
     "validate_jsonl",
     "audit_events",

@@ -179,41 +179,3 @@ class EventQueue:
         handle._dead = True  # fired: the handle can no longer be cancelled
         self._live -= 1
         return handle
-
-    def pop_batch(self) -> list[EventHandle]:
-        """Remove and return every pending event sharing the earliest time,
-        in submission (seq) order.
-
-        Unlike :meth:`pop`, batch members stay *pending* until the caller
-        fires them with :meth:`mark_fired` — so an earlier member's callback
-        may still cancel (or reschedule) a later member of the same batch,
-        exactly as it could when events were popped one at a time.
-        """
-        self._prune()
-        heap = self._heap
-        if not heap:
-            return []
-        time_s = heap[0][0]
-        batch: list[EventHandle] = []
-        heappop = heapq.heappop
-        while heap and heap[0][0] == time_s:
-            handle = heappop(heap)[2]
-            if not handle._dead:
-                batch.append(handle)
-        return batch
-
-    def mark_fired(self, handle: EventHandle) -> None:
-        """Account a batch member as fired (pairs with :meth:`pop_batch`)."""
-        handle._dead = True
-        self._live -= 1
-
-    def requeue(self, handles: list[EventHandle]) -> None:
-        """Put unfired batch members back with their original (time, seq).
-
-        The exception path of a batched :meth:`~repro.sim.SimKernel.run_until`:
-        if a callback raises mid-batch, the not-yet-fired members return to
-        the heap exactly as if they had never been popped.
-        """
-        for handle in handles:
-            if handle.active:
-                heapq.heappush(self._heap, (handle.time_s, handle.seq, handle))

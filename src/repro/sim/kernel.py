@@ -230,37 +230,7 @@ class SimKernel:
             raise SimulationError(
                 f"run_until({time_s}) would move time backwards from {self.now_s}"
             )
-        fired = 0
-        queue = self.queue
-        clock = self.clock
-        mark_fired = queue.mark_fired
-        while True:
-            head = queue.peek_time_s()
-            if head is None or head > time_s:
-                break
-            # Pop every event sharing this timestamp in one heap pass; the
-            # firing order ((time, seq)) is identical to one-at-a-time
-            # stepping, because same-time events scheduled *by* a batch
-            # member carry later serials and land in the next batch.
-            clock.advance_to(head)
-            batch = queue.pop_batch()
-            index = 0
-            try:
-                for index, handle in enumerate(batch):
-                    if not handle.active:
-                        continue  # cancelled by an earlier batch member
-                    mark_fired(handle)
-                    self.events_processed += 1
-                    handle.callback()
-                    fired += 1
-            except BaseException:
-                # A callback raised: unfired members go back on the heap so
-                # the queue looks exactly as under one-at-a-time stepping.
-                queue.requeue(batch[index + 1 :])
-                raise
-        # As in run(): a callback's own nested spend may have passed time_s.
-        clock.advance_to(max(self.now_s, time_s))
-        return fired
+        return self.run(until_s=time_s)
 
     def run(
         self, *, until_s: float | None = None, max_events: int | None = None

@@ -27,8 +27,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
 from ..errors import TraceError
 
@@ -36,15 +35,14 @@ __all__ = [
     "EVENT_SCHEMA",
     "TraceEvent",
     "TraceBus",
-    "register_event_kind",
     "validate_event",
     "validate_jsonl",
     "audit_events",
 ]
 
 #: Required data fields (and their types) per event kind.  ``float`` accepts
-#: ints too; extra fields are always allowed.  Extend with
-#: :func:`register_event_kind`.
+#: ints too; extra fields are always allowed.  A new layer adds its kinds
+#: here.
 EVENT_SCHEMA: dict[str, dict[str, type]] = {
     # scheduler
     "job.submit": {"job": str, "user": str, "cores": int},
@@ -151,13 +149,6 @@ EVENT_SCHEMA: dict[str, dict[str, type]] = {
 }
 
 
-def register_event_kind(kind: str, fields: dict[str, type]) -> None:
-    """Add a new event kind to the schema (extension point for new layers)."""
-    if kind in EVENT_SCHEMA:
-        raise TraceError(f"event kind {kind!r} is already registered")
-    EVENT_SCHEMA[kind] = dict(fields)
-
-
 def _type_ok(value: object, expected: type) -> bool:
     if expected is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -166,27 +157,27 @@ def _type_ok(value: object, expected: type) -> bool:
     return isinstance(value, expected)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One published event."""
+def _data_problems(kind: str, schema: dict[str, type], data: Mapping[str, Any]):
+    """Yield what is wrong with ``data`` as a payload of ``kind`` (the one
+    field check behind :meth:`TraceBus.emit` and :func:`validate_event`)."""
+    for name, expected in schema.items():
+        if name not in data:
+            yield f"{kind}: missing data field {name!r}"
+        elif not _type_ok(data[name], expected):
+            yield (
+                f"{kind}: data field {name!r} has type {type(data[name]).__name__}, "
+                f"wanted {expected.__name__}"
+            )
+
+
+class TraceEvent(NamedTuple):
+    """One published event: what :meth:`TraceBus.emit` records and returns."""
 
     seq: int
     t_s: float
     kind: str
     subsystem: str
-    data: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "t": self.t_s,
-            "kind": self.kind,
-            "sub": self.subsystem,
-            "data": dict(self.data),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+    data: Mapping[str, Any]
 
 
 def validate_event(obj: Mapping[str, Any]) -> list[str]:
@@ -208,14 +199,7 @@ def validate_event(obj: Mapping[str, Any]) -> list[str]:
     if schema is None:
         problems.append(f"unknown event kind {kind!r}")
         return problems
-    for name, expected in schema.items():
-        if name not in data:
-            problems.append(f"{kind}: missing data field {name!r}")
-        elif not _type_ok(data[name], expected):
-            problems.append(
-                f"{kind}: data field {name!r} has type {type(data[name]).__name__}, "
-                f"wanted {expected.__name__}"
-            )
+    problems.extend(_data_problems(kind, schema, data))
     return problems
 
 
@@ -277,116 +261,56 @@ def audit_events(events, reads: Mapping[str, tuple[str, ...]]):
 class TraceBus:
     """The simulation's structured event log.
 
-    ``enabled=False`` turns the bus into a no-op.  Subscribers are called
-    synchronously on every emit — the hook co-simulation harnesses use to
-    react to events as they happen.
+    ``enabled=False`` turns the bus into a no-op.
 
     Validation fast path: by default each ``(kind, data-key-tuple)`` *shape*
     is schema-checked once — the first emit from a call site validates field
     presence and types, and later emits with the same shape skip the loop
     (call sites emit structurally identical payloads).  ``strict=True``
-    restores per-emit validation of every field.  Event objects are
-    materialised lazily: the hot path appends a plain record tuple, and
-    :attr:`events` builds :class:`TraceEvent` wrappers on first access —
-    ``emit`` therefore only returns the event when it had to build one
-    (strict mode, or subscribers present); JSONL output is byte-identical
-    either way.
+    validates every field of every emit — the reference side of the
+    property that the shape cache never admits what strict would reject.
     """
 
     def __init__(self, *, enabled: bool = True, strict: bool = False) -> None:
         self.enabled = enabled
         self.strict = strict
-        self._subscribers: list[Callable[[TraceEvent], None]] = []
-        self._next_seq = 0
-        #: (seq, t, kind, subsystem, data) tuples — the canonical log.
-        self._records: list[tuple[int, float, str, str, dict[str, Any]]] = []
-        self._materialised: list[TraceEvent] = []
+        #: Every published event, in emission order — the one log.
+        self.events: list[TraceEvent] = []
         #: kind -> key tuple of the last emit of that kind that passed
         #: validation; a matching shape provably needs no re-check.
         self._validated_shapes: dict[str, tuple] = {}
-        self._by_kind: Counter[str] = Counter()
-        self._by_subsystem: Counter[str] = Counter()
-        self._counted = 0
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Every published event as :class:`TraceEvent` (lazily built)."""
-        cache = self._materialised
-        records = self._records
-        if len(cache) < len(records):
-            for rec in records[len(cache):]:
-                cache.append(TraceEvent(*rec))
-        return cache
-
-    def _sync_counters(self) -> None:
-        records = self._records
-        if self._counted < len(records):
-            by_kind, by_sub = self._by_kind, self._by_subsystem
-            for rec in records[self._counted:]:
-                by_kind[rec[2]] += 1
-                by_sub[rec[3]] += 1
-            self._counted = len(records)
+        return len(self.events)
 
     @property
     def by_kind(self) -> Counter:
-        """Events per kind (folded up lazily from the record log)."""
-        self._sync_counters()
-        return self._by_kind
+        """Events per kind (counted from the log on each read)."""
+        return Counter(event.kind for event in self.events)
 
     @property
     def by_subsystem(self) -> Counter:
-        """Events per subsystem (folded up lazily from the record log)."""
-        self._sync_counters()
-        return self._by_subsystem
-
-    def subscribe(self, fn: Callable[[TraceEvent], None]) -> None:
-        """Call ``fn(event)`` synchronously on every future emit."""
-        self._subscribers.append(fn)
-
-    def _validate(self, kind: str, schema: dict[str, type], data: dict) -> None:
-        for name, expected in schema.items():
-            if name not in data:
-                raise TraceError(f"{kind}: missing data field {name!r}")
-            if not _type_ok(data[name], expected):
-                raise TraceError(
-                    f"{kind}: data field {name!r} has type "
-                    f"{type(data[name]).__name__}, wanted {expected.__name__}"
-                )
+        """Events per subsystem (counted from the log on each read)."""
+        return Counter(event.subsystem for event in self.events)
 
     def emit(
         self, kind: str, *, t_s: float, subsystem: str, **data: Any
     ) -> TraceEvent | None:
-        """Publish one event.
-
-        Returns the :class:`TraceEvent` when one was materialised (strict
-        mode or subscribers registered); ``None`` on the deferred fast path
-        and when the bus is disabled.  The event is always recorded either
-        way — read it back via :attr:`events`.
-        """
+        """Publish one event and return it (``None`` when the bus is
+        disabled)."""
         if not self.enabled:
             return None
         schema = EVENT_SCHEMA.get(kind)
         if schema is None:
             raise TraceError(f"unknown event kind {kind!r}")
-        if self.strict:
-            self._validate(kind, schema, data)
-        else:
-            shape = tuple(data)
-            if self._validated_shapes.get(kind) != shape:
-                self._validate(kind, schema, data)
-                self._validated_shapes[kind] = shape
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._records.append((seq, float(t_s), kind, subsystem, data))
-        if self._subscribers or self.strict:
-            event = self.events[-1]
-            for fn in self._subscribers:
-                fn(event)
-            return event
-        return None
+        shape = tuple(data)
+        if self.strict or self._validated_shapes.get(kind) != shape:
+            for problem in _data_problems(kind, schema, data):
+                raise TraceError(problem)
+            self._validated_shapes[kind] = shape
+        event = TraceEvent(len(self.events), float(t_s), kind, subsystem, data)
+        self.events.append(event)
+        return event
 
     def count(self, kind: str | None = None, *, subsystem: str | None = None) -> int:
         """Events seen, optionally filtered by kind or subsystem."""
@@ -394,7 +318,7 @@ class TraceBus:
             return self.by_kind[kind]
         if subsystem is not None:
             return self.by_subsystem[subsystem]
-        return len(self._records)
+        return len(self.events)
 
     def to_jsonl(self) -> str:
         """The whole trace as JSONL (deterministic byte-for-byte)."""
@@ -406,7 +330,7 @@ class TraceBus:
                 separators=(",", ":"),
             )
             + "\n"
-            for seq, t, kind, sub, data in self._records
+            for seq, t, kind, sub, data in self.events
         )
 
     def write_jsonl(self, path) -> int:
@@ -414,12 +338,12 @@ class TraceBus:
         import pathlib
 
         pathlib.Path(path).write_text(self.to_jsonl())
-        return len(self._records)
+        return len(self.events)
 
     def render_counters(self) -> str:
         """A small per-kind summary table (for example/benchmark output)."""
         lines = [f"{'event kind':<18}{'count':>8}"]
-        for kind in sorted(self.by_kind):
-            lines.append(f"{kind:<18}{self.by_kind[kind]:>8}")
-        lines.append(f"{'total':<18}{len(self._records):>8}")
+        for kind, count in sorted(self.by_kind.items()):
+            lines.append(f"{kind:<18}{count:>8}")
+        lines.append(f"{'total':<18}{len(self.events):>8}")
         return "\n".join(lines)

@@ -15,20 +15,16 @@ is deterministic:
 The resolver also pulls upgrades for installed packages that would otherwise
 conflict-by-version, and honours ``obsoletes`` during updates.
 
-Two cache layers make repeated resolution cheap (the XCBC fast path — the
-same 136-package stack resolved on all 220 Kansas nodes):
-
-* :func:`best_provider` memoises per ``(requirement, prefer_name)`` in a
-  :meth:`RepoSet.cache` slot, which self-invalidates when the repo epoch
-  moves;
-* :func:`resolve_install` / :func:`resolve_update` keep a bounded LRU of
-  whole :class:`Resolution` objects keyed on (goal names, repo epoch,
-  installed-set fingerprint) — equal keys provably resolve identically, so
-  node 2..220 of a uniform build is a dict hit.  Cached hits return fresh
-  copies; callers may mutate their Resolution freely.
+One cache makes repeated resolution cheap (the XCBC fast path — the same
+136-package stack resolved on all 220 Kansas nodes):
+:func:`resolve_install` / :func:`resolve_update` keep a bounded LRU of
+whole :class:`Resolution` objects keyed on (goal names, repo epoch,
+installed-set fingerprint) — equal keys provably resolve identically, so
+node 2..220 of a uniform build is a dict hit.  Cached hits return fresh
+copies; callers may mutate their Resolution freely.
 
 ``tests/test_perf_caches.py`` pins the invalidation behaviour (a sync that
-publishes a newer EVR, or a db install/erase, must drop stale entries).
+publishes a newer EVR, or a db install/erase, is seen by the next resolve).
 """
 
 from __future__ import annotations
@@ -77,30 +73,14 @@ class Resolution:
         )
 
 
-#: Sentinel cached for "nothing provides this" so repeated misses (the
-#: analyzer probing every requirement) skip the repo walk too.
-_NO_PROVIDER = object()
-
-
-def best_provider(
-    req: Requirement, repos: RepoSet, *, prefer_name: str | None = None
-) -> Package:
+def best_provider(req: Requirement, repos: RepoSet) -> Package:
     """Pick the best available provider for ``req`` (see module rules).
 
-    Memoised per ``(req, prefer_name)`` against the RepoSet epoch.  Raises
-    :class:`DependencyError` if nothing in the enabled repositories
+    Raises :class:`DependencyError` if nothing in the enabled repositories
     satisfies the requirement.
     """
-    cache = repos.cache("best_provider")
-    key = (req, prefer_name)
-    hit = cache.get(key)
-    if hit is not None:
-        if hit is _NO_PROVIDER:
-            raise DependencyError(f"nothing provides {req}", missing=(str(req),))
-        return hit
     candidates = repos.providers_of(req)
     if not candidates:
-        cache[key] = _NO_PROVIDER
         raise DependencyError(f"nothing provides {req}", missing=(str(req),))
     # One pass: newest EVR per name; exact-name preference resolved by a
     # dict probe instead of re-listing the candidates.
@@ -109,11 +89,9 @@ def best_provider(
         held = best_by_name.get(pkg.name)
         if held is None or pkg.evr > held.evr:
             best_by_name[pkg.name] = pkg
-    want = prefer_name or req.name
-    best = best_by_name.get(want)
+    best = best_by_name.get(req.name)
     if best is None:
         best = best_by_name[min(best_by_name)]
-    cache[key] = best
     return best
 
 

@@ -201,19 +201,16 @@ class RepoSet:
     all enabled repositories contribute and the newest EVR wins regardless of
     origin — the failure mode the ablation bench demonstrates.
 
-    Query results are memoised per :attr:`epoch` — a composite fingerprint of
-    (repo id, content checksum, enabled, priority) across member repos — so
-    repeated candidate/provider lookups during a dependency closure are dict
-    hits.  Mutating a member repo (or toggling ``enabled``/``priority``)
-    changes the fingerprint and drops every derived cache on the next query.
+    A RepoSet holds no derived state: every query reads the member
+    repositories' own indexes, so a mutated repo (or a toggled
+    ``enabled``/``priority``) is seen by the next call.  :attr:`epoch`
+    fingerprints the configuration for the caches layered above (the
+    depsolver's resolution LRU).
     """
 
     def __init__(self, repos: list[Repository] | None = None, *, use_priorities: bool = True):
         self._repos: dict[str, Repository] = {}
         self.use_priorities = use_priorities
-        self._cache_epoch: tuple | None = None
-        self._candidates_cache: dict[str, list[Package]] = {}
-        self._derived_caches: dict[str, dict] = {}
         for repo in repos or []:
             self.add_repo(repo)
 
@@ -241,17 +238,14 @@ class RepoSet:
             (r.repo_id, r.priority, r.package_count()) for r in self.enabled_repos()
         ]
 
-    # -- cache management ---------------------------------------------------------
-
     @property
     def epoch(self) -> tuple:
         """Content-addressed fingerprint of the whole configuration.
 
         Two RepoSets with equal epochs resolve identically: the tuple pins
         each member's id, content checksum (memoised per repo revision),
-        enabled flag and priority, plus the plugin switch.  Downstream
-        caches (``best_provider`` memo, the depsolver resolution cache) key
-        on it — see docs/PERF.md.
+        enabled flag and priority, plus the plugin switch.  The depsolver
+        resolution cache keys on it — see docs/PERF.md.
         """
         return (
             self.use_priorities,
@@ -261,43 +255,10 @@ class RepoSet:
             ),
         )
 
-    def _ensure_cache(self) -> tuple:
-        """Drop every derived cache if the configuration moved; returns the
-        current epoch."""
-        epoch = self.epoch
-        if epoch != self._cache_epoch:
-            self._cache_epoch = epoch
-            self._candidates_cache = {}
-            self._derived_caches = {}
-        return epoch
-
-    def cache(self, namespace: str) -> dict:
-        """A derived-result cache dict that auto-clears on epoch change.
-
-        Helpers that memoise per-RepoSet results (the depsolver's
-        ``best_provider``) ask for a namespaced dict here instead of
-        maintaining their own invalidation protocol.
-        """
-        self._ensure_cache()
-        cache = self._derived_caches.get(namespace)
-        if cache is None:
-            cache = self._derived_caches[namespace] = {}
-        return cache
-
     # -- candidate selection -----------------------------------------------------
 
     def candidates_by_name(self, name: str) -> list[Package]:
         """All candidate versions of ``name`` after priority filtering."""
-        self._ensure_cache()
-        hit = self._candidates_cache.get(name)
-        if hit is not None:
-            return list(hit)
-        result = self._candidates_uncached(name)
-        self._candidates_cache[name] = result
-        return list(result)
-
-    def _candidates_uncached(self, name: str) -> list[Package]:
-        """Uncached candidate selection (also the memo's fill path)."""
         offering = [r for r in self.enabled_repos() if r.has(name)]
         if not offering:
             return []
@@ -322,10 +283,6 @@ class RepoSet:
 
     def providers_of(self, req: Requirement) -> list[Package]:
         """All candidates satisfying ``req``, priority-filtered per name."""
-        cache = self.cache("providers_of")
-        hit = cache.get(req)
-        if hit is not None:
-            return list(hit)
         names: set[str] = set()
         for repo in self.enabled_repos():
             for pkg in repo.providers_of(req):
@@ -333,8 +290,7 @@ class RepoSet:
         out: list[Package] = []
         for name in sorted(names):
             out.extend(p for p in self.candidates_by_name(name) if p.satisfies(req))
-        cache[req] = out
-        return list(out)
+        return out
 
     def all_names(self) -> set[str]:
         """Union of names across enabled repositories."""

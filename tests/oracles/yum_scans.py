@@ -51,14 +51,12 @@ def scan_obsoleters_of(self: Repository, target: Package) -> list[Package]:
 
 
 def scan_reposet_providers_of(self: RepoSet, req: Requirement) -> list[Package]:
-    """Reference oracle for :meth:`RepoSet.providers_of`: uncached, scan-based."""
+    """Reference oracle for :meth:`RepoSet.providers_of`: scan-based."""
     names: set[str] = set()
     for repo in self.enabled_repos():
         for pkg in scan_providers_of(repo, req):
             names.add(pkg.name)
     out: list[Package] = []
     for name in sorted(names):
-        out.extend(
-            p for p in self._candidates_uncached(name) if p.satisfies(req)
-        )
+        out.extend(p for p in self.candidates_by_name(name) if p.satisfies(req))
     return out

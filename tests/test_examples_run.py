@@ -60,7 +60,6 @@ def test_training_workshop():
 
 def test_cosim_limulus():
     output = run_example("cosim_limulus")
-    assert "traces byte-identical: True" in output
     assert "monitor.rollup" in output  # the trace-bus counter table
     assert "ranks" in output and "communication" in output
 
@@ -81,7 +80,6 @@ def test_cluster_shell_session():
 
 def test_rolling_xnit_update():
     output = run_example("rolling_xnit_update")
-    assert "traces byte-identical: True" in output
     assert "auto-paused after wave" in output
     assert "exceed max_failures=100" in output
     assert "rack_failures_limit=50" in output       # rack failure domain
@@ -93,14 +91,12 @@ def test_rolling_xnit_update():
 
 def test_fleet_wave_install():
     output = run_example("fleet_wave_install")
-    assert "traces byte-identical: True" in output
     assert "compute-0-[0-63]" in output      # folded wave addresses
     assert "dead: ['compute-0-17']" in output  # hierarchical dead-host path
 
 
 def test_update_storm():
     output = run_example("update_storm")
-    assert "traces byte-identical: True" in output
     assert "goodput 100.0%" in output
     assert "invariant audit: clean" in output
     assert "repod.coalesce" in output and "repod.stale" in output
@@ -109,7 +105,6 @@ def test_update_storm():
 
 def test_lazy_delivery():
     output = run_example("lazy_delivery")
-    assert "traces byte-identical: True" in output
     assert "confluence audit: clean" in output
     assert "deduplicated against v1" in output
     assert "cas.publish" in output and "cas.rollback" in output

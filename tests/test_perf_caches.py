@@ -1,11 +1,12 @@
 """Cache correctness across epochs.
 
-The depsolver now memoises ``best_provider`` per RepoSet epoch and whole
-resolutions per (goals, repo epoch, db fingerprint).  The dangerous bug
-class is a *stale hit*: a resolution cached before a mirror sync (or a
-package install) being served afterwards.  These tests mutate the world
-through every supported channel — direct repo edits, ``RepoMirror.sync``,
-db install/erase — and assert the caches notice.
+The depsolver caches whole resolutions per (goals, repo epoch, db
+fingerprint); ``best_provider`` and the RepoSet queries under it hold no
+state of their own.  The dangerous bug class is a *stale hit*: a
+resolution cached before a mirror sync (or a package install) being
+served afterwards.  These tests mutate the world through every supported
+channel — direct repo edits, ``RepoMirror.sync``, db install/erase — and
+assert the next resolve sees it.
 """
 
 import pytest
@@ -38,25 +39,22 @@ def db(frontend_host):
     return RpmDatabase(frontend_host)
 
 
-class TestBestProviderMemo:
-    def test_repo_mutation_invalidates_memo(self):
+class TestBestProviderSeesMutation:
+    def test_better_named_provider_wins_once_published(self):
         repo = Repository("r")
         repo.add(mk("openmpi", "1.6", provides=(Capability("mpi-impl"),)))
         repos = RepoSet([repo])
         req = Requirement("mpi-impl")
         assert best_provider(req, repos).name == "openmpi"
-        # A better-named provider arrives; the memo must not serve openmpi.
+        # A better-named provider arrives; openmpi must not be served again.
         repo.add(mk("mpi-impl", "2.0"))
         assert best_provider(req, repos).name == "mpi-impl"
 
-    def test_negative_result_invalidated_by_new_provider(self):
+    def test_miss_does_not_outlive_a_new_provider(self):
         repo = Repository("r")
         repo.add(mk("alpha"))
         repos = RepoSet([repo])
         req = Requirement("libghost")
-        with pytest.raises(DependencyError):
-            best_provider(req, repos)
-        # Cached miss must not outlive the epoch that produced it.
         with pytest.raises(DependencyError):
             best_provider(req, repos)
         repo.add(mk("ghost-lib", provides=(Capability("libghost"),)))

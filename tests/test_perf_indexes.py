@@ -8,8 +8,7 @@ database, the transaction and the depsolver closure).  These tests drive random
 add/remove/install/erase sequences through each container and compare the
 indexed answers against the scans *after every mutation* — a stale index
 (missed invalidation, missed discard) diverges here.  The transaction and
-``_closure`` properties do the same over random package universes.  The
-same idea pins the batched ``run_until`` against one-at-a-time stepping.
+``_closure`` properties do the same over random package universes.
 """
 
 import pytest
@@ -133,8 +132,6 @@ class TestRepoSetIndex:
                 assert repos.providers_of(req) == yum_scans.scan_reposet_providers_of(
                     repos, req
                 )
-            for name in NAMES:
-                assert repos.candidates_by_name(name) == repos._candidates_uncached(name)
 
     def test_epoch_is_content_addressed_across_instances(self):
         """Two RepoSets over repos with identical content share an epoch —
@@ -147,15 +144,6 @@ class TestRepoSetIndex:
         assert RepoSet([one]).epoch == RepoSet([two]).epoch
         two.add(Package("bravo", "1.0"))
         assert RepoSet([one]).epoch != RepoSet([two]).epoch
-
-    def test_cache_namespace_cleared_on_epoch_change(self):
-        repo = Repository("r")
-        repo.add(Package("alpha", "1.0"))
-        repos = RepoSet([repo])
-        repos.cache("probe")["key"] = "value"
-        assert repos.cache("probe")["key"] == "value"
-        repo.add(Package("bravo", "1.0"))
-        assert "key" not in repos.cache("probe")
 
 
 class TestRpmDatabaseIndex:
@@ -319,62 +307,12 @@ class TestClosureIndex:
         )
 
 
-# --- batched run_until ≡ one-at-a-time stepping ----------------------------------
-
-schedules = st.lists(
-    st.integers(min_value=0, max_value=5),  # coarse times -> many collisions
-    min_size=1,
-    max_size=30,
-)
-
-
-@given(schedules, st.integers(0, 2**16))
-@settings(max_examples=60, deadline=None)
-def test_run_until_matches_stepping(times, seed):
-    """The batched drain fires the same events in the same order at the
-    same clock readings as step(), including same-timestamp pile-ups and
-    events scheduled (or cancelled) from inside callbacks."""
-    from repro.sim import SimKernel
-
-    def build():
-        kernel = SimKernel(seed=seed)
-        log = []
-        handles = []
-
-        def fire(i, t):
-            log.append((i, kernel.now_s))
-            if i % 3 == 0:
-                kernel.at(kernel.now_s, lambda: log.append((f"child-{i}", kernel.now_s)))
-            if i % 4 == 1 and handles:
-                victim = handles.pop()
-                if victim.active:
-                    kernel.cancel(victim)
-
-        for i, t in enumerate(times):
-            handles.append(kernel.at(float(t), lambda i=i, t=t: fire(i, t)))
-        return kernel, log
-
-    batched_kernel, batched_log = build()
-    fired = batched_kernel.run_until(10.0)
-
-    stepped_kernel, stepped_log = build()
-    stepped = 0
-    while True:
-        head = stepped_kernel.peek_time_s()
-        if head is None or head > 10.0:
-            break
-        stepped_kernel.step()
-        stepped += 1
-    stepped_kernel.clock.advance_to(10.0)
-
-    assert batched_log == stepped_log
-    assert fired == stepped
-    assert batched_kernel.now_s == stepped_kernel.now_s == 10.0
+# --- run_until under a raising callback ------------------------------------------
 
 
 def test_run_until_callback_exception_restores_queue():
-    """If a batch member raises, the unfired remainder goes back on the
-    heap with its original (time, seq) identity."""
+    """If a callback raises, the same-time events behind it stay pending
+    with their original (time, seq) identity."""
     from repro.sim import SimKernel
 
     kernel = SimKernel()

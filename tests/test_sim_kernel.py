@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError, TraceError
 from repro.sim import (
-    EVENT_SCHEMA,
     EventQueue,
     SimClock,
     SimKernel,
     Timeline,
     TraceBus,
-    register_event_kind,
     validate_event,
     validate_jsonl,
 )
@@ -290,13 +288,15 @@ class TestTraceBus:
         assert bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a") is None
         assert len(bus) == 0
 
-    def test_subscribers_see_events_synchronously(self):
+    def test_emit_returns_the_recorded_event(self):
+        """One record per event: what ``emit`` returns is the object in the
+        log, and reading the log builds nothing."""
         bus = TraceBus()
-        seen = []
-        bus.subscribe(seen.append)
         event = bus.emit("node.power_on", t_s=2.0, subsystem="power",
                          node="n1", boot_delay_s=60)
-        assert seen == [event]
+        assert (event.seq, event.t_s, event.kind) == (0, 2.0, "node.power_on")
+        assert bus.events[-1] is event
+        assert bus.events is bus.events
 
     def test_jsonl_roundtrip_validates(self):
         bus = TraceBus()
@@ -321,13 +321,3 @@ class TestTraceBus:
         line = bus.to_jsonl()
         _, problems = validate_jsonl(line + line)  # seq repeats
         assert any("not increasing" in p for p in problems)
-
-    def test_register_event_kind(self):
-        register_event_kind("test.custom", {"flag": bool})
-        try:
-            bus = TraceBus()
-            bus.emit("test.custom", t_s=0.0, subsystem="test", flag=True)
-            with pytest.raises(TraceError, match="already registered"):
-                register_event_kind("test.custom", {})
-        finally:
-            del EVENT_SCHEMA["test.custom"]
