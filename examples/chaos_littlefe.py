@@ -19,8 +19,8 @@ kernel and shows the graceful-degradation machinery at work:
    allocation leaks, trace schema-valid — and two same-seed runs produce
    byte-identical JSONL (the CI chaos job diffs them).
 
-Equivalent CLI: ``python -m repro.faults --cluster littlefe
---check-determinism`` (add ``--plan my.json`` for custom scenarios).
+Equivalent CLI: ``python -m repro.faults --cluster littlefe`` (add
+``--plan my.json`` for custom scenarios).
 """
 
 import argparse

@@ -285,25 +285,18 @@ def recover_stratum0(journal, s0: Stratum0) -> list:
     exactly the last *committed* generation.  Returns the transactions
     rolled back.
     """
-    from ..recovery.journal import OpState
+    def undo(op) -> None:
+        serial = op.payload.get("serial")
+        if serial is not None and serial == s0.serial and serial in s0._catalogs:
+            s0._undo_flip(serial)
 
-    resolved = []
-    for txn in journal.open_txns("cas.publish"):
-        if txn.meta.get("catalog") != s0.name:
-            continue
-        for op in reversed(txn.ops):
-            if op.state is OpState.UNDONE:
-                continue
-            serial = op.payload.get("serial")
-            if (
-                serial is not None
-                and serial == s0.serial
-                and serial in s0._catalogs
-            ):
-                s0._undo_flip(serial)
-            journal.undone(txn, op)
-        journal.rolled_back(txn)
-        resolved.append(txn)
+    resolved = [
+        txn
+        for txn in journal.open_txns("cas.publish")
+        if txn.meta.get("catalog") == s0.name
+    ]
+    for txn in resolved:
+        journal.roll_back(txn, undo)
     return resolved
 
 

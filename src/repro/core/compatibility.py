@@ -173,19 +173,16 @@ def audit_cluster(cluster, *, catalogue: list[Package] | None = None) -> dict[st
     """Audit every host of a cluster; returns reports keyed by hostname.
 
     Accepts either cluster shape (:class:`ProvisionedCluster` /
-    :class:`ExistingCluster`), duck-typed the same way
-    :func:`repro.core.manifest.manifest_of_cluster` is.
+    :class:`ExistingCluster`): both answer ``hosts()`` and ``db_for(host)``.
     """
-    reports: dict[str, CompatibilityReport] = {}
-    if hasattr(cluster, "db_for"):
-        pairs = [(h, cluster.db_for(h)) for h in cluster.hosts()]
-    elif hasattr(cluster, "client_for"):
-        pairs = [(h, cluster.client_for(h).db) for h in cluster.hosts()]
-    else:
-        raise TypeError(f"cannot audit {type(cluster)!r}")
-    for host, db in pairs:
-        reports[host.name] = audit_host(host, db, catalogue=catalogue)
-    return reports
+    try:
+        hosts, db_for = cluster.hosts, cluster.db_for
+    except AttributeError:
+        raise TypeError(f"cannot audit {type(cluster)!r}") from None
+    return {
+        host.name: audit_host(host, db_for(host), catalogue=catalogue)
+        for host in hosts()
+    }
 
 
 @dataclass

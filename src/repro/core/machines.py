@@ -81,6 +81,10 @@ class ExistingCluster:
         except KeyError:
             raise ReproError(f"no yum client for host {host.name}") from None
 
+    def db_for(self, host: Host) -> RpmDatabase:
+        """The RPM database of any cluster host."""
+        return self.client_for(host).db
+
     def all_clients(self) -> list[YumClient]:
         return [self.client_for(h) for h in self.hosts()]
 

@@ -157,18 +157,15 @@ def manifest_of_cluster(cluster) -> ClusterManifest:
     """Capture any cluster shape this library produces.
 
     Accepts a :class:`~repro.rocks.installer.ProvisionedCluster` or a
-    :class:`~repro.core.machines.ExistingCluster` (duck-typed on their
-    host/db accessors).
+    :class:`~repro.core.machines.ExistingCluster`: both answer ``hosts()``
+    and ``db_for(host)``.
     """
-    pairs: list[tuple[Host, RpmDatabase]] = []
-    if hasattr(cluster, "db_for"):  # ProvisionedCluster
-        for host in cluster.hosts():
-            pairs.append((host, cluster.db_for(host)))
-        name = cluster.machine.name
-    elif hasattr(cluster, "client_for"):  # ExistingCluster
-        for host in cluster.hosts():
-            pairs.append((host, cluster.client_for(host).db))
-        name = cluster.machine.name
-    else:
-        raise ReproError(f"cannot capture a manifest from {type(cluster)!r}")
-    return manifest_for_hosts(name, pairs)
+    try:
+        hosts, db_for = cluster.hosts, cluster.db_for
+    except AttributeError:
+        raise ReproError(
+            f"cannot capture a manifest from {type(cluster)!r}"
+        ) from None
+    return manifest_for_hosts(
+        cluster.machine.name, [(host, db_for(host)) for host in hosts()]
+    )

@@ -5,7 +5,6 @@
     python -m repro.faults                         # built-in demo plan, littlefe
     python -m repro.faults --cluster limulus --seed 7
     python -m repro.faults --plan plans/crash.json --trace out.jsonl
-    python -m repro.faults --check-determinism     # run twice, diff traces
 
 Crash recovery (the full loop)::
 
@@ -22,10 +21,9 @@ Crash recovery (the full loop)::
         --trace baseline.jsonl
     # resumed.jsonl and baseline.jsonl are byte-identical
 
-Exit codes: 0 all invariants hold; 1 audit failure or determinism
-divergence; 2 setup errors (bad plan, bad flags, unreadable checkpoint);
-3 the head node crashed (a checkpoint was saved — resume with
-``--resume``).
+Exit codes: 0 all invariants hold; 1 audit failure; 2 setup errors (bad
+plan, bad flags, unreadable checkpoint); 3 the head node crashed (a
+checkpoint was saved — resume with ``--resume``).
 """
 
 from __future__ import annotations
@@ -54,17 +52,6 @@ def _load_plan(args) -> FaultPlan | None:
         faults=plan.faults
         + (FaultSpec(FaultKind.HEADNODE_CRASH, "frontend", at_s=args.crash_at),),
     )
-
-
-def _world_config(args, plan: FaultPlan | None, *, crash_armed: bool) -> dict:
-    return {
-        "plan": None if plan is None else plan.to_dict(),
-        "seed": args.seed,
-        "cluster": args.cluster,
-        "job_count": args.jobs,
-        "supervise": not args.no_supervise,
-        "crash_armed": crash_armed,
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,10 +102,6 @@ def main(argv: list[str] | None = None) -> int:
         help="restore from --checkpoint-path and run to completion",
     )
     parser.add_argument(
-        "--check-determinism", action="store_true",
-        help="run the scenario twice and require byte-identical traces",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress the report"
     )
     args = parser.parse_args(argv)
@@ -126,12 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     crash_armed = args.crash_at is not None and not args.no_crash
     if args.resume and args.checkpoint_path is None:
         print("--resume needs --checkpoint-path", file=sys.stderr)
-        return 2
-    if args.check_determinism and crash_armed:
-        print(
-            "--check-determinism needs --no-crash (an armed crash kills "
-            "both runs before the traces complete)", file=sys.stderr,
-        )
         return 2
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         print("--checkpoint-every must be >= 1", file=sys.stderr)
@@ -150,7 +127,14 @@ def main(argv: list[str] | None = None) -> int:
             world.run()
         else:
             plan = _load_plan(args)
-            world = ChaosWorld(_world_config(args, plan, crash_armed=crash_armed))
+            world = ChaosWorld({
+                "plan": None if plan is None else plan.to_dict(),
+                "seed": args.seed,
+                "cluster": args.cluster,
+                "job_count": args.jobs,
+                "supervise": not args.no_supervise,
+                "crash_armed": crash_armed,
+            })
             manager = (
                 CheckpointManager(world, every=args.checkpoint_every)
                 if args.checkpoint_every is not None
@@ -197,26 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(run.report.render())
 
-    status = 0 if run.report.ok else 1
-
-    if args.check_determinism:
-        rerun_world = ChaosWorld(
-            _world_config(args, _load_plan(args), crash_armed=crash_armed)
-        )
-        rerun_world.run()
-        if rerun_world.kernel.trace.to_jsonl() != run.jsonl:
-            print(
-                "determinism check FAILED: same seed produced different "
-                "traces", file=sys.stderr,
-            )
-            status = 1
-        elif not args.quiet:
-            print(
-                f"determinism check: OK "
-                f"({len(run.jsonl.encode())} bytes, both runs identical)"
-            )
-
-    return status
+    return 0 if run.report.ok else 1
 
 
 if __name__ == "__main__":

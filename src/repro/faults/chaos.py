@@ -31,9 +31,8 @@ snapshotted at any driver-step boundary and resumed byte-identically
 after a :class:`~repro.errors.HeadnodeCrashError` (the
 ``headnode.crash`` fault) kills the original process.
 
-Determinism (same seed ⇒ byte-identical JSONL) is checked by the CLI
-(``python -m repro.faults --check-determinism``) by running the whole
-harness twice.
+Determinism (same seed ⇒ byte-identical JSONL) is checked by CI's
+``chaos`` job: the same seed in two processes, traces ``cmp``-ed.
 """
 
 from __future__ import annotations
@@ -533,7 +532,7 @@ def _audit(
         report.violations.append(f"trace: {problem}")
 
     # 5. journal convergence: no transaction may end half-done — every
-    #    begun transaction committed, aborted, rolled back, or replayed
+    #    begun transaction committed, aborted, or rolled back
     if journal is not None:
         for txn in journal.open_txns():
             report.violations.append(

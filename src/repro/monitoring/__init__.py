@@ -63,17 +63,11 @@ def monitor_cluster(
     # Hosts the scheduler does not place jobs on (the frontend) report 0.
     scheduled = set(scheduler.resources.node_names()) if scheduler else ()
     for host in cluster.hosts():
-        # ProvisionedCluster exposes db_for; ExistingCluster (vendor-built
-        # machines like the Limulus) reaches the database via its client.
-        if hasattr(cluster, "db_for"):
-            db = cluster.db_for(host)
-        else:
-            db = cluster.client_for(host).db
         node = host.node.name
         load_source = (
             partial(scheduler.resources.allocated_of, node)
             if node in scheduled
             else None
         )
-        rack.attach(Gmond(host, db, load_source=load_source))
+        rack.attach(Gmond(host, cluster.db_for(host), load_source=load_source))
     return tree

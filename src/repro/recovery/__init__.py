@@ -7,7 +7,7 @@ boring — reboot, recover the journal, resume.  Three pieces:
 
 * :mod:`.journal` — a write-ahead journal: multi-step mutations (RPM
   transactions, Rocks installs, mirror syncs) record intent before
-  touching state, so a crash leaves a replayable/rollbackable record
+  touching state, so a crash leaves a record one loop rolls back
   instead of phantom packages and half-registered nodes;
 * :mod:`.snapshot` / :mod:`.checkpoint` — crash-consistent snapshots of
   the whole simulated stack at driver-step boundaries, restored by
@@ -24,7 +24,6 @@ from .journal import (
     JournalOp,
     JournalTxn,
     OpState,
-    RecoveryHandler,
     TxnState,
     recover_incomplete,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "JournalOp",
     "JournalTxn",
     "OpState",
-    "RecoveryHandler",
     "TxnState",
     "recover_incomplete",
     "FORMAT_VERSION",

@@ -9,11 +9,12 @@ instant therefore leaves one of three recoverable shapes:
 
 * no record — the mutation never started; nothing to do;
 * an intent that was never applied — the mutation may or may not have
-  half-happened; the undo handler makes it definitely-not-happened;
-* applied-but-uncommitted records — the transaction is incomplete; undo
-  handlers roll the applied prefix back in **strict reverse order** (or a
-  redo handler replays the whole transaction, for idempotent operations
-  like a mirror resync).
+  half-happened; the owner's undo makes it definitely-not-happened;
+* applied-but-uncommitted records — the transaction is incomplete.
+
+Both shapes are resolved by the one loop in :meth:`Journal.roll_back`:
+every operation not yet undone goes through the owning layer's undo in
+**strict reverse order**, and the transaction closes rolled-back.
 
 There are no phantom packages and no half-registered nodes afterwards —
 the paper's one-part-time-admin clusters depend on exactly this property
@@ -42,7 +43,6 @@ __all__ = [
     "JournalOp",
     "JournalTxn",
     "Journal",
-    "RecoveryHandler",
     "recover_incomplete",
 ]
 
@@ -53,8 +53,7 @@ class TxnState(str, Enum):
     OPEN = "open"                # in progress (or interrupted by a crash)
     COMMITTED = "committed"      # every operation landed
     ABORTED = "aborted"          # cleanly abandoned by its owner pre-crash
-    ROLLED_BACK = "rolled-back"  # recovery undid the applied prefix
-    REPLAYED = "replayed"        # recovery re-ran the whole transaction
+    ROLLED_BACK = "rolled-back"  # every operation was undone
 
 
 class OpState(str, Enum):
@@ -193,13 +192,12 @@ class Journal:
                     break
             else:
                 raise JournalError(f"{where}: {event} for unknown op seq {seq}")
-        elif event in ("commit", "abort", "rolled-back", "replayed"):
+        elif event in ("commit", "abort", "rolled-back"):
             txn = self._require_txn(int(record["txn_id"]))
             txn.state = {
                 "commit": TxnState.COMMITTED,
                 "abort": TxnState.ABORTED,
                 "rolled-back": TxnState.ROLLED_BACK,
-                "replayed": TxnState.REPLAYED,
             }[event]
         else:
             raise JournalError(f"{where}: unknown journal event {event!r}")
@@ -272,25 +270,29 @@ class Journal:
         txn.state = TxnState.COMMITTED
         self._append({"event": "commit", "txn_id": txn.txn_id})
 
-    def rolled_back(self, txn: JournalTxn) -> None:
-        """Close an open transaction as recovered-by-rollback."""
+    def roll_back(self, txn: JournalTxn, undo: Callable[[JournalOp], None]) -> None:
+        """Undo an open transaction: THE rollback loop.
+
+        Every operation not yet UNDONE goes through ``undo`` newest-first
+        (strict reverse of application order — the only order that unwinds
+        dependent mutations safely), is marked undone, and the transaction
+        closes rolled-back.  APPLIED and INTENT operations alike: a
+        primitive that raised, or a process that died, between intent and
+        applied may have half-landed, so ``undo`` must check the state it
+        finds rather than assume the mutation happened.  An ``undo`` that
+        raises leaves the transaction open, never falsely rolled back.
+        """
         if not txn.open:
             raise JournalError(
                 f"transaction {txn.txn_id} is {txn.state.value}; "
-                f"cannot mark rolled back"
+                f"cannot roll back"
             )
+        for op in reversed(txn.ops):
+            if op.state is not OpState.UNDONE:
+                undo(op)
+                self.undone(txn, op)
         txn.state = TxnState.ROLLED_BACK
         self._append({"event": "rolled-back", "txn_id": txn.txn_id})
-
-    def replayed(self, txn: JournalTxn) -> None:
-        """Close an open transaction as recovered-by-replay."""
-        if not txn.open:
-            raise JournalError(
-                f"transaction {txn.txn_id} is {txn.state.value}; "
-                f"cannot mark replayed"
-            )
-        txn.state = TxnState.REPLAYED
-        self._append({"event": "replayed", "txn_id": txn.txn_id})
 
     def abort(self, txn: JournalTxn, *, note: str = "") -> None:
         """Close a transaction as cleanly abandoned (its owner undid or
@@ -326,63 +328,23 @@ class Journal:
         return {"txns": [t.to_dict() for t in self.transactions()]}
 
 
-@dataclass(frozen=True)
-class RecoveryHandler:
-    """How to resolve one transaction *kind* found open after a crash.
-
-    ``mode`` picks the strategy: ``"rollback"`` undoes the applied prefix
-    in strict reverse order via ``undo(op)``; ``"replay"`` re-runs the
-    whole transaction via ``redo(txn)`` (the operation must be idempotent,
-    like a content-addressed mirror sync).
-    """
-
-    mode: str  # "rollback" | "replay"
-    undo: Callable[[JournalOp], None] | None = None
-    redo: Callable[[JournalTxn], None] | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("rollback", "replay"):
-            raise JournalError(f"unknown recovery mode {self.mode!r}")
-        if self.mode == "rollback" and self.undo is None:
-            raise JournalError("rollback handler needs an undo callable")
-        if self.mode == "replay" and self.redo is None:
-            raise JournalError("replay handler needs a redo callable")
-
-
 def recover_incomplete(
-    journal: Journal,
-    handlers: Mapping[str, RecoveryHandler],
-    *,
-    strict: bool = True,
+    journal: Journal, undo_by_kind: Mapping[str, Callable[[JournalOp], None]]
 ) -> list[JournalTxn]:
-    """Resolve every open transaction through its kind's handler.
+    """Roll back every open transaction through its kind's undo.
 
-    Rollback handlers see applied operations newest-first (strict reverse
-    of application order — the only order that unwinds dependent
-    mutations safely).  Returns the transactions that were resolved.
-    With ``strict`` (the default) an open transaction whose kind has no
-    handler raises :class:`~repro.errors.JournalError` — silently leaving
-    phantom state behind is the failure mode this module exists to kill.
+    The multi-kind dispatcher over :meth:`Journal.roll_back`.  An open
+    transaction whose kind has no undo raises
+    :class:`~repro.errors.JournalError` — silently leaving phantom state
+    behind is the failure mode this module exists to kill.  Returns the
+    transactions that were rolled back.
     """
-    resolved = []
-    for txn in journal.open_txns():
-        handler = handlers.get(txn.kind)
-        if handler is None:
-            if strict:
-                raise JournalError(
-                    f"open transaction {txn.txn_id} ({txn.kind}) has no "
-                    f"recovery handler"
-                )
-            continue
-        if handler.mode == "rollback":
-            assert handler.undo is not None
-            for op in reversed(txn.applied_ops()):
-                handler.undo(op)
-                journal.undone(txn, op)
-            journal.rolled_back(txn)
-        else:
-            assert handler.redo is not None
-            handler.redo(txn)
-            journal.replayed(txn)
-        resolved.append(txn)
+    resolved = journal.open_txns()
+    for txn in resolved:
+        if txn.kind not in undo_by_kind:
+            raise JournalError(
+                f"open transaction {txn.txn_id} ({txn.kind}) has no "
+                f"recovery handler"
+            )
+        journal.roll_back(txn, undo_by_kind[txn.kind])
     return resolved

@@ -98,10 +98,10 @@ class ProvisionedCluster:
         """The RPM database of any cluster host."""
         if host is self.frontend:
             return self.frontend_db
-        for cand, db in self.compute.values():
-            if cand is host:
-                return db
-        raise RocksError(f"host {host.name} is not part of this cluster")
+        cand, db = self.compute.get(host.name, (None, None))
+        if cand is not host:
+            raise RocksError(f"host {host.name} is not part of this cluster")
+        return db
 
     def installed_everywhere(self) -> set[str]:
         """Package names present on every node (the cluster's uniform
@@ -526,23 +526,19 @@ def recover_install(journal, rocksdb: RocksDatabase) -> list:
     the database row) and finishing its kickstart leaves the row pointing
     at a node with no OS — a half-registered host that would poison every
     tool reading the hosts table.  Recovery removes those rows, found by
-    the MAC each register intent recorded, in strict reverse order; the
-    node re-registers cleanly on the next insert-ethers run.  Returns the
+    the MAC each register intent recorded, through
+    :meth:`~repro.recovery.journal.Journal.roll_back`; the node
+    re-registers cleanly on the next insert-ethers run.  Returns the
     transactions rolled back.
     """
-    from ..recovery.journal import OpState
+    def undo(op) -> None:
+        # A register whose row never landed has nothing to remove.
+        if op.op == "register" and rocksdb.has_mac(op.payload["mac"]):
+            rocksdb.remove_host(rocksdb.by_mac(op.payload["mac"]).name)
 
-    resolved = []
-    for txn in journal.open_txns("rocks.install"):
-        for op in reversed(txn.ops):
-            if op.state is OpState.UNDONE:
-                continue
-            # A register whose row never landed has nothing to remove.
-            if op.op == "register" and rocksdb.has_mac(op.payload["mac"]):
-                rocksdb.remove_host(rocksdb.by_mac(op.payload["mac"]).name)
-            journal.undone(txn, op)
-        journal.rolled_back(txn)
-        resolved.append(txn)
+    resolved = journal.open_txns("rocks.install")
+    for txn in resolved:
+        journal.roll_back(txn, undo)
     return resolved
 
 

@@ -24,7 +24,6 @@ import hashlib
 from typing import Iterable
 
 from ..distro.host import Host
-from ..distro.modules_env import ModuleFile
 from ..errors import PackageNotFoundError, RpmError
 from .package import Package, ProvidesIndex, Requirement
 
@@ -180,47 +179,35 @@ class RpmDatabase:
     # -- primitive mutations (used by the transaction layer) ---------------------
 
     def _install_unchecked(self, pkg: Package) -> None:
-        """Install a package and materialise its payload (no dep checking)."""
+        """Install a package and materialise its payload (no dep checking).
+
+        Refuses before its first mutation when the name is installed or
+        the modulefile present, so whatever the host holds under
+        ``pkg.name`` (and that modulefile) after a failure part-way is this
+        call's own writes, and :meth:`_erase_unchecked` undoes exactly those.
+        """
+        host = self.host
         if pkg.name in self._by_name:
             raise RpmError(
-                f"{self.host.name}: package {pkg.name} is already installed "
+                f"{host.name}: package {pkg.name} is already installed "
                 f"({self._by_name[pkg.name].nevra})"
+            )
+        if pkg.module and host.modules.has(pkg.module.fullname):
+            raise RpmError(
+                f"{host.name}: cannot install {pkg.nevra}: modulefile "
+                f"exists: {pkg.module.fullname}"
             )
         self._by_name[pkg.name] = pkg
         if self._index_epoch == self._epoch:
             self._provides_index.add(pkg)
             self._index_epoch += 1
         self._epoch += 1
-        for path in pkg.files:
-            self.host.fs.write(path, f"payload of {pkg.nevra}", owner=pkg.name)
-        for command in pkg.commands:
-            self.host.fs.write(
-                f"/usr/bin/{command}",
-                f"#!ELF {command} from {pkg.nevra}",
-                owner=pkg.name,
-                mode=0o755,
-            )
-        for lib in pkg.libraries:
-            self.host.fs.write(
-                f"/usr/lib64/{lib}", f"shared object from {pkg.nevra}", owner=pkg.name
-            )
+        for path, content, mode in pkg.payload:
+            host.fs.write(path, content, owner=pkg.name, mode=mode)
         for service in pkg.services:
-            self.host.services.register(service, package=pkg.name)
-        if pkg.modulefile:
-            name, _, version = pkg.modulefile.partition("/")
-            self.host.modules.install(
-                ModuleFile(
-                    name=name,
-                    version=version or pkg.version,
-                    prepend_path=(("PATH", f"/opt/{name}/bin"),),
-                    whatis=pkg.summary or pkg.name,
-                )
-            )
-            self.host.fs.write(
-                f"/etc/modulefiles/{name}/{version or pkg.version}",
-                f"#%Module for {pkg.nevra}",
-                owner=pkg.name,
-            )
+            host.services.register(service, package=pkg.name)
+        if pkg.module:
+            host.modules.install(pkg.module)
 
     def _erase_unchecked(self, name: str) -> Package:
         """Erase a package and its payload (no dependant checking)."""
@@ -230,15 +217,16 @@ class RpmDatabase:
             self._provides_index.discard(pkg)
             self._index_epoch += 1
         self._epoch += 1
-        self.host.fs.remove_owned(name)
-        self.host.services.unregister_package(name)
-        if pkg.modulefile:
-            mname, _, mversion = pkg.modulefile.partition("/")
-            try:
-                self.host.modules.remove(mname, mversion or pkg.version)
-            except Exception:
-                pass  # modulefile may have been replaced by an upgrade
+        self._drop_payload(pkg)
         return pkg
+
+    def _drop_payload(self, pkg: Package) -> None:
+        """Remove whatever of ``pkg``'s payload the host holds (idempotent:
+        rollback also runs it to finish an erase that stopped half-way)."""
+        self.host.fs.remove_owned(pkg.name)
+        self.host.services.unregister_package(pkg.name)
+        if pkg.module and self.host.modules.has(pkg.module.fullname):
+            self.host.modules.remove(pkg.module.name, pkg.module.version)
 
     def __len__(self) -> int:
         return len(self._by_name)

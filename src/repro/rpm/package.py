@@ -22,6 +22,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
+from ..distro.modules_env import ModuleFile
 from ..errors import RpmError
 from .version import EVR, parse_evr
 
@@ -197,12 +198,46 @@ class Package:
             )
         return self.evr > other.evr
 
+    @cached_property
+    def module(self) -> ModuleFile | None:
+        """The environment module installing this package adds, if any (a
+        bare ``name`` modulefile takes the package's version)."""
+        if not self.modulefile:
+            return None
+        name, _, version = self.modulefile.partition("/")
+        return ModuleFile(
+            name=name,
+            version=version or self.version,
+            prepend_path=(("PATH", f"/opt/{name}/bin"),),
+            whatis=self.summary or self.name,
+        )
+
+    @cached_property
+    def payload(self) -> tuple[tuple[str, str, int], ...]:
+        """Every ``(path, content, mode)`` installing this package writes —
+        the one definition install, verify and the conflict scan share."""
+        nevra = self.nevra
+        out = [(path, f"payload of {nevra}", 0o644) for path in self.files]
+        out += [
+            (f"/usr/bin/{c}", f"#!ELF {c} from {nevra}", 0o755)
+            for c in self.commands
+        ]
+        out += [
+            (f"/usr/lib64/{lib}", f"shared object from {nevra}", 0o644)
+            for lib in self.libraries
+        ]
+        if self.module:
+            out.append((
+                f"/etc/modulefiles/{self.module.fullname}",
+                f"#%Module for {nevra}",
+                0o644,
+            ))
+        return tuple(out)
+
     def default_paths(self) -> list[str]:
-        """Every path this package materialises (files+commands+libraries)."""
-        paths = list(self.files)
-        paths += [f"/usr/bin/{c}" for c in self.commands]
-        paths += [f"/usr/lib64/{lib}" for lib in self.libraries]
-        return paths
+        """Every path this package materialises (files, commands,
+        libraries, modulefile)."""
+        return [path for path, _content, _mode in self.payload]
 
     def __str__(self) -> str:
         return self.nevra

@@ -21,10 +21,10 @@ any mid-commit failure.
 
 Commits are **write-ahead journaled**: every primitive operation records
 its intent in a :class:`~repro.recovery.journal.Journal` before the DB is
-touched and is marked applied after, so rollback walks the journal's
-applied prefix in strict reverse order (not an ad-hoc done-list) and a
-head-node crash mid-commit leaves an open journal transaction that
-:func:`recover_transaction` resolves afterwards — no phantom packages.
+touched and is marked applied after, so rollback is the journal's own loop
+(:meth:`Journal.roll_back`: every op, landed or half-landed, newest first)
+and a head-node crash mid-commit leaves an open journal transaction that
+:func:`recover_transaction` resolves through the same loop afterwards.
 Without an explicit journal, commit uses a private in-memory one (same
 rollback path, no durability).  A :class:`~repro.errors.HeadnodeCrashError`
 raised mid-commit is *not* rolled back: the process just died; cleanup is
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..analyze.diagnostic import Diagnostic, Severity
 from ..analyze import txn as _txn_rules  # noqa: F401 - registers TX7xx rules
@@ -45,7 +46,7 @@ from ..errors import (
     JournalError,
     TransactionError,
 )
-from ..recovery.journal import Journal, JournalTxn, OpState
+from ..recovery.journal import Journal, JournalOp, JournalTxn
 from .database import RpmDatabase
 from .package import Package, ProvidesIndex
 
@@ -361,9 +362,9 @@ class Transaction:
 
         Raises :class:`DependencyError` / :class:`ConflictError` /
         :class:`TransactionError` (by problem type) without touching the DB
-        if validation fails.  If a primitive operation fails mid-commit
-        (injectable in tests), already-applied operations are rolled back
-        before the error propagates.
+        if validation fails.  If a primitive operation fails mid-commit,
+        at any point inside it, every operation — the failing one included
+        — is undone before the error propagates.
         """
         return self.commit_planned(self.plan())
 
@@ -445,12 +446,7 @@ class Transaction:
             # recover_transaction() heals the phantom state afterwards.
             raise
         except Exception as exc:
-            # Strict reverse order through the journal's applied prefix —
-            # the journal, not an ad-hoc done-list, is the rollback truth.
-            for op in reversed(txn.applied_ops()):
-                _undo_op(self.db, op)
-                journal.undone(txn, op)
-            journal.rolled_back(txn)
+            journal.roll_back(txn, partial(_undo_op, self.db))
             raise TransactionError(
                 f"transaction failed and was rolled back: {exc}"
             ) from exc
@@ -458,30 +454,33 @@ class Transaction:
         return result
 
 
-def _undo_op(db: RpmDatabase, op) -> None:
-    """Reverse one journaled primitive (best effort, like rpm's own undo)."""
-    try:
-        if op.op == "install":
-            name = op.payload["name"]
-            if db.has(name) and db.get(name).nevra == op.payload["nevra"]:
-                db._erase_unchecked(name)
-        elif op.op == "erase":
-            name = op.payload["name"]
-            if not db.has(name):
-                pkg = op.obj
-                if pkg is None:
-                    raise JournalError(
-                        f"cannot undo erase of {op.payload['nevra']}: no "
-                        f"in-process package handle (journal loaded from "
-                        f"disk? pass a package source to recover_transaction)"
-                    )
-                db._install_unchecked(pkg)
-        else:
-            raise JournalError(f"unknown rpm journal op {op.op!r}")
-    except JournalError:
-        raise
-    except Exception:  # pragma: no cover - rollback best effort
-        pass
+def _undo_op(db: RpmDatabase, op: JournalOp, *, packages=None) -> None:
+    """Force one journaled primitive to not-happened, landed or half-landed.
+
+    An install is erased only if this op's package is what the DB holds —
+    :meth:`RpmDatabase._install_unchecked` refuses before its first
+    mutation, so a name that is absent (or another build) means the op
+    never started.  An erase is finished, then its package re-installed.
+    """
+    name = op.payload["name"]
+    if op.op == "install":
+        if db.has(name) and db.get(name).nevra == op.payload["nevra"]:
+            db._erase_unchecked(name)
+    elif op.op == "erase":
+        if not db.has(name):
+            pkg = op.obj
+            if pkg is None and packages is not None:
+                pkg = packages.get(op.payload["nevra"])
+            if pkg is None:
+                raise JournalError(
+                    f"cannot undo erase of {op.payload['nevra']}: no "
+                    f"in-process package handle (journal loaded from "
+                    f"disk? pass a package source to recover_transaction)"
+                )
+            db._drop_payload(pkg)
+            db._install_unchecked(pkg)
+    else:
+        raise JournalError(f"unknown rpm journal op {op.op!r}")
 
 
 def recover_transaction(
@@ -489,26 +488,18 @@ def recover_transaction(
 ) -> list[JournalTxn]:
     """Resolve every open ``rpm.txn`` journal transaction for ``db``'s host.
 
-    The post-crash entry point: each open transaction's operations are
-    forced to not-happened in strict reverse order.  APPLIED ops are
-    undone; INTENT ops (the crash landed between intent and apply) are
-    checked against the DB and undone if the mutation half-landed — either
-    way the DB ends with no phantom packages and the journal records the
-    resolution.  ``packages`` optionally maps nevra -> Package for undoing
-    erases when the journal was reloaded from disk (no object handles).
-    Returns the transactions that were rolled back.
+    The post-crash entry point: :meth:`Journal.roll_back` forces each open
+    transaction's operations to not-happened — the DB ends with no phantom
+    packages and the journal records the resolution.  ``packages``
+    optionally maps nevra -> Package for undoing erases when the journal
+    was reloaded from disk (no object handles).  Returns the transactions
+    that were rolled back.
     """
-    resolved = []
-    for txn in journal.open_txns("rpm.txn"):
-        if txn.meta.get("host") != db.host.name:
-            continue
-        for op in reversed(txn.ops):
-            if op.state is OpState.UNDONE:
-                continue
-            if op.obj is None and packages is not None and op.op == "erase":
-                op.obj = packages.get(op.payload["nevra"])
-            _undo_op(db, op)
-            journal.undone(txn, op)
-        journal.rolled_back(txn)
-        resolved.append(txn)
+    resolved = [
+        txn
+        for txn in journal.open_txns("rpm.txn")
+        if txn.meta.get("host") == db.host.name
+    ]
+    for txn in resolved:
+        journal.roll_back(txn, partial(_undo_op, db, packages=packages))
     return resolved

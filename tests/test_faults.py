@@ -534,13 +534,10 @@ class TestChaosAcceptance:
         from repro.faults.__main__ import main
 
         trace = tmp_path / "chaos.jsonl"
-        status = main([
-            "--seed", "3", "--trace", str(trace), "--check-determinism",
-        ])
+        status = main(["--seed", "3", "--trace", str(trace)])
         assert status == 0
         out = capsys.readouterr().out
         assert "invariants: all hold" in out
-        assert "determinism check: OK" in out
         assert trace.exists() and trace.read_text().count("\n") > 100
 
     def test_cli_rejects_bad_plan(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """repro.recovery: journal, snapshots, checkpoint/restore, supervisor.
 
-Covers the write-ahead journal lifecycle (intent before mutation, replay
-vs rollback recovery, the JSONL write-ahead file), WAL-hardened RPM
+Covers the write-ahead journal lifecycle (intent before mutation, the one
+rollback loop, the JSONL write-ahead file), WAL-hardened RPM
 transactions and Rocks installs (no phantom packages, no half-registered
 nodes after a crash), crash-consistent snapshots with digest
 verification, state-verified deterministic replay restore (including the
@@ -29,7 +29,6 @@ from repro.recovery import (
     CheckpointManager,
     Journal,
     OpState,
-    RecoveryHandler,
     RecoveryPolicy,
     Snapshot,
     Supervisor,
@@ -150,42 +149,56 @@ class TestJournal:
             ops.append(op)
         undone = []
         resolved = recover_incomplete(
-            journal,
-            {"rpm.txn": RecoveryHandler(
-                "rollback", undo=lambda op: undone.append(op.payload["name"])
-            )},
+            journal, {"rpm.txn": lambda op: undone.append(op.payload["name"])}
         )
         assert undone == ["c", "b", "a"]
         assert resolved == [txn]
         assert txn.state is TxnState.ROLLED_BACK
 
-    def test_recover_incomplete_replay_mode(self):
-        journal = Journal()
-        txn = journal.begin("mirror.sync", repo="xsede")
-        replayed = []
-        recover_incomplete(
-            journal,
-            {"mirror.sync": RecoveryHandler(
-                "replay", redo=lambda t: replayed.append(t.kind)
-            )},
-        )
-        assert replayed == ["mirror.sync"]
-        assert txn.state is TxnState.REPLAYED
-
     def test_recover_incomplete_strict_raises_on_unhandled_kind(self):
         journal = Journal()
-        journal.begin("mystery.kind")
+        txn = journal.begin("mystery.kind")
         with pytest.raises(JournalError, match="no recovery handler"):
             recover_incomplete(journal, {})
-        assert recover_incomplete(journal, {}, strict=False) == []
+        assert txn.open
 
-    def test_handler_validation(self):
-        with pytest.raises(JournalError, match="unknown recovery mode"):
-            RecoveryHandler("meditate")
-        with pytest.raises(JournalError, match="needs an undo"):
-            RecoveryHandler("rollback")
-        with pytest.raises(JournalError, match="needs a redo"):
-            RecoveryHandler("replay")
+    def test_roll_back_undoes_intent_ops_too_and_skips_undone(self):
+        journal = Journal()
+        txn = journal.begin("rpm.txn")
+        landed = journal.intent(txn, "install", name="landed")
+        journal.applied(txn, landed)
+        gone = journal.intent(txn, "install", name="gone")
+        journal.undone(txn, gone)
+        journal.intent(txn, "install", name="half")   # raised mid-mutation
+        seen = []
+        journal.roll_back(txn, lambda op: seen.append(op.payload["name"]))
+        assert seen == ["half", "landed"]
+        assert txn.state is TxnState.ROLLED_BACK
+        assert {op.state for op in txn.ops} == {OpState.UNDONE}
+        with pytest.raises(JournalError, match="cannot roll back"):
+            journal.roll_back(txn, seen.append)
+
+    def test_roll_back_leaves_txn_open_when_undo_raises(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = Journal(path=path)
+        txn = journal.begin("rpm.txn")
+        for name in ("a", "b"):
+            journal.applied(txn, journal.intent(txn, "install", name=name))
+
+        def undo(op):
+            if op.payload["name"] == "a":
+                raise RuntimeError("disk on fire")
+
+        with pytest.raises(RuntimeError):
+            journal.roll_back(txn, undo)
+        assert txn.open
+        assert [op.state for op in txn.ops] == [OpState.APPLIED, OpState.UNDONE]
+        # The WAL carries the same half-resolved shape to the next process,
+        # which finishes the job.
+        loaded = Journal.load(path)
+        (again,) = loaded.open_txns()
+        loaded.roll_back(again, lambda op: None)
+        assert Journal.load(path).open_txns() == []
 
 
 # --- WAL-hardened RPM transactions ----------------------------------------------
@@ -878,12 +891,12 @@ class TestCrashResumeAcceptance:
         with pytest.raises(HeadnodeCrashError):
             world.run()
         (txn,) = world.journal.open_txns("mirror.sync")
-        # The mirror resync is idempotent: recovery mode is replay.
+        # The mirror resync is resumable: the undo keeps the staged files.
         resolved = recover_incomplete(
-            world.journal,
-            {"mirror.sync": RecoveryHandler("replay", redo=lambda t: None)},
+            world.journal, {"mirror.sync": lambda op: None}
         )
         assert resolved == [txn]
+        assert txn.state is TxnState.ROLLED_BACK
         assert world.journal.open_txns() == []
 
     def test_supervisor_repairs_appear_in_chaos_trace(self):
@@ -924,5 +937,4 @@ class TestCrashResumeAcceptance:
         from repro.faults.__main__ import main
 
         assert main(["--resume"]) == 2
-        assert main(["--crash-at", "100", "--check-determinism"]) == 2
         assert main(["--checkpoint-every", "0"]) == 2

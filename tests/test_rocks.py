@@ -275,6 +275,11 @@ class TestInstaller:
         cluster = install_cluster(littlefe_machine)
         with pytest.raises(RocksError):
             cluster.db_for(frontend_host)
+        # Looked up by name, checked by identity: a stranger carrying a
+        # member's hostname is still not part of this cluster.
+        frontend_host.hostname = "compute-0-0"
+        with pytest.raises(RocksError, match="not part of this cluster"):
+            cluster.db_for(frontend_host)
 
 
 class TestUpdateRoll:

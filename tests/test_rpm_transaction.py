@@ -11,6 +11,8 @@ from repro.errors import (
     RpmError,
     TransactionError,
 )
+from repro.distro.filesystem import FileKind
+from repro.recovery import Journal, OpState, TxnState
 from repro.rpm import Flag, Package, Requirement, RpmDatabase, Transaction
 
 
@@ -21,6 +23,24 @@ def db(frontend_host):
 
 def mk(name, version="1.0", **kw):
     return Package(name=name, version=version, **kw)
+
+
+def host_state(db):
+    """What the rpm layer keeps on a host: the installed set, every file
+    and owned directory (unowned directories a write created on its way
+    are nobody's payload — erase leaves them, so rollback does), which
+    package registered which service, and the module tree."""
+    host = db.host
+    return (
+        db.fingerprint(),
+        {
+            n.path: (n.kind, n.owner_package, n.content, n.mode)
+            for n in host.fs.walk()
+            if n.kind is not FileKind.DIRECTORY or n.owner_package
+        },
+        sorted((s.name, s.package) for s in host.services.all_services()),
+        host.modules.avail(),
+    )
 
 
 class TestDatabase:
@@ -257,6 +277,52 @@ class TestTransactionOrderingAndAtomicity:
         assert db.names() == {"keep"}
         assert db.unsatisfied_requirements() == []
 
+    def test_failure_inside_a_primitive_leaves_no_phantom_package(self, db):
+        """No monkeypatch: the second package's modulefile is taken, so the
+        primitive itself refuses — and neither it nor the survivor's module
+        may show on the host afterwards."""
+        gnu = mk("openmpi-gnu", "1.6", commands=("mpirun-gnu",),
+                 modulefile="openmpi/1.6")
+        intel = mk("openmpi-intel", "1.6", commands=("mpirun-intel",),
+                   modulefile="openmpi/1.6")
+        Transaction(db).install(gnu).commit()
+        before = host_state(db)
+        journal = Journal()
+        with pytest.raises(TransactionError, match="modulefile exists"):
+            Transaction(db, journal=journal).install(intel).commit()
+        assert not db.has("openmpi-intel")
+        assert not db.host.has_command("mpirun-intel")
+        assert host_state(db) == before
+        assert db.host.modules.avail() == ["openmpi/1.6(default)"]
+        (txn,) = journal.transactions("rpm.txn")
+        assert txn.state is TxnState.ROLLED_BACK
+        assert [op.state for op in txn.ops] == [OpState.UNDONE]
+
+    def test_failure_after_payload_writes_is_undone(self, db):
+        """The service belongs to another package, so ``register`` raises
+        after the DB entry and every file of the newcomer have landed."""
+        Transaction(db).install(mk("sge", services=("sched",))).commit()
+        before = host_state(db)
+        rival = mk("torque", commands=("qsub",), libraries=("libtorque.so.2",),
+                   services=("pbs_mom", "sched"))
+        with pytest.raises(TransactionError, match="rolled back"):
+            Transaction(db).install(mk("dep")).install(rival).commit()
+        assert db.names() == {"sge"}
+        assert host_state(db) == before
+        assert db.verify_all() == {}
+
+    def test_verify_reports_a_deleted_modulefile(self, db):
+        pkg = mk("gromacs", commands=("mdrun",), modulefile="gromacs/4.6.5")
+        assert "/etc/modulefiles/gromacs/4.6.5" in pkg.default_paths()
+        assert "/etc/modulefiles/fftw/1.0" in mk(
+            "fftw", modulefile="fftw").default_paths()
+        Transaction(db).install(pkg).commit()
+        assert db.verify("gromacs") == []
+        db.host.fs.remove("/etc/modulefiles/gromacs/4.6.5")
+        assert db.verify("gromacs") == [
+            "missing   /etc/modulefiles/gromacs/4.6.5"
+        ]
+
     def test_summary_counts(self, db):
         result = Transaction(db).install(mk("a")).install(mk("b")).commit()
         assert "Install 2" in result.summary()
@@ -322,3 +388,116 @@ def test_random_dag_installs_satisfy_all_requirements(n, data):
     txn.commit()
     assert db.unsatisfied_requirements() == []
     assert len(db) == n
+
+
+# --- property: a commit that fails anywhere inside any primitive is a no-op -----
+
+
+def _fail_primitive(db, k, j):
+    """Make primitive call number ``k`` on ``db`` fail part-way: it raises
+    in place of its side effect number ``j`` (a file write, a payload
+    removal, a service or module (un)registration), or after its real body
+    has run in full if it has no more than ``j`` of them.  Later calls —
+    the rollback's own — run untouched."""
+    host = db.host
+    calls = 0
+    effects = None  # side effects seen so far inside call k; None outside it
+
+    def primitive(real):
+        def wrapped(arg):
+            nonlocal calls, effects
+            calls += 1
+            if calls - 1 != k:
+                return real(arg)
+            effects = 0
+            try:
+                real(arg)
+            finally:
+                effects = None
+            raise RuntimeError("primitive failed after its body")
+        return wrapped
+
+    def effect(real):
+        def wrapped(*args, **kwargs):
+            nonlocal effects
+            if effects is not None:
+                if effects == j:
+                    effects = None
+                    raise RuntimeError(f"primitive failed at side effect {j}")
+                effects += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    db._install_unchecked = primitive(db._install_unchecked)
+    db._erase_unchecked = primitive(db._erase_unchecked)
+    for owner, names in (
+        (host.fs, ("write", "remove_owned")),
+        (host.services, ("register", "unregister_package")),
+        (host.modules, ("install", "remove")),
+    ):
+        for name in names:
+            setattr(owner, name, effect(getattr(owner, name)))
+
+
+def _payload_pkg(data, name, version):
+    """``name``-``version`` with a drawn subset of every payload kind."""
+    def has(kind):
+        return data.draw(st.booleans(), label=f"{name}-{version}-{kind}")
+
+    return mk(
+        name,
+        version,
+        files=(f"/opt/{name}/share/data",) if has("file") else (),
+        commands=(f"{name}-run", f"{name}-ctl") if has("commands") else (),
+        libraries=(f"lib{name}.so.1",) if has("library") else (),
+        services=(f"{name}d",) if has("service") else (),
+        modulefile=f"{name}/{version}" if has("module") else "",
+    )
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_commit_failing_inside_any_primitive_restores_the_host(data):
+    """Random install / upgrade / erase transactions on a populated host,
+    primitive ``k`` failing after ``j`` of its side effects: the host is
+    its pre-transaction self and the journal says so op by op."""
+    from repro.distro import CENTOS_6_5, Host
+    from repro.hardware import build_littlefe_modified
+
+    db = RpmDatabase(Host(build_littlefe_modified().machine.head, CENTOS_6_5))
+    populate = Transaction(db)
+    for i in range(data.draw(st.integers(1, 4), label="installed")):
+        populate.install(_payload_pkg(data, f"p{i}", "1.0"))
+    populate.commit()
+
+    journal = Journal()
+    txn = Transaction(db, journal=journal)
+    primitives = 0
+    for name in sorted(db.names()):
+        action = data.draw(
+            st.sampled_from(["keep", "erase", "upgrade"]), label=f"{name}-action"
+        )
+        if action == "erase":
+            txn.erase(name)
+            primitives += 1
+        elif action == "upgrade":
+            txn.upgrade(_payload_pkg(data, name, "2.0"))
+            primitives += 2
+    fresh = data.draw(st.integers(0 if primitives else 1, 2), label="fresh")
+    for i in range(fresh):
+        txn.install(_payload_pkg(data, f"n{i}", "1.0"))
+    primitives += fresh
+
+    before = host_state(db)
+    _fail_primitive(
+        db,
+        data.draw(st.integers(0, primitives - 1), label="k"),
+        data.draw(st.integers(0, 7), label="j"),
+    )
+    with pytest.raises(TransactionError, match="rolled back"):
+        txn.commit()
+    assert host_state(db) == before
+    assert db.verify_all() == {}
+    (jtxn,) = journal.transactions("rpm.txn")
+    assert jtxn.state is TxnState.ROLLED_BACK
+    assert jtxn.ops and all(op.state is OpState.UNDONE for op in jtxn.ops)

@@ -136,6 +136,27 @@ class TestAuditCluster:
         with pytest.raises(TypeError):
             audit_cluster(42)
 
+    @pytest.mark.parametrize("shape", ["provisioned", "existing"])
+    def test_both_cluster_shapes_answer_db_for(
+        self, shape, xcbc_littlefe, xnit_limulus
+    ):
+        """One way from a cluster to a host's package database: the audit,
+        the manifest and the monitoring mesh all go through ``db_for``."""
+        from repro.core import audit_cluster
+        from repro.core.manifest import manifest_of_cluster
+        from repro.monitoring import monitor_cluster
+
+        cluster = xcbc_littlefe.cluster if shape == "provisioned" else xnit_limulus
+        dbs = {host.name: cluster.db_for(host) for host in cluster.hosts()}
+        assert all(db.host.name == name for name, db in dbs.items())
+        assert set(audit_cluster(cluster)) == set(dbs)
+        manifest = manifest_of_cluster(cluster)
+        for name, db in dbs.items():
+            assert manifest.host(name).packages == tuple(
+                sorted(p.nevra for p in db.installed())
+            )
+        assert monitor_cluster(cluster).run_cycles(2).hosts_up == len(dbs)
+
 
 class TestModuleExtensions:
     def make_system(self):
