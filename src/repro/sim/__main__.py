@@ -30,7 +30,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: no such file")
             failures += 1
             continue
-        count, problems = validate_jsonl(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            print(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+            failures += 1
+            continue
+        count, problems = validate_jsonl(text)
         if problems:
             failures += 1
             print(f"{name}: {count} events, {len(problems)} problem(s)")

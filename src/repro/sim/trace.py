@@ -25,8 +25,11 @@ byte-for-byte (SL302/SL303).  See docs/ANALYZE.md.
 from __future__ import annotations
 
 import json
+import pathlib
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Any, NamedTuple
 
 from ..errors import TraceError
@@ -221,6 +224,9 @@ def validate_jsonl(text: str) -> tuple[int, list[str]]:
             problems.append(f"line {lineno}: not JSON ({exc.msg})")
             continue
         count += 1
+        if not isinstance(obj, dict):
+            problems.append(f"line {lineno}: not a JSON object")
+            continue
         for problem in validate_event(obj):
             problems.append(f"line {lineno}: {problem}")
         seq = obj.get("seq")
@@ -256,6 +262,62 @@ def audit_events(events, reads: Mapping[str, tuple[str, ...]]):
                     f"{kind} event (seq {seq}) has no data field {name!r}"
                 )
         yield kind, data, seq
+
+
+def _json_fallback(value: object) -> str:
+    """``value`` as JSON, for every value not encoded by exact type below."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: How a generated line formatter encodes one argument by its exact type;
+#: ``None``, subclasses, containers and non-finite floats take the fallback,
+#: so each line equals the sorted-key compact ``json.dumps`` of its envelope.
+_ENCODE_ARG = (
+    "    t_ = type({a})\n"
+    "    {a} = (_str({a}) if t_ is str else _int({a}) if t_ is int else"
+    " _float({a}) if t_ is float and _finite({a}) else"
+    " ('true' if {a} else 'false') if t_ is bool else _fallback({a}))\n"
+)
+_FORMATTER_GLOBALS = {
+    "_str": encode_basestring_ascii, "_int": int.__repr__,
+    "_float": float.__repr__, "_finite": isfinite, "_fallback": _json_fallback,
+}
+
+#: ``(kind, sub, data keys in emit order)`` -> line formatter.  A formatter
+#: is a pure function of its key, so entries are never invalidated; there is
+#: one per distinct event shape the process has exported.
+_LINE_FORMATTERS: dict[tuple, Callable[..., str]] = {}
+
+
+def _line_formatter(kind: str, sub: str, keys: tuple) -> Callable[..., str]:
+    """Generate the JSONL formatter for one event shape, the way
+    ``collections.namedtuple`` generates a class.  Only the JSON text of
+    ``kind``, ``sub`` and the data keys is baked into its source, as literals;
+    values arrive as the arguments ``(seq, t, *data.values())``."""
+
+    def literal(text: object) -> str:
+        return _json_fallback(text).replace("{", "{{").replace("}", "}}")
+
+    names = ["seq", "t", *(f"v{i}" for i in range(len(keys)))]
+    fields = ",".join(
+        f"{literal(keys[i])}:{{v{i}}}"
+        for i in sorted(range(len(keys)), key=keys.__getitem__)
+    )
+    line = (
+        '{{"data":{{' + fields + '}},"kind":' + literal(kind)
+        + ',"seq":{seq},"sub":' + literal(sub) + ',"t":{t}}}\n'
+    )
+    source = (
+        f"def line({', '.join(names)}):\n"
+        + "".join(_ENCODE_ARG.format(a=name) for name in names)
+        + f"    return f{line!r}\n"
+    )
+    namespace = dict(_FORMATTER_GLOBALS)
+    exec(source, namespace)
+    # A non-str ``sub`` could equal another with different JSON text (1, True).
+    if type(sub) is str:
+        _LINE_FORMATTERS[kind, sub, keys] = namespace["line"]
+    return namespace["line"]
 
 
 class TraceBus:
@@ -320,24 +382,21 @@ class TraceBus:
             return self.by_subsystem[subsystem]
         return len(self.events)
 
+    def _lines(self):
+        formatters = _LINE_FORMATTERS
+        for seq, t, kind, sub, data in self.events:
+            keys = tuple(data)
+            line = formatters.get((kind, sub, keys)) or _line_formatter(kind, sub, keys)
+            yield line(seq, t, *data.values())
+
     def to_jsonl(self) -> str:
         """The whole trace as JSONL (deterministic byte-for-byte)."""
-        dumps = json.dumps
-        return "".join(
-            dumps(
-                {"seq": seq, "t": t, "kind": kind, "sub": sub, "data": data},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-            for seq, t, kind, sub, data in self.events
-        )
+        return "".join(self._lines())
 
     def write_jsonl(self, path) -> int:
-        """Write the trace to ``path``; returns the event count."""
-        import pathlib
-
-        pathlib.Path(path).write_text(self.to_jsonl())
+        """Write the trace to ``path``, line by line; returns the event count."""
+        with pathlib.Path(path).open("w") as out:
+            out.writelines(self._lines())
         return len(self.events)
 
     def render_counters(self) -> str:

@@ -6,7 +6,9 @@ instant fire in submission order, and identical seeds produce
 byte-identical JSONL traces.
 """
 
+import enum
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError, TraceError
 from repro.sim import (
+    EVENT_SCHEMA,
     EventQueue,
     SimClock,
     SimKernel,
@@ -22,6 +25,9 @@ from repro.sim import (
     validate_event,
     validate_jsonl,
 )
+from repro.sim.__main__ import main as sim_main
+
+from .oracles import trace_json
 
 TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                   allow_infinity=False)
@@ -321,3 +327,116 @@ class TestTraceBus:
         line = bus.to_jsonl()
         _, problems = validate_jsonl(line + line)  # seq repeats
         assert any("not increasing" in p for p in problems)
+
+    @pytest.mark.parametrize("line", ["42", "null", "[1,2]", '"x"'])
+    def test_validate_jsonl_reports_a_non_object_line(self, line):
+        bus = TraceBus()
+        bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a")
+        event = bus.to_jsonl()
+        count, problems = validate_jsonl(event + line + "\n" + event)
+        assert count == 3
+        assert problems == [
+            "line 2: not a JSON object", "line 3: seq 0 not increasing",
+        ]
+
+    def test_cli_reports_a_non_object_file(self, tmp_path, capsys):
+        scalar = tmp_path / "scalar.jsonl"
+        scalar.write_text("42\n")
+        assert sim_main([str(scalar)]) == 1
+        assert "  line 1: not a JSON object" in capsys.readouterr().out
+
+    def test_cli_reports_an_undecodable_file_and_checks_the_rest(
+        self, tmp_path, capsys
+    ):
+        latin1 = tmp_path / "latin1.jsonl"
+        latin1.write_bytes(b'{"sub":"caf\xe9"}\n')
+        good = tmp_path / "good.jsonl"
+        assert TraceBus().write_jsonl(good) == 0
+        assert sim_main([str(latin1), str(good)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{latin1}: not UTF-8 text (byte 11: invalid continuation byte)",
+            f"{good}: OK (0 events)",
+        ]
+
+    def test_write_jsonl_writes_to_jsonl(self, tmp_path):
+        bus = TraceBus()
+        bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a")
+        bus.emit("mpi.barrier", t_s=1.5, subsystem="mpi", ranks=4, tag=None)
+        path = tmp_path / "trace.jsonl"
+        assert bus.write_jsonl(path) == 2
+        assert path.read_text() == bus.to_jsonl()
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 2**70
+
+
+class _Tag(str):
+    def __str__(self):
+        return "not the content"
+
+    __repr__ = __str__
+
+
+class _Ratio(float):
+    def __repr__(self):
+        return "not the value"
+
+
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ['"', "\\", "{", "}", "{{x}}", "\\N{BULLET}", "{v0}", "\x00\x1f\x7f", "é€😀",
+     "\ud800", "'\"{}"]
+)
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 2.2e-308]
+) | st.floats().map(_Ratio)
+_INTS = st.integers() | st.sampled_from([2**200, -(2**200), *_Level])
+_FIELDS = {
+    str: _TEXT | _TEXT.map(_Tag),
+    int: _INTS,
+    float: _FLOATS | _INTS,
+    bool: st.booleans(),
+}
+_VALUES = st.recursive(
+    st.one_of(st.none(), *_FIELDS.values()),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+#: Names ``TraceBus.emit`` binds itself, so they cannot be data fields.
+_EMIT_PARAMS = {"self", "kind", "t_s", "subsystem"}
+
+
+class TestTraceExport:
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_export_equals_json_dumps_oracle(self, data):
+        """Every kind, required fields in random order beside random extra
+        fields of adversarial values, then one kind again with changing key
+        sets: the shape-formatted export equals one ``json.dumps`` per event."""
+        bus = TraceBus()
+
+        def emit(kind):
+            schema = EVENT_SCHEMA[kind]
+            fields = {n: data.draw(_FIELDS[ty]) for n, ty in schema.items()}
+            extras = data.draw(st.dictionaries(
+                _TEXT.filter(lambda k: k not in schema and k not in _EMIT_PARAMS),
+                _VALUES, max_size=2,
+            ))
+            items = data.draw(st.permutations([*fields.items(), *extras.items()]))
+            bus.emit(
+                kind,
+                t_s=data.draw(_FLOATS | st.integers(-10**6, 10**6)),
+                subsystem=data.draw(st.sampled_from(["sim", "a{b}", '"q"']) | _TEXT),
+                **dict(items),
+            )
+
+        for kind in data.draw(st.permutations(sorted(EVENT_SCHEMA))):
+            emit(kind)
+        again = data.draw(st.sampled_from(sorted(EVENT_SCHEMA)))
+        for _ in range(data.draw(st.integers(2, 4))):
+            emit(again)
+        assert bus.to_jsonl() == trace_json.to_jsonl(bus)
