@@ -29,6 +29,7 @@ import json
 import pathlib
 import sys
 
+from ..errors import ReproError
 from .diagnostic import Severity
 from .engine import AnalysisResult, analyze
 from .registry import RULES, AnalysisConfig, Baseline
@@ -235,7 +236,7 @@ def main(
             baseline = Baseline.from_text(
                 pathlib.Path(args.baseline).read_text()
             )
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, ReproError) as exc:
             print(f"{prog}: error: bad baseline: {exc}", file=out)
             return EXIT_USAGE
         stale = baseline.stale_fingerprints()

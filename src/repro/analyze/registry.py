@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..errors import ReproError
 from .diagnostic import Diagnostic, Severity
 
 __all__ = [
@@ -182,18 +183,24 @@ class Baseline:
 
     @classmethod
     def from_text(cls, text: str) -> "Baseline":
-        payload = json.loads(text)
-        if payload.get("schema") != BASELINE_SCHEMA:
-            raise ValueError(
-                f"not a baseline file (schema {payload.get('schema')!r}, "
+        """Parse a baseline file; malformed input raises :class:`ReproError`."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ReproError(f"baseline is not valid JSON: {exc.msg}") from exc
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema != BASELINE_SCHEMA:
+            raise ReproError(
+                f"not a baseline file (schema {schema!r}, "
                 f"expected {BASELINE_SCHEMA!r})"
             )
-        return cls(
-            suppressions={
-                entry["fingerprint"]: entry.get("reason", "")
-                for entry in payload.get("suppressions", [])
-            }
-        )
+        entries = payload.get("suppressions", [])
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("fingerprint"), str)
+            for e in entries
+        ):
+            raise ReproError("baseline suppressions must be fingerprint objects")
+        return cls(suppressions={e["fingerprint"]: e.get("reason", "") for e in entries})
 
     @classmethod
     def from_diagnostics(

@@ -2,9 +2,9 @@
 
 Three layers, importable in increasing weight:
 
-* :mod:`repro.faults.retry` — :class:`RetryPolicy`, :class:`CircuitBreaker`
+* :mod:`repro.faults.retry` — :class:`RetryPolicy`, :class:`RetryBudget`
   and :func:`call_with_retry`: seeded exponential backoff with jitter,
-  deadline budgets, and breaker guards, all spending simulated time on the
+  deadlines and retry budgets, all spending simulated time on the
   kernel.  This layer is imported *by* the subsystems (PXE, yum mirror,
   GridFTP), so it must stay dependency-light.
 * :mod:`repro.faults.plan` / :mod:`repro.faults.inject` — declarative
@@ -19,11 +19,10 @@ Three layers, importable in increasing weight:
 
 from .inject import ActiveFault, FaultInjector
 from .plan import FaultKind, FaultPlan, FaultSpec
-from .retry import CircuitBreaker, RetryBudget, RetryPolicy, call_with_retry
+from .retry import RetryBudget, RetryPolicy, call_with_retry
 
 __all__ = [
     "ActiveFault",
-    "CircuitBreaker",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",

@@ -1,19 +1,13 @@
-"""Retry/backoff policies and the circuit breaker.
+"""Retry/backoff policies and the retry budget.
 
 Campus-cluster recovery loops (PXE re-boot, mirror re-sync, GridFTP
-re-transfer) all share the same shape: try, fail, wait an exponentially
-growing-but-jittered delay, try again, give up after a bounded number of
-attempts or a wall-clock budget.  :class:`RetryPolicy` is that shape as
-data; :func:`call_with_retry` executes it *on the simulation kernel* —
-backoff delays are spent with ``kernel.run_until`` so co-simulated events
-fire inside the wait, jitter comes from the kernel's seeded RNG (same seed
-⇒ same delays ⇒ byte-identical traces), and every attempt is published as
-a ``fault.retry`` / ``fault.giveup`` trace event.
-
-:class:`CircuitBreaker` guards a repeatedly failing dependency: after
-``failure_threshold`` consecutive failures the circuit opens and calls
-fail fast (no load on the dying service) until ``reset_timeout_s`` of
-simulated time has passed, then one probe is allowed through (half-open).
+re-transfer, clush sweeps, clients pulling a release) share one shape:
+try, fail, wait an exponentially growing, jittered delay, try again, give
+up at an attempt cap or a simulated-time deadline.  :class:`RetryPolicy`
+is that shape as data and :meth:`RetryPolicy.next_delay` is the one
+decision; :func:`call_with_retry` spends its delays *on the kernel*
+(``kernel.run_until``, so co-simulated events fire inside the wait) and
+publishes ``fault.retry`` / ``fault.giveup``; jitter is the kernel's RNG.
 
 :class:`RetryBudget` guards the *aggregate*: a token bucket shared by all
 of one client's retry loops, so a degraded dependency sees the retry load
@@ -31,7 +25,7 @@ from typing import Callable, TypeVar
 
 from ..errors import FaultError, HeadnodeCrashError, ReproError, RetryExhaustedError
 
-__all__ = ["RetryPolicy", "CircuitBreaker", "RetryBudget", "call_with_retry"]
+__all__ = ["RetryPolicy", "RetryBudget", "call_with_retry"]
 
 T = TypeVar("T")
 
@@ -42,8 +36,8 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first try: ``max_attempts=3`` means one
     try plus two retries.  ``deadline_s`` is a total simulated-time budget
-    measured from the first attempt; once it is exhausted no further retry
-    is scheduled even if attempts remain.  ``jitter`` is the +/- fraction
+    measured from the first attempt; a retry that would land past it is
+    not scheduled even if attempts remain.  ``jitter`` is the +/- fraction
     applied to each delay (0 disables it; determinism is preserved either
     way because the randomness comes from the kernel RNG).
     """
@@ -71,73 +65,37 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (1 = first retry)."""
         if attempt < 1:
             raise FaultError(f"attempt must be >= 1, got {attempt}")
-        delay = min(
-            self.max_delay_s, self.base_delay_s * self.multiplier ** (attempt - 1)
-        )
+        try:
+            growth = self.base_delay_s * self.multiplier ** (attempt - 1)
+        except OverflowError:  # past the largest float, so past the cap
+            growth = self.max_delay_s if self.base_delay_s else 0.0
+        delay = min(self.max_delay_s, growth)
         if self.jitter and rng is not None:
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
 
+    def next_delay(
+        self, attempt: int, started_s: float, now_s: float,
+        rng: random.Random | None, *,
+        budget: "RetryBudget | None" = None, op: str = "retry",
+    ) -> tuple[float, str | None]:
+        """The one retry decision, after attempt ``attempt`` failed at ``now_s``.
 
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker over simulated time.
-
-    States: *closed* (calls flow), *open* (calls fail fast with
-    :class:`~repro.errors.FaultError`), *half-open* (one probe allowed
-    after ``reset_timeout_s``; success closes the circuit, failure
-    re-opens it).
-    """
-
-    def __init__(
-        self, *, failure_threshold: int = 5, reset_timeout_s: float = 300.0
-    ) -> None:
-        if failure_threshold < 1:
-            raise FaultError("failure threshold must be >= 1")
-        if reset_timeout_s <= 0:
-            raise FaultError("reset timeout must be positive")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
-        self._consecutive_failures = 0
-        self._opened_at_s: float | None = None
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        return (
-            "closed"
-            if self._opened_at_s is None
-            else ("half-open" if self._probing else "open")
-        )
-
-    def allow(self, now_s: float) -> bool:
-        """May a call proceed at ``now_s``?  (half-open admits one probe)"""
-        if self._opened_at_s is None:
-            return True
-        if now_s - self._opened_at_s >= self.reset_timeout_s:
-            self._probing = True
-            return True
-        return False
-
-    def record_success(self) -> None:
-        self._consecutive_failures = 0
-        self._opened_at_s = None
-        self._probing = False
-
-    def record_failure(self, now_s: float) -> None:
-        self._consecutive_failures += 1
-        if self._probing or self._consecutive_failures >= self.failure_threshold:
-            self._opened_at_s = now_s
-            self._probing = False
-
-    def guard(self, now_s: float, service: str) -> None:
-        """Raise :class:`FaultError` when the circuit refuses the call."""
-        if not self.allow(now_s):
-            remaining = self.reset_timeout_s - (now_s - (self._opened_at_s or 0.0))
-            raise FaultError(
-                f"circuit open for {service}: "
-                f"{self._consecutive_failures} consecutive failure(s), "
-                f"retry allowed in {remaining:.0f}s"
-            )
+        ``(delay, None)`` retries after ``delay``; ``(delay, reason)``
+        stops.  In order: draw the delay (always, so a stop consumes the
+        same RNG draw as a retry); stop at the attempt cap; stop at once if
+        the retry would land after ``started_s + deadline_s``; stop if the
+        ``budget`` denies a token (asked last, so a refused retry is free).
+        """
+        delay = self.delay_for(attempt, rng)
+        if attempt >= self.max_attempts:
+            return delay, "attempts exhausted"
+        deadline = self.deadline_s
+        if deadline is not None and now_s + delay > started_s + deadline:
+            return delay, "deadline exceeded"
+        if budget is not None and not budget.try_spend(now_s, op=op):
+            return delay, "retry budget exhausted"
+        return delay, None
 
 
 class RetryBudget:
@@ -229,35 +187,21 @@ def call_with_retry(
     op: str,
     subsystem: str = "faults",
     retry_on: tuple[type[BaseException], ...] = (ReproError,),
-    breaker: CircuitBreaker | None = None,
-    budget: RetryBudget | None = None,
 ) -> T:
     """Run ``fn`` under ``policy`` on a :class:`~repro.sim.SimKernel`.
 
-    Backoff is spent as simulated time (co-simulated events due inside the
-    wait fire first), each retry emits ``fault.retry``, and exhaustion
-    emits ``fault.giveup`` then raises
+    Each failure asks :meth:`RetryPolicy.next_delay` whether to go on.  A
+    retry emits ``fault.retry`` and spends its backoff as simulated time
+    (co-simulated events due inside the wait fire first); a stop emits
+    ``fault.giveup`` at once and raises
     :class:`~repro.errors.RetryExhaustedError` chaining the last failure.
-
-    With a ``deadline_s`` on the policy, a backoff that would oversleep
-    past the deadline is *clamped*: the loop sleeps exactly the remaining
-    budget (so co-simulated events inside that window still fire and the
-    giveup lands on the deadline, never past it) and the ``fault.giveup``
-    event reports the unslept remainder as ``unslept_s``.
-
-    A :class:`RetryBudget` governs the loop on top of the policy: every
-    retry must win a token first, and a denied token is an immediate
-    giveup (reason ``retry budget exhausted``) — no backoff, no further
-    load on the failing dependency.
     """
-    if breaker is not None:
-        breaker.guard(kernel.now_s, op)
     started_s = kernel.now_s
     attempt = 0
     while True:
         attempt += 1
         try:
-            result = fn()
+            return fn()
         except HeadnodeCrashError:
             # A head-node crash is control flow, not a transient failure:
             # the machine running this retry loop just died, so no retry,
@@ -265,44 +209,16 @@ def call_with_retry(
             # whole run untouched (recovery is checkpoint + journal).
             raise
         except retry_on as exc:
-            if breaker is not None:
-                breaker.record_failure(kernel.now_s)
-            out_of_attempts = attempt >= policy.max_attempts
-            delay = policy.delay_for(attempt, kernel.rng)
-            remaining_s = (
-                None
-                if policy.deadline_s is None
-                else policy.deadline_s - (kernel.now_s - started_s)
+            delay, stop = policy.next_delay(
+                attempt, started_s, kernel.now_s, kernel.rng
             )
-            over_deadline = remaining_s is not None and delay > remaining_s
-            if out_of_attempts or over_deadline:
-                extra: dict[str, float] = {}
-                if over_deadline and not out_of_attempts:
-                    # Sleep only what the deadline allows — the giveup
-                    # lands exactly on the deadline, never past it — and
-                    # report the remainder the loop declined to sleep.
-                    slept_s = max(0.0, remaining_s)
-                    if slept_s > 0:
-                        kernel.run_until(kernel.now_s + slept_s)
-                    extra["unslept_s"] = delay - slept_s
-                kernel.trace.emit(
-                    "fault.giveup", t_s=kernel.now_s, subsystem=subsystem,
-                    op=op, attempts=attempt, **extra,
-                )
-                reason = "deadline exceeded" if over_deadline else "attempts exhausted"
-                raise RetryExhaustedError(
-                    f"{op} failed after {attempt} attempt(s) ({reason}): {exc}",
-                    attempts=attempt,
-                    last_error=exc,
-                ) from exc
-            if budget is not None and not budget.try_spend(kernel.now_s, op=op):
+            if stop is not None:
                 kernel.trace.emit(
                     "fault.giveup", t_s=kernel.now_s, subsystem=subsystem,
                     op=op, attempts=attempt,
                 )
                 raise RetryExhaustedError(
-                    f"{op} failed after {attempt} attempt(s) "
-                    f"(retry budget exhausted): {exc}",
+                    f"{op} failed after {attempt} attempt(s) ({stop}): {exc}",
                     attempts=attempt,
                     last_error=exc,
                 ) from exc
@@ -311,7 +227,3 @@ def call_with_retry(
                 op=op, attempt=attempt, delay_s=delay,
             )
             kernel.run_until(kernel.now_s + delay)
-        else:
-            if breaker is not None:
-                breaker.record_success()
-            return result

@@ -63,7 +63,8 @@ class RangeSet:
             lo_s, dash, hi_s = part.partition("-")
             if not lo_s.isdigit() or (dash and not hi_s.isdigit()):
                 raise FleetError(f"bad range {part!r} in {text!r}")
-            lo, hi = int(lo_s), int(hi_s) if dash else int(lo_s)
+            lo = _rank(lo_s, text)
+            hi = _rank(hi_s, text) if dash else lo
             if hi < lo:
                 raise FleetError(f"inverted range {part!r} in {text!r}")
             if len(lo_s) > 1 and lo_s[0] == "0":
@@ -182,6 +183,15 @@ class RangeSet:
     __xor__ = symmetric_difference
 
 
+def _rank(digits: str, text: str) -> int:
+    """``int(digits)``, whose bare ValueError (past CPython's int-digit
+    limit, or on an ``isdigit`` character like ``"²"``) becomes FleetError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FleetError(f"unusable node index in {text[:60]!r}") from None
+
+
 def _normalize(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Sort and coalesce overlapping/adjacent intervals."""
     ivals = sorted(intervals)
@@ -261,8 +271,9 @@ class NodeSet:
             return
         prefix, digits = m.groups()
         padding = len(digits) if len(digits) > 1 and digits[0] == "0" else 0
+        rank = _rank(digits, name)
         self._add_range(
-            (prefix, ""), RangeSet([(int(digits), int(digits))], padding=padding)
+            (prefix, ""), RangeSet([(rank, rank)], padding=padding)
         )
 
     def _add_range(self, key: tuple[str, str], rset: RangeSet) -> None:

@@ -23,10 +23,10 @@ entries and performs bounded, observable repairs:
   wired Rocks installer + cluster).
 
 Every repair emits a ``recover.*`` trace event; every policy is bounded
-by a :class:`~repro.faults.retry.RetryPolicy`'s ``max_attempts`` (the
-sweep period provides the pacing, so the policy's delay fields are
-unused here).  The supervisor never consumes kernel RNG — sweeps are a
-pure function of observed state, preserving the determinism contract.
+by its ``max_attempts`` per target (the sweep period provides the
+pacing, so there is no backoff to configure).  The supervisor never
+consumes kernel RNG — sweeps are a pure function of observed state,
+preserving the determinism contract.
 All repairs are idempotent against the injector's own auto-recovery:
 restoring an already-restored node is a no-op, so a supervisor repair
 racing a scheduled ``fault.recover`` event cannot corrupt state.
@@ -34,10 +34,9 @@ racing a scheduled ``fault.recover`` event cannot corrupt state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import MonitoringError, ProvisionError, RecoveryError
-from ..faults.retry import RetryPolicy
 
 __all__ = ["RecoveryPolicy", "Supervisor", "default_policies"]
 
@@ -55,7 +54,7 @@ ACTIONS = (
 class RecoveryPolicy:
     """One declarative repair rule.
 
-    ``retry.max_attempts`` bounds how many times the supervisor will try
+    ``max_attempts`` bounds how many times the supervisor will try
     to repair any single target under this action (repair loops on a
     genuinely broken part must converge to "needs a human", not spin
     forever).  ``delay_s`` models the repair's own duration — a reboot
@@ -65,9 +64,7 @@ class RecoveryPolicy:
 
     action: str
     enabled: bool = True
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_attempts=3)
-    )
+    max_attempts: int = 3
     delay_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -76,6 +73,8 @@ class RecoveryPolicy:
             raise RecoveryError(
                 f"unknown recovery action {self.action!r} (known: {known})"
             )
+        if self.max_attempts < 1:
+            raise RecoveryError(f"{self.action}: max_attempts must be >= 1")
         if self.delay_s < 0:
             raise RecoveryError(f"{self.action}: negative delay_s")
 
@@ -83,12 +82,11 @@ class RecoveryPolicy:
 def default_policies() -> tuple[RecoveryPolicy, ...]:
     """The out-of-the-box policy set (every action on, modest bounds)."""
     return (
-        RecoveryPolicy("reboot.node", retry=RetryPolicy(max_attempts=3),
-                       delay_s=180.0),
-        RecoveryPolicy("restart.gmond", retry=RetryPolicy(max_attempts=5)),
-        RecoveryPolicy("undrain.node", retry=RetryPolicy(max_attempts=3)),
-        RecoveryPolicy("resubmit.job", retry=RetryPolicy(max_attempts=2)),
-        RecoveryPolicy("reinstall.node", retry=RetryPolicy(max_attempts=2)),
+        RecoveryPolicy("reboot.node", max_attempts=3, delay_s=180.0),
+        RecoveryPolicy("restart.gmond", max_attempts=5),
+        RecoveryPolicy("undrain.node", max_attempts=3),
+        RecoveryPolicy("resubmit.job", max_attempts=2),
+        RecoveryPolicy("reinstall.node", max_attempts=2),
     )
 
 
@@ -171,7 +169,7 @@ class Supervisor:
         """Next attempt number for target, or None when the bound is spent."""
         key = f"{policy.action}:{target}"
         used = self._attempts.get(key, 0)
-        if used >= policy.retry.max_attempts:
+        if used >= policy.max_attempts:
             return None
         self._attempts[key] = used + 1
         return used + 1

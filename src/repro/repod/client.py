@@ -2,9 +2,9 @@
 
 :class:`RepoClient` walks a list of artifacts (the security release) and
 fetches each through its campus :class:`~repro.repod.proxy.SiteProxy`.
-Failures are retried with the same seeded exponential backoff as
-:class:`~repro.faults.RetryPolicy` — but every retry after the first
-attempt must be *paid for* from a shared :class:`~repro.faults.RetryBudget`.
+Failures are retried by :meth:`~repro.faults.RetryPolicy.next_delay`
+(the policy's ``deadline_s`` is the client's patience per artifact) — but
+every retry must be *paid for* from a shared :class:`~repro.faults.RetryBudget`.
 When the origin is down and every campus is failing at once, the budget
 is what turns a retry storm (load multiplies exactly when capacity
 vanishes) into load *decay*: clients that can't afford a retry record a
@@ -49,16 +49,12 @@ class RepoClient:
         kernel,
         policy,
         budget=None,
-        patience_s: float = 900.0,
     ) -> None:
-        if patience_s <= 0:
-            raise RepodError(f"patience must be positive, got {patience_s}")
         self.name = name
         self.proxy = proxy
         self.kernel = kernel
         self.policy = policy
         self.budget = budget
-        self.patience_s = patience_s
         self.records: dict[str, RequestRecord] = {}
         self.done = False
 
@@ -88,8 +84,7 @@ class RepoClient:
 
     def _attempt(self, record: RequestRecord, queue) -> None:
         record.attempts += 1
-        attempt = record.attempts
-        deadline_s = record.started_s + self.patience_s
+        deadline_s = self.policy.deadline_s
 
         def on_result(result) -> None:
             if result.ok:
@@ -99,36 +94,32 @@ class RepoClient:
 
         self.proxy.request(
             record.artifact,
-            requester=f"{self.name}#{attempt}",
-            deadline_s=deadline_s,
+            requester=f"{self.name}#{record.attempts}",
+            deadline_s=(
+                None if deadline_s is None else record.started_s + deadline_s
+            ),
             on_result=on_result,
         )
 
     def _maybe_retry(self, record: RequestRecord, result, queue) -> None:
         now_s = self.kernel.now_s
-        out_of_attempts = record.attempts >= self.policy.max_attempts
-        out_of_patience = now_s - record.started_s >= self.patience_s
-        if out_of_attempts or out_of_patience:
+        op = f"{self.name}:{record.artifact}"
+        delay_s, stop = self.policy.next_delay(
+            record.attempts, record.started_s, now_s, self.kernel.rng,
+            budget=self.budget, op=op,
+        )
+        if stop is not None:
+            # Out of attempts or patience, or the bucket is dry (the
+            # storm-brake doing its job): a terminal failure, not a pile-on.
             self._finish(record, result, queue)
             return
-        if self.budget is not None and not self.budget.try_spend(
-            now_s, op=f"{self.name}:{record.artifact}"
-        ):
-            # The bucket is dry: this is the storm-brake doing its job.
-            # Record a terminal failure instead of piling on.
-            self._finish(record, result, queue)
-            return
-        delay_s = self.policy.delay_for(record.attempts, self.kernel.rng)
-        remaining_s = self.patience_s - (now_s - record.started_s)
-        delay_s = min(delay_s, max(0.0, remaining_s))
         self.kernel.trace.emit(
             "fault.retry", t_s=now_s, subsystem="repod",
-            op=f"{self.name}:{record.artifact}", attempt=record.attempts,
-            delay_s=round(delay_s, 6),
+            op=op, attempt=record.attempts, delay_s=round(delay_s, 6),
         )
         self.kernel.at(
             now_s + delay_s, lambda: self._attempt(record, queue),
-            label=f"repod.retry:{self.name}:{record.artifact}",
+            label=f"repod.retry:{op}",
         )
 
     def _finish(self, record: RequestRecord, result, queue) -> None:

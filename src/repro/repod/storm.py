@@ -138,11 +138,11 @@ class StormReport:
         return state
 
 
-#: Governed clients: exponential backoff, jittered, deadline left to the
-#: per-artifact patience window.
+#: Governed clients: exponential backoff, jittered, with the per-artifact
+#: patience window as the deadline.
 GOVERNED_POLICY = RetryPolicy(
     max_attempts=7, base_delay_s=15.0, multiplier=2.0, max_delay_s=120.0,
-    jitter=0.2,
+    jitter=0.2, deadline_s=_PATIENCE_S,
 )
 
 #: Naive clients: hammer every ~5 s, many attempts, no budget.  This is
@@ -150,7 +150,7 @@ GOVERNED_POLICY = RetryPolicy(
 #: thought about the server.
 NAIVE_POLICY = RetryPolicy(
     max_attempts=40, base_delay_s=5.0, multiplier=1.0, max_delay_s=5.0,
-    jitter=0.2,
+    jitter=0.2, deadline_s=_PATIENCE_S,
 )
 
 
@@ -272,7 +272,7 @@ class UpdateStormScenario:
             for i in range(self.clients_per_campus):
                 client = RepoClient(
                     f"{campus}-c{i:02d}", proxy, kernel=kernel,
-                    policy=policy, budget=budget, patience_s=_PATIENCE_S,
+                    policy=policy, budget=budget,
                 )
                 offset = (
                     _STAGGER_S * i / self.clients_per_campus

@@ -34,8 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import HeadnodeCrashError, NodeOfflineError, ReproError, ShellError
-from ..faults import CircuitBreaker, RetryPolicy, call_with_retry
+from ..errors import HeadnodeCrashError, ReproError, ShellError
+from ..faults import RetryPolicy
 from ..fleet import FleetTable, NodeSet
 from ..sim import SimKernel
 from .gather import OutputGroup, bucket_by_rc, gather, render_groups, worst_rc
@@ -198,7 +198,7 @@ class _RunState:
     """Book-keeping for one in-progress :meth:`ShellEngine.run`."""
 
     __slots__ = (
-        "command", "fanout", "timeout_s", "policy", "breaker",
+        "command", "fanout", "timeout_s", "policy",
         "queue", "inflight", "pending", "report",
     )
 
@@ -209,14 +209,12 @@ class _RunState:
         fanout: int,
         timeout_s: float,
         policy: RetryPolicy,
-        breaker: CircuitBreaker | None,
         targets: list[str],
     ) -> None:
         self.command = command
         self.fanout = fanout
         self.timeout_s = timeout_s
         self.policy = policy
-        self.breaker = breaker
         self.queue: deque[str] = deque(targets)
         self.inflight = 0
         self.pending = len(targets)
@@ -270,7 +268,6 @@ class ShellEngine:
         fanout: int = 64,
         timeout_s: float = 30.0,
         policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> ShellReport:
         """Execute ``command`` across ``nodes`` with a sliding window.
 
@@ -295,7 +292,6 @@ class ShellEngine:
             fanout=fanout,
             timeout_s=timeout_s,
             policy=policy if policy is not None else DEFAULT_RETRY,
-            breaker=breaker,
             targets=targets,
         )
         self.last_report = state.report
@@ -326,28 +322,20 @@ class ShellEngine:
             if reason is not None:
                 self._finalize(state, name, status="skipped", reason=reason)
                 continue
-            if state.breaker is not None and not state.breaker.allow(
-                self.kernel.now_s
-            ):
-                self._finalize(state, name, status="skipped", reason="circuit open")
-                continue
             state.inflight += 1
             state.report.max_inflight = max(
                 state.report.max_inflight, state.inflight
             )
             self._dispatch(state, name, attempt=1, started_s=self.kernel.now_s)
 
-    def _duration(self, command: ShellCommand) -> float:
-        duration = command.duration_s
-        if command.jitter:
-            duration *= 1.0 + command.jitter * (2.0 * self.kernel.rng.random() - 1.0)
-        return duration
-
     def _dispatch(
         self, state: _RunState, name: str, *, attempt: int, started_s: float
     ) -> None:
         """Start one attempt: schedule its completion event."""
-        duration = self._duration(state.command)
+        command = state.command
+        duration = command.duration_s
+        if command.jitter:
+            duration *= 1.0 + command.jitter * (2.0 * self.kernel.rng.random() - 1.0)
         timed_out = duration > state.timeout_s
         eta = self.kernel.now_s + (state.timeout_s if timed_out else duration)
         self.kernel.at(
@@ -382,8 +370,6 @@ class ShellEngine:
             except ReproError as exc:
                 failure = str(exc) or type(exc).__name__
             else:
-                if state.breaker is not None:
-                    state.breaker.record_success()
                 self._finalize(
                     state, name,
                     status="ok" if rc == 0 else "failed",
@@ -394,16 +380,11 @@ class ShellEngine:
                 return
         if failure is None:
             failure = f"timeout after {state.timeout_s:g}s"
-        if state.breaker is not None:
-            state.breaker.record_failure(self.kernel.now_s)
         now = self.kernel.now_s
-        out_of_attempts = attempt >= state.policy.max_attempts
-        delay = state.policy.delay_for(attempt, self.kernel.rng)
-        over_deadline = (
-            state.policy.deadline_s is not None
-            and now + delay - started_s > state.policy.deadline_s
+        delay, stop = state.policy.next_delay(
+            attempt, started_s, now, self.kernel.rng
         )
-        if out_of_attempts or over_deadline:
+        if stop is not None:
             self._finalize(
                 state, name, status="failed", attempts=attempt,
                 reason=failure, started_s=started_s, held_slot=True,
@@ -445,43 +426,3 @@ class ShellEngine:
         if held_slot:
             state.inflight -= 1
             self._fill(state)
-
-    # -- single node, synchronous --------------------------------------------
-
-    def run_one(
-        self,
-        node: str,
-        command: ShellCommand | str,
-        *,
-        timeout_s: float = 30.0,
-        policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-    ) -> tuple[int, str]:
-        """Run on one node via :func:`~repro.faults.call_with_retry`.
-
-        The strict sibling of :meth:`run`: an unreachable node *raises*
-        (:class:`~repro.errors.RetryExhaustedError` after the policy's
-        attempts) instead of degrading — for callers acting on a single
-        node who need the failure, not a report.
-        """
-        if isinstance(command, str):
-            command = ShellCommand(command)
-        if timeout_s <= 0:
-            raise ShellError(f"timeout must be positive, got {timeout_s}")
-
-        def attempt() -> tuple[int, str]:
-            reason = self.skip_reason(node)
-            if reason is not None:
-                raise NodeOfflineError(f"{node}: {reason}")
-            duration = self._duration(command)
-            if duration > timeout_s:
-                self.kernel.run_until(self.kernel.now_s + timeout_s)
-                raise ShellError(f"{node}: timeout after {timeout_s:g}s")
-            self.kernel.run_until(self.kernel.now_s + duration)
-            return self._execute(command, node)
-
-        return call_with_retry(
-            self.kernel, attempt,
-            policy=policy if policy is not None else DEFAULT_RETRY,
-            op=f"shell:{node}", subsystem=self.subsystem, breaker=breaker,
-        )

@@ -18,6 +18,7 @@ from repro.analyze import (
 from repro.analyze.engine import ANALYSIS_SCHEMA
 from repro.analyze.registry import BASELINE_SCHEMA
 from repro.cli import ClusterShell
+from repro.errors import ReproError
 from repro.core.xcbc import build_xcbc_cluster, xcbc_cluster_definition
 from repro.network.dhcp import DhcpPlan
 from repro.rocks import GraphNode, KickstartGraph, Profile
@@ -95,8 +96,20 @@ class TestEngine:
         assert json.loads(text)["schema"] == BASELINE_SCHEMA
 
     def test_baseline_rejects_foreign_schema(self):
-        with pytest.raises(ValueError, match="not a baseline"):
+        with pytest.raises(ReproError, match="not a baseline"):
             Baseline.from_text('{"schema": "something/else"}')
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "not json", "[]", "null", '"x"', "{}",
+         json.dumps({"schema": BASELINE_SCHEMA, "suppressions": 5}),
+         json.dumps({"schema": BASELINE_SCHEMA, "suppressions": [{}]}),
+         json.dumps({"schema": BASELINE_SCHEMA,
+                     "suppressions": [{"fingerprint": ["x"]}]})],
+    )
+    def test_malformed_baseline_raises_repro_error(self, text):
+        with pytest.raises(ReproError):
+            Baseline.from_text(text)
 
     def test_json_document_schema(self):
         result = analyze(broken_definition())

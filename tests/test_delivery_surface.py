@@ -36,7 +36,7 @@ def test_delivery_plane_exports_and_constructor_options_are_exact():
     ]
     assert _parameters(SiteProxy) == ["name", "origin", "kernel", "serve_stale"]
     assert _parameters(RepoClient) == [
-        "name", "proxy", "kernel", "policy", "budget", "patience_s",
+        "name", "proxy", "kernel", "policy", "budget",
     ]
     assert _parameters(SiteChunkCache) == ["name", "upstream", "link", "kernel"]
     assert _parameters(UpdateStormScenario) == [

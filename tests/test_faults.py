@@ -1,13 +1,17 @@
 """repro.faults: fault plans, injection, retries, and graceful degradation.
 
 Covers the event-queue compaction regression (heavy cancel/reschedule
-churn must not leak heap entries), the retry/backoff/circuit-breaker
-machinery, plan parsing, scheduler/power/monitoring degradation, mirror
-resilience, PXE/DHCP error enrichment, installer crash consistency
-(property-based), and the whole-stack chaos acceptance scenario.
+churn must not leak heap entries), the one retry ladder
+(``RetryPolicy.next_delay`` and the three loops that spend it), plan
+parsing, scheduler/power/monitoring degradation, mirror resilience,
+PXE/DHCP error enrichment, installer crash consistency (property-based),
+and the whole-stack chaos acceptance scenario.
 """
 
 from __future__ import annotations
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,27 +23,31 @@ from repro.errors import (
     NodeOfflineError,
     PxeError,
     RetryExhaustedError,
+    ShellError,
     YumError,
 )
 from repro.faults import (
-    CircuitBreaker,
     FaultInjector,
     FaultKind,
     FaultPlan,
     FaultSpec,
+    RetryBudget,
     RetryPolicy,
     call_with_retry,
 )
 from repro.faults.chaos import demo_plan, run_chaos
+from repro.fleet import FleetTable
 from repro.hardware import build_littlefe_modified
 from repro.monitoring import GmetadTree, Gmond, GmondRack
 from repro.network.dhcp import DhcpServer
 from repro.network.pxe import BootImage, PxeServer
+from repro.repod import RepoClient, RepoServer, SiteProxy
 from repro.rocks.database import InstallState
 from repro.rocks.installer import RocksInstaller
 from repro.rpm.package import Package
 from repro.scheduler import ClusterResources, Job, JobState, MauiScheduler
 from repro.scheduler.power_mgmt import PowerManagedScheduler
+from repro.shell import ShellCommand, ShellEngine
 from repro.sim import SimKernel
 from repro.yum.mirror import MirrorLink, RepoMirror
 from repro.yum.repository import Repository
@@ -164,29 +172,149 @@ class TestRetryPolicy:
             )
         assert kernel.now_s < 8.0 + 5.0
 
+    def test_growth_past_the_float_range_is_the_cap(self):
+        policy = RetryPolicy(max_attempts=5000, base_delay_s=1.0,
+                             multiplier=2.0, max_delay_s=60.0, jitter=0.0)
+        # 2.0 ** 1024 overflows a float; the delay is long past the cap.
+        assert policy.delay_for(1025) == policy.delay_for(4999) == 60.0
+        for attempt in range(1, 1025):
+            assert policy.delay_for(attempt) == min(60.0, 2.0 ** (attempt - 1))
+        assert RetryPolicy(base_delay_s=0.0, jitter=0.0).delay_for(2000) == 0.0
 
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_half_opens(self):
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=100.0)
-        assert breaker.state == "closed"
-        breaker.record_failure(0.0)
-        breaker.record_failure(1.0)
-        assert breaker.state == "open"
-        with pytest.raises(FaultError, match="circuit open"):
-            breaker.guard(50.0, "mirror")
-        assert breaker.allow(101.0)  # half-open probe
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed"
+    def test_a_2000_attempt_failing_ladder_exhausts(self):
+        kernel = SimKernel(seed=1)
 
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=10.0)
-        breaker.record_failure(0.0)
-        breaker.record_failure(0.0)
-        assert breaker.allow(20.0)
-        breaker.record_failure(20.0)
-        assert breaker.state == "open"
-        assert not breaker.allow(25.0)
+        def hopeless():
+            raise YumError("down")
+
+        with pytest.raises(RetryExhaustedError) as err:
+            call_with_retry(
+                kernel, hopeless,
+                policy=RetryPolicy(max_attempts=2000, base_delay_s=0.01,
+                                   multiplier=2.0, max_delay_s=1.0),
+                op="t.long",
+            )
+        assert err.value.attempts == 2000
+        assert kernel.trace.count("fault.retry") == 1999
+
+    def test_next_delay_draws_first_and_asks_the_budget_last(self):
+        policy = RetryPolicy(max_attempts=3, base_delay_s=10.0, jitter=0.5,
+                             deadline_s=25.0)
+        budget = RetryBudget(capacity=1.0, refill_per_s=0.0)
+        rng, twin = random.Random(3), random.Random(3)
+        # a stop still consumes its draw, and never a budget token
+        for attempt, now_s, reason in ((3, 0.0, "attempts exhausted"),
+                                       (2, 20.0, "deadline exceeded")):
+            delay, stop = policy.next_delay(attempt, 0.0, now_s, rng,
+                                            budget=budget)
+            assert stop == reason
+            assert delay == policy.delay_for(attempt, twin)
+        assert budget.granted == budget.denied == 0
+        assert policy.next_delay(1, 0.0, 0.0, rng, budget=budget)[1] is None
+        assert policy.next_delay(1, 0.0, 0.0, rng, budget=budget)[1] == (
+            "retry budget exhausted"
+        )
+        assert (budget.granted, budget.denied) == (1, 1)
+
+
+# -- the one retry ladder: every spender replays RetryPolicy.next_delay ----------
+
+
+def _spend_call_with_retry(policy, seed):
+    kernel = SimKernel(seed=seed)
+
+    def hopeless():
+        raise YumError("down")
+
+    with pytest.raises(RetryExhaustedError) as err:
+        call_with_retry(kernel, hopeless, policy=policy, op="t")
+    events = kernel.trace.events
+    retries = [(e.data["attempt"], e.data["delay_s"], e.t_s)
+               for e in events if e.kind == "fault.retry"]
+    (giveup,) = [e for e in events if e.kind == "fault.giveup"]
+    assert giveup.data["attempts"] == err.value.attempts
+    return retries, (giveup.data["attempts"], giveup.t_s)
+
+
+def _spend_shell(policy, seed):
+    fleet = FleetTable()
+    fleet.add_row(name="compute-0-0", appliance="compute", rack=0, rank=0,
+                  cores=4, state="os-installed")
+    engine = ShellEngine(fleet, kernel=SimKernel(seed=seed))
+
+    def refuse(node):
+        raise ShellError("connection refused")
+
+    report = engine.run("compute-0-0", ShellCommand("w", handler=refuse),
+                        policy=policy)
+    retries = [(e.data["attempt"], e.data["delay_s"], e.t_s)
+               for e in engine.kernel.trace.events if e.kind == "shell.retry"]
+    result = report.results["compute-0-0"]
+    assert result.status == "failed"
+    return retries, (result.attempts, result.ended_s)
+
+
+def _spend_repo_client(policy, seed):
+    kernel = SimKernel(seed=seed)
+    origin = RepoServer("origin", kernel=kernel,
+                        link=MirrorLink(bandwidth_bytes_s=1e6))
+    origin.publish([Package("alpha", "1.0", size_bytes=1024)])
+    origin.crash()
+    client = RepoClient("c0", SiteProxy("px", origin, kernel=kernel),
+                        kernel=kernel, policy=policy)
+    client.sync(["alpha"])
+    while kernel.step():
+        pass
+    retries = [(e.data["attempt"], e.data["delay_s"], e.t_s)
+               for e in kernel.trace.events if e.kind == "fault.retry"]
+    record = client.records["alpha"]
+    assert record.outcome == "failed"
+    return retries, (record.attempts, record.finished_s)
+
+
+def _replay(policy, seed, cost_s, digits):
+    """The ladder as next_delay alone: each attempt costs ``cost_s`` of
+    simulated time and fails, from t=0, with a fresh seeded RNG."""
+    rng = random.Random(seed)
+    retries, now_s = [], cost_s
+    for attempt in itertools.count(1):
+        delay, stop = policy.next_delay(attempt, 0.0, now_s, rng)
+        if stop is not None:
+            return retries, (attempt, now_s)
+        published = delay if digits is None else round(delay, digits)
+        retries.append((attempt, published, now_s))
+        now_s = now_s + delay + cost_s
+
+
+class TestOneRetryLadder:
+    @pytest.mark.parametrize(
+        "spend, digits",
+        [(_spend_call_with_retry, None), (_spend_shell, None),
+         (_spend_repo_client, 6)],
+        ids=["call_with_retry", "shell_engine", "repo_client"],
+    )
+    @given(
+        policy=st.builds(
+            RetryPolicy,
+            max_attempts=st.integers(1, 12),
+            base_delay_s=st.floats(0.0, 50.0),
+            multiplier=st.floats(1.0, 4.0),
+            max_delay_s=st.floats(0.0, 120.0),
+            jitter=st.floats(0.0, 0.5),
+            deadline_s=st.none() | st.floats(0.5, 300.0),
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_spender_replays_next_delay(self, spend, digits, policy, seed):
+        """Whatever the policy, each loop publishes exactly the (attempt,
+        delay) pairs and the stop point a bare replay of next_delay gives —
+        same draws, same deadline rule, no clamp, no sleep to the deadline."""
+        retries, stop = spend(policy, seed)
+        # the time one failed attempt takes (zero for a bare callable, the
+        # command duration for the shell, one LAN hop for the proxy)
+        cost_s = retries[0][2] if retries else stop[1]
+        assert (retries, stop) == _replay(policy, seed, cost_s, digits)
 
 
 class TestFaultPlan:

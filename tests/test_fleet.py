@@ -116,6 +116,24 @@ def test_nodeset_padding_and_groups():
         NodeSet.parse("rack[0-1")
 
 
+_HUGE = "9" * 5000  # past CPython's default 4,300-digit int conversion limit
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (RangeSet.parse, _HUGE),
+        (RangeSet.parse, f"0-{_HUGE}"),
+        (RangeSet.parse, "²"),  # isdigit() but not a decimal digit
+        (NodeSet.parse, f"compute-0-[0-{_HUGE}]"),
+        (NodeSet.parse, f"compute-0-{_HUGE}"),
+    ],
+)
+def test_oversized_bounds_raise_fleet_error(parse, text):
+    with pytest.raises(FleetError, match="unusable node index"):
+        parse(text)
+
+
 def test_fold_names_is_compact():
     assert fold_names(f"compute-0-{i}" for i in range(100)) == "compute-0-[0-99]"
 

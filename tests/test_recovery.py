@@ -40,7 +40,6 @@ from repro.recovery import (
     state_digest,
     world_factories,
 )
-from repro.faults.retry import RetryPolicy
 from repro.rocks.database import InstallState
 from repro.rocks.installer import RocksInstaller, recover_install
 from repro.rpm import Package, RpmDatabase, Transaction
@@ -647,6 +646,8 @@ class TestSupervisorPolicies:
             RecoveryPolicy("reboot.universe")
         with pytest.raises(RecoveryError, match="negative"):
             RecoveryPolicy("reboot.node", delay_s=-1.0)
+        with pytest.raises(RecoveryError, match="max_attempts"):
+            RecoveryPolicy("reboot.node", max_attempts=0)
         kernel = SimKernel()
         with pytest.raises(RecoveryError, match="positive"):
             Supervisor(kernel, period_s=0)
@@ -728,8 +729,7 @@ class TestSupervisorPolicies:
 
     def test_reboot_attempts_are_bounded(self, littlefe_machine):
         kernel, scheduler = _mini_stack(littlefe_machine)
-        policies = (RecoveryPolicy("reboot.node",
-                                   retry=RetryPolicy(max_attempts=1),
+        policies = (RecoveryPolicy("reboot.node", max_attempts=1,
                                    delay_s=10.0),)
         sup = Supervisor(kernel, scheduler=scheduler, policies=policies,
                          period_s=60.0)

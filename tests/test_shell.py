@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     HeadnodeCrashError,
-    NodeOfflineError,
     ReproError,
-    RetryExhaustedError,
     ShellError,
 )
-from repro.faults import CircuitBreaker, RetryPolicy
+from repro.faults import RetryPolicy
 from repro.fleet import FleetTable, NodeSet
 from repro.monitoring.hierarchy import FleetRack, GmetadTree
 from repro.scheduler import ClusterResources, Job, TorqueScheduler
@@ -239,16 +237,6 @@ class TestShellEngine:
         assert result.status == "failed"
         assert result.reason == "timeout after 10s"
 
-    def test_open_breaker_skips_instead_of_hammering(self):
-        fleet = build_fleet(racks=1, per_rack=4)
-        engine = engine_for(fleet)
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=1000.0)
-        breaker.record_failure(engine.kernel.now_s)
-        report = engine.run(fleet.nodeset(), "w", breaker=breaker)
-        assert report.counts() == (0, 0, 4)
-        assert all(r.reason == "circuit open"
-                   for r in report.results.values())
-
     def test_headnode_crash_unwinds_but_partials_survive(self):
         fleet = build_fleet(racks=1, per_rack=8)
         engine = engine_for(fleet)
@@ -322,25 +310,6 @@ class TestShellEngine:
             held += delta
             peak = max(peak, held)
         assert peak <= fanout
-
-    def test_run_one_reuses_call_with_retry(self):
-        fleet = build_fleet(racks=1, per_rack=2)
-        engine = engine_for(fleet)
-        rc, output = engine.run_one(
-            "compute-0-0", ShellCommand("uptime", duration_s=3.0)
-        )
-        assert (rc, output) == (0, "ok")
-        assert engine.kernel.now_s == pytest.approx(3.0)
-
-        fleet.set_flag("responsive", fleet.index_of("compute-0-1"), False)
-        with pytest.raises(RetryExhaustedError):
-            engine.run_one(
-                "compute-0-1", "uptime",
-                policy=RetryPolicy(max_attempts=3, base_delay_s=1.0),
-            )
-        # the retry loop is repro.faults.call_with_retry, trace-visible
-        assert engine.kernel.trace.count("fault.retry") == 2
-        assert engine.kernel.trace.count("fault.giveup") == 1
 
 
 # ---------------------------------------------------------------------------
