@@ -9,10 +9,14 @@ run as column scans instead of attribute chases.  Call sites that want
 one node read and write it through :class:`FleetRow`, a thin cached proxy
 that exposes a row index as attributes — the node record.
 
-Cache coherence follows the repo's epoch protocol (docs/ANALYZE.md,
-SL201): every mutation bumps :attr:`epoch`; the sorted-order index used
-by ``hosts()``-style iteration is rebuilt lazily when its epoch marker
-trails the table's.
+Readers that keep answers derived from the columns learn what changed
+through a per-reader change feed (:meth:`FleetTable.watch`): every
+mutator adds its row index to the feed of each reader watching that row,
+and the reader drains its feed when it next reads, so a change costs
+O(changed rows), not O(fleet).  The canonical-order index behind
+``hosts()``-style iteration depends only on which rows are live and their
+(appliance, rack, rank), so only :meth:`FleetTable.add_row` and
+:meth:`FleetTable.remove` invalidate it.
 """
 
 from __future__ import annotations
@@ -171,6 +175,11 @@ class FleetTable:
     Removal tombstones the row (columns never shift), so row indices — and
     the cached :class:`FleetRow` proxies holding them — stay valid for the
     table's lifetime.
+
+    Every mutator (:meth:`add_row`, :meth:`remove`, :meth:`set_flag`,
+    :meth:`set_load`, :meth:`set_state_code`, :meth:`set_cores`,
+    :meth:`set_mem_kb`) notifies the feeds watching its row; see
+    :meth:`watch`.
     """
 
     def __init__(self, *, state_values: Sequence = DEFAULT_STATES) -> None:
@@ -197,16 +206,13 @@ class FleetTable:
         self._by_name: dict[str, int] = {}
         self._by_mac: dict[str, int] = {}
         self._rows: list[FleetRow] = []
-        self._epoch = 0
+        #: per row, the change feeds watching it (see :meth:`watch`)
+        self._feeds: list[tuple[set[int], ...]] = []
+        #: feeds watching every row, present and future
+        self._feeds_all: tuple[set[int], ...] = ()
         #: sorted-order index for hosts(): (appliance != "frontend", rack,
-        #: rank) — rebuilt lazily when its marker trails :attr:`epoch`.
-        self._order: list[int] = []
-        self._order_epoch = -1
-
-    @property
-    def epoch(self) -> int:
-        """Monotonic mutation counter (epoch cache-coherence protocol)."""
-        return self._epoch
+        #: rank) over live rows — None until rebuilt after add_row/remove.
+        self._order: list[int] | None = None
 
     def __len__(self) -> int:
         """Live (non-tombstoned) row count."""
@@ -267,7 +273,9 @@ class FleetTable:
         if mac:
             self._by_mac[mac] = index
         self._rows.append(FleetRow(self, index))
-        self._epoch += 1
+        self._feeds.append(self._feeds_all)
+        self._order = None
+        self._notify(index)
         return self._rows[index]
 
     def remove(self, name: str) -> None:
@@ -278,7 +286,33 @@ class FleetTable:
         mac = self.macs[index]
         if mac and self._by_mac.get(mac) == index:
             del self._by_mac[mac]
-        self._epoch += 1
+        self._order = None
+        self._notify(index)
+
+    # -- change feeds ----------------------------------------------------------
+
+    def watch(self, indices: Iterable[int] | None = None) -> set[int]:
+        """A new change feed over ``indices`` (every row, present and
+        future, when None).
+
+        The returned set is the reader's own: each mutator adds its row
+        index to every feed watching that row, and the reader drains the
+        set (reads, then clears it) when it next needs current answers.
+        A feed holds each watched row at most once, so its memory is
+        bounded by the rows watched, not by how many writes happened.
+        """
+        feed: set[int] = set()
+        if indices is None:
+            self._feeds_all += (feed,)
+            indices = range(len(self._feeds))
+        feeds = self._feeds
+        for i in indices:
+            feeds[i] += (feed,)
+        return feed
+
+    def _notify(self, index: int) -> None:
+        for feed in self._feeds[index]:
+            feed.add(index)
 
     # -- lookups -------------------------------------------------------------
 
@@ -316,7 +350,7 @@ class FleetTable:
     # -- ordered iteration ----------------------------------------------------
 
     def _ordered(self) -> list[int]:
-        if self._order_epoch != self._epoch:
+        if self._order is None:
             self._order = sorted(
                 self._by_name.values(),
                 key=lambda i: (
@@ -325,7 +359,6 @@ class FleetTable:
                     self.ranks[i],
                 ),
             )
-            self._order_epoch = self._epoch
         return self._order
 
     def ordered_indices(self) -> list[int]:
@@ -342,31 +375,31 @@ class FleetTable:
     def __iter__(self) -> Iterator[FleetRow]:
         return iter(self.rows())
 
-    # -- column mutators (each bumps the epoch) --------------------------------
+    # -- column mutators (each notifies the row's feeds) ----------------------
 
     def set_state_code(self, index: int, code: int) -> None:
         if not 0 <= code < len(self.state_values):
             raise FleetError(f"state code {code} out of range")
         self.states[index] = code
-        self._epoch += 1
+        self._notify(index)
 
     def set_cores(self, index: int, value: int) -> None:
         self.cores[index] = value
-        self._epoch += 1
+        self._notify(index)
 
     def set_mem_kb(self, index: int, value: float) -> None:
         self.mem_kb[index] = value
-        self._epoch += 1
+        self._notify(index)
 
     def set_load(self, index: int, value: float) -> None:
         self.load[index] = value
-        self._epoch += 1
+        self._notify(index)
 
     def set_flag(self, column: str, index: int, value: bool) -> None:
         if column not in ("powered", "responsive", "offline", "failed", "draining"):
             raise FleetError(f"unknown flag column {column!r}")
         getattr(self, column)[index] = 1 if value else 0
-        self._epoch += 1
+        self._notify(index)
 
     # -- fleet-scale queries ---------------------------------------------------
 

@@ -8,9 +8,10 @@ not hosts.  This module is that shape, and the only aggregator there is:
 
 * :class:`FleetRack` — a leaf that summarizes one rack straight off the
   shared :class:`~repro.fleet.FleetTable` columns (power, responsiveness,
-  cores, load, memory), no per-host objects at all.  When the table epoch
-  is unchanged since the last cycle the cached summary is reused — an
-  idle rack costs O(1) per cycle;
+  cores, load, memory), no per-host objects at all.  It watches only its
+  own rows (:meth:`~repro.fleet.FleetTable.watch`); when none of them was
+  written since the last cycle the cached summary is reused — an idle
+  rack costs O(1) per cycle whatever the rest of the fleet does;
 * :class:`GmondRack` — a leaf over real :class:`Gmond` agents: every
   sample is archived in a per-(host, metric) :class:`Rrd` and published
   as ``metric.sample``, and the leaf renders the dashboard rows that
@@ -136,7 +137,9 @@ class FleetRack:
     *up* when powered; an unresponsive host is a missed heartbeat and is
     declared dead after ``dead_after_misses`` consecutive misses.  The
     memory model matches :class:`Gmond`: free memory degrades with load,
-    floored at 10%.
+    floored at 10%.  The rack watches its own rows through the table's
+    change feed and rescans them only when one was written or a heartbeat
+    counter is mid-count.
     """
 
     def __init__(
@@ -156,11 +159,12 @@ class FleetRack:
         self._missed: dict[int, int] = {}
         self._dead: set[int] = set()
         self._last: ClusterSummary | None = None
-        self._last_epoch = -1
+        #: this rack's rows written since the last rescan
+        self._changed = fleet.watch(self.indices)
         #: True when no miss counter is mid-count (every unresponsive host
-        #: is already declared dead) — the precondition for the epoch
-        #: fast path, since a pending counter changes state even when the
-        #: table does not.
+        #: is already declared dead) — the precondition for reusing the
+        #: last summary, since a pending counter changes state even when
+        #: the rows do not.
         self._settled = True
 
     def hosts(self) -> list[str]:
@@ -175,18 +179,15 @@ class FleetRack:
 
     def sample(self, timestamp_s: float, trace) -> tuple[ClusterSummary, bool]:
         """Summarize the rack; returns ``(summary, changed_since_last)``."""
-        fleet = self.fleet
-        if (
-            self._last is not None
-            and self._settled
-            and fleet.epoch == self._last_epoch
-        ):
-            # Nothing in the table moved and no heartbeat counter is
-            # pending: the previous summary still holds.
-            summary = replace(self._last, timestamp_s=timestamp_s)
-            self._last = summary
-            return summary, False
+        last = self._last
+        if last is not None and self._settled and not self._changed:
+            # None of this rack's rows moved and no heartbeat counter is
+            # pending: the previous figures still hold, whatever the rest
+            # of the fleet did.
+            return replace(last, timestamp_s=timestamp_s), False
 
+        self._changed.clear()
+        fleet = self.fleet
         up = 0
         total = 0
         cores = 0
@@ -227,11 +228,8 @@ class FleetRack:
             failed_services=0,
             hosts_dead=len(self._dead),
         )
-        changed = self._last is None or _signature(summary) != _signature(
-            self._last
-        )
+        changed = last is None or _signature(summary) != _signature(last)
         self._last = summary
-        self._last_epoch = fleet.epoch
         self._settled = not unsettled
         return summary, changed
 
@@ -417,7 +415,7 @@ class GmetadTree:
 
     Each cycle asks every leaf for its summary and folds *deltas* into
     running totals: an unchanged rack costs one subtraction-free pass (and,
-    for :class:`FleetRack` leaves on a quiet table, the leaf itself is
+    for a :class:`FleetRack` leaf whose rows are quiet, the leaf itself is
     O(1)).  Per changed rack it emits ``monitor.rack``; per cycle,
     ``monitor.rollup`` with the merged figures and how many racks moved.
 

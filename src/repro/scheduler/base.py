@@ -18,6 +18,7 @@ Invariants (tested property-style):
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from ..errors import NodeOfflineError, SchedulerError
@@ -50,6 +51,15 @@ class ClusterResources:
     :class:`Machine`, the table is private; built with :meth:`from_fleet`
     it is the cluster's shared fleet table, so an offline/failed/drain
     decision here is immediately visible to monitoring and vice versa.
+
+    The answers are kept current from the table's change feed
+    (:meth:`FleetTable.watch` over this view's rows): the core totals, the
+    draining and failed sets, and a free-count bucket index over
+    allocatable nodes.  Every write — this view's own allocations and flag
+    changes as much as another layer's — reaches them by the same path:
+    the write notifies the feed, and the next read re-files the rows it
+    names.  A removed (tombstoned) row counts toward no total and is never
+    allocated.
     """
 
     def __init__(
@@ -111,11 +121,76 @@ class ClusterResources:
         self._fleet = fleet
         #: local position -> fleet row index
         self._fidx = order
+        #: fleet row index -> local position
+        self._row_pos = {i: p for p, i in enumerate(order)}
         #: node names, sorted (the iteration order of every query below)
         self._names = [fleet.names[i] for i in order]
         self._pos = {name: p for p, name in enumerate(self._names)}
         self._capv = array("l", (fleet.cores[i] for i in order))
         self._freev = array("l", self._capv)
+        self._total_cores = sum(self._capv)
+        # What each position last contributed to the answers; _sync moves
+        # a position's contribution when the feed names its row.
+        zeros = array("l", [0]) * len(order)
+        self._online_of = array("l", zeros)
+        self._free_of = array("l", zeros)
+        self._usable_of = array("l", zeros)
+        #: the bucket a position is filed under (0 = not allocatable)
+        self._bucket_of = array("l", zeros)
+        self._online_cores = self._free_cores = self._usable_cores = 0
+        #: free cores across the bucket index (what try_allocate can give)
+        self._allocatable_cores = 0
+        #: free count -> allocatable positions with that many free, ascending
+        self._buckets: dict[int, list[int]] = {}
+        self._draining: set[int] = set()
+        self._failed: set[int] = set()
+        self._feed = fleet.watch(order)
+        self._feed.update(order)  # the first read files every position
+
+    def _sync(self) -> None:
+        """Re-file every position whose row the feed names, then drain it."""
+        feed = self._feed
+        if not feed:
+            return
+        fleet = self._fleet
+        alive, offline = fleet.alive, fleet.offline
+        failed, draining = fleet.failed, fleet.draining
+        buckets = self._buckets
+        for i in feed:
+            p = self._row_pos[i]
+            cap, free = self._capv[p], self._freev[p]
+            live = alive[i]
+            online = live and not offline[i]
+            new = cap if online else 0
+            self._online_cores += new - self._online_of[p]
+            self._online_of[p] = new
+            new = free if online else 0
+            self._free_cores += new - self._free_of[p]
+            self._free_of[p] = new
+            new = cap if live and not failed[i] and not draining[i] else 0
+            self._usable_cores += new - self._usable_of[p]
+            self._usable_of[p] = new
+            new = free if online and not draining[i] else 0
+            old = self._bucket_of[p]
+            if new != old:
+                if old:
+                    filed = buckets[old]
+                    del filed[bisect_left(filed, p)]
+                    if not filed:
+                        del buckets[old]
+                if new:
+                    insort(buckets.setdefault(new, []), p)
+                self._allocatable_cores += new - old
+                self._bucket_of[p] = new
+            if live and draining[i]:
+                self._draining.add(p)
+            else:
+                self._draining.discard(p)
+            if live and failed[i]:
+                self._failed.add(p)
+            else:
+                self._failed.discard(p)
+        feed.clear()
 
     def _position(self, node: str) -> int:
         try:
@@ -129,26 +204,21 @@ class ClusterResources:
     def _set_flag(self, column: str, pos: int, value: bool) -> None:
         self._fleet.set_flag(column, self._fidx[pos], value)
 
-    def _mask(self, column: str) -> list[bool]:
-        """One flag column gathered over this view's positions."""
-        col = getattr(self._fleet, column)
-        return [bool(col[i]) for i in self._fidx]
-
     @property
     def total_cores(self) -> int:
         """Cores on all (online + offline) nodes."""
-        return sum(self._capv)
+        return self._total_cores
 
     @property
     def online_cores(self) -> int:
         """Cores on online nodes."""
-        off = self._mask("offline")
-        return sum(c for p, c in enumerate(self._capv) if not off[p])
+        self._sync()
+        return self._online_cores
 
     def free_cores(self) -> int:
         """Currently unallocated cores on online nodes."""
-        off = self._mask("offline")
-        return sum(c for p, c in enumerate(self._freev) if not off[p])
+        self._sync()
+        return self._free_cores
 
     def node_names(self) -> list[str]:
         return list(self._names)
@@ -158,7 +228,9 @@ class ClusterResources:
 
     def free_of(self, node: str) -> int:
         pos = self._position(node)
-        return 0 if self._flag("offline", pos) else self._freev[pos]
+        if self._flag("offline", pos) or not self._flag("alive", pos):
+            return 0
+        return self._freev[pos]
 
     def allocated_of(self, node: str) -> int:
         """Cores running jobs hold on the node, whatever its flags (the
@@ -173,13 +245,8 @@ class ClusterResources:
         Powered-off nodes count (power management can bring them back);
         failed ones do not until :meth:`restore_node`.
         """
-        bad_f = self._mask("failed")
-        bad_d = self._mask("draining")
-        return sum(
-            c
-            for p, c in enumerate(self._capv)
-            if not bad_f[p] and not bad_d[p]
-        )
+        self._sync()
+        return self._usable_cores
 
     def set_offline(self, node: str, offline: bool) -> None:
         """Mark a node offline/online (power management uses this).
@@ -230,8 +297,8 @@ class ClusterResources:
         return self._flag("failed", self._position(node))
 
     def failed_nodes(self) -> list[str]:
-        mask = self._mask("failed")
-        return [n for p, n in enumerate(self._names) if mask[p]]
+        self._sync()
+        return [self._names[p] for p in sorted(self._failed)]
 
     def set_draining(self, node: str, draining: bool) -> None:
         """Start/stop a drain: no new allocations, running work finishes."""
@@ -241,40 +308,37 @@ class ClusterResources:
         return self._flag("draining", self._position(node))
 
     def draining_nodes(self) -> list[str]:
-        mask = self._mask("draining")
-        return [n for p, n in enumerate(self._names) if mask[p]]
+        self._sync()
+        return [self._names[p] for p in sorted(self._draining)]
 
     def try_allocate(self, cores: int) -> Allocation | None:
         """First-fit-decreasing allocation across online nodes, or None.
 
         Packs the fullest nodes first to keep fragmentation low (what Maui's
         node-allocation policy does by default for core-scheduled clusters).
+        Positions are name-sorted, so walking the buckets from the largest
+        free count down, positions ascending, is the ``(-free, name)``
+        order: the walk costs O(buckets + nodes taken).
         """
         if cores <= 0:
             raise SchedulerError(f"cannot allocate {cores} cores")
+        self._sync()
+        if cores > self._allocatable_cores:
+            return None
         free = self._freev
-        off = self._mask("offline")
-        drain = self._mask("draining")
-        candidates = sorted(
-            (
-                p
-                for p in range(len(self._names))
-                if not off[p] and not drain[p] and free[p] > 0
-            ),
-            key=lambda p: (-free[p], self._names[p]),
-        )
+        buckets = self._buckets
         chunks: list[tuple[str, int]] = []
         positions: list[tuple[int, int]] = []
         remaining = cores
-        for pos in candidates:
+        for pos in (
+            p for count in sorted(buckets, reverse=True) for p in buckets[count]
+        ):
             take = min(free[pos], remaining)
             chunks.append((self._names[pos], take))
             positions.append((pos, take))
             remaining -= take
             if remaining == 0:
                 break
-        if remaining > 0:
-            return None
         for pos, take in positions:
             free[pos] -= take
             # Mirror allocated cores into the fleet load column so
@@ -305,11 +369,11 @@ class ClusterResources:
 
     def idle_nodes(self) -> list[str]:
         """Online nodes with all cores free."""
-        off = self._mask("offline")
+        alive, offline = self._fleet.alive, self._fleet.offline
         return [
             n
-            for p, n in enumerate(self._names)
-            if not off[p] and self._freev[p] == self._capv[p]
+            for p, (n, i) in enumerate(zip(self._names, self._fidx))
+            if alive[i] and not offline[i] and self._freev[p] == self._capv[p]
         ]
 
     def state_dict(self) -> dict[str, object]:

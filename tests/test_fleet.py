@@ -252,9 +252,9 @@ def test_fleet_table_basics():
         table.add_row(name="compute-0-0")
     with pytest.raises(FleetError):
         table.add_row(name="other", mac="aa:bb")
-    epoch = table.epoch
+    feed = table.watch([row.index])
     row.state = "installing"
-    assert table.epoch > epoch  # every mutation bumps the epoch
+    assert feed == {row.index}  # every mutation notifies the row's feeds
     table.remove("compute-0-0")
     assert not row.alive and table.row_count == 1 and len(table) == 0
     with pytest.raises(FleetError):
