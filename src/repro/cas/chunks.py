@@ -67,6 +67,17 @@ class PackageManifest:
         return tuple(c.digest for c in self.chunks)
 
 
+class ChunkRun(tuple):
+    """Distinct chunks with their digest set and byte total taken once, so
+    a store holding the whole run answers with one subset test."""
+
+    def __new__(cls, chunks):
+        run = super().__new__(cls, chunks)
+        run.digests = frozenset(c.digest for c in run)
+        run.nbytes = sum(c.size for c in run)
+        return run
+
+
 @dataclass(frozen=True)
 class ChunkingPolicy:
     """The chunking parameters of one hierarchy; its stratum-0 holds them.

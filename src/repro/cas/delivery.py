@@ -5,7 +5,8 @@ remembers which chunks the node already holds and asks the site cache for
 only the chunks a package install actually needs, on first reference.  A
 node that already installed v1 of a package fetches just the delta chunks
 for v2; a wave of identical nodes costs the site cache one upstream pull
-for the whole wave.
+for the whole wave.  Nodes that fetched the same packages share one
+interned holdings ``frozenset``, so each step is computed once per pair.
 
 :func:`cas_confluence_problems` is chaos invariant 9: serials only move
 forward, hierarchy hits never exceed requests, and — given the live
@@ -16,14 +17,17 @@ so it is safe to run on every chaos trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..rpm.package import Package
 from ..sim import audit_events
+from .chunks import ChunkRun, PackageManifest
 from .stratum import ChunkFetchStats, SiteChunkCache, Stratum0, Stratum1
 
 __all__ = ["DeliveryStats", "LazyDelivery", "cas_confluence_problems"]
+
+_NOTHING: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -32,10 +36,8 @@ class DeliveryStats:
 
     packages: int = 0
     chunks_requested: int = 0
-    chunks_fetched: int = 0   # crossed the node's LAN (not already on-node)
     bytes_fetched: int = 0    # LAN bytes to nodes
     bytes_reused: int = 0     # bytes already on the node (version overlap)
-    per_node: dict[str, int] = field(default_factory=dict)  # node -> packages
 
 
 class LazyDelivery:
@@ -43,18 +45,16 @@ class LazyDelivery:
 
     def __init__(self, site: SiteChunkCache) -> None:
         self.site = site
-        #: node name -> digests the node already holds
-        self._node_chunks: dict[str, set[str]] = {}
+        #: node name -> its holdings; ``_layers`` interns each distinct one
+        self._held: dict[str, frozenset[str]] = {}
+        self._layers: dict[frozenset[str], frozenset[str]] = {_NOTHING: _NOTHING}
+        #: (id(held), id(manifest)) -> (held, manifest, next holdings, needed
+        #: ChunkRun, reused bytes); the value pins both keys' objects
+        self._steps: dict[tuple[int, int], tuple] = {}
         self.stats = DeliveryStats()
 
-    def fetch_package(self, node: str, pkg: Package) -> ChunkFetchStats:
-        """Deliver one package to one node, moving only missing chunks.
-
-        The site cache serves (and lazily fills) the chunks; the node's
-        holdings filter out what it already has from other versions.
-        """
-        manifest = self.site.manifest_of(pkg)
-        held = self._node_chunks.setdefault(node, set())
+    def _step(self, held: frozenset[str], manifest: PackageManifest) -> tuple:
+        """``manifest`` onto ``held``: pure in both, so never invalidated."""
         needed = []
         seen: set[str] = set()
         reused = 0
@@ -64,26 +64,35 @@ class LazyDelivery:
             elif chunk.digest not in seen:
                 seen.add(chunk.digest)
                 needed.append(chunk)
+        after = held | seen
+        after = self._layers.setdefault(after, after)
+        step = (held, manifest, after, ChunkRun(needed), reused)
+        self._steps[id(held), id(manifest)] = step
+        return step
+
+    def fetch_package(self, node: str, pkg: Package) -> ChunkFetchStats:
+        """Deliver one package to one node, moving only missing chunks.
+
+        The site cache serves (and lazily fills) the chunks; the node's
+        holdings filter out what it already has from other versions.
+        """
+        site = self.site
+        manifest = site.manifest_of(pkg)
+        held = self._held.get(node, _NOTHING)
+        step = self._steps.get((id(held), id(manifest)))
+        _, _, after, needed, reused = step or self._step(held, manifest)
         stats = self.stats
         if needed:
-            # May raise: nothing is counted as delivered until the site
-            # cache has actually served the chunks.
-            fetch = self.site.fetch_chunks(
-                needed, artifact=manifest.nevra, requester=node
-            )
-            held.update(c.digest for c in needed)
-            stats.chunks_fetched += len(needed)
-            stats.bytes_fetched += sum(c.size for c in needed)
-        else:
-            fetch = ChunkFetchStats(
-                artifact=manifest.nevra,
-                chunks=len(manifest.chunks),
-                hit_chunks=len(manifest.chunks),
-                nbytes=0,
-            )
+            # May raise: the holdings advance, and anything is counted,
+            # only once the site cache has served the chunks.
+            fetch = site.fetch_chunks(needed, artifact=manifest.nevra, requester=node)
+            self._held[node] = after
+            stats.bytes_fetched += needed.nbytes
+        else:  # all held: no site call, no event
+            n = len(manifest.chunks)
+            fetch = ChunkFetchStats(manifest.nevra, chunks=n, hit_chunks=n, nbytes=0)
         stats.packages += 1
         stats.chunks_requested += len(manifest.chunks)
-        stats.per_node[node] = stats.per_node.get(node, 0) + 1
         stats.bytes_reused += reused
         return fetch
 

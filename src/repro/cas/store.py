@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..errors import CasError, CasIntegrityError
-from .chunks import Chunk, PackageManifest
+from .chunks import Chunk, ChunkRun, PackageManifest
 
 __all__ = ["ChunkStore"]
 
@@ -65,8 +65,10 @@ class ChunkStore:
         """The chunks not yet held — the transfer delta, order-preserving.
 
         Duplicates within the request count once (they would land with the
-        first copy).
+        first copy).  A :class:`ChunkRun` held whole is one subset test.
         """
+        if isinstance(chunks, ChunkRun) and self._chunks.keys() >= chunks.digests:
+            return []
         seen: set[str] = set()
         out: list[Chunk] = []
         for chunk in chunks:

@@ -46,7 +46,7 @@ from ..faults.retry import RetryPolicy, call_with_retry
 from ..rpm.package import Package
 from ..sim import SimKernel
 from ..yum.mirror import MirrorLink
-from .chunks import Chunk, ChunkingPolicy, PackageManifest
+from .chunks import Chunk, ChunkingPolicy, ChunkRun, PackageManifest
 from .store import ChunkStore
 
 __all__ = [
@@ -146,18 +146,10 @@ class Stratum0:
     def _flip(self, catalog: dict[str, PackageManifest], meta: str) -> PublishStats:
         """Append ``catalog`` as the next generation (journaled, atomic)."""
         next_serial = self.serial + 1
-        txn = (
-            self.journal.begin("cas.publish", catalog=self.name, note=meta)
-            if self.journal is not None
-            else None
-        )
-        flip_op = (
-            self.journal.intent(
-                txn, "flip", serial=next_serial, nevras=sorted(catalog)
-            )
-            if txn is not None
-            else None
-        )
+        journal = self.journal
+        if journal is not None:
+            txn = journal.begin("cas.publish", catalog=self.name, note=meta)
+            op = journal.intent(txn, "flip", serial=next_serial, nevras=sorted(catalog))
         new_chunks = 0
         nbytes = 0
         total = 0
@@ -171,9 +163,9 @@ class Stratum0:
             self.store.retain(manifest)
         self._catalogs[next_serial] = catalog
         self.serial = next_serial
-        if txn is not None:
-            self.journal.applied(txn, flip_op)
-            self.journal.commit(txn)
+        if journal is not None:
+            journal.applied(txn, op)
+            journal.commit(txn)
         return PublishStats(
             serial=next_serial,
             packages=len(catalog),
@@ -348,7 +340,9 @@ class ChunkTier:
         # raise, so a failed fetch leaves all four untouched.
         hit_chunks = len(chunks) - len(missing)
         self.hits += hit_chunks
-        self.hit_bytes += sum(c.size for c in chunks) - nbytes
+        run = isinstance(chunks, ChunkRun)
+        total = chunks.nbytes if run else sum(c.size for c in chunks)
+        self.hit_bytes += total - nbytes
         self.misses += len(missing)
         self.kernel.trace.emit(
             "cas.fetch", t_s=self.kernel.now_s, subsystem="cas",

@@ -127,11 +127,10 @@ class RangeSet:
     # -- algebra (interval merges; never expands members) ---------------------
 
     def _merged_padding(self, other: "RangeSet") -> int:
-        if self.padding and other.padding and self.padding != other.padding:
-            raise FleetError(
-                f"mixed zero-padding widths {self.padding} and {other.padding}"
-            )
-        return max(self.padding, other.padding)
+        return _merged_width(
+            self.padding, self._ivals[0][0] if self._ivals else None,
+            other.padding, other._ivals[0][0] if other._ivals else None,
+        )
 
     def union(self, other: "RangeSet") -> "RangeSet":
         return RangeSet(
@@ -190,6 +189,36 @@ def _rank(digits: str, text: str) -> int:
         return int(digits)
     except ValueError:
         raise FleetError(f"unusable node index in {text[:60]!r}") from None
+
+
+def _split_rank(m: re.Match[str], name: str) -> tuple[str, int, int]:
+    """A trailing-integer match of ``name`` as (prefix, padding, rank)."""
+    prefix, digits = m.groups()
+    padding = len(digits) if len(digits) > 1 and digits[0] == "0" else 0
+    return prefix, padding, _rank(digits, name)
+
+
+def _merged_width(
+    padding: int, low: int | None, other_padding: int, other_low: int | None
+) -> int:
+    """The zero-padding of a union of two rank sets, given each one's
+    padding and smallest member (None when empty).
+
+    Two different widths are an addressing error, and so is an unpadded
+    member shorter than the other set's width: ``n1`` and ``n01`` are two
+    hosts that one padded range cannot both name.
+    """
+    if padding and other_padding and padding != other_padding:
+        raise FleetError(f"mixed zero-padding widths {padding} and {other_padding}")
+    width = max(padding, other_padding)
+    if width and not (padding and other_padding):  # one side is unpadded
+        shortest = other_low if padding else low
+        if shortest is not None and len(str(shortest)) < width:
+            raise FleetError(
+                f"unpadded index {shortest} is shorter than zero-padding "
+                f"width {width}"
+            )
+    return width
 
 
 def _normalize(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -257,10 +286,33 @@ class NodeSet:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "NodeSet":
-        """Fold a list of node names into patterns."""
+        """Fold a list of node names into patterns, in one pass.
+
+        Ranks are grouped per pattern and each pattern's RangeSet is built
+        and normalised once; a padding conflict raises at the same name,
+        with the same message, as adding the names one by one would.
+        """
         ns = cls()
+        folds: dict[str, list] = {}  # prefix -> [padding, lowest rank, ranks]
         for name in names:
-            ns.add(name)
+            m = _TRAILING_INT.match(name)
+            if m is None:
+                ns._scalars.add(name)
+                continue
+            prefix, padding, rank = _split_rank(m, name)
+            fold = folds.get(prefix)
+            if fold is None:
+                folds[prefix] = [padding, rank, [rank]]
+                continue
+            if padding != fold[0]:
+                fold[0] = _merged_width(fold[0], fold[1], padding, rank)
+            if rank < fold[1]:
+                fold[1] = rank
+            fold[2].append(rank)
+        for prefix, (padding, _low, ranks) in folds.items():
+            ns._patterns[(prefix, "")] = RangeSet(
+                [(rank, rank) for rank in ranks], padding=padding
+            )
         return ns
 
     def add(self, name: str) -> None:
@@ -269,9 +321,7 @@ class NodeSet:
         if m is None:
             self._scalars.add(name)
             return
-        prefix, digits = m.groups()
-        padding = len(digits) if len(digits) > 1 and digits[0] == "0" else 0
-        rank = _rank(digits, name)
+        prefix, padding, rank = _split_rank(m, name)
         self._add_range(
             (prefix, ""), RangeSet([(rank, rank)], padding=padding)
         )

@@ -264,9 +264,23 @@ class TestSiteCache:
             kernel.trace.events, strata=[s0], replicas=[s1], caches=[site]
         )
 
+    @staticmethod
+    def counting_steps(monkeypatch) -> list:
+        steps = []
+        real = LazyDelivery._step
+
+        def counting(self, held, manifest):
+            steps.append((held, manifest.nevra))
+            return real(self, held, manifest)
+
+        monkeypatch.setattr(LazyDelivery, "_step", counting)
+        return steps
+
     def test_delivery_chunks_each_published_package_once(self, monkeypatch):
         """Scaling guard: the read side looks manifests up in the catalog;
-        only the origin's publish ever chunks (a count, so it cannot flake)."""
+        only the origin's publish ever chunks (a count, so it cannot flake).
+        The 200 nodes fetch the same packages in the same order, so they
+        share every holdings object and 2,400 fetches are 12 steps."""
         import repro.cas.chunks as chunks_module
 
         chunked = []
@@ -277,6 +291,7 @@ class TestSiteCache:
             return real(pkg, **kwargs)
 
         monkeypatch.setattr(chunks_module, "chunk_package", counting)
+        steps = self.counting_steps(monkeypatch)
         _, s0, s1, site = self.chain()
         pkgs = release("1.0", n=12, size=MB)
         s0.publish(pkgs)
@@ -287,6 +302,27 @@ class TestSiteCache:
                 delivery.fetch_package(f"node{node}", pkg)
         assert delivery.stats.packages == 200 * len(pkgs)
         assert sorted(chunked) == sorted(p.nevra for p in pkgs)
+        assert len(steps) == len(pkgs)
+        assert len({id(held) for held in delivery._held.values()}) == 1
+
+    def test_distinct_orders_compute_one_step_per_fetch_never_more(
+        self, monkeypatch
+    ):
+        """Node r fetches the 12 packages rotated by r: no (holdings, package)
+        pair repeats, so each fetch is one step; the interned holdings still
+        meet in one object once every node holds all twelve."""
+        steps = self.counting_steps(monkeypatch)
+        _, s0, s1, site = self.chain()
+        pkgs = release("1.0", n=12, size=MB)
+        s0.publish(pkgs)
+        s1.replicate()
+        delivery = LazyDelivery(site)
+        for node in range(len(pkgs)):
+            for pkg in pkgs[node:] + pkgs[:node]:
+                delivery.fetch_package(f"node{node}", pkg)
+        assert len(steps) == len(pkgs) ** 2 == delivery.stats.packages
+        assert len(set(steps)) == len(steps)
+        assert len({id(held) for held in delivery._held.values()}) == 1
 
     def test_update_moves_only_delta_chunks(self):
         kernel, s0, s1, site = self.chain()
@@ -335,15 +371,21 @@ class TestLazyInstall:
         warm = (site.hits, site.misses, site.hit_bytes, site.wan_bytes)
         delivery = LazyDelivery(site)
         txn = Transaction(db, delivery=delivery)
-        txn.install(Package("solo", "1.0", size_bytes=MB))
+        new = Package("solo", "1.0", size_bytes=MB)
+        txn.install(new)
         with pytest.raises(TransactionError):
             txn.commit()
         assert not db.has("solo")  # rolled back, nothing half-landed
         # ...and nothing counted as delivered or served
         assert delivery.stats.packages == 0
         assert delivery.stats.chunks_requested == 0
-        assert delivery.stats.per_node == {}
         assert (site.hits, site.misses, site.hit_bytes, site.wan_bytes) == warm
+        # ...and the node's holdings did not advance: once the origin has the
+        # build, the node's next fetch asks the site for every chunk of it
+        s0.publish([new])
+        fetch = delivery.fetch_package(host.name, new)
+        assert fetch.chunks == len(s0.manifest_of(new).chunks) > 0
+        assert delivery.stats.bytes_reused == 0
 
     def test_installer_delivery_matches_plain_install(self):
         from repro.hardware import build_littlefe_modified
@@ -637,6 +679,90 @@ def test_property_tier_accounting_is_conserved(ops):
     assert not cas_confluence_problems(
         kernel.trace.events, strata=[s0], caches=sites.values()
     )
+
+
+STEP_POLICY = ChunkingPolicy(chunk_size=64 * 1024, delta_fraction=0.5)
+STEP_VERSIONS = ("1.0", "1.1", "2.0")
+
+
+def step_package(index, version):
+    # versions differ in size too, so their tail chunks never match
+    size = 3 * 64 * 1024 + 1000 * index + 700 * STEP_VERSIONS.index(version)
+    return Package(f"pkg{index}", version, size_bytes=size)
+
+
+step_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("publish"), st.sampled_from(STEP_VERSIONS)),
+        st.sampled_from(["replicate", "notice"]),
+        st.tuples(
+            st.sampled_from(["n0", "n1", "n2"]),
+            st.integers(0, 2),
+            st.sampled_from(STEP_VERSIONS),
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(step_ops)
+# warm v1 on n0, then v2 before it is published (the origin refuses its
+# delta chunks, as in test_transaction_fetch_failure_rolls_back), then
+# published: n0 must re-request every chunk it did not get
+@example([("publish", "1.0"), "replicate", "notice", ("n0", 0, "1.0"),
+          ("n1", 0, "1.0"), ("n0", 0, "2.0"), ("publish", "2.0"),
+          ("n0", 0, "2.0"), "replicate", ("n1", 0, "2.0"), ("n0", 0, "2.0")])
+@settings(max_examples=60, deadline=None)
+def test_property_delivery_steps_match_the_scan(ops):
+    """Shared holdings + memoised steps vs the per-node scan oracle: over
+    random node/package fetches drawn from three versions that share
+    chunks, interleaved with publish / replicate / notice_release and
+    fetches the origin refuses, both give the same return values (or the
+    same error), ``DeliveryStats``, tier counters and trace JSONL, and the
+    steps computed never outnumber the fetches."""
+    from .oracles.delivery_scan import ScanDelivery
+
+    def world(delivery_class):
+        kernel = SimKernel(seed=21)
+        s0 = Stratum0("origin", kernel=kernel, policy=STEP_POLICY)
+        s1 = Stratum1("replica", s0, make_link(), kernel=kernel)
+        site = SiteChunkCache("campus", s1, make_link(), kernel=kernel)
+        return kernel, s0, s1, site, delivery_class(site)
+
+    worlds = [world(LazyDelivery), world(ScanDelivery)]
+    fetches = 0
+
+    def counters(tier):
+        return (tier.hits, tier.misses, tier.hit_bytes, tier.wan_bytes)
+
+    for op in ops:
+        seen = []
+        for kernel, s0, s1, site, delivery in worlds:
+            if op == "replicate":
+                outcome = s1.replicate()
+            elif op == "notice":
+                outcome = site.notice_release(s0.serial)
+            elif op[0] == "publish":
+                outcome = s0.publish(
+                    [step_package(i, op[1]) for i in range(3)]
+                )
+            else:
+                node, index, version = op
+                try:
+                    outcome = delivery.fetch_package(
+                        node, step_package(index, version)
+                    )
+                except CasError as exc:
+                    outcome = ("refused", str(exc))
+            seen.append(
+                (outcome, delivery.stats, counters(site), counters(s1))
+            )
+        assert seen[0] == seen[1], op
+        fetches += isinstance(op, tuple) and op[0] != "publish"
+    lazy, scan = worlds[0][0], worlds[1][0]
+    assert lazy.trace.to_jsonl() == scan.trace.to_jsonl()
+    assert len(worlds[0][4]._steps) <= fetches
 
 
 # --- chaos invariant 9 ------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 
 import repro.cas
 import repro.repod
-from repro.cas import SiteChunkCache
+from repro.cas import ChunkTier, DeliveryStats, LazyDelivery, SiteChunkCache
 from repro.repod import RepoClient, SiteProxy, StormReport, UpdateStormScenario
 
 
@@ -42,6 +42,32 @@ def test_delivery_plane_exports_and_constructor_options_are_exact():
     assert _parameters(UpdateStormScenario) == [
         "seed", "campuses", "clients_per_campus", "governed", "slots",
         "queue_limit", "budget_capacity", "budget_refill_per_s", "goodput_floor",
+    ]
+
+
+def test_serve_path_parameters_are_exact():
+    """A delivery step reaches the tier through ``fetch_chunks`` as it is:
+    its digest set and byte total ride on the chunk run, not a parameter."""
+    def parameters(fn):
+        return [
+            (p.name, p.kind.name, p.default)
+            for p in inspect.signature(fn).parameters.values()
+        ]
+
+    serve = [
+        ("self", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("chunks", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("artifact", "KEYWORD_ONLY", inspect.Parameter.empty),
+        ("requester", "KEYWORD_ONLY", "node"),
+    ]
+    assert parameters(ChunkTier.fetch_chunks) == serve
+    assert parameters(SiteChunkCache.fetch_chunks) == serve
+    assert _parameters(LazyDelivery) == ["site"]
+    assert [name for name, _, _ in parameters(LazyDelivery.fetch_package)] == [
+        "self", "node", "pkg",
+    ]
+    assert [f.name for f in dataclasses.fields(DeliveryStats)] == [
+        "packages", "chunks_requested", "bytes_fetched", "bytes_reused",
     ]
 
 

@@ -138,6 +138,69 @@ def test_fold_names_is_compact():
     assert fold_names(f"compute-0-{i}" for i in range(100)) == "compute-0-[0-99]"
 
 
+@pytest.mark.parametrize(
+    "build, arg",
+    [
+        (NodeSet.from_names, ["n1", "n01", "n2"]),
+        (NodeSet.from_names, ["n01", "n1"]),
+        (NodeSet.from_names, ["n0", "n00"]),
+        (NodeSet.parse, "n[1-2],n[01-02]"),
+        (NodeSet.parse, "n[001-002],n[10-20]"),
+        (NodeSet.parse("n[01-02]").union, NodeSet.parse("n[1-9]")),
+    ],
+)
+def test_unpadded_index_shorter_than_the_padding_is_refused(build, arg):
+    """``n1`` and ``n01`` are two hosts; no padded range names both, so the
+    union refuses instead of folding them into one (and inventing ``n02``)."""
+    with pytest.raises(FleetError, match="shorter than zero-padding width"):
+        build(arg)
+
+
+@pytest.mark.parametrize(
+    "names, folded",
+    [
+        (["n10", "n01"], "n[01,10]"),
+        (["n100", "n001", "n099"], "n[001,099-100]"),
+        (["n01", "n02", "rack1"], "n[01-02],rack1"),
+    ],
+)
+def test_unpadded_index_as_long_as_the_padding_folds(names, folded):
+    assert fold_names(names) == folded
+    assert NodeSet.parse(folded).expand() == sorted(names)
+
+
+scattered_names = st.lists(
+    st.one_of(
+        st.builds(
+            lambda prefix, rank, width: f"{prefix}{rank:0{width}d}" if width
+            else f"{prefix}{rank}",
+            st.sampled_from(["n", "rack-", "c0-"]),
+            st.one_of(st.integers(0, 12), st.integers(0, 150)),
+            st.sampled_from([0, 0, 0, 0, 2, 3]),
+        ),
+        st.sampled_from(["head", "nas"]),
+    ),
+    max_size=40,
+)
+
+
+@given(scattered_names)
+@settings(max_examples=200, deadline=None)
+def test_property_from_names_matches_adding_each_name(names):
+    """The one-pass fold vs the per-name ``add`` loop it replaced: the same
+    ``str()`` and iteration order, or the same ``FleetError``."""
+    from .oracles.nodeset_fold import fold_by_add
+
+    def outcome(fold):
+        try:
+            ns = fold(iter(names))
+        except FleetError as exc:
+            return ("refused", str(exc))
+        return str(ns), list(ns)
+
+    assert outcome(NodeSet.from_names) == outcome(fold_by_add)
+
+
 # -- FleetTable vs a legacy per-node reference model -----------------------------
 
 
