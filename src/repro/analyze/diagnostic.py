@@ -3,9 +3,8 @@
 A :class:`Diagnostic` is one finding: a stable rule code (``KS101``), a
 severity, a human-readable message, and enough location context to act on it
 without re-running the analysis.  ``str(diag)`` is deliberately just the
-message — pre-existing list-of-strings APIs (``Transaction.check``) are kept
-alive by mapping ``str`` over their diagnostics; the structured fields ride
-along for callers that want them.
+message, so a caller that wants plain strings maps ``str`` over the
+diagnostics; the structured fields ride along for callers that want them.
 
 This module has no dependencies on the rest of the package so that any
 subsystem (rpm, rocks, yum, ...) can produce diagnostics without import

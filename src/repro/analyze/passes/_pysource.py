@@ -12,7 +12,7 @@ the pieces every SL pass needs:
   that decides whether an expression's iteration order is deterministic
   (sets are not; ``sorted(...)`` always is), including one level of
   same-file function summaries ("this helper returns a set");
-* small helpers shared by the epoch and trace-order passes.
+* small helpers shared by the memo and trace-order passes.
 
 Everything here is pure analysis over stdlib :mod:`ast`; nothing imports
 the modules being analyzed.
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "ImportMap",
-    "dotted_name",
     "UnorderedAnalysis",
     "iter_functions",
     "self_attr",
@@ -77,18 +76,6 @@ class ImportMap:
         if root is not None:
             parts[0:1] = root.split(".")
         return ".".join(parts)
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """Literal dotted spelling of a Name/Attribute chain (no aliasing)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def self_attr(node: ast.AST) -> str | None:

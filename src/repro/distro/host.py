@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import CommandError, DistroError
+from ..errors import CommandError, DistroError, FilesystemError
 from ..hardware.node import Node
 from .distribution import DistroRelease
 from .filesystem import FileKind, Filesystem
@@ -114,7 +114,8 @@ class Host:
 
         This is what makes Section 8's Raspberry-Pi argument executable:
         XCBC/XNIT packages are ``x86_64`` builds and refuse to install on a
-        non-x86 host (see :meth:`repro.rpm.transaction.Transaction.check`).
+        non-x86 host (rule TX701 of
+        :meth:`repro.rpm.transaction.Transaction.check_diagnostics`).
         """
         return self.node.cpu.arch.isa
 
@@ -161,7 +162,7 @@ class Host:
                 if node.kind is FileKind.SYMLINK:
                     try:
                         node = self.fs.get(node.target)
-                    except Exception:
+                    except FilesystemError:
                         continue
                 if node.kind is FileKind.FILE and node.executable:
                     seen.add(name)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import FaultError, HeadnodeCrashError
+from ..errors import FaultError, HeadnodeCrashError, MonitoringError
 from .plan import FaultKind, FaultPlan, FaultSpec
 
 __all__ = ["FaultInjector", "ActiveFault"]
@@ -126,7 +126,7 @@ class FaultInjector:
         if self.gmetad is not None:
             try:
                 self.gmetad.gmond_for(spec.target).fail_heartbeat()
-            except Exception:
+            except MonitoringError:
                 pass  # node not in the monitoring mesh; nothing to silence
 
     def _recover_node(self, spec: FaultSpec) -> None:
@@ -137,7 +137,7 @@ class FaultInjector:
         if self.gmetad is not None:
             try:
                 self.gmetad.gmond_for(spec.target).restore_heartbeat()
-            except Exception:
+            except MonitoringError:
                 pass
         scheduler.recover_node(spec.target)
 

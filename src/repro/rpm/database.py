@@ -7,15 +7,12 @@ host and answers capability queries.  Mutation goes through
 
 Capability queries (``providers_of`` / ``is_satisfied`` — the depsolver's
 innermost loop) are served from an inverted provides-name → packages index.
-Every mutation bumps a monotonic :attr:`epoch`; the index is kept current
-incrementally once built, and downstream caches (the depsolver's resolution
-cache) key on ``(host, epoch)`` or on :meth:`fingerprint` to stay sound.
-The pre-index scans survive as oracles in ``tests/oracles/rpm_scans.py``.
-
-The bump discipline is machine-checked: simlint's SL201 walks every
-method of this class path-sensitively and flags any route that mutates
-indexed state without bumping :attr:`epoch` (or syncing a validity
-marker, or raising).  See docs/ANALYZE.md.
+Each derived value (that index, the :meth:`fingerprint` digest) is either
+absent (``None``) or current: the index is built on the first query, since
+most per-node databases are never queried, and from then on install and
+erase keep it current; both drop the digest.  Downstream caches (the
+depsolver's resolution cache) key on :meth:`fingerprint`.  The pre-index
+scans survive as oracles in ``tests/oracles/rpm_scans.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import hashlib
 from typing import Iterable
 
 from ..distro.host import Host
-from ..errors import PackageNotFoundError, RpmError
+from ..errors import PackageNotFoundError, RpmError, ServiceError
 from .package import Package, ProvidesIndex, Requirement
 
 __all__ = ["RpmDatabase"]
@@ -36,38 +33,29 @@ class RpmDatabase:
     def __init__(self, host: Host) -> None:
         self.host = host
         self._by_name: dict[str, Package] = {}
-        self._epoch = 0
-        self._index_epoch = -1
-        self._provides_index = ProvidesIndex()
-        self._fingerprint_epoch = -1
-        self._fingerprint = ""
-
-    @property
-    def epoch(self) -> int:
-        """Monotonic mutation counter: bumped by every install/erase."""
-        return self._epoch
+        self._provides_index: ProvidesIndex | None = None
+        self._fingerprint: str | None = None
 
     def fingerprint(self) -> str:
-        """Content digest of the installed set (memoised per epoch).
+        """Content digest of the installed set (memoised until the next
+        install or erase).
 
         Two databases with equal fingerprints hold the same NEVRAs, so
         resolution results computed against one are valid for the other —
         the XCBC "same stack on every node" cache key (docs/PERF.md).
         """
-        if self._fingerprint_epoch != self._epoch:
+        if self._fingerprint is None:
             digest = hashlib.sha256()
             for nevra in sorted(p.nevra for p in self._by_name.values()):
                 digest.update(nevra.encode())
             self._fingerprint = digest.hexdigest()
-            self._fingerprint_epoch = self._epoch
         return self._fingerprint
 
-    # -- capability index ----------------------------------------------------
-
-    def _ensure_index(self) -> None:
-        if self._index_epoch != self._epoch:
+    def _index(self) -> ProvidesIndex:
+        """The capability index, built from the installed set on first use."""
+        if self._provides_index is None:
             self._provides_index = ProvidesIndex(self._by_name.values())
-            self._index_epoch = self._epoch
+        return self._provides_index
 
     # -- queries ------------------------------------------------------------
 
@@ -94,13 +82,11 @@ class RpmDatabase:
 
     def providers_of(self, req: Requirement) -> list[Package]:
         """Installed packages satisfying ``req`` (index lookup)."""
-        self._ensure_index()
-        return sorted(self._provides_index.providers(req), key=lambda p: p.name)
+        return sorted(self._index().providers(req), key=lambda p: p.name)
 
     def is_satisfied(self, req: Requirement) -> bool:
         """True if some installed package satisfies ``req``."""
-        self._ensure_index()
-        return self._provides_index.is_satisfied(req)
+        return self._index().is_satisfied(req)
 
     def unsatisfied_requirements(self) -> list[tuple[Package, Requirement]]:
         """Integrity check: every requirement of every installed package that
@@ -133,7 +119,7 @@ class RpmDatabase:
         for service in pkg.services:
             try:
                 record = self.host.services.get(service)
-            except Exception:
+            except ServiceError:
                 problems.append(f"unregistered service {service}")
                 continue
             if record.package != pkg.name:
@@ -198,10 +184,9 @@ class RpmDatabase:
                 f"exists: {pkg.module.fullname}"
             )
         self._by_name[pkg.name] = pkg
-        if self._index_epoch == self._epoch:
+        if self._provides_index is not None:
             self._provides_index.add(pkg)
-            self._index_epoch += 1
-        self._epoch += 1
+        self._fingerprint = None
         for path, content, mode in pkg.payload:
             host.fs.write(path, content, owner=pkg.name, mode=mode)
         for service in pkg.services:
@@ -213,10 +198,9 @@ class RpmDatabase:
         """Erase a package and its payload (no dependant checking)."""
         pkg = self.get(name)
         del self._by_name[name]
-        if self._index_epoch == self._epoch:
+        if self._provides_index is not None:
             self._provides_index.discard(pkg)
-            self._index_epoch += 1
-        self._epoch += 1
+        self._fingerprint = None
         self._drop_payload(pkg)
         return pkg
 

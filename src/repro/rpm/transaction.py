@@ -6,7 +6,7 @@ automatic updates causing "unexpected behavior" is exactly about transactions
 that succeed mechanically but break expectations; the mechanical layer at
 least must be atomic).
 
-Rules enforced by :meth:`Transaction.check`:
+Rules enforced by :meth:`Transaction.check_diagnostics`:
 
 * nothing installed twice; erases must name installed packages;
 * after the transaction, every requirement of every remaining package is
@@ -177,8 +177,7 @@ class Transaction:
         Each problem carries a stable ``TX7xx`` rule code (catalogued in
         :mod:`repro.analyze.txn` and docs/ANALYZE.md).  Order is the
         validation order — arch, erases, installs, requires, conflicts —
-        not severity order, so :meth:`check` stays byte-identical to its
-        historical output.  The requires and conflicts passes share one
+        not severity order.  The requires and conflicts passes share one
         :class:`ProvidesIndex` over the final set: linear in what is declared.
         """
 
@@ -263,15 +262,6 @@ class Transaction:
                 f"transaction:conflict/{name}",
             ))
         return problems
-
-    def check(self) -> list[str]:
-        """Validate; returns a list of human-readable problems (empty = ok).
-
-        Thin compatibility shim over :meth:`check_diagnostics` — the strings
-        are each diagnostic's message, unchanged from before diagnostics
-        existed.
-        """
-        return [str(d) for d in self.check_diagnostics()]
 
     def upgrade(self, pkg: Package) -> "Transaction":
         """Queue an in-place upgrade: erase old EVR, install the new one."""

@@ -18,8 +18,8 @@ conflict-by-version, and honours ``obsoletes`` during updates.
 One cache makes repeated resolution cheap (the XCBC fast path — the same
 136-package stack resolved on all 220 Kansas nodes):
 :func:`resolve_install` / :func:`resolve_update` keep a bounded LRU of
-whole :class:`Resolution` objects keyed on (goal names, repo epoch,
-installed-set fingerprint) — equal keys provably resolve identically, so
+whole :class:`Resolution` objects keyed on (goal names, repo-set
+fingerprint, installed-set fingerprint) — equal keys provably resolve identically, so
 node 2..220 of a uniform build is a dict hit.  Cached hits return fresh
 copies; callers may mutate their Resolution freely.
 
@@ -153,7 +153,7 @@ def _closure(
 
 # -- whole-resolution cache ---------------------------------------------------
 
-#: verb + goal names + repo epoch + db fingerprint -> Resolution (LRU).
+#: verb + goal names + repo-set fingerprint + db fingerprint -> Resolution (LRU).
 _RESOLUTION_CACHE: "OrderedDict[tuple, Resolution]" = OrderedDict()
 _RESOLUTION_CACHE_MAX = 1024
 _CACHE_STATS = {"hits": 0, "misses": 0}
@@ -196,7 +196,7 @@ def resolve_install(
     names: list[str], repos: RepoSet, db: RpmDatabase
 ) -> Resolution:
     """Resolve ``yum install name...``: goals by name, newest candidates."""
-    key = ("install", tuple(names), repos.epoch, db.fingerprint())
+    key = ("install", tuple(names), repos.fingerprint(), db.fingerprint())
     cached = _cache_get(key)
     if cached is not None:
         return cached
@@ -228,7 +228,7 @@ def resolve_update(
     it even across a name change.
     """
     targets = names if names is not None else sorted(db.names())
-    key = ("update", tuple(targets), repos.epoch, db.fingerprint())
+    key = ("update", tuple(targets), repos.fingerprint(), db.fingerprint())
     cached = _cache_get(key)
     if cached is not None:
         return cached

@@ -12,14 +12,14 @@ what stops the base OS from shadowing the XSEDE builds (and is ablated in
 Hot-path queries are served from *capability indexes* (the move yum itself
 made when it swapped scan-based depsolving for libsolv): each repository
 keeps inverted maps — provides-name → packages, obsoleted-name → packages —
-built lazily and invalidated by a monotonic mutation epoch (``revision``),
+that :meth:`Repository.add` and :meth:`Repository.remove` update in place,
 so :meth:`Repository.providers_of` is a dict lookup instead of a walk over
-every published NEVRA.  The pre-index scan implementations are retained as
-reference oracles in ``tests/oracles/yum_scans.py``; the hypothesis suite in
-``tests/test_perf_indexes.py`` checks they agree under random mutation.
-See ``docs/PERF.md`` for the invalidation rules; simlint's SL201/SL202
-(docs/ANALYZE.md) enforce them statically — every mutation path must
-bump ``revision`` and every memo must carry an epoch key.
+every published NEVRA.  The same two mutators drop the memoised
+:meth:`Repository.repomd_checksum`, so every derived value is either
+absent or current.  The pre-index scan implementations
+are retained as reference oracles in ``tests/oracles/yum_scans.py``; the
+hypothesis suite in ``tests/test_perf_indexes.py`` checks they agree under
+random mutation (docs/PERF.md).
 """
 
 from __future__ import annotations
@@ -60,20 +60,9 @@ class Repository:
         self.priority = priority
         self.enabled = enabled
         self._packages: dict[str, list[Package]] = {}
-        #: monotonic mutation epoch — bumped on every add/remove; all lazy
-        #: indexes and downstream caches key their validity on it.
-        self.revision = 0
-        self._index_epoch = -1
         self._provides_index = ProvidesIndex()
         self._obsoletes_index: dict[str, list[Package]] = {}
-        self._checksum_epoch = -1
-        self._checksum = ""
-
-    @property
-    def epoch(self) -> int:
-        """The mutation epoch (alias of ``revision``): changes iff content
-        changed, so ``epoch`` equality proves every index/cache is fresh."""
-        return self.revision
+        self._checksum: str | None = None
 
     # -- publishing ----------------------------------------------------------
 
@@ -85,7 +74,10 @@ class Repository:
             raise YumError(f"repo {self.repo_id}: {pkg.nevra} already published")
         versions.append(pkg)
         versions.sort(key=lambda p: p.evr)
-        self.revision += 1
+        self._provides_index.add(pkg)
+        for obs in pkg.obsoletes:
+            self._obsoletes_index.setdefault(obs.name, []).append(pkg)
+        self._checksum = None
 
     def add_all(self, pkgs: list[Package]) -> None:
         """Publish many packages."""
@@ -100,26 +92,15 @@ class Repository:
                     versions.remove(pkg)
                     if not versions:
                         del self._packages[name]
-                    self.revision += 1
+                    self._provides_index.discard(pkg)
+                    for obs in pkg.obsoletes:
+                        bucket = self._obsoletes_index[obs.name]
+                        bucket.remove(pkg)
+                        if not bucket:
+                            del self._obsoletes_index[obs.name]
+                    self._checksum = None
                     return
         raise PackageNotFoundError(f"repo {self.repo_id}: no such NEVRA {nevra}")
-
-    # -- capability indexes ---------------------------------------------------
-
-    def _ensure_index(self) -> None:
-        """(Re)build the inverted capability maps iff the epoch moved."""
-        if self._index_epoch == self.revision:
-            return
-        provides = ProvidesIndex()
-        obsoletes: dict[str, list[Package]] = {}
-        for versions in self._packages.values():
-            for pkg in versions:
-                provides.add(pkg)
-                for obs in pkg.obsoletes:
-                    obsoletes.setdefault(obs.name, []).append(pkg)
-        self._provides_index = provides
-        self._obsoletes_index = obsoletes
-        self._index_epoch = self.revision
 
     # -- queries ---------------------------------------------------------------
 
@@ -145,7 +126,6 @@ class Repository:
 
     def providers_of(self, req: Requirement) -> list[Package]:
         """Every published package satisfying ``req`` (index lookup)."""
-        self._ensure_index()
         return sorted(
             self._provides_index.providers(req), key=lambda p: (p.name, p.evr)
         )
@@ -153,7 +133,6 @@ class Repository:
     def obsoleters_of(self, target: Package) -> list[Package]:
         """Published packages (other than ``target``'s name) that obsolete
         ``target`` — the update path's obsoletes scan, as an index lookup."""
-        self._ensure_index()
         candidates = self._obsoletes_index.get(target.name)
         if not candidates:
             return []
@@ -178,14 +157,13 @@ class Repository:
     def repomd_checksum(self) -> str:
         """Stable fingerprint of the current metadata (changes iff content
         changes) — what a mirror compares to decide whether to resync.
-        Memoised per epoch, so repeated probes of an unchanged repo are
-        O(1) instead of re-hashing every NEVRA."""
-        if self._checksum_epoch != self.revision:
+        Memoised until the next add or remove, so repeated probes of an
+        unchanged repo are O(1) instead of re-hashing every NEVRA."""
+        if self._checksum is None:
             digest = hashlib.sha256()
             for pkg in self.all_packages():
                 digest.update(pkg.nevra.encode())
             self._checksum = digest.hexdigest()
-            self._checksum_epoch = self.revision
         return self._checksum
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -203,8 +181,8 @@ class RepoSet:
 
     A RepoSet holds no derived state: every query reads the member
     repositories' own indexes, so a mutated repo (or a toggled
-    ``enabled``/``priority``) is seen by the next call.  :attr:`epoch`
-    fingerprints the configuration for the caches layered above (the
+    ``enabled``/``priority``) is seen by the next call.  :meth:`fingerprint`
+    identifies the configuration for the caches layered above (the
     depsolver's resolution LRU).
     """
 
@@ -238,14 +216,13 @@ class RepoSet:
             (r.repo_id, r.priority, r.package_count()) for r in self.enabled_repos()
         ]
 
-    @property
-    def epoch(self) -> tuple:
+    def fingerprint(self) -> tuple:
         """Content-addressed fingerprint of the whole configuration.
 
-        Two RepoSets with equal epochs resolve identically: the tuple pins
-        each member's id, content checksum (memoised per repo revision),
-        enabled flag and priority, plus the plugin switch.  The depsolver
-        resolution cache keys on it — see docs/PERF.md.
+        Two RepoSets with equal fingerprints resolve identically: the tuple
+        pins each member's id, content checksum, enabled flag and priority,
+        plus the plugin switch.  The depsolver resolution cache keys on it —
+        see docs/PERF.md.
         """
         return (
             self.use_priorities,

@@ -10,9 +10,9 @@ class Catalog:
         self._cache_epoch = -1  # marker ties the memo to repo content
 
     def providers(self, name):
-        if self._cache_epoch != self.repos.epoch:
+        if self._cache_epoch != self.repos.fingerprint():
             self._providers_cache.clear()
-            self._cache_epoch = self.repos.epoch
+            self._cache_epoch = self.repos.fingerprint()
         if name not in self._providers_cache:
             self._providers_cache[name] = self.repos.providers_of(name)
         return self._providers_cache[name]

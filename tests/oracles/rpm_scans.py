@@ -11,10 +11,14 @@ returns exactly what these return.
   commit ``c6c39c4`` (before the transaction-local ``ProvidesIndex``);
 * :func:`scan_closure` — ``yum.depsolver._closure`` at the same commit;
 * :func:`scan_providers_of`, :func:`scan_is_satisfied` — ``RpmDatabase``'s
-  pre-index queries (formerly ``RpmDatabase._scan_*``).
+  pre-index queries (formerly ``RpmDatabase._scan_*``);
+* :func:`scan_fingerprint` — ``RpmDatabase.fingerprint`` recomputed from
+  the installed set, with no memo.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.analyze.diagnostic import Diagnostic, Severity
 from repro.errors import DependencyError
@@ -28,6 +32,7 @@ __all__ = [
     "scan_closure",
     "scan_providers_of",
     "scan_is_satisfied",
+    "scan_fingerprint",
 ]
 
 
@@ -207,3 +212,12 @@ def scan_providers_of(self: RpmDatabase, req: Requirement) -> list[Package]:
 def scan_is_satisfied(self: RpmDatabase, req: Requirement) -> bool:
     """Reference oracle for :meth:`RpmDatabase.is_satisfied`."""
     return any(p.satisfies(req) for p in self._by_name.values())
+
+
+def scan_fingerprint(self: RpmDatabase) -> str:
+    """Reference oracle for :meth:`RpmDatabase.fingerprint`: sha256 over
+    the sorted installed NEVRAs."""
+    digest = hashlib.sha256()
+    for nevra in sorted(p.nevra for p in self.installed()):
+        digest.update(nevra.encode())
+    return digest.hexdigest()

@@ -1,14 +1,18 @@
 """Pre-index scan queries of the yum repository classes, kept verbatim.
 
-Each function is the body of a former ``_scan_*`` method of
+Each ``scan_*`` query is the body of a former ``_scan_*`` method of
 :class:`Repository` or :class:`RepoSet`, moved out of ``src/`` unchanged
-(``self`` is the object the method used to live on).  They walk every
-published NEVRA by design: ``tests/test_perf_indexes.py`` asserts the
-indexed queries in ``src/repro/yum/repository.py`` return exactly what these
-return after every random mutation.
+(``self`` is the object the method used to live on).  The two digest scans
+recompute, from the published packages alone, the values the resolution
+cache is keyed on.  All of them walk every published NEVRA by design:
+``tests/test_perf_indexes.py`` asserts the indexed queries and memoised
+digests in ``src/repro/yum/repository.py`` return exactly what these
+return after random mutation.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.rpm import Package, Requirement
 from repro.yum import RepoSet, Repository
@@ -18,6 +22,8 @@ __all__ = [
     "scan_providers_of",
     "scan_obsoleters_of",
     "scan_reposet_providers_of",
+    "scan_repomd_checksum",
+    "scan_reposet_fingerprint",
 ]
 
 
@@ -60,3 +66,24 @@ def scan_reposet_providers_of(self: RepoSet, req: Requirement) -> list[Package]:
     for name in sorted(names):
         out.extend(p for p in self.candidates_by_name(name) if p.satisfies(req))
     return out
+
+
+def scan_repomd_checksum(self: Repository) -> str:
+    """Oracle for :meth:`Repository.repomd_checksum`: sha256 over every
+    published NEVRA in (name, EVR) order, no memo."""
+    published = [p for versions in self._packages.values() for p in versions]
+    digest = hashlib.sha256()
+    for pkg in sorted(published, key=lambda p: (p.name, p.evr)):
+        digest.update(pkg.nevra.encode())
+    return digest.hexdigest()
+
+
+def scan_reposet_fingerprint(self: RepoSet) -> tuple:
+    """Oracle for :meth:`RepoSet.fingerprint`, from the scanned checksums."""
+    return (
+        self.use_priorities,
+        tuple(
+            (rid, scan_repomd_checksum(r), r.enabled, r.priority)
+            for rid, r in sorted(self._repos.items())
+        ),
+    )

@@ -5,11 +5,16 @@ do: loudly, locally, and recoverably.  Each scenario injects one fault and
 asserts both the failure shape and the recovery path.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import (
     DhcpError,
+    FilesystemError,
+    MonitoringError,
     PxeError,
+    ServiceError,
     TransactionError,
 )
 from repro.hardware import build_littlefe_modified
@@ -162,3 +167,77 @@ class TestMonitoringSeesFailures:
             assert " NO" in dashboard  # the down row
         finally:
             machine.compute_nodes[-1].powered_on = True
+
+
+# --- a swallowed callee error is the typed one, never a programming error ---
+
+
+def _raiser(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+
+    return raise_
+
+
+def _verify_unregistered_service(monkeypatch, exc, machine):
+    from repro.distro import CENTOS_6_5, Host
+    from repro.rpm import RpmDatabase
+
+    db = RpmDatabase(Host(machine.head, CENTOS_6_5))
+    Transaction(db).install(
+        Package("torque", "4.2.10", services=("pbs_mom",))
+    ).commit()
+    monkeypatch.setattr(db.host.services, "get", _raiser(exc))
+    return db.verify("torque")
+
+
+def _commands_through_symlink(monkeypatch, exc, machine):
+    from repro.distro import CENTOS_6_5, Host
+
+    host = Host(machine.head, CENTOS_6_5)
+    host.fs.write("/usr/libexec/qsub-real", "#!ELF", mode=0o755)
+    host.fs.symlink("/usr/bin/qsub", "/usr/libexec/qsub-real")
+    get = host.fs.get
+    monkeypatch.setattr(
+        host.fs, "get",
+        lambda path: _raiser(exc)() if path == "/usr/libexec/qsub-real" else get(path),
+    )
+    return "qsub" in host.commands()
+
+
+class _Scheduler:
+    def crash_node(self, name, *, reason):
+        pass
+
+    def recover_node(self, name):
+        pass
+
+
+def _injector_heartbeat(handler):
+    def run(monkeypatch, exc, machine):
+        from repro.faults import FaultInjector, FaultKind, FaultSpec
+
+        gmetad = SimpleNamespace(gmond_for=_raiser(exc))
+        injector = FaultInjector(None, scheduler=_Scheduler(), gmetad=gmetad)
+        spec = FaultSpec(FaultKind.NODE_CRASH, "compute-0-0", at_s=0.0)
+        return getattr(injector, handler)(spec)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "site,typed,skipped",
+    [
+        (_verify_unregistered_service, ServiceError, ["unregistered service pbs_mom"]),
+        (_commands_through_symlink, FilesystemError, False),
+        (_injector_heartbeat("_crash_node"), MonitoringError, None),
+        (_injector_heartbeat("_recover_node"), MonitoringError, None),
+    ],
+    ids=["RpmDatabase.verify", "Host.commands", "_crash_node", "_recover_node"],
+)
+def test_catch_names_the_typed_error(monkeypatch, littlefe_machine, site, typed, skipped):
+    """The typed error the callee raises is skipped; anything else (here an
+    AttributeError, a programming error) propagates."""
+    assert site(monkeypatch, typed("absent"), littlefe_machine) == skipped
+    with pytest.raises(AttributeError):
+        site(monkeypatch, AttributeError("bug"), littlefe_machine)

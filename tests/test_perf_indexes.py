@@ -1,14 +1,17 @@
 """Property tests: indexed query paths vs the retained scan oracles.
 
 The hot-path overhaul gave Repository / RepoSet / RpmDatabase inverted
-capability indexes with lazy build and epoch-based invalidation, keeping
-every pre-index implementation as a reference (``tests/oracles/yum_scans.py``
-for the repository classes, ``tests/oracles/rpm_scans.py`` for the RPM
-database, the transaction and the depsolver closure).  These tests drive random
-add/remove/install/erase sequences through each container and compare the
-indexed answers against the scans *after every mutation* — a stale index
-(missed invalidation, missed discard) diverges here.  The transaction and
-``_closure`` properties do the same over random package universes.
+capability indexes, keeping every pre-index implementation as a reference
+(``tests/oracles/yum_scans.py`` for the repository classes,
+``tests/oracles/rpm_scans.py`` for the RPM database, the transaction and the
+depsolver closure).  A derived value is either absent or current: the
+mutators update or drop it, and nothing else guards it.  These tests drive
+random add/remove/install/erase sequences through each container and, after
+a drawn subset of the steps (and the last one), compare the indexed answers
+and the memoised digests the resolution cache is keyed on against the scans.
+Steps left unqueried leave an index unbuilt or a digest unread, so mutations
+land on both states; a stale index or digest diverges here.  The transaction
+and ``_closure`` properties do the same over random package universes.
 """
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import (
     DependencyError,
     PackageNotFoundError,
+    RpmError,
     TraceError,
     TransactionError,
     YumError,
@@ -30,6 +34,7 @@ from .oracles import yum_scans
 from .oracles.rpm_scans import (
     scan_check_diagnostics,
     scan_closure,
+    scan_fingerprint,
     scan_install_order,
     scan_is_satisfied,
     scan_providers_of,
@@ -58,9 +63,20 @@ packages = st.builds(
     st.one_of(st.none(), st.integers(0, len(NAMES) - 1)),
 )
 
+#: (action, package, query after this step?)
 edit_sequences = st.lists(
-    st.tuples(st.sampled_from(["add", "remove"]), packages), min_size=1, max_size=12
+    st.tuples(st.sampled_from(["add", "remove"]), packages, st.booleans()),
+    min_size=1,
+    max_size=12,
 )
+
+
+def _queried(steps):
+    """Each step with its trailing query flag kept as drawn, except that the
+    last step is always queried."""
+    last = len(steps) - 1
+    return [(*step[:-1], step[-1] or i == last) for i, step in enumerate(steps)]
+
 
 QUERIES = [Requirement(n) for n in NAMES + CAPS] + [
     Requirement("alpha", Flag.GE, "2.0"),
@@ -96,8 +112,11 @@ class TestRepositoryIndex:
     @settings(max_examples=60, deadline=None)
     def test_queries_match_scans_under_mutation(self, edits):
         repo = Repository("r")
-        for action, pkg in edits:
+        for action, pkg, query in _queried(edits):
             _apply(repo, action, pkg)
+            if not query:
+                continue
+            assert repo.repomd_checksum() == yum_scans.scan_repomd_checksum(repo)
             for req in QUERIES:
                 assert repo.providers_of(req) == yum_scans.scan_providers_of(repo, req)
             for name in NAMES:
@@ -107,14 +126,6 @@ class TestRepositoryIndex:
                     repo, target
                 )
 
-    def test_epoch_advances_on_every_mutation(self):
-        repo = Repository("r")
-        e0 = repo.epoch
-        repo.add(Package("alpha", "1.0"))
-        e1 = repo.epoch
-        repo.remove("alpha-1.0-1.x86_64")
-        assert e0 < e1 < repo.epoch
-
 
 class TestRepoSetIndex:
     @given(edit_sequences, edit_sequences)
@@ -123,27 +134,30 @@ class TestRepoSetIndex:
         base = Repository("base", priority=90)
         xsede = Repository("xsede", priority=50)
         repos = RepoSet([base, xsede])
-        script = [(base, a, p) for a, p in base_edits] + [
-            (xsede, a, p) for a, p in xsede_edits
+        script = [(base, *step) for step in base_edits] + [
+            (xsede, *step) for step in xsede_edits
         ]
-        for repo, action, pkg in script:
+        for repo, action, pkg, query in _queried(script):
             _apply(repo, action, pkg)
+            if not query:
+                continue
+            assert repos.fingerprint() == yum_scans.scan_reposet_fingerprint(repos)
             for req in QUERIES:
                 assert repos.providers_of(req) == yum_scans.scan_reposet_providers_of(
                     repos, req
                 )
 
     def test_epoch_is_content_addressed_across_instances(self):
-        """Two RepoSets over repos with identical content share an epoch —
-        the property that lets the resolution cache hit across the fresh
-        per-node RepoSet the Rocks installer builds."""
+        """Two RepoSets over repos with identical content share a
+        fingerprint — the property that lets the resolution cache hit across
+        the fresh per-node RepoSet the Rocks installer builds."""
         one = Repository("xsede", priority=50)
         two = Repository("xsede", priority=50)
         for repo in (one, two):
             repo.add(Package("alpha", "1.0"))
-        assert RepoSet([one]).epoch == RepoSet([two]).epoch
+        assert RepoSet([one]).fingerprint() == RepoSet([two]).fingerprint()
         two.add(Package("bravo", "1.0"))
-        assert RepoSet([one]).epoch != RepoSet([two]).epoch
+        assert RepoSet([one]).fingerprint() != RepoSet([two]).fingerprint()
 
 
 class TestRpmDatabaseIndex:
@@ -154,14 +168,17 @@ class TestRpmDatabaseIndex:
         from repro.rpm import RpmDatabase
 
         db = RpmDatabase(Host(_machine().head, CENTOS_6_5))
-        for action, pkg in edits:
+        for action, pkg, query in _queried(edits):
             try:
                 if action == "add":
                     db._install_unchecked(pkg)
                 else:
                     db._erase_unchecked(pkg.name)
-            except Exception:
+            except RpmError:
                 pass  # duplicate install / missing erase
+            if not query:
+                continue
+            assert db.fingerprint() == scan_fingerprint(db)
             for req in QUERIES:
                 assert db.providers_of(req) == scan_providers_of(db, req)
                 assert db.is_satisfied(req) == scan_is_satisfied(db, req)

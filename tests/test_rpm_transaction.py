@@ -162,29 +162,32 @@ class TestTransactionValidation:
 
 
 class TestCheckDiagnostics:
-    """check() is a thin shim over check_diagnostics(): the structured
-    records carry stable TX7xx codes; str() of each is the legacy string."""
+    """check_diagnostics(): the structured records carry stable TX7xx
+    codes; str() of each is its message."""
 
     def codes(self, txn):
         return [d.code for d in txn.check_diagnostics()]
+
+    def strings(self, txn):
+        return [str(d) for d in txn.check_diagnostics()]
 
     def test_check_strings_are_diagnostic_messages(self, db):
         txn = Transaction(db).install(
             mk("gromacs", requires=(Requirement("openmpi"),))
         )
         diags = txn.check_diagnostics()
-        assert txn.check() == [str(d) for d in diags]
-        assert txn.check() == [d.message for d in diags]
+        assert self.strings(txn) == [d.message for d in diags]
+        assert len(diags) == 1
 
     def test_tx701_wrong_arch(self, db):
         txn = Transaction(db).install(mk("tool", arch="ppc64"))
         assert self.codes(txn) == ["TX701"]
-        assert "built for ppc64" in txn.check()[0]
+        assert "built for ppc64" in self.strings(txn)[0]
 
     def test_tx702_erase_missing(self, db):
         txn = Transaction(db).erase("ghost")
         assert self.codes(txn) == ["TX702"]
-        assert txn.check() == ["cannot erase ghost: not installed"]
+        assert self.strings(txn) == ["cannot erase ghost: not installed"]
 
     def test_tx703_reinstall(self, db):
         Transaction(db).install(mk("x")).commit()
@@ -195,7 +198,7 @@ class TestCheckDiagnostics:
         Transaction(db).install(mk("x", "1.0")).commit()
         txn = Transaction(db).install(mk("x", "2.0"))
         assert self.codes(txn) == ["TX704"]
-        assert "Transaction.upgrade" in txn.check()[0]
+        assert "Transaction.upgrade" in self.strings(txn)[0]
 
     def test_tx705_missing_dependency(self, db):
         txn = Transaction(db).install(
@@ -228,7 +231,6 @@ class TestCheckDiagnostics:
     def test_clean_transaction_has_no_diagnostics(self, db):
         txn = Transaction(db).install(mk("openmpi"))
         assert txn.check_diagnostics() == []
-        assert txn.check() == []
 
 
 class TestTransactionOrderingAndAtomicity:

@@ -49,7 +49,6 @@ BAD_FIXTURES = [
     ("bad_random.py", "SL102"),
     ("bad_env.py", "SL103"),
     ("bad_unordered_trace.py", "SL104"),
-    ("bad_epoch_skip.py", "SL201"),
     ("bad_memo.py", "SL202"),
     ("bad_same_time.py", "SL301"),
 ]
@@ -60,7 +59,6 @@ OK_FIXTURES = [
     "ok_random.py",
     "ok_env.py",
     "ok_unordered_trace.py",
-    "ok_epoch_skip.py",
     "ok_memo.py",
     "ok_same_time.py",
 ]
@@ -92,12 +90,6 @@ class TestFixtureCorpus:
             [FIXTURES / "bad_unordered_trace.py"], config=ALL
         )
         assert len(result.diagnostics) == 4
-
-    def test_epoch_skip_names_the_field_and_method(self):
-        result = analyze_source([FIXTURES / "bad_epoch_skip.py"], config=ALL)
-        messages = [d.message for d in result.diagnostics]
-        assert any("sneaky_remove" in m and "_by_name" in m for m in messages)
-        assert any("maybe_install" in m for m in messages)
 
 
 # ---------------------------------------------------------------------------
