@@ -38,7 +38,6 @@ __all__ = [
     "analyze_source",
     "SimlintConfig",
     "render_sarif",
-    "check_trace",
     "main",
     "main_simlint",
 ]
@@ -54,7 +53,6 @@ _LAZY = {
     "analyze_source": ("repro.analyze.source", "analyze_source"),
     "SimlintConfig": ("repro.analyze.source", "SimlintConfig"),
     "render_sarif": ("repro.analyze.sarif", "render_sarif"),
-    "check_trace": ("repro.analyze.passes.source_traceorder", "check_trace"),
     "main": ("repro.analyze.cli", "main"),
     "main_simlint": ("repro.analyze.cli", "main_simlint"),
 }

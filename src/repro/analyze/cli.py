@@ -10,8 +10,7 @@ contract:
   ``examples/`` does.
 * **source mode** (``--source``, or the ``simlint`` console script) runs
   the ``SL*`` rules over Python source trees (default: ``src/repro``),
-  honouring ``[tool.simlint]`` per-path opt-outs from ``pyproject.toml``
-  and optionally replaying a trace JSONL (``--check-trace``).
+  honouring ``[tool.simlint]`` per-path opt-outs from ``pyproject.toml``.
 
 Exit codes follow linter convention so CI can gate directly on the
 process status:
@@ -157,15 +156,6 @@ def _build_parser(prog: str = "cluster-lint") -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--check-trace",
-        default="",
-        metavar="PATH",
-        help=(
-            "(source mode) replay a trace JSONL with same-timestamp events "
-            "permuted and verify it is byte-reproducible (SL302/SL303)"
-        ),
-    )
-    parser.add_argument(
         "--pyproject",
         default="pyproject.toml",
         metavar="PATH",
@@ -201,9 +191,6 @@ def main(
     if not args.files and not args.source:
         parser.print_usage(out)
         print(f"{prog}: error: no definition files given", file=out)
-        return EXIT_USAGE
-    if args.check_trace and not args.source:
-        print(f"{prog}: error: --check-trace requires --source", file=out)
         return EXIT_USAGE
     if args.prune_baseline and not args.baseline:
         print(f"{prog}: error: --prune-baseline requires --baseline", file=out)
@@ -276,28 +263,6 @@ def main(
                 baseline=baseline,
             )
         )
-        if args.check_trace:
-            from .passes.source_traceorder import check_trace
-
-            trace_path = pathlib.Path(args.check_trace)
-            try:
-                text = trace_path.read_text()
-            except OSError as exc:
-                print(f"{prog}: error: cannot read trace: {exc}", file=out)
-                return EXIT_USAGE
-            trace_diags = check_trace(text, location=str(trace_path))
-            if baseline is not None:
-                kept, suppressed = baseline.split(trace_diags)
-            else:
-                kept, suppressed = trace_diags, []
-            results.append(
-                AnalysisResult(
-                    definition_name=f"trace:{trace_path}",
-                    diagnostics=kept,
-                    suppressed=suppressed,
-                    fail_on=config.fail_on,
-                )
-            )
     else:
         for path in args.files:
             try:

@@ -1,42 +1,31 @@
-"""simlint trace-order race detector (``SL3xx``): same-timestamp hazards.
+"""simlint trace-order race detector (``SL301``): same-timestamp hazards.
 
-PR 5's batched kernel drain executes every event scheduled at one
-timestamp in a single sweep, ordered by the ``(time, seq)`` heap key —
-registration order is the tiebreak (docs/SIM.md).  Two callbacks scheduled
-at the *same* time that write the *same* state therefore produce a result
-that depends on the order the scheduling lines run, which is exactly the
-kind of incidental ordering a refactor silently changes.
+The kernel fires events in ``(time, seq)`` heap order: events due at the
+same time fire in registration order (docs/SIM.md).  Two callbacks
+scheduled at the *same* time that write the *same* state therefore produce
+a result that depends on the order the scheduling lines run, which is
+exactly the kind of incidental ordering a refactor silently changes.
 
-* ``SL301`` (static) — within one function, two-plus ``kernel.at(...)``
-  registrations at a syntactically identical time whose callbacks (lambdas
-  or same-scope ``def``\\ s) assign overlapping attributes.  The outcome
-  rides on registration order with no declared ``seq`` contract; schedule
-  at distinct times, merge the callbacks, or document the FIFO dependence.
-* ``SL302`` (dynamic) — :func:`check_trace` replays a trace JSONL with
-  same-timestamp events permuted and byte-compares the canonical
-  re-serialisation against the original: if re-sorting the permuted events
-  by ``seq`` does not reproduce the file byte-for-byte, the trace is not
-  canonically serialised and same-time batches have no authoritative
-  order.  This is the sanitizer wiring for the batched drain.
-* ``SL303`` (dynamic) — a same-timestamp batch with duplicate or
-  non-monotonic ``seq`` values: the tiebreak the replay relies on does not
-  exist.
+``SL301`` flags, within one function, two-plus ``kernel.at(...)``
+registrations at a syntactically identical time whose callbacks (lambdas
+or same-scope ``def``\\ s) assign overlapping attributes.  The outcome
+rides on registration order with no declared ``seq`` contract; schedule
+at distinct times, merge the callbacks, or document the FIFO dependence.
 
-The dynamic checks run from the CLI as
-``python -m repro.analyze --source --check-trace trace.jsonl``.
+Whether a trace *file* is ordered and canonically serialised is not a
+source rule: ``repro.sim.validate_jsonl`` (``python -m repro.sim``) checks it.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from collections import defaultdict
 
-from ..diagnostic import Diagnostic, Severity
+from ..diagnostic import Severity
 from ..registry import rule
 from ._pysource import iter_functions
 
-__all__ = ["run", "check_trace"]
+__all__ = ["run"]
 
 SL301 = rule(
     "SL301",
@@ -45,22 +34,6 @@ SL301 = rule(
     "same-time callbacks write overlapping state with no seq contract",
     "schedule at distinct times, merge the callbacks into one handler, or "
     "make the registration-order (seq FIFO) dependence explicit",
-)
-SL302 = rule(
-    "SL302",
-    "source",
-    Severity.ERROR,
-    "trace is not invariant under same-timestamp permutation",
-    "serialise with sort_keys and compact separators and stamp each event "
-    "with the kernel's seq so same-time batches have one canonical order",
-)
-SL303 = rule(
-    "SL303",
-    "source",
-    Severity.ERROR,
-    "same-timestamp events lack a usable seq tiebreak",
-    "every event needs a unique, monotonically assigned integer seq — it "
-    "is the only ordering authority inside a batched drain",
 )
 
 #: Attribute names that register a timed callback on the kernel.
@@ -147,109 +120,3 @@ def run(tree: ast.Module, path: str, emit) -> None:
                             f"in {fn.name})",
                             location=f"{path}:{call_a.lineno}",
                         )
-
-
-# ---------------------------------------------------------------------------
-# SL302/SL303: dynamic trace permutation check
-
-
-def _canonical_line(obj: dict) -> str:
-    """The TraceBus JSONL envelope, byte-for-byte (sim/trace.py)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def check_trace(text: str, *, location: str = "trace") -> list[Diagnostic]:
-    """Replay a trace JSONL with same-timestamp events permuted.
-
-    The permutation reverses each same-``t`` batch (the worst case a
-    batched drain could reorder into), then restores order by ``seq`` alone
-    and re-serialises canonically.  A deterministic trace comes back
-    byte-identical; anything else is a finding:
-
-    * a line that is not valid JSON, or lacks ``t``/``seq`` → ``SL303``;
-    * duplicate ``seq`` inside a same-``t`` batch → ``SL303`` (no tiebreak);
-    * the seq-restored canonical serialisation differs from the original
-      bytes → ``SL302`` (the file embeds an order seq cannot reproduce).
-    """
-    out: list[Diagnostic] = []
-
-    def diag(code: str, message: str, lineno: int | None = None) -> None:
-        where = f"{location}:{lineno}" if lineno else location
-        out.append(
-            Diagnostic(
-                code=code,
-                severity=Severity.ERROR,
-                message=message,
-                subsystem="source",
-                location=where,
-                hint=(SL303 if code == "SL303" else SL302).hint,
-            )
-        )
-
-    lines = text.splitlines(keepends=True)
-    events: list[tuple[int, dict, str]] = []  # (lineno, obj, raw line)
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            diag("SL303", f"not valid JSON: {exc}", lineno)
-            return out
-        if not isinstance(obj, dict) or "t" not in obj or "seq" not in obj:
-            diag("SL303", "event lacks the t/seq envelope fields", lineno)
-            return out
-        events.append((lineno, obj, line))
-
-    # seq must be a usable tiebreak: unique within (and across) batches.
-    seen_seq: dict[int, int] = {}
-    for lineno, obj, _line in events:
-        seq = obj["seq"]
-        if not isinstance(seq, int):
-            diag("SL303", f"seq {seq!r} is not an integer", lineno)
-            continue
-        if seq in seen_seq:
-            diag(
-                "SL303",
-                f"seq {seq} already used on line {seen_seq[seq]} — "
-                f"same-timestamp batches cannot be ordered",
-                lineno,
-            )
-        else:
-            seen_seq[seq] = lineno
-    if out:
-        return out
-
-    # Permute every same-t batch (reverse it), then let seq restore order.
-    batches: dict[float, list[tuple[int, dict, str]]] = defaultdict(list)
-    order: list[float] = []
-    for item in events:
-        t = item[1]["t"]
-        if t not in batches:
-            order.append(t)
-        batches[t].append(item)
-    permuted: list[tuple[int, dict, str]] = []
-    for t in order:
-        permuted.extend(reversed(batches[t]))
-    restored = sorted(permuted, key=lambda item: item[1]["seq"])
-
-    rebuilt = "".join(_canonical_line(obj) for _lineno, obj, _raw in restored)
-    original = "".join(raw for _lineno, _obj, raw in events)
-    if rebuilt != original:
-        first_bad = next(
-            (
-                lineno
-                for (lineno, _obj, raw), (_l2, obj2, _r2) in zip(
-                    events, restored
-                )
-                if _canonical_line(obj2) != raw
-            ),
-            events[0][0] if events else None,
-        )
-        diag(
-            "SL302",
-            "permuting same-timestamp events and restoring by seq does not "
-            "reproduce the file byte-for-byte",
-            first_bad,
-        )
-    return out

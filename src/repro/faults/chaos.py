@@ -13,8 +13,8 @@ worked":
 * **no event-queue leaks** — once the periodic sampler stops, the kernel
   queue is empty and the heap holds zero lazily-cancelled corpses;
 * **no resource leaks** — every online node's free cores equal capacity;
-* **trace integrity** — the JSONL validates against the event schema with
-  strictly increasing sequence numbers;
+* **trace integrity** — the JSONL is a valid trace file: schema-valid
+  events, strictly increasing sequence numbers, canonical bytes;
 * **monitoring confluence** — permanently crashed nodes are on gmetad's
   dead list by the end of the run (nodes the supervisor repaired are
   exempt: they came back, so staying off the dead list is correct);

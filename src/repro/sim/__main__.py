@@ -1,9 +1,11 @@
-"""Trace-schema validation CLI::
+"""Trace-file validation CLI::
 
     python -m repro.sim trace.jsonl [more.jsonl ...]
 
-Exits non-zero if any file fails to validate — the CI gate that keeps
-every emitted event honest against ``repro.sim.trace.EVENT_SCHEMA``.
+Exits non-zero if any file is not a valid trace — schema, ``seq`` order
+and canonical bytes, as ``repro.sim.trace.validate_jsonl`` defines them.
+A file that cannot be read or is not UTF-8 is a failure for that file;
+the rest are still checked.
 """
 
 from __future__ import annotations
@@ -18,20 +20,20 @@ from .trace import validate_jsonl
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim",
-        description="Validate JSONL simulation traces against the event schema.",
+        description="Validate JSONL simulation trace files.",
     )
     parser.add_argument("traces", nargs="+", help="JSONL trace files to validate")
     args = parser.parse_args(argv)
 
     failures = 0
     for name in args.traces:
-        path = pathlib.Path(name)
-        if not path.exists():
-            print(f"{name}: no such file")
+        try:
+            # Bytes, not read_text: newline translation would hide a CRLF.
+            text = pathlib.Path(name).read_bytes().decode("utf-8")
+        except OSError as exc:
+            print(f"{name}: cannot read ({exc.strerror or exc})")
             failures += 1
             continue
-        try:
-            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             print(f"{name}: not UTF-8 text (byte {exc.start}: {exc.reason})")
             failures += 1

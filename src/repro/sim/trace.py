@@ -15,11 +15,11 @@ JSONL envelope (one event per line)::
 timelines may stamp events ahead of the kernel clock, so ``t`` is not
 globally monotonic — ``seq`` is).
 
-simlint enforces this contract statically: SL104 flags unordered
-iteration feeding :meth:`TraceBus.emit`, and
-``python -m repro.analyze --source --check-trace`` replays a trace file
-with same-``t`` batches permuted to verify ``seq`` alone reproduces it
-byte-for-byte (SL302/SL303).  See docs/ANALYZE.md.
+A valid trace file is exactly what :func:`validate_jsonl` accepts: one
+``"\\n"``-terminated line per event, each a schema-valid envelope, ``seq``
+strictly increasing, and every line byte-equal to the canonical encoding
+of its object.  ``python -m repro.sim`` runs that check on files, and
+simlint's SL104 flags unordered iteration feeding :meth:`TraceBus.emit`.
 """
 
 from __future__ import annotations
@@ -207,17 +207,22 @@ def validate_event(obj: Mapping[str, Any]) -> list[str]:
 
 
 def validate_jsonl(text: str) -> tuple[int, list[str]]:
-    """Validate a whole JSONL trace; returns (event count, problems).
+    """Validate a whole JSONL trace file; returns (event count, problems).
 
-    Problems are prefixed with their 1-based line number.  Sequence numbers
-    must be strictly increasing (the bus emits them that way).
+    Lines are split on ``"\\n"`` only.  Each must be a JSON object passing
+    :func:`validate_event`, ``seq`` must strictly increase (the bus emits
+    it that way), and each line plus its ``"\\n"`` must equal the canonical
+    encoding of its object: sorted keys, compact separators, ASCII escapes,
+    the last line newline-terminated too.  Problems are prefixed with their
+    1-based line number.
     """
     problems: list[str] = []
     count = 0
     last_seq = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if lineno == len(lines) and not line:
+            break  # what follows the final newline
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -230,10 +235,12 @@ def validate_jsonl(text: str) -> tuple[int, list[str]]:
         for problem in validate_event(obj):
             problems.append(f"line {lineno}: {problem}")
         seq = obj.get("seq")
-        if isinstance(seq, int):
+        if type(seq) is int:  # a bool seq is an envelope problem, not an order
             if seq <= last_seq:
                 problems.append(f"line {lineno}: seq {seq} not increasing")
             last_seq = seq
+        if lineno == len(lines) or line != _json_fallback(obj):
+            problems.append(f"line {lineno}: not canonical JSON")
     return count, problems
 
 
@@ -325,21 +332,19 @@ class TraceBus:
 
     ``enabled=False`` turns the bus into a no-op.
 
-    Validation fast path: by default each ``(kind, data-key-tuple)`` *shape*
-    is schema-checked once — the first emit from a call site validates field
-    presence and types, and later emits with the same shape skip the loop
-    (call sites emit structurally identical payloads).  ``strict=True``
-    validates every field of every emit — the reference side of the
-    property that the shape cache never admits what strict would reject.
+    Emit checks each new ``(kind, data-key-tuple)`` *shape* once: the
+    first emit of a shape validates field presence and types, and later
+    emits with the same shape skip the loop (call sites emit structurally
+    identical payloads).  A same-shape emit with a wrongly typed value is
+    therefore admitted; :func:`validate_jsonl` on the export reports it.
     """
 
-    def __init__(self, *, enabled: bool = True, strict: bool = False) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.strict = strict
         #: Every published event, in emission order — the one log.
         self.events: list[TraceEvent] = []
         #: kind -> key tuple of the last emit of that kind that passed
-        #: validation; a matching shape provably needs no re-check.
+        #: validation; an emit of a matching shape skips the field loop.
         self._validated_shapes: dict[str, tuple] = {}
 
     def __len__(self) -> int:
@@ -366,7 +371,7 @@ class TraceBus:
         if schema is None:
             raise TraceError(f"unknown event kind {kind!r}")
         shape = tuple(data)
-        if self.strict or self._validated_shapes.get(kind) != shape:
+        if self._validated_shapes.get(kind) != shape:
             for problem in _data_problems(kind, schema, data):
                 raise TraceError(problem)
             self._validated_shapes[kind] = shape

@@ -358,6 +358,33 @@ class TestTraceBus:
             f"{good}: OK (0 events)",
         ]
 
+    def test_cli_reports_an_unreadable_path_and_checks_the_rest(
+        self, tmp_path, capsys
+    ):
+        good = tmp_path / "good.jsonl"
+        assert TraceBus().write_jsonl(good) == 0
+        assert sim_main([str(tmp_path), str(good)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{tmp_path}: cannot read (Is a directory)",
+            f"{good}: OK (0 events)",
+        ]
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda text: text.replace("\n", "\r\n"),
+         lambda text: text.replace(",", ", ")],
+        ids=["crlf", "re-spaced"],
+    )
+    def test_cli_rejects_a_rewritten_copy_of_a_good_trace(
+        self, tmp_path, capsys, rewrite
+    ):
+        good, copy = tmp_path / "good.jsonl", tmp_path / "copy.jsonl"
+        _three_event_bus().write_jsonl(good)
+        copy.write_bytes(rewrite(good.read_text()).encode())
+        assert sim_main([str(good)]) == 0
+        assert sim_main([str(copy)]) == 1
+        assert "  line 1: not canonical JSON" in capsys.readouterr().out
+
     def test_write_jsonl_writes_to_jsonl(self, tmp_path):
         bus = TraceBus()
         bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a")
@@ -365,6 +392,81 @@ class TestTraceBus:
         path = tmp_path / "trace.jsonl"
         assert bus.write_jsonl(path) == 2
         assert path.read_text() == bus.to_jsonl()
+
+
+def _three_event_bus():
+    bus = TraceBus()
+    for i, t in enumerate((1.0, 1.0, 2.0)):
+        bus.emit("job.submit", t_s=t, subsystem="sched",
+                 job=f"j{i}", user="u", cores=1)
+    return bus
+
+
+def _reencode(text, lineno, edit=lambda obj: obj, **dumps_kw):
+    """``text`` with line ``lineno`` decoded, passed through ``edit`` and
+    re-encoded by ``json.dumps(**dumps_kw)``, canonically by default."""
+    lines = text.split("\n")
+    obj = edit(json.loads(lines[lineno - 1]))
+    lines[lineno - 1] = json.dumps(
+        obj, **(dumps_kw or {"sort_keys": True, "separators": (",", ":")})
+    )
+    return "\n".join(lines)
+
+
+class TestTraceFile:
+    """What a valid trace file is: ``validate_jsonl`` is the one check."""
+
+    @pytest.mark.parametrize("lineno,edit,expected", [
+        (2, lambda obj: {**obj, "seq": 0}, ["line 2: seq 0 not increasing"]),
+        (2, lambda obj: {k: v for k, v in obj.items() if k != "seq"},
+         ["line 2: missing envelope field 'seq'"]),
+        # True == 1, but it neither passes as a seq nor orders line 2's 1
+        (1, lambda obj: {**obj, "seq": True},
+         ["line 1: envelope field 'seq' has type bool"]),
+    ], ids=["duplicate-seq", "missing-seq", "bool-seq"])
+    def test_seq_must_be_an_increasing_int(self, lineno, edit, expected):
+        text = _reencode(_three_event_bus().to_jsonl(), lineno, edit)
+        assert validate_jsonl(text) == (3, expected)
+
+    @pytest.mark.parametrize("rewrite,expected", [
+        (lambda text: _reencode(text, 2, sort_keys=True),
+         ["line 2: not canonical JSON"]),
+        (lambda text: _reencode(text, 2, lambda obj: dict(reversed(obj.items())),
+                                separators=(",", ":")),
+         ["line 2: not canonical JSON"]),
+        (lambda text: text.rstrip("\n"), ["line 3: not canonical JSON"]),
+        (lambda text: text.replace("\n", "\r\n"),
+         [f"line {n}: not canonical JSON" for n in (1, 2, 3)]),
+    ], ids=["spaced-separators", "unsorted-keys", "no-final-newline", "crlf"])
+    def test_every_line_must_be_canonical(self, rewrite, expected):
+        text = _three_event_bus().to_jsonl()
+        assert validate_jsonl(text) == (3, [])
+        assert validate_jsonl(rewrite(text)) == (3, expected)
+
+    def test_ordered_canonical_lines_must_still_match_the_schema(self):
+        """Ordered, canonical, and still not a trace: ``job.submit`` needs
+        ``user`` and ``cores``."""
+        text = "".join(
+            f'{{"data":{{"job":"j{i}"}},"kind":"job.submit","seq":{i},'
+            f'"sub":"sched","t":{t}}}\n'
+            for i, t in enumerate((1.0, 1.0, 1.0, 2.0))
+        )
+        assert validate_jsonl(text) == (4, [
+            f"line {n}: job.submit: missing data field {name!r}"
+            for n in (1, 2, 3, 4) for name in ("user", "cores")
+        ])
+
+    @pytest.mark.parametrize("char,expected", [
+        ("\u2028", (2, ["line 1: not canonical JSON"])),
+        ("\x85", (2, ["line 1: not canonical JSON"])),
+        ("\x1e", (1, ["line 1: not JSON (Invalid control character at)"])),
+    ], ids=["U+2028", "U+0085", "U+001E"])
+    def test_only_a_newline_ends_a_line(self, char, expected):
+        bus = TraceBus()
+        bus.emit("job.cancel", t_s=0.0, subsystem="s", job=f"a{char}b")
+        bus.emit("job.cancel", t_s=1.0, subsystem="s", job="c")
+        text = bus.to_jsonl().replace(json.dumps(char)[1:-1], char)
+        assert validate_jsonl(text) == expected
 
 
 class _Level(enum.IntEnum):
@@ -409,6 +511,24 @@ _VALUES = st.recursive(
 _EMIT_PARAMS = {"self", "kind", "t_s", "subsystem"}
 
 
+def _emit_drawn(bus, data, kind):
+    """Emit ``kind`` with its required fields in random order beside random
+    extra fields of adversarial values."""
+    schema = EVENT_SCHEMA[kind]
+    fields = {n: data.draw(_FIELDS[ty]) for n, ty in schema.items()}
+    extras = data.draw(st.dictionaries(
+        _TEXT.filter(lambda k: k not in schema and k not in _EMIT_PARAMS),
+        _VALUES, max_size=2,
+    ))
+    items = data.draw(st.permutations([*fields.items(), *extras.items()]))
+    bus.emit(
+        kind,
+        t_s=data.draw(_FLOATS | st.integers(-10**6, 10**6)),
+        subsystem=data.draw(st.sampled_from(["sim", "a{b}", '"q"']) | _TEXT),
+        **dict(items),
+    )
+
+
 class TestTraceExport:
 
     @given(st.data())
@@ -418,25 +538,34 @@ class TestTraceExport:
         fields of adversarial values, then one kind again with changing key
         sets: the shape-formatted export equals one ``json.dumps`` per event."""
         bus = TraceBus()
-
-        def emit(kind):
-            schema = EVENT_SCHEMA[kind]
-            fields = {n: data.draw(_FIELDS[ty]) for n, ty in schema.items()}
-            extras = data.draw(st.dictionaries(
-                _TEXT.filter(lambda k: k not in schema and k not in _EMIT_PARAMS),
-                _VALUES, max_size=2,
-            ))
-            items = data.draw(st.permutations([*fields.items(), *extras.items()]))
-            bus.emit(
-                kind,
-                t_s=data.draw(_FLOATS | st.integers(-10**6, 10**6)),
-                subsystem=data.draw(st.sampled_from(["sim", "a{b}", '"q"']) | _TEXT),
-                **dict(items),
-            )
-
         for kind in data.draw(st.permutations(sorted(EVENT_SCHEMA))):
-            emit(kind)
+            _emit_drawn(bus, data, kind)
         again = data.draw(st.sampled_from(sorted(EVENT_SCHEMA)))
         for _ in range(data.draw(st.integers(2, 4))):
-            emit(again)
+            _emit_drawn(bus, data, again)
         assert bus.to_jsonl() == trace_json.to_jsonl(bus)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_export_validates_and_any_reencoded_line_is_named(self, data):
+        """A random emit script's export is a valid trace file; re-encoding
+        any one of its lines non-canonically makes that line, and only that
+        line, a problem."""
+        bus = TraceBus()
+        kinds = st.lists(st.sampled_from(sorted(EVENT_SCHEMA)), min_size=1, max_size=6)
+        for kind in data.draw(kinds):
+            _emit_drawn(bus, data, kind)
+        lines = bus.to_jsonl().split("\n")
+        assert validate_jsonl("\n".join(lines)) == (len(bus), [])
+        k = data.draw(st.integers(0, len(bus) - 1))
+        obj = json.loads(lines[k])
+        lines[k] = data.draw(st.sampled_from([
+            json.dumps(obj, sort_keys=True),
+            json.dumps(dict(reversed(obj.items())), separators=(",", ":")),
+            json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+            + " ",
+            lines[k] + "\r",
+        ]))
+        assert validate_jsonl("\n".join(lines)) == (
+            len(bus), [f"line {k + 1}: not canonical JSON"]
+        )

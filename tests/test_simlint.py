@@ -16,7 +16,6 @@ import pytest
 
 from repro.analyze.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main, main_simlint
 from repro.analyze.diagnostic import Severity
-from repro.analyze.passes.source_traceorder import check_trace
 from repro.analyze.registry import RULES, AnalysisConfig, Baseline
 from repro.analyze.source import SimlintConfig, analyze_source, iter_source_files
 
@@ -75,9 +74,8 @@ class TestFixtureCorpus:
 
     def test_every_sl_rule_is_covered_by_the_corpus(self):
         sl_rules = {c for c in RULES.codes() if c.startswith("SL")}
-        dynamic = {"SL302", "SL303"}  # exercised via trace fixtures below
         covered = {code for _name, code in BAD_FIXTURES}
-        assert sl_rules - dynamic == covered
+        assert sl_rules == covered
 
     def test_wallclock_sites_are_individually_reported(self):
         result = analyze_source([FIXTURES / "bad_wallclock.py"], config=ALL)
@@ -90,56 +88,6 @@ class TestFixtureCorpus:
             [FIXTURES / "bad_unordered_trace.py"], config=ALL
         )
         assert len(result.diagnostics) == 4
-
-
-# ---------------------------------------------------------------------------
-# the dynamic trace checks (SL302/SL303)
-
-
-class TestCheckTrace:
-    def read(self, name):
-        return (FIXTURES / name).read_text()
-
-    def test_canonical_trace_is_clean(self):
-        assert check_trace(self.read("trace_good.jsonl")) == []
-
-    def test_duplicate_seq_is_sl303(self):
-        diags = check_trace(self.read("trace_bad_dup_seq.jsonl"))
-        assert [d.code for d in diags] == ["SL303"]
-
-    def test_non_canonical_serialisation_is_sl302(self):
-        diags = check_trace(self.read("trace_bad_noncanonical.jsonl"))
-        assert [d.code for d in diags] == ["SL302"]
-
-    def test_missing_envelope_field_is_sl303(self):
-        diags = check_trace(self.read("trace_bad_envelope.jsonl"))
-        assert [d.code for d in diags] == ["SL303"]
-
-    def test_invalid_json_is_sl303(self):
-        diags = check_trace('{"seq": 0, "t": 1.0}\nnot json\n')
-        assert [d.code for d in diags] == ["SL303"]
-
-    def test_real_kernel_trace_survives_permutation(self):
-        from repro.sim.kernel import SimKernel
-
-        kernel = SimKernel(seed=7)
-        for i in range(3):
-            kernel.at(
-                1.0,
-                lambda i=i: kernel.trace.emit(
-                    "job.submit", t_s=kernel.now_s, subsystem="sched",
-                    job=f"j{i}", user="u", cores=1,
-                ),
-            )
-        kernel.at(
-            2.0,
-            lambda: kernel.trace.emit(
-                "job.submit", t_s=kernel.now_s, subsystem="sched",
-                job="late", user="u", cores=2,
-            ),
-        )
-        kernel.run()
-        assert check_trace(kernel.trace.to_jsonl()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +166,7 @@ class TestSourceTree:
 
 
 # ---------------------------------------------------------------------------
-# CLI: --source mode, sarif, --check-trace, baselines
+# CLI: --source mode, sarif, baselines
 
 
 class TestSourceCli:
@@ -254,36 +202,6 @@ class TestSourceCli:
         physical = first["locations"][0]["physicalLocation"]
         assert physical["artifactLocation"]["uri"].endswith("bad_random.py")
         assert physical["region"]["startLine"] > 0
-
-    def test_check_trace_gates_on_bad_trace(self):
-        code, output = run_cli(
-            "--source", "--pyproject", "/dev/null",
-            "--check-trace", str(FIXTURES / "trace_bad_dup_seq.jsonl"),
-            str(FIXTURES / "ok_syntax.py"),
-        )
-        assert code == EXIT_FINDINGS
-        assert "SL303" in output
-
-    def test_check_trace_clean_trace_passes(self):
-        code, output = run_cli(
-            "--source", "--pyproject", "/dev/null",
-            "--check-trace", str(FIXTURES / "trace_good.jsonl"),
-            str(FIXTURES / "ok_syntax.py"),
-        )
-        assert code == EXIT_CLEAN
-
-    def test_check_trace_requires_source_mode(self):
-        code, output = run_cli("--check-trace", "whatever.jsonl", "x.py")
-        assert code == EXIT_USAGE
-        assert "--source" in output
-
-    def test_missing_trace_file_is_usage_error(self):
-        code, output = run_cli(
-            "--source", "--pyproject", "/dev/null",
-            "--check-trace", "does/not/exist.jsonl",
-            str(FIXTURES / "ok_syntax.py"),
-        )
-        assert code == EXIT_USAGE
 
     def test_bad_pyproject_config_is_usage_error(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
