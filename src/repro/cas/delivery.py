@@ -5,11 +5,13 @@ remembers which chunks the node already holds and asks the site cache for
 only the chunks a package install actually needs, on first reference.  A
 node that already installed v1 of a package fetches just the delta chunks
 for v2; a wave of identical nodes costs the site cache one upstream pull
-for the whole wave.  Nodes that fetched the same packages share one
-interned holdings ``frozenset``, so each step is computed once per pair.
+and one ``cas.fetch`` record for the whole wave — the rest are pure hits,
+counted by the tier, not traced.  Nodes that fetched the same packages
+share one interned holdings ``frozenset``, so each step is computed once
+per pair.
 
 :func:`cas_confluence_problems` is chaos invariant 9: serials only move
-forward, hierarchy hits never exceed requests, and — given the live
+forward, every ``cas.fetch`` record missed a chunk, and — given the live
 components — no chunk refcount has leaked after publish/rollback/prune
 churn.  With no ``cas.*`` events and no components the audit is vacuous,
 so it is safe to run on every chaos trace.
@@ -116,21 +118,23 @@ def cas_confluence_problems(
 
     From the trace alone: per-catalog publish/rollback serials strictly
     increase (the forward-only release protocol every downstream tier
-    depends on), per-replica replicated serials never regress, and no
-    fetch reports more hits than requests.  Given live components, the
-    chunk-store refcount audits run too.  Vacuous when the run never
-    touched :mod:`repro.cas`.
+    depends on), per-replica replicated serials never regress, and every
+    ``cas.fetch`` record missed at least one chunk (a pure hit is a tier
+    counter, never a record; more hits than requests is corrupt).  Given
+    live components, the chunk-store refcount audits run too.  Vacuous
+    when the run never touched :mod:`repro.cas`.
     """
     problems: list[str] = []
     catalog_serial: dict[str, int] = {}
     replica_serial: dict[str, int] = {}
     for kind, data, seq in audit_events(events, _AUDIT_READS):
         if kind == "cas.fetch":
-            if data["hit_chunks"] > data["chunks"]:
+            hits, chunks = data["hit_chunks"], data["chunks"]
+            if hits >= chunks:
+                what = "pure hit recorded" if hits == chunks else "hits exceed request"
                 problems.append(
-                    f"tier {data['tier']}: {data['hit_chunks']} hits for "
-                    f"{data['chunks']} requested chunks "
-                    f"({data['artifact']}) at seq {seq}"
+                    f"tier {data['tier']}: {what}, {hits} hits for {chunks} "
+                    f"requested chunks ({data['artifact']}) at seq {seq}"
                 )
         elif kind == "cas.replicate":
             name = data["replica"]

@@ -127,9 +127,7 @@ class ChunkStore:
 
     # -- audit -----------------------------------------------------------------
 
-    def refcount_problems(
-        self, live_manifests: Iterable[PackageManifest]
-    ) -> list[str]:
+    def refcount_problems(self, live_manifests: Iterable[PackageManifest]) -> list[str]:
         """Drift between actual refcounts and the live catalog generations.
 
         ``live_manifests`` is every manifest of every retained generation

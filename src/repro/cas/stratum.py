@@ -15,8 +15,8 @@ CVMFS's deployment shape, applied to package delivery:
 * :class:`ChunkTier` — every level below the origin: a
   :class:`ChunkStore` in front of one upstream, reached over one
   :class:`~repro.yum.mirror.MirrorLink`.  It owns the only pull-through
-  path (:meth:`ChunkTier.fetch_chunks`: hits from the store, misses
-  pulled from upstream on first reference, counted, traced as
+  path (:meth:`ChunkTier.fetch_chunks`: hits from the store, misses pulled
+  from upstream on first reference; only a fetch that missed is traced as
   ``cas.fetch``); a deeper hierarchy is one more tier in the chain.
   Chunk lists are looked up, never re-derived: ``manifest_of`` asks up
   the chain for a catalog entry; only the origin holds a chunking policy.
@@ -33,7 +33,7 @@ chunks — the ``_chunk_epoch`` marker records the newest origin serial the
 cache has heard of, and only catalog lookups go stale, never content.
 
 All transfer time is spent on the shared simulation kernel
-(:meth:`MirrorLink.spend`); every tier traces its traffic as ``cas.*``
+(:meth:`MirrorLink.spend`); every tier traces what moved as ``cas.*``
 events.
 """
 
@@ -333,7 +333,8 @@ class ChunkTier:
         self, chunks: list[Chunk], *, artifact: str, requester: str = "node"
     ) -> ChunkFetchStats:
         """Serve a chunk list: hits from the store, misses pulled from
-        upstream on first reference (lazy hierarchy fill)."""
+        upstream on first reference (lazy hierarchy fill).  Only a fetch
+        that missed is traced; a pure hit moved nothing and is a counter."""
         missing = self.store.missing_of(chunks)
         nbytes = self._pull(missing, artifact=artifact, requester=requester)
         # Counters commit together, after the upstream pull can no longer
@@ -344,14 +345,13 @@ class ChunkTier:
         total = chunks.nbytes if run else sum(c.size for c in chunks)
         self.hit_bytes += total - nbytes
         self.misses += len(missing)
-        self.kernel.trace.emit(
-            "cas.fetch", t_s=self.kernel.now_s, subsystem="cas",
-            tier=self.name, artifact=artifact, chunks=len(chunks),
-            hit_chunks=hit_chunks, nbytes=nbytes,
-        )
-        return ChunkFetchStats(
-            artifact=artifact, chunks=len(chunks), hit_chunks=hit_chunks, nbytes=nbytes
-        )
+        if missing:
+            self.kernel.trace.emit(
+                "cas.fetch", t_s=self.kernel.now_s, subsystem="cas",
+                tier=self.name, artifact=artifact, chunks=len(chunks),
+                hit_chunks=hit_chunks, nbytes=nbytes,
+            )
+        return ChunkFetchStats(artifact, len(chunks), hit_chunks, nbytes)
 
     def manifest_of(self, pkg: Package) -> PackageManifest:
         """The chunk list of ``pkg``, from the nearest catalog upstream."""

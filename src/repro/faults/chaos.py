@@ -572,8 +572,8 @@ def _audit(
         report.violations.append(f"repod: {problem}")
 
     # 9. content-addressed delivery confluence: catalog serials only move
-    #    forward, replicas never regress, no fetch over-reports hits
-    #    (vacuous unless the run drove repro.cas)
+    #    forward, replicas never regress, every cas.fetch record missed a
+    #    chunk (vacuous unless the run drove repro.cas)
     from ..cas import cas_confluence_problems
 
     for problem in cas_confluence_problems(trace.events):

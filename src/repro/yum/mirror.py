@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from ..errors import FaultError, YumError
 from ..faults.retry import RetryPolicy, call_with_retry
-from ..rpm.package import Package
 from ..sim import SimKernel
 from .repository import Repository
 
@@ -43,6 +42,14 @@ class MirrorLink:
     bandwidth_bytes_s: float
     latency_s: float = 0.05
 
+    def __post_init__(self) -> None:
+        inf = float("inf")
+        if not (0 < self.bandwidth_bytes_s < inf and 0 <= self.latency_s < inf):
+            raise YumError(
+                f"link needs a finite bandwidth > 0 and latency >= 0, got "
+                f"{self.bandwidth_bytes_s} B/s and {self.latency_s} s"
+            )
+
     def transfer_time_s(self, nbytes: int, *, requests: int = 1) -> float:
         """Time to move ``nbytes`` over this link in ``requests`` requests."""
         if nbytes < 0 or requests < 1:
@@ -55,9 +62,7 @@ class MirrorLink:
         """Charge one transfer to the shared clock: advance ``kernel`` by
         its modelled duration, firing whatever else falls due inside the
         window.  Every delivery tier pays for its link here."""
-        kernel.run_until(
-            kernel.now_s + self.transfer_time_s(nbytes, requests=requests)
-        )
+        kernel.run_until(kernel.now_s + self.transfer_time_s(nbytes, requests=requests))
 
 
 @dataclass
@@ -206,12 +211,8 @@ class RepoMirror:
             )
             return stats
 
-        upstream_by_nevra: dict[str, Package] = {
-            p.nevra: p for p in self.upstream.all_packages()
-        }
-        local_by_nevra: dict[str, Package] = {
-            p.nevra: p for p in self.local.all_packages()
-        }
+        upstream_by_nevra = {p.nevra: p for p in self.upstream.all_packages()}
+        local_by_nevra = {p.nevra: p for p in self.local.all_packages()}
         to_fetch = [
             upstream_by_nevra[n]
             for n in sorted(set(upstream_by_nevra) - set(local_by_nevra))
@@ -246,9 +247,7 @@ class RepoMirror:
                     # Round trips follow what actually moved: one per
                     # package that landed (plus corruption re-fetches),
                     # never a charge for packages the cut prevented.
-                    requests = len(stats.fetched_nevras) + len(
-                        stats.refetched_nevras
-                    )
+                    requests = len(stats.fetched_nevras) + len(stats.refetched_nevras)
                     self.link.spend(
                         self.kernel, stats.bytes_transferred,
                         requests=max(1, requests),

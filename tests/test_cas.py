@@ -4,6 +4,9 @@ The heavyweight guarantees are property-based: no publish / rollback /
 prune churn may ever leak a chunk refcount, and under any interleaving
 of publishes, replications, interruptions and two-site fetches every
 tier's counters, store and ``cas.fetch`` events tell the same story.
+A ``cas.fetch`` record is a fetch that missed: a pure hit (every chunk
+already in the tier's store) is counted by the tier, never traced, and
+``tests/oracles/tier_fetch.py`` keeps the tier that traced every fetch.
 """
 
 import json
@@ -636,7 +639,9 @@ def test_property_tier_accounting_is_conserved(ops):
     """Any interleaving of publish / replicate / interrupt / two-site
     fetches: on every tier the bytes pulled over its link are the bytes
     its store gained, hits + misses is the chunks it was asked for, and
-    the ``cas.fetch`` events add up to the counters."""
+    the ``cas.fetch`` records are exactly the fetches that missed — their
+    misses are the tier's misses, their bytes its fetch WAN bytes, and
+    none of them is a pure hit."""
     kernel = SimKernel(seed=11)
     s0 = Stratum0("origin", kernel=kernel)
     s1 = Stratum1("replica", s0, make_link(), kernel=kernel)
@@ -664,15 +669,17 @@ def test_property_tier_accounting_is_conserved(ops):
     fetched = {}
     for event in kernel.trace.events:
         if event.kind == "cas.fetch":
-            chunks, nbytes = fetched.get(event.data["tier"], (0, 0))
-            fetched[event.data["tier"]] = (
-                chunks + event.data["chunks"], nbytes + event.data["nbytes"]
+            data = event.data
+            assert data["hit_chunks"] < data["chunks"], event
+            missed, nbytes = fetched.get(data["tier"], (0, 0))
+            fetched[data["tier"]] = (
+                missed + data["chunks"] - data["hit_chunks"], nbytes + data["nbytes"]
             )
     replicated = sum(r.nbytes for r in s1.replicate_history)
     for tier in (s1, *sites.values()):
-        chunks, nbytes = fetched.get(tier.name, (0, 0))
+        missed, nbytes = fetched.get(tier.name, (0, 0))
         assert tier.wan_bytes == tier.store.total_bytes
-        assert tier.hits + tier.misses == chunks
+        assert tier.misses == missed
         assert nbytes == tier.wan_bytes - (replicated if tier is s1 else 0)
     for site in sites.values():
         assert site.hits + site.misses == asked[site.name]
@@ -689,6 +696,101 @@ def step_package(index, version):
     # versions differ in size too, so their tail chunks never match
     size = 3 * 64 * 1024 + 1000 * index + 700 * STEP_VERSIONS.index(version)
     return Package(f"pkg{index}", version, size_bytes=size)
+
+
+fetch_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("publish"), st.sampled_from(STEP_VERSIONS)),
+        st.sampled_from(["replicate", "interrupt", "notice"]),
+        st.tuples(
+            st.sampled_from(["campus-a", "campus-b"]),
+            st.sampled_from(["list", "n0", "n1"]),
+            st.integers(0, 2),
+            st.sampled_from(STEP_VERSIONS),
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(fetch_ops)
+# a site miss that is a replica pure hit, a site pure hit by chunk list,
+# then one by ChunkRun through LazyDelivery
+@example([("publish", "1.0"), "replicate", "notice",
+          ("campus-a", "list", 0, "1.0"), ("campus-b", "list", 0, "1.0"),
+          ("campus-a", "list", 0, "1.0"), ("campus-a", "n0", 0, "1.0")])
+@settings(max_examples=60, deadline=None)
+def test_property_only_pure_hits_left_the_trace(ops):
+    """The tiers vs the traced-every-fetch oracle: over random publish /
+    replicate / interrupt / notice / two-site fetches (by chunk list and by
+    ``LazyDelivery``'s ChunkRun, including fetches the origin refuses), both
+    give the same return values (or the same error), tier counters and
+    store contents, and the live trace is the oracle's with every pure-hit
+    ``cas.fetch`` removed, compared without ``seq``."""
+    from .oracles.tier_fetch import TracedSite, TracedStratum1
+
+    def world(replica_class, site_class):
+        kernel = SimKernel(seed=23)
+        s0 = Stratum0("origin", kernel=kernel, policy=STEP_POLICY)
+        s1 = replica_class("replica", s0, make_link(), kernel=kernel)
+        sites = {
+            name: site_class(name, s1, make_link(), kernel=kernel)
+            for name in ("campus-a", "campus-b")
+        }
+        deliveries = {name: LazyDelivery(site) for name, site in sites.items()}
+        return kernel, s0, s1, sites, deliveries
+
+    worlds = [world(Stratum1, SiteChunkCache), world(TracedStratum1, TracedSite)]
+
+    def tiers(s1, sites):
+        return (s1, *sites.values())
+
+    for op in ops:
+        seen = []
+        for kernel, s0, s1, sites, deliveries in worlds:
+            try:
+                if op == "replicate":
+                    outcome = s1.replicate()
+                elif op == "interrupt":
+                    outcome = s1.inject_interruptions(1)
+                elif op == "notice":
+                    outcome = [site.notice_release(s0.serial) for site in sites.values()]
+                elif op[0] == "publish":
+                    outcome = s0.publish([step_package(i, op[1]) for i in range(3)])
+                else:
+                    name, how, index, version = op
+                    pkg = step_package(index, version)
+                    if how == "list":
+                        outcome = sites[name].fetch_package(pkg)
+                    else:
+                        outcome = deliveries[name].fetch_package(how, pkg)
+            except CasError as exc:
+                outcome = ("refused", str(exc))
+            counters = [
+                (t.hits, t.misses, t.hit_bytes, t.wan_bytes) for t in tiers(s1, sites)
+            ]
+            seen.append((outcome, counters))
+        assert seen[0] == seen[1], op
+
+    def records(kernel, *, drop_pure_hits):
+        return [
+            (e.t_s, e.kind, e.subsystem, dict(e.data))
+            for e in kernel.trace.events
+            if not (
+                drop_pure_hits
+                and e.kind == "cas.fetch"
+                and e.data["hit_chunks"] == e.data["chunks"]
+            )
+        ]
+
+    live, oracle = worlds
+    assert records(live[0], drop_pure_hits=False) == records(
+        oracle[0], drop_pure_hits=True
+    )
+    for tier, twin in zip(tiers(live[2], live[3]), tiers(oracle[2], oracle[3])):
+        assert tier.store._chunks == twin.store._chunks, tier.name
+        assert tier.store._refs == twin.store._refs, tier.name
 
 
 step_ops = st.lists(
@@ -794,6 +896,39 @@ class TestConfluenceAudit:
         )
         problems = cas_confluence_problems(bus.events)
         assert any("hits" in p for p in problems)
+
+    def test_recorded_pure_hit_detected(self):
+        # The seeded corrupt trace: one hierarchy, run once on the live tiers
+        # and once on the oracle that traces every fetch.  The replica's
+        # first-pass hits and the site's second pass are pure hits; each is
+        # named by seq, from the live events and from the decoded JSONL.
+        from .oracles.tier_fetch import TracedSite, TracedStratum1
+
+        def run(replica_class, site_class):
+            kernel = SimKernel(seed=7)
+            s0 = Stratum0("origin", kernel=kernel)
+            s1 = replica_class("replica", s0, make_link(), kernel=kernel)
+            site = site_class("campus", s1, make_link(), kernel=kernel)
+            s0.publish(release("1.0", n=3, size=MB))
+            s1.replicate()
+            site.notice_release(s0.serial)
+            for _ in range(2):
+                for pkg in release("1.0", n=3, size=MB):
+                    site.fetch_package(pkg)
+            return kernel.trace
+
+        assert cas_confluence_problems(run(Stratum1, SiteChunkCache).events) == []
+        corrupt = run(TracedStratum1, TracedSite)
+        pure = [
+            e.seq for e in corrupt.events
+            if e.kind == "cas.fetch" and e.data["hit_chunks"] == e.data["chunks"]
+        ]
+        problems = cas_confluence_problems(corrupt.events)
+        assert len(pure) == 6 and len(problems) == 6
+        for seq, problem in zip(pure, problems):
+            assert "pure hit recorded" in problem and problem.endswith(f"at seq {seq}")
+        decoded = [json.loads(line) for line in corrupt.to_jsonl().splitlines()]
+        assert cas_confluence_problems(decoded) == problems
 
     def test_vacuous_on_cas_free_trace(self):
         from repro.sim import TraceBus

@@ -1,7 +1,10 @@
 """Update-notification policies and repository mirroring tests."""
 
+import re
+
 import pytest
 
+from repro.errors import YumError
 from repro.rpm import Package, Requirement
 from repro.yum import (
     AutoApplyPolicy,
@@ -163,6 +166,18 @@ class TestMirror:
         large = link.transfer_time_s(10_000_000)
         assert large > small
         assert large == pytest.approx(0.01 + 10.0)
+
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf")])
+    def test_impossible_link_refused_at_construction(self, value):
+        # a zero bandwidth divided by zero in transfer_time_s, and a negative
+        # latency failed only later, in spend(), as time moving backwards
+        with pytest.raises(YumError, match=re.escape(f"got {value} B/s")):
+            MirrorLink(bandwidth_bytes_s=value)
+        if value == 0:
+            assert MirrorLink(bandwidth_bytes_s=1e6, latency_s=0).transfer_time_s(0) == 0
+        else:
+            with pytest.raises(YumError, match=re.escape(f"and {value} s")):
+                MirrorLink(bandwidth_bytes_s=1e6, latency_s=value)
 
     def test_mirror_usable_as_repo(self, frontend_host):
         upstream = Repository("xsede", priority=50)
