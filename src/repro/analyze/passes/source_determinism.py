@@ -1,13 +1,13 @@
 """simlint determinism sanitizer (``SL1xx``): the source must not read
 ambient nondeterminism.
 
-The whole reproduction rests on three runtime guarantees — byte-identical
-same-seed traces (docs/SIM.md), state-verified checkpoint replay
-(docs/RECOVERY.md), and epoch-keyed memo caches (docs/PERF.md).  All three
-silently break the moment simulation code reads wall-clock time, consults
-unseeded process-global randomness, or iterates a hash-ordered container
-into the trace stream.  The runtime can only catch that *after* two runs
-diverge; these rules catch it at review time.
+The reproduction's contract is "same seed => byte-identical trace"
+(docs/SIM.md).  The determinism gate checks it by running every flow under
+pinned, distinct hash seeds and comparing bytes, so a hash-ordered
+iteration anywhere a flow goes shows up as a diff.  These rules are the
+part a rerun cannot see: a value that is equal in every run on one host —
+an unset environment variable, a hostname — or code no flow reaches.  Each
+is a table of names, matched through import aliases.
 
 Rules:
 
@@ -20,12 +20,6 @@ Rules:
   ``random.Random(seed)``.
 * ``SL103`` — ambient environment read (``os.environ``/``getenv``,
   ``os.urandom``, ``uuid.uuid1/uuid4``, ``secrets``, hostname/pid probes).
-* ``SL104`` — iteration over an unordered (set-typed) value that flows into
-  ``TraceBus.emit`` or kernel event scheduling, decided by the conservative
-  intraprocedural dataflow in :mod:`._pysource` — not a call-site grep:
-  locals assigned from set expressions, set-typed ``self`` attributes, and
-  same-file set-returning helpers all count, and ``sorted(...)`` launders
-  any of them back to deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ import ast
 
 from ..diagnostic import Severity
 from ..registry import rule
-from ._pysource import ImportMap, UnorderedAnalysis, iter_functions
+from ._pysource import ImportMap
 
 __all__ = ["run"]
 
@@ -69,15 +63,6 @@ SL103 = rule(
     "thread configuration through explicit parameters; os.environ/urandom/"
     "uuid4 reads differ across hosts and runs",
 )
-SL104 = rule(
-    "SL104",
-    "source",
-    Severity.ERROR,
-    "unordered iteration flows into the trace bus or event scheduling",
-    "iterate sorted(...) over the set (or keep a list); hash order changes "
-    "emit/schedule order and breaks byte-identical traces",
-)
-
 #: Wall-clock entry points (SL101).
 _WALL_CLOCK = frozenset(
     {
@@ -142,10 +127,6 @@ _ENV_CALLS = frozenset(
 )
 _ENV_ATTRS = frozenset({"os.environ"})
 
-#: Call-attribute names that publish ordering to the shared timeline:
-#: trace emission and kernel event scheduling.
-_ORDER_SINKS = frozenset({"emit", "at", "after", "every", "schedule"})
-
 
 def _call_dotted(imports: ImportMap, node: ast.Call) -> str | None:
     return imports.resolve(node.func)
@@ -173,37 +154,8 @@ def run(tree: ast.Module, path: str, emit) -> None:
                 )
             elif name in _ENV_CALLS:
                 emit("SL103", f"call to {name}()", location=where)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            # a Name too: ``from os import environ`` reads it bare
             name = imports.resolve(node)
             if name in _ENV_ATTRS:
                 emit("SL103", f"read of {name}", location=where)
-
-    # SL104: unordered iteration feeding an order sink.
-    flow = UnorderedAnalysis(tree)
-    seen: set[int] = set()
-    for fn in iter_functions(tree):
-        for loop in flow.unordered_loops(fn):
-            if id(loop) in seen:
-                continue
-            seen.add(id(loop))
-            sink = _order_sink_in(loop)
-            if sink is not None:
-                emit(
-                    "SL104",
-                    f"loop over unordered value calls .{sink}() "
-                    f"(in {fn.name})",
-                    location=f"{path}:{loop.lineno}",
-                )
-
-
-def _order_sink_in(loop: ast.For) -> str | None:
-    """Name of the first trace/scheduling call inside the loop body."""
-    for stmt in loop.body + loop.orelse:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _ORDER_SINKS
-            ):
-                return node.func.attr
-    return None

@@ -40,6 +40,22 @@ class ShellResult:
         return self.output
 
 
+def _split(command_line: str) -> list[str]:
+    """The line's shell words; a line that does not parse is a typed failure."""
+    try:
+        return shlex.split(command_line)
+    except ValueError as exc:  # unterminated quote, trailing backslash
+        raise CommandError(f"syntax error: {exc}") from None
+
+
+def _number(convert, flag: str, text: str):
+    """``int``/``float`` of a flag's value; a non-number is a typed failure."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise CommandError(f"{flag}: not a number: {text!r}") from None
+
+
 class ClusterShell:
     """An interactive-style session against a provisioned cluster."""
 
@@ -94,13 +110,16 @@ class ClusterShell:
     # -- dispatch ----------------------------------------------------------------
 
     def run(self, command_line: str) -> ShellResult:
-        """Execute one command line on the current host."""
-        tokens = shlex.split(command_line)
-        if not tokens:
+        """Execute one command line on the current host.
+
+        A blank line raises :class:`CommandError`; any other line yields a
+        result, with ``ok=False`` if it does not parse or its command fails.
+        """
+        if not command_line.strip(" \t\r\n"):  # shlex's whitespace
             raise CommandError("empty command")
-        verb, args = tokens[0], tokens[1:]
-        handler = getattr(self, f"_cmd_{verb.replace('-', '_')}", None)
         try:
+            verb, *args = _split(command_line)
+            handler = getattr(self, f"_cmd_{verb.replace('-', '_')}", None)
             if handler is None:
                 # fall back: does the binary at least exist?
                 self._require_command(verb)
@@ -312,10 +331,10 @@ class ClusterShell:
                 nodes_expr = args[i + 1]
                 i += 2
             elif arg == "-f" and i + 1 < len(args):
-                fanout = int(args[i + 1])
+                fanout = _number(int, "clush -f", args[i + 1])
                 i += 2
             elif arg == "-t" and i + 1 < len(args):
-                timeout_s = float(args[i + 1])
+                timeout_s = _number(float, "clush -t", args[i + 1])
                 i += 2
             elif arg == "-b":
                 fold_output = True
@@ -395,7 +414,7 @@ class ClusterShell:
     # -- batch -----------------------------------------------------------------------------------
 
     def _cmd_qsub(self, args: list[str]) -> str:
-        """qsub -l nodes=N:ppn=M -N name -u user -t runtime -w walltime"""
+        """qsub -c cores -N name -u user -t runtime_s -w walltime_s"""
         self._require_command("qsub")
         if self.scheduler is None:
             raise CommandError("no scheduler attached to this shell")
@@ -409,9 +428,9 @@ class ClusterShell:
         job = Job(
             name=options["-N"],
             user=options["-u"],
-            cores=int(options["-c"]),
-            walltime_limit_s=float(options["-w"]),
-            runtime_s=float(options["-t"]),
+            cores=_number(int, "qsub -c", options["-c"]),
+            walltime_limit_s=_number(float, "qsub -w", options["-w"]),
+            runtime_s=_number(float, "qsub -t", options["-t"]),
         )
         self.scheduler.submit(job)
         return f"{job.job_id}.{self.cluster.frontend.name}"

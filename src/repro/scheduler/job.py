@@ -9,6 +9,7 @@ charge (unknown to the scheduler until the job ends, like real life).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -57,6 +58,10 @@ class Job:
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise JobError(f"job {self.name}: cores must be positive")
+        if not (math.isfinite(self.walltime_limit_s) and math.isfinite(self.runtime_s)):
+            raise JobError(
+                f"job {self.name}: walltime limit and runtime must be finite"
+            )
         if self.walltime_limit_s <= 0:
             raise JobError(f"job {self.name}: walltime limit must be positive")
         if self.runtime_s < 0:

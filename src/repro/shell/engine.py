@@ -30,6 +30,7 @@ trace, even mid-fault-storm.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -284,8 +285,8 @@ class ShellEngine:
             command = ShellCommand(command)
         if fanout < 1:
             raise ShellError(f"fanout must be >= 1, got {fanout}")
-        if timeout_s <= 0:
-            raise ShellError(f"timeout must be positive, got {timeout_s}")
+        if not 0 < timeout_s < math.inf:
+            raise ShellError(f"timeout must be positive and finite, got {timeout_s}")
         targets = list(nodes)
         state = _RunState(
             command,

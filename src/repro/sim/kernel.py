@@ -8,11 +8,12 @@ everything that happens is published on :attr:`trace`.
 
 Determinism contract: given the same seed and the same sequence of
 schedule calls, two kernels fire the same events at the same times in the
-same order and produce byte-identical JSONL traces.  The contract's
-source-side obligations — no wall-clock reads (SL101), no process-global
-randomness (SL102), no unordered iteration into scheduling (SL104), no
-same-time callbacks racing on shared state (SL301) — are checked
-statically by simlint (docs/ANALYZE.md).
+same order and produce byte-identical JSONL traces.  The determinism gate
+checks it by rerunning every flow under distinct hash seeds and comparing
+bytes (docs/SIM.md).  simlint checks every path, also those no flow runs,
+for wall-clock reads (SL101), process-global randomness (SL102),
+environment reads (SL103) and same-time callbacks racing on shared state
+(SL301) (docs/ANALYZE.md).
 """
 
 from __future__ import annotations

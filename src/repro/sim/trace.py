@@ -18,8 +18,8 @@ globally monotonic — ``seq`` is).
 A valid trace file is exactly what :func:`validate_jsonl` accepts: one
 ``"\\n"``-terminated line per event, each a schema-valid envelope, ``seq``
 strictly increasing, and every line byte-equal to the canonical encoding
-of its object.  ``python -m repro.sim`` runs that check on files, and
-simlint's SL104 flags unordered iteration feeding :meth:`TraceBus.emit`.
+of its object.  ``python -m repro.sim`` runs that check on files; the
+determinism gate compares the traces of runs under distinct hash seeds.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """ClusterShell tests: the training-facing command-line surface."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cli import ClusterShell
-from repro.core import build_xnit_repository
+from repro.cli import ClusterShell, ShellResult
+from repro.core import build_xcbc_cluster, build_xnit_repository
+from repro.hardware import build_littlefe_modified
 from repro.scheduler import ClusterResources, MauiScheduler
 
 
@@ -118,3 +121,50 @@ class TestRocksModuleBatch:
 
     def test_df_shows_root(self, shell):
         assert "/dev/sda1" in shell.run("df").output
+
+
+class TestBadInput:
+    """A typed line either runs or is a failed result; it never raises."""
+
+    #: every verb the shell dispatches, plus one it does not
+    VERBS = sorted(
+        name[len("_cmd_"):].replace("_", "-")
+        for name in vars(ClusterShell) if name.startswith("_cmd_")
+    ) + ["frobnicate"]
+    WORDS = [
+        "-w", "-f", "-t", "-c", "-N", "-u", "-b", "-q", "-qa", "--fold",
+        "--json", "--fail-on", "install", "update", "list", "host", "load",
+        "compute-0-[0-1]", "hostname", "gromacs",
+        # non-numeric and non-finite values for the numeric flags
+        "abc", "nan", "inf", "-inf", "1e999", "0", "-1", "4",
+        # quoting, closed and unterminated
+        "'", '"', "\\", "'a b'", '"a b"', "a'b",
+    ]
+
+    @pytest.fixture(scope="class")
+    def own_shell(self):
+        # its own cluster: the drawn lines install, submit and add users
+        cluster = build_xcbc_cluster(build_littlefe_modified().machine).cluster
+        return ClusterShell(
+            cluster,
+            scheduler=MauiScheduler(ClusterResources(cluster.machine)),
+            repositories={"xsede": build_xnit_repository()},
+        )
+
+    @pytest.mark.parametrize("line", [
+        'echo "unterminated', "clush -f abc -w compute-0-0 hostname",
+        "clush -t x -w compute-0-0 hostname", "qsub -c abc",
+        "clush -t nan -w compute-0-0 hostname", "qsub -t nan -w inf",
+    ])
+    def test_reported_crashes_are_failed_results(self, own_shell, line):
+        result = own_shell.run(line)
+        assert not result.ok and result.output
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        verb=st.sampled_from(VERBS),
+        words=st.lists(st.sampled_from(WORDS), max_size=6),
+    )
+    def test_property_every_line_returns_a_result(self, own_shell, verb, words):
+        line = " ".join([verb, *words])
+        assert isinstance(own_shell.run(line), ShellResult)

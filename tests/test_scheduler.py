@@ -1,6 +1,8 @@
 """Scheduler tests: allocation invariants, FIFO vs backfill, fair-share,
 tickets, walltime enforcement, and power management."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +90,11 @@ class TestJobModel:
             Job("j", "u", cores=1, walltime_limit_s=0, runtime_s=5)
         with pytest.raises(JobError):
             Job("j", "u", cores=1, walltime_limit_s=10, runtime_s=-1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(JobError, match="finite"):
+                Job("j", "u", cores=1, walltime_limit_s=10, runtime_s=bad)
+            with pytest.raises(JobError, match="finite"):
+                Job("j", "u", cores=1, walltime_limit_s=bad, runtime_s=5)
 
     def test_walltime_cap(self):
         j = job("over", 2, runtime=500, limit=100)

@@ -47,7 +47,7 @@ BAD_FIXTURES = [
     ("bad_wallclock.py", "SL101"),
     ("bad_random.py", "SL102"),
     ("bad_env.py", "SL103"),
-    ("bad_unordered_trace.py", "SL104"),
+    ("bad_env_default.py", "SL103"),
     ("bad_memo.py", "SL202"),
     ("bad_same_time.py", "SL301"),
 ]
@@ -57,7 +57,6 @@ OK_FIXTURES = [
     "ok_wallclock.py",
     "ok_random.py",
     "ok_env.py",
-    "ok_unordered_trace.py",
     "ok_memo.py",
     "ok_same_time.py",
 ]
@@ -82,12 +81,10 @@ class TestFixtureCorpus:
         # time.time, aliased perf_counter, datetime.now
         assert len(result.diagnostics) == 3
 
-    def test_unordered_trace_flags_all_four_flows(self):
-        # set literal, set() call, set-typed attribute, helper summary
-        result = analyze_source(
-            [FIXTURES / "bad_unordered_trace.py"], config=ALL
-        )
-        assert len(result.diagnostics) == 4
+    def test_env_reads_through_a_bare_import_are_reported(self):
+        result = analyze_source([FIXTURES / "bad_env_default.py"], config=ALL)
+        # os.environ.get, environ.get, environ[...]
+        assert len(result.diagnostics) == 3
 
 
 # ---------------------------------------------------------------------------
