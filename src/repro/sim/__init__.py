@@ -1,7 +1,7 @@
 """repro.sim: the unified discrete-event simulation kernel.
 
-One :class:`SimKernel` (clock + event queue + trace bus + seeded RNG)
-replaces the five ad-hoc clocks the subsystems used to keep privately:
+One :class:`SimKernel` (simulated time + event heap + trace bus + seeded
+RNG) replaces the five ad-hoc clocks the subsystems used to keep privately:
 the scheduler's completion heap, the power manager's heap surgery, the
 MPI simulator's per-rank floats, gmetad's hand-threaded timestamps, and
 the mirror/GridFTP transfer accounting.  Any subsystem can publish typed
@@ -12,9 +12,8 @@ See ``docs/SIM.md`` for the kernel contract, the trace event schema, and
 the migration pattern for porting a subsystem.
 """
 
-from .clock import SimClock, Timeline
-from .events import EventHandle, EventQueue
-from .kernel import PeriodicEvent, SimKernel
+from .clock import Timeline
+from .kernel import EventHandle, PeriodicEvent, SimKernel
 from .trace import (
     EVENT_SCHEMA,
     TraceBus,
@@ -25,10 +24,8 @@ from .trace import (
 )
 
 __all__ = [
-    "SimClock",
     "Timeline",
     "EventHandle",
-    "EventQueue",
     "PeriodicEvent",
     "SimKernel",
     "TraceBus",

@@ -1,12 +1,10 @@
-"""Simulated time: the kernel clock and per-entity timelines.
+"""Per-entity timelines on the kernel's time base.
 
-A :class:`SimClock` is the single source of "now" for one simulation; it
-only moves forward, and every subsystem that needs the current time reads
-it from the kernel instead of keeping its own float.  A :class:`Timeline`
-is a named per-entity clock (an MPI rank, a DMA engine) that shares the
-kernel's time base but may run ahead of the global clock — the standard
-way discrete-event simulators model concurrent actors whose local progress
-is reconciled at synchronisation points.
+The kernel's own ``now_s`` is the single source of "now" for one
+simulation.  A :class:`Timeline` is a named per-entity clock (an MPI rank,
+a DMA engine) that shares the kernel's time base but may run ahead of the
+global clock — the standard way discrete-event simulators model concurrent
+actors whose local progress is reconciled at synchronisation points.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 
 from ..errors import SimulationError
 
-__all__ = ["SimClock", "Timeline"]
+__all__ = ["Timeline"]
 
 
 def _check_time(time_s: float) -> float:
@@ -23,37 +21,6 @@ def _check_time(time_s: float) -> float:
     if math.isnan(time_s):
         raise SimulationError("time is NaN")
     return time_s
-
-
-class SimClock:
-    """The monotonic simulation clock.
-
-    ``advance_to`` enforces the single kernel invariant every consumer
-    relies on: simulated time never decreases.
-    """
-
-    __slots__ = ("_now_s", "start_s")
-
-    def __init__(self, start_s: float = 0.0) -> None:
-        self.start_s = _check_time(start_s)
-        self._now_s = self.start_s
-
-    @property
-    def now_s(self) -> float:
-        return self._now_s
-
-    def advance_to(self, time_s: float) -> float:
-        """Move the clock forward to ``time_s`` (equal is a no-op)."""
-        time_s = _check_time(time_s)
-        if time_s < self._now_s:
-            raise SimulationError(
-                f"time went backwards: advance_to({time_s}) at t={self._now_s}"
-            )
-        self._now_s = time_s
-        return self._now_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now_s={self._now_s})"
 
 
 class Timeline:

@@ -330,21 +330,19 @@ def _line_formatter(kind: str, sub: str, keys: tuple) -> Callable[..., str]:
 class TraceBus:
     """The simulation's structured event log.
 
-    ``enabled=False`` turns the bus into a no-op.
-
-    Emit checks each new ``(kind, data-key-tuple)`` *shape* once: the
-    first emit of a shape validates field presence and types, and later
-    emits with the same shape skip the loop (call sites emit structurally
-    identical payloads).  A same-shape emit with a wrongly typed value is
-    therefore admitted; :func:`validate_jsonl` on the export reports it.
+    Emit checks each new *shape* of a kind once: the data keys in emit
+    order plus the exact type of each value.  The first emit of a shape
+    validates field presence and types; later emits of the same shape skip
+    the loop (call sites emit structurally identical payloads).  Whether a
+    payload is valid depends only on its keys and the exact types of its
+    values, so the cache admits exactly what the loop would.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         #: Every published event, in emission order — the one log.
         self.events: list[TraceEvent] = []
-        #: kind -> key tuple of the last emit of that kind that passed
-        #: validation; an emit of a matching shape skips the field loop.
+        #: kind -> ``(keys, value types)`` of the last emit of that kind
+        #: that passed validation; an emit of that shape skips the loop.
         self._validated_shapes: dict[str, tuple] = {}
 
     def __len__(self) -> int:
@@ -362,15 +360,12 @@ class TraceBus:
 
     def emit(
         self, kind: str, *, t_s: float, subsystem: str, **data: Any
-    ) -> TraceEvent | None:
-        """Publish one event and return it (``None`` when the bus is
-        disabled)."""
-        if not self.enabled:
-            return None
+    ) -> TraceEvent:
+        """Publish one event and return it."""
         schema = EVENT_SCHEMA.get(kind)
         if schema is None:
             raise TraceError(f"unknown event kind {kind!r}")
-        shape = tuple(data)
+        shape = (tuple(data), tuple(map(type, data.values())))
         if self._validated_shapes.get(kind) != shape:
             for problem in _data_problems(kind, schema, data):
                 raise TraceError(problem)

@@ -67,8 +67,8 @@ class TestEventQueueCompaction:
         for cycle in range(10_000):
             handle = kernel.reschedule(handle, 1e9 + cycle)
         # One live event; the heap may carry slack but never 10k corpses.
-        assert len(kernel.queue) == 1
-        assert kernel.queue.heap_size <= 2 * max(64, len(kernel.queue)) + 2
+        assert kernel.pending_count == 1
+        assert kernel.heap_size <= 2 * max(64, kernel.pending_count) + 2
 
     def test_cancel_churn_bounded_too(self):
         kernel = SimKernel()
@@ -76,17 +76,18 @@ class TestEventQueueCompaction:
             h = kernel.at(1e9 + cycle, lambda: None)
             kernel.cancel(h)
             kernel.at(5e8 + cycle, lambda: None)
-        assert len(kernel.queue) == 10_000
-        assert kernel.queue.heap_size <= 2 * len(kernel.queue) + 64
+        assert kernel.pending_count == 10_000
+        assert kernel.heap_size <= 2 * kernel.pending_count + 64
 
     def test_compact_drops_only_dead(self):
         kernel = SimKernel()
         keep = [kernel.at(10.0 + i, lambda: None) for i in range(5)]
-        drop = [kernel.at(20.0 + i, lambda: None) for i in range(7)]
-        for h in drop:
+        drop = [kernel.at(20.0 + i, lambda: None) for i in range(65)]
+        for h in drop[:-1]:
             kernel.cancel(h)
-        assert kernel.queue.compact() == 7
-        assert kernel.queue.heap_size == 5
+        assert kernel.heap_size == 70  # 64 dead entries: the floor
+        kernel.cancel(drop[-1])  # the 65th outnumbers the floor: compact
+        assert kernel.heap_size == kernel.pending_count == 5
         assert all(h.active for h in keep)
 
     def test_order_preserved_across_compaction(self):
@@ -94,12 +95,13 @@ class TestEventQueueCompaction:
         fired = []
         for i in range(200):
             h = kernel.at(float(i), lambda i=i: fired.append(i))
-            if i % 2:
+            if i % 3:
                 kernel.cancel(h)
-        kernel.queue.compact()
+        assert kernel.heap_size < 200  # cancel compacted at least once
         while kernel.step():
             pass
-        assert fired == list(range(0, 200, 2))
+        assert fired == list(range(0, 200, 3))
+        assert kernel.heap_size == 0
 
 
 class TestRetryPolicy:

@@ -353,19 +353,75 @@ def test_run_until_callback_exception_restores_queue():
 # --- trace-bus shape cache --------------------------------------------------------
 
 
+#: Payload values of the types call sites pass, and a few they must not.
+_VALUES = st.one_of(
+    st.text(max_size=2), st.integers(-2, 2), st.floats(-1.0, 1.0),
+    st.booleans(), st.none(), st.lists(st.integers(), max_size=1),
+)
+_TYPED = {
+    str: st.text(max_size=2), int: st.integers(-2, 2),
+    float: st.floats(-1.0, 1.0), bool: st.booleans(),
+}
+
+
+@st.composite
+def _emits(draw):
+    """A few payloads of one kind: its schema fields plus an extra one, in
+    one drawn order, most present, each value of the schema's type about
+    half the time and of any drawn type otherwise."""
+    from repro.sim import EVENT_SCHEMA
+
+    kind = draw(st.sampled_from(sorted(EVENT_SCHEMA)))
+    schema = EVENT_SCHEMA[kind]
+    fields = draw(st.permutations([*schema, "tag"]))
+
+    def value(name):
+        typed = _TYPED.get(schema.get(name))
+        return draw(_VALUES if typed is None else st.one_of(typed, _VALUES))
+
+    return [
+        (kind, {name: value(name) for name in fields if draw(st.integers(0, 9))})
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
 class TestTraceShapeCache:
     def test_emit_checks_new_shapes_and_the_file_check_catches_the_rest(self):
-        """Emit validates a shape once; a later same-shape emit with a
-        wrongly typed value is admitted, and only ``validate_jsonl`` on the
-        export reports it."""
+        """Emit validates each new shape (data keys and value types) once,
+        so a same-keys emit with a wrongly typed value is refused; the
+        envelope's ``sub``, which emit does not check, is left to
+        ``validate_jsonl`` on the export."""
         from repro.sim import TraceBus, validate_jsonl
 
         bus = TraceBus()
         bus.emit("job.submit", t_s=0.0, subsystem="sched", job="j0", user="u", cores=4)
-        bus.emit("job.submit", t_s=1.0, subsystem="sched", job="j1", user="u", cores="four")
+        with pytest.raises(TraceError, match="'cores' has type str, wanted int"):
+            bus.emit("job.submit", t_s=1.0, subsystem="sched",
+                     job="j1", user="u", cores="four")
+        bus.emit("job.submit", t_s=2.0, subsystem=7, job="j2", user="u", cores=4)
         assert validate_jsonl(bus.to_jsonl()) == (
-            2, ["line 2: job.submit: data field 'cores' has type str, wanted int"],
+            2, ["line 2: envelope field 'sub' has type int"],
         )
+
+    @given(st.lists(_emits(), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_property_emit_raises_exactly_when_validate_event_does(self, runs):
+        """The shape cache admits exactly what the field check admits: on
+        one bus, each emit raises iff ``validate_event`` on the same
+        envelope reports a problem."""
+        from repro.sim import TraceBus, validate_event
+
+        bus = TraceBus()
+        for kind, data in (emit for run in runs for emit in run):
+            problems = validate_event(
+                {"seq": len(bus), "t": 1.0, "kind": kind, "sub": "s", "data": data}
+            )
+            try:
+                bus.emit(kind, t_s=1.0, subsystem="s", **data)
+            except TraceError:
+                assert problems
+            else:
+                assert problems == []
 
     def test_new_shape_for_known_kind_is_revalidated(self):
         from repro.sim import TraceBus

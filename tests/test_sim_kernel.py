@@ -1,9 +1,11 @@
-"""The simulation kernel: clock, queue, timelines, trace bus, determinism.
+"""The simulation kernel: time, event heap, timelines, trace bus,
+determinism.
 
-The property tests pin the three contracts every refactored subsystem now
-leans on: simulated time never decreases, events scheduled for the same
-instant fire in submission order, and identical seeds produce
-byte-identical JSONL traces.
+The property tests pin the contracts every refactored subsystem leans on:
+the kernel fires, times and snapshots exactly as the three-object kernel
+it replaced (``tests/oracles/kernel_queue.py``) — so simulated time never
+decreases and events scheduled for the same instant fire in submission
+order — and identical seeds produce byte-identical JSONL traces.
 """
 
 import enum
@@ -17,8 +19,6 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError, TraceError
 from repro.sim import (
     EVENT_SCHEMA,
-    EventQueue,
-    SimClock,
     SimKernel,
     Timeline,
     TraceBus,
@@ -27,7 +27,7 @@ from repro.sim import (
 )
 from repro.sim.__main__ import main as sim_main
 
-from .oracles import trace_json
+from .oracles import kernel_queue, trace_json
 
 TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                   allow_infinity=False)
@@ -35,35 +35,18 @@ TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
 
 class TestClock:
 
-    def test_starts_at_start(self):
-        assert SimClock(5.0).now_s == 5.0
-
     def test_advance_forward_and_equal(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
-        clock.advance_to(10.0)  # equal is a no-op
-        assert clock.now_s == 10.0
+        kernel = SimKernel()
+        kernel.run_until(10.0)
+        kernel.run_until(10.0)  # equal is a no-op
+        assert kernel.now_s == 10.0
 
     def test_regression_raises(self):
-        clock = SimClock(3.0)
-        with pytest.raises(SimulationError, match="backwards"):
-            clock.advance_to(2.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(SimulationError, match="NaN"):
-            SimClock(float("nan"))
-
-    @given(st.lists(TIMES, min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_property_time_never_decreases(self, times):
-        """Feeding arbitrary times through max-monotonisation, the clock
-        reading is non-decreasing at every step."""
-        clock = SimClock()
-        readings = []
-        for t in times:
-            clock.advance_to(max(clock.now_s, t))
-            readings.append(clock.now_s)
-        assert readings == sorted(readings)
+        kernel = SimKernel()
+        kernel.run_until(3.0)
+        with pytest.raises(SimulationError, match="cannot run until"):
+            kernel.run_until(2.0)
+        assert kernel.now_s == 3.0
 
 
 class TestTimeline:
@@ -96,76 +79,159 @@ class TestTimeline:
 
 
 class TestEventQueue:
+    """The kernel's pending-event heap."""
 
     def test_pops_in_time_order(self):
-        q = EventQueue()
+        kernel = SimKernel()
         fired = []
-        q.schedule(2.0, lambda: fired.append("b"))
-        q.schedule(1.0, lambda: fired.append("a"))
-        while (h := q.pop()) is not None:
-            h.callback()
+        kernel.at(2.0, lambda: fired.append("b"))
+        kernel.at(1.0, lambda: fired.append("a"))
+        assert kernel.run() == 2
         assert fired == ["a", "b"]
 
     def test_cancel_is_lazy_but_skipped(self):
-        q = EventQueue()
-        keep = q.schedule(1.0, lambda: "keep")
-        drop = q.schedule(0.5, lambda: "drop")
-        q.cancel(drop)
-        assert len(q) == 1
-        assert q.peek() is keep
-        assert q.pop() is keep
-        assert q.pop() is None
+        kernel = SimKernel()
+        fired = []
+        keep = kernel.at(1.0, lambda: fired.append("keep"))
+        drop = kernel.at(0.5, lambda: fired.append("drop"))
+        kernel.cancel(drop)
+        assert kernel.pending_count == 1 and kernel.heap_size == 2
+        assert kernel.step() is True and not keep.active
+        assert kernel.step() is False
+        assert fired == ["keep"] and kernel.now_s == 1.0
 
     def test_double_cancel_raises(self):
-        q = EventQueue()
-        h = q.schedule(1.0, lambda: None)
-        q.cancel(h)
+        kernel = SimKernel()
+        h = kernel.at(1.0, lambda: None)
+        kernel.cancel(h)
         with pytest.raises(SimulationError, match="already"):
-            q.cancel(h)
+            kernel.cancel(h)
 
     def test_fired_handle_cannot_be_cancelled(self):
-        q = EventQueue()
-        h = q.schedule(1.0, lambda: None)
-        assert q.pop() is h and not h.active
+        kernel = SimKernel()
+        h = kernel.at(1.0, lambda: None)
+        assert kernel.step() and not h.active
         with pytest.raises(SimulationError):
-            q.cancel(h)
+            kernel.cancel(h)
 
     def test_infinite_time_rejected(self):
-        q = EventQueue()
+        kernel = SimKernel()
         with pytest.raises(SimulationError):
-            q.schedule(float("inf"), lambda: None)
+            kernel.at(float("inf"), lambda: None)
+        with pytest.raises(SimulationError):
+            kernel.after(float("nan"), lambda: None)
+        assert kernel.pending_count == 0
 
     def test_reschedule_takes_fresh_serial(self):
         """A rescheduled event fires AFTER events already queued for the
         same instant — re-entry at the back of that instant's FIFO."""
-        q = EventQueue()
+        kernel = SimKernel()
         fired = []
-        moved = q.schedule(1.0, lambda: fired.append("moved"))
-        q.schedule(5.0, lambda: fired.append("resident"))
-        new = q.reschedule(moved, 5.0)
+        moved = kernel.at(1.0, lambda: fired.append("moved"))
+        kernel.at(5.0, lambda: fired.append("resident"))
+        new = kernel.reschedule(moved, 5.0)
         assert not moved.active and new.active
-        while (h := q.pop()) is not None:
-            h.callback()
+        kernel.run()
         assert fired == ["resident", "moved"]
 
     @given(st.lists(st.tuples(TIMES, st.booleans()), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_property_equal_times_fire_in_submission_order(self, spec):
-        """With coarsely bucketed times (forcing collisions), pop order is
-        (time, submission serial) — stable FIFO within an instant."""
-        q = EventQueue()
+        """With coarsely bucketed times (forcing collisions), firing order
+        is (time, submission serial) — stable FIFO within an instant."""
+        kernel = SimKernel()
+        popped = []
         handles = []
         for time_s, cancel in spec:
             bucket = float(int(time_s) % 3)  # force many identical times
-            handles.append((q.schedule(bucket, lambda: None), cancel))
+            seq = len(handles)
+            handles.append((
+                kernel.at(bucket, lambda b=bucket, s=seq: popped.append((b, s))),
+                cancel,
+            ))
         for handle, cancel in handles:
             if cancel and handle.active:
-                q.cancel(handle)
-        popped = []
-        while (h := q.pop()) is not None:
-            popped.append((h.time_s, h.seq))
+                kernel.cancel(handle)
+        kernel.run()
         assert popped == sorted(popped)
         assert len(popped) == sum(1 for h, c in handles if not c)
+
+
+#: Times on a half-second grid, so sums of them are exact in binary.
+HALVES = st.integers(min_value=-4, max_value=40).map(lambda n: n / 2)
+KERNEL_OPS = st.tuples(
+    st.sampled_from([
+        "at", "after", "cancel", "reschedule", "every", "stop", "step",
+        "run_until", "run",
+    ]),
+    HALVES,
+    st.integers(min_value=0, max_value=63),
+    st.sampled_from(["plain", "plain", "nest", "spawn"]),
+)
+
+
+def _observe(value):
+    """A kernel call's outcome, comparable across the two implementations."""
+    if hasattr(value, "seq"):  # an event handle
+        return ("handle", value.time_s, value.seq, value.label, value.active)
+    if hasattr(value, "period_s"):  # a periodic series
+        return ("series", value.period_s, value.label, value.active)
+    return value
+
+
+def _drive(kernel, script):
+    """Run ``script`` (drawn from ``KERNEL_OPS``) on ``kernel``; returns,
+    per call, its outcome or error type, the clock, the ``(now_s, label)``
+    firing log so far and ``state_dict()``."""
+    fired, handles, series, seen = [], [], [], []
+
+    def callback(label, kind, delay_s):
+        def fire():
+            fired.append((kernel.now_s, label))
+            if kind == "nest":  # spend a duration from inside a callback
+                kernel.run_until(kernel.now_s + delay_s)
+            elif kind == "spawn":
+                handles.append(
+                    kernel.after(delay_s, callback(label + "'", "plain", 0.0),
+                                 label=label + "'")
+                )
+        return fire
+
+    for i, (op, t, index, kind) in enumerate(script):
+        label = f"{op}{i}"
+        cb = callback(label, kind, index % 4 / 2)
+        try:
+            if op == "at":
+                out = kernel.at(kernel.now_s + t, cb, label=label)
+            elif op == "after":
+                out = kernel.after(t, cb, label=label)
+            elif op == "cancel" and handles:
+                out = kernel.cancel(handles[index % len(handles)])
+            elif op == "reschedule" and handles:
+                out = kernel.reschedule(handles[index % len(handles)],
+                                        kernel.now_s + t)
+            elif op == "every":  # plain: a nesting series would recurse
+                first = None if index % 2 else kernel.now_s + index % 5
+                out = kernel.every(t, callback(label, "plain", 0.0),
+                                   first_at_s=first, label=label)
+                series.append(out)
+            elif op == "stop" and series:
+                out = series[index % len(series)].cancel()
+            elif op == "step":
+                out = kernel.step()
+            elif op == "run_until":
+                out = kernel.run_until(kernel.now_s + t)
+            elif op == "run":
+                out = kernel.run()
+            else:
+                out = "skipped"
+        except Exception as exc:  # noqa: BLE001 - the type is the observation
+            out = type(exc).__name__
+        if op in ("at", "after", "reschedule") and hasattr(out, "seq"):
+            handles.append(out)
+        seen.append((label, _observe(out), kernel.now_s, list(fired),
+                     kernel.state_dict()))
+    return seen
 
 
 class TestKernel:
@@ -198,11 +264,40 @@ class TestKernel:
         k.run_until(5.0)
         assert k.now_s == 11.0
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", ["run_until", "run"])
+    def test_non_finite_bound_refused(self, call, bound):
+        """A NaN or infinite bound neither drains the queue nor spins on a
+        periodic series: it is refused before anything fires."""
+        kernel = SimKernel()
+        kernel.every(1.0, lambda: None)
+        kernel.at(50.0, lambda: None)
+        with pytest.raises(SimulationError, match="cannot run until"):
+            if call == "run":
+                kernel.run(until_s=bound)
+            else:
+                kernel.run_until(bound)
+        assert kernel.now_s == 0.0 and kernel.events_processed == 0
+        assert kernel.pending_count == 2
+
     def test_run_unbounded_with_periodic_raises(self):
         kernel = SimKernel()
         kernel.every(10.0, lambda: None)
         with pytest.raises(SimulationError, match="periodic"):
             kernel.run()
+
+    @pytest.mark.parametrize("period_s,first_at_s", [
+        (math.nan, None), (math.inf, None), (-math.inf, None), (0.0, None),
+        (-1.0, None), (1.0, -5.0),
+    ], ids=["nan", "inf", "-inf", "zero", "negative", "first-in-the-past"])
+    def test_refused_every_registers_no_series(self, period_s, first_at_s):
+        kernel = SimKernel()
+        kernel.run_until(1.0)
+        with pytest.raises(SimulationError):
+            kernel.every(period_s, lambda: None, first_at_s=first_at_s)
+        assert kernel.periodic_count == 0 and kernel.pending_count == 0
+        assert kernel.run() == 0  # no series is left to refuse an unbounded run
 
     def test_periodic_fires_each_period_and_cancels(self):
         kernel = SimKernel()
@@ -223,11 +318,34 @@ class TestKernel:
         kernel.run_until(10.0)
         assert seen == [7.5]
 
+    def test_refused_reschedule_leaves_the_event_pending(self):
+        kernel = SimKernel()
+        handle = kernel.at(5.0, lambda: None)
+        with pytest.raises(SimulationError):
+            kernel.reschedule(handle, math.inf)
+        assert handle.active and kernel.pending_count == 1
+
     def test_same_seed_same_rng_stream(self):
         a, b = SimKernel(seed=99), SimKernel(seed=99)
         assert [a.rng.random() for _ in range(5)] == [
             b.rng.random() for _ in range(5)
         ]
+
+    @given(st.lists(KERNEL_OPS, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_property_agrees_with_the_three_object_kernel(self, script):
+        """Random scripts of at/after/cancel/reschedule/every/stop/step/
+        run_until/run, with callbacks that spend time themselves or
+        schedule more, observe the same firing order, clock readings,
+        snapshots and errors as the kernel that forwarded to a SimClock
+        and an EventQueue.  The firing log is checked non-decreasing in
+        time too: simulated time never goes backwards."""
+        seen = _drive(SimKernel(), script)
+        assert seen == _drive(kernel_queue.SimKernel(), script)
+        fired = seen[-1][3]
+        assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+        clock = [now for _, _, now, _, _ in seen]
+        assert clock == sorted(clock)
 
 
 def _scripted_trace(seed, script):
@@ -243,7 +361,7 @@ def _scripted_trace(seed, script):
             )
 
         kernel.after(jitter, emit)
-    kernel.run(max_events=len(script))
+    kernel.run()
     return kernel.trace.to_jsonl()
 
 
@@ -288,11 +406,6 @@ class TestTraceBus:
         assert bus.count("job.cancel") == 1
         assert bus.count(subsystem="power") == 1
         assert bus.count() == 2 and len(bus) == 2
-
-    def test_disabled_bus_is_noop(self):
-        bus = TraceBus(enabled=False)
-        assert bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a") is None
-        assert len(bus) == 0
 
     def test_emit_returns_the_recorded_event(self):
         """One record per event: what ``emit`` returns is the object in the
