@@ -25,7 +25,7 @@ import argparse
 import sys
 
 from repro.core import build_limulus_cluster
-from repro.monitoring import monitor_cluster
+from repro.monitoring import POLL_PERIOD_S, monitor_cluster
 from repro.mpi import run_allreduce_job, world_for_job
 from repro.scheduler import Job, PowerManagedScheduler
 from repro.sim import SimKernel
@@ -36,9 +36,9 @@ def run_cosim(seed: int = 42, trace_path=None):
     cluster = build_limulus_cluster()
     kernel = SimKernel(seed=seed)
     scheduler = PowerManagedScheduler(
-        cluster.machine, manage_power=True, boot_delay_s=60.0, kernel=kernel
+        cluster.machine, manage_power=True, kernel=kernel
     )
-    gmetad = monitor_cluster(cluster, scheduler=scheduler, poll_period_s=15.0)
+    gmetad = monitor_cluster(cluster, scheduler=scheduler)
     gmetad.start_sampling()
 
     fabric = cluster.network.fabric
@@ -78,7 +78,7 @@ def run_cosim(seed: int = 42, trace_path=None):
 
     # Two more polling periods so monitoring records the wind-down (nodes
     # back off), then stop the periodic sampler.
-    kernel.run_until(kernel.now_s + 2 * gmetad.poll_period_s)
+    kernel.run_until(kernel.now_s + 2 * POLL_PERIOD_S)
     gmetad.stop_sampling()
 
     if trace_path is not None:

@@ -42,7 +42,7 @@ def run_fleet(seed: int = 42, trace_path=None):
     installer = RocksInstaller(machine)
     cluster = installer.run(wave_size=WAVE_SIZE, kernel=kernel, materialize=False)
 
-    tree = monitor_fleet(cluster, hosts_per_rack=48, kernel=kernel)
+    tree = monitor_fleet(cluster, kernel=kernel)
     tree.poll_cycle()          # first cycle: every rack reports
     tree.poll_cycle()          # quiet fleet: epoch fast path, zero changes
 

@@ -10,8 +10,9 @@ but leaves less than 10 % of the supply's rating spare.
 
 from __future__ import annotations
 
+from ...errors import PowerBudgetError
 from ...hardware.node import NodeRole
-from ...hardware.power import DEFAULT_HEADROOM
+from ...hardware.power import check_budget
 from ..diagnostic import Severity
 from ..registry import rule
 
@@ -114,19 +115,15 @@ def run(definition, emit) -> None:
 
 def _check_budget(emit, psu, draw_watts, *, what, location) -> None:
     """The assembly-time power rule, emitted instead of raised."""
-    required = draw_watts * DEFAULT_HEADROOM
-    if required > psu.rating_watts:
-        emit(
-            "HW601",
-            f"{what}: draw {draw_watts:.2f} W x headroom "
-            f"{DEFAULT_HEADROOM:.2f} = {required:.2f} W exceeds "
-            f"{psu.model} rating {psu.rating_watts:.0f} W",
-            location=location,
-        )
-    elif psu.rating_watts - required < THIN_MARGIN_FRACTION * psu.rating_watts:
+    try:
+        margin = check_budget(psu, draw_watts, what=what)
+    except PowerBudgetError as exc:
+        emit("HW601", str(exc), location=location)
+        return
+    if margin < THIN_MARGIN_FRACTION * psu.rating_watts:
         emit(
             "HW602",
-            f"{what}: only {psu.rating_watts - required:.1f} W of "
+            f"{what}: only {margin:.1f} W of "
             f"{psu.model}'s {psu.rating_watts:.0f} W remain after headroom",
             location=location,
         )

@@ -142,26 +142,21 @@ class Baseline:
 
     # -- staleness ---------------------------------------------------------
 
-    def stale_fingerprints(
-        self, registry: "RuleRegistry | None" = None
-    ) -> list[str]:
-        """Fingerprints whose rule code no longer exists in ``registry``.
+    def stale_fingerprints(self) -> list[str]:
+        """Fingerprints whose rule code is no longer registered.
 
         A stale entry can never match a diagnostic again — it is dead
         weight that hides the fact the debt it recorded was retired (or the
         rule renamed).  The CLI warns about these on load and
         ``--prune-baseline`` rewrites the file without them.
         """
-        reg = RULES if registry is None else registry
         return sorted(
-            fp for fp in self.suppressions if fp.split("@", 1)[0] not in reg
+            fp for fp in self.suppressions if fp.split("@", 1)[0] not in RULES
         )
 
-    def pruned(
-        self, registry: "RuleRegistry | None" = None
-    ) -> tuple["Baseline", list[str]]:
+    def pruned(self) -> tuple["Baseline", list[str]]:
         """A copy without stale entries, plus the fingerprints dropped."""
-        stale = set(self.stale_fingerprints(registry))
+        stale = set(self.stale_fingerprints())
         kept = {
             fp: reason
             for fp, reason in self.suppressions.items()

@@ -77,16 +77,14 @@ class TrainingSession:
         self.workspace: dict = {}
         self.outcomes: list[StepOutcome] = []
 
-    def run(self, *, stop_on_failure: bool = False) -> list[StepOutcome]:
-        """Execute every step in order."""
+    def run(self) -> list[StepOutcome]:
+        """Execute every step in order; a failed step does not stop the rest."""
         for step in self.module.steps:
             try:
                 detail = step.action(self.workspace)
                 self.outcomes.append(StepOutcome(step.name, True, detail))
             except ReproError as exc:
                 self.outcomes.append(StepOutcome(step.name, False, str(exc)))
-                if stop_on_failure:
-                    break
         return self.outcomes
 
     @property

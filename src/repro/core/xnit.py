@@ -58,9 +58,7 @@ YUM_PLUGIN_PRIORITIES = Package(
 )
 
 
-def build_xnit_repository(
-    version: str = CURRENT_RELEASE.version, *, include_extras: bool = True
-) -> Repository:
+def build_xnit_repository(version: str = CURRENT_RELEASE.version) -> Repository:
     """The XSEDE Yum repository at a catalogue release.
 
     Contains everything in the XCBC build (including torque/maui — XNIT
@@ -86,8 +84,7 @@ def build_xnit_repository(
             continue
         if pkg.nevra not in existing and not repo.has(pkg.name):
             repo.add(pkg)
-    if include_extras:
-        repo.add_all(xnit_extra_packages())
+    repo.add_all(xnit_extra_packages())
     repo.add(XSEDE_RELEASE_RPM)
     repo.add(YUM_PLUGIN_PRIORITIES)
     return repo

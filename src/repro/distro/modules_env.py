@@ -121,9 +121,9 @@ class ModuleSystem:
 class ModuleSession:
     """One shell's module state: ``module load/unload/list`` semantics."""
 
-    def __init__(self, system: ModuleSystem, *, base_env: dict[str, str] | None = None):
+    def __init__(self, system: ModuleSystem):
         self.system = system
-        self.env: dict[str, str] = dict(base_env or {"PATH": "/usr/bin:/bin"})
+        self.env: dict[str, str] = {"PATH": "/usr/bin:/bin"}
         self._loaded: dict[str, ModuleFile] = {}
 
     def loaded(self) -> list[str]:

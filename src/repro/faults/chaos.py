@@ -46,7 +46,7 @@ from ..distro.host import Host
 from ..errors import FaultError, HeadnodeCrashError, RetryExhaustedError
 from ..hardware.builder import build_limulus_hpc200, build_littlefe_modified
 from ..monitoring.gmond import Gmond
-from ..monitoring.hierarchy import GmetadTree, GmondRack
+from ..monitoring.hierarchy import DEAD_AFTER_MISSES, GmetadTree, GmondRack
 from ..recovery.checkpoint import register_world_factory
 from ..recovery.journal import Journal
 from ..recovery.supervisor import Supervisor
@@ -261,9 +261,7 @@ class ChaosWorld:
         self.kernel = kernel
         self.journal = Journal()
         self.scheduler = MauiScheduler(ClusterResources(self.machine), kernel=kernel)
-        self.gmetad = GmetadTree(
-            self.machine.name, poll_period_s=15.0, kernel=kernel
-        )
+        self.gmetad = GmetadTree(self.machine.name, kernel=kernel)
         rack = GmondRack(self.machine.name)
         self.gmetad.add_rack(rack)
         scheduler = self.scheduler
@@ -368,7 +366,7 @@ class ChaosWorld:
                 self.kernel.step()
             else:
                 self.phase = "winddown"
-                self._winddown_left = max(2, self.gmetad.dead_after_misses + 1)
+                self._winddown_left = max(2, DEAD_AFTER_MISSES + 1)
             return True
         if self.phase == "winddown":
             if self._winddown_left > 0:
@@ -452,7 +450,6 @@ def run_chaos(
     cluster: str = "littlefe",
     job_count: int = 12,
     with_mirror: bool = True,
-    supervise: bool = True,
 ) -> ChaosRun:
     """Build the stack, apply the plan, run to quiescence, audit."""
     world = ChaosWorld(
@@ -462,7 +459,6 @@ def run_chaos(
             "cluster": cluster,
             "job_count": job_count,
             "with_mirror": with_mirror,
-            "supervise": supervise,
         }
     )
     world.run()

@@ -23,6 +23,7 @@ JSON shape (one plan per file)::
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -79,10 +80,15 @@ class FaultSpec:
         found = []
         if not self.target:
             found.append(f"{self.kind.value}: empty target")
-        if self.at_s < 0:
-            found.append(f"{self.kind.value}@{self.target}: negative at_s")
-        if self.duration_s < 0:
-            found.append(f"{self.kind.value}@{self.target}: negative duration_s")
+        for key in ("at_s", "duration_s"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                found.append(
+                    f"{self.kind.value}@{self.target}: {key} must be finite, "
+                    f"got {value!r}"
+                )
+            elif value < 0:
+                found.append(f"{self.kind.value}@{self.target}: negative {key}")
         if self.duration_s > 0 and self.kind in _ONE_SHOT_KINDS:
             found.append(
                 f"{self.kind.value}@{self.target}: one-shot fault cannot "
@@ -120,6 +126,8 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, obj: Mapping[str, Any]) -> "FaultSpec":
+        if not isinstance(obj, Mapping):
+            raise FaultError(f"fault entry must be an object, got {obj!r}")
         try:
             kind = FaultKind(obj["kind"])
         except KeyError:
@@ -134,12 +142,22 @@ class FaultSpec:
             raise FaultError(
                 f"{kind.value}: fault entry missing {missing}"
             )
+        times = {}
+        for key in ("at_s", "duration_s"):
+            value = obj.get(key, 0.0)
+            try:
+                times[key] = float(value)
+            except (TypeError, ValueError):
+                raise FaultError(
+                    f"{kind.value}: {key} must be a number, got {value!r}"
+                ) from None
+        params = obj.get("params", {})
+        if not isinstance(params, Mapping):
+            raise FaultError(
+                f"{kind.value}: params must be an object, got {params!r}"
+            )
         return cls(
-            kind=kind,
-            target=str(obj["target"]),
-            at_s=float(obj["at_s"]),
-            duration_s=float(obj.get("duration_s", 0.0)),
-            params=dict(obj.get("params", {})),
+            kind=kind, target=str(obj["target"]), params=dict(params), **times
         )
 
 

@@ -243,10 +243,9 @@ class FleetTable:
         rank: int = 0,
         state=None,
         cores: int = 0,
-        mem_kb: float = 0.0,
-        powered_on: bool = True,
     ) -> FleetRow:
-        """Append one appliance; name (and MAC, when given) must be new."""
+        """Append one appliance, powered on with no memory recorded yet;
+        name (and MAC, when given) must be new."""
         if name in self._by_name:
             raise FleetError(f"row {name} already in table")
         if mac and mac in self._by_mac:
@@ -261,9 +260,9 @@ class FleetTable:
         code = 0 if state is None else self.state_code(state)
         self.states.append(code)
         self.cores.append(cores)
-        self.mem_kb.append(mem_kb)
+        self.mem_kb.append(0.0)
         self.load.append(0.0)
-        self.powered.append(1 if powered_on else 0)
+        self.powered.append(1)
         self.responsive.append(1)
         self.offline.append(0)
         self.failed.append(0)

@@ -40,18 +40,16 @@ from .cpu import (
     XEON_E5_2670,
     CpuModel,
     calibrated_cpu,
-    get_cpu,
 )
 from .gpu import GpuModel, TESLA_C2050, calibrated_gpu
-from .memory import DDR3_4G_SODIMM, DDR3_8G_UDIMM, DimmModel, get_dimm
+from .memory import DDR3_4G_SODIMM, DDR3_8G_UDIMM, DimmModel
 from .motherboard import (
     GA_Q87TN,
     LIMULUS_NODE_BOARD,
     LITTLEFE_ATOM_BOARD,
     MotherboardModel,
-    get_board,
 )
-from .nic import FASTE_ONBOARD, GIGE_ONBOARD, NicModel, get_nic
+from .nic import FASTE_ONBOARD, GIGE_ONBOARD, NicModel
 from .partlist import PartsLine, parts_list, render_parts_list
 from .node import Node, NodeRole, assemble_node
 from .power import (
@@ -61,7 +59,6 @@ from .power import (
     PICO_PSU_160,
     PsuModel,
     check_budget,
-    get_psu,
 )
 from .render import render_limulus, render_littlefe, render_machine
 from .storage import (
@@ -71,7 +68,6 @@ from .storage import (
     MountKind,
     StorageKind,
     StorageModel,
-    get_storage,
 )
 
 __all__ = [
@@ -96,7 +92,6 @@ __all__ = [
     "INTEL_STOCK_LGA1150",
     "ROSEWILL_RCX_Z775_LP",
     "CpuModel",
-    "get_cpu",
     "calibrated_cpu",
     "CPU_CATALOG",
     "ATOM_D510",
@@ -108,23 +103,19 @@ __all__ = [
     "TESLA_C2050",
     "calibrated_gpu",
     "DimmModel",
-    "get_dimm",
     "DDR3_4G_SODIMM",
     "DDR3_8G_UDIMM",
     "MotherboardModel",
-    "get_board",
     "GA_Q87TN",
     "LITTLEFE_ATOM_BOARD",
     "LIMULUS_NODE_BOARD",
     "NicModel",
-    "get_nic",
     "GIGE_ONBOARD",
     "FASTE_ONBOARD",
     "Node",
     "NodeRole",
     "assemble_node",
     "PsuModel",
-    "get_psu",
     "check_budget",
     "PICO_PSU_80",
     "PICO_PSU_160",
@@ -139,7 +130,6 @@ __all__ = [
     "StorageModel",
     "StorageKind",
     "MountKind",
-    "get_storage",
     "CRUCIAL_M550_128_MSATA",
     "LAPTOP_HDD_500",
     "WD_RED_2TB",

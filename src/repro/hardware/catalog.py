@@ -65,12 +65,17 @@ def all_parts() -> dict[str, PartEntry]:
 
 
 def find_part(name: str) -> PartEntry:
-    """Look up one part across all families."""
+    """Look up one part across all families.
+
+    Raises :class:`CatalogError` for an unknown name, listing the known
+    ones to make typos easy to spot.
+    """
     parts = all_parts()
     try:
         return parts[name]
     except KeyError:
-        raise CatalogError(f"unknown part {name!r}") from None
+        known = ", ".join(sorted(parts))
+        raise CatalogError(f"unknown part {name!r}; known: {known}") from None
 
 
 @dataclass(frozen=True)

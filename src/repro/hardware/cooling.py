@@ -27,7 +27,6 @@ __all__ = [
     "INTEL_STOCK_LGA1150",
     "ROSEWILL_RCX_Z775_LP",
     "COOLER_CATALOG",
-    "get_cooler",
     "check_cooler_fit",
 ]
 
@@ -80,15 +79,6 @@ COOLER_CATALOG: dict[str, CoolerModel] = {
     c.model: c
     for c in (PASSIVE_SINK_PLUS_FAN, INTEL_STOCK_LGA1150, ROSEWILL_RCX_Z775_LP)
 }
-
-
-def get_cooler(model: str) -> CoolerModel:
-    """Look up a cooler SKU, raising :class:`CatalogError` if unknown."""
-    try:
-        return COOLER_CATALOG[model]
-    except KeyError:
-        known = ", ".join(sorted(COOLER_CATALOG))
-        raise CatalogError(f"unknown cooler model {model!r}; known: {known}") from None
 
 
 def check_cooler_fit(

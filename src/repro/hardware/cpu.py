@@ -32,7 +32,6 @@ __all__ = [
     "I7_4770S",
     "XEON_E5_2670",
     "CPU_CATALOG",
-    "get_cpu",
     "calibrated_cpu",
 ]
 
@@ -221,19 +220,6 @@ CPU_CATALOG: dict[str, CpuModel] = {
         BCM2835,
     )
 }
-
-
-def get_cpu(model: str) -> CpuModel:
-    """Look up a CPU SKU by its marketing name.
-
-    Raises :class:`~repro.errors.CatalogError` for unknown models, listing
-    the known ones to make typos easy to spot.
-    """
-    try:
-        return CPU_CATALOG[model]
-    except KeyError:
-        known = ", ".join(sorted(CPU_CATALOG))
-        raise CatalogError(f"unknown CPU model {model!r}; known: {known}") from None
 
 
 def calibrated_cpu(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import CatalogError
 
-__all__ = ["DimmModel", "DDR3_4G_SODIMM", "DDR3_8G_UDIMM", "DIMM_CATALOG", "get_dimm"]
+__all__ = ["DimmModel", "DDR3_4G_SODIMM", "DDR3_8G_UDIMM", "DIMM_CATALOG"]
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,3 @@ DDR3_8G_UDIMM = DimmModel(
 DIMM_CATALOG: dict[str, DimmModel] = {
     d.model: d for d in (DDR3_4G_SODIMM, DDR3_8G_UDIMM)
 }
-
-
-def get_dimm(model: str) -> DimmModel:
-    """Look up a DIMM SKU by name, raising :class:`CatalogError` if unknown."""
-    try:
-        return DIMM_CATALOG[model]
-    except KeyError:
-        known = ", ".join(sorted(DIMM_CATALOG))
-        raise CatalogError(f"unknown DIMM model {model!r}; known: {known}") from None

@@ -23,7 +23,6 @@ __all__ = [
     "LITTLEFE_ATOM_BOARD",
     "LIMULUS_NODE_BOARD",
     "BOARD_CATALOG",
-    "get_board",
 ]
 
 
@@ -112,12 +111,3 @@ LIMULUS_NODE_BOARD = MotherboardModel(
 BOARD_CATALOG: dict[str, MotherboardModel] = {
     b.model: b for b in (GA_Q87TN, LITTLEFE_ATOM_BOARD, LIMULUS_NODE_BOARD)
 }
-
-
-def get_board(model: str) -> MotherboardModel:
-    """Look up a motherboard SKU, raising :class:`CatalogError` if unknown."""
-    try:
-        return BOARD_CATALOG[model]
-    except KeyError:
-        known = ", ".join(sorted(BOARD_CATALOG))
-        raise CatalogError(f"unknown board model {model!r}; known: {known}") from None

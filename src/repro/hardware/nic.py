@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import CatalogError
 
-__all__ = ["NicModel", "GIGE_ONBOARD", "FASTE_ONBOARD", "NIC_CATALOG", "get_nic"]
+__all__ = ["NicModel", "GIGE_ONBOARD", "FASTE_ONBOARD", "NIC_CATALOG"]
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,3 @@ FASTE_ONBOARD = NicModel(
 )
 
 NIC_CATALOG: dict[str, NicModel] = {n.model: n for n in (GIGE_ONBOARD, FASTE_ONBOARD)}
-
-
-def get_nic(model: str) -> NicModel:
-    """Look up a NIC SKU by name, raising :class:`CatalogError` if unknown."""
-    try:
-        return NIC_CATALOG[model]
-    except KeyError:
-        known = ", ".join(sorted(NIC_CATALOG))
-        raise CatalogError(f"unknown NIC model {model!r}; known: {known}") from None

@@ -62,7 +62,7 @@ def parts_list(machine: Machine) -> list[PartsLine]:
     return sorted(lines, key=lambda l: (l.family, l.part))
 
 
-def render_parts_list(quote: BuildQuote, *, include_network_kit: bool = True) -> str:
+def render_parts_list(quote: BuildQuote) -> str:
     """The published document: rows, totals, and the quoted comparison."""
     machine = quote.machine
     lines = [
@@ -78,12 +78,11 @@ def render_parts_list(quote: BuildQuote, *, include_network_kit: bool = True) ->
             f"${row.unit_usd:>8.2f}${row.extended_usd:>9.2f}"
         )
         total += row.extended_usd
-    if include_network_kit:
-        lines.append(
-            f"{1:>4}  {'switch, cabling, AC bricks, hardware':<42}"
-            f"{'network':<10}${NETWORK_KIT_USD:>8.2f}${NETWORK_KIT_USD:>9.2f}"
-        )
-        total += NETWORK_KIT_USD
+    lines.append(
+        f"{1:>4}  {'switch, cabling, AC bricks, hardware':<42}"
+        f"{'network':<10}${NETWORK_KIT_USD:>8.2f}${NETWORK_KIT_USD:>9.2f}"
+    )
+    total += NETWORK_KIT_USD
     lines.append("")
     lines.append(f"{'parts total':<58}${total:>9.2f}")
     lines.append(f"{'published price':<58}${quote.quoted_usd:>9.2f}")

@@ -25,7 +25,6 @@ __all__ = [
     "ATX_450W",
     "LIMULUS_850W",
     "PSU_CATALOG",
-    "get_psu",
     "check_budget",
     "total_draw",
 ]
@@ -64,15 +63,6 @@ LIMULUS_850W = PsuModel("Limulus 850W case PSU", rating_watts=850.0, efficiency=
 PSU_CATALOG: dict[str, PsuModel] = {
     p.model: p for p in (PICO_PSU_80, PICO_PSU_160, ATX_450W, LIMULUS_850W)
 }
-
-
-def get_psu(model: str) -> PsuModel:
-    """Look up a PSU SKU, raising :class:`CatalogError` if unknown."""
-    try:
-        return PSU_CATALOG[model]
-    except KeyError:
-        known = ", ".join(sorted(PSU_CATALOG))
-        raise CatalogError(f"unknown PSU model {model!r}; known: {known}") from None
 
 
 def total_draw(watt_values: Iterable[float]) -> float:

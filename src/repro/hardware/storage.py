@@ -26,7 +26,6 @@ __all__ = [
     "LAPTOP_HDD_500",
     "WD_RED_2TB",
     "STORAGE_CATALOG",
-    "get_storage",
 ]
 
 
@@ -109,14 +108,3 @@ WD_RED_2TB = StorageModel(
 STORAGE_CATALOG: dict[str, StorageModel] = {
     s.model: s for s in (CRUCIAL_M550_128_MSATA, LAPTOP_HDD_500, WD_RED_2TB)
 }
-
-
-def get_storage(model: str) -> StorageModel:
-    """Look up a storage SKU by name, raising :class:`CatalogError` if unknown."""
-    try:
-        return STORAGE_CATALOG[model]
-    except KeyError:
-        known = ", ".join(sorted(STORAGE_CATALOG))
-        raise CatalogError(
-            f"unknown storage model {model!r}; known: {known}"
-        ) from None

@@ -10,7 +10,14 @@ from functools import partial
 
 from ..rocks.installer import ProvisionedCluster
 from .gmond import Gmond
-from .hierarchy import ClusterSummary, FleetRack, GmetadTree, GmondRack, monitor_fleet
+from .hierarchy import (
+    POLL_PERIOD_S,
+    ClusterSummary,
+    FleetRack,
+    GmetadTree,
+    GmondRack,
+    monitor_fleet,
+)
 from .metrics import CORE_METRICS, MetricKind, MetricSample, MetricSpec, MonitoringError
 from .rrd import Rrd, RrdPoint
 
@@ -19,6 +26,7 @@ __all__ = [
     "MetricSpec",
     "MetricSample",
     "CORE_METRICS",
+    "POLL_PERIOD_S",
     "MonitoringError",
     "Rrd",
     "RrdPoint",
@@ -33,11 +41,7 @@ __all__ = [
 
 
 def monitor_cluster(
-    cluster: ProvisionedCluster,
-    *,
-    scheduler=None,
-    poll_period_s: float = 15.0,
-    kernel=None,
+    cluster: ProvisionedCluster, *, scheduler=None, kernel=None
 ) -> GmetadTree:
     """Attach gmonds to every node of a provisioned cluster.
 
@@ -55,9 +59,7 @@ def monitor_cluster(
     """
     if kernel is None and scheduler is not None:
         kernel = scheduler.kernel
-    tree = GmetadTree(
-        cluster.machine.name, poll_period_s=poll_period_s, kernel=kernel
-    )
+    tree = GmetadTree(cluster.machine.name, kernel=kernel)
     rack = GmondRack(cluster.machine.name)
     tree.add_rack(rack)
     # Hosts the scheduler does not place jobs on (the frontend) report 0.

@@ -50,12 +50,21 @@ from .metrics import CORE_METRICS, MonitoringError
 from .rrd import Rrd, RrdPoint
 
 __all__ = [
+    "POLL_PERIOD_S",
     "ClusterSummary",
     "FleetRack",
     "GmondRack",
     "GmetadTree",
     "monitor_fleet",
 ]
+
+#: Seconds between gmetad polls: each cycle advances the kernel this far
+#: and fills one RRD slot.
+POLL_PERIOD_S = 15.0
+#: Consecutive missed heartbeats after which a leaf declares a host dead.
+DEAD_AFTER_MISSES = 3
+#: Fleet-table rows per :class:`FleetRack` leaf in :func:`monitor_fleet`.
+HOSTS_PER_RACK = 48
 
 
 @dataclass(frozen=True)
@@ -107,19 +116,20 @@ def _signature(s: ClusterSummary) -> tuple:
 
 
 def _count_miss(
-    missed: dict, dead: set, key, host: str, limit: int, timestamp_s: float, trace
+    missed: dict, dead: set, key, host: str, timestamp_s: float, trace
 ) -> bool:
     """Count one missed heartbeat for ``key`` (a leaf's own host key).
 
     An unresponsive host is a missed heartbeat, not a monitoring crash:
-    the leaf degrades its summary and, at ``limit`` consecutive misses,
-    declares the host dead — once, with a ``monitor.host_dead`` event.
+    the leaf degrades its summary and, at :data:`DEAD_AFTER_MISSES`
+    consecutive misses, declares the host dead — once, with a
+    ``monitor.host_dead`` event.
     Returns True while the counter is still below the limit, i.e. while
     the leaf's state will change next cycle even if nothing else does.
     """
     count = missed.get(key, 0) + 1
     missed[key] = count
-    if count < limit:
+    if count < DEAD_AFTER_MISSES:
         return True
     if key not in dead:
         dead.add(key)
@@ -135,27 +145,17 @@ class FleetRack:
 
     ``indices`` are the rack's row indices in the shared table.  A host is
     *up* when powered; an unresponsive host is a missed heartbeat and is
-    declared dead after ``dead_after_misses`` consecutive misses.  The
+    declared dead after :data:`DEAD_AFTER_MISSES` consecutive misses.  The
     memory model matches :class:`Gmond`: free memory degrades with load,
     floored at 10%.  The rack watches its own rows through the table's
     change feed and rescans them only when one was written or a heartbeat
     counter is mid-count.
     """
 
-    def __init__(
-        self,
-        name: str,
-        fleet: FleetTable,
-        indices: list[int],
-        *,
-        dead_after_misses: int = 3,
-    ) -> None:
-        if dead_after_misses < 1:
-            raise MonitoringError("dead_after_misses must be >= 1")
+    def __init__(self, name: str, fleet: FleetTable, indices: list[int]) -> None:
         self.name = name
         self.fleet = fleet
         self.indices = list(indices)
-        self.dead_after_misses = dead_after_misses
         self._missed: dict[int, int] = {}
         self._dead: set[int] = set()
         self._last: ClusterSummary | None = None
@@ -202,7 +202,7 @@ class FleetRack:
             if not fleet.responsive[i]:
                 if _count_miss(
                     self._missed, self._dead, i, fleet.names[i],
-                    self.dead_after_misses, timestamp_s, trace,
+                    timestamp_s, trace,
                 ):
                     unsettled = True
                 continue
@@ -244,15 +244,8 @@ class GmondRack:
     detail (the frontend) alongside :class:`FleetRack` leaves for the bulk.
     """
 
-    def __init__(self, name: str, *, dead_after_misses: int = 3) -> None:
-        if dead_after_misses < 1:
-            raise MonitoringError("dead_after_misses must be >= 1")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.dead_after_misses = dead_after_misses
-        #: Slot width of the archives :meth:`sample` creates.
-        #: :meth:`GmetadTree.add_rack` sets it to the tree's poll period,
-        #: so each cycle fills exactly one slot.
-        self.rrd_step_s = 15.0
         self._gmonds: dict[str, Gmond] = {}
         self._rrds: dict[tuple[str, str], Rrd] = {}
         self._missed: dict[str, int] = {}
@@ -321,7 +314,7 @@ class GmondRack:
             except ReproError:
                 _count_miss(
                     self._missed, self._dead, name, name,
-                    self.dead_after_misses, timestamp_s, trace,
+                    timestamp_s, trace,
                 )
                 continue
             self._missed[name] = 0
@@ -329,7 +322,8 @@ class GmondRack:
             for metric, sample in samples.items():
                 rrd = rrds.get((name, metric))
                 if rrd is None:
-                    rrd = rrds[name, metric] = Rrd(step_s=self.rrd_step_s)
+                    # One slot per poll cycle.
+                    rrd = rrds[name, metric] = Rrd(step_s=POLL_PERIOD_S)
                 rrd.update(timestamp_s, sample.value)
                 trace.emit(
                     "metric.sample", t_s=timestamp_s, subsystem="monitoring",
@@ -427,16 +421,9 @@ class GmetadTree:
     """
 
     def __init__(
-        self,
-        cluster_name: str,
-        *,
-        poll_period_s: float = 15.0,
-        kernel: SimKernel | None = None,
+        self, cluster_name: str, *, kernel: SimKernel | None = None
     ) -> None:
-        if poll_period_s <= 0:
-            raise MonitoringError("poll period must be positive")
         self.cluster_name = cluster_name
-        self.poll_period_s = poll_period_s
         self.kernel = kernel if kernel is not None else SimKernel()
         self._racks: dict[str, FleetRack | GmondRack] = {}
         self._rack_last: dict[str, ClusterSummary] = {}
@@ -454,8 +441,6 @@ class GmetadTree:
         if rack.name in self._racks:
             raise MonitoringError(f"rack {rack.name} already attached")
         self._racks[rack.name] = rack
-        if isinstance(rack, GmondRack):
-            rack.rrd_step_s = self.poll_period_s
 
     def racks(self) -> list[str]:
         return sorted(self._racks)
@@ -466,14 +451,6 @@ class GmetadTree:
         for name in self.racks():
             out.extend(self._racks[name].dead_hosts())
         return sorted(out)
-
-    @property
-    def dead_after_misses(self) -> int:
-        """Poll cycles after which every leaf has declared a silent host
-        dead (the slowest leaf's threshold)."""
-        return max(
-            (rack.dead_after_misses for rack in self._racks.values()), default=1
-        )
 
     def _agent_racks(self) -> list[GmondRack]:
         return [
@@ -568,7 +545,7 @@ class GmetadTree:
         Advancing runs any co-simulated kernel events that fall inside the
         window first, so the poll observes the cluster as it is *then*.
         """
-        self.kernel.run_until(self.now_s + self.poll_period_s)
+        self.kernel.run_until(self.now_s + POLL_PERIOD_S)
         return self._sample(self.now_s)
 
     def run_cycles(self, count: int) -> ClusterSummary:
@@ -581,8 +558,9 @@ class GmetadTree:
         assert last is not None
         return last
 
-    def start_sampling(self, *, first_at_s: float | None = None) -> PeriodicEvent:
-        """Register polling as a periodic kernel event (co-simulation mode).
+    def start_sampling(self) -> PeriodicEvent:
+        """Register polling as a periodic kernel event (co-simulation mode),
+        first firing one period from now.
 
         Time is then driven by whoever runs the kernel — the scheduler, a
         transfer, ``kernel.run_until`` — and each period fires a sample
@@ -592,9 +570,8 @@ class GmetadTree:
         if self._sampler is not None:
             raise MonitoringError("sampling is already running")
         self._sampler = self.kernel.every(
-            self.poll_period_s,
+            POLL_PERIOD_S,
             lambda: self._sample(self.kernel.now_s),
-            first_at_s=first_at_s,
             label=f"gmetad-tree.poll:{self.cluster_name}",
         )
         return self._sampler
@@ -616,36 +593,22 @@ class GmetadTree:
         }
 
 
-def monitor_fleet(
-    cluster,
-    *,
-    hosts_per_rack: int = 48,
-    poll_period_s: float = 15.0,
-    kernel: SimKernel | None = None,
-    dead_after_misses: int = 3,
-) -> GmetadTree:
+def monitor_fleet(cluster, *, kernel: SimKernel | None = None) -> GmetadTree:
     """Wire a provisioned cluster into a hierarchical monitoring tree.
 
     Rows of the cluster's fleet table (frontend included) are chunked into
-    :class:`FleetRack` leaves of ``hosts_per_rack`` each — the fleet-scale
-    counterpart of :func:`~repro.monitoring.monitor_cluster`, with no
+    :class:`FleetRack` leaves of :data:`HOSTS_PER_RACK` each — the
+    fleet-scale counterpart of :func:`~repro.monitoring.monitor_cluster`, with no
     per-host gmond objects.  Works for any install mode; it is the only
     monitoring path that scales to golden-image fleets.
     """
-    if hosts_per_rack < 1:
-        raise MonitoringError("hosts_per_rack must be >= 1")
     fleet = cluster.rocksdb.fleet
-    tree = GmetadTree(
-        cluster.machine.name, poll_period_s=poll_period_s, kernel=kernel
-    )
+    tree = GmetadTree(cluster.machine.name, kernel=kernel)
     indices = fleet.ordered_indices()
-    for j, start in enumerate(range(0, len(indices), hosts_per_rack)):
+    for j, start in enumerate(range(0, len(indices), HOSTS_PER_RACK)):
         tree.add_rack(
             FleetRack(
-                f"rack{j:03d}",
-                fleet,
-                indices[start : start + hosts_per_rack],
-                dead_after_misses=dead_after_misses,
+                f"rack{j:03d}", fleet, indices[start : start + HOSTS_PER_RACK]
             )
         )
     return tree

@@ -19,6 +19,11 @@ from .fabric import Endpoint, Fabric, Switch
 
 __all__ = ["ClusterNetwork", "build_cluster_network"]
 
+#: Ports on every switch the builder places (a 24-port edge switch).
+SWITCH_PORTS = 24
+#: Per-hop latency of those switches, in microseconds.
+SWITCH_LATENCY_US = 5.0
+
 
 @dataclass
 class ClusterNetwork:
@@ -47,12 +52,7 @@ class ClusterNetwork:
         return [n.mac_address for n in self.machine.compute_nodes]
 
 
-def build_cluster_network(
-    machine: Machine,
-    *,
-    switch_ports: int = 24,
-    switch_latency_us: float = 5.0,
-) -> ClusterNetwork:
+def build_cluster_network(machine: Machine) -> ClusterNetwork:
     """Wire a machine into the standard dual-homed topology.
 
     The frontend's first NIC goes to the public switch, its second to the
@@ -61,46 +61,45 @@ def build_cluster_network(
     nodes", Section 5.1).  A frontend with fewer than two NICs is rejected.
 
     Small clusters fit behind one private switch.  When the node count
-    exceeds one switch's ports, the private side becomes a leaf/spine: leaf
-    switches hold the nodes (one uplink port reserved per leaf) and a spine
-    joins them — campus-scale sites like Kansas's 220 nodes wire this way.
+    exceeds one switch's :data:`SWITCH_PORTS`, the private side becomes a
+    leaf/spine: leaf switches hold the nodes (one uplink port reserved per
+    leaf) and a spine joins them — campus-scale sites like Kansas's 220
+    nodes wire this way.
     """
     head = machine.head
     if len(head.nics) < 2:
         raise NetworkError(
             f"{head.name}: dual-homed frontend needs 2 NICs, has {len(head.nics)}"
         )
-    if switch_ports < 4:
-        raise NetworkError("switches need at least 4 ports")
     fabric = Fabric()
     public = fabric.add_switch(
-        Switch("public", ports=switch_ports, latency_us=switch_latency_us)
+        Switch("public", ports=SWITCH_PORTS, latency_us=SWITCH_LATENCY_US)
     )
     fabric.attach("public", Endpoint(head.name, head.nics[0], "eth0"))
 
     endpoints_needed = 1 + len(machine.compute_nodes)  # head eth1 + computes
-    if endpoints_needed <= switch_ports:
+    if endpoints_needed <= SWITCH_PORTS:
         private = fabric.add_switch(
-            Switch("private", ports=switch_ports, latency_us=switch_latency_us)
+            Switch("private", ports=SWITCH_PORTS, latency_us=SWITCH_LATENCY_US)
         )
         fabric.attach("private", Endpoint(head.name, head.nics[1], "eth1"))
         for node in machine.compute_nodes:
             fabric.attach("private", Endpoint(node.name, node.nics[0], "eth0"))
     else:
-        per_leaf = switch_ports - 1  # one port per leaf reserved for uplink
+        per_leaf = SWITCH_PORTS - 1  # one port per leaf reserved for uplink
         leaf_count = -(-endpoints_needed // per_leaf)
         spine = fabric.add_switch(
             Switch(
                 "private",  # the spine carries the canonical name
-                ports=max(switch_ports, leaf_count),
-                latency_us=switch_latency_us,
+                ports=max(SWITCH_PORTS, leaf_count),
+                latency_us=SWITCH_LATENCY_US,
             )
         )
         leaves = []
         for i in range(leaf_count):
             leaf = fabric.add_switch(
-                Switch(f"private-leaf{i}", ports=switch_ports,
-                       latency_us=switch_latency_us)
+                Switch(f"private-leaf{i}", ports=SWITCH_PORTS,
+                       latency_us=SWITCH_LATENCY_US)
             )
             fabric.connect_switches("private", leaf.name)
             leaves.append(leaf)

@@ -52,12 +52,10 @@ class SiteProxy:
         origin,
         *,
         kernel,
-        serve_stale: bool = True,
     ) -> None:
         self.name = name
         self.origin = origin
         self.kernel = kernel
-        self.serve_stale = serve_stale
         #: artifact -> _CacheEntry; invalidated by bumping _content_epoch,
         #: never by mutation — entries older than the epoch are stale.
         self._content: dict[str, _CacheEntry] = {}
@@ -175,7 +173,7 @@ class SiteProxy:
                 )
             return
         stale = self._content.get(artifact)
-        if self.serve_stale and stale is not None:
+        if stale is not None:
             self.stale_served += len(waiters)
             self.kernel.trace.emit(
                 "repod.stale", t_s=self.kernel.now_s, subsystem="repod",

@@ -36,15 +36,11 @@ class InstallState(str, Enum):
 class RocksDatabase:
     """The frontend's cluster database (columnar)."""
 
-    def __init__(self, fleet: FleetTable | None = None) -> None:
+    def __init__(self) -> None:
         #: the cluster's one fleet table; share it with the scheduler
         #: (``ClusterResources.from_fleet``) and the monitoring tree
         #: (``FleetRack``) so all layers read the same columns.
-        self.fleet = (
-            fleet
-            if fleet is not None
-            else FleetTable(state_values=tuple(InstallState))
-        )
+        self.fleet = FleetTable(state_values=tuple(InstallState))
         #: rack -> highest compute rank registered (the next_compute_name
         #: fast path); racks land in ``_stale_racks`` on removal and are
         #: recomputed lazily, preserving the max+1 reuse semantics.

@@ -117,8 +117,8 @@ class ProvisionedCluster:
     def failed_hosts(self) -> list[str]:
         """Compute nodes whose kickstart crashed (state FAILED).
 
-        Feed these to ``ClusterResources(machine, exclude=...)`` so a
-        half-provisioned node never becomes schedulable capacity."""
+        ``ClusterResources.from_fleet`` schedules only ``os-installed``
+        rows, so a half-provisioned node never becomes capacity."""
         return [
             r.name
             for r in self.rocksdb.compute_hosts()

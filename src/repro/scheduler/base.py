@@ -62,16 +62,9 @@ class ClusterResources:
     allocated.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        *,
-        use_head_for_jobs: bool = False,
-        exclude: set[str] | frozenset[str] = frozenset(),
-    ):
+    def __init__(self, machine: Machine):
         # By XSEDE convention compute jobs stay off the frontend.
-        nodes = machine.nodes if use_head_for_jobs else machine.compute_nodes
-        nodes = [n for n in nodes if n.name not in exclude]
+        nodes = machine.compute_nodes
         if not nodes:
             raise SchedulerError(f"{machine.name}: no compute nodes to schedule on")
         fleet = FleetTable()
@@ -90,24 +83,20 @@ class ClusterResources:
         fleet: FleetTable,
         *,
         label: str = "fleet",
-        use_head_for_jobs: bool = False,
-        exclude: set[str] | frozenset[str] = frozenset(),
     ) -> "ClusterResources":
         """Build resources directly over a cluster's fleet table.
 
         Schedulable nodes are the live compute rows in install state
-        ``os-installed`` (a half-provisioned node never becomes capacity);
-        ``use_head_for_jobs`` admits the frontend row too.  The flag
-        columns are shared, not copied — this is the 10k-node path, where
-        rocks, the scheduler, and monitoring all read one table.
+        ``os-installed`` (a half-provisioned node never becomes capacity).
+        The flag columns are shared, not copied — this is the 10k-node path,
+        where rocks, the scheduler, and monitoring all read one table.
         """
         installed = fleet.state_code("os-installed")
         indices = [
             i
             for i in fleet.ordered_indices()
-            if fleet.names[i] not in exclude
-            and fleet.states[i] == installed
-            and (use_head_for_jobs or fleet.appliances[i] == "compute")
+            if fleet.states[i] == installed
+            and fleet.appliances[i] == "compute"
         ]
         if not indices:
             raise SchedulerError(f"{label}: no compute nodes to schedule on")

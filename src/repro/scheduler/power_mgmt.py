@@ -26,6 +26,12 @@ from .torque import MauiScheduler
 
 __all__ = ["PowerManagedScheduler", "EnergyReport", "PowerWindow"]
 
+#: Seconds a powered-off node takes to become usable; jobs whose
+#: allocation required booting start late by this much.
+BOOT_DELAY_S = 60.0
+#: Extra draw of a node while it boots (disks spinning up, POST).
+BOOT_POWER_WATTS = 20.0
+
 
 @dataclass(frozen=True)
 class PowerWindow:
@@ -90,11 +96,6 @@ class PowerManagedScheduler(MauiScheduler):
     manage_power:
         False reproduces the always-on baseline (same policy, no power
         control) so the two runs differ only in power behaviour.
-    boot_delay_s:
-        Time a powered-off node takes to become usable; jobs whose
-        allocation required booting start late by this much.
-    boot_power_watts:
-        Extra draw during boot (disks spinning up, POST).
     """
 
     scheduler_name = "torque+maui+powermgmt"
@@ -104,16 +105,12 @@ class PowerManagedScheduler(MauiScheduler):
         machine: Machine,
         *,
         manage_power: bool = True,
-        boot_delay_s: float = 60.0,
-        boot_power_watts: float = 20.0,
         blackout: "PowerWindow | None" = None,
         kernel: SimKernel | None = None,
     ) -> None:
         super().__init__(ClusterResources(machine), kernel=kernel)
         self.machine = machine
         self.manage_power = manage_power
-        self.boot_delay_s = boot_delay_s
-        self.boot_power_watts = boot_power_watts
         self.blackout = blackout
         self._node_power: dict[str, tuple[float, float]] = {
             n.name: (n.draw_watts, n.idle_watts) for n in machine.compute_nodes
@@ -138,7 +135,7 @@ class PowerManagedScheduler(MauiScheduler):
         if on:
             self.kernel.trace.emit(
                 "node.power_on", t_s=self.now_s, subsystem="power",
-                node=node_name, boot_delay_s=self.boot_delay_s,
+                node=node_name, boot_delay_s=BOOT_DELAY_S,
             )
         else:
             self.kernel.trace.emit(
@@ -194,7 +191,7 @@ class PowerManagedScheduler(MauiScheduler):
             self._set_power(node, on=True)
             self._just_booted.add(node)
             self.energy.boot_events += 1
-            self.energy.boot_joules += self.boot_power_watts * self.boot_delay_s
+            self.energy.boot_joules += BOOT_POWER_WATTS * BOOT_DELAY_S
 
     def _power_off_idle(self) -> None:
         """Power down idle nodes (immediate-off policy)."""
@@ -211,8 +208,8 @@ class PowerManagedScheduler(MauiScheduler):
             # re-key the completion event through the kernel's first-class
             # reschedule API (no private heap to mutate).
             assert job.start_time_s is not None and job.end_time_s is not None
-            job.start_time_s += self.boot_delay_s
-            job.end_time_s += self.boot_delay_s
+            job.start_time_s += BOOT_DELAY_S
+            job.end_time_s += BOOT_DELAY_S
             self.reschedule_completion(job)
             for node in booted:
                 self._just_booted.discard(node)

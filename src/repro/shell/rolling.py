@@ -21,13 +21,13 @@ update is bad or the fleet is flaky.  :class:`RollingUpdate` sweeps a
 Two failure-domain gates sit on top: a **rack limit** (after
 ``rack_failures_limit`` node failures in one rack, the rest of that rack
 is skipped — a dying PDU should cost one rack, not the sweep) and a
-**sweep threshold** (``max_failures`` / ``max_failure_fraction``; crossing
-it pauses or aborts per ``on_threshold``).  A paused sweep is resumable:
-the operator repairs, calls :meth:`RollingUpdate.resume`, and the sweep
-continues from the next wave with a fresh failure budget.
+**sweep threshold** (``max_failures``; crossing it pauses the sweep).  A
+paused sweep is resumable: the operator repairs, calls
+:meth:`RollingUpdate.resume`, and the sweep continues from the next wave
+with a fresh failure budget.
 
 Every decision lands on the trace bus (``shell.wave`` per wave,
-``shell.abort`` per rack abort / pause / abort), and
+``shell.abort`` per rack abort or pause), and
 :func:`rolling_confluence_problems` audits a finished trace for the
 invariants the chaos harness checks.
 """
@@ -66,7 +66,7 @@ class WaveResult:
 
 @dataclass
 class RollingReport:
-    """The sweep so far: always consistent, even paused or aborted."""
+    """The sweep so far: always consistent, even paused."""
 
     state: str = "idle"
     waves: list[WaveResult] = field(default_factory=list)
@@ -120,20 +120,12 @@ class RollingUpdate:
         timeout_s: float = 30.0,
         policy: RetryPolicy | None = None,
         max_failures: int | None = None,
-        max_failure_fraction: float | None = None,
-        on_threshold: str = "pause",
         rack_failures_limit: int | None = None,
         drain_deadline_s: float | None = 600.0,
         health_cycles: int = 3,
     ) -> None:
         if wave_size < 1:
             raise ShellError(f"wave size must be >= 1, got {wave_size}")
-        if on_threshold not in ("pause", "abort"):
-            raise ShellError(
-                f"on_threshold must be 'pause' or 'abort', got {on_threshold!r}"
-            )
-        if max_failure_fraction is not None and not 0 <= max_failure_fraction <= 1:
-            raise ShellError("max_failure_fraction must be in [0, 1]")
         if rack_failures_limit is not None and rack_failures_limit < 1:
             raise ShellError("rack_failures_limit must be >= 1")
         if health_cycles < 0:
@@ -146,8 +138,6 @@ class RollingUpdate:
         self.timeout_s = timeout_s
         self.policy = policy
         self.max_failures = max_failures
-        self.max_failure_fraction = max_failure_fraction
-        self.on_threshold = on_threshold
         self.rack_failures_limit = rack_failures_limit
         self.drain_deadline_s = drain_deadline_s
         self.health_cycles = health_cycles
@@ -156,7 +146,6 @@ class RollingUpdate:
         self._next_wave = 0
         self._command: ShellCommand | None = None
         self._sched_names: frozenset[str] = frozenset()
-        self._attempted = 0
         self._failed = 0
         self._rack_failures: dict[int, int] = {}
         self._aborted_racks: set[int] = set()
@@ -170,7 +159,7 @@ class RollingUpdate:
     def run(
         self, nodes: NodeSet | str, command: ShellCommand | str
     ) -> RollingReport:
-        """Sweep ``nodes`` in waves; returns when done, paused, or aborted."""
+        """Sweep ``nodes`` in waves; returns when done or paused."""
         if self.report.state not in ("idle",):
             raise ShellError(
                 f"rolling update already {self.report.state}; "
@@ -192,14 +181,13 @@ class RollingUpdate:
         """Continue a paused sweep with a fresh failure budget.
 
         The operator has intervened (repaired nodes, pulled the bad
-        package); the counters that tripped the threshold restart at zero
-        so the pre-repair failures are not double-counted.
+        package); the failure count that tripped the threshold restarts at
+        zero so the pre-repair failures are not double-counted.
         """
         if self.report.state != "paused":
             raise ShellError(
                 f"cannot resume a rolling update that is {self.report.state}"
             )
-        self._attempted = 0
         self._failed = 0
         self.report.pause_reason = ""
         self.report.state = "running"
@@ -235,18 +223,11 @@ class RollingUpdate:
             self.report._remaining = self._remaining_after(index)
             crossed = self._threshold_reason()
             if crossed:
-                if self.on_threshold == "abort":
-                    self.report.state = "aborted"
-                    self.report.pause_reason = crossed
-                    self._emit_abort(
-                        f"sweep aborted: {crossed}", index, self.report._remaining
-                    )
-                else:
-                    self.report.state = "paused"
-                    self.report.pause_reason = crossed
-                    self._emit_abort(
-                        f"sweep paused: {crossed}", index, self.report._remaining
-                    )
+                self.report.state = "paused"
+                self.report.pause_reason = crossed
+                self._emit_abort(
+                    f"sweep paused: {crossed}", index, self.report._remaining
+                )
                 return self.report
         self.report.state = "succeeded"
         return self.report
@@ -256,15 +237,6 @@ class RollingUpdate:
             return (
                 f"{self._failed} node failure(s) exceed "
                 f"max_failures={self.max_failures}"
-            )
-        if (
-            self.max_failure_fraction is not None
-            and self._attempted > 0
-            and self._failed / self._attempted > self.max_failure_fraction
-        ):
-            return (
-                f"failure fraction {self._failed}/{self._attempted} exceeds "
-                f"{self.max_failure_fraction:g}"
             )
         return ""
 
@@ -341,7 +313,6 @@ class RollingUpdate:
             ok=ok_count, failed=failed_count, skipped=len(skipped),
             status=status,
         )
-        self._attempted += executed
         self._failed += failed_count
         self.report.waves.append(
             WaveResult(

@@ -239,9 +239,27 @@ def validate_jsonl(text: str) -> tuple[int, list[str]]:
             if seq <= last_seq:
                 problems.append(f"line {lineno}: seq {seq} not increasing")
             last_seq = seq
-        if lineno == len(lines) or line != _json_fallback(obj):
+        if lineno == len(lines) or line + "\n" != _canonical_line(obj):
             problems.append(f"line {lineno}: not canonical JSON")
     return count, problems
+
+
+def _canonical_line(obj: dict) -> str:
+    """The canonical encoding of a decoded line, newline included.
+
+    A well-formed envelope goes through the same line formatter as
+    :meth:`TraceBus.to_jsonl`; anything else through the fallback encoder.
+    Both give the sorted-key compact ``json.dumps`` of ``obj``.
+    """
+    if obj.keys() == _ENVELOPE_KEYS:
+        kind, sub, data = obj["kind"], obj["sub"], obj["data"]
+        if type(kind) is str and type(sub) is str and type(data) is dict:
+            keys = tuple(data)
+            line = _LINE_FORMATTERS.get((kind, sub, keys)) or _line_formatter(
+                kind, sub, keys
+            )
+            return line(obj["seq"], obj["t"], *data.values())
+    return _json_fallback(obj) + "\n"
 
 
 def audit_events(events, reads: Mapping[str, tuple[str, ...]]):
@@ -269,6 +287,9 @@ def audit_events(events, reads: Mapping[str, tuple[str, ...]]):
                     f"{kind} event (seq {seq}) has no data field {name!r}"
                 )
         yield kind, data, seq
+
+
+_ENVELOPE_KEYS = frozenset({"data", "kind", "seq", "sub", "t"})
 
 
 def _json_fallback(value: object) -> str:

@@ -20,12 +20,9 @@ __all__ = ["RescanRack"]
 class RescanRack:
     """``FleetRack.sample`` without the fast path."""
 
-    def __init__(
-        self, fleet: FleetTable, indices: list[int], *, dead_after_misses: int = 3
-    ) -> None:
+    def __init__(self, fleet: FleetTable, indices: list[int]) -> None:
         self.fleet = fleet
         self.indices = list(indices)
-        self.dead_after_misses = dead_after_misses
         self._missed: dict[int, int] = {}
         self._dead: set[int] = set()
         self._last: ClusterSummary | None = None
@@ -48,7 +45,7 @@ class RescanRack:
             if not fleet.responsive[i]:
                 _count_miss(
                     self._missed, self._dead, i, fleet.names[i],
-                    self.dead_after_misses, timestamp_s, trace,
+                    timestamp_s, trace,
                 )
                 continue
             self._missed[i] = 0

@@ -32,14 +32,6 @@ class TestCurriculum:
         assert not by_step["install-xcbc"].passed
         assert "diskless" in by_step["install-xcbc"].detail
 
-    def test_stop_on_failure_halts(self):
-        session = TrainingSession(littlefe_xcbc_module(forget_disks=True))
-        session.run(stop_on_failure=True)
-        # wire-network fails first: the single-NIC Atom head cannot be
-        # dual-homed... actually assembly passes; install fails; later steps
-        # never run
-        assert len(session.outcomes) < 5
-
     def test_transcript_format(self):
         session = TrainingSession(littlefe_xcbc_module(), students=3)
         session.run()

@@ -30,10 +30,6 @@ class TestRepositoryContents:
             assert repo.has(extra)
             assert extra not in xsede_package_names()
 
-    def test_extras_can_be_excluded(self):
-        repo = build_xnit_repository(include_extras=False)
-        assert not repo.has("paraview")
-
     def test_setup_rpms_published(self):
         repo = build_xnit_repository()
         assert repo.has("xsede-release")

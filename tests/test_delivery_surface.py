@@ -34,7 +34,7 @@ def test_delivery_plane_exports_and_constructor_options_are_exact():
         "Stratum1", "cas_confluence_problems", "chunk_package",
         "recover_stratum0",
     ]
-    assert _parameters(SiteProxy) == ["name", "origin", "kernel", "serve_stale"]
+    assert _parameters(SiteProxy) == ["name", "origin", "kernel"]
     assert _parameters(RepoClient) == [
         "name", "proxy", "kernel", "policy", "budget",
     ]

@@ -39,6 +39,7 @@ from repro.faults.chaos import demo_plan, run_chaos
 from repro.fleet import FleetTable
 from repro.hardware import build_littlefe_modified
 from repro.monitoring import GmetadTree, Gmond, GmondRack
+from repro.monitoring.hierarchy import DEAD_AFTER_MISSES
 from repro.network.dhcp import DhcpServer
 from repro.network.pxe import BootImage, PxeServer
 from repro.repod import RepoClient, RepoServer, SiteProxy
@@ -357,6 +358,31 @@ class TestFaultPlan:
         with pytest.raises(FaultError, match="one-shot"):
             plan.validate()
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "null",
+            '{"kind": "node.crash", "target": "n1", "at_s": "soon"}',
+            '{"kind": "node.crash", "target": "n1", "at_s": 1, "duration_s": null}',
+            '{"kind": "node.crash", "target": "n1", "at_s": 1, "params": "ab"}',
+            '{"kind": "node.crash", "target": "n1", "at_s": 1e400}',
+        ],
+        ids=["null-entry", "at_s-word", "duration_s-null", "params-str", "at_s-inf"],
+    )
+    def test_malformed_plan_is_a_plan_error(self, entry, tmp_path, capsys):
+        """A malformed entry is a FaultError from the library and exit 2
+        (bad plan) from the CLI: never an untyped error, a traceback, or
+        the audit-failure exit 1."""
+        from repro.faults.__main__ import main
+
+        text = '{"name": "x", "faults": [%s]}' % entry
+        with pytest.raises(FaultError):
+            FaultPlan.from_json(text).validate()
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["--plan", str(path), "--quiet"]) == 2
+        assert "chaos run failed" in capsys.readouterr().err
+
     def test_injector_refuses_unwired_subsystem(self):
         kernel = SimKernel()
         injector = FaultInjector(kernel)  # nothing wired
@@ -451,8 +477,8 @@ class TestGracefulDegradation:
     def test_gmetad_survives_dead_gmond_and_reports_degraded(self):
         kernel = SimKernel()
         machine = build_littlefe_modified().machine
-        gmetad = GmetadTree(machine.name, poll_period_s=10.0, kernel=kernel)
-        rack = GmondRack(machine.name, dead_after_misses=2)
+        gmetad = GmetadTree(machine.name, kernel=kernel)
+        rack = GmondRack(machine.name)
         gmetad.add_rack(rack)
         from repro.distro import CENTOS_6_5, Host
 
@@ -460,7 +486,7 @@ class TestGracefulDegradation:
             rack.attach(Gmond(Host(node, CENTOS_6_5)))
         victim = machine.compute_nodes[0].name
         gmetad.gmond_for(victim).fail_heartbeat()
-        summary = gmetad.run_cycles(2)
+        summary = gmetad.run_cycles(DEAD_AFTER_MISSES)
         assert victim in gmetad.dead_hosts()
         assert summary.hosts_dead == 1
         assert summary.degraded
@@ -594,13 +620,13 @@ class TestInstallerCrashConsistency:
         # Surviving nodes got the full closure (uniform environment holds).
         if ok_records:
             assert cluster.installed_everywhere()
-        # No phantom scheduler resources: building resources that exclude
-        # the failed hardware only counts surviving cores.
+        # No phantom scheduler resources: resources over the cluster's
+        # fleet table count only the surviving cores.
         failed_hw = {
             computes[i].name for i in crash_indices
         }
         if len(failed_hw) < len(computes):
-            resources = ClusterResources(machine, exclude=failed_hw)
+            resources = ClusterResources.from_fleet(cluster.rocksdb.fleet)
             expected = sum(
                 n.cores for n in computes if n.name not in failed_hw
             )

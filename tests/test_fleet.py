@@ -465,8 +465,8 @@ def test_golden_image_install(littlefe_machine):
 def test_monitor_fleet_tree_and_dead_host(littlefe_machine):
     kernel = SimKernel(seed=5)
     cluster = RocksInstaller(littlefe_machine).run(wave_size=3, kernel=kernel)
-    tree = monitor_fleet(cluster, hosts_per_rack=2, kernel=kernel)
-    assert len(tree.racks()) == 3  # 6 hosts, 2 per leaf
+    tree = monitor_fleet(cluster, kernel=kernel)
+    assert len(tree.racks()) == 1  # 6 hosts fit one 48-host leaf
 
     summary = tree.poll_cycle()
     assert summary.hosts_up == 6
@@ -490,10 +490,10 @@ def test_monitor_fleet_tree_and_dead_host(littlefe_machine):
 def test_monitor_rack_event_shape(littlefe_machine):
     kernel = SimKernel(seed=6)
     cluster = RocksInstaller(littlefe_machine).run(wave_size=3, kernel=kernel)
-    tree = monitor_fleet(cluster, hosts_per_rack=4, kernel=kernel)
+    tree = monitor_fleet(cluster, kernel=kernel)
     tree.poll_cycle()
     racks = [e for e in kernel.trace.events if e.kind == "monitor.rack"]
-    assert {e.data["rack"] for e in racks} == {"rack000", "rack001"}
+    assert {e.data["rack"] for e in racks} == {"rack000"}
     assert all(e.data["hosts_up"] == e.data["hosts_total"] for e in racks)
 
 

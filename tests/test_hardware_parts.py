@@ -20,7 +20,6 @@ from repro.hardware import (
     check_budget,
     check_cooler_fit,
     find_part,
-    get_cpu,
     price_bom,
 )
 
@@ -53,9 +52,9 @@ class TestCpuCatalog:
         assert CELERON_G1840.rpeak_gflops == pytest.approx(89.6)
         assert I7_4770S.rpeak_gflops == pytest.approx(198.4)
 
-    def test_get_cpu_unknown_raises_with_known_list(self):
-        with pytest.raises(CatalogError, match="known:"):
-            get_cpu("Intel Pentium 4")
+    def test_find_part_unknown_raises_with_known_list(self):
+        with pytest.raises(CatalogError, match="known:.*Intel Core i7-4770S"):
+            find_part("Intel Pentium 4")
 
     def test_calibrated_cpu_hits_target(self):
         cpu = calibrated_cpu("site-cpu", cores=8, target_rpeak_gflops=118.18)

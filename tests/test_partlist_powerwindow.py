@@ -11,6 +11,7 @@ from repro.hardware import (
     render_parts_list,
 )
 from repro.scheduler import Job, PowerManagedScheduler, PowerWindow
+from repro.scheduler.power_mgmt import BOOT_DELAY_S
 
 
 class TestPartsList:
@@ -89,7 +90,7 @@ class TestPowerWindow:
         )
         scheduler.run_to_completion()
         # only the boot delay, never the window
-        assert job.start_time_s <= 10 * 3600.0 + scheduler.boot_delay_s
+        assert job.start_time_s <= 10 * 3600.0 + BOOT_DELAY_S
 
     def test_blackout_energy_is_zero(self, limulus_machine):
         scheduler = PowerManagedScheduler(

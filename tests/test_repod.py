@@ -212,17 +212,6 @@ class TestSiteProxy:
         assert not miss.ok and miss.error_kind == "refused"
         assert proxy.problems() == []
 
-    def test_serve_stale_can_be_disabled(self):
-        kernel = SimKernel(seed=0)
-        origin = make_origin(kernel)
-        proxy = SiteProxy("px", origin, kernel=kernel, serve_stale=False)
-        proxy.fetch_blocking("alpha")
-        serial = origin.publish([Package("alpha", "2.0", size_bytes=KB)])
-        proxy.notice_release(serial)
-        origin.crash()
-        result = proxy.fetch_blocking("alpha")
-        assert not result.ok and result.error_kind == "refused"
-
     def test_uplink_reset_fails_fetch_but_stale_still_serves(self):
         kernel = SimKernel(seed=0)
         origin = make_origin(kernel)

@@ -42,10 +42,6 @@ class TestResources:
         res = ClusterResources(littlefe_machine)
         assert res.total_cores == 10  # frontend's 2 cores excluded
 
-    def test_head_included_on_request(self, littlefe_machine):
-        res = ClusterResources(littlefe_machine, use_head_for_jobs=True)
-        assert res.total_cores == 12
-
     def test_allocation_never_oversubscribes(self, resources):
         allocations = []
         while True:
@@ -253,9 +249,7 @@ class TestPowerManagement:
         assert managed.energy.boot_events >= 1
 
     def test_boot_delay_charged_to_waiting_jobs(self, limulus_machine):
-        s = PowerManagedScheduler(
-            limulus_machine, manage_power=True, boot_delay_s=60.0
-        )
+        s = PowerManagedScheduler(limulus_machine, manage_power=True)
         j = s.submit(job("first", 12, runtime=100))
         s.run_to_completion()
         assert j.start_time_s >= 60.0
@@ -277,9 +271,7 @@ class TestPowerManagement:
         """Regression: shifting completions by the boot delay must re-key
         the pending events (kernel reschedule), not corrupt their order.
         Both jobs boot-shift by 60s; the short one still finishes first."""
-        s = PowerManagedScheduler(
-            limulus_machine, manage_power=True, boot_delay_s=60.0
-        )
+        s = PowerManagedScheduler(limulus_machine, manage_power=True)
         long_job = s.submit(job("long", 4, runtime=100))
         short_job = s.submit(job("short", 4, runtime=30))
         s.run_to_completion()
@@ -289,9 +281,7 @@ class TestPowerManagement:
         assert not s._completions  # every handle consumed exactly once
 
     def test_power_transitions_are_traced(self, limulus_machine):
-        s = PowerManagedScheduler(
-            limulus_machine, manage_power=True, boot_delay_s=60.0
-        )
+        s = PowerManagedScheduler(limulus_machine, manage_power=True)
         s.submit(job("j", 4, runtime=100))
         s.run_to_completion()
         trace = s.kernel.trace

@@ -428,30 +428,6 @@ class TestRollingUpdate:
             kernel.trace.events, resources=resources
         ) == []
 
-    def test_abort_mode_stops_for_good(self):
-        fleet = build_fleet(racks=1, per_rack=8)
-        kernel = SimKernel(seed=5)
-
-        def refuse(node):
-            raise ShellError("no route to host")
-
-        update = RollingUpdate(
-            ShellEngine(fleet, kernel=kernel),
-            wave_size=4, fanout=4, max_failures=2, on_threshold="abort",
-            policy=RetryPolicy(max_attempts=1, base_delay_s=1.0),
-            health_cycles=0,
-        )
-        report = update.run(
-            fleet.nodeset(), ShellCommand("w", handler=refuse)
-        )
-        assert report.state == "aborted"
-        with pytest.raises(ShellError):
-            update.resume()
-        aborts = [e for e in kernel.trace.events if e.kind == "shell.abort"]
-        assert len(aborts) == 1
-        assert aborts[0].data["reason"].startswith("sweep aborted:")
-        assert aborts[0].data["nodes"] == "compute-0-[4-7]"
-
     def test_rack_failure_domain_skips_the_rest_of_the_rack(self):
         fleet, kernel, resources, update, report, window = rolling_scenario(
             13, max_failures=1000, limit=8
@@ -475,9 +451,8 @@ class TestRollingUpdate:
         kernel = SimKernel(seed=9)
         resources = ClusterResources.from_fleet(fleet)
         scheduler = TorqueScheduler(resources, kernel=kernel)
-        tree = GmetadTree("t", kernel=kernel, poll_period_s=15.0)
-        tree.add_rack(FleetRack("rack0", fleet, fleet.ordered_indices(),
-                                dead_after_misses=3))
+        tree = GmetadTree("t", kernel=kernel)
+        tree.add_rack(FleetRack("rack0", fleet, fleet.ordered_indices()))
 
         def bad_update(node):
             if node == "compute-0-2":
@@ -511,10 +486,6 @@ class TestRollingUpdate:
         engine = engine_for(fleet)
         with pytest.raises(ShellError):
             RollingUpdate(engine, wave_size=0)
-        with pytest.raises(ShellError):
-            RollingUpdate(engine, on_threshold="explode")
-        with pytest.raises(ShellError):
-            RollingUpdate(engine, max_failure_fraction=1.5)
         with pytest.raises(ShellError):
             RollingUpdate(engine, rack_failures_limit=0)
         with pytest.raises(ShellError):

@@ -27,7 +27,7 @@ from repro.sim import (
 )
 from repro.sim.__main__ import main as sim_main
 
-from .oracles import kernel_queue, trace_json
+from .oracles import kernel_queue, trace_check, trace_json
 
 TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                   allow_infinity=False)
@@ -682,3 +682,60 @@ class TestTraceExport:
         assert validate_jsonl("\n".join(lines)) == (
             len(bus), [f"line {k + 1}: not canonical JSON"]
         )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_file_check_agrees_with_the_redump_oracle(self, data):
+        """Valid, re-spaced and corrupted traces: comparing each line with
+        the export's line formatter gives the same count and problem
+        strings as re-dumping it through ``json.dumps``
+        (``tests/oracles/trace_check.py``), malformed envelopes included."""
+        bus = TraceBus()
+        kinds = st.lists(st.sampled_from(sorted(EVENT_SCHEMA)), min_size=1, max_size=5)
+        for kind in data.draw(kinds):
+            _emit_drawn(bus, data, kind)
+        text = bus.to_jsonl()
+        envelope = ["data", "kind", "seq", "sub", "t"]
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines = text.split("\n")
+            k = data.draw(st.integers(0, len(lines) - 1))
+            how = data.draw(st.sampled_from(
+                ["respace", "insert", "delete", "swap", "edit"]
+            ))
+            if how == "respace":
+                text = text.replace(',"', ', "')
+                continue
+            if how == "insert":
+                at = data.draw(st.integers(0, len(text)))
+                char = data.draw(st.sampled_from(list('{}[]",: 1x\\\n\r')))
+                text = text[:at] + char + text[at:]
+                continue
+            if how == "delete":
+                at = data.draw(st.integers(0, len(text)))
+                text = text[:at] + text[at + data.draw(st.integers(1, 4)):]
+                continue
+            if how == "swap":
+                j = data.draw(st.integers(0, len(lines) - 1))
+                lines[k], lines[j] = lines[j], lines[k]
+                text = "\n".join(lines)
+                continue
+            try:
+                obj = json.loads(lines[k])
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(obj, dict):
+                continue
+            field = data.draw(st.sampled_from([*envelope, "extra"]))
+            if data.draw(st.booleans()):
+                obj.pop(field, None)
+            else:
+                obj[field] = data.draw(
+                    _VALUES | st.sampled_from(sorted(EVENT_SCHEMA))
+                )
+            items = data.draw(st.permutations(list(obj.items())))
+            lines[k] = json.dumps(
+                dict(items), separators=(",", ":"),
+                sort_keys=data.draw(st.booleans()),
+            )
+            text = "\n".join(lines)
+        assert validate_jsonl(text) == trace_check.validate_jsonl(text)

@@ -9,7 +9,6 @@ import pytest
 from repro.cli import ClusterShell
 from repro.core import manifest_of_cluster
 from repro.core.deployments import TABLE3_SITES, rebuild_site_hardware
-from repro.errors import NetworkError
 from repro.network import build_cluster_network
 
 
@@ -48,10 +47,6 @@ class TestLeafSpineTopology:
     def test_small_cluster_keeps_flat_topology(self, littlefe_network):
         names = littlefe_network.fabric.switch_names()
         assert names == ["private", "public"]
-
-    def test_tiny_switches_rejected(self, littlefe_machine):
-        with pytest.raises(NetworkError, match="4 ports"):
-            build_cluster_network(littlefe_machine, switch_ports=2)
 
 
 class TestRocksRunHost:
