@@ -11,7 +11,7 @@ passes expose ``run(tree, path, emit)`` over a parsed :mod:`ast` module —
 
 from .. import txn as _txn  # noqa: F401 - registers the TX7xx catalogue
 from . import hardware, kickstart, network, repos, rpmdeps, scheduler
-from . import source_determinism, source_epochs, source_traceorder
+from . import source_determinism, source_memos
 
 __all__ = [
     "kickstart",
@@ -21,6 +21,5 @@ __all__ = [
     "scheduler",
     "hardware",
     "source_determinism",
-    "source_epochs",
-    "source_traceorder",
+    "source_memos",
 ]

@@ -8,7 +8,7 @@ the pieces every SL pass needs:
   name it refers to, through ``import x as y`` / ``from x import y as z``
   aliasing, so ``pc()`` after ``from time import perf_counter as pc`` is
   recognised as ``time.perf_counter``;
-* small helpers shared by the memo and trace-order passes.
+* :func:`self_attr`, which the memo pass uses to name ``self.X`` targets.
 
 Everything here is pure analysis over stdlib :mod:`ast`; nothing imports
 the modules being analyzed.
@@ -18,11 +18,7 @@ from __future__ import annotations
 
 import ast
 
-__all__ = [
-    "ImportMap",
-    "iter_functions",
-    "self_attr",
-]
+__all__ = ["ImportMap", "self_attr"]
 
 
 class ImportMap:
@@ -82,9 +78,3 @@ def self_attr(node: ast.AST) -> str | None:
         return node.attr
     return None
 
-
-def iter_functions(tree: ast.AST):
-    """Every function/method definition in the tree (including nested)."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

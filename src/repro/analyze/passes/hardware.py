@@ -2,16 +2,19 @@
 
 :func:`~repro.hardware.chassis.populate` raises
 :class:`~repro.errors.AssemblyError`/:class:`~repro.errors.PowerBudgetError`
-on the *first* violation it meets.  The analyzer walks the same rules over a
+on the *first* violation it meets.  The analyzer runs the same checks,
+:func:`~repro.hardware.chassis.assembly_problems` and
+:func:`~repro.hardware.power.check_budget`, over a
 :class:`~repro.analyze.spec.HardwarePlan` and reports *all* of them, plus a
 margin warning the assembler has no vocabulary for: a budget that fits today
-but leaves less than 10 % of the supply's rating spare.
+but leaves less than 10 % of the supply's rating spare.  Board form factors
+are checked by ``populate`` only.
 """
 
 from __future__ import annotations
 
 from ...errors import PowerBudgetError
-from ...hardware.node import NodeRole
+from ...hardware.chassis import assembly_problems
 from ...hardware.power import check_budget
 from ..diagnostic import Severity
 from ..registry import rule
@@ -58,6 +61,10 @@ HW605 = rule(
 )
 
 
+#: The populate rules cluster-lint reports, by ``AssemblyProblem.rule``.
+_RULE_CODES = {"slots": "HW604", "frontend": "HW605", "shared-psu": "HW603"}
+
+
 def run(definition, emit) -> None:
     plan = definition.effective_hardware_plan()
     if plan is None:
@@ -65,33 +72,21 @@ def run(definition, emit) -> None:
     chassis = plan.chassis
     nodes = plan.nodes
     where = f"hardware:{chassis.model}"
-
-    if len(nodes) > chassis.slots:
-        emit(
-            "HW604",
-            f"{len(nodes)} nodes for the {chassis.slots} slots of "
-            f"{chassis.model!r}",
-            location=where,
-        )
-
-    heads = [n for n in nodes if n.role == NodeRole.FRONTEND]
-    if len(heads) != 1:
-        emit(
-            "HW605",
-            f"expected exactly one frontend node, found {len(heads)}",
-            location=where,
-        )
-
     shared = plan.effective_shared_psu
+
+    for problem in assembly_problems(chassis, nodes, shared):
+        if problem.rule == "no-psu":  # one finding per node
+            for name in problem.nodes:
+                emit(
+                    "HW603",
+                    f"chassis {chassis.model!r} provides no shared PSU and "
+                    f"node {name!r} carries none either",
+                    location=f"hardware:node/{name}",
+                )
+        elif problem.rule in _RULE_CODES:
+            emit(_RULE_CODES[problem.rule], problem.text, location=where)
+
     if shared is not None:
-        offenders = [n.name for n in nodes if n.psu is not None]
-        if offenders:
-            emit(
-                "HW603",
-                f"chassis supplies shared power ({shared.model}) but nodes "
-                f"carry their own PSUs: {offenders}",
-                location=where,
-            )
         draw = sum(n.draw_watts for n in nodes)
         _check_budget(
             emit, shared, draw, what=f"{chassis.model} (shared supply)",
@@ -99,14 +94,7 @@ def run(definition, emit) -> None:
         )
     else:
         for node in nodes:
-            if node.psu is None:
-                emit(
-                    "HW603",
-                    f"chassis {chassis.model!r} provides no shared PSU and "
-                    f"node {node.name!r} carries none either",
-                    location=f"hardware:node/{node.name}",
-                )
-            else:
+            if node.psu is not None:
                 _check_budget(
                     emit, node.psu, node.draw_watts, what=f"node {node.name}",
                     location=f"hardware:node/{node.name}",

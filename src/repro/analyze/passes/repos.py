@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from ...yum.repository import priority_problem
 from ..diagnostic import Severity
 from ..registry import rule
 
@@ -74,10 +75,11 @@ def run(definition, emit) -> None:
 
     # RC205 / RC204: stanza-level configuration checks.
     for stanza in stanzas:
-        if not 1 <= stanza.priority <= 99:
+        problem = priority_problem(stanza.priority)
+        if problem is not None:
             emit(
                 "RC205",
-                f"[{stanza.repo_id}] priority={stanza.priority} is outside 1..99",
+                f"[{stanza.repo_id}] {problem}",
                 location=f"repo:[{stanza.repo_id}]",
             )
         if stanza.enabled and not stanza.gpgcheck:

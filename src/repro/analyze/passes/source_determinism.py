@@ -128,10 +128,6 @@ _ENV_CALLS = frozenset(
 _ENV_ATTRS = frozenset({"os.environ"})
 
 
-def _call_dotted(imports: ImportMap, node: ast.Call) -> str | None:
-    return imports.resolve(node.func)
-
-
 def run(tree: ast.Module, path: str, emit) -> None:
     """Run the SL1xx rules over one parsed source file."""
     imports = ImportMap(tree)
@@ -139,7 +135,7 @@ def run(tree: ast.Module, path: str, emit) -> None:
     for node in ast.walk(tree):
         where = f"{path}:{getattr(node, 'lineno', 0)}"
         if isinstance(node, ast.Call):
-            name = _call_dotted(imports, node)
+            name = imports.resolve(node.func)
             if name is None:
                 continue
             if name in _WALL_CLOCK:

@@ -43,8 +43,7 @@ SOURCE_RESULT_NAME = "simlint"
 #: ``_PASS_ORDER``, the order is part of the output contract.
 _SOURCE_PASS_ORDER = [
     ("source", _passes.source_determinism.run),
-    ("source", _passes.source_epochs.run),
-    ("source", _passes.source_traceorder.run),
+    ("source", _passes.source_memos.run),
 ]
 
 
@@ -62,17 +61,23 @@ class SimlintConfig:
     @classmethod
     def from_pyproject(cls, path: str | pathlib.Path) -> "SimlintConfig":
         """Load ``[tool.simlint]`` from a pyproject file (missing table or
-        missing file → empty config)."""
+        missing file → empty config).  A table of the wrong shape raises
+        :class:`ValueError`, as a bad rule code does."""
         import tomllib
 
         path = pathlib.Path(path)
         if not path.exists():
             return cls()
-        table = (
-            tomllib.loads(path.read_text()).get("tool", {}).get("simlint", {})
-        )
+        table = tomllib.loads(path.read_text())
+        for key in ("tool", "simlint", "per-path"):
+            table = table.get(key, {})
+            if not isinstance(table, dict):
+                raise ValueError(
+                    f"[tool.simlint] {key!r}: expected a table, got "
+                    f"{type(table).__name__}"
+                )
         per_path = {}
-        for pattern, codes in table.get("per-path", {}).items():
+        for pattern, codes in table.items():
             if not isinstance(codes, list):
                 raise ValueError(
                     f"[tool.simlint.per-path] {pattern!r}: expected a list "
@@ -161,7 +166,7 @@ def analyze_source(
 
         try:
             tree = ast.parse(path.read_text(), filename=str(path))
-        except (OSError, SyntaxError) as exc:
+        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
             emit("SL000", f"cannot analyze: {exc}", location=rel)
             continue
         for _subsystem, run_pass in _SOURCE_PASS_ORDER:

@@ -387,7 +387,7 @@ class Stratum1(ChunkTier):
         self.origin = origin
         self.retry = retry
         #: the replicated catalog (NEVRA -> manifest), valid for origin
-        #: serial ``_catalog_epoch`` — the SL202 validity marker.
+        #: serial ``_catalog_epoch``; each replication replaces it whole.
         self._catalog_cache: dict[str, PackageManifest] = {}
         self._catalog_epoch = -1  # -1: never replicated
         #: manifests the current replicated generation pins in the store

@@ -18,6 +18,7 @@ held :class:`Machine` is always buildable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..errors import AssemblyError
 from .node import Node, NodeRole
@@ -29,6 +30,8 @@ __all__ = [
     "LITTLEFE_V4_FRAME",
     "LIMULUS_DESKSIDE",
     "RACK_1U",
+    "AssemblyProblem",
+    "assembly_problems",
     "populate",
 ]
 
@@ -58,13 +61,6 @@ class ChassisModel:
 
 #: Form factors ordered small to large for the slot fit check.
 _FORM_FACTOR_ORDER = ["mini-ITX", "micro-ATX", "ATX"]
-
-
-def _form_factor_fits(board_ff: str, max_ff: str) -> bool:
-    try:
-        return _FORM_FACTOR_ORDER.index(board_ff) <= _FORM_FACTOR_ORDER.index(max_ff)
-    except ValueError:
-        raise AssemblyError(f"unknown form factor {board_ff!r} or {max_ff!r}") from None
 
 
 #: The LittleFe v4 frame.  ``shared_psu=None``: the modified build uses
@@ -181,6 +177,74 @@ class Machine:
         return self.chassis.weight_lb
 
 
+@dataclass(frozen=True)
+class AssemblyProblem:
+    """One :func:`populate` rule that a set of nodes breaks in a chassis.
+
+    ``rule`` names it: ``"slots"``, ``"nodes"``, ``"board"``,
+    ``"frontend"``, ``"shared-psu"`` or ``"no-psu"``.  ``text`` says what is
+    wrong, without the machine's name.  A ``"no-psu"`` problem lists the
+    nodes that lack a supply in ``nodes``.
+    """
+
+    rule: str
+    text: str
+    nodes: tuple[str, ...] = ()
+
+
+def assembly_problems(
+    chassis: ChassisModel, nodes: list[Node], shared_psu: PsuModel | None
+) -> Iterator[AssemblyProblem]:
+    """Every assembly rule ``nodes`` break in ``chassis``, in check order.
+
+    :func:`populate` raises the first; cluster-lint reports them all.  The
+    power budget is :func:`~repro.hardware.power.check_budget`'s.
+    """
+    if len(nodes) > chassis.slots:
+        yield AssemblyProblem(
+            "slots",
+            f"{len(nodes)} nodes for the {chassis.slots} slots of "
+            f"{chassis.model!r}",
+        )
+    if not nodes:
+        yield AssemblyProblem("nodes", "a machine needs at least one node")
+    widest = chassis.max_board_form_factor
+    for node in nodes:
+        board = node.board
+        if board.form_factor not in _FORM_FACTOR_ORDER or widest not in _FORM_FACTOR_ORDER:
+            text = f"unknown form factor {board.form_factor!r} or {widest!r}"
+        elif _FORM_FACTOR_ORDER.index(board.form_factor) > _FORM_FACTOR_ORDER.index(widest):
+            text = (
+                f"board {board.model!r} ({board.form_factor}) does not fit "
+                f"{chassis.model!r} (max {widest})"
+            )
+        else:
+            continue
+        yield AssemblyProblem("board", text)
+    heads = [n for n in nodes if n.role == NodeRole.FRONTEND]
+    if len(heads) != 1:
+        yield AssemblyProblem(
+            "frontend", f"expected exactly one frontend node, found {len(heads)}"
+        )
+    if shared_psu is not None:
+        offenders = [n.name for n in nodes if n.psu is not None]
+        if offenders:
+            yield AssemblyProblem(
+                "shared-psu",
+                f"chassis supplies shared power ({shared_psu.model}) but "
+                f"nodes carry their own PSUs: {offenders}",
+            )
+    else:
+        missing = [n.name for n in nodes if n.psu is None]
+        if missing:
+            yield AssemblyProblem(
+                "no-psu",
+                f"chassis {chassis.model!r} provides no shared PSU; these "
+                f"nodes need their own: {missing}",
+                tuple(missing),
+            )
+
+
 def populate(
     name: str,
     chassis: ChassisModel,
@@ -190,54 +254,13 @@ def populate(
 ) -> Machine:
     """Place ``nodes`` into ``chassis``, validating slots and power.
 
-    Rules:
-
-    * node count must not exceed chassis slots;
-    * every board must fit the chassis form factor;
-    * exactly one frontend node;
-    * power: if the chassis (or override) provides a shared PSU, the sum of
-      node draws must fit it with headroom and nodes must NOT carry their
-      own PSUs; otherwise every node must carry its own (already validated
-      at assembly time).
+    Raises :class:`~repro.errors.AssemblyError` for the first of
+    :func:`assembly_problems`, then checks a shared supply's budget.  A node
+    that carries its own PSU had its budget checked when it was assembled.
     """
-    if len(nodes) > chassis.slots:
-        raise AssemblyError(
-            f"{name}: {len(nodes)} nodes exceed the {chassis.slots} slots of "
-            f"{chassis.model!r}"
-        )
-    if not nodes:
-        raise AssemblyError(f"{name}: a machine needs at least one node")
-
-    for node in nodes:
-        if not _form_factor_fits(node.board.form_factor, chassis.max_board_form_factor):
-            raise AssemblyError(
-                f"{name}: board {node.board.model!r} ({node.board.form_factor}) "
-                f"does not fit {chassis.model!r} "
-                f"(max {chassis.max_board_form_factor})"
-            )
-
-    heads = [n for n in nodes if n.role == NodeRole.FRONTEND]
-    if len(heads) != 1:
-        raise AssemblyError(
-            f"{name}: a machine needs exactly one frontend, got {len(heads)}"
-        )
-
     shared = shared_psu_override or chassis.shared_psu
+    for problem in assembly_problems(chassis, nodes, shared):
+        raise AssemblyError(f"{name}: {problem.text}")
     if shared is not None:
-        offenders = [n.name for n in nodes if n.psu is not None]
-        if offenders:
-            raise AssemblyError(
-                f"{name}: chassis supplies shared power but nodes carry "
-                f"their own PSUs: {offenders}"
-            )
-        draw = sum(n.draw_watts for n in nodes)
-        check_budget(shared, draw, what=name)
-    else:
-        missing = [n.name for n in nodes if n.psu is None]
-        if missing:
-            raise AssemblyError(
-                f"{name}: chassis {chassis.model!r} provides no shared PSU; "
-                f"these nodes need their own: {missing}"
-            )
-
+        check_budget(shared, sum(n.draw_watts for n in nodes), what=name)
     return Machine(name=name, chassis=chassis, nodes=list(nodes), shared_psu=shared)

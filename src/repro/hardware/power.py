@@ -29,9 +29,9 @@ __all__ = [
     "total_draw",
 ]
 
-#: Default engineering headroom: the supply must exceed the worst-case draw
-#: by this factor (PSUs are neither perfectly efficient nor happy at 100 %).
-DEFAULT_HEADROOM = 1.2
+#: Engineering headroom: the supply must exceed the worst-case draw by this
+#: factor (PSUs are neither perfectly efficient nor happy at 100 %).
+HEADROOM = 1.2
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,8 @@ def total_draw(watt_values: Iterable[float]) -> float:
     return total
 
 
-def check_budget(
-    psu: PsuModel,
-    draw_watts: float,
-    *,
-    headroom: float = DEFAULT_HEADROOM,
-    what: str = "build",
-) -> float:
-    """Verify ``psu`` can carry ``draw_watts`` with ``headroom`` margin.
+def check_budget(psu: PsuModel, draw_watts: float, *, what: str = "build") -> float:
+    """Verify ``psu`` can carry ``draw_watts`` with :data:`HEADROOM` margin.
 
     Returns the remaining margin in watts.  Raises
     :class:`~repro.errors.PowerBudgetError` with a diagnostic naming the
@@ -90,12 +84,10 @@ def check_budget(
     LittleFe single-PSU design fails once Haswell CPUs, drives, and fans are
     added (see ``repro.paper``'s ``littlefe_modification`` artefact).
     """
-    if headroom < 1.0:
-        raise PowerBudgetError(f"headroom must be >= 1.0, got {headroom}")
-    required = draw_watts * headroom
+    required = draw_watts * HEADROOM
     if required > psu.rating_watts:
         raise PowerBudgetError(
-            f"{what}: draw {draw_watts:.2f} W x headroom {headroom:.2f} "
+            f"{what}: draw {draw_watts:.2f} W x headroom {HEADROOM:.2f} "
             f"= {required:.2f} W exceeds {psu.model} rating "
             f"{psu.rating_watts:.0f} W"
         )

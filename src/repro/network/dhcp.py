@@ -45,7 +45,7 @@ class DhcpPlan:
 
     @property
     def is_valid(self) -> bool:
-        """True if :class:`DhcpServer` would accept this pool."""
+        """The pool rule :class:`DhcpServer` enforces and NET404 reports."""
         return 0 < self.pool_start <= self.pool_end <= 254
 
     @property
@@ -88,7 +88,7 @@ class DhcpServer:
         pool_end: int = 254,
         subnets: int = 1,
     ):
-        if not 0 < pool_start <= pool_end <= 254:
+        if not DhcpPlan(network_prefix, pool_start, pool_end).is_valid:
             raise DhcpError(
                 f"invalid pool {pool_start}..{pool_end} (must be within 1..254)"
             )

@@ -18,9 +18,8 @@ Three behaviours keep the origin alive through an update storm:
 The cache dict is paired with ``_content_epoch`` — the highest origin
 serial this proxy has *heard about* (via :meth:`notice_release`).  An
 entry is fresh iff it was fetched at that serial; anything older is a
-miss (and a serve-stale candidate).  The epoch marker is also what the
-simlint SL202 pass looks for: a cache with no epoch is a cache that can
-never be invalidated.
+miss (and a serve-stale candidate).  Publishing bumps the origin serial,
+so one integer compare invalidates every older entry at once.
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ Determinism contract: given the same seed and the same sequence of
 schedule calls, two kernels fire the same events at the same times in the
 same order and produce byte-identical JSONL traces.  The determinism gate
 checks it by rerunning every flow under distinct hash seeds and comparing
-bytes (docs/SIM.md).  simlint checks every path, also those no flow runs,
-for wall-clock reads (SL101), process-global randomness (SL102),
-environment reads (SL103) and same-time callbacks racing on shared state
-(SL301) (docs/ANALYZE.md).
+bytes, and a second rerun breaks same-instant ties in reverse ``seq`` order
+to show no flow's outcome rides on the FIFO (docs/SIM.md).  simlint checks
+every path, also those no flow runs, for wall-clock reads (SL101),
+process-global randomness (SL102) and environment reads (SL103)
+(docs/ANALYZE.md).
 """
 
 from __future__ import annotations

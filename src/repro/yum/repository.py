@@ -30,10 +30,22 @@ from dataclasses import dataclass, field
 from ..errors import PackageNotFoundError, RepoPriorityError, YumError
 from ..rpm.package import Package, ProvidesIndex, Requirement
 
-__all__ = ["Repository", "RepoSet", "DEFAULT_PRIORITY"]
+__all__ = ["Repository", "RepoSet", "DEFAULT_PRIORITY", "priority_problem"]
 
 #: yum-plugin-priorities default when a repo declares none.
 DEFAULT_PRIORITY = 99
+
+
+def priority_problem(priority: int) -> str | None:
+    """What is wrong with a yum-plugin-priorities value, or None.
+
+    The valid range is 1..99: 1 is the strongest claim and 99, the
+    default, the weakest.  ``Repository`` raises on it and cluster-lint's
+    RC205 reports it.
+    """
+    if 1 <= priority <= DEFAULT_PRIORITY:
+        return None
+    return f"priority={priority} is outside 1..{DEFAULT_PRIORITY}"
 
 
 class Repository:
@@ -50,10 +62,9 @@ class Repository:
     ) -> None:
         if not repo_id:
             raise YumError("repository id must be non-empty")
-        if not 1 <= priority <= 99:
-            raise RepoPriorityError(
-                f"repo {repo_id}: priority must be in 1..99, got {priority}"
-            )
+        problem = priority_problem(priority)
+        if problem is not None:
+            raise RepoPriorityError(f"repo {repo_id}: {problem}")
         self.repo_id = repo_id
         self.name = name or repo_id
         self.baseurl = baseurl or f"http://repo.example.org/{repo_id}/"

@@ -1,19 +1,21 @@
-"""Known-bad fixture: memoization with no epoch key (SL202)."""
+"""Known-bad fixture: memos that no mutator drops or updates (SL202)."""
 
 import functools
-from functools import lru_cache
 
 
 class Catalog:
     def __init__(self, repos):
         self.repos = repos
-        self._providers_cache = {}  # SL202: memo dict, no epoch marker
+        self._providers_cache = {}  # SL202: filled below, never dropped
 
-    @functools.lru_cache(maxsize=None)  # SL202: unkeyed lru_cache
+    def providers(self, name):
+        if name not in self._providers_cache:
+            self._providers_cache[name] = self.repos.providers_of(name)
+        return self._providers_cache[name]
+
+    def add(self, pkg):
+        self.repos.add(pkg)  # the content changes; the memo does not
+
+    @functools.lru_cache(maxsize=None)  # SL202: keyed on the instance
     def latest(self, name):
         return self.repos.latest_by_name(name)
-
-
-@lru_cache
-def resolve(name):  # SL202: module-level unkeyed lru_cache
-    return name.lower()

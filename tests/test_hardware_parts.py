@@ -5,7 +5,6 @@ import pytest
 from repro.errors import CatalogError, ClearanceError, PowerBudgetError
 from repro.hardware import (
     ATOM_D510,
-    ATX_450W,
     CELERON_G1840,
     GA_Q87TN,
     GIGE_ONBOARD,
@@ -92,10 +91,6 @@ class TestPowerBudget:
     def test_overload_raises_with_diagnostic(self):
         with pytest.raises(PowerBudgetError, match="exceeds"):
             check_budget(PICO_PSU_160, 150.0)
-
-    def test_headroom_below_one_rejected(self):
-        with pytest.raises(PowerBudgetError):
-            check_budget(ATX_450W, 100.0, headroom=0.9)
 
     def test_limulus_psu_is_850w(self):
         assert LIMULUS_850W.rating_watts == pytest.approx(850.0)

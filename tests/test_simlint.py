@@ -22,7 +22,7 @@ from repro.analyze.source import SimlintConfig, analyze_source, iter_source_file
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures" / "simlint"
 
-#: Everything-gates config so WARNING rules (SL301) show up in exit codes.
+#: Everything-gates config, so a rule of any severity shows up in exit codes.
 ALL = AnalysisConfig(fail_on=Severity.INFO)
 
 
@@ -49,7 +49,6 @@ BAD_FIXTURES = [
     ("bad_env.py", "SL103"),
     ("bad_env_default.py", "SL103"),
     ("bad_memo.py", "SL202"),
-    ("bad_same_time.py", "SL301"),
 ]
 
 OK_FIXTURES = [
@@ -58,7 +57,6 @@ OK_FIXTURES = [
     "ok_random.py",
     "ok_env.py",
     "ok_memo.py",
-    "ok_same_time.py",
 ]
 
 
@@ -152,6 +150,13 @@ class TestSourceTree:
             "src/repro/linpack/hpl.py:61",
         }
 
+    def test_a_file_that_is_not_utf8_is_a_finding(self, tmp_path):
+        path = tmp_path / "latin1.py"
+        path.write_bytes(b"NAME = '\xff'\n")
+        result = analyze_source([path], config=ALL)
+        assert [d.code for d in result.diagnostics] == ["SL000"]
+        assert "utf-8" in result.diagnostics[0].message
+
     def test_iter_source_files_is_sorted_and_deduped(self, tmp_path):
         (tmp_path / "b.py").write_text("x = 1\n")
         (tmp_path / "a.py").write_text("x = 1\n")
@@ -202,13 +207,19 @@ class TestSourceCli:
 
     def test_bad_pyproject_config_is_usage_error(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text('[tool.simlint.per-path]\n"x/*" = ["ZZ999"]\n')
-        code, output = run_cli(
-            "--source", "--pyproject", str(pyproject),
-            str(FIXTURES / "ok_syntax.py"),
-        )
-        assert code == EXIT_USAGE
-        assert "ZZ999" in output
+        for config, named in [
+            ('[tool.simlint.per-path]\n"x/*" = ["ZZ999"]\n', "ZZ999"),
+            ('[tool.simlint]\nper-path = ["x/*"]\n', "per-path"),
+            ("[tool]\nsimlint = 3\n", "simlint"),
+        ]:
+            pyproject.write_text(config)
+            code, output = run_cli(
+                "--source", "--pyproject", str(pyproject),
+                str(FIXTURES / "ok_syntax.py"),
+            )
+            assert code == EXIT_USAGE, config
+            assert "bad [tool.simlint] config" in output
+            assert named in output
 
     def test_write_then_apply_baseline_in_source_mode(self, tmp_path):
         baseline = tmp_path / "baseline.json"
