@@ -30,7 +30,7 @@ import sys
 from repro.errors import ShellError
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.fleet import FleetTable
-from repro.monitoring.hierarchy import FleetRack, GmetadTree
+from repro.monitoring.hierarchy import GmetadTree, Rack
 from repro.scheduler import ClusterResources, Job, TorqueScheduler
 from repro.shell import RollingUpdate, ShellCommand, ShellEngine
 from repro.sim import SimKernel
@@ -103,7 +103,7 @@ def run_update(seed: int = 42, trace_path=None) -> dict:
     indices = fleet.ordered_indices()
     for rack in range(RACKS):
         tree.add_rack(
-            FleetRack(
+            Rack(
                 f"rack{rack:03d}", fleet,
                 [i for i in indices if fleet.racks[i] == rack
                  and fleet.appliances[i] == "compute"],

@@ -46,7 +46,7 @@ from ..distro.host import Host
 from ..errors import FaultError, HeadnodeCrashError, RetryExhaustedError
 from ..hardware.builder import build_limulus_hpc200, build_littlefe_modified
 from ..monitoring.gmond import Gmond
-from ..monitoring.hierarchy import DEAD_AFTER_MISSES, GmetadTree, GmondRack
+from ..monitoring.hierarchy import DEAD_AFTER_MISSES, GmetadTree, Rack
 from ..recovery.checkpoint import register_world_factory
 from ..recovery.journal import Journal
 from ..recovery.supervisor import Supervisor
@@ -262,7 +262,7 @@ class ChaosWorld:
         self.journal = Journal()
         self.scheduler = MauiScheduler(ClusterResources(self.machine), kernel=kernel)
         self.gmetad = GmetadTree(self.machine.name, kernel=kernel)
-        rack = GmondRack(self.machine.name)
+        rack = Rack(self.machine.name)
         self.gmetad.add_rack(rack)
         scheduler = self.scheduler
         resources = scheduler.resources

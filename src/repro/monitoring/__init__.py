@@ -13,9 +13,8 @@ from .gmond import Gmond
 from .hierarchy import (
     POLL_PERIOD_S,
     ClusterSummary,
-    FleetRack,
     GmetadTree,
-    GmondRack,
+    Rack,
     monitor_fleet,
 )
 from .metrics import CORE_METRICS, MetricKind, MetricSample, MetricSpec, MonitoringError
@@ -33,8 +32,7 @@ __all__ = [
     "Gmond",
     "ClusterSummary",
     "monitor_cluster",
-    "FleetRack",
-    "GmondRack",
+    "Rack",
     "GmetadTree",
     "monitor_fleet",
 ]
@@ -45,7 +43,7 @@ def monitor_cluster(
 ) -> GmetadTree:
     """Attach gmonds to every node of a provisioned cluster.
 
-    The mesh is one :class:`GmondRack` named after the cluster under a
+    The mesh is one :class:`Rack` of agents named after the cluster under a
     :class:`GmetadTree` — full per-host fidelity (RRDs, ``metric.sample``,
     the dashboard), which is what a deskside cluster wants;
     :func:`monitor_fleet` is the agent-free wiring for 10k-node fleets.
@@ -60,7 +58,7 @@ def monitor_cluster(
     if kernel is None and scheduler is not None:
         kernel = scheduler.kernel
     tree = GmetadTree(cluster.machine.name, kernel=kernel)
-    rack = GmondRack(cluster.machine.name)
+    rack = Rack(cluster.machine.name)
     tree.add_rack(rack)
     # Hosts the scheduler does not place jobs on (the frontend) report 0.
     scheduled = set(scheduler.resources.node_names()) if scheduler else ()

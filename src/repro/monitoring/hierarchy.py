@@ -6,21 +6,21 @@ fleet hot paths.  Real Ganglia deployments scale by federating: leaf
 gmetads summarize a rack each, and the root gmetad aggregates *summaries*,
 not hosts.  This module is that shape, and the only aggregator there is:
 
-* :class:`FleetRack` — a leaf that summarizes one rack straight off the
-  shared :class:`~repro.fleet.FleetTable` columns (power, responsiveness,
-  cores, load, memory), no per-host objects at all.  It watches only its
-  own rows (:meth:`~repro.fleet.FleetTable.watch`); when none of them was
-  written since the last cycle the cached summary is reused — an idle
-  rack costs O(1) per cycle whatever the rest of the fleet does;
-* :class:`GmondRack` — a leaf over real :class:`Gmond` agents: every
-  sample is archived in a per-(host, metric) :class:`Rrd` and published
-  as ``metric.sample``, and the leaf renders the dashboard rows that
-  stand in for the Ganglia web UI the paper's training goals include;
+* :class:`Rack` — the one leaf.  Its hosts are rows of the shared
+  :class:`~repro.fleet.FleetTable` (power, responsiveness, cores, load,
+  memory), no per-host objects at all, or real :class:`Gmond` agents,
+  whose samples fill per-(host, metric) :class:`Rrd` archives,
+  ``metric.sample`` records and the dashboard rows that stand in for the
+  Ganglia web UI the paper's training goals include.  A rack without
+  agents watches only its own rows
+  (:meth:`~repro.fleet.FleetTable.watch`); when none of them was written
+  since the last cycle the cached summary is reused — an idle rack costs
+  O(1) per cycle whatever the rest of the fleet does;
 * :class:`GmetadTree` — the root: merges per-rack ``ClusterSummary``
   deltas into running totals, emitting one ``monitor.rack`` event per
   *changed* rack and one ``monitor.rollup`` per cycle.  Host-level
   questions (``gmond_for``, ``rrd_for``, ``down_hosts``,
-  ``render_dashboard``) are answered by its :class:`GmondRack` leaves.
+  ``render_dashboard``) are answered from the agent hosts of its leaves.
 
 Polling is clocked by a :class:`~repro.sim.SimKernel`:
 :meth:`GmetadTree.poll_cycle` advances shared simulated time by one
@@ -33,27 +33,28 @@ Dead-host detection lives at the leaves: consecutive missed heartbeats
 (an unresponsive gmond, or a zeroed ``responsive`` column flag) declare
 the host dead and emit ``monitor.host_dead``.
 
-:func:`monitor_fleet` wires a provisioned cluster into :class:`FleetRack`
-leaves in one call; :func:`~repro.monitoring.monitor_cluster` wires one
-into a single :class:`GmondRack`.
+:func:`monitor_fleet` wires a provisioned cluster's fleet-table rows into
+:class:`Rack` leaves in one call; :func:`~repro.monitoring.monitor_cluster`
+wires one into a single rack of agents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 from ..errors import ReproError
 from ..fleet import FleetTable
 from ..sim import PeriodicEvent, SimKernel
 from .gmond import Gmond
-from .metrics import CORE_METRICS, MonitoringError
+from .metrics import CORE_METRICS, MonitoringError, free_memory_kb
 from .rrd import Rrd, RrdPoint
 
 __all__ = [
     "POLL_PERIOD_S",
     "ClusterSummary",
-    "FleetRack",
-    "GmondRack",
+    "Rack",
     "GmetadTree",
     "monitor_fleet",
 ]
@@ -63,7 +64,7 @@ __all__ = [
 POLL_PERIOD_S = 15.0
 #: Consecutive missed heartbeats after which a leaf declares a host dead.
 DEAD_AFTER_MISSES = 3
-#: Fleet-table rows per :class:`FleetRack` leaf in :func:`monitor_fleet`.
+#: Fleet-table rows per :class:`Rack` leaf in :func:`monitor_fleet`.
 HOSTS_PER_RACK = 48
 
 
@@ -100,157 +101,45 @@ class ClusterSummary:
         return self.hosts_down > 0 or self.hosts_dead > 0
 
 
-def _signature(s: ClusterSummary) -> tuple:
-    """Everything that makes two cycles' summaries *different* — all
-    fields except the timestamp."""
-    return (
-        s.hosts_total,
-        s.hosts_up,
-        s.total_cores,
-        s.load_total,
-        s.mem_total_kb,
-        s.mem_free_kb,
-        s.failed_services,
-        s.hosts_dead,
-    )
+#: Everything that makes two cycles' summaries *different*: every field of
+#: a :class:`ClusterSummary` but the timestamp, in field order.
+_signature = attrgetter(*[f.name for f in fields(ClusterSummary)][1:])
 
 
-def _count_miss(
-    missed: dict, dead: set, key, host: str, timestamp_s: float, trace
-) -> bool:
-    """Count one missed heartbeat for ``key`` (a leaf's own host key).
+class Rack:
+    """One rack of hosts, summarized at the leaf.
 
-    An unresponsive host is a missed heartbeat, not a monitoring crash:
-    the leaf degrades its summary and, at :data:`DEAD_AFTER_MISSES`
-    consecutive misses, declares the host dead — once, with a
-    ``monitor.host_dead`` event.
-    Returns True while the counter is still below the limit, i.e. while
-    the leaf's state will change next cycle even if nothing else does.
-    """
-    count = missed.get(key, 0) + 1
-    missed[key] = count
-    if count < DEAD_AFTER_MISSES:
-        return True
-    if key not in dead:
-        dead.add(key)
-        trace.emit(
-            "monitor.host_dead", t_s=timestamp_s, subsystem="monitoring",
-            host=host, missed=count,
-        )
-    return False
-
-
-class FleetRack:
-    """One rack summarized as fleet-table column scans.
-
-    ``indices`` are the rack's row indices in the shared table.  A host is
-    *up* when powered; an unresponsive host is a missed heartbeat and is
-    declared dead after :data:`DEAD_AFTER_MISSES` consecutive misses.  The
-    memory model matches :class:`Gmond`: free memory degrades with load,
-    floored at 10%.  The rack watches its own rows through the table's
-    change feed and rescans them only when one was written or a heartbeat
-    counter is mid-count.
+    A host is a row of the shared :class:`~repro.fleet.FleetTable`
+    (``indices``, read straight off the columns, no per-host object) or an
+    agent added with :meth:`attach`, whose every sample is archived in a
+    per-(host, metric) :class:`Rrd` and published as ``metric.sample``.
+    Each cycle a live host reads as ``(powered, cores, load, mem_total_kb,
+    failed_services)``, rows in ``indices`` order and agents by name, or
+    as a missed heartbeat (a zeroed ``responsive`` column, a silent gmond).
+    A host is *up* when powered and declared dead after
+    :data:`DEAD_AFTER_MISSES` consecutive misses.  A rack without agents
+    watches its rows through the table's change feed and rescans them
+    only when one was written or a heartbeat counter is mid-count.
     """
 
-    def __init__(self, name: str, fleet: FleetTable, indices: list[int]) -> None:
+    def __init__(
+        self, name: str, fleet: FleetTable | None = None, indices: Iterable[int] = ()
+    ) -> None:
         self.name = name
         self.fleet = fleet
         self.indices = list(indices)
-        self._missed: dict[int, int] = {}
-        self._dead: set[int] = set()
-        self._last: ClusterSummary | None = None
-        #: this rack's rows written since the last rescan
-        self._changed = fleet.watch(self.indices)
-        #: True when no miss counter is mid-count (every unresponsive host
-        #: is already declared dead) — the precondition for reusing the
-        #: last summary, since a pending counter changes state even when
-        #: the rows do not.
-        self._settled = True
-
-    def hosts(self) -> list[str]:
-        fleet = self.fleet
-        return [fleet.names[i] for i in self.indices if fleet.alive[i]]
-
-    def dead_hosts(self) -> list[str]:
-        return sorted(self.fleet.names[i] for i in self._dead)
-
-    def state_dict(self) -> dict[str, object]:
-        return {"hosts": len(self.hosts()), "dead": self.dead_hosts()}
-
-    def sample(self, timestamp_s: float, trace) -> tuple[ClusterSummary, bool]:
-        """Summarize the rack; returns ``(summary, changed_since_last)``."""
-        last = self._last
-        if last is not None and self._settled and not self._changed:
-            # None of this rack's rows moved and no heartbeat counter is
-            # pending: the previous figures still hold, whatever the rest
-            # of the fleet did.
-            return replace(last, timestamp_s=timestamp_s), False
-
-        self._changed.clear()
-        fleet = self.fleet
-        up = 0
-        total = 0
-        cores = 0
-        load = 0.0
-        mem_total = 0.0
-        mem_free = 0.0
-        unsettled = False
-        for i in self.indices:
-            if not fleet.alive[i]:
-                continue
-            total += 1
-            if not fleet.responsive[i]:
-                if _count_miss(
-                    self._missed, self._dead, i, fleet.names[i],
-                    timestamp_s, trace,
-                ):
-                    unsettled = True
-                continue
-            self._missed[i] = 0
-            self._dead.discard(i)
-            if fleet.powered[i]:
-                up += 1
-                c = fleet.cores[i]
-                busy = fleet.load[i]
-                cores += c
-                load += busy
-                mt = fleet.mem_kb[i]
-                mem_total += mt
-                mem_free += mt * max(0.1, 1.0 - 0.8 * busy / max(c, 1))
-        summary = ClusterSummary(
-            timestamp_s=timestamp_s,
-            hosts_total=total,
-            hosts_up=up,
-            total_cores=cores,
-            load_total=load,
-            mem_total_kb=mem_total,
-            mem_free_kb=mem_free,
-            failed_services=0,
-            hosts_dead=len(self._dead),
-        )
-        changed = last is None or _signature(summary) != _signature(last)
-        self._last = summary
-        self._settled = not unsettled
-        return summary, changed
-
-
-class GmondRack:
-    """One rack of real :class:`Gmond` agents, summarized at the leaf.
-
-    Full metric fidelity without the root ever touching the agents: each
-    poll archives every sample in the rack's RRDs, publishes it as
-    ``metric.sample``, and counts service failures into the summary.  A
-    small cluster is one of these; a fleet uses it for racks that need
-    detail (the frontend) alongside :class:`FleetRack` leaves for the bulk.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
         self._gmonds: dict[str, Gmond] = {}
         self._rrds: dict[tuple[str, str], Rrd] = {}
         self._missed: dict[str, int] = {}
         self._dead: set[str] = set()
         self._last: ClusterSummary | None = None
+        #: this rack's rows written since the last rescan
+        self._changed = fleet.watch(self.indices) if fleet is not None else set()
+        #: True when no miss counter is mid-count (every unresponsive host
+        #: is already declared dead) — the precondition for reusing the
+        #: last summary, since a pending counter changes state even when
+        #: the rows do not.
+        self._settled = True
 
     def attach(self, gmond: Gmond) -> None:
         """Register a node's gmond as a data source."""
@@ -258,9 +147,6 @@ class GmondRack:
         if host in self._gmonds:
             raise MonitoringError(f"gmond for {host} already attached")
         self._gmonds[host] = gmond
-
-    def hosts(self) -> list[str]:
-        return sorted(self._gmonds)
 
     def gmond_for(self, host: str) -> Gmond:
         """The agent registered for one host (fault injection reaches it
@@ -274,71 +160,88 @@ class GmondRack:
         """Hosts declared dead after consecutive missed heartbeats."""
         return sorted(self._dead)
 
-    def rrd_for(self, host: str, metric: str) -> Rrd:
-        """The archive of one (host, metric) stream.
-
-        A pure lookup: only :meth:`sample` creates archives (their set is
-        checkpointed state), so a stream that has never reported raises.
-        """
-        if metric not in CORE_METRICS:
-            raise MonitoringError(f"unknown metric {metric!r}")
-        self.gmond_for(host)
-        try:
-            return self._rrds[host, metric]
-        except KeyError:
-            raise MonitoringError(
-                f"no samples archived for {host}/{metric}"
-            ) from None
-
     def _latest(self, host: str, metric: str) -> RrdPoint | None:
         rrd = self._rrds.get((host, metric))
         return rrd.latest() if rrd is not None else None
 
-    def sample(self, timestamp_s: float, trace) -> tuple[ClusterSummary, bool]:
-        """Poll every agent in the rack: archive, publish, summarise.
-
-        Returns ``(summary, changed_since_last)``.
-        """
-        up = 0
-        cores = 0
-        load = 0.0
-        mem_total = 0.0
-        mem_free = 0.0
-        failed = 0
-        rrds = self._rrds
-        for name in self.hosts():
-            try:
-                samples = {
-                    s.spec.name: s for s in self._gmonds[name].poll(timestamp_s)
-                }
-            except ReproError:
-                _count_miss(
-                    self._missed, self._dead, name, name,
-                    timestamp_s, trace,
+    def _readings(self, timestamp_s: float, trace):
+        """Yield ``(host, reading)`` per live host, ``reading`` None for a
+        missed heartbeat; agent samples are archived and published on the
+        way, in :data:`CORE_METRICS` order."""
+        fleet = self.fleet
+        for i in self.indices:
+            if fleet.alive[i]:
+                yield fleet.names[i], (
+                    (fleet.powered[i], fleet.cores[i], fleet.load[i],
+                     fleet.mem_kb[i], 0)
+                    if fleet.responsive[i] else None
                 )
+        rrds = self._rrds
+        for host in sorted(self._gmonds):
+            try:
+                samples = self._gmonds[host].poll(timestamp_s)
+            except ReproError:
+                yield host, None
                 continue
-            self._missed[name] = 0
-            self._dead.discard(name)
-            for metric, sample in samples.items():
-                rrd = rrds.get((name, metric))
+            values = {}
+            for sample in samples:
+                metric = sample.spec.name
+                values[metric] = sample.value
+                rrd = rrds.get((host, metric))
                 if rrd is None:
                     # One slot per poll cycle.
-                    rrd = rrds[name, metric] = Rrd(step_s=POLL_PERIOD_S)
+                    rrd = rrds[host, metric] = Rrd(step_s=POLL_PERIOD_S)
                 rrd.update(timestamp_s, sample.value)
                 trace.emit(
                     "metric.sample", t_s=timestamp_s, subsystem="monitoring",
-                    host=name, metric=metric, value=float(sample.value),
+                    host=host, metric=metric, value=float(sample.value),
                 )
-            if samples["powered_on"].value > 0:
+            yield host, (
+                values["powered_on"] > 0, int(values["cpu_num"]),
+                values["load_one"], values["mem_total"], int(values["svc_failed"]),
+            )
+
+    def sample(self, timestamp_s: float, trace) -> tuple[ClusterSummary, bool]:
+        """Summarize the rack; returns ``(summary, changed_since_last)``."""
+        last = self._last
+        if last is not None and self._settled and not (self._changed or self._gmonds):
+            # None of this rack's rows moved and no heartbeat counter is
+            # pending: the previous figures still hold, whatever the rest
+            # of the fleet did.
+            return replace(last, timestamp_s=timestamp_s), False
+
+        self._changed.clear()
+        total = up = cores = failed = 0
+        load = mem_total = mem_free = 0.0
+        settled = True
+        for host, reading in self._readings(timestamp_s, trace):
+            total += 1
+            if reading is None:
+                # A missed heartbeat, not a monitoring crash: the summary
+                # degrades, and the limit declares the host dead once.
+                count = self._missed[host] = self._missed.get(host, 0) + 1
+                if count < DEAD_AFTER_MISSES:
+                    settled = False
+                elif host not in self._dead:
+                    self._dead.add(host)
+                    trace.emit(
+                        "monitor.host_dead", t_s=timestamp_s,
+                        subsystem="monitoring", host=host, missed=count,
+                    )
+                continue
+            self._missed[host] = 0
+            self._dead.discard(host)
+            powered, c, busy, mt, f = reading
+            if powered:
                 up += 1
-                cores += int(samples["cpu_num"].value)
-                load += samples["load_one"].value
-                mem_total += samples["mem_total"].value
-                mem_free += samples["mem_free"].value
-                failed += int(samples["svc_failed"].value)
+                cores += c
+                load += busy
+                mem_total += mt
+                mem_free += free_memory_kb(mt, busy, c)
+                failed += f
         summary = ClusterSummary(
             timestamp_s=timestamp_s,
-            hosts_total=len(self._gmonds),
+            hosts_total=total,
             hosts_up=up,
             total_cores=cores,
             load_total=load,
@@ -347,16 +250,15 @@ class GmondRack:
             failed_services=failed,
             hosts_dead=len(self._dead),
         )
-        changed = self._last is None or _signature(summary) != _signature(
-            self._last
-        )
+        changed = last is None or _signature(summary) != _signature(last)
         self._last = summary
+        self._settled = settled
         return summary, changed
 
     def down_hosts(self) -> list[str]:
-        """Hosts whose latest powered_on sample is 0, plus hosts declared
-        dead on missed heartbeats (the web UI's red rows)."""
-        down = set(self._dead)
+        """Agent hosts whose latest powered_on sample is 0 or that are
+        declared dead on missed heartbeats (the web UI's red rows)."""
+        down = self._dead & self._gmonds.keys()
         for name in self._gmonds:
             latest = self._latest(name, "powered_on")
             if latest is not None and latest.value < 0.5:
@@ -364,9 +266,9 @@ class GmondRack:
         return sorted(down)
 
     def dashboard_rows(self) -> list[str]:
-        """One line per host of the web frontend's cluster page."""
+        """One line per agent host of the web frontend's cluster page."""
         lines = []
-        for name in self.hosts():
+        for name in sorted(self._gmonds):
             row = {
                 metric: self._latest(name, metric)
                 for metric in ("powered_on", "load_one", "cpu_num", "pkg_count", "svc_failed")
@@ -391,7 +293,8 @@ class GmondRack:
         counters and the dead set (what checkpoint verification compares)."""
         return {
             "gmonds": {
-                name: self._gmonds[name].state_dict() for name in self.hosts()
+                name: self._gmonds[name].state_dict()
+                for name in sorted(self._gmonds)
             },
             "rrds": {
                 f"{host}/{metric}": rrd.state_dict()
@@ -409,15 +312,15 @@ class GmetadTree:
 
     Each cycle asks every leaf for its summary and folds *deltas* into
     running totals: an unchanged rack costs one subtraction-free pass (and,
-    for a :class:`FleetRack` leaf whose rows are quiet, the leaf itself is
-    O(1)).  Per changed rack it emits ``monitor.rack``; per cycle,
+    for an agent-free leaf whose rows are quiet, the leaf itself is O(1)).
+    Per changed rack it emits ``monitor.rack``; per cycle,
     ``monitor.rollup`` with the merged figures and how many racks moved.
 
     The host-level surface — :meth:`hosts`, :meth:`gmond_for`,
     :meth:`rrd_for`, :meth:`down_hosts`, the rows of
     :meth:`render_dashboard` — covers the hosts that have an agent, i.e.
-    those on :class:`GmondRack` leaves; :class:`FleetRack` hosts show up
-    in the merged summary and in :meth:`dead_hosts` only.
+    those attached to a leaf with :meth:`Rack.attach`; fleet-row hosts show
+    up in the merged summary and in :meth:`dead_hosts` only.
     """
 
     def __init__(
@@ -425,9 +328,8 @@ class GmetadTree:
     ) -> None:
         self.cluster_name = cluster_name
         self.kernel = kernel if kernel is not None else SimKernel()
-        self._racks: dict[str, FleetRack | GmondRack] = {}
-        self._rack_last: dict[str, ClusterSummary] = {}
-        #: Running totals the deltas fold into, in :func:`_signature` order
+        self._racks: dict[str, Rack] = {}
+        #: Running totals the deltas fold into, in ``_signature`` order
         #: (``ClusterSummary``'s field order after the timestamp).
         self._totals: list[float] = [0, 0, 0, 0.0, 0.0, 0.0, 0, 0]
         self._sampler: PeriodicEvent | None = None
@@ -437,7 +339,7 @@ class GmetadTree:
     def now_s(self) -> float:
         return self.kernel.now_s
 
-    def add_rack(self, rack: FleetRack | GmondRack) -> None:
+    def add_rack(self, rack: Rack) -> None:
         if rack.name in self._racks:
             raise MonitoringError(f"rack {rack.name} already attached")
         self._racks[rack.name] = rack
@@ -447,43 +349,41 @@ class GmetadTree:
 
     def dead_hosts(self) -> list[str]:
         """Dead hosts across every rack (leaf detection, merged view)."""
-        out: list[str] = []
+        return sorted(h for rack in self._racks.values() for h in rack._dead)
+
+    def _agent_rack_of(self, host: str) -> Rack:
         for name in self.racks():
-            out.extend(self._racks[name].dead_hosts())
-        return sorted(out)
-
-    def _agent_racks(self) -> list[GmondRack]:
-        return [
-            rack
-            for _name, rack in sorted(self._racks.items())
-            if isinstance(rack, GmondRack)
-        ]
-
-    def _agent_rack_of(self, host: str) -> GmondRack:
-        for rack in self._agent_racks():
-            if host in rack._gmonds:
-                return rack
+            if host in self._racks[name]._gmonds:
+                return self._racks[name]
         raise MonitoringError(f"no gmond agent for host {host!r}")
 
     def hosts(self) -> list[str]:
         """Hosts that have a gmond agent, sorted."""
-        return sorted(h for rack in self._agent_racks() for h in rack._gmonds)
+        return sorted(h for rack in self._racks.values() for h in rack._gmonds)
 
     def gmond_for(self, host: str) -> Gmond:
         """The agent registered for one host (fault injection reaches it
         here).  Raises :class:`MonitoringError` for a host outside the mesh
-        or on a :class:`FleetRack` leaf, which has no agents."""
+        or on a fleet-table row, which has no agent."""
         return self._agent_rack_of(host).gmond_for(host)
 
     def rrd_for(self, host: str, metric: str) -> Rrd:
-        """The archive of one (host, metric) stream (see
-        :meth:`GmondRack.rrd_for`)."""
-        return self._agent_rack_of(host).rrd_for(host, metric)
+        """The archive of one (host, metric) stream.
+
+        A pure lookup: only :meth:`Rack.sample` creates archives (their set
+        is checkpointed state), so a stream that has never reported raises.
+        """
+        if metric not in CORE_METRICS:
+            raise MonitoringError(f"unknown metric {metric!r}")
+        rrd = self._agent_rack_of(host)._rrds.get((host, metric))
+        if rrd is None:
+            raise MonitoringError(f"no samples archived for {host}/{metric}")
+        return rrd
 
     def down_hosts(self) -> list[str]:
         """Agent hosts that are powered off or declared dead (the web
         UI's red rows)."""
-        return sorted(h for rack in self._agent_racks() for h in rack.down_hosts())
+        return sorted(h for rack in self._racks.values() for h in rack.down_hosts())
 
     def render_dashboard(self) -> str:
         """The web frontend's cluster page, as text."""
@@ -500,35 +400,32 @@ class GmetadTree:
             "",
             f"{'host':<18}{'up':>4}{'load':>8}{'cpus':>6}{'pkgs':>7}{'fail':>6}",
         ]
-        for rack in self._agent_racks():
-            lines.extend(rack.dashboard_rows())
+        for name in self.racks():
+            lines.extend(self._racks[name].dashboard_rows())
         return "\n".join(lines)
-
-    def _fold_delta(
-        self, old: ClusterSummary | None, new: ClusterSummary
-    ) -> None:
-        totals = self._totals
-        if old is not None:
-            for k, value in enumerate(_signature(old)):
-                totals[k] -= value
-        for k, value in enumerate(_signature(new)):
-            totals[k] += value
 
     def _sample(self, timestamp_s: float) -> ClusterSummary:
         trace = self.kernel.trace
         changed_racks = 0
         for name in self.racks():
-            summary, changed = self._racks[name].sample(timestamp_s, trace)
+            rack = self._racks[name]
+            old = rack._last
+            summary, changed = rack.sample(timestamp_s, trace)
             if changed:
                 changed_racks += 1
-                self._fold_delta(self._rack_last.get(name), summary)
+                # Fold the rack's delta: take its last figures out, put
+                # the new ones in.
+                gone = _signature(old) if old is not None else [0] * 8
+                self._totals = [
+                    t - o + n
+                    for t, o, n in zip(self._totals, gone, _signature(summary))
+                ]
                 trace.emit(
                     "monitor.rack", t_s=timestamp_s, subsystem="monitoring",
                     rack=name, hosts_up=summary.hosts_up,
                     hosts_total=summary.hosts_total,
                     load_total=summary.load_total,
                 )
-            self._rack_last[name] = summary
         merged = ClusterSummary(timestamp_s, *self._totals)
         self.summaries.append(merged)
         trace.emit(
@@ -552,11 +449,9 @@ class GmetadTree:
         """Poll ``count`` times; returns the last merged summary."""
         if count <= 0:
             raise MonitoringError("cycle count must be positive")
-        last = None
-        for _ in range(count):
-            last = self.poll_cycle()
-        assert last is not None
-        return last
+        for _ in range(count - 1):
+            self.poll_cycle()
+        return self.poll_cycle()
 
     def start_sampling(self) -> PeriodicEvent:
         """Register polling as a periodic kernel event (co-simulation mode),
@@ -597,7 +492,7 @@ def monitor_fleet(cluster, *, kernel: SimKernel | None = None) -> GmetadTree:
     """Wire a provisioned cluster into a hierarchical monitoring tree.
 
     Rows of the cluster's fleet table (frontend included) are chunked into
-    :class:`FleetRack` leaves of :data:`HOSTS_PER_RACK` each — the
+    :class:`Rack` leaves of :data:`HOSTS_PER_RACK` each — the
     fleet-scale counterpart of :func:`~repro.monitoring.monitor_cluster`, with no
     per-host gmond objects.  Works for any install mode; it is the only
     monitoring path that scales to golden-image fleets.
@@ -607,7 +502,7 @@ def monitor_fleet(cluster, *, kernel: SimKernel | None = None) -> GmetadTree:
     indices = fleet.ordered_indices()
     for j, start in enumerate(range(0, len(indices), HOSTS_PER_RACK)):
         tree.add_rack(
-            FleetRack(
+            Rack(
                 f"rack{j:03d}", fleet, indices[start : start + HOSTS_PER_RACK]
             )
         )

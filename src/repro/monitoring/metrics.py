@@ -10,12 +10,14 @@ round-robin archives (:mod:`repro.monitoring.rrd`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import MonitoringError
 
-__all__ = ["MetricKind", "MetricSample", "MetricSpec", "CORE_METRICS", "MonitoringError"]
+__all__ = ["MetricKind", "MetricSample", "MetricSpec", "CORE_METRICS", "MonitoringError",
+           "free_memory_kb"]
 
 
 class MetricKind(str, Enum):
@@ -50,10 +52,16 @@ class MetricSample:
     timestamp_s: float
 
     def __post_init__(self) -> None:
-        if self.timestamp_s < 0:
+        if not (math.isfinite(self.timestamp_s) and self.timestamp_s >= 0):
             raise MonitoringError(
-                f"negative timestamp for {self.spec.name}@{self.host}"
+                f"timestamp {self.timestamp_s} for {self.spec.name}@{self.host}"
+                " is not a finite non-negative time"
             )
+
+
+def free_memory_kb(mem_total_kb: float, load: float, cores: int) -> float:
+    """Free memory of a host: pressure follows busy cores, floored at 10%."""
+    return mem_total_kb * max(0.1, 1.0 - 0.8 * load / max(cores, 1))
 
 
 #: The metric set the ganglia roll's default gmond.conf collects.

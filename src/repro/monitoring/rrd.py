@@ -8,7 +8,7 @@ regardless of how long the cluster runs, which is the whole point of RRD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .metrics import MonitoringError
 
@@ -36,8 +36,9 @@ class Rrd:
     """
 
     def __init__(self, *, step_s: float = 15.0, slots: int = 240) -> None:
-        if step_s <= 0 or slots <= 0:
-            raise MonitoringError("step and slots must be positive")
+        if not (math.isfinite(step_s) and step_s > 0
+                and isinstance(slots, int) and slots > 0):
+            raise MonitoringError("step must be finite and positive, slots a positive int")
         self.step_s = step_s
         self.slots = slots
         self._ring: list[tuple[int, float, int] | None] = [None] * slots
@@ -54,6 +55,8 @@ class Rrd:
         write wins, matching rrdtool's tolerance for sub-step jitter);
         one from an earlier slot is rejected as out of order.
         """
+        if not math.isfinite(timestamp_s):
+            raise MonitoringError(f"timestamp {timestamp_s} is not finite")
         absolute = self._slot_index(timestamp_s)
         late = timestamp_s < self._last_time
         if late and absolute < self._slot_index(self._last_time):

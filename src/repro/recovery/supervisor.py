@@ -14,8 +14,8 @@ entries and performs bounded, observable repairs:
   (a ``power_probe`` callback arbitrates; a dead PSU cannot be rebooted
   away), after a modelled reboot delay;
 * ``restart.gmond`` — restart unresponsive monitoring daemons on
-  powered-on hosts (the tree's agent hosts; table-summarized
-  ``FleetRack`` hosts have no daemon to restart);
+  powered-on hosts (the tree's agent hosts; hosts summarized from
+  fleet-table rows have no daemon to restart);
 * ``undrain.node`` — return healthy drained nodes to service;
 * ``resubmit.job`` — resubmit jobs that failed *in the queue* (never
   started) once usable capacity can hold them again;
@@ -227,7 +227,7 @@ class Supervisor:
             try:
                 self.gmetad.gmond_for(node).restore_heartbeat()
             except MonitoringError:
-                pass  # not in the mesh, or on an agent-free FleetRack leaf
+                pass  # not in the mesh, or a fleet-table row with no agent
         self.scheduler.recover_node(node)
         self.repaired_nodes.add(node)
         self.repairs.append(

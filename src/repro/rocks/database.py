@@ -39,7 +39,7 @@ class RocksDatabase:
     def __init__(self) -> None:
         #: the cluster's one fleet table; share it with the scheduler
         #: (``ClusterResources.from_fleet``) and the monitoring tree
-        #: (``FleetRack``) so all layers read the same columns.
+        #: (``Rack`` leaves over fleet rows) so all layers read the same columns.
         self.fleet = FleetTable(state_values=tuple(InstallState))
         #: rack -> highest compute rank registered (the next_compute_name
         #: fast path); racks land in ``_stale_racks`` on removal and are

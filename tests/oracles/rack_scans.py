@@ -1,10 +1,12 @@
 """A rack leaf that rescans its rows every cycle, kept as a reference oracle.
 
-``FleetRack`` rescans only when the fleet table's change feed names one of
-its rows or a heartbeat counter is mid-count.  :class:`RescanRack` is the
+A :class:`~repro.monitoring.hierarchy.Rack` without agents rescans only
+when the fleet table's change feed names one of its rows or a heartbeat
+counter is mid-count.  :class:`RescanRack` is the
 same summary with that fast path off, so its answers cannot depend on what
 the feed reported; ``tests/test_fleet_feed.py`` asserts the two agree every
-cycle.
+cycle.  It keeps its own heartbeat bookkeeping, so it stays an independent
+reference for the leaf's.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.fleet import FleetTable
-from repro.monitoring.hierarchy import ClusterSummary, _count_miss
+from repro.monitoring.hierarchy import DEAD_AFTER_MISSES, ClusterSummary
 
 __all__ = ["RescanRack"]
 
 
 class RescanRack:
-    """``FleetRack.sample`` without the fast path."""
+    """``Rack.sample`` over fleet rows, without the fast path."""
 
     def __init__(self, fleet: FleetTable, indices: list[int]) -> None:
         self.fleet = fleet
@@ -29,6 +31,16 @@ class RescanRack:
 
     def dead_hosts(self) -> list[str]:
         return sorted(self.fleet.names[i] for i in self._dead)
+
+    def _missed_heartbeat(self, i: int, timestamp_s: float, trace) -> None:
+        count = self._missed.get(i, 0) + 1
+        self._missed[i] = count
+        if count >= DEAD_AFTER_MISSES and i not in self._dead:
+            self._dead.add(i)
+            trace.emit(
+                "monitor.host_dead", t_s=timestamp_s, subsystem="monitoring",
+                host=self.fleet.names[i], missed=count,
+            )
 
     def sample(self, timestamp_s: float, trace) -> tuple[ClusterSummary, bool]:
         fleet = self.fleet
@@ -43,10 +55,7 @@ class RescanRack:
                 continue
             total += 1
             if not fleet.responsive[i]:
-                _count_miss(
-                    self._missed, self._dead, i, fleet.names[i],
-                    timestamp_s, trace,
-                )
+                self._missed_heartbeat(i, timestamp_s, trace)
                 continue
             self._missed[i] = 0
             self._dead.discard(i)

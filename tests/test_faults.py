@@ -38,7 +38,7 @@ from repro.faults import (
 from repro.faults.chaos import demo_plan, run_chaos
 from repro.fleet import FleetTable
 from repro.hardware import build_littlefe_modified
-from repro.monitoring import GmetadTree, Gmond, GmondRack
+from repro.monitoring import GmetadTree, Gmond, Rack
 from repro.monitoring.hierarchy import DEAD_AFTER_MISSES
 from repro.network.dhcp import DhcpServer
 from repro.network.pxe import BootImage, PxeServer
@@ -478,7 +478,7 @@ class TestGracefulDegradation:
         kernel = SimKernel()
         machine = build_littlefe_modified().machine
         gmetad = GmetadTree(machine.name, kernel=kernel)
-        rack = GmondRack(machine.name)
+        rack = Rack(machine.name)
         gmetad.add_rack(rack)
         from repro.distro import CENTOS_6_5, Host
 

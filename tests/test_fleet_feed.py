@@ -2,7 +2,7 @@
 
 ``FleetTable.watch`` hands each reader its own dirty-row set; every mutator
 adds its row to the sets watching it.  ``ClusterResources`` (totals, the
-draining/failed sets, the free-count bucket index) and ``FleetRack`` (one
+draining/failed sets, the free-count bucket index) and ``Rack`` (one
 rack's summary) re-derive only what their feed names.  The properties here
 hold them to the column scans they replaced (``tests/oracles/``), and the
 scaling guard holds their cost to what changed, not to fleet size.
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.fleet import FleetTable
-from repro.monitoring.hierarchy import FleetRack, GmetadTree
+from repro.monitoring.hierarchy import GmetadTree, Rack
 from repro.scheduler import ClusterResources
 from repro.sim import SimKernel, TraceBus
 
@@ -206,7 +206,7 @@ _RACK_OPS = (
 )
 @settings(max_examples=150, deadline=None)
 def test_property_watched_racks_match_rescans(steps):
-    """Three FleetRack leaves that rescan only what their feed names, and
+    """Three fleet-row Rack leaves that rescan only what their feed names, and
     three oracle leaves that rescan every cycle, over one table under random
     power, heartbeat, load, flag, core, memory, state, add and remove
     writes: every cycle they give equal summaries, changed flags, dead lists
@@ -216,7 +216,7 @@ def test_property_watched_racks_match_rescans(steps):
     fleet = _fleet([2, 4, 8, 16] * 3, per_rack=4)
     chunks = [list(range(k, k + 4)) for k in (0, 4, 8)]
     watched = [
-        FleetRack(f"rack{j}", fleet, rows)
+        Rack(f"rack{j}", fleet, rows)
         for j, rows in enumerate(chunks)
     ]
     rescans = [RescanRack(fleet, rows) for rows in chunks]
@@ -278,14 +278,14 @@ class _CountingList(list):
 
 def _site(rows: int):
     """A ``rows``-row table built with add_row (no install), chunked into
-    48-row FleetRack leaves the way monitor_fleet does, plus a from_fleet
+    48-row Rack leaves the way monitor_fleet does, plus a from_fleet
     scheduler view; every leaf and the view have read once."""
     fleet = _fleet([16] * rows)
     tree = GmetadTree("guard", kernel=SimKernel(seed=1))
     order = fleet.ordered_indices()
     racks = []
     for j, start in enumerate(range(0, len(order), 48)):
-        rack = FleetRack(f"rack{j:04d}", fleet, order[start : start + 48])
+        rack = Rack(f"rack{j:04d}", fleet, order[start : start + 48])
         tree.add_rack(rack)
         racks.append(rack)
     tree.poll_cycle()

@@ -177,6 +177,19 @@ WALL = [
         ("src", "tests", "docs", "README.md", ".claude"), "analyze/ answers to the runtime and the gate",
         "tests/test_tie_order.py reruns every flow with ties reversed (EXPERIMENTS.md, 'analyze/ answers to the runtime and the gate')",
         'SL301 = rule("SL301", "source")', "src/repro/analyze/passes/source_races.py"),
+    Row("a second rack leaf class",
+        ("grep", "-rnwE", "--include=*.py", "FleetRack|GmondRack|_count_miss"),
+        ("src", "tests", "examples"), "One rack model",
+        "one Rack leaf reads fleet rows and gmond agents in one loop (docs/SCALE.md)",
+        "class FleetRack:", "src/repro/monitoring/hierarchy.py"),
+    Row("the tree telling leaves apart by type",
+        ("grep", "-nw", "isinstance"), ("src/repro/monitoring/hierarchy.py",), "One rack model",
+        "every leaf is a Rack; agent hosts are the ones attached to it",
+        "            if isinstance(rack, Rack)", "src/repro/monitoring/hierarchy.py"),
+    Row("monitoring over its line budget",
+        ("lines", 900), ("src/repro/monitoring/*.py",), "One rack model",
+        "the memory model and the heartbeat bookkeeping exist once",
+        "pass\n", "src/repro/monitoring/extra.py"),
 ]
 
 

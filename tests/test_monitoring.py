@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from repro.monitoring import (
     CORE_METRICS,
-    FleetRack,
     GmetadTree,
     Gmond,
-    GmondRack,
+    MetricSample,
     MonitoringError,
+    Rack,
     Rrd,
     monitor_cluster,
+    monitor_fleet,
 )
 from repro.rocks import install_cluster, optional_rolls
 from repro.scheduler import ClusterResources, Job, MauiScheduler
@@ -86,8 +87,16 @@ class TestRrd:
             Rrd().mean()
 
     def test_invalid_construction(self):
+        nan, inf = float("nan"), float("inf")
+        for kwargs in ({"step_s": 0}, {"step_s": nan}, {"step_s": inf},
+                       {"slots": 0}, {"slots": 2.5}):
+            with pytest.raises(MonitoringError):
+                Rrd(**kwargs)
+
+    @pytest.mark.parametrize("timestamp_s", [float("nan"), float("inf")])
+    def test_non_finite_timestamp_rejected(self, timestamp_s):
         with pytest.raises(MonitoringError):
-            Rrd(step_s=0)
+            Rrd().update(timestamp_s, 1.0)
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
     @settings(max_examples=30)
@@ -99,6 +108,11 @@ class TestRrd:
 
 
 class TestGmond:
+    @pytest.mark.parametrize("timestamp_s", [-1.0, float("nan"), float("inf")])
+    def test_sample_timestamp_must_be_finite_and_non_negative(self, timestamp_s):
+        with pytest.raises(MonitoringError):
+            MetricSample(CORE_METRICS["load_one"], "h", 0.0, timestamp_s)
+
     def test_poll_covers_core_metrics(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
         gmond = Gmond(cluster.frontend, cluster.frontend_db)
@@ -121,17 +135,6 @@ class TestGmond:
         failed = next(s for s in gmond.poll(1.0) if s.spec.name == "svc_failed")
         assert failed.value == 1.0
         host.services.start("gmond")
-
-    def test_traffic_counters_accumulate(self, ganglia_cluster):
-        _machine, cluster = ganglia_cluster
-        gmond = Gmond(cluster.frontend, cluster.frontend_db)
-        gmond.account_traffic(bytes_in=100.0)
-        gmond.account_traffic(bytes_in=50.0, bytes_out=10.0)
-        samples = {s.spec.name: s.value for s in gmond.poll(1.0)}
-        assert samples["bytes_in"] == 150.0
-        assert samples["bytes_out"] == 10.0
-        with pytest.raises(MonitoringError):
-            gmond.account_traffic(bytes_in=-1)
 
     def test_wrong_host_db_rejected(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
@@ -193,7 +196,7 @@ class TestGmetad:
     def test_duplicate_attach_rejected(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
         gmetad = GmetadTree("x")
-        rack = GmondRack("x")
+        rack = Rack("x")
         gmetad.add_rack(rack)
         gmond = Gmond(cluster.frontend, cluster.frontend_db)
         rack.attach(gmond)
@@ -252,7 +255,7 @@ class TestGmetad:
         machine, cluster = ganglia_cluster
         scheduler = MauiScheduler(ClusterResources(machine))
         tree = monitor_cluster(cluster, scheduler=scheduler)
-        twin = GmondRack("twin")
+        twin = Rack("twin")
         for host in tree.hosts():
             twin.attach(tree.gmond_for(host))
         rng = random.Random(13)
@@ -269,7 +272,7 @@ class TestGmetad:
         assert len(loads) > 3
 
 
-# -- the two leaf kinds agree --------------------------------------------------------
+# -- agent hosts and row hosts agree --------------------------------------------------------
 
 _OPS = ("power_off", "power_on", "mute", "unmute", "allocate", "release")
 
@@ -290,7 +293,7 @@ def fleet_littlefe():
 )
 @settings(max_examples=40, deadline=None)
 def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
-    """One GmondRack (agents) and one FleetRack (table columns) over the
+    """One Rack of agents and one Rack of fleet-table rows over the
     same hosts see the same cluster: equal summaries (service failures
     aside — the table has no such column) and equal dead lists, every
     cycle, under power-offs, heartbeat loss, recovery and job load."""
@@ -303,7 +306,7 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
     for host, row in zip(hosts, rows):  # undo the previous example
         host.node.powered_on = row.powered_on = row.responsive = True
 
-    agents = GmondRack("agents")
+    agents = Rack("agents")
     for host in hosts:  # fleet-built resources go by Rocks host name
         load = (
             partial(resources.allocated_of, host.name)
@@ -312,7 +315,7 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
         )
         agents.attach(Gmond(host, cluster.db_for(host), load_source=load))
     # same summation order as the agent leaf, so float sums match bit for bit
-    columns = FleetRack("columns", fleet, [row.index for row in rows])
+    columns = Rack("columns", fleet, [row.index for row in rows])
 
     trace = TraceBus()
     held = []
@@ -338,3 +341,25 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
     finally:
         for allocation in held:
             resources.release(allocation)
+
+
+def test_fleet_tree_has_no_agent_hosts():
+    """A monitor_fleet tree summarizes table rows only: it lists no agent
+    hosts, asking for a row host's gmond raises MonitoringError (which the
+    fault injector and the supervisor treat as "no daemon to reach"), and
+    a row declared dead is in dead_hosts() but not among the agent hosts'
+    down_hosts()."""
+    from repro.hardware import build_littlefe_modified
+    from repro.rocks import RocksInstaller
+
+    cluster = RocksInstaller(build_littlefe_modified().machine).run(wave_size=3)
+    tree = monitor_fleet(cluster)
+    victim = cluster.rocksdb.fleet.by_name(cluster.hosts()[-1].name)
+    victim.responsive = False
+    summary = tree.run_cycles(3)
+    assert summary.hosts_total == len(cluster.hosts())
+    assert tree.dead_hosts() == [victim.name]
+    assert tree.hosts() == [] and tree.down_hosts() == []
+    for host in cluster.hosts():
+        with pytest.raises(MonitoringError):
+            tree.gmond_for(host.name)

@@ -746,11 +746,11 @@ class TestSupervisorPolicies:
 
     def test_restart_gmond_restores_heartbeat(self, littlefe_machine):
         from repro.distro import CENTOS_6_5, Host
-        from repro.monitoring import GmetadTree, Gmond, GmondRack
+        from repro.monitoring import GmetadTree, Gmond, Rack
 
         kernel, scheduler = _mini_stack(littlefe_machine)
         gmetad = GmetadTree(littlefe_machine.name, kernel=kernel)
-        rack = GmondRack(littlefe_machine.name)
+        rack = Rack(littlefe_machine.name)
         gmetad.add_rack(rack)
         for node in littlefe_machine.nodes:
             rack.attach(Gmond(Host(node, CENTOS_6_5)))
@@ -764,11 +764,11 @@ class TestSupervisorPolicies:
 
     def test_restart_gmond_skips_powered_off_hosts(self, littlefe_machine):
         from repro.distro import CENTOS_6_5, Host
-        from repro.monitoring import GmetadTree, Gmond, GmondRack
+        from repro.monitoring import GmetadTree, Gmond, Rack
 
         kernel, scheduler = _mini_stack(littlefe_machine)
         gmetad = GmetadTree(littlefe_machine.name, kernel=kernel)
-        rack = GmondRack(littlefe_machine.name)
+        rack = Rack(littlefe_machine.name)
         gmetad.add_rack(rack)
         for node in littlefe_machine.nodes:
             rack.attach(Gmond(Host(node, CENTOS_6_5)))

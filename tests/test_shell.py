@@ -16,7 +16,7 @@ from repro.errors import (
 )
 from repro.faults import RetryPolicy
 from repro.fleet import FleetTable, NodeSet
-from repro.monitoring.hierarchy import FleetRack, GmetadTree
+from repro.monitoring.hierarchy import GmetadTree, Rack
 from repro.scheduler import ClusterResources, Job, TorqueScheduler
 from repro.shell import (
     TRANSPORT_RC,
@@ -381,7 +381,7 @@ def rolling_scenario(seed, *, flap_rack=1, max_failures=5, limit=None):
     indices = fleet.ordered_indices()
     for rack in range(3):
         tree.add_rack(
-            FleetRack(f"rack{rack}", fleet,
+            Rack(f"rack{rack}", fleet,
                       [i for i in indices if fleet.racks[i] == rack])
         )
     window = (100.0, 400.0)
@@ -452,7 +452,7 @@ class TestRollingUpdate:
         resources = ClusterResources.from_fleet(fleet)
         scheduler = TorqueScheduler(resources, kernel=kernel)
         tree = GmetadTree("t", kernel=kernel)
-        tree.add_rack(FleetRack("rack0", fleet, fleet.ordered_indices()))
+        tree.add_rack(Rack("rack0", fleet, fleet.ordered_indices()))
 
         def bad_update(node):
             if node == "compute-0-2":
@@ -566,7 +566,7 @@ class TestAcceptance:
         indices = fleet.ordered_indices()
         for rack in range(5):
             tree.add_rack(
-                FleetRack(f"rack{rack}", fleet,
+                Rack(f"rack{rack}", fleet,
                           [i for i in indices if fleet.racks[i] == rack])
             )
         # the fault plan: 4 node crashes early, one long rack-3 flap
