@@ -69,6 +69,3 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY))

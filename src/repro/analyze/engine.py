@@ -60,22 +60,10 @@ class AnalysisResult:
     def infos(self) -> list[Diagnostic]:
         return self.by_severity(Severity.INFO)
 
-    def codes(self) -> set[str]:
-        return {d.code for d in self.diagnostics}
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.diagnostics
-
     @property
     def failed(self) -> bool:
         """True if any kept diagnostic is at/above the failure threshold."""
         return any(d.severity.at_least(self.fail_on) for d in self.diagnostics)
-
-    @property
-    def exit_code(self) -> int:
-        """0 = gate passes, 1 = findings at/above the threshold."""
-        return 1 if self.failed else 0
 
     # -- rendering ---------------------------------------------------------
 

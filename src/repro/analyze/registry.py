@@ -78,9 +78,6 @@ class RuleRegistry:
         """Every rule, sorted by code."""
         return [self._rules[c] for c in self.codes()]
 
-    def subsystems(self) -> list[str]:
-        return sorted({r.subsystem for r in self._rules.values()})
-
 
 #: The process-wide registry; pass modules populate it at import time.
 RULES = RuleRegistry()
@@ -103,7 +100,7 @@ class AnalysisConfig:
 
     ``only`` (when non-None) whitelists codes; ``disabled`` blacklists them
     (applied after ``only``).  ``fail_on`` is the minimum severity that makes
-    :meth:`AnalysisResult.exit_code` non-zero — CI uses the default (error).
+    :attr:`AnalysisResult.failed` true — CI uses the default (error).
     """
 
     only: frozenset[str] | None = None
@@ -196,12 +193,3 @@ class Baseline:
         ):
             raise ReproError("baseline suppressions must be fingerprint objects")
         return cls(suppressions={e["fingerprint"]: e.get("reason", "") for e in entries})
-
-    @classmethod
-    def from_diagnostics(
-        cls, diagnostics: list[Diagnostic], reason: str = "accepted by baseline"
-    ) -> "Baseline":
-        baseline = cls()
-        for diag in diagnostics:
-            baseline.add(diag, reason)
-        return baseline

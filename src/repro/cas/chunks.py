@@ -62,10 +62,6 @@ class PackageManifest:
     size_bytes: int
     chunks: tuple[Chunk, ...]
 
-    @property
-    def digests(self) -> tuple[str, ...]:
-        return tuple(c.digest for c in self.chunks)
-
 
 class ChunkRun(tuple):
     """Distinct chunks with their digest set and byte total taken once, so

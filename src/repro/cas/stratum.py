@@ -410,11 +410,6 @@ class Stratum1(ChunkTier):
     def is_current(self) -> bool:
         return self._catalog_epoch == self.origin.serial
 
-    @property
-    def catalog(self) -> dict[str, PackageManifest]:
-        """The replicated catalog (may lag the origin until replicate())."""
-        return self._catalog_cache
-
     def manifest_of(self, pkg: Package) -> PackageManifest:
         """From the replicated catalog; a lagging replica asks the origin."""
         return _held(self._catalog_cache, pkg) or self.origin.manifest_of(pkg)

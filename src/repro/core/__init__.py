@@ -25,7 +25,6 @@ from .deployments import (
     PETAFLOPS_GOAL_2020_GFLOPS,
     SECTION4_REBUILT_SITES,
     capacity_goal_projection,
-    teardown_and_rebuild,
     AdoptionPath,
     SiteDeployment,
     TABLE3_SITES,
@@ -62,7 +61,6 @@ from .release import (
     XcbcRelease,
     get_xcbc_release,
     packages_for_release,
-    render_release_notes,
 )
 from .training import (
     CurriculumModule,
@@ -126,7 +124,6 @@ __all__ = [
     "CURRENT_RELEASE",
     "get_xcbc_release",
     "packages_for_release",
-    "render_release_notes",
     "ADDED_IN_0_0_8",
     "ADDED_IN_0_0_9",
     # compatibility
@@ -159,7 +156,6 @@ __all__ = [
     "limulus_xnit_module",
     "capacity_goal_projection",
     "SECTION4_REBUILT_SITES",
-    "teardown_and_rebuild",
     # cloud
     "ClusterCostModel",
     "CloudCostModel",

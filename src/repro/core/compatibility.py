@@ -201,10 +201,6 @@ class EnvironmentDiff:
         what matters via the lists)."""
         return not self.version_mismatches
 
-    @property
-    def is_identical(self) -> bool:
-        return not (self.only_on_a or self.only_on_b or self.version_mismatches)
-
 
 def diff_environments(db_a: RpmDatabase, db_b: RpmDatabase) -> EnvironmentDiff:
     """Package-level diff between two hosts."""

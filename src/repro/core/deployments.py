@@ -140,37 +140,6 @@ SECTION4_REBUILT_SITES: tuple[str, ...] = (
 )
 
 
-def teardown_and_rebuild(machine, *, prior_vendor_packages=None):
-    """The Howard/Marshall story: tear a managed cluster down, rebuild with
-    XCBC from scratch.
-
-    Builds the *prior* cluster (an :class:`ExistingCluster` under some
-    other management system), discards its software state entirely — a
-    bare-metal reinstall keeps nothing — and runs the XCBC installer on the
-    same hardware.  Returns ``(prior cluster, XCBC build report)`` so
-    callers can verify the old stack is gone and the new audit is clean.
-    """
-    from ..rpm.package import Package
-    from .machines import build_existing_cluster
-    from .xcbc import build_xcbc_cluster
-
-    prior_stack = prior_vendor_packages or (
-        Package(
-            name="prior-cluster-manager",
-            version="3.2",
-            category="vendor",
-            summary="the previous management system",
-            commands=("pcm-admin",),
-            services=("pcmd",),
-        ),
-    )
-    prior = build_existing_cluster(machine, vendor_packages=tuple(prior_stack))
-    # Bare-metal teardown: power-cycle the hardware; nothing carries over.
-    for node in machine.nodes:
-        node.powered_on = True
-    report = build_xcbc_cluster(machine, include_optional_rolls=False)
-    return prior, report
-
 
 def capacity_goal_projection(
     *,

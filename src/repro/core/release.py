@@ -29,7 +29,6 @@ __all__ = [
     "RELEASES",
     "get_xcbc_release",
     "packages_for_release",
-    "render_release_notes",
     "CURRENT_RELEASE",
 ]
 
@@ -113,46 +112,6 @@ def get_xcbc_release(version: str) -> XcbcRelease:
     known = ", ".join(r.version for r in RELEASES)
     raise ReproError(f"unknown XCBC release {version!r}; known: {known}")
 
-
-def render_release_notes(version: str) -> str:
-    """The README.<version> file the XSEDE repo publishes (refs [15], [16]).
-
-    Generated from the release history, so the notes can never disagree
-    with what :func:`packages_for_release` actually ships.
-    """
-    release = get_xcbc_release(version)
-    index = RELEASES.index(release)
-    lines = [
-        f"README.{version} — XSEDE-compatible basic cluster roll",
-        f"Release date: {release.date}",
-        f"Base OS: {release.os_release.release_string}",
-        "",
-        release.notes,
-        "",
-    ]
-    if index > 0:
-        previous = RELEASES[index - 1]
-        if release.os_release is not previous.os_release:
-            lines.append(
-                f"* OS update: {previous.os_release.release_string} -> "
-                f"{release.os_release.release_string}"
-            )
-        lines.append(f"* {len(release.added)} package additions:")
-        lines += [f"    {name}" for name in sorted(release.added)]
-        before = {p.name: p for p in packages_for_release(previous.version)}
-        updates = [
-            f"    {p.name}: {before[p.name].version} -> {p.version}"
-            for p in packages_for_release(version)
-            if p.name in before and p.version != before[p.name].version
-        ]
-        if updates:
-            lines.append(f"* {len(updates)} package updates:")
-            lines += updates
-    lines.append("")
-    lines.append(
-        f"Total packages in this release: {len(packages_for_release(version))}"
-    )
-    return "\n".join(lines)
 
 
 def packages_for_release(version: str) -> list[Package]:

@@ -81,10 +81,6 @@ class XcbcBuildReport:
     scheduler: str
 
     @property
-    def node_count(self) -> int:
-        return len(self.cluster.hosts())
-
-    @property
     def uniform_package_count(self) -> int:
         return len(self.cluster.installed_everywhere())
 

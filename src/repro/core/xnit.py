@@ -114,9 +114,7 @@ def setup_via_repo_rpm(client: YumClient, repo: Repository) -> None:
 
     Transaction(client.db).install(XSEDE_RELEASE_RPM).commit()
     # The dropped file's content is the canonical stanza.
-    client.host.fs.write(
-        "/etc/yum.repos.d/xsede.repo", XSEDE_REPO_STANZA.render(), overwrite=True
-    )
+    client.host.fs.write("/etc/yum.repos.d/xsede.repo", XSEDE_REPO_STANZA.render())
     client.repos.add_repo(repo)
 
 
@@ -139,10 +137,6 @@ class IntegrationReport:
     installed: list[str] = field(default_factory=list)
     upgraded: list[str] = field(default_factory=list)
     preexisting_untouched: bool = True
-
-    @property
-    def change_count(self) -> int:
-        return len(self.installed) + len(self.upgraded)
 
 
 def integrate_host(

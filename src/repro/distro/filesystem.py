@@ -191,6 +191,16 @@ class Filesystem:
 
     # -- mutations ----------------------------------------------------------
 
+    def _make_parents(self, key: str) -> None:
+        """Create the missing ancestors of ``key`` (``mkdir -p``); one that
+        exists must be a directory."""
+        for ancestor in parent_dirs(key):
+            node = self._nodes.get(ancestor)
+            if node is None:
+                self._nodes[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
+            elif node.kind is not FileKind.DIRECTORY:
+                raise FilesystemError(f"ancestor is not a directory: {ancestor}")
+
     def mkdir(self, path: str, *, exist_ok: bool = False, owner: str | None = None) -> FsNode:
         """Create a directory (and its ancestors, like ``mkdir -p``)."""
         fs, key = self._route(path)
@@ -203,12 +213,7 @@ class Filesystem:
             if not exist_ok:
                 raise FilesystemError(f"directory exists: {key}")
             return existing
-        for ancestor in parent_dirs(key):
-            anode = self._nodes.get(ancestor)
-            if anode is None:
-                self._nodes[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
-            elif anode.kind is not FileKind.DIRECTORY:
-                raise FilesystemError(f"ancestor is not a directory: {ancestor}")
+        self._make_parents(key)
         node = FsNode(key, FileKind.DIRECTORY, owner_package=owner)
         self._nodes[key] = node
         return node
@@ -220,25 +225,17 @@ class Filesystem:
         *,
         owner: str | None = None,
         mode: int = 0o644,
-        overwrite: bool = True,
     ) -> FsNode:
         """Create or replace a regular file, creating ancestors as needed."""
         fs, key = self._route(path)
         if fs is not self:
-            return fs.write(key, content, owner=owner, mode=mode, overwrite=overwrite)
+            return fs.write(key, content, owner=owner, mode=mode)
         if key == "/":
             raise FilesystemError("cannot write to /")
         existing = self._nodes.get(key)
-        if existing is not None:
-            if existing.kind is FileKind.DIRECTORY:
-                raise FilesystemError(f"is a directory: {key}")
-            if not overwrite:
-                raise FilesystemError(f"file exists: {key}")
-        for ancestor in parent_dirs(key):
-            if ancestor not in self._nodes:
-                self._nodes[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
-            elif self._nodes[ancestor].kind is not FileKind.DIRECTORY:
-                raise FilesystemError(f"ancestor is not a directory: {ancestor}")
+        if existing is not None and existing.kind is FileKind.DIRECTORY:
+            raise FilesystemError(f"is a directory: {key}")
+        self._make_parents(key)
         node = FsNode(key, FileKind.FILE, owner_package=owner, content=content, mode=mode)
         self._nodes[key] = node
         return node
@@ -251,9 +248,7 @@ class Filesystem:
         tgt = normpath(target)
         if key in self._nodes:
             raise FilesystemError(f"file exists: {key}")
-        for ancestor in parent_dirs(key):
-            if ancestor not in self._nodes:
-                self._nodes[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
+        self._make_parents(key)
         node = FsNode(key, FileKind.SYMLINK, owner_package=owner, target=tgt)
         self._nodes[key] = node
         return node

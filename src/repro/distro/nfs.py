@@ -51,12 +51,6 @@ class NfsServer:
         self.host.services.start("nfsd")
         return entry
 
-    def unexport(self, path: str) -> None:
-        if path not in self._exports:
-            raise DistroError(f"{self.host.name}: {path} is not exported")
-        del self._exports[path]
-        self._write_exports_file()
-
     def exports(self) -> list[NfsExport]:
         return [self._exports[p] for p in sorted(self._exports)]
 

@@ -86,10 +86,6 @@ class ServiceManager:
         """chkconfig on: start the service at boot."""
         self.get(name).enabled = True
 
-    def disable(self, name: str) -> None:
-        """chkconfig off."""
-        self.get(name).enabled = False
-
     def is_running(self, name: str) -> bool:
         """True if the service exists and is running."""
         svc = self._services.get(name)
@@ -104,12 +100,6 @@ class ServiceManager:
                 svc.state = ServiceState.RUNNING
                 started.append(name)
         return started
-
-    def running(self) -> list[str]:
-        """Names of all running services, sorted."""
-        return sorted(
-            n for n, s in self._services.items() if s.state is ServiceState.RUNNING
-        )
 
     def all_services(self) -> list[Service]:
         """All service records, sorted by name."""

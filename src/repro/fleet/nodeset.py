@@ -374,10 +374,6 @@ class NodeSet:
                 yield f"{prefix}{rset.format_value(value)}{suffix}"
         yield from sorted(self._scalars)
 
-    def expand(self) -> list[str]:
-        """All member names, in the deterministic iteration order."""
-        return list(self)
-
     def fold(self) -> str:
         """The canonical compact address, e.g. ``"compute-0-[0-9999],head"``."""
         parts = []

@@ -110,33 +110,12 @@ class FleetRow:
         self._table.set_mem_kb(self._index, value)
 
     @property
-    def load(self) -> float:
-        return self._table.load[self._index]
-
-    @load.setter
-    def load(self, value: float) -> None:
-        self._table.set_load(self._index, value)
-
-    @property
-    def powered_on(self) -> bool:
-        return bool(self._table.powered[self._index])
-
-    @powered_on.setter
-    def powered_on(self, value: bool) -> None:
-        self._table.set_flag("powered", self._index, value)
-
-    @property
     def responsive(self) -> bool:
         return bool(self._table.responsive[self._index])
 
     @responsive.setter
     def responsive(self, value: bool) -> None:
         self._table.set_flag("responsive", self._index, value)
-
-    @property
-    def alive(self) -> bool:
-        """False once the row was removed (tombstoned)."""
-        return bool(self._table.alive[self._index])
 
     def __repr__(self) -> str:
         return (
@@ -217,11 +196,6 @@ class FleetTable:
     def __len__(self) -> int:
         """Live (non-tombstoned) row count."""
         return len(self._by_name)
-
-    @property
-    def row_count(self) -> int:
-        """Total rows including tombstones."""
-        return len(self.names)
 
     def state_code(self, value) -> int:
         """The column code for a state value."""
@@ -343,9 +317,6 @@ class FleetTable:
     def by_mac(self, mac: str) -> FleetRow:
         return self.row(self.index_of_mac(mac))
 
-    def known_macs(self) -> set[str]:
-        return set(self._by_mac)
-
     # -- ordered iteration ----------------------------------------------------
 
     def _ordered(self) -> list[int]:
@@ -407,11 +378,6 @@ class FleetTable:
         if indices is None:
             indices = self._ordered()
         return NodeSet.from_names(self.names[i] for i in indices)
-
-    def select(self, nodes: NodeSet) -> list[int]:
-        """Live row indices of every table member of ``nodes``, in the
-        table's canonical order."""
-        return [i for i in self._ordered() if self.names[i] in nodes]
 
     def count_state(self, state) -> int:
         """How many live rows are in ``state`` (one column scan)."""

@@ -15,7 +15,6 @@ from .builder import (
     build_littlefe_modified,
     build_littlefe_original,
 )
-from .catalog import all_parts, find_part, price_bom
 from .chassis import (
     LIMULUS_DESKSIDE,
     LITTLEFE_V4_FRAME,
@@ -77,9 +76,6 @@ __all__ = [
     "build_limulus_hpc200",
     "LITTLEFE_QUOTED_PRICE_USD",
     "LIMULUS_QUOTED_PRICE_USD",
-    "all_parts",
-    "find_part",
-    "price_bom",
     "ChassisModel",
     "Machine",
     "populate",

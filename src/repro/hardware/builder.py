@@ -67,11 +67,6 @@ class BuildQuote:
     bom_usd: float
     quoted_usd: float
 
-    @property
-    def cost_delta_fraction(self) -> float:
-        """|BOM - quoted| / quoted; the Table 5 bench reports this."""
-        return abs(self.bom_usd - self.quoted_usd) / self.quoted_usd
-
 
 def build_littlefe_original(name: str = "littlefe-v4") -> BuildQuote:
     """The historical 6-node Atom D510 LittleFe with one shared supply.

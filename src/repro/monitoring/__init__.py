@@ -17,12 +17,10 @@ from .hierarchy import (
     Rack,
     monitor_fleet,
 )
-from .metrics import CORE_METRICS, MetricKind, MetricSample, MetricSpec, MonitoringError
+from .metrics import CORE_METRICS, MetricSample, MonitoringError
 from .rrd import Rrd, RrdPoint
 
 __all__ = [
-    "MetricKind",
-    "MetricSpec",
     "MetricSample",
     "CORE_METRICS",
     "POLL_PERIOD_S",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..distro.host import Host
 from ..errors import NodeOfflineError
 from ..rpm.database import RpmDatabase
-from .metrics import CORE_METRICS, MetricSample, MonitoringError, free_memory_kb
+from .metrics import MetricSample, MonitoringError, free_memory_kb
 
 __all__ = ["Gmond"]
 
@@ -98,7 +98,7 @@ class Gmond:
         }
         return [
             MetricSample(
-                spec=CORE_METRICS[name],
+                metric=name,
                 host=self.host.name,
                 value=value,
                 timestamp_s=timestamp_s,

@@ -19,8 +19,8 @@ not hosts.  This module is that shape, and the only aggregator there is:
 * :class:`GmetadTree` — the root: merges per-rack ``ClusterSummary``
   deltas into running totals, emitting one ``monitor.rack`` event per
   *changed* rack and one ``monitor.rollup`` per cycle.  Host-level
-  questions (``gmond_for``, ``rrd_for``, ``down_hosts``,
-  ``render_dashboard``) are answered from the agent hosts of its leaves.
+  questions (``gmond_for``, ``rrd_for``, ``render_dashboard``) are
+  answered from the agent hosts of its leaves.
 
 Polling is clocked by a :class:`~repro.sim.SimKernel`:
 :meth:`GmetadTree.poll_cycle` advances shared simulated time by one
@@ -88,17 +88,8 @@ class ClusterSummary:
     hosts_dead: int = 0
 
     @property
-    def hosts_down(self) -> int:
-        return self.hosts_total - self.hosts_up
-
-    @property
     def load_fraction(self) -> float:
         return self.load_total / self.total_cores if self.total_cores else 0.0
-
-    @property
-    def degraded(self) -> bool:
-        """True when any host is down or declared dead."""
-        return self.hosts_down > 0 or self.hosts_dead > 0
 
 
 #: Everything that makes two cycles' summaries *different*: every field of
@@ -185,7 +176,7 @@ class Rack:
                 continue
             values = {}
             for sample in samples:
-                metric = sample.spec.name
+                metric = sample.metric
                 values[metric] = sample.value
                 rrd = rrds.get((host, metric))
                 if rrd is None:
@@ -255,16 +246,6 @@ class Rack:
         self._settled = settled
         return summary, changed
 
-    def down_hosts(self) -> list[str]:
-        """Agent hosts whose latest powered_on sample is 0 or that are
-        declared dead on missed heartbeats (the web UI's red rows)."""
-        down = self._dead & self._gmonds.keys()
-        for name in self._gmonds:
-            latest = self._latest(name, "powered_on")
-            if latest is not None and latest.value < 0.5:
-                down.add(name)
-        return sorted(down)
-
     def dashboard_rows(self) -> list[str]:
         """One line per agent host of the web frontend's cluster page."""
         lines = []
@@ -317,10 +298,10 @@ class GmetadTree:
     ``monitor.rollup`` with the merged figures and how many racks moved.
 
     The host-level surface — :meth:`hosts`, :meth:`gmond_for`,
-    :meth:`rrd_for`, :meth:`down_hosts`, the rows of
-    :meth:`render_dashboard` — covers the hosts that have an agent, i.e.
-    those attached to a leaf with :meth:`Rack.attach`; fleet-row hosts show
-    up in the merged summary and in :meth:`dead_hosts` only.
+    :meth:`rrd_for`, the rows of :meth:`render_dashboard` — covers the
+    hosts that have an agent, i.e. those attached to a leaf with
+    :meth:`Rack.attach`; fleet-row hosts show up in the merged summary and
+    in :meth:`dead_hosts` only.
     """
 
     def __init__(
@@ -349,7 +330,7 @@ class GmetadTree:
 
     def dead_hosts(self) -> list[str]:
         """Dead hosts across every rack (leaf detection, merged view)."""
-        return sorted(h for rack in self._racks.values() for h in rack._dead)
+        return sorted(h for rack in self._racks.values() for h in rack.dead_hosts())
 
     def _agent_rack_of(self, host: str) -> Rack:
         for name in self.racks():
@@ -379,11 +360,6 @@ class GmetadTree:
         if rrd is None:
             raise MonitoringError(f"no samples archived for {host}/{metric}")
         return rrd
-
-    def down_hosts(self) -> list[str]:
-        """Agent hosts that are powered off or declared dead (the web
-        UI's red rows)."""
-        return sorted(h for rack in self._racks.values() for h in rack.down_hosts())
 
     def render_dashboard(self) -> str:
         """The web frontend's cluster page, as text."""

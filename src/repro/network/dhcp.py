@@ -30,8 +30,7 @@ class DhcpPlan:
 
     Unlike :class:`DhcpServer` (which refuses to start on a bad pool), a
     plan is pure data and never raises — so the pre-flight analyzer can lint
-    an invalid range instead of crashing on it.  ``realize`` turns a valid
-    plan into a running server.
+    an invalid range instead of crashing on it.
     """
 
     network_prefix: str = "10.1.1"
@@ -58,14 +57,6 @@ class DhcpPlan:
     def covers_host(self, last_octet: int) -> bool:
         """True if the dynamic pool includes ``prefix.last_octet``."""
         return self.pool_start <= last_octet <= self.pool_end
-
-    def realize(self) -> "DhcpServer":
-        """Start a server from this plan (raises on an invalid pool)."""
-        return DhcpServer(
-            network_prefix=self.network_prefix,
-            pool_start=self.pool_start,
-            pool_end=self.pool_end,
-        )
 
 
 class DhcpServer:
@@ -108,11 +99,6 @@ class DhcpServer:
     def server_ip(self) -> str:
         """The frontend's own address on the segment."""
         return f"{self.network_prefix}.1"
-
-    @property
-    def capacity(self) -> int:
-        """Total leases the pool can hand out across all subnets."""
-        return (self.pool_end - self.pool_start + 1) * self.subnets
 
     def _prefix_for(self, subnet: int) -> str:
         """The /24 prefix of one subnet (subnet 0 is ``network_prefix``)."""
@@ -178,25 +164,6 @@ class DhcpServer:
                 f"({len(self._by_mac)} active lease(s) on this segment)"
             ) from None
 
-    def release(self, mac: str) -> None:
-        """Drop a lease (the address is NOT returned to the pool — matching
-        dhcpd's conservative behaviour within a lease epoch)."""
-        if mac not in self._by_mac:
-            raise DhcpError(
-                f"no lease for MAC {mac} "
-                f"({len(self._by_mac)} active lease(s) on this segment)"
-            )
-        del self._by_mac[mac]
-
     def leases(self) -> list[DhcpLease]:
         """All active leases sorted by IP."""
         return sorted(self._by_mac.values(), key=lambda l: [int(x) for x in l.ip.split(".")])
-
-    def unknown_macs(self, known: set[str]) -> list[str]:
-        """MACs seen in the request log that are not in ``known`` — the
-        insert-ethers discovery feed."""
-        seen: list[str] = []
-        for mac in self.request_log:
-            if mac not in known and mac not in seen:
-                seen.append(mac)
-        return seen

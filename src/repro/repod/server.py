@@ -115,14 +115,6 @@ class RepoServer:
 
     # -- admission -------------------------------------------------------------
 
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
-    @property
-    def queued_count(self) -> int:
-        return len(self._queue)
-
     def request(
         self,
         artifact: str,

@@ -111,9 +111,6 @@ class RocksDatabase:
         fleet = self.fleet
         return [fleet.row(i) for i in fleet.compute_indices()]
 
-    def known_macs(self) -> set[str]:
-        return self.fleet.known_macs()
-
     def state_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot of the hosts table (checkpointing)."""
         return {

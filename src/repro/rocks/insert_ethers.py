@@ -50,19 +50,6 @@ class InsertEthers:
         self.discovered.append(row)
         return row
 
-    def poll(self) -> list:
-        """One pass over the DHCP log: register every unknown MAC.
-
-        Returns the newly registered records (possibly empty).  Mirrors the
-        tool's behaviour of assigning names in the order MACs first appear.
-        """
-        new_records = []
-        for mac in self.dhcp.unknown_macs(self.db.known_macs()):
-            name = self.db.next_compute_name(self.rack)
-            lease = self.dhcp.offer(mac, hostname=name)
-            new_records.append(self._register(mac, lease.ip))
-        return new_records
-
     def discover_boot(self, mac: str):
         """Drive one node's full discovery: a wave of one."""
         return self.discover_wave([mac])[0]

@@ -114,17 +114,6 @@ class ProvisionedCluster:
     def roll_names(self) -> list[str]:
         return sorted(self.rolls)
 
-    def failed_hosts(self) -> list[str]:
-        """Compute nodes whose kickstart crashed (state FAILED).
-
-        ``ClusterResources.from_fleet`` schedules only ``os-installed``
-        rows, so a half-provisioned node never becomes capacity."""
-        return [
-            r.name
-            for r in self.rocksdb.compute_hosts()
-            if r.state is InstallState.FAILED
-        ]
-
 
 class RocksInstaller:
     """Drives one from-scratch installation."""

@@ -42,9 +42,6 @@ class Sync411:
             raise RocksError(f"{listener.name} is already registered")
         self._listeners.append(listener)
 
-    def listeners(self) -> list[str]:
-        return [h.name for h in self._listeners]
-
     def push(self) -> int:
         """Replicate the master's accounts to every listener.
 
@@ -68,14 +65,6 @@ class Sync411:
                 created += 1
         self.push_count += 1
         return created
-
-    def in_sync(self) -> bool:
-        """True when every listener has exactly the master's account names."""
-        master_names = {u.name for u in self.master.users.users()}
-        return all(
-            {u.name for u in listener.users.users()} == master_names
-            for listener in self._listeners
-        )
 
 
 def make_cluster_uniform(cluster: ProvisionedCluster) -> tuple[Sync411, NfsServer]:

@@ -6,7 +6,7 @@ repository for installation or updates of RPMs" (Section 1).
 """
 
 from .database import RpmDatabase
-from .package import Capability, Flag, Package, ProvidesIndex, Requirement, nevra
+from .package import Capability, Flag, Package, ProvidesIndex, Requirement
 from .specfile import build_spec, parse_spec
 from .transaction import Transaction, TransactionResult
 from .version import EVR, compare_evr, parse_evr, rpmvercmp
@@ -21,7 +21,6 @@ __all__ = [
     "Requirement",
     "Flag",
     "ProvidesIndex",
-    "nevra",
     "RpmDatabase",
     "Transaction",
     "TransactionResult",

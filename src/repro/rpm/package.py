@@ -26,7 +26,7 @@ from ..distro.modules_env import ModuleFile
 from ..errors import RpmError
 from .version import EVR, parse_evr
 
-__all__ = ["Flag", "Capability", "Requirement", "Package", "ProvidesIndex", "nevra"]
+__all__ = ["Flag", "Capability", "Requirement", "Package", "ProvidesIndex"]
 
 
 class Flag(str, Enum):
@@ -167,10 +167,6 @@ class Package:
     def _provided_names(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(cap.name for cap in self._all_provides))
 
-    def all_provides(self) -> tuple[Capability, ...]:
-        """Explicit provides plus the implicit self-provide."""
-        return self._all_provides
-
     def satisfies(self, req: Requirement) -> bool:
         """True if this package satisfies ``req`` via any capability."""
         return any(req.matches(cap) for cap in self._all_provides)
@@ -280,7 +276,3 @@ class ProvidesIndex:
         """True if some indexed package satisfies ``req``."""
         return any(p.satisfies(req) for p in self._by_name.get(req.name, ()))
 
-
-def nevra(pkg: Package) -> str:
-    """Free-function spelling of :attr:`Package.nevra` (sorting key helper)."""
-    return pkg.nevra

@@ -121,12 +121,11 @@ class ClusterResources:
         # What each position last contributed to the answers; _sync moves
         # a position's contribution when the feed names its row.
         zeros = array("l", [0]) * len(order)
-        self._online_of = array("l", zeros)
         self._free_of = array("l", zeros)
         self._usable_of = array("l", zeros)
         #: the bucket a position is filed under (0 = not allocatable)
         self._bucket_of = array("l", zeros)
-        self._online_cores = self._free_cores = self._usable_cores = 0
+        self._free_cores = self._usable_cores = 0
         #: free cores across the bucket index (what try_allocate can give)
         self._allocatable_cores = 0
         #: free count -> allocatable positions with that many free, ascending
@@ -150,9 +149,6 @@ class ClusterResources:
             cap, free = self._capv[p], self._freev[p]
             live = alive[i]
             online = live and not offline[i]
-            new = cap if online else 0
-            self._online_cores += new - self._online_of[p]
-            self._online_of[p] = new
             new = free if online else 0
             self._free_cores += new - self._free_of[p]
             self._free_of[p] = new
@@ -197,12 +193,6 @@ class ClusterResources:
     def total_cores(self) -> int:
         """Cores on all (online + offline) nodes."""
         return self._total_cores
-
-    @property
-    def online_cores(self) -> int:
-        """Cores on online nodes."""
-        self._sync()
-        return self._online_cores
 
     def free_cores(self) -> int:
         """Currently unallocated cores on online nodes."""
@@ -520,23 +510,6 @@ class BaseScheduler:
             self.on_idle_change(self)
         self._try_start_jobs()
 
-    def drain_node(
-        self,
-        node: str,
-        *,
-        reason: str = "maintenance",
-        deadline_s: float | None = None,
-    ) -> None:
-        """pbsnodes -o / scontrol drain: stop routing work to the node.
-
-        Running jobs finish; the drain completes (node offline) as soon as
-        the node idles.  With ``deadline_s``, jobs still running when the
-        deadline expires are force-requeued (emitting ``job.requeue``) so
-        the drain is bounded — a rolling-update wave cannot hang forever
-        behind one straggler job.
-        """
-        self.drain_nodes([node], reason=reason, deadline_s=deadline_s)
-
     def drain_nodes(
         self,
         nodes: list[str],
@@ -544,11 +517,15 @@ class BaseScheduler:
         reason: str = "maintenance",
         deadline_s: float | None = None,
     ) -> None:
-        """Drain a batch of nodes under one (optional) shared deadline.
+        """pbsnodes -o / scontrol drain: stop routing work to the nodes.
 
-        The batch form of :meth:`drain_node`: one ``node.drain`` event per
-        node, one deadline event and one idle-drain sweep for the whole
-        batch — what a wave-sized drain needs at fleet scale.
+        Running jobs finish; a node's drain completes (node offline) as soon
+        as it idles.  With ``deadline_s``, jobs still running when the
+        shared deadline expires are force-requeued (emitting
+        ``job.requeue``) so the drain is bounded — a rolling-update wave
+        cannot hang forever behind one straggler job.  One ``node.drain``
+        event per node, one deadline event and one idle-drain sweep for the
+        whole batch — what a wave-sized drain needs at fleet scale.
         """
         if deadline_s is not None and deadline_s <= 0:
             raise SchedulerError(

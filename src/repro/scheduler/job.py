@@ -119,10 +119,6 @@ class Allocation:
     by_node: tuple[tuple[str, int], ...]
 
     @property
-    def total_cores(self) -> int:
-        return sum(c for _n, c in self.by_node)
-
-    @property
     def node_names(self) -> tuple[str, ...]:
         return tuple(n for n, _c in self.by_node)
 

@@ -26,7 +26,7 @@ from .engine import (
     ShellEngine,
     ShellReport,
 )
-from .gather import OutputGroup, bucket_by_rc, gather, render_groups, worst_rc
+from .gather import OutputGroup, gather, render_groups
 from .rolling import (
     RollingReport,
     RollingUpdate,
@@ -43,8 +43,6 @@ __all__ = [
     "ShellEngine",
     "OutputGroup",
     "gather",
-    "bucket_by_rc",
-    "worst_rc",
     "render_groups",
     "RollingReport",
     "RollingUpdate",

@@ -39,7 +39,7 @@ from ..errors import HeadnodeCrashError, ReproError, ShellError
 from ..faults import RetryPolicy
 from ..fleet import FleetTable, NodeSet
 from ..sim import SimKernel
-from .gather import OutputGroup, bucket_by_rc, gather, render_groups, worst_rc
+from .gather import OutputGroup, gather, render_groups
 
 __all__ = [
     "DEFAULT_RETRY",
@@ -171,14 +171,6 @@ class ShellReport:
     def groups(self) -> list[OutputGroup]:
         """clubak view: identical outputs merged under folded labels."""
         return gather(self.executed())
-
-    def by_rc(self) -> dict[int, NodeSet]:
-        """One folded NodeSet per return code."""
-        return bucket_by_rc(self.groups())
-
-    @property
-    def worst_rc(self) -> int:
-        return worst_rc(self.groups())
 
     def render(self) -> str:
         """Operator summary: gathered groups plus the skip/fail fold."""

@@ -1,4 +1,4 @@
-"""clubak-style output gathering: fold identical results, bucket by rc.
+"""clubak-style output gathering: fold identical results.
 
 A 10k-node ``clush`` run is unreadable as ten thousand output lines; the
 ClusterShell answer (``clubak``) is to merge identical outputs under one
@@ -7,10 +7,8 @@ folded :class:`~repro.fleet.NodeSet` label::
     compute-0-[0-9999]: ok
     compute-3-[12,17]: yum: mirror unreachable [rc=1]
 
-:func:`gather` does the merge, :func:`bucket_by_rc` folds the same results
-per return code (the "which nodes failed" view), and :func:`worst_rc`
-gives the one-number summary a wave gate needs.  Everything sorts before
-it folds, so the grouping is deterministic and round-trips through
+:func:`gather` does the merge.  Everything sorts before it folds, so the
+grouping is deterministic and round-trips through
 ``NodeSet.fold()``/``parse()``.
 """
 
@@ -21,7 +19,7 @@ from typing import Iterable
 
 from ..fleet import NodeSet
 
-__all__ = ["OutputGroup", "gather", "bucket_by_rc", "worst_rc", "render_groups"]
+__all__ = ["OutputGroup", "gather", "render_groups"]
 
 
 @dataclass(frozen=True)
@@ -58,20 +56,6 @@ def gather(results: Iterable[tuple[str, int, str]]) -> list[OutputGroup]:
     ]
 
 
-def bucket_by_rc(groups: Iterable[OutputGroup]) -> dict[int, NodeSet]:
-    """Fold groups down to one NodeSet per return code, sorted by rc."""
-    by_rc: dict[int, NodeSet] = {}
-    for group in groups:
-        existing = by_rc.get(group.rc)
-        by_rc[group.rc] = (
-            group.nodes if existing is None else existing | group.nodes
-        )
-    return dict(sorted(by_rc.items()))
-
-
-def worst_rc(groups: Iterable[OutputGroup]) -> int:
-    """The highest return code across all groups (0 when empty)."""
-    return max((g.rc for g in groups), default=0)
 
 
 def render_groups(groups: Iterable[OutputGroup]) -> str:

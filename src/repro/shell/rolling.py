@@ -87,23 +87,8 @@ class RollingReport:
     def skipped_nodes(self) -> NodeSet:
         return self._union("skipped")
 
-    def remaining(self) -> NodeSet:
-        """Nodes in waves the sweep has not reached yet."""
-        return self._remaining
-
-    _remaining: NodeSet = field(default_factory=NodeSet)
-
-    def summary(self) -> str:
-        ok = len(self.ok_nodes())
-        failed = len(self.failed_nodes())
-        skipped = len(self.skipped_nodes())
-        line = (
-            f"rolling update {self.state}: {len(self.waves)} wave(s), "
-            f"{ok} ok, {failed} failed, {skipped} skipped"
-        )
-        if self.pause_reason:
-            line += f" — {self.pause_reason}"
-        return line
+    #: the nodes a paused sweep has not reached
+    remaining: NodeSet = field(default_factory=NodeSet)
 
 
 class RollingUpdate:
@@ -149,10 +134,6 @@ class RollingUpdate:
         self._failed = 0
         self._rack_failures: dict[int, int] = {}
         self._aborted_racks: set[int] = set()
-
-    @property
-    def state(self) -> str:
-        return self.report.state
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -220,13 +201,13 @@ class RollingUpdate:
             index = self._next_wave
             self._run_wave(index, self._waves[index])
             self._next_wave = index + 1
-            self.report._remaining = self._remaining_after(index)
+            self.report.remaining = self._remaining_after(index)
             crossed = self._threshold_reason()
             if crossed:
                 self.report.state = "paused"
                 self.report.pause_reason = crossed
                 self._emit_abort(
-                    f"sweep paused: {crossed}", index, self.report._remaining
+                    f"sweep paused: {crossed}", index, self.report.remaining
                 )
                 return self.report
         self.report.state = "succeeded"

@@ -374,11 +374,6 @@ class TraceBus:
         """Events per kind (counted from the log on each read)."""
         return Counter(event.kind for event in self.events)
 
-    @property
-    def by_subsystem(self) -> Counter:
-        """Events per subsystem (counted from the log on each read)."""
-        return Counter(event.subsystem for event in self.events)
-
     def emit(
         self, kind: str, *, t_s: float, subsystem: str, **data: Any
     ) -> TraceEvent:
@@ -400,7 +395,7 @@ class TraceBus:
         if kind is not None:
             return self.by_kind[kind]
         if subsystem is not None:
-            return self.by_subsystem[subsystem]
+            return sum(1 for event in self.events if event.subsystem == subsystem)
         return len(self.events)
 
     def _lines(self):

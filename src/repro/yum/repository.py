@@ -208,12 +208,6 @@ class RepoSet:
             raise YumError(f"duplicate repo id {repo.repo_id}")
         self._repos[repo.repo_id] = repo
 
-    def get(self, repo_id: str) -> Repository:
-        try:
-            return self._repos[repo_id]
-        except KeyError:
-            raise YumError(f"no such repo {repo_id}") from None
-
     def enabled_repos(self) -> list[Repository]:
         """Enabled repositories sorted by (priority, id)."""
         return sorted(

@@ -18,7 +18,6 @@ __all__ = [
     "scan_try_allocate",
     "scan_free_cores",
     "scan_usable_cores",
-    "scan_online_cores",
     "scan_draining_nodes",
     "scan_failed_nodes",
 ]
@@ -28,12 +27,6 @@ def _mask(self: ClusterResources, column: str) -> list[bool]:
     """One flag column gathered over this view's positions."""
     col = getattr(self._fleet, column)
     return [bool(col[i]) for i in self._fidx]
-
-
-def scan_online_cores(self: ClusterResources) -> int:
-    off = _mask(self, "offline")
-    live = _mask(self, "alive")
-    return sum(c for p, c in enumerate(self._capv) if live[p] and not off[p])
 
 
 def scan_free_cores(self: ClusterResources) -> int:

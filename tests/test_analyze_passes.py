@@ -16,7 +16,7 @@ from repro.yum.repoconfig import RepoStanza
 
 
 def codes_of(definition):
-    return analyze(definition).codes()
+    return {d.code for d in analyze(definition).diagnostics}
 
 
 def base_graph():
@@ -44,7 +44,7 @@ class TestKickstartPass:
         g.add_edge("a", "b")
         g.add_edge("b", "a")
         result = analyze(ClusterDefinition(name="t", graph=g))
-        assert "KS101" in result.codes()
+        assert "KS101" in {d.code for d in result.diagnostics}
         assert result.errors
 
     def test_ks102_unreachable_node(self):
@@ -75,7 +75,7 @@ class TestKickstartPass:
         g = KickstartGraph()
         g.add_node(GraphNode(Profile.FRONTEND))
         result = analyze(ClusterDefinition(name="t", graph=g))
-        assert "KS105" in result.codes()
+        assert "KS105" in {d.code for d in result.diagnostics}
         assert any(Profile.COMPUTE in d.message for d in result.errors)
 
     def test_clean_graph_no_kickstart_findings(self):
@@ -89,7 +89,7 @@ class TestKickstartPass:
         )
         roll.apply_to_graph(g)
         result = analyze(ClusterDefinition(name="t", graph=g, rolls=(roll,)))
-        assert not {c for c in result.codes() if c.startswith("KS")}
+        assert not {c for c in {d.code for d in result.diagnostics} if c.startswith("KS")}
 
     def test_cycle_suppresses_closure_checks(self):
         g = base_graph()
@@ -97,8 +97,8 @@ class TestKickstartPass:
         g.add_edge(Profile.FRONTEND, "a")
         g.add_edge("a", Profile.FRONTEND)
         result = analyze(ClusterDefinition(name="t", graph=g))
-        assert "KS101" in result.codes()
-        assert "KS104" not in result.codes()
+        assert "KS101" in {d.code for d in result.diagnostics}
+        assert "KS104" not in {d.code for d in result.diagnostics}
 
 
 # -- yum repo configuration (RC2xx) ------------------------------------------
@@ -121,7 +121,7 @@ class TestRepoPass:
         result = analyze(
             ClusterDefinition(name="t", repositories=(os_repo, updates))
         )
-        assert "RC202" in result.codes()
+        assert "RC202" in {d.code for d in result.diagnostics}
         shadowed = [d for d in result.diagnostics if d.code == "RC202"]
         assert "updates" in shadowed[0].message
 
@@ -145,14 +145,14 @@ class TestRepoPass:
             required_repo_ids=("xsede",),
         )
         result = analyze(definition)
-        assert "RC203" in result.codes()
+        assert "RC203" in {d.code for d in result.diagnostics}
         assert "disabled" in result.errors[0].message
 
     def test_rc204_gpgcheck_off_is_info(self):
         result = analyze(
             ClusterDefinition(name="t", repo_stanzas=(stanza("xsede"),))
         )
-        assert "RC204" in result.codes()
+        assert "RC204" in {d.code for d in result.diagnostics}
         assert result.infos and not result.errors
 
     def test_rc205_priority_out_of_range(self):
@@ -167,7 +167,7 @@ class TestRepoPass:
             repo_stanzas=(stanza("xsede", gpgcheck=True, priority=50),),
             required_repo_ids=("xsede",),
         )
-        assert analyze(definition).is_clean
+        assert not analyze(definition).diagnostics
 
 
 # -- rpm metadata (RPM3xx) ---------------------------------------------------
@@ -191,7 +191,7 @@ class TestRpmPass:
         result = analyze(
             ClusterDefinition(name="t", graph=g, packages=packages)
         )
-        assert "RPM302" in result.codes()
+        assert "RPM302" in {d.code for d in result.diagnostics}
 
     def test_rpm302_no_conflict_when_profiles_split(self):
         g = base_graph()
@@ -212,7 +212,7 @@ class TestRpmPass:
             name="new-tool", version="2.0", obsoletes=(Requirement("old-tool"),)
         )
         result = analyze(ClusterDefinition(name="t", packages=(pkg,)))
-        assert "RPM303" in result.codes()
+        assert "RPM303" in {d.code for d in result.diagnostics}
         assert result.warnings and not result.errors
 
     def test_clean_self_contained_universe(self):
@@ -220,7 +220,7 @@ class TestRpmPass:
             Package(name="lib", version="1.0"),
             Package(name="app", version="1.0", requires=(Requirement("lib"),)),
         )
-        assert analyze(ClusterDefinition(name="t", packages=packages)).is_clean
+        assert not analyze(ClusterDefinition(name="t", packages=packages)).diagnostics
 
 
 # -- network (NET4xx) --------------------------------------------------------
@@ -248,7 +248,7 @@ class TestNetworkPass:
             name="t", dhcp_plan=DhcpPlan(pool_start=1, pool_end=100)
         )
         result = analyze(definition)
-        assert "NET403" in result.codes()
+        assert "NET403" in {d.code for d in result.diagnostics}
         assert result.warnings
 
     def test_net404_invalid_bounds(self):
@@ -256,9 +256,9 @@ class TestNetworkPass:
             name="t", dhcp_plan=DhcpPlan(pool_start=40, pool_end=20)
         )
         result = analyze(definition)
-        assert "NET404" in result.codes()
+        assert "NET404" in {d.code for d in result.diagnostics}
         # Invalid bounds stop the dependent pool checks.
-        assert "NET401" not in result.codes()
+        assert "NET401" not in {d.code for d in result.diagnostics}
 
     def test_clean_network_plan(self):
         definition = ClusterDefinition(
@@ -266,7 +266,7 @@ class TestNetworkPass:
             dhcp_plan=DhcpPlan(),
             macs=("aa:00", "aa:01"),
         )
-        assert analyze(definition).is_clean
+        assert not analyze(definition).diagnostics
 
 
 # -- scheduler (SCH5xx) ------------------------------------------------------
@@ -294,7 +294,7 @@ class TestSchedulerPass:
             name="t", queues=(QueueConfig(name="batch"),)
         )
         result = analyze(definition)
-        assert "SCH503" in result.codes()
+        assert "SCH503" in {d.code for d in result.diagnostics}
         assert result.warnings
 
     def test_clean_default_queue(self, littlefe_machine):
@@ -304,7 +304,7 @@ class TestSchedulerPass:
             queues=(default_queue_for(littlefe_machine),),
         )
         assert not {
-            c for c in analyze(definition).codes() if c.startswith("SCH")
+            c for c in {d.code for d in analyze(definition).diagnostics} if c.startswith("SCH")
         }
 
 
@@ -319,7 +319,7 @@ class TestHardwarePass:
     def test_hw601_budget_blown(self, littlefe_machine):
         plan = self.shared_plan(littlefe_machine, PICO_PSU_80)
         result = analyze(ClusterDefinition(name="t", hardware_plan=plan))
-        assert "HW601" in result.codes()
+        assert "HW601" in {d.code for d in result.diagnostics}
         assert result.errors
 
     def test_hw602_thin_margin(self, littlefe_machine):
@@ -330,8 +330,8 @@ class TestHardwarePass:
         )
         plan = self.shared_plan(littlefe_machine, tight)
         result = analyze(ClusterDefinition(name="t", hardware_plan=plan))
-        assert "HW602" in result.codes()
-        assert "HW601" not in result.codes()
+        assert "HW602" in {d.code for d in result.diagnostics}
+        assert "HW601" not in {d.code for d in result.diagnostics}
 
     def test_hw603_psu_arrangement_conflict(self, littlefe_machine):
         # Nodes keep their own PSUs *and* the plan declares a shared one.
@@ -366,7 +366,7 @@ class TestHardwarePass:
         for machine in (littlefe_machine, limulus_machine):
             definition = ClusterDefinition(name="t", machine=machine)
             assert not {
-                c for c in analyze(definition).codes() if c.startswith("HW")
+                c for c in {d.code for d in analyze(definition).diagnostics} if c.startswith("HW")
             }, machine.name
 
 
@@ -375,5 +375,5 @@ class TestHardwarePass:
 
 def test_empty_definition_is_clean():
     result = analyze(ClusterDefinition(name="nothing"))
-    assert result.is_clean
-    assert result.exit_code == 0
+    assert not result.diagnostics
+    assert not result.failed

@@ -61,15 +61,15 @@ class TestChunking:
     def test_adjacent_versions_share_most_chunks(self):
         v1 = chunk_package(Package("openmpi", "1.6", size_bytes=8 * MB))
         v2 = chunk_package(Package("openmpi", "1.8", size_bytes=8 * MB))
-        shared = set(v1.digests) & set(v2.digests)
+        shared = {c.digest for c in v1.chunks} & {c.digest for c in v2.chunks}
         # delta_fraction defaults to 12.5%; sharing must clearly dominate
         assert len(shared) > len(v2.chunks) // 2
-        assert set(v1.digests) != set(v2.digests) or v1 == v2
+        assert {c.digest for c in v1.chunks} != {c.digest for c in v2.chunks} or v1 == v2
 
     def test_different_names_never_collide(self):
         a = chunk_package(Package("alpha", "1.0", size_bytes=MB))
         b = chunk_package(Package("beta", "1.0", size_bytes=MB))
-        assert not set(a.digests) & set(b.digests)
+        assert not {c.digest for c in a.chunks} & {c.digest for c in b.chunks}
 
     def test_policy_validation(self):
         with pytest.raises(CasError):

@@ -85,7 +85,8 @@ class TestConvergence:
         pkg = Package(name="x", version="1.0")
         Transaction(db_a).install(pkg).commit()
         Transaction(db_b).install(pkg).commit()
-        assert diff_environments(db_a, db_b).is_identical
+        diff = diff_environments(db_a, db_b)
+        assert not (diff.only_on_a or diff.only_on_b or diff.version_mismatches)
 
     def test_version_skew_detected(self, frontend_host, littlefe_machine):
         from repro.distro import CENTOS_6_5, Host

@@ -147,7 +147,7 @@ class TestXsedeRoll:
 class TestXcbcBuild:
     def test_full_build_on_littlefe(self, xcbc_littlefe):
         cluster = xcbc_littlefe.cluster
-        assert xcbc_littlefe.node_count == 6
+        assert len(xcbc_littlefe.cluster.hosts()) == 6
         assert "xsede" in cluster.roll_names()
         fe = cluster.frontend
         # run-alike surface everywhere
@@ -193,42 +193,6 @@ class TestXcbcBuild:
 
 
 class TestReleaseNotesAndRebuilds:
-    def test_release_notes_render_from_history(self):
-        from repro.core import render_release_notes
-
-        notes8 = render_release_notes("0.0.8")
-        assert "OS update: CentOS 6.3 -> CentOS 6.5" in notes8
-        assert "27 package additions" in notes8
-        assert "gromacs" in notes8
-        notes9 = render_release_notes("0.0.9")
-        assert "41 package additions" in notes9
-        assert "java-1.7.0-openjdk: 1.7.0.65 -> 1.7.0.79" in notes9
-        assert "Total packages in this release: 117" in notes9
-
-    def test_baseline_notes_have_no_delta_sections(self):
-        from repro.core import render_release_notes
-
-        notes7 = render_release_notes("0.0.7")
-        assert "package additions" not in notes7
-        assert "Total packages in this release: 49" in notes7
-
-    def test_teardown_and_rebuild_story(self, littlefe_machine):
-        """Section 4: Howard/Marshall ran another management system, were
-        torn down, and rebuilt from scratch with XCBC."""
-        from repro.core import audit_host, teardown_and_rebuild
-
-        prior, report = teardown_and_rebuild(littlefe_machine)
-        # before: the prior manager ran, the XSEDE stack did not
-        prior_db = prior.client_for(prior.frontend).db
-        assert prior_db.has("prior-cluster-manager")
-        assert not prior_db.has("gromacs")
-        # after: bare-metal rebuild — the old stack is GONE, the new is clean
-        new = report.cluster
-        assert not new.frontend_db.has("prior-cluster-manager")
-        assert not new.frontend.has_command("pcm-admin")
-        audit = audit_host(new.frontend, new.frontend_db)
-        assert audit.overall == 1.0
-
     def test_section4_rebuilt_sites_recorded(self):
         from repro.core import SECTION4_REBUILT_SITES
 

@@ -53,12 +53,6 @@ class TestFilesystemBasics:
         with pytest.raises(FilesystemError, match="directory"):
             fs.write("/etc", "nope")
 
-    def test_no_overwrite_flag(self):
-        fs = Filesystem()
-        fs.write("/a", "1")
-        with pytest.raises(FilesystemError, match="exists"):
-            fs.write("/a", "2", overwrite=False)
-
     def test_mkdir_exist_ok_semantics(self):
         fs = Filesystem()
         fs.mkdir("/var/log")
@@ -91,6 +85,14 @@ class TestFilesystemBasics:
         fs.write("/a", "")
         with pytest.raises(FilesystemError):
             fs.symlink("/a", "/b")
+
+    def test_symlink_under_a_file_rejected(self):
+        fs = Filesystem()
+        fs.write("/etc/f", "x")
+        with pytest.raises(FilesystemError, match="ancestor is not a directory"):
+            fs.symlink("/etc/f/link", "/usr/bin/x")
+        assert fs.get("/etc/f").kind is FileKind.FILE
+        assert not fs.exists("/etc/f/link")
 
     def test_remove_nonempty_dir_rejected(self):
         fs = Filesystem()

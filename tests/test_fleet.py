@@ -75,9 +75,9 @@ def test_nodeset_fold_expand_roundtrip(names):
     assert len(ns) == len(set(names))
     parsed = NodeSet.parse(ns.fold())
     assert parsed == ns
-    assert set(parsed.expand()) == set(names)
+    assert set(parsed) == set(names)
     # expansion order is a stable total order (deterministic trace addresses)
-    assert parsed.expand() == NodeSet.parse(ns.fold()).expand()
+    assert list(parsed) == list(NodeSet.parse(ns.fold()))
 
 
 @given(node_names, node_names)
@@ -85,10 +85,10 @@ def test_nodeset_fold_expand_roundtrip(names):
 def test_nodeset_algebra_matches_set_semantics(a_names, b_names):
     a, b = NodeSet.from_names(a_names), NodeSet.from_names(b_names)
     sa, sb = set(a_names), set(b_names)
-    assert set((a | b).expand()) == sa | sb
-    assert set((a & b).expand()) == sa & sb
-    assert set((a - b).expand()) == sa - sb
-    assert set((a ^ b).expand()) == sa ^ sb
+    assert set(a | b) == sa | sb
+    assert set(a & b) == sa & sb
+    assert set(a - b) == sa - sb
+    assert set(a ^ b) == sa ^ sb
 
 
 @given(node_names, st.integers(1, 7))
@@ -100,13 +100,13 @@ def test_nodeset_split_partitions(names, size):
     assert all(len(w) <= size for w in waves)
     seen: list[str] = []
     for wave in waves:
-        seen.extend(wave.expand())
+        seen.extend(wave)
     assert sorted(seen) == sorted(set(names))
 
 
 def test_nodeset_padding_and_groups():
     ns = NodeSet.parse("rack[001-003]", groups=None)
-    assert ns.expand() == ["rack001", "rack002", "rack003"]
+    assert list(ns) == ["rack001", "rack002", "rack003"]
     groups = {"computes": "compute-0-[0-3]", "all": NodeSet.parse("head")}
     resolved = NodeSet.parse("@computes,@all", groups=groups)
     assert len(resolved) == 5
@@ -166,7 +166,7 @@ def test_unpadded_index_shorter_than_the_padding_is_refused(build, arg):
 )
 def test_unpadded_index_as_long_as_the_padding_folds(names, folded):
     assert fold_names(names) == folded
-    assert NodeSet.parse(folded).expand() == sorted(names)
+    assert list(NodeSet.parse(folded)) == sorted(names)
 
 
 scattered_names = st.lists(
@@ -269,7 +269,7 @@ def test_fleet_rows_agree_with_legacy_objects(ops):
             table.set_flag("draining", row.index, False)
             ref.draining = False
         elif op == "power":
-            row.powered_on = value % 2 == 0
+            table.set_flag("powered", row.index, value % 2 == 0)
             ref.powered_on = value % 2 == 0
         elif op == "offline":
             table.set_flag("offline", row.index, True)
@@ -281,7 +281,7 @@ def test_fleet_rows_agree_with_legacy_objects(ops):
             row.cores = value
             ref.cores = value
         elif op == "load":
-            row.load = float(value)
+            table.set_load(row.index, float(value))
             ref.load = float(value)
         elif op == "remove":
             table.remove(name)
@@ -294,8 +294,8 @@ def test_fleet_rows_agree_with_legacy_objects(ops):
         row = table.by_name(name)
         assert row.state == ref.state
         assert row.cores == ref.cores
-        assert row.load == ref.load
-        assert row.powered_on == ref.powered_on
+        assert table.load[row.index] == ref.load
+        assert bool(table.powered[row.index]) == ref.powered_on
         assert row.responsive == ref.responsive
         assert bool(table.failed[row.index]) == ref.failed
         assert bool(table.draining[row.index]) == ref.draining
@@ -319,7 +319,7 @@ def test_fleet_table_basics():
     row.state = "installing"
     assert feed == {row.index}  # every mutation notifies the row's feeds
     table.remove("compute-0-0")
-    assert not row.alive and table.row_count == 1 and len(table) == 0
+    assert not table.alive[row.index] and len(table.names) == 1 and len(table) == 0
     with pytest.raises(FleetError):
         table.by_name("compute-0-0")
 
@@ -330,7 +330,7 @@ def test_fleet_nodeset_select_roundtrip():
         table.add_row(name=f"compute-0-{i}", rack=0, rank=i)
     ns = table.nodeset()
     assert str(ns) == "compute-0-[0-11]"
-    assert table.select(ns) == table.ordered_indices()
+    assert [table.index_of(name) for name in ns] == table.ordered_indices()
 
 
 # -- wave installs ----------------------------------------------------------------
@@ -366,7 +366,7 @@ def _install_summary(**run_kw):
         "uniform": cluster.installed_everywhere(),
         "txns": len(txns),
         "wave_nodes": [
-            n for w in waves for n in NodeSet.parse(w["nodes"]).expand()
+            n for w in waves for n in NodeSet.parse(w["nodes"])
         ],
         "wave_pkgs": {w["pkgs"] for w in waves},
         "wave_counts": [w["count"] for w in waves],
@@ -430,7 +430,7 @@ def test_wave_install_emits_folded_trace(littlefe_machine):
     assert waves[0].data["nodes"] == "compute-0-[0-3]"
     assert waves[0].data["pkgs"] > 0
     # the folded address expands back to exactly the wave's members
-    assert NodeSet.parse(waves[0].data["nodes"]).expand() == [
+    assert list(NodeSet.parse(waves[0].data["nodes"])) == [
         f"compute-0-{i}" for i in range(4)
     ]
 

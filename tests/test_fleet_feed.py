@@ -25,7 +25,6 @@ from .oracles.scheduler_scans import (
     scan_draining_nodes,
     scan_failed_nodes,
     scan_free_cores,
-    scan_online_cores,
     scan_try_allocate,
     scan_usable_cores,
 )
@@ -97,7 +96,6 @@ def test_removed_row_is_never_allocated_and_counts_toward_no_total():
     assert resources.free_cores() == 12
     fleet.remove("compute-0-0")
     assert resources.free_cores() == 8
-    assert resources.online_cores == 8
     assert resources.usable_cores == 8
     assert resources.free_of("compute-0-0") == 0
     assert resources.try_allocate(12) is None
@@ -118,7 +116,6 @@ _SCHED_OPS = (
 def _assert_matches_scans(resources: ClusterResources) -> None:
     assert resources.free_cores() == scan_free_cores(resources)
     assert resources.usable_cores == scan_usable_cores(resources)
-    assert resources.online_cores == scan_online_cores(resources)
     assert resources.draining_nodes() == scan_draining_nodes(resources)
     assert resources.failed_nodes() == scan_failed_nodes(resources)
 

@@ -38,7 +38,8 @@ class TestLittleFeModified:
         assert littlefe_quote.bom_usd < 4000
 
     def test_bom_within_20pct_of_quote(self, littlefe_quote):
-        assert littlefe_quote.cost_delta_fraction < 0.20
+        quote = littlefe_quote
+        assert abs(quote.bom_usd - quote.quoted_usd) / quote.quoted_usd < 0.20
 
     def test_luggable_weight(self, littlefe_quote):
         # "weighs less than 50 pounds"

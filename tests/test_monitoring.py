@@ -111,19 +111,19 @@ class TestGmond:
     @pytest.mark.parametrize("timestamp_s", [-1.0, float("nan"), float("inf")])
     def test_sample_timestamp_must_be_finite_and_non_negative(self, timestamp_s):
         with pytest.raises(MonitoringError):
-            MetricSample(CORE_METRICS["load_one"], "h", 0.0, timestamp_s)
+            MetricSample("load_one", "h", 0.0, timestamp_s)
 
     def test_poll_covers_core_metrics(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
         gmond = Gmond(cluster.frontend, cluster.frontend_db)
-        samples = {s.spec.name for s in gmond.poll(15.0)}
+        samples = {s.metric for s in gmond.poll(15.0)}
         assert samples == set(CORE_METRICS)
 
     def test_package_count_reflects_db(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
         gmond = Gmond(cluster.frontend, cluster.frontend_db)
         pkg = next(
-            s for s in gmond.poll(15.0) if s.spec.name == "pkg_count"
+            s for s in gmond.poll(15.0) if s.metric == "pkg_count"
         )
         assert pkg.value == float(len(cluster.frontend_db))
 
@@ -132,7 +132,7 @@ class TestGmond:
         host = cluster.compute["compute-0-0"][0]
         gmond = Gmond(host, cluster.compute["compute-0-0"][1])
         host.services.fail("gmond")
-        failed = next(s for s in gmond.poll(1.0) if s.spec.name == "svc_failed")
+        failed = next(s for s in gmond.poll(1.0) if s.metric == "svc_failed")
         assert failed.value == 1.0
         host.services.start("gmond")
 
@@ -150,7 +150,7 @@ class TestGmetad:
         summary = gmetad.run_cycles(4)
         assert summary.hosts_up == 6
         assert summary.total_cores == 12
-        assert gmetad.down_hosts() == []
+        assert gmetad.dead_hosts() == []
 
     def test_scheduler_load_integration(self, ganglia_cluster):
         machine, cluster = ganglia_cluster
@@ -173,8 +173,7 @@ class TestGmetad:
         node.powered_on = False
         try:
             summary = gmetad.poll_cycle()
-            assert summary.hosts_down == 1
-            assert len(gmetad.down_hosts()) == 1
+            assert summary.hosts_total - summary.hosts_up == 1
         finally:
             node.powered_on = True
 
@@ -229,7 +228,7 @@ class TestGmetad:
     def test_reads_do_not_mutate_checkpointed_state(
         self, ganglia_cluster, cycles, silent
     ):
-        """down_hosts() and render_dashboard() are lookups: the state that
+        """dead_hosts() and render_dashboard() are lookups: the state that
         CheckpointManager compares is the same before and after them — on
         a never-polled mesh, a polled one, and one with a host that never
         reported (so has no archives to look up)."""
@@ -240,7 +239,7 @@ class TestGmetad:
         for _ in range(cycles):
             gmetad.poll_cycle()
         before = gmetad.state_dict()
-        assert gmetad.down_hosts() == []
+        assert gmetad.dead_hosts() == []
         if cycles:
             assert cluster.frontend.name in gmetad.render_dashboard()
         else:
@@ -304,7 +303,8 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
     hosts = sorted(cluster.hosts(), key=lambda h: h.name)
     rows = [fleet.by_name(h.name) for h in hosts]
     for host, row in zip(hosts, rows):  # undo the previous example
-        host.node.powered_on = row.powered_on = row.responsive = True
+        host.node.powered_on = row.responsive = True
+        fleet.set_flag("powered", row.index, True)
 
     agents = Rack("agents")
     for host in hosts:  # fleet-built resources go by Rocks host name
@@ -323,7 +323,8 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
         for t, (op, pick) in enumerate(ops, start=1):
             host, row = hosts[pick], rows[pick]
             if op in ("power_off", "power_on"):
-                host.node.powered_on = row.powered_on = op == "power_on"
+                host.node.powered_on = op == "power_on"
+                fleet.set_flag("powered", row.index, op == "power_on")
             elif op in ("mute", "unmute"):
                 row.responsive = op == "unmute"
                 gmond = agents.gmond_for(host.name)
@@ -347,8 +348,7 @@ def test_fleet_tree_has_no_agent_hosts():
     """A monitor_fleet tree summarizes table rows only: it lists no agent
     hosts, asking for a row host's gmond raises MonitoringError (which the
     fault injector and the supervisor treat as "no daemon to reach"), and
-    a row declared dead is in dead_hosts() but not among the agent hosts'
-    down_hosts()."""
+    a row declared dead is in dead_hosts()."""
     from repro.hardware import build_littlefe_modified
     from repro.rocks import RocksInstaller
 
@@ -359,7 +359,7 @@ def test_fleet_tree_has_no_agent_hosts():
     summary = tree.run_cycles(3)
     assert summary.hosts_total == len(cluster.hosts())
     assert tree.dead_hosts() == [victim.name]
-    assert tree.hosts() == [] and tree.down_hosts() == []
+    assert tree.hosts() == []
     for host in cluster.hosts():
         with pytest.raises(MonitoringError):
             tree.gmond_for(host.name)

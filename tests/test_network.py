@@ -104,19 +104,6 @@ class TestDhcp:
         with pytest.raises(DhcpError, match="exhausted"):
             server.offer("02:cc")
 
-    def test_release_does_not_recycle(self):
-        server = DhcpServer()
-        server.offer("02:aa")
-        server.release("02:aa")
-        fresh = server.offer("02:aa")
-        assert fresh.ip == "10.1.1.11"  # next address, not the old one
-
-    def test_unknown_macs_feed(self):
-        server = DhcpServer()
-        server.offer("02:aa")
-        server.offer("02:bb")
-        assert server.unknown_macs({"02:aa"}) == ["02:bb"]
-
     def test_empty_mac_rejected(self):
         with pytest.raises(DhcpError):
             DhcpServer().offer("")

@@ -91,7 +91,7 @@ class TestRepoServer:
             origin.request("alpha", requester="t", on_result=results.append)
         # 2 in service, 2 queued, the 5th shed synchronously at the door
         assert [r.error_kind for r in results] == ["shed"]
-        assert origin.active_count == 2 and origin.queued_count == 2
+        assert len(origin._active) == 2 and len(origin._queue) == 2
         drain(kernel)
         assert origin.served == 4 and origin.shed_full == 1
         assert sum(1 for r in results if r.ok) == 4

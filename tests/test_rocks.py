@@ -202,12 +202,6 @@ class TestInsertEthers:
         with pytest.raises(RocksError, match="already registered"):
             inserter.discover_boot("02:aa")
 
-    def test_poll_ignores_known(self):
-        inserter, db, dhcp = self.make()
-        inserter.discover_boot("02:aa")
-        dhcp.offer("02:aa")  # renewal from a known node
-        assert inserter.poll() == []
-
 
 class TestInstaller:
     def test_full_install(self, littlefe_machine):

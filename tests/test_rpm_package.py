@@ -46,11 +46,11 @@ class TestIdentity:
 
 def _warm(p):
     """Touch every once-per-instance derived value."""
-    return p.evr, p.evr_string, p.nevra, p.all_provides(), p.satisfies(Requirement(p.name))
+    return p.evr, p.evr_string, p.nevra, p._all_provides, p.satisfies(Requirement(p.name))
 
 
 class TestDerivedIdentityIsCachedSafely:
-    """evr / evr_string / nevra / all_provides() are computed once and kept
+    """evr / evr_string / nevra / the provides list are computed once and kept
     on the instance — outside the dataclass fields, so nothing that works on
     fields (``==``, ``hash``, ``repr``, ``replace``) can see or carry them."""
 
@@ -61,7 +61,7 @@ class TestDerivedIdentityIsCachedSafely:
         p = Package(**self.BASE)
         assert p.evr is p.evr
         assert p.nevra is p.nevra
-        assert p.all_provides() is p.all_provides()
+        assert p._all_provides is p._all_provides
 
     def test_replace_recomputes_every_derived_value(self):
         p = Package(**self.BASE)
@@ -72,7 +72,7 @@ class TestDerivedIdentityIsCachedSafely:
         )
         assert q.evr == EVR(0, "1.8.1", "1") and q.evr_string == "1.8.1-1"
         assert q.nevra == "openmpi-1.8.1-1.x86_64"
-        assert q.all_provides() == (
+        assert q._all_provides == (
             Capability("openmpi", "1.8.1-1"), Capability("mpi-impl", "1.8"),
         )
         assert q.satisfies(Requirement("mpi-impl", Flag.GE, "1.8"))

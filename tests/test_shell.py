@@ -23,11 +23,9 @@ from repro.shell import (
     RollingUpdate,
     ShellCommand,
     ShellEngine,
-    bucket_by_rc,
     gather,
     render_groups,
     rolling_confluence_problems,
-    worst_rc,
 )
 from repro.sim import SimKernel
 
@@ -67,14 +65,12 @@ class TestGather:
         )
         labels = render_groups(groups)
         assert "compute-0-[1-2]: no such package [rc=1]" in labels
-        assert worst_rc(groups) == 1
-        buckets = bucket_by_rc(groups)
-        assert str(buckets[1]) == "compute-0-[1-2]"
-        assert str(buckets[0]) == "compute-0-0"
+        assert {g.rc: str(g.nodes) for g in groups} == {
+            0: "compute-0-0", 1: "compute-0-[1-2]",
+        }
 
     def test_empty_input(self):
         assert gather([]) == []
-        assert worst_rc([]) == 0
 
     @given(
         st.lists(
@@ -120,7 +116,7 @@ class TestShellEngine:
         assert report.complete
         assert report.counts() == (16, 0, 0)
         assert str(report.ok_nodes()) == "compute-0-[0-7],compute-1-[0-7]"
-        assert report.worst_rc == 0
+        assert [g.rc for g in report.groups()] == [0]
         assert engine.kernel.trace.count("shell.cmd") == 1
         assert engine.kernel.trace.count("shell.gather") == 1
 
@@ -166,8 +162,8 @@ class TestShellEngine:
         assert (result.status, result.rc, result.attempts) == ("failed", 2, 1)
         assert result.reason == "rc 2"
         assert engine.kernel.trace.count("shell.retry") == 0
-        assert str(report.by_rc()[2]) == "compute-0-0"
-        assert report.worst_rc == 2
+        assert [str(g.nodes) for g in report.groups() if g.rc == 2] == ["compute-0-0"]
+        assert max(g.rc for g in report.groups()) == 2
 
     def test_transport_failure_retried_then_succeeds(self):
         fleet = build_fleet()
@@ -203,7 +199,9 @@ class TestShellEngine:
         for result in report.results.values():
             assert result.rc is None and result.attempts == 2
         assert all(rc == TRANSPORT_RC for _, rc, _ in report.executed())
-        assert str(report.by_rc()[TRANSPORT_RC]) == "compute-0-[0-3]"
+        assert [(g.rc, str(g.nodes)) for g in report.groups()] == [
+            (TRANSPORT_RC, "compute-0-[0-3]")
+        ]
 
     def test_node_dying_mid_flight_is_a_transport_failure(self):
         fleet = build_fleet(racks=1, per_rack=2)
@@ -330,7 +328,7 @@ class TestDrainDeadline:
 
     def test_deadline_force_requeues_stragglers(self):
         fleet, kernel, resources, scheduler = self.setup_scheduler()
-        scheduler.drain_node("compute-0-0", deadline_s=50.0)
+        scheduler.drain_nodes(["compute-0-0"], deadline_s=50.0)
         assert resources.is_draining("compute-0-0")
         kernel.run_until(60.0)
         assert kernel.trace.count("job.requeue") == 1
@@ -343,7 +341,7 @@ class TestDrainDeadline:
 
     def test_without_deadline_drain_waits_for_the_job(self):
         fleet, kernel, resources, scheduler = self.setup_scheduler()
-        scheduler.drain_node("compute-0-0")
+        scheduler.drain_nodes(["compute-0-0"])
         kernel.run_until(499.0)
         assert resources.is_draining("compute-0-0")
         kernel.run_until(501.0)
@@ -352,7 +350,7 @@ class TestDrainDeadline:
 
     def test_idle_node_drains_immediately_despite_deadline(self):
         fleet, kernel, resources, scheduler = self.setup_scheduler()
-        scheduler.drain_node("compute-0-3", deadline_s=50.0)
+        scheduler.drain_nodes(["compute-0-3"], deadline_s=50.0)
         assert resources.is_offline("compute-0-3")
         kernel.run_until(60.0)  # the deadline event fires vacuously
         assert kernel.trace.count("job.requeue") == 0
@@ -360,7 +358,7 @@ class TestDrainDeadline:
     def test_deadline_validation(self):
         _, _, _, scheduler = self.setup_scheduler()
         with pytest.raises(ReproError):
-            scheduler.drain_node("compute-0-0", deadline_s=0.0)
+            scheduler.drain_nodes(["compute-0-0"], deadline_s=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ class TestRollingUpdate:
         assert report.state == "paused"
         assert "exceed max_failures=5" in report.pause_reason
         assert str(report.failed_nodes()) == "compute-1-[0-15]"
-        assert len(report.remaining()) == 16  # rack 2 untouched
+        assert len(report.remaining) == 16  # rack 2 untouched
         # failures are parked offline, nothing left draining
         assert resources.draining_nodes() == []
         assert resources.is_offline("compute-1-0")

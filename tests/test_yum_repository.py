@@ -99,7 +99,8 @@ class TestRepoSetPriorities:
 
     def test_disabled_repo_excluded(self):
         repos = self.make_pair()
-        repos.get("xsede").enabled = False
+        xsede = next(r for r in repos.enabled_repos() if r.repo_id == "xsede")
+        xsede.enabled = False
         assert repos.latest_by_name("python").version == "2.7.99"
         with pytest.raises(PackageNotFoundError):
             repos.latest_by_name("gromacs")
