@@ -201,14 +201,11 @@ def _parse_req(text: str) -> Requirement:
 
 def _expand(
     spec: tuple[str, str, str, tuple[str, ...], tuple[str, ...], tuple[str, ...], str],
-    *,
-    release: str = "1",
 ) -> Package:
     name, version, category, requires, commands, libraries, module = spec
     return Package(
         name=name,
         version=version,
-        release=release,
         category=category,
         summary=f"{name} (XSEDE run-alike build)",
         requires=tuple(_parse_req(r) for r in requires),
@@ -221,9 +218,14 @@ def _expand(
     )
 
 
+#: The catalogue, expanded once at import; a ``Package`` is frozen, so every
+#: caller can share these objects.
+_CATALOGUE: tuple[Package, ...] = tuple(_expand(spec) for spec in _SPECS)
+
+
 def xsede_packages() -> list[Package]:
     """Every Table 2 package as a built RPM (release 1)."""
-    return [_expand(spec) for spec in _SPECS]
+    return list(_CATALOGUE)
 
 
 def xsede_package_names() -> list[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..errors import FilesystemError
 
@@ -121,9 +121,10 @@ class Filesystem:
         """The mount table: mount point -> remote path (for /etc/mtab views)."""
         return {mp: src for mp, (_fs, src) in sorted(self._mounts.items())}
 
-    def _route(self, path: str) -> tuple["Filesystem", str]:
-        """Translate a path through the mount table."""
-        key = normpath(path)
+    def _route(self, key: str) -> tuple["Filesystem", str]:
+        """Translate a normal key through the mount table."""
+        if not self._mounts:
+            return self, key
         for mount_point, (remote, remote_root) in self._mounts.items():
             if key == mount_point:
                 return remote, remote_root
@@ -135,12 +136,12 @@ class Filesystem:
 
     def exists(self, path: str) -> bool:
         """True if ``path`` exists (any kind)."""
-        fs, key = self._route(path)
+        fs, key = self._route(normpath(path))
         return key in fs._nodes
 
     def get(self, path: str) -> FsNode:
         """Fetch a node, raising :class:`FilesystemError` if absent."""
-        fs, key = self._route(path)
+        fs, key = self._route(normpath(path))
         try:
             return fs._nodes[key]
         except KeyError:
@@ -148,7 +149,11 @@ class Filesystem:
 
     def lookup(self, path: str) -> FsNode | None:
         """The node at ``path``, or None if absent (one mount-table route)."""
-        fs, key = self._route(path)
+        return self._node(normpath(path))
+
+    def _node(self, key: str) -> FsNode | None:
+        """:meth:`lookup` for a key that is already normal."""
+        fs, key = self._route(key)
         return fs._nodes.get(key)
 
     def is_dir(self, path: str) -> bool:
@@ -158,7 +163,7 @@ class Filesystem:
 
     def listdir(self, path: str) -> list[str]:
         """Immediate children names of a directory, sorted."""
-        fs, key = self._route(path)
+        fs, key = self._route(normpath(path))
         if not fs.is_dir(key):
             raise FilesystemError(f"not a directory: {key}")
         prefix = key.rstrip("/") + "/"
@@ -191,10 +196,10 @@ class Filesystem:
 
     # -- mutations ----------------------------------------------------------
 
-    def _make_parents(self, key: str) -> None:
-        """Create the missing ancestors of ``key`` (``mkdir -p``); one that
-        exists must be a directory."""
-        for ancestor in parent_dirs(key):
+    def _make_parents(self, ancestors: Iterable[str]) -> None:
+        """Create the missing ``ancestors``, root first (``mkdir -p``); one
+        that exists must be a directory."""
+        for ancestor in ancestors:
             node = self._nodes.get(ancestor)
             if node is None:
                 self._nodes[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
@@ -203,7 +208,7 @@ class Filesystem:
 
     def mkdir(self, path: str, *, exist_ok: bool = False, owner: str | None = None) -> FsNode:
         """Create a directory (and its ancestors, like ``mkdir -p``)."""
-        fs, key = self._route(path)
+        fs, key = self._route(normpath(path))
         if fs is not self:
             return fs.mkdir(key, exist_ok=exist_ok, owner=owner)
         existing = self._nodes.get(key)
@@ -213,7 +218,7 @@ class Filesystem:
             if not exist_ok:
                 raise FilesystemError(f"directory exists: {key}")
             return existing
-        self._make_parents(key)
+        self._make_parents(parent_dirs(key))
         node = FsNode(key, FileKind.DIRECTORY, owner_package=owner)
         self._nodes[key] = node
         return node
@@ -227,35 +232,48 @@ class Filesystem:
         mode: int = 0o644,
     ) -> FsNode:
         """Create or replace a regular file, creating ancestors as needed."""
-        fs, key = self._route(path)
+        key = normpath(path)
+        return self._write_normal(key, parent_dirs(key), content, owner, mode)
+
+    def _write_normal(
+        self,
+        key: str,
+        ancestors: Iterable[str],
+        content: str,
+        owner: str | None,
+        mode: int,
+    ) -> FsNode:
+        """:meth:`write` for a key that is already normal, given its
+        ancestors root first (a package's payload carries both)."""
+        fs, routed = self._route(key)
         if fs is not self:
-            return fs.write(key, content, owner=owner, mode=mode)
+            return fs._write_normal(routed, parent_dirs(routed), content, owner, mode)
         if key == "/":
             raise FilesystemError("cannot write to /")
         existing = self._nodes.get(key)
         if existing is not None and existing.kind is FileKind.DIRECTORY:
             raise FilesystemError(f"is a directory: {key}")
-        self._make_parents(key)
+        self._make_parents(ancestors)
         node = FsNode(key, FileKind.FILE, owner_package=owner, content=content, mode=mode)
         self._nodes[key] = node
         return node
 
     def symlink(self, path: str, target: str, *, owner: str | None = None) -> FsNode:
         """Create a symlink at ``path`` pointing at ``target``."""
-        fs, key = self._route(path)
+        fs, key = self._route(normpath(path))
         if fs is not self:
             return fs.symlink(key, target, owner=owner)
         tgt = normpath(target)
         if key in self._nodes:
             raise FilesystemError(f"file exists: {key}")
-        self._make_parents(key)
+        self._make_parents(parent_dirs(key))
         node = FsNode(key, FileKind.SYMLINK, owner_package=owner, target=tgt)
         self._nodes[key] = node
         return node
 
     def remove(self, path: str) -> None:
         """Remove a file/symlink, or an *empty* directory."""
-        fs, key = self._route(path)
+        fs, key = self._route(normpath(path))
         if fs is not self:
             fs.remove(key)
             return

@@ -135,12 +135,13 @@ class Host:
         """
         for directory in DEFAULT_PATH:
             candidate = f"{directory}/{command}"
-            if self.fs.exists(candidate):
-                node = self.fs.get(candidate)
-                if node.kind is FileKind.SYMLINK:
-                    node = self.fs.get(node.target)
-                if node.executable:
-                    return candidate
+            node = self.fs.lookup(candidate)
+            if node is None:
+                continue
+            if node.kind is FileKind.SYMLINK:
+                node = self.fs.get(node.target)
+            if node.executable:
+                return candidate
         raise CommandError(f"{self.hostname}: command not found: {command}")
 
     def has_command(self, command: str) -> bool:

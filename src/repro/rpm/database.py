@@ -187,8 +187,9 @@ class RpmDatabase:
         if self._provides_index is not None:
             self._provides_index.add(pkg)
         self._fingerprint = None
-        for path, content, mode in pkg.payload:
-            host.fs.write(path, content, owner=pkg.name, mode=mode)
+        write = host.fs._write_normal
+        for key, ancestors, content, mode in pkg.payload:
+            write(key, ancestors, content, pkg.name, mode)
         for service in pkg.services:
             host.services.register(service, package=pkg.name)
         if pkg.module:

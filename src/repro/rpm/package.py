@@ -22,6 +22,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
+from ..distro.filesystem import normpath, parent_dirs
 from ..distro.modules_env import ModuleFile
 from ..errors import RpmError
 from .version import EVR, parse_evr
@@ -209,9 +210,13 @@ class Package:
         )
 
     @cached_property
-    def payload(self) -> tuple[tuple[str, str, int], ...]:
-        """Every ``(path, content, mode)`` installing this package writes —
-        the one definition install, verify and the conflict scan share."""
+    def payload(self) -> tuple[tuple[str, tuple[str, ...], str, int], ...]:
+        """Every ``(key, ancestors, content, mode)`` installing this package
+        writes — the one definition install, verify and the conflict scan
+        share.  Each path is normalised here, once per package rather than
+        once per host, and its ancestor directories listed root first; a
+        relative path or a ``..`` component raises
+        :class:`~repro.errors.FilesystemError` on first use."""
         nevra = self.nevra
         out = [(path, f"payload of {nevra}", 0o644) for path in self.files]
         out += [
@@ -228,12 +233,16 @@ class Package:
                 f"#%Module for {nevra}",
                 0o644,
             ))
-        return tuple(out)
+        entries = []
+        for path, content, mode in out:
+            key = normpath(path)
+            entries.append((key, tuple(parent_dirs(key)), content, mode))
+        return tuple(entries)
 
     def default_paths(self) -> list[str]:
         """Every path this package materialises (files, commands,
-        libraries, modulefile)."""
-        return [path for path, _content, _mode in self.payload]
+        libraries, modulefile), normalised."""
+        return [key for key, _ancestors, _content, _mode in self.payload]
 
     def __str__(self) -> str:
         return self.nevra

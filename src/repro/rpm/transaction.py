@@ -390,8 +390,8 @@ class Transaction:
         # package that is neither being erased nor the same name.
         fs = self.db.host.fs
         for pkg in self._installs.values():
-            for path in pkg.default_paths():
-                node = fs.lookup(path)
+            for path, _ancestors, _content, _mode in pkg.payload:
+                node = fs._node(path)
                 owner = node.owner_package if node is not None else None
                 if (
                     owner

@@ -53,6 +53,18 @@ class TestFilesystemBasics:
         with pytest.raises(FilesystemError, match="directory"):
             fs.write("/etc", "nope")
 
+    def test_write_to_root_rejected(self):
+        fs = Filesystem()
+        with pytest.raises(FilesystemError, match="cannot write to /"):
+            fs.write("//", "nope")
+
+    def test_write_under_a_file_rejected(self):
+        fs = Filesystem()
+        fs.write("/etc/f", "x")
+        with pytest.raises(FilesystemError, match="ancestor is not a directory: /etc/f"):
+            fs.write("/etc/f/g", "y")
+        assert not fs.exists("/etc/f/g")
+
     def test_mkdir_exist_ok_semantics(self):
         fs = Filesystem()
         fs.mkdir("/var/log")
@@ -176,3 +188,66 @@ def test_remove_owned_leaves_no_orphans(path_lists):
     for node in fs.walk():
         for ancestor in parent_dirs(node.path):
             assert fs.is_dir(ancestor)
+
+
+# --- property: the install writer equals the old per-path writes --------------
+
+#: segments that make non-normal spellings (``//``, ``/./``), ``..``
+#: components, the mount point ``/home`` and clashes between a file and a
+#: directory likely
+_messy_path = st.builds(
+    lambda lead, segments, trail: lead + "/".join(segments) + trail,
+    st.sampled_from(["/"] * 9 + [""]),  # mostly absolute
+    st.lists(st.sampled_from(["a", "b", "home"] * 4 + ["", ".", ".."]), min_size=1, max_size=3),
+    st.sampled_from(["", "/"]),
+)
+_name = st.sampled_from(["x", "y", "x/y"] * 3 + [".", ".."])
+
+
+def _tree(fs):
+    return [(n.path, n.kind, n.owner_package, n.content, n.mode) for n in fs.walk()]
+
+
+def _installed(install, pkg, mounted):
+    """``install`` ``pkg`` onto a fresh host, its ``/home`` an NFS-style
+    mount when ``mounted``: both trees and the error, if any."""
+    from repro.distro import CENTOS_6_5, Host
+    from repro.hardware import build_littlefe_modified
+
+    host = Host(build_littlefe_modified().machine.head, CENTOS_6_5)
+    remote = Filesystem()
+    remote.write("/export/home/alice/notes", "hers")
+    if mounted:
+        host.fs.mount("/home", remote, "/export/home")
+    try:
+        install(host, pkg)
+        error = None
+    except FilesystemError as exc:
+        error = (type(exc), str(exc))
+    return _tree(host.fs), _tree(remote), error
+
+
+@given(
+    st.lists(_messy_path, max_size=5),
+    st.lists(_name, max_size=2),
+    st.lists(_name, max_size=2),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_payload_writer_matches_per_path_writes(files, commands, libraries, module, mounted):
+    """The install path (``Package.payload``'s normal keys through
+    ``Filesystem._write_normal``) leaves the host's and the NFS server's
+    trees exactly as the old route-every-path-then-write-each sequence
+    does, and fails with the same error."""
+    from repro.rpm import Package, RpmDatabase
+
+    from .oracles.fs_writes import write_payload
+
+    pkg = Package(
+        name="p", version="1", files=tuple(files), commands=tuple(commands),
+        libraries=tuple(libraries), modulefile="p/1" if module else "",
+    )
+    new = _installed(lambda host, pkg: RpmDatabase(host)._install_unchecked(pkg), pkg, mounted)
+    old = _installed(lambda host, pkg: write_payload(host.fs, pkg), pkg, mounted)
+    assert new == old

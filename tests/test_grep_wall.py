@@ -190,6 +190,10 @@ WALL = [
         ("lines", 835), ("src/repro/monitoring/*.py",), "One rack model",
         "the memory model and the heartbeat bookkeeping exist once",
         "pass\n", "src/repro/monitoring/extra.py"),
+    Row("per-path public writes on the install path",
+        ("grep", "-rn", "--include=*.py", r"fs\.write("), ("src/repro/rpm",), "A path is normalised once",
+        "a payload is normalised once per package and written through Filesystem._write_normal (docs/PERF.md)",
+        "            host.fs.write(path, content, owner=pkg.name, mode=mode)", "src/repro/rpm/database.py"),
 ]
 
 

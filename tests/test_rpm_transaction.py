@@ -360,6 +360,41 @@ class TestTransactionOrderingAndAtomicity:
         assert plan.order_nevras == tuple(p.nevra for p in chain)
         assert 0 < calls <= 4 * declared
 
+    @pytest.mark.parametrize("hosts", [1, 50])
+    def test_payload_paths_normalised_once_per_package(
+        self, littlefe_machine, monkeypatch, hosts
+    ):
+        """The contract that keeps per-host re-normalisation from creeping
+        back: installing one package on 1 or on 50 hosts normalises each of
+        its paths once, when the package is first used — a count, not a
+        wall time.  Every host used to normalise every path twice (conflict
+        scan, then write)."""
+        from repro.distro import CENTOS_6_5, Host, filesystem
+        from repro.rpm import package
+
+        dbs = [RpmDatabase(Host(littlefe_machine.head, CENTOS_6_5)) for _ in range(hosts)]
+        pkg = mk(
+            "gromacs", "4.6.5", files=("/opt/gromacs/.keep",),
+            commands=("mdrun", "grompp"), libraries=("libgmx.so.8",),
+            modulefile="gromacs/4.6.5",
+        )
+        calls = 0
+        real = filesystem.normpath
+
+        def counting(path):
+            nonlocal calls
+            calls += 1
+            return real(path)
+
+        monkeypatch.setattr(filesystem, "normpath", counting)
+        monkeypatch.setattr(package, "normpath", counting)
+        for db in dbs:
+            txn = Transaction(db)
+            txn.install(pkg)
+            txn.commit()
+        assert all(db.has("gromacs") for db in dbs)
+        assert calls == len(pkg.payload) == 5
+
 
 # --- property: closure integrity over random dependency DAGs --------------------
 
@@ -433,7 +468,7 @@ def _fail_primitive(db, k, j):
     db._install_unchecked = primitive(db._install_unchecked)
     db._erase_unchecked = primitive(db._erase_unchecked)
     for owner, names in (
-        (host.fs, ("write", "remove_owned")),
+        (host.fs, ("_write_normal", "remove_owned")),
         (host.services, ("register", "unregister_package")),
         (host.modules, ("install", "remove")),
     ):

@@ -221,6 +221,20 @@ class TestFileConflictReporting:
         result = Transaction(db).install(mk("solo", commands=("solo",))).commit()
         assert result.file_conflicts == []
 
+    def test_conflict_under_an_nfs_mount_is_reported(self, frontend_host):
+        """The scan reads each payload path through the mount table, so a
+        path another package wrote onto the NFS server still conflicts."""
+        from repro.distro import Filesystem
+
+        server = Filesystem()
+        server.mkdir("/export/home")
+        frontend_host.fs.mount("/home", server, "/export/home")
+        db = RpmDatabase(frontend_host)
+        Transaction(db).install(mk("a", files=("/home/share/tool",))).commit()
+        assert server.get("/export/home/share/tool").owner_package == "a"
+        result = Transaction(db).install(mk("b", files=("/home/share/tool",))).commit()
+        assert result.file_conflicts == ["/home/share/tool (a -> b)"]
+
     def test_upgrade_does_not_self_conflict(self, frontend_host):
         db = RpmDatabase(frontend_host)
         Transaction(db).install(mk("x", "1.0", commands=("x",))).commit()
