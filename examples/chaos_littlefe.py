@@ -17,7 +17,8 @@ kernel and shows the graceful-degradation machinery at work:
    continuing to report a degraded-but-honest cluster summary;
 4. the run ends with an invariant audit: all jobs terminal, no event or
    allocation leaks, trace schema-valid — and two same-seed runs produce
-   byte-identical JSONL (the CI chaos job diffs them).
+   byte-identical JSONL (the determinism gate compares the limulus run, the
+   ``chaos`` row of ``tools/flows.py``).
 
 Equivalent CLI: ``python -m repro.faults --cluster littlefe`` (add
 ``--plan my.json`` for custom scenarios).

@@ -15,7 +15,8 @@ of them on one :class:`~repro.sim.SimKernel`:
 4. every subsystem publishing typed events on the kernel's trace bus.
 
 The trace serialises to JSONL deterministically: two runs with the same
-seed produce byte-identical files (CI's ``trace-schema`` job diffs them).
+seed produce byte-identical files (the ``cosim`` row of ``tools/flows.py``;
+the determinism gate compares them).
 
 Run with ``--trace cosim.jsonl`` to write the trace, then validate it with
 ``python -m repro.sim cosim.jsonl``.

@@ -18,8 +18,8 @@ Table 3 tops out at 220 nodes; this example provisions a synthetic
    epoch, and a node that stops answering is declared dead after three
    missed polls.
 
-Two runs with the same seed produce byte-identical traces (CI's
-``trace-schema`` job diffs them).
+Two runs with the same seed produce byte-identical traces (the ``fleet``
+row of ``tools/flows.py``; the determinism gate compares them).
 """
 
 import argparse

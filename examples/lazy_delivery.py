@@ -14,8 +14,8 @@ every campus.  A rollback is published *forward* (a new generation with
 the old content, Guix-style), so every cached chunk for the old release
 is already warm and the downstream serial protocol never regresses.
 
-Two runs with the same seed produce byte-identical traces (CI's
-``trace-schema`` job diffs them).  The ``cas.*`` trace events —
+Two runs with the same seed produce byte-identical traces (the ``lazy``
+row of ``tools/flows.py``; the determinism gate compares them).  The ``cas.*`` trace events —
 ``cas.publish``, ``cas.replicate``, ``cas.fetch``, ``cas.rollback`` —
 carry the accounting.
 """

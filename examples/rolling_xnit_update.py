@@ -21,7 +21,8 @@ wave drained through the scheduler (straggler jobs force-requeued at the
 drain deadline), executed with bounded fanout, health-verified through
 the gmetad tree, and reported as folded NodeSets — never a 10,000-line
 listing, never an exception.  Two runs with the same seed produce
-byte-identical traces (CI's ``trace-schema`` job diffs them).
+byte-identical traces (the ``rolling`` row of ``tools/flows.py``; the
+determinism gate compares them).
 """
 
 import argparse

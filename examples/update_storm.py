@@ -20,7 +20,8 @@ survives on three robustness mechanisms from :mod:`repro.repod`:
 
 Run with ``--naive-style`` for the ablation (no budget, hammering retry
 loops) and watch origin arrivals multiply.  Two runs with the same seed
-produce byte-identical traces (CI's ``trace-schema`` job diffs them).
+produce byte-identical traces (the ``storm`` row of ``tools/flows.py``;
+the determinism gate compares them).
 """
 
 import argparse

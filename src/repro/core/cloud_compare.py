@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from ..errors import ReproError
 from ..hardware.chassis import Machine
-from ..units import hours_per_year
 
 __all__ = [
     "ClusterCostModel",
@@ -29,6 +28,9 @@ __all__ = [
     "crossover_utilisation",
     "runaway_student_scenario",
 ]
+
+#: hours in a (non-leap) year
+HOURS_PER_YEAR = 8760.0
 
 #: 2015-era on-demand compute: roughly $0.05 per core-hour (c4-class).
 DEFAULT_CLOUD_RATE_PER_CORE_HOUR = 0.05
@@ -52,7 +54,7 @@ class ClusterCostModel:
         if not 0.0 <= utilisation <= 1.0:
             raise ReproError(f"utilisation out of [0,1]: {utilisation}")
         duty = 0.35 + 0.65 * utilisation  # idle floor + load-proportional
-        kwh = self.draw_watts / 1000.0 * hours_per_year * self.lifetime_years * duty
+        kwh = self.draw_watts / 1000.0 * HOURS_PER_YEAR * self.lifetime_years * duty
         return (
             self.purchase_usd
             + kwh * self.electricity_usd_per_kwh
@@ -61,7 +63,7 @@ class ClusterCostModel:
 
     def core_hours(self, cores: int, *, utilisation: float) -> float:
         """Useful core-hours delivered over the lifetime."""
-        return cores * hours_per_year * self.lifetime_years * utilisation
+        return cores * HOURS_PER_YEAR * self.lifetime_years * utilisation
 
 
 @dataclass(frozen=True)

@@ -129,13 +129,17 @@ class Host:
         """Resolve a command name against the standard PATH.
 
         Returns the path of the first executable match; raises
-        :class:`CommandError` if not found.  This is the "commands work as
-        they do on XSEDE-supported clusters" surface the compatibility audit
+        :class:`CommandError` if not found.  Only a bare name is searched
+        for, as a shell does: anything with a ``/`` in it, ``.``, ``..`` or
+        the empty name is not found.  This is the "commands work as they do
+        on XSEDE-supported clusters" surface the compatibility audit
         exercises.
         """
+        if command in ("", ".", "..") or "/" in command:
+            raise CommandError(f"{self.hostname}: command not found: {command}")
         for directory in DEFAULT_PATH:
-            candidate = f"{directory}/{command}"
-            node = self.fs.lookup(candidate)
+            candidate = f"{directory}/{command}"  # already normal
+            node = self.fs._node(candidate)
             if node is None:
                 continue
             if node.kind is FileKind.SYMLINK:

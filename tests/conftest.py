@@ -74,3 +74,18 @@ def xnit_limulus() -> ExistingCluster:
         setup_via_manual_repo_file(client, repo)
         integrate_host(client, full_toolkit=True)
     return cluster
+
+
+@pytest.fixture(scope="session")
+def flow_run(tmp_path_factory):
+    """``flow_run(flow)``: the ``(outcome, jsonl)`` of one run of a
+    ``tools/flows.py`` row, run once per session and shared by the tests
+    that read it."""
+    runs = {}
+
+    def run(flow):
+        if flow.name not in runs:
+            runs[flow.name] = flow.run(tmp_path_factory.mktemp("flow"))
+        return runs[flow.name]
+
+    return run

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from repro.sim import validate_jsonl
+from tools.flows import FLOWS
 
 _PATH = pathlib.Path(__file__).parent.parent / "examples" / "cosim_limulus.py"
 _spec = importlib.util.spec_from_file_location("cosim_limulus", _PATH)
@@ -16,8 +17,9 @@ _spec.loader.exec_module(cosim)
 
 
 @pytest.fixture(scope="module")
-def run():
-    return cosim.run_cosim(seed=7)
+def run(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cosim") / "cosim.jsonl"
+    return {**cosim.run_cosim(seed=7, trace_path=path), "path": path}
 
 
 class TestOneTimeline:
@@ -59,15 +61,14 @@ class TestTraceContract:
         assert problems == []
         assert count == len(run["kernel"].trace)
 
-    def test_same_seed_byte_identical(self, run):
-        again = cosim.run_cosim(seed=7)
-        assert again["jsonl"] == run["jsonl"]
+    def test_same_seed_byte_identical(self, run, flow_run):
+        # the cosim row of tools/flows.py is a second run_cosim(seed=7)
+        (again,) = flow_run(next(f for f in FLOWS if f.name == "cosim"))[1]
+        assert again == run["jsonl"]
 
     def test_different_seed_differs(self, run):
         other = cosim.run_cosim(seed=8)
         assert other["jsonl"] != run["jsonl"]
 
-    def test_trace_written_to_disk_matches(self, run, tmp_path):
-        path = tmp_path / "cosim.jsonl"
-        again = cosim.run_cosim(seed=7, trace_path=path)
-        assert path.read_text() == again["jsonl"] == run["jsonl"]
+    def test_trace_written_to_disk_matches(self, run):
+        assert run["path"].read_text() == run["jsonl"]

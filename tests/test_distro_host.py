@@ -60,6 +60,15 @@ class TestHost:
         with pytest.raises(CommandError):
             frontend_host.which("readme.txt")
 
+    @pytest.mark.parametrize("name", ["", "qsub/", "bin/qsub", "../bin/ls"])
+    def test_which_searches_bare_names_only(self, frontend_host, name):
+        frontend_host.fs.write("/usr/bin/mdrun", "x", mode=0o755)
+        frontend_host.fs.write("/usr/bin/qsub", "x", mode=0o755)
+        frontend_host.fs.write("/usr/local/bin/bin/qsub", "x", mode=0o755)
+        assert frontend_host.which("mdrun") == "/usr/bin/mdrun"
+        with pytest.raises(CommandError, match="command not found"):
+            frontend_host.which(name)
+
     def test_which_path_order(self, frontend_host):
         frontend_host.fs.write("/usr/bin/python", "usr", mode=0o755)
         frontend_host.fs.write("/usr/local/bin/python", "local", mode=0o755)

@@ -190,6 +190,16 @@ WALL = [
         ("lines", 835), ("src/repro/monitoring/*.py",), "One rack model",
         "the memory model and the heartbeat bookkeeping exist once",
         "pass\n", "src/repro/monitoring/extra.py"),
+    Row("a flow list outside the flow table",
+        ("grep", "-nE", "WORKLOADS|examples/|run_chaos|run_path"),
+        ("tests/test_determinism_gate.py", "tests/test_tie_order.py",
+         "tests/test_flow_vocabulary.py", "tools/flow_census.py"), "One flow table",
+        "tools/flows.py is the one list of flows; the gate, the tie rerun, the vocabulary test and the census iterate it",
+        "from bench.workloads import WORKLOADS", "tests/test_tie_order.py"),
+    Row("a same-seed cmp pair or a kind grep in CI",
+        ("grep", "-nE", "^ +(cmp |!? ?grep -q '\"kind)"), (".github/workflows/ci.yml",), "One flow table",
+        "a flow's byte identity and its trace kinds are rows of tools/flows.py, checked in tier-1 under three hash seeds",
+        "          cmp trace-a.jsonl trace-b.jsonl", ".github/workflows/ci.yml"),
     Row("per-path public writes on the install path",
         ("grep", "-rn", "--include=*.py", r"fs\.write("), ("src/repro/rpm",), "A path is normalised once",
         "a payload is normalised once per package and written through Filesystem._write_normal (docs/PERF.md)",

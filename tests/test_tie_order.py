@@ -3,39 +3,23 @@
 The kernel fires events due at one instant in submission order, its
 ``seq`` FIFO (docs/SIM.md).  The determinism gate cannot see a flow whose
 result rides on that order, because every rerun submits in the same order.
-This test reruns the gate's flows with every tie broken in reverse ``seq``
-order, by wrapping the kernel module's ``heappush`` from outside (the kernel
-has no option for it), and requires the same outcomes: the bench counters,
-``ops``, ``failed`` and ``problems``, every ``ChaosReport`` field, and the
-rolling update's waves.  It also requires the same trace records, ``seq``
-aside, compared as a multiset: what happened, not in which order within an
-instant.
-
-One seq contract is written down instead: in the chaos run a Ganglia poll
-due at the instant a job starts or ends reads the load left by whichever
-event was submitted first, so its ``metric.sample``/``monitor.*`` records
-follow the FIFO.  No outcome depends on them.
+This test reruns every ``ties`` row of ``tools/flows.py`` with every tie
+broken in reverse ``seq`` order, by wrapping the kernel module's
+``heappush`` from outside (the kernel has no option for it), and requires
+the same outcome and the same trace records as a multiset, ``seq`` aside:
+what happened, not in which order within an instant.  A row's ``fifo``
+kinds are its written-down seq contract and stay out of the multiset.
 """
 
 import collections
-import dataclasses
 import heapq
 import json
-import pathlib
-import runpy
-import sys
 
 import repro.sim.kernel as kernel_module
-from repro.faults.chaos import run_chaos
 from repro.sim import SimKernel
+from tools.flows import FLOWS
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT))
-
-from bench.workloads import WORKLOADS  # noqa: E402
-
-#: Records of the chaos run that follow the seq FIFO (the module docstring).
-POLL_KINDS = frozenset({"metric.sample", "monitor.rack", "monitor.rollup"})
+TIED = [flow for flow in FLOWS if flow.ties]
 
 
 def reversed_push(heap, entry):
@@ -55,42 +39,25 @@ def records(jsonl, skip=frozenset()):
     return bag
 
 
-def run_flows():
-    """name -> (outcome, records, trace texts) for every gate flow."""
-    flows = {}
-    for name in WORKLOADS:
-        workload = WORKLOADS[name](2015, smoke=True)
-        outcome = workload.run()
-        traces = list(outcome.jsonl)
-        workload.finish(outcome, deep=True)
-        result = (outcome.ops, outcome.failed, outcome.problems, dict(outcome.counters))
-        flows[name] = result, [records(text) for text in traces], traces
-    chaos = run_chaos(seed=11, cluster="limulus")
-    flows["chaos"] = (
-        dataclasses.asdict(chaos.report),
-        [records(chaos.jsonl, skip=POLL_KINDS)],
-        [chaos.jsonl],
-    )
-    run_update = runpy.run_path(str(ROOT / "examples" / "rolling_xnit_update.py"))["run_update"]
-    rolling = run_update(seed=7)
-    waves = [
-        (w.wave, str(w.nodes), str(w.ok), str(w.failed), str(w.skipped), str(w.unhealthy), w.status)
-        for w in rolling["report"].waves
-    ]
-    jsonl = rolling["kernel"].trace.to_jsonl()
-    flows["rolling"] = (rolling["report"].state, waves), [records(jsonl)], [jsonl]
-    return flows
-
-
-def test_every_flow_keeps_its_outcome_when_ties_break_the_other_way(monkeypatch):
-    forward = run_flows()
+def test_every_flow_keeps_its_outcome_when_ties_break_the_other_way(
+    flow_run, monkeypatch, tmp_path
+):
+    forward = {flow.name: flow_run(flow) for flow in TIED}
     monkeypatch.setattr(kernel_module, "heappush", reversed_push)
-    backward = run_flows()
-    assert backward.keys() == forward.keys()
-    for name, (outcome, bags, _traces) in forward.items():
-        assert backward[name][0] == outcome, f"{name}: the outcome follows the seq FIFO"
-        assert backward[name][1] == bags, f"{name}: a trace record follows the seq FIFO"
-    live = [name for name in forward if backward[name][2] != forward[name][2]]
+    problems, live = [], []
+    for flow in TIED:
+        (tmp_path / flow.name).mkdir()
+        outcome, jsonl = forward[flow.name]
+        back_outcome, back_jsonl = flow.run(tmp_path / flow.name)
+        if back_outcome != outcome:
+            problems.append(f"{flow.name}: the outcome follows the seq FIFO")
+        elif [records(text, flow.fifo) for text in back_jsonl] != [
+            records(text, flow.fifo) for text in jsonl
+        ]:
+            problems.append(f"{flow.name}: a trace record follows the seq FIFO")
+        if back_jsonl != jsonl:
+            live.append(flow.name)
+    assert not problems, "\n".join(problems)
     assert live, "reversing ties changed no trace byte: the perturbation is dead"
 
 

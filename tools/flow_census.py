@@ -1,18 +1,11 @@
 #!/usr/bin/env python3
 """List the functions of ``src/repro`` that no flow runs.
 
-A *flow* is one of the runs this repository exists for, driven in-process
-under :func:`sys.setprofile`:
-
-- every ``examples/*.py`` ``main()``, plus each of its flags (the
-  ``--trace`` forms CI byte-compares among them);
-- ``python -m repro.paper`` with and without an output directory;
-- each ``python3 -m bench`` workload at smoke size, ``run()`` then
-  ``finish(deep=True)``;
-- every flag of the argparse front ends (``repro.faults``, ``repro.sim``,
-  ``repro.analyze`` with its ``simlint`` form, ``repro.paper``);
-- every ``ClusterShell`` verb, once in each usage form its error text
-  documents, on the ``examples/cluster_shell_session.py`` wiring.
+A *flow* is a row of ``tools/flows.py`` — every example's ``main()``, each
+bench workload at smoke size, ``python -m repro.paper``, every flag of the
+argparse front ends, every ``ClusterShell`` verb and each flow the
+determinism gate records — run in-process under :func:`sys.setprofile`,
+with its reference run where it has one.
 
 A function (a ``def`` at module or class level; closures belong to their
 enclosing function) outside the frozen packages that none of these calls
@@ -45,10 +38,8 @@ import argparse
 import ast
 import contextlib
 import io
-import json
 import os
 import pathlib
-import runpy
 import sys
 import tempfile
 import threading
@@ -103,173 +94,6 @@ def census_functions() -> dict[str, tuple[set[tuple[str, int]], int]]:
 # -- what runs --------------------------------------------------------------------
 
 
-def _examples(tmp: pathlib.Path) -> list[tuple[str, object]]:
-    flags = {
-        "cosim_limulus.py": [["--seed", "7", "--trace", str(tmp / "cosim.jsonl")]],
-        "fleet_wave_install.py": [["--seed", "7", "--trace", str(tmp / "fleet.jsonl")]],
-        "rolling_xnit_update.py": [["--seed", "7", "--trace", str(tmp / "roll.jsonl")]],
-        "update_storm.py": [
-            ["--seed", "7", "--trace", str(tmp / "storm.jsonl")],
-            ["--naive-style"],
-        ],
-        "lazy_delivery.py": [["--seed", "7", "--trace", str(tmp / "cas.jsonl")]],
-        "chaos_littlefe.py": [["--seed", "7", "--trace", str(tmp / "chaos.jsonl")]],
-    }
-    flows = []
-    for path in sorted((ROOT / "examples").glob("*.py")):
-        main = runpy.run_path(str(path), run_name="flow_census")["main"]
-        runs = [[], *flags[path.name]] if path.name in flags else [None]
-        for argv in runs:
-            call = (lambda m=main: m()) if argv is None else (lambda m=main, a=argv: m(a))
-            flows.append((f"examples/{path.name} {' '.join(argv or [])}".strip(), call))
-    return flows
-
-
-def _bench() -> list[tuple[str, object]]:
-    sys.path.insert(0, str(ROOT))
-    from bench.workloads import WORKLOADS
-
-    def workload(cls):
-        instance = cls(2015, smoke=True)
-        instance.finish(instance.run(), deep=True)
-
-    return [(f"bench {name}", lambda c=cls: workload(c)) for name, cls in WORKLOADS.items()]
-
-
-def _clis(tmp: pathlib.Path) -> list[tuple[str, object]]:
-    from repro import paper
-    from repro.analyze import cli as lint
-    from repro.faults import __main__ as faults
-    from repro.sim import __main__ as sim
-
-    plan = tmp / "plan.json"
-    plan.write_text(json.dumps({"name": "census", "faults": [
-        {"kind": "node.crash", "target": "littlefe-iu-n1", "at_s": 300.0,
-         "duration_s": 900.0},
-        {"kind": "heartbeat.loss", "target": "littlefe-iu-n2", "at_s": 200.0,
-         "duration_s": 60.0},
-    ]}))
-    ckpt, base = str(tmp / "chaos.ckpt"), str(tmp / "base.json")
-    good, spaced = tmp / "cosim.jsonl", tmp / "spaced.jsonl"
-    examples = sorted(str(p) for p in (ROOT / "examples").glob("*.py"))
-    baseline = str(ROOT / "examples" / "lint_baseline.json")
-    fixtures = str(ROOT / "tests" / "fixtures" / "simlint")
-
-    def respace():
-        spaced.write_text(good.read_text().replace(',"', ', "'))
-        return sim.main([str(spaced)])
-
-    forms = [
-        ("faults", lambda: faults.main([])),
-        ("faults --cluster limulus --seed 11 --trace",
-         lambda: faults.main(["--cluster", "limulus", "--seed", "11",
-                              "--trace", str(tmp / "chaos-cli.jsonl")])),
-        ("faults --plan --jobs --no-supervise",
-         lambda: faults.main(["--plan", str(plan), "--jobs", "6",
-                              "--no-supervise", "--quiet"])),
-        ("faults --checkpoint-every --crash-at",
-         lambda: faults.main(["--seed", "3", "--checkpoint-every", "50",
-                              "--checkpoint-path", ckpt, "--crash-at", "1800",
-                              "--quiet"])),
-        ("faults --resume",
-         lambda: faults.main(["--seed", "3", "--checkpoint-path", ckpt,
-                              "--resume", "--trace", str(tmp / "resumed.jsonl")])),
-        ("faults --no-crash",
-         lambda: faults.main(["--seed", "3", "--crash-at", "1800", "--no-crash",
-                              "--trace", str(tmp / "baseline.jsonl"), "--quiet"])),
-        ("faults bad flags",
-         lambda: (faults.main(["--resume"]),
-                  faults.main(["--checkpoint-every", "0"]))),
-        ("sim", lambda: sim.main([str(good)])),
-        ("sim respaced", respace),
-        ("analyze examples --baseline",
-         lambda: lint.main(["--baseline", baseline, *examples])),
-        ("analyze --list-rules", lambda: lint.main(["--list-rules"])),
-        ("analyze --write-baseline",
-         lambda: lint.main(["--write-baseline", base, *examples])),
-        ("analyze --baseline --prune-baseline",
-         lambda: lint.main(["--baseline", base, "--prune-baseline", *examples])),
-        ("analyze --format json --only --disable --fail-on",
-         lambda: lint.main(["--format", "json", "--only", "RC204,NET404",
-                            "--fail-on", "warning", *examples])
-         + lint.main(["--format", "sarif", "--disable", "RC204",
-                      "--fail-on", "info", *examples])),
-        ("analyze usage errors",
-         lambda: (lint.main([]), lint.main(["--prune-baseline", examples[0]]),
-                  lint.main(["--disable", "ZZZ999", examples[0]]),
-                  lint.main([str(tmp / "missing.py")]))),
-        ("analyze --source", lambda: lint.main(["--source"])),
-        ("analyze --source --format sarif --pyproject",
-         lambda: lint.main(["--source", "--format", "sarif", "--pyproject",
-                            str(ROOT / "pyproject.toml")])),
-        ("analyze --source --format sarif fixtures",
-         lambda: lint.main(["--source", "--format", "sarif", fixtures])),
-        ("simlint fixtures", lambda: lint.main_simlint([fixtures])),
-        ("paper", lambda: paper.main([])),
-        ("paper DIR", lambda: paper.main([str(tmp / "paper")])),
-    ]
-    return [(f"python -m repro.{name}", call) for name, call in forms]
-
-
-#: Each verb once in every usage form its error text documents, then the
-#: usage errors themselves.
-SHELL = [
-    "hostname", "df", "cat /etc/redhat-release", "which mdrun",
-    "rpm -qa", "rpm -q gromacs", "rpm -q no-such-package", "rpm",
-    "yum repolist", "yum check-update", "yum install tau", "yum update",
-    "yum update tau", "yum erase tau", "yum grouplist",
-    "yum groupinfo xnit-molecular-dynamics",
-    "yum groupinstall xnit-molecular-dynamics", "yum bogus", "yum",
-    "rocks list host", "rocks list roll", "rocks run host hostname",
-    "rocks run host compute hostname", "rocks run host nowhere hostname",
-    "rocks",
-    "module avail", "module load openmpi/1.6.4", "module list",
-    "module unload openmpi/1.6.4", "module list", "module bogus", "module",
-    "qsub -N md -u student -c 4 -t 300 -w 3600", "qsub -x", "qstat",
-    "showq", "pbsnodes",
-    "nodeset --fold compute-0-0,compute-0-1", "nodeset -f @compute",
-    "nodeset --expand @compute", "nodeset -e compute-0-[0-1]",
-    "nodeset --count @all", "nodeset -c @compute", "nodeset",
-    "clubak", "clush -w @compute -f 2 -t 10 hostname",
-    "clush -b -w @compute cat /etc/redhat-release", "clubak", "clush",
-    "cluster-lint", "cluster-lint --json", "cluster-lint --fail-on warning",
-    "cluster-lint --fail-on bogus", "cluster-lint --bogus",
-    "condor_status", "condor_q", "ganglia", "lfs df",
-    "useradd student2", "useradd", "cat", "which", "ssh",
-    "ssh nowhere", "ssh compute-0-0", "hostname", "no-such-binary",
-    "ls", "\t",
-]
-
-
-def _shell() -> list[tuple[str, object]]:
-    from repro.cli import ClusterShell
-    from repro.core import build_xcbc_cluster, build_xnit_repository, xnit_group_catalog
-    from repro.errors import CommandError
-    from repro.hardware import build_littlefe_modified
-    from repro.htc import pool_from_cluster
-    from repro.monitoring import monitor_cluster
-    from repro.scheduler import ClusterResources, MauiScheduler
-
-    def session():
-        cluster = build_xcbc_cluster(build_littlefe_modified().machine).cluster
-        scheduler = MauiScheduler(ClusterResources(cluster.machine))
-        gmetad = monitor_cluster(cluster, scheduler=scheduler)
-        gmetad.poll_cycle()
-        shell = ClusterShell(
-            cluster,
-            scheduler=scheduler,
-            repositories={"xsede": build_xnit_repository()},
-            group_catalog=xnit_group_catalog(),
-            condor_pool=pool_from_cluster(cluster),
-            gmetad=gmetad,
-        )
-        for line in SHELL:
-            with contextlib.suppress(CommandError):
-                shell.run(line)
-
-    return [("ClusterShell verbs", session)]
-
-
 def executed() -> tuple[set[tuple[str, int]], list[tuple[str, float]]]:
     """Run every flow once; ``(path, first line)`` of each code object in
     ``src/repro`` any of them called, and each flow's wall time."""
@@ -282,19 +106,22 @@ def executed() -> tuple[set[tuple[str, int]], list[tuple[str, float]]]:
     times = []
     here = os.getcwd()
     os.chdir(ROOT)
-    sys.path[:0] = [str(ROOT / "src")]
     threading.setprofile(profile)
     sys.setprofile(profile)  # on before the imports: registration runs there
     try:
+        from flows import FLOWS
+
         with tempfile.TemporaryDirectory() as scratch:
-            tmp = pathlib.Path(scratch)
-            flows = _examples(tmp) + _bench() + _clis(tmp) + _shell()
-            for name, call in flows:
+            for index, flow in enumerate(FLOWS):
                 started = time.perf_counter()
                 sink = io.StringIO()
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    call()
-                times.append((name, time.perf_counter() - started))
+                    for side, call in enumerate((flow.run, flow.reference)):
+                        if call is not None:
+                            tmp = pathlib.Path(scratch) / f"{index}-{side}"
+                            tmp.mkdir()
+                            call(tmp)
+                times.append((flow.name, time.perf_counter() - started))
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
