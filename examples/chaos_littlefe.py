@@ -36,7 +36,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", default=None,
                         help="write the JSONL trace here")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv if argv is not None else [])
 
     machine = build_littlefe_modified().machine
     plan = demo_plan(machine)

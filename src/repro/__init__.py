@@ -24,23 +24,8 @@ inventory, and EXPERIMENTS.md for the paper-vs-measured record.
 
 __version__ = "1.0.0"
 
-from . import (
-    core,
-    distro,
-    grid,
-    hardware,
-    htc,
-    linpack,
-    monitoring,
-    mpi,
-    network,
-    pfs,
-    rocks,
-    rpm,
-    scheduler,
-    sim,
-    yum,
-)
+import importlib
+
 from .errors import ReproError
 
 __all__ = [
@@ -62,3 +47,11 @@ __all__ = [
     "grid",
     "core",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage the first time it is asked for (PEP 562), so a
+    process loads only the packages its entry point reaches."""
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,13 +2,6 @@
 analytic performance model at cluster scale, and TOP500-style reporting.
 """
 
-from .dgemm import (
-    DgemmMeasurement,
-    blocked_lu,
-    lu_solve,
-    measure_dgemm_gflops,
-    residual_check,
-)
 from .hpl import HplReport, HplRunResult, benchmark_machine, run_hpl_small
 from .model import (
     HplModelInput,
@@ -41,3 +34,13 @@ __all__ = [
     "rank",
     "render_table5_row",
 ]
+
+
+def __getattr__(name: str):
+    """Load the numpy kernels in :mod:`.dgemm` when one is first asked for
+    (PEP 562), so the analytic model and TOP500 path run without numpy."""
+    if name in __all__:
+        from . import dgemm
+
+        return getattr(dgemm, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,13 +10,11 @@ and problem size from the same sizing rules real HPL tuning uses.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import LinpackError
 from ..hardware.chassis import Machine
-from .dgemm import blocked_lu, lu_solve, residual_check
 from .model import HplPrediction, predict_machine, problem_size
 
 __all__ = ["HplRunResult", "run_hpl_small", "HplReport", "benchmark_machine"]
@@ -47,7 +45,9 @@ def run_hpl_small(n: int = 256, *, block: int = 64, seed: int = 42) -> HplRunRes
     examples and tests use it to demonstrate the kernel is genuinely correct
     (the residual check is the same formula HPL prints).
     """
-    import time
+    import numpy as np
+
+    from .dgemm import blocked_lu, lu_solve, residual_check
 
     if n <= 0:
         raise LinpackError(f"n must be positive, got {n}")

@@ -48,6 +48,8 @@ def bytes_of(data: object) -> int:
         return len(data.encode())
     if isinstance(data, (list, tuple)):
         # a plain number is one double; only other elements recurse
+        if {int, float}.issuperset(map(type, data)):
+            return len(data) * _DOUBLE
         return sum(
             _DOUBLE if type(x) in (int, float) else bytes_of(x) for x in data
         )

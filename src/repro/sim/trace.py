@@ -393,7 +393,7 @@ class TraceBus:
     def count(self, kind: str | None = None, *, subsystem: str | None = None) -> int:
         """Events seen, optionally filtered by kind or subsystem."""
         if kind is not None:
-            return self.by_kind[kind]
+            return sum(1 for event in self.events if event.kind == kind)
         if subsystem is not None:
             return sum(1 for event in self.events if event.subsystem == subsystem)
         return len(self.events)

@@ -116,3 +116,10 @@ def test_rebuild_table3_fleet():
     assert "304   2708  49.61" in output
     assert "10.1x growth" in output
     assert "300 TB over 20 OSTs" in output
+
+
+def test_chaos_littlefe_main_ignores_the_host_argv(monkeypatch):
+    # a programmatic main() takes its defaults, not the host process's flags
+    monkeypatch.setattr(sys, "argv", ["pytest", "--check"])
+    output = run_example("chaos_littlefe")
+    assert "fault plan" in output and "final Ganglia view" in output

@@ -204,6 +204,15 @@ WALL = [
         ("grep", "-rn", "--include=*.py", r"fs\.write("), ("src/repro/rpm",), "A path is normalised once",
         "a payload is normalised once per package and written through Filesystem._write_normal (docs/PERF.md)",
         "            host.fs.write(path, content, owner=pkg.name, mode=mode)", "src/repro/rpm/database.py"),
+    Row("a subpackage imported eagerly by the package root",
+        ("count", 1, "-E", r"^(from \.|from repro|import repro)"), ("src/repro/__init__.py",), "One import closure",
+        "import repro loads only repro.errors; a subpackage loads when first asked for (docs/PERF.md, 'What a process loads')",
+        "from . import linpack", "src/repro/__init__.py"),
+    Row("a module-level numpy import outside the linpack kernels",
+        ("only", "src/repro/linpack/dgemm.py", "-rlE", "--include=*.py", r"^(import|from) numpy"), ("src/repro",),
+        "One import closure",
+        "numpy is the linpack kernels' dependency alone; no workload or front end loads it",
+        "import numpy as np", "src/repro/linpack/hpl.py"),
 ]
 
 
