@@ -37,7 +37,6 @@ __all__ = [
     "analyze",
     "analyze_source",
     "SimlintConfig",
-    "render_sarif",
     "main",
     "main_simlint",
 ]
@@ -52,7 +51,6 @@ _LAZY = {
     "analyze": ("repro.analyze.engine", "analyze"),
     "analyze_source": ("repro.analyze.source", "analyze_source"),
     "SimlintConfig": ("repro.analyze.source", "SimlintConfig"),
-    "render_sarif": ("repro.analyze.sarif", "render_sarif"),
     "main": ("repro.analyze.cli", "main"),
     "main_simlint": ("repro.analyze.cli", "main_simlint"),
 }

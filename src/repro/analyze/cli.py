@@ -122,7 +122,7 @@ def _build_parser(prog: str = "cluster-lint") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         dest="format_",
     )
@@ -227,7 +227,7 @@ def main(
             print(f"{prog}: error: bad baseline: {exc}", file=out)
             return EXIT_USAGE
         stale = baseline.stale_fingerprints()
-        # keep machine-readable stdout (json/sarif) clean: route the
+        # keep machine-readable stdout (json) clean: route the
         # warnings to stderr there, to the report stream otherwise
         warn_stream = sys.stderr if args.format_ != "text" else out
         for fingerprint in stale:
@@ -294,18 +294,6 @@ def main(
             "results": [r.to_dict() for r in results],
         }
         print(json.dumps(document, indent=2), file=out)
-    elif args.format_ == "sarif":
-        from .sarif import render_sarif
-
-        reasons = dict(baseline.suppressions) if baseline is not None else {}
-        print(
-            render_sarif(
-                results,
-                tool_name="simlint" if args.source else prog,
-                suppression_reasons=reasons,
-            ),
-            file=out,
-        )
     else:
         for result in results:
             print(result.render_text(), file=out)

@@ -12,7 +12,7 @@ per pair.
 
 :func:`cas_confluence_problems` is chaos invariant 9: serials only move
 forward, every ``cas.fetch`` record missed a chunk, and — given the live
-components — no chunk refcount has leaked after publish/rollback/prune
+components — no chunk refcount has leaked after publish/rollback
 churn.  With no ``cas.*`` events and no components the audit is vacuous,
 so it is safe to run on every chaos trace.
 """

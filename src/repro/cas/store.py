@@ -102,9 +102,6 @@ class ChunkStore:
             else:
                 refs[chunk.digest] = count - 1
 
-    def refcount(self, digest: str) -> int:
-        return self._refs.get(digest, 0)
-
     def gc(self) -> tuple[int, int]:
         """Evict every unpinned chunk; returns (chunks evicted, bytes freed)."""
         refs = self._refs
@@ -119,11 +116,6 @@ class ChunkStore:
     @property
     def chunk_count(self) -> int:
         return len(self._chunks)
-
-    @property
-    def total_bytes(self) -> int:
-        """Deduplicated bytes held (each unique chunk counted once)."""
-        return sum(self._chunks.values())
 
     # -- audit -----------------------------------------------------------------
 

@@ -211,35 +211,12 @@ class Stratum0:
                 f"stratum0 {self.name}: nothing published, nothing to roll back"
             )
         restored = self.serial - 1
-        if restored not in self._catalogs:
-            raise CasError(
-                f"stratum0 {self.name}: generation {restored} was pruned; "
-                f"cannot roll back past it"
-            )
         stats = self._flip(dict(self._catalogs[restored]), "rollback")
         self.kernel.trace.emit(
             "cas.rollback", t_s=self.kernel.now_s, subsystem="cas",
             catalog=self.name, serial=stats.serial, restored=restored,
         )
         return stats
-
-    def prune(self, *, keep: int = 2) -> tuple[int, int, int]:
-        """Drop all but the newest ``keep`` generations and collect garbage.
-
-        Returns (generations dropped, chunks evicted, bytes freed).  This
-        is where a refcount leak would surface: a generation whose pins
-        were double-counted leaves its chunks uncollectable forever.
-        """
-        if keep < 1:
-            raise CasError(f"must keep at least one generation, got {keep}")
-        serials = sorted(self._catalogs)
-        doomed = serials[:-keep] if len(serials) > keep else []
-        for serial in doomed:
-            gen = self._catalogs.pop(serial)
-            for nevra in sorted(gen):
-                self.store.release(gen[nevra])
-        evicted, freed = self.store.gc()
-        return len(doomed), evicted, freed
 
     def _undo_flip(self, serial: int) -> None:
         """Recovery: make a half-published generation not-have-happened."""
@@ -405,10 +382,6 @@ class Stratum1(ChunkTier):
         self._interruptions_pending = count
 
     # -- replication -----------------------------------------------------------
-
-    @property
-    def is_current(self) -> bool:
-        return self._catalog_epoch == self.origin.serial
 
     def manifest_of(self, pkg: Package) -> PackageManifest:
         """From the replicated catalog; a lagging replica asks the origin."""

@@ -93,10 +93,6 @@ class CostComparison:
     def cluster_wins(self) -> bool:
         return self.cluster_usd < self.cloud_usd
 
-    @property
-    def usd_per_core_hour_cluster(self) -> float:
-        return self.cluster_usd / self.core_hours if self.core_hours else float("inf")
-
 
 def compare(
     machine: Machine,

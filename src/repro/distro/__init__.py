@@ -10,10 +10,8 @@ XSEDE-compatibility audit measures.
 from .distribution import (
     CENTOS_6_3,
     CENTOS_6_5,
-    RELEASES,
     SCIENTIFIC_LINUX_6_5,
     DistroRelease,
-    get_release,
 )
 from .filesystem import FileKind, Filesystem, FsNode, normpath, parent_dirs
 from .host import Host
@@ -23,8 +21,6 @@ from .users import FIRST_USER_UID, Group, User, UserDatabase
 
 __all__ = [
     "DistroRelease",
-    "get_release",
-    "RELEASES",
     "CENTOS_6_3",
     "CENTOS_6_5",
     "SCIENTIFIC_LINUX_6_5",

@@ -18,8 +18,6 @@ __all__ = [
     "CENTOS_6_3",
     "CENTOS_6_5",
     "SCIENTIFIC_LINUX_6_5",
-    "RELEASES",
-    "get_release",
 ]
 
 
@@ -45,15 +43,6 @@ class DistroRelease:
     def release_string(self) -> str:
         """e.g. ``"CentOS 6.5"`` — what /etc/redhat-release would say."""
         return f"{self.name} {self.version}"
-
-    def is_compatible_upgrade_of(self, other: "DistroRelease") -> bool:
-        """True if in-place yum upgrade from ``other`` is supported
-        (same family, same major version, not a downgrade)."""
-        if self.family != other.family:
-            return False
-        smaj, smin = (int(x) for x in self.version.split("."))
-        omaj, omin = (int(x) for x in other.version.split("."))
-        return smaj == omaj and smin >= omin
 
 
 #: Minimal but realistic base set every RHEL-6 era install carries.
@@ -99,18 +88,3 @@ SCIENTIFIC_LINUX_6_5 = DistroRelease(
     kernel_version="2.6.32-431",
     base_packages=_RHEL6_BASE,
 )
-
-RELEASES: dict[str, DistroRelease] = {
-    r.release_string: r for r in (CENTOS_6_3, CENTOS_6_5, SCIENTIFIC_LINUX_6_5)
-}
-
-
-def get_release(release_string: str) -> DistroRelease:
-    """Look up a release by its ``"Name X.Y"`` string."""
-    try:
-        return RELEASES[release_string]
-    except KeyError:
-        known = ", ".join(sorted(RELEASES))
-        raise DistroError(
-            f"unknown release {release_string!r}; known: {known}"
-        ) from None

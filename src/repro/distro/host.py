@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import CommandError, DistroError, FilesystemError
+from ..errors import CommandError, DistroError
 from ..hardware.node import Node
 from .distribution import DistroRelease
 from .filesystem import FileKind, Filesystem
@@ -155,23 +155,6 @@ class Host:
             return True
         except CommandError:
             return False
-
-    def commands(self) -> list[str]:
-        """Every executable name reachable via the standard PATH, sorted."""
-        seen: set[str] = set()
-        for directory in DEFAULT_PATH:
-            if not self.fs.is_dir(directory):
-                continue
-            for name in self.fs.listdir(directory):
-                node = self.fs.get(f"{directory}/{name}")
-                if node.kind is FileKind.SYMLINK:
-                    try:
-                        node = self.fs.get(node.target)
-                    except FilesystemError:
-                        continue
-                if node.kind is FileKind.FILE and node.executable:
-                    seen.add(name)
-        return sorted(seen)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.hostname} ({self.release.release_string})>"

@@ -74,10 +74,6 @@ class ServiceManager:
         """Start a service (no-op if already running)."""
         self.get(name).state = ServiceState.RUNNING
 
-    def stop(self, name: str) -> None:
-        """Stop a service (no-op if already stopped)."""
-        self.get(name).state = ServiceState.STOPPED
-
     def fail(self, name: str) -> None:
         """Mark a service failed (used by failure-injection tests)."""
         self.get(name).state = ServiceState.FAILED

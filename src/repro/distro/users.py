@@ -94,31 +94,12 @@ class UserDatabase:
         group.members.add(name)
         return user
 
-    def get_user(self, name: str) -> User:
-        try:
-            return self._users[name]
-        except KeyError:
-            raise UserError(f"no such user: {name}") from None
-
     def has_user(self, name: str) -> bool:
         return name in self._users
-
-    def remove_user(self, name: str) -> None:
-        """Delete an account (root is protected)."""
-        if name == "root":
-            raise UserError("cannot remove root")
-        user = self.get_user(name)
-        del self._users[name]
-        for group in self._groups.values():
-            group.members.discard(name)
 
     def users(self) -> list[User]:
         """All accounts sorted by uid."""
         return sorted(self._users.values(), key=lambda u: u.uid)
-
-    def regular_users(self) -> list[User]:
-        """Human accounts only."""
-        return [u for u in self.users() if not u.system and u.name != "root"]
 
     def _alloc_id(self, system: bool) -> int:
         if system:

@@ -492,7 +492,7 @@ def _audit(
 
     # 1. completion: every job reached a terminal state
     for job in jobs:
-        if job.state not in (JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED):
+        if job.state not in (JobState.COMPLETED, JobState.FAILED):
             report.violations.append(
                 f"job {job.name} ended in non-terminal state {job.state.value}"
             )

@@ -199,9 +199,6 @@ class FaultPlan:
             "faults": [spec.to_dict() for spec in self.faults],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, obj: Mapping[str, Any]) -> "FaultPlan":
         if "name" not in obj:

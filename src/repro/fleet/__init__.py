@@ -7,7 +7,7 @@ and schedule without a Python object per node on the hot paths:
   fact (name, role, install state, power, scheduler flags, cores), with
   :class:`FleetRow` proxies keeping the legacy attribute API alive;
 * :class:`NodeSet` / :class:`RangeSet` — ClusterShell-style folded
-  addressing (``compute-0-[0-9999]``) with full boolean algebra and wave
+  addressing (``compute-0-[0-9999]``) with union, difference and wave
   chunking.
 
 See docs/SCALE.md for the layout, syntax, and how the rocks / scheduler /

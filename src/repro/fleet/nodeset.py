@@ -4,9 +4,8 @@ The ClusterShell idiom (SNIPPETS.md): a 10,000-node fleet is written
 ``compute-0-[0-9999]``, not ten thousand strings.  A :class:`RangeSet` is a
 sorted list of disjoint inclusive integer intervals with an optional
 zero-padding width; a :class:`NodeSet` maps ``(prefix, suffix)`` name
-patterns to RangeSets (plus plain unnumbered names) and supports the full
-boolean algebra — union ``|``, intersection ``&``, difference ``-``,
-symmetric difference ``^`` — by merging interval lists, never by expanding
+patterns to RangeSets (plus plain unnumbered names) and supports union
+``|`` and difference ``-`` by merging interval lists, never by expanding
 nodes.  ``split()`` chunks a NodeSet into bounded waves for the installer;
 named groups (``@compute``) resolve through an explicit mapping.
 
@@ -137,21 +136,6 @@ class RangeSet:
             self._ivals + other._ivals, padding=self._merged_padding(other)
         )
 
-    def intersection(self, other: "RangeSet") -> "RangeSet":
-        out: list[tuple[int, int]] = []
-        a, b = self._ivals, other._ivals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return RangeSet(out, padding=self._merged_padding(other))
-
     def difference(self, other: "RangeSet") -> "RangeSet":
         out: list[tuple[int, int]] = []
         j = 0
@@ -173,13 +157,8 @@ class RangeSet:
                 out.append((cur, hi))
         return RangeSet(out, padding=self._merged_padding(other))
 
-    def symmetric_difference(self, other: "RangeSet") -> "RangeSet":
-        return self.difference(other).union(other.difference(self))
-
     __or__ = union
-    __and__ = intersection
     __sub__ = difference
-    __xor__ = symmetric_difference
 
 
 def _rank(digits: str, text: str) -> int:
@@ -236,7 +215,7 @@ def _normalize(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 class NodeSet:
-    """A set of node names addressed by patterns, with boolean algebra.
+    """A set of node names addressed by patterns, with union and difference.
 
     Internally ``{(prefix, suffix): RangeSet}`` plus a set of unnumbered
     scalar names.  ``compute-0-15`` lives under pattern
@@ -408,30 +387,18 @@ class NodeSet:
                 out._patterns[key] = merged
         if op == "union":
             out._scalars = self._scalars | other._scalars
-        elif op == "intersection":
-            out._scalars = self._scalars & other._scalars
-        elif op == "difference":
-            out._scalars = self._scalars - other._scalars
         else:
-            out._scalars = self._scalars ^ other._scalars
+            out._scalars = self._scalars - other._scalars
         return out
 
     def union(self, other: "NodeSet") -> "NodeSet":
         return self._combine(other, "union")
 
-    def intersection(self, other: "NodeSet") -> "NodeSet":
-        return self._combine(other, "intersection")
-
     def difference(self, other: "NodeSet") -> "NodeSet":
         return self._combine(other, "difference")
 
-    def symmetric_difference(self, other: "NodeSet") -> "NodeSet":
-        return self._combine(other, "symmetric_difference")
-
     __or__ = union
-    __and__ = intersection
     __sub__ = difference
-    __xor__ = symmetric_difference
 
     def split(self, size: int) -> Iterator["NodeSet"]:
         """Chunk into NodeSets of at most ``size`` members, in iteration

@@ -56,11 +56,6 @@ class FleetRow:
         self._index = index
 
     @property
-    def index(self) -> int:
-        """This row's position in the table's columns."""
-        return self._index
-
-    @property
     def name(self) -> str:
         return self._table.names[self._index]
 

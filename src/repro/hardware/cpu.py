@@ -120,11 +120,6 @@ class CpuModel:
             raise CatalogError(f"invalid TDP for {self.model}: {self.tdp_watts}")
 
     @property
-    def has_hyperthreading(self) -> bool:
-        """True if the SKU exposes more hardware threads than cores."""
-        return self.threads > self.cores
-
-    @property
     def rpeak_gflops(self) -> float:
         """Theoretical peak of one socket in GFLOPS (TOP500 convention)."""
         return self.cores * self.clock_ghz * self.arch.flops_per_cycle

@@ -34,11 +34,6 @@ class DimmModel:
         if self.speed_mt_s <= 0:
             raise CatalogError(f"DIMM {self.model} has non-positive speed")
 
-    @property
-    def bandwidth_bytes_s(self) -> float:
-        """Peak transfer rate of one module (8-byte bus width)."""
-        return self.speed_mt_s * 1e6 * 8
-
 
 #: 4 GiB DDR3 SO-DIMM as used on mini-ITX boards in the LittleFe build.
 DDR3_4G_SODIMM = DimmModel(

@@ -137,14 +137,6 @@ class Node:
             total += self.psu.price_usd
         return total
 
-    def describe(self) -> str:
-        """One-line human description used by the chassis renderer."""
-        disk = "diskless" if self.diskless else f"{self.storage_bytes // 10**9}GB disk"
-        return (
-            f"{self.name}: {self.cpu.model} ({self.cores}c @ "
-            f"{self.clock_ghz:g}GHz), {self.memory_bytes // 1024**3}GiB RAM, {disk}"
-        )
-
 
 def assemble_node(
     name: str,

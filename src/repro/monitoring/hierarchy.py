@@ -48,7 +48,7 @@ from ..errors import ReproError
 from ..fleet import FleetTable
 from ..sim import PeriodicEvent, SimKernel
 from .gmond import Gmond
-from .metrics import CORE_METRICS, MonitoringError, free_memory_kb
+from .metrics import MonitoringError, free_memory_kb
 from .rrd import Rrd, RrdPoint
 
 __all__ = [
@@ -347,19 +347,6 @@ class GmetadTree:
         here).  Raises :class:`MonitoringError` for a host outside the mesh
         or on a fleet-table row, which has no agent."""
         return self._agent_rack_of(host).gmond_for(host)
-
-    def rrd_for(self, host: str, metric: str) -> Rrd:
-        """The archive of one (host, metric) stream.
-
-        A pure lookup: only :meth:`Rack.sample` creates archives (their set
-        is checkpointed state), so a stream that has never reported raises.
-        """
-        if metric not in CORE_METRICS:
-            raise MonitoringError(f"unknown metric {metric!r}")
-        rrd = self._agent_rack_of(host)._rrds.get((host, metric))
-        if rrd is None:
-            raise MonitoringError(f"no samples archived for {host}/{metric}")
-        return rrd
 
     def render_dashboard(self) -> str:
         """The web frontend's cluster page, as text."""

@@ -91,22 +91,6 @@ class Rrd:
         series = self.series()
         return series[-1] if series else None
 
-    def mean(self) -> float:
-        """Sample-weighted mean over the whole retained window."""
-        series = self.series()
-        if not series:
-            raise MonitoringError("empty RRD")
-        total = sum(p.value * p.samples for p in series)
-        count = sum(p.samples for p in series)
-        return total / count
-
-    def maximum(self) -> float:
-        """Max consolidated value retained."""
-        series = self.series()
-        if not series:
-            raise MonitoringError("empty RRD")
-        return max(p.value for p in series)
-
     def __len__(self) -> int:
         return sum(1 for entry in self._ring if entry is not None)
 

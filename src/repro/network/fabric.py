@@ -200,10 +200,3 @@ class Fabric:
             raise NetworkError(f"no path between {src_host} and {dst_host}")
         return best
 
-    def reachable(self, src_host: str, dst_host: str) -> bool:
-        """True if a path exists between the two hosts."""
-        try:
-            self.path_cost(src_host, dst_host)
-            return True
-        except NetworkError:
-            return False

@@ -64,22 +64,13 @@ class PxeServer:
         self.kernel = kernel
         self.retry = retry
         self._default_image: BootImage | None = None
-        self._per_mac: dict[str, BootImage] = {}
         #: MAC -> remaining injected DISCOVER timeouts ("*" hits every MAC)
         self._boot_timeouts: dict[str, int] = {}
         self.boot_log: list[str] = []
 
     def set_default_image(self, image: BootImage) -> None:
-        """Image offered to any MAC without a specific assignment."""
+        """Image offered to every MAC."""
         self._default_image = image
-
-    def assign_image(self, mac: str, image: BootImage) -> None:
-        """Pin an image to one node (e.g. re-install just this node)."""
-        self._per_mac[mac] = image
-
-    def clear_assignment(self, mac: str) -> None:
-        """Return a node to the default image (post-install 'boot local')."""
-        self._per_mac.pop(mac, None)
 
     def inject_boot_timeouts(self, mac: str, count: int = 1) -> None:
         """Make the next ``count`` handshakes for ``mac`` time out.
@@ -109,13 +100,13 @@ class PxeServer:
         if self._consume_timeout(mac):
             raise PxeError(
                 f"PXE boot timeout for MAC {mac}: no DHCP offer received "
-                f"({len(self._per_mac)} known host(s) on this server)"
+                f"({len(self.dhcp.leases())} known host(s) on this server)"
             )
-        image = self._per_mac.get(mac, self._default_image)
+        image = self._default_image
         if image is None:
             raise PxeError(
                 f"no boot image registered for MAC {mac} and no default set "
-                f"({len(self._per_mac)} known host(s) on this server)"
+                f"({len(self.dhcp.leases())} known host(s) on this server)"
             )
         lease = self.dhcp.offer(mac, hostname=hostname)
         self.boot_log.append(f"{mac} -> {lease.ip} image={image.name}")

@@ -47,10 +47,6 @@ class ClusterNetwork:
                 names.update(self.fabric.get_switch(switch_name).attached_hosts())
         return sorted(names)
 
-    def compute_macs(self) -> list[str]:
-        """MACs of the compute nodes in slot order (insert-ethers order)."""
-        return [n.mac_address for n in self.machine.compute_nodes]
-
 
 def build_cluster_network(machine: Machine) -> ClusterNetwork:
     """Wire a machine into the standard dual-homed topology.

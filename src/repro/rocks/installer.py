@@ -455,7 +455,6 @@ class RocksInstaller:
                         journal.applied(txn, install_op)
                         journal.commit(txn)
                     installed.append(row.name)
-                inserter.pxe.clear_assignment(row.mac)
         except HeadnodeCrashError:
             raise  # a dead frontend runs no cleanup; recover_install() does
         except ReproError:

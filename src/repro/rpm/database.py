@@ -80,23 +80,9 @@ class RpmDatabase:
                 f"{self.host.name}: package {name} is not installed"
             ) from None
 
-    def providers_of(self, req: Requirement) -> list[Package]:
-        """Installed packages satisfying ``req`` (index lookup)."""
-        return sorted(self._index().providers(req), key=lambda p: p.name)
-
     def is_satisfied(self, req: Requirement) -> bool:
         """True if some installed package satisfies ``req``."""
         return self._index().is_satisfied(req)
-
-    def unsatisfied_requirements(self) -> list[tuple[Package, Requirement]]:
-        """Integrity check: every requirement of every installed package that
-        no installed package satisfies.  A healthy DB returns ``[]``."""
-        broken = []
-        for pkg in self.installed():
-            for req in pkg.requires:
-                if not self.is_satisfied(req):
-                    broken.append((pkg, req))
-        return broken
 
     def verify(self, name: str) -> list[str]:
         """``rpm -V``: check a package's payload against the filesystem.

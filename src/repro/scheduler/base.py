@@ -456,18 +456,6 @@ class BaseScheduler:
         self._try_start_jobs()
         return job
 
-    def cancel(self, job: Job) -> None:
-        """qdel a pending job (running jobs run to completion here)."""
-        if job in self.pending:
-            self.pending.remove(job)
-            job.state = JobState.CANCELLED
-            self.finished.append(job)
-            self.kernel.trace.emit(
-                "job.cancel", t_s=self.now_s, subsystem="scheduler", job=job.name
-            )
-        else:
-            raise SchedulerError(f"job {job.name} is not pending")
-
     # -- degradation (node failure and maintenance) --------------------------------
 
     def crash_node(self, node: str, *, reason: str = "node crash") -> list[Job]:
@@ -799,8 +787,7 @@ class BaseScheduler:
                 f"{len(self.pending)} job(s) stuck pending (policy bug?)"
             )
         stats = SchedulerStats()
-        real_jobs = [j for j in self.finished if j.state is not JobState.CANCELLED]
-        for job in real_jobs:
+        for job in self.finished:
             stats.job_count += 1
             if job.start_time_s is not None:
                 # Jobs failed before ever starting (crashed capacity) have

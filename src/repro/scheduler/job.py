@@ -24,7 +24,6 @@ class JobState(str, Enum):
     PENDING = "pending"      # (Q)
     RUNNING = "running"      # (R)
     COMPLETED = "completed"  # (C)
-    CANCELLED = "cancelled"
     FAILED = "failed"
 
 

@@ -9,9 +9,7 @@ ablation bench can compare them.
 
 from __future__ import annotations
 
-from ..errors import SchedulerError
-from ..sim import SimKernel
-from .base import BaseScheduler, ClusterResources
+from .base import BaseScheduler
 from .job import Job
 
 __all__ = ["TorqueScheduler", "MauiScheduler"]
@@ -31,29 +29,13 @@ class MauiScheduler(BaseScheduler):
     """Maui on top of Torque: priority + queue time ordering, EASY backfill.
 
     Priority is ``job.priority`` (higher first) with submit time as the
-    tie-break; ``qos_boost`` lets tests model an admin bumping a job.
+    tie-break.
     """
 
     scheduler_name = "torque+maui"
     backfill = True
 
-    def __init__(
-        self, resources: ClusterResources, *, kernel: SimKernel | None = None
-    ) -> None:
-        super().__init__(resources, kernel=kernel)
-        self._qos_boost: dict[int, int] = {}
-
-    def boost(self, job: Job, amount: int) -> None:
-        """setqos: add priority to one job (admin action)."""
-        if amount <= 0:
-            raise SchedulerError("boost must be positive")
-        self._qos_boost[job.job_id] = self._qos_boost.get(job.job_id, 0) + amount
-
-    def effective_priority(self, job: Job) -> int:
-        return job.priority + self._qos_boost.get(job.job_id, 0)
-
     def _schedulable_order(self) -> list[Job]:
         return sorted(
-            self.pending,
-            key=lambda j: (-self.effective_priority(j), j.submit_time_s, j.job_id),
+            self.pending, key=lambda j: (-j.priority, j.submit_time_s, j.job_id)
         )

@@ -52,17 +52,6 @@ class Timeline:
         self._now_s += seconds
         return self._now_s
 
-    def advance_to(self, time_s: float) -> float:
-        """Advance to an absolute time (equal is a no-op)."""
-        time_s = _check_time(time_s)
-        if time_s < self._now_s:
-            raise SimulationError(
-                f"timeline {self.name}: time went backwards "
-                f"(advance_to({time_s}) at t={self._now_s})"
-            )
-        self._now_s = time_s
-        return self._now_s
-
     def meet(self, time_s: float) -> float:
         """Advance to at least ``time_s`` (no-op if already past it).
 

@@ -174,10 +174,6 @@ class SimKernel:
         self._timelines[unique] = timeline
         return timeline
 
-    def timelines(self) -> list[Timeline]:
-        """All registered timelines (registration order)."""
-        return list(self._timelines.values())
-
     def state_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot of kernel state (checkpoint participation).
 

@@ -51,7 +51,6 @@ EVENT_SCHEMA: dict[str, dict[str, type]] = {
     "job.submit": {"job": str, "user": str, "cores": int},
     "job.start": {"job": str, "cores": int, "nodes": str, "wait_s": float},
     "job.end": {"job": str, "state": str},
-    "job.cancel": {"job": str},
     # power management
     "node.power_on": {"node": str, "boot_delay_s": float},
     "node.power_off": {"node": str},

@@ -13,7 +13,6 @@ from .repoconfig import (
     XSEDE_REPO_STANZA,
     RepoStanza,
     parse_repo_file,
-    render_repo_file,
 )
 from .repository import DEFAULT_PRIORITY, Repository, RepoSet
 from .updatenotifier import (
@@ -29,7 +28,6 @@ __all__ = [
     "DEFAULT_PRIORITY",
     "RepoStanza",
     "parse_repo_file",
-    "render_repo_file",
     "XSEDE_REPO_STANZA",
     "Resolution",
     "resolve_install",

@@ -86,11 +86,6 @@ class YumClient:
 
     # -- queries -----------------------------------------------------------------
 
-    def list_available(self) -> list[str]:
-        """``yum list available``: names with at least one candidate that is
-        not installed."""
-        return sorted(n for n in self.repos.all_names() if not self.db.has(n))
-
     def check_update(self) -> list[UpdateInfo]:
         """``yum check-update``: pending updates, no changes made."""
         pending: list[UpdateInfo] = []

@@ -144,11 +144,6 @@ class RepoMirror:
 
     # -- sync ----------------------------------------------------------------
 
-    @property
-    def is_current(self) -> bool:
-        """True if the mirror matches upstream metadata."""
-        return self._synced_checksum == self.upstream.repomd_checksum()
-
     def state_dict(self) -> dict[str, object]:
         """JSON-friendly snapshot of mirror contents and fault knobs."""
         return {

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..errors import RepoConfigError
 from .repository import DEFAULT_PRIORITY
 
-__all__ = ["RepoStanza", "parse_repo_file", "render_repo_file", "XSEDE_REPO_STANZA"]
+__all__ = ["RepoStanza", "parse_repo_file", "XSEDE_REPO_STANZA"]
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,3 @@ def parse_repo_file(text: str) -> list[RepoStanza]:
     if not stanzas:
         raise RepoConfigError("no repository stanzas found")
     return stanzas
-
-
-def render_repo_file(stanzas: list[RepoStanza]) -> str:
-    """Render stanzas back to .repo text (round-trips with the parser)."""
-    return "\n".join(s.render() for s in stanzas)

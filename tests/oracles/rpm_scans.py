@@ -13,7 +13,10 @@ returns exactly what these return.
 * :func:`scan_providers_of`, :func:`scan_is_satisfied` — ``RpmDatabase``'s
   pre-index queries (formerly ``RpmDatabase._scan_*``);
 * :func:`scan_fingerprint` — ``RpmDatabase.fingerprint`` recomputed from
-  the installed set, with no memo.
+  the installed set, with no memo;
+* :func:`unsatisfied_requirements` — the former
+  ``RpmDatabase.unsatisfied_requirements`` integrity check, which only the
+  transaction tests called: every requirement no installed package meets.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "scan_providers_of",
     "scan_is_satisfied",
     "scan_fingerprint",
+    "unsatisfied_requirements",
 ]
 
 
@@ -205,7 +209,8 @@ def scan_closure(
 
 
 def scan_providers_of(self: RpmDatabase, req: Requirement) -> list[Package]:
-    """Reference oracle for :meth:`RpmDatabase.providers_of`."""
+    """Reference oracle for the installed-package index's ``providers``,
+    sorted by name (formerly ``RpmDatabase.providers_of``)."""
     return [p for p in self.installed() if p.satisfies(req)]
 
 
@@ -221,3 +226,14 @@ def scan_fingerprint(self: RpmDatabase) -> str:
     for nevra in sorted(p.nevra for p in self.installed()):
         digest.update(nevra.encode())
     return digest.hexdigest()
+
+
+def unsatisfied_requirements(self: RpmDatabase) -> list[tuple[Package, Requirement]]:
+    """Integrity check: every requirement of every installed package that
+    no installed package satisfies.  A healthy DB returns ``[]``."""
+    broken = []
+    for pkg in self.installed():
+        for req in pkg.requires:
+            if not self.is_satisfied(req):
+                broken.append((pkg, req))
+    return broken

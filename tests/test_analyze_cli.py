@@ -217,48 +217,3 @@ class TestBaselineWorkflow:
     def test_prune_baseline_without_baseline_is_usage_error(self, broken_file):
         code, output = run_cli(broken_file, "--prune-baseline")
         assert code == EXIT_USAGE
-
-
-class TestSarifFormat:
-    def test_sarif_document_shape(self, broken_file):
-        code, output = run_cli(broken_file, "--format", "sarif")
-        assert code == EXIT_FINDINGS
-        doc = json.loads(output)
-        assert doc["version"] == "2.1.0"
-        assert "sarif-2.1.0" in doc["$schema"]
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "cluster-lint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "NET404" in rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "NET404"
-        assert result["level"] == "error"
-        assert result["message"]["text"]
-
-    def test_sarif_logical_location_for_definition_findings(self, broken_file):
-        code, output = run_cli(broken_file, "--format", "sarif")
-        doc = json.loads(output)
-        result = doc["runs"][0]["results"][0]
-        # definition findings use logical locations (no path:line form)
-        for location in result["locations"]:
-            assert "logicalLocations" in location or "physicalLocation" in location
-
-    def test_sarif_clean_run_has_no_results(self, clean_file):
-        code, output = run_cli(clean_file, "--format", "sarif")
-        assert code == EXIT_CLEAN
-        doc = json.loads(output)
-        assert doc["runs"][0]["results"] == []
-
-    def test_sarif_carries_baseline_suppressions(self, tmp_path, broken_file):
-        baseline = tmp_path / "baseline.json"
-        run_cli(broken_file, "--write-baseline", str(baseline))
-        code, output = run_cli(
-            broken_file, "--baseline", str(baseline), "--format", "sarif"
-        )
-        assert code == EXIT_CLEAN
-        doc = json.loads(output)
-        results = doc["runs"][0]["results"]
-        assert len(results) == 1
-        suppression = results[0]["suppressions"][0]
-        assert suppression["kind"] == "external"
-        assert suppression["justification"] == "accepted by --write-baseline"

@@ -1,7 +1,7 @@
 """Content-addressed lazy delivery: chunking, the store, the hierarchy.
 
-The heavyweight guarantees are property-based: no publish / rollback /
-prune churn may ever leak a chunk refcount, and under any interleaving
+The heavyweight guarantees are property-based: no publish / rollback
+churn may ever leak a chunk refcount, and under any interleaving
 of publishes, replications, interruptions and two-site fetches every
 tier's counters, store and ``cas.fetch`` events tell the same story.
 A ``cas.fetch`` record is a fetch that missed: a pure hit (every chunk
@@ -34,6 +34,8 @@ from repro.recovery import Journal
 from repro.rpm import Package
 from repro.sim import SimKernel
 from repro.yum import MirrorLink, RepoMirror, Repository
+
+from .oracles.replica_state import stratum1_is_current, total_bytes
 
 MB = 1024 * 1024
 
@@ -98,7 +100,7 @@ class TestChunkStore:
         manifest = chunk_package(Package("a", "1.0", size_bytes=MB))
         store.retain(manifest)
         store.retain(manifest)
-        assert store.refcount(manifest.chunks[0].digest) == 2
+        assert not store.refcount_problems([manifest, manifest])
         store.release(manifest)
         store.release(manifest)
         evicted, freed = store.gc()
@@ -118,7 +120,7 @@ class TestChunkStore:
         ]
 
 
-# --- stratum 0: transactional publish / rollback / prune --------------------------
+# --- stratum 0: transactional publish / rollback ----------------------------------
 
 
 class TestStratum0:
@@ -145,15 +147,6 @@ class TestStratum0:
     def test_rollback_empty_refuses(self):
         with pytest.raises(CasError):
             Stratum0("origin", kernel=SimKernel(seed=3)).rollback()
-
-    def test_prune_collects_dropped_generations(self):
-        s0 = Stratum0("origin", kernel=SimKernel(seed=4))
-        for v in ("1.0", "2.0", "3.0"):
-            s0.publish(release(v))
-        dropped, evicted, freed = s0.prune(keep=1)
-        assert dropped == 3  # generations 0, 1, 2
-        assert evicted > 0 and freed > 0
-        assert not s0.store.refcount_problems(s0.live_manifests())
 
     def test_one_nevra_two_sizes_is_refused_before_the_journal(self):
         journal = Journal()
@@ -219,12 +212,12 @@ class TestStratum1:
         assert landed > 0  # half the missing chunks stayed
         resumed = s1.replicate()
         assert resumed.chunks + landed == s0.store.chunk_count
-        assert s1.is_current
+        assert stratum1_is_current(s1)
         assert not s1.problems()
         # the half that landed before the cut crossed the WAN too
         assert [r.interrupted for r in s1.replicate_history] == [True, False]
-        assert sum(r.nbytes for r in s1.replicate_history) == s1.store.total_bytes
-        assert s1.wan_bytes == s1.store.total_bytes
+        assert sum(r.nbytes for r in s1.replicate_history) == total_bytes(s1.store)
+        assert s1.wan_bytes == total_bytes(s1.store)
 
     def test_retry_policy_drives_resume(self):
         kernel = SimKernel(seed=8)
@@ -236,7 +229,7 @@ class TestStratum1:
         s0.publish(release("1.0"))
         s1.inject_interruptions(2)
         stats = s1.replicate()  # retries internally
-        assert s1.is_current
+        assert stratum1_is_current(s1)
         assert stats.serial == s0.serial
 
 
@@ -515,7 +508,7 @@ class TestChunkedMirror:
 # --- properties -------------------------------------------------------------------
 
 stratum_ops = st.lists(
-    st.sampled_from(["publish", "rollback", "prune", "replicate", "interrupt"]),
+    st.sampled_from(["publish", "rollback", "replicate", "interrupt"]),
     min_size=1,
     max_size=12,
 )
@@ -524,7 +517,7 @@ stratum_ops = st.lists(
 @given(stratum_ops)
 @settings(max_examples=25, deadline=None)
 def test_property_refcounts_never_leak(ops):
-    """Any interleaving of publish / rollback / prune / replicate leaves
+    """Any interleaving of publish / rollback / replicate leaves
     the origin's and replica's refcounts exactly matching their live
     catalogs — and the confluence audit agrees."""
     kernel = SimKernel(seed=7)
@@ -536,10 +529,8 @@ def test_property_refcounts_never_leak(ops):
             version += 1
             s0.publish(release(f"{version}.0", n=3, size=MB))
         elif op == "rollback":
-            if s0.serial > 0 and s0.serial - 1 in s0._catalogs:
+            if s0.serial > 0:
                 s0.rollback()
-        elif op == "prune":
-            s0.prune(keep=2)
         elif op == "interrupt":
             s1.inject_interruptions(1)
         else:
@@ -568,7 +559,7 @@ lookup_packages = st.builds(
 lookup_ops = st.lists(
     st.one_of(
         st.lists(lookup_packages, max_size=4, unique_by=lambda p: p.nevra),
-        st.sampled_from(["rollback", "prune", "replicate", "interrupt"]),
+        st.sampled_from(["rollback", "replicate", "interrupt"]),
     ),
     min_size=1,
     max_size=10,
@@ -584,11 +575,11 @@ _A1, _B1, _A2 = (
 # published+replicated, dropped (bravo), lagging replica (alpha-2.0), then a
 # republish of alpha-1.0's NEVRA at another size the replica has not seen
 @example([[_A1, _B1], "replicate", [_A1, _A2], "interrupt", "replicate",
-          [Package("alpha", "1.0", size_bytes=1)], "rollback", "prune"])
+          [Package("alpha", "1.0", size_bytes=1)], "rollback"])
 @settings(max_examples=40, deadline=None)
 def test_property_manifest_lookup_equals_chunking(ops):
     """Catalog lookup vs the chunker: after every step of a random
-    publish / rollback / prune / replicate / interrupt run, every tier's
+    publish / rollback / replicate / interrupt run, every tier's
     ``manifest_of`` is exactly ``chunk_package`` under the *origin's*
     policy — for packages current, dropped, not yet replicated, never
     published, and reusing a published NEVRA at another size.  A stale or
@@ -600,10 +591,8 @@ def test_property_manifest_lookup_equals_chunking(ops):
     probes = [Package("ghost", "1.0", size_bytes=70_000)]  # never published
     for op in ops:
         if op == "rollback":
-            if s0.serial > 0 and s0.serial - 1 in s0._catalogs:
+            if s0.serial > 0:
                 s0.rollback()
-        elif op == "prune":
-            s0.prune(keep=2)
         elif op == "interrupt":
             s1.inject_interruptions(1)
         elif op == "replicate":
@@ -678,7 +667,7 @@ def test_property_tier_accounting_is_conserved(ops):
     replicated = sum(r.nbytes for r in s1.replicate_history)
     for tier in (s1, *sites.values()):
         missed, nbytes = fetched.get(tier.name, (0, 0))
-        assert tier.wan_bytes == tier.store.total_bytes
+        assert tier.wan_bytes == total_bytes(tier.store)
         assert tier.misses == missed
         assert nbytes == tier.wan_bytes - (replicated if tier is s1 else 0)
     for site in sites.values():

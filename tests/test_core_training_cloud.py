@@ -115,4 +115,4 @@ class TestCloudComparison:
         assert high.cluster_usd > low.cluster_usd  # electricity scales
         assert high.cloud_usd > low.cloud_usd
         # but the cluster's $/core-hour falls with use (fixed cost amortised)
-        assert high.usd_per_core_hour_cluster < low.usd_per_core_hour_cluster
+        assert high.cluster_usd / high.core_hours < low.cluster_usd / low.core_hours

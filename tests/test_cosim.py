@@ -28,7 +28,7 @@ class TestOneTimeline:
         assert run["scheduler"].kernel is kernel
         assert run["gmetad"].kernel is kernel
         # MPI rank timelines registered on the same kernel
-        assert any(t.name.startswith("mpi.rank") for t in kernel.timelines())
+        assert any(name.startswith("mpi.rank") for name in kernel._timelines)
 
     def test_every_subsystem_published_events(self, run):
         trace = run["kernel"].trace

@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import (
     DhcpError,
-    FilesystemError,
     MonitoringError,
     PxeError,
     ServiceError,
@@ -191,20 +190,6 @@ def _verify_unregistered_service(monkeypatch, exc, machine):
     return db.verify("torque")
 
 
-def _commands_through_symlink(monkeypatch, exc, machine):
-    from repro.distro import CENTOS_6_5, Host
-
-    host = Host(machine.head, CENTOS_6_5)
-    host.fs.write("/usr/libexec/qsub-real", "#!ELF", mode=0o755)
-    host.fs.symlink("/usr/bin/qsub", "/usr/libexec/qsub-real")
-    get = host.fs.get
-    monkeypatch.setattr(
-        host.fs, "get",
-        lambda path: _raiser(exc)() if path == "/usr/libexec/qsub-real" else get(path),
-    )
-    return "qsub" in host.commands()
-
-
 class _Scheduler:
     def crash_node(self, name, *, reason):
         pass
@@ -229,11 +214,10 @@ def _injector_heartbeat(handler):
     "site,typed,skipped",
     [
         (_verify_unregistered_service, ServiceError, ["unregistered service pbs_mom"]),
-        (_commands_through_symlink, FilesystemError, False),
         (_injector_heartbeat("_crash_node"), MonitoringError, None),
         (_injector_heartbeat("_recover_node"), MonitoringError, None),
     ],
-    ids=["RpmDatabase.verify", "Host.commands", "_crash_node", "_recover_node"],
+    ids=["RpmDatabase.verify", "_crash_node", "_recover_node"],
 )
 def test_catch_names_the_typed_error(monkeypatch, littlefe_machine, site, typed, skipped):
     """The typed error the callee raises is skipped; anything else (here an

@@ -11,6 +11,7 @@ and the whole-stack chaos acceptance scenario.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -52,6 +53,8 @@ from repro.shell import ShellCommand, ShellEngine
 from repro.sim import SimKernel
 from repro.yum.mirror import MirrorLink, RepoMirror
 from repro.yum.repository import Repository
+
+from .oracles.replica_state import mirror_is_current
 
 
 def _job(name, cores, runtime_s=600.0, **kw):
@@ -330,7 +333,7 @@ class TestFaultPlan:
                           params={"count": 2}),
             ),
         )
-        again = FaultPlan.from_json(plan.to_json())
+        again = FaultPlan.from_json(json.dumps(plan.to_dict()))
         assert again == plan
 
     def test_unknown_kind_and_missing_fields(self):
@@ -518,13 +521,13 @@ class TestMirrorFaults:
         assert 0 < partial < len(mirror.upstream.all_packages())
         stats = mirror.sync()  # resumes: only the remaining delta moves
         assert len(stats.fetched_nevras) == 8 - partial
-        assert mirror.is_current
+        assert mirror_is_current(mirror)
 
     def test_retry_policy_rides_out_interruptions(self):
         mirror = self._mirror(retry=RetryPolicy(jitter=0.0))
         mirror.inject_interruptions(2)
         stats = mirror.sync()
-        assert mirror.is_current
+        assert mirror_is_current(mirror)
         assert mirror.kernel.trace.count("fault.retry") == 2
         # three attempts are recorded in the history, the last complete
         assert len(mirror.sync_history) == 3
@@ -536,7 +539,7 @@ class TestMirrorFaults:
             mirror.sync()
         mirror.set_disk_full(False)
         mirror.sync()
-        assert mirror.is_current
+        assert mirror_is_current(mirror)
 
     def test_corruption_refetches_within_sync(self):
         mirror = self._mirror()
@@ -544,7 +547,7 @@ class TestMirrorFaults:
         stats = mirror.sync()
         assert stats.refetched_nevras == ["pkg3-1.0-1.x86_64"]
         assert stats.bytes_transferred == 9 * 1024  # one package paid twice
-        assert mirror.is_current
+        assert mirror_is_current(mirror)
 
     def test_link_flap_uses_kernel_rng_deterministically(self):
         def run(seed):
@@ -561,8 +564,9 @@ class TestMirrorFaults:
 
 class TestPxeDhcpErrors:
     def test_pxe_error_names_mac_and_host_count(self):
-        pxe = PxeServer(DhcpServer())
-        pxe.assign_image("aa:bb:cc:00:00:01", BootImage(name="img", kickstart_profile="compute"))
+        dhcp = DhcpServer()
+        dhcp.offer("aa:bb:cc:00:00:01", hostname="n1")
+        pxe = PxeServer(dhcp)
         with pytest.raises(PxeError, match=r"no boot image.*de:ad:be:ef:00:01.*1 known host"):
             pxe.boot("de:ad:be:ef:00:01")
 
@@ -683,7 +687,7 @@ class TestChaosAcceptance:
         machine = build_littlefe_modified().machine
         plan = demo_plan(machine)
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json())
+        path.write_text(json.dumps(plan.to_dict(), indent=2))
         loaded = FaultPlan.load(path)
         run = run_chaos(loaded, seed=0, cluster="littlefe")
         assert run.report.ok, run.report.violations

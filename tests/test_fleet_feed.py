@@ -42,7 +42,7 @@ def _fleet(cores: list[int], *, per_rack: int = 48) -> FleetTable:
             state="os-installed",
             cores=c,
         )
-        fleet.set_mem_kb(row.index, 1024.0 * c)
+        fleet.set_mem_kb(fleet.index_of(row.name), 1024.0 * c)
     return fleet
 
 
@@ -60,7 +60,7 @@ def test_each_mutator_notifies_exactly_the_feeds_watching_its_row():
     fleet.set_state_code(0, 1)
     assert first == {0} and everything == {0, 1, 2}
     row = fleet.add_row(name="compute-9-0")
-    assert everything == {0, 1, 2, row.index}  # whole-table feeds see new rows
+    assert everything == {0, 1, 2, fleet.index_of(row.name)}  # whole-table feeds see new rows
     fleet.remove("compute-0-0")
     assert first == {0}
     first.clear()
@@ -240,7 +240,8 @@ def test_property_watched_racks_match_rescans(steps):
             fleet.set_state_code(row, value % len(fleet.state_values))
         elif op == "add":
             added += 1
-            wrote = {fleet.add_row(name=f"extra-{added}").index}
+            fleet.add_row(name=f"extra-{added}")
+            wrote = {fleet.index_of(f"extra-{added}")}
         elif op == "remove":
             fleet.remove(fleet.names[row])
         else:

@@ -213,6 +213,11 @@ WALL = [
         "One import closure",
         "numpy is the linpack kernels' dependency alone; no workload or front end loads it",
         "import numpy as np", "src/repro/linpack/hpl.py"),
+    Row("a SARIF writer in src/repro/analyze",
+        ("grep", "-rniE", "--include=*.py", "sarif"), ("src/repro/analyze",),
+        "Code that nothing runs or reads goes",
+        "nothing read the SARIF document CI uploaded; the linter prints text or JSON, and CI lints the source once, as text",
+        "def render_sarif(results, *, tool_name):", "src/repro/analyze/sarif.py"),
 ]
 
 

@@ -75,17 +75,6 @@ class TestRrd:
         with pytest.raises(MonitoringError, match="out-of-order"):
             rrd.update(9.0, 1.0)
 
-    def test_statistics(self):
-        rrd = Rrd(step_s=1.0, slots=10)
-        for t, v in enumerate([2.0, 4.0, 6.0]):
-            rrd.update(float(t), v)
-        assert rrd.mean() == pytest.approx(4.0)
-        assert rrd.maximum() == pytest.approx(6.0)
-
-    def test_empty_statistics_raise(self):
-        with pytest.raises(MonitoringError):
-            Rrd().mean()
-
     def test_invalid_construction(self):
         nan, inf = float("nan"), float("inf")
         for kwargs in ({"step_s": 0}, {"step_s": nan}, {"step_s": inf},
@@ -97,14 +86,6 @@ class TestRrd:
     def test_non_finite_timestamp_rejected(self, timestamp_s):
         with pytest.raises(MonitoringError):
             Rrd().update(timestamp_s, 1.0)
-
-    @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
-    @settings(max_examples=30)
-    def test_property_mean_within_bounds(self, values):
-        rrd = Rrd(step_s=1.0, slots=100)
-        for t, v in enumerate(values):
-            rrd.update(float(t), v)
-        assert min(values) - 1e-9 <= rrd.mean() <= max(values) + 1e-9
 
 
 class TestGmond:
@@ -202,27 +183,14 @@ class TestGmetad:
         with pytest.raises(MonitoringError):
             rack.attach(gmond)
 
-    def test_unknown_metric_or_host_rejected(self, ganglia_cluster):
-        _machine, cluster = ganglia_cluster
-        gmetad = monitor_cluster(cluster)
-        with pytest.raises(MonitoringError):
-            gmetad.rrd_for(cluster.frontend.name, "bogus_metric")
-        with pytest.raises(MonitoringError):
-            gmetad.rrd_for("ghost-host", "load_one")
-
     def test_history_retained_in_rrds(self, ganglia_cluster):
         _machine, cluster = ganglia_cluster
         gmetad = monitor_cluster(cluster)
         gmetad.run_cycles(5)
-        rrd = gmetad.rrd_for(cluster.frontend.name, "cpu_num")
-        assert len(rrd.series()) == 5
-        assert rrd.mean() == pytest.approx(2.0)  # Celeron: 2 cores
-
-    def test_unreported_stream_has_no_archive(self, ganglia_cluster):
-        _machine, cluster = ganglia_cluster
-        gmetad = monitor_cluster(cluster)
-        with pytest.raises(MonitoringError, match="no samples archived"):
-            gmetad.rrd_for(cluster.frontend.name, "load_one")
+        host = cluster.frontend.name
+        series = gmetad._agent_rack_of(host)._rrds[(host, "cpu_num")].series()
+        assert len(series) == 5
+        assert [p.value for p in series] == [2.0] * 5  # Celeron: 2 cores
 
     @pytest.mark.parametrize("cycles,silent", [(0, False), (2, False), (2, True)])
     def test_reads_do_not_mutate_checkpointed_state(
@@ -304,7 +272,7 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
     rows = [fleet.by_name(h.name) for h in hosts]
     for host, row in zip(hosts, rows):  # undo the previous example
         host.node.powered_on = row.responsive = True
-        fleet.set_flag("powered", row.index, True)
+        fleet.set_flag("powered", fleet.index_of(row.name), True)
 
     agents = Rack("agents")
     for host in hosts:  # fleet-built resources go by Rocks host name
@@ -315,7 +283,7 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
         )
         agents.attach(Gmond(host, cluster.db_for(host), load_source=load))
     # same summation order as the agent leaf, so float sums match bit for bit
-    columns = Rack("columns", fleet, [row.index for row in rows])
+    columns = Rack("columns", fleet, [fleet.index_of(row.name) for row in rows])
 
     trace = TraceBus()
     held = []
@@ -324,7 +292,7 @@ def test_property_gmond_and_fleet_leaves_agree(fleet_littlefe, ops):
             host, row = hosts[pick], rows[pick]
             if op in ("power_off", "power_on"):
                 host.node.powered_on = op == "power_on"
-                fleet.set_flag("powered", row.index, op == "power_on")
+                fleet.set_flag("powered", fleet.index_of(row.name), op == "power_on")
             elif op in ("mute", "unmute"):
                 row.responsive = op == "unmute"
                 gmond = agents.gmond_for(host.name)

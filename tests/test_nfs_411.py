@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distro import CENTOS_6_5, Filesystem, Host
+from repro.distro import CENTOS_6_5, Filesystem, Host, ServiceState
 from repro.distro.nfs import NfsServer, nfs_mount
 from repro.errors import DistroError, FilesystemError, RocksError
 from repro.rocks import install_cluster
@@ -94,7 +94,7 @@ class TestNfsServer:
         fe, comp = self.make_hosts(littlefe_machine)
         nfs = NfsServer(fe)
         nfs.export("/home")
-        fe.services.stop("nfsd")
+        fe.services.get("nfsd").state = ServiceState.STOPPED
         with pytest.raises(DistroError, match="nfsd not running"):
             nfs_mount(comp, nfs, "/home", "/home")
 
@@ -165,4 +165,5 @@ class TestSync411:
         alice.profile_modules = ["gromacs/4.6.5"]
         sync.push()
         comp = cluster.compute["compute-0-0"][0]
-        assert comp.users.get_user("alice").profile_modules == ["gromacs/4.6.5"]
+        alice = next(u for u in comp.users.users() if u.name == "alice")
+        assert alice.profile_modules == ["gromacs/4.6.5"]

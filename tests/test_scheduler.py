@@ -156,15 +156,6 @@ class TestPriorityAndShares:
         s.run_to_completion()
         assert high.start_time_s < low.start_time_s
 
-    def test_maui_qos_boost(self, littlefe_machine):
-        s = MauiScheduler(ClusterResources(littlefe_machine))
-        s.submit(job("occupy", 10, runtime=100))
-        a = s.submit(job("a", 10, runtime=10))
-        b = s.submit(job("b", 10, runtime=10))
-        s.boost(b, 100)
-        s.run_to_completion()
-        assert b.start_time_s < a.start_time_s
-
     def test_slurm_fairshare_favours_light_user(self, littlefe_machine):
         s = SlurmScheduler(ClusterResources(littlefe_machine))
         # heavy user consumes the machine first
@@ -210,15 +201,6 @@ class TestLifecycle:
         j = s.submit(job("j", 10, runtime=10))
         with pytest.raises(SchedulerError):
             s.submit(j)
-
-    def test_cancel_pending(self, littlefe_machine):
-        s = TorqueScheduler(ClusterResources(littlefe_machine))
-        s.submit(job("occupy", 10, runtime=100))
-        j = s.submit(job("doomed", 10, runtime=10))
-        s.cancel(j)
-        stats = s.run_to_completion()
-        assert j.state is JobState.CANCELLED
-        assert stats.job_count == 1  # cancelled jobs don't count
 
     def test_makespan_equals_last_end(self, littlefe_machine):
         s = TorqueScheduler(ClusterResources(littlefe_machine))

@@ -75,7 +75,7 @@ class TestTimeline:
         a = kernel.timeline("mpi.rank0")
         b = kernel.timeline("mpi.rank0")
         assert a.name == "mpi.rank0" and b.name == "mpi.rank0~2"
-        assert kernel.timelines() == [a, b]
+        assert list(kernel._timelines.values()) == [a, b]
 
 
 class TestEventQueue:
@@ -401,9 +401,9 @@ class TestTraceBus:
 
     def test_counters_and_count(self):
         bus = TraceBus()
-        bus.emit("job.cancel", t_s=0.0, subsystem="scheduler", job="a")
+        bus.emit("recover.gmond", t_s=0.0, subsystem="scheduler", host="a")
         bus.emit("node.power_off", t_s=1.0, subsystem="power", node="n0")
-        assert bus.count("job.cancel") == 1
+        assert bus.count("recover.gmond") == 1
         assert bus.count(subsystem="power") == 1
         assert bus.count() == 2 and len(bus) == 2
 
@@ -436,7 +436,7 @@ class TestTraceBus:
 
     def test_validate_jsonl_rejects_nonincreasing_seq(self):
         bus = TraceBus()
-        bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a")
+        bus.emit("recover.gmond", t_s=0.0, subsystem="s", host="a")
         line = bus.to_jsonl()
         _, problems = validate_jsonl(line + line)  # seq repeats
         assert any("not increasing" in p for p in problems)
@@ -444,7 +444,7 @@ class TestTraceBus:
     @pytest.mark.parametrize("line", ["42", "null", "[1,2]", '"x"'])
     def test_validate_jsonl_reports_a_non_object_line(self, line):
         bus = TraceBus()
-        bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a")
+        bus.emit("recover.gmond", t_s=0.0, subsystem="s", host="a")
         event = bus.to_jsonl()
         count, problems = validate_jsonl(event + line + "\n" + event)
         assert count == 3
@@ -500,7 +500,7 @@ class TestTraceBus:
 
     def test_write_jsonl_writes_to_jsonl(self, tmp_path):
         bus = TraceBus()
-        bus.emit("job.cancel", t_s=0.0, subsystem="s", job="a")
+        bus.emit("recover.gmond", t_s=0.0, subsystem="s", host="a")
         bus.emit("mpi.barrier", t_s=1.5, subsystem="mpi", ranks=4, tag=None)
         path = tmp_path / "trace.jsonl"
         assert bus.write_jsonl(path) == 2
@@ -576,8 +576,8 @@ class TestTraceFile:
     ], ids=["U+2028", "U+0085", "U+001E"])
     def test_only_a_newline_ends_a_line(self, char, expected):
         bus = TraceBus()
-        bus.emit("job.cancel", t_s=0.0, subsystem="s", job=f"a{char}b")
-        bus.emit("job.cancel", t_s=1.0, subsystem="s", job="c")
+        bus.emit("recover.gmond", t_s=0.0, subsystem="s", host=f"a{char}b")
+        bus.emit("recover.gmond", t_s=1.0, subsystem="s", host="c")
         text = bus.to_jsonl().replace(json.dumps(char)[1:-1], char)
         assert validate_jsonl(text) == expected
 

@@ -7,7 +7,6 @@ flagging the bad shape) fails here before it pollutes CI.
 """
 
 import io
-import json
 import pathlib
 import subprocess
 import sys
@@ -145,10 +144,15 @@ class TestSourceTree:
         result = analyze_source(["src/repro/linpack/hpl.py"], config=ALL)
         locations = {d.location for d in result.diagnostics}
         assert {d.code for d in result.diagnostics} == {"SL101"}
-        assert locations == {
-            "src/repro/linpack/hpl.py:58",
-            "src/repro/linpack/hpl.py:61",
+        reads = {
+            f"src/repro/linpack/hpl.py:{number}"
+            for number, line in enumerate(
+                (ROOT / "src/repro/linpack/hpl.py").read_text().splitlines(), 1
+            )
+            if "time.perf_counter()" in line
         }
+        assert len(reads) == 2
+        assert locations == reads
 
     def test_a_file_that_is_not_utf8_is_a_finding(self, tmp_path):
         path = tmp_path / "latin1.py"
@@ -168,7 +172,7 @@ class TestSourceTree:
 
 
 # ---------------------------------------------------------------------------
-# CLI: --source mode, sarif, baselines
+# CLI: --source mode, baselines
 
 
 class TestSourceCli:
@@ -188,22 +192,6 @@ class TestSourceCli:
         )
         assert code == EXIT_CLEAN
         assert "simlint" in out.getvalue()
-
-    def test_sarif_format_has_rules_results_and_locations(self):
-        code, output = run_cli(
-            "--source", "--format", "sarif", "--pyproject", "/dev/null",
-            str(FIXTURES / "bad_random.py"),
-        )
-        assert code == EXIT_FINDINGS
-        doc = json.loads(output)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["SL102"]
-        first = run["results"][0]
-        assert first["ruleId"] == "SL102"
-        physical = first["locations"][0]["physicalLocation"]
-        assert physical["artifactLocation"]["uri"].endswith("bad_random.py")
-        assert physical["region"]["startLine"] > 0
 
     def test_bad_pyproject_config_is_usage_error(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"

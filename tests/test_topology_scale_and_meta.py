@@ -29,7 +29,7 @@ class TestLeafSpineTopology:
         machine, net = montana_network
         head = machine.head.name
         for node in machine.compute_nodes:
-            assert net.fabric.reachable(head, node.name)
+            assert net.fabric.path_cost(head, node.name).hops >= 1
 
     def test_cross_leaf_costs_more_than_same_leaf(self, montana_network):
         machine, net = montana_network

@@ -166,11 +166,6 @@ class TestYumClient:
         client.install("openmpi")
         assert len(client.history) == 2
 
-    def test_list_available_excludes_installed(self, client):
-        client.install("fftw")
-        available = client.list_available()
-        assert "fftw" not in available and "gromacs" in available
-
     def test_mismatched_db_host_rejected(self, frontend_host, littlefe_machine):
         from repro.distro import CENTOS_6_5, Host
 

@@ -7,7 +7,6 @@ from repro.yum.repoconfig import (
     XSEDE_REPO_STANZA,
     RepoStanza,
     parse_repo_file,
-    render_repo_file,
 )
 
 VALID = """\
@@ -113,7 +112,7 @@ class TestRoundTrip:
                        baseurl="http://mirror/centos/", enabled=False,
                        gpgcheck=True, priority=90),
         ]
-        rendered = render_repo_file(stanzas)
+        rendered = "\n".join(s.render() for s in stanzas)
         assert parse_repo_file(rendered) == stanzas
         # and rendering what we parsed reproduces the text
-        assert render_repo_file(parse_repo_file(rendered)) == rendered
+        assert "\n".join(s.render() for s in parse_repo_file(rendered)) == rendered

@@ -16,7 +16,6 @@ from repro.yum import (
     Repository,
     XSEDE_REPO_STANZA,
     parse_repo_file,
-    render_repo_file,
 )
 
 
@@ -131,7 +130,7 @@ class TestRepoConfig:
             XSEDE_REPO_STANZA,
             RepoStanza("epel", "Extra Packages", "http://epel/", priority=80),
         ]
-        assert parse_repo_file(render_repo_file(original)) == original
+        assert parse_repo_file("\n".join(s.render() for s in original)) == original
 
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\n; another\n" + XSEDE_REPO_STANZA.render()

@@ -17,12 +17,12 @@ is *unexecuted*.  It may stay only under a keep rule, recorded in
   raisers, the ``state_dict`` checkpoint protocol;
 - ``k4``: a capability PAPER.md or DESIGN.md names;
 - ``k5``: a value-type protocol method or a ``__post_init__`` validator;
-- ``k6``: a frozen package (``pfs``, ``htc``, ``grid``, ``mpi``) calls it;
-- ``defer``: no rule keeps it, but deleting it would take tests with it that
-  one change should not drop; it waits, named, for the change that may.
+- ``k6``: a frozen package (``pfs``, ``htc``, ``grid``, ``mpi``) calls it.
 
-A function that only a kept function calls carries its caller's rule, and a
-property's getter and setter count as one function.
+A function no rule keeps is deleted, together with the tests whose subject
+it is.  A function that only a kept function calls (or an untaken branch of
+a running one) carries its caller's rule, and a property's getter and
+setter count as one function.
 Run from anywhere; the tool writes nothing under the checkout::
 
     python tools/flow_census.py            # per-package counts, then every
@@ -49,7 +49,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 KEEP = ROOT / "tools" / "flow_census_keep.txt"
 FROZEN = ("pfs", "htc", "grid", "mpi")
-RULES = ("k1", "k2", "k4", "k5", "k6", "defer")
+RULES = ("k1", "k2", "k4", "k5", "k6")
 PROTOCOL = frozenset({
     "__eq__", "__hash__", "__repr__", "__str__", "__bool__", "__len__",
     "__iter__", "__contains__", "__post_init__",

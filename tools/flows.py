@@ -353,18 +353,18 @@ FLOWS: list[Flow] = [
     _cli("analyze --format json --only --disable --fail-on",
          lambda tmp: (lint.main(["--format", "json", "--only", "RC204,NET404",
                                  "--fail-on", "warning", *LINTED]),
-                      lint.main(["--format", "sarif", "--disable", "RC204",
+                      lint.main(["--format", "json", "--disable", "RC204",
                                  "--fail-on", "info", *LINTED]))),
     _cli("analyze usage errors",
          lambda tmp: (lint.main([]), lint.main(["--prune-baseline", LINTED[0]]),
                       lint.main(["--disable", "ZZZ999", LINTED[0]]),
                       lint.main([str(tmp / "missing.py")]))),
     _cli("analyze --source", lambda tmp: lint.main(["--source"])),
-    _cli("analyze --source --format sarif --pyproject",
-         lambda tmp: lint.main(["--source", "--format", "sarif", "--pyproject",
+    _cli("analyze --source --format json --pyproject",
+         lambda tmp: lint.main(["--source", "--format", "json", "--pyproject",
                                 str(ROOT / "pyproject.toml")])),
-    _cli("analyze --source --format sarif fixtures",
-         lambda tmp: lint.main(["--source", "--format", "sarif", FIXTURES])),
+    _cli("analyze --source --format json fixtures",
+         lambda tmp: lint.main(["--source", "--format", "json", FIXTURES])),
     _cli("simlint fixtures", lambda tmp: lint.main_simlint([FIXTURES])),
     _cli("paper", lambda tmp: paper.main([])),
     Flow("ClusterShell verbs", _shell),
