@@ -9,7 +9,7 @@ XCBC/XNIT software arrives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DistroError
 

@@ -9,7 +9,7 @@ I/O is ever performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -50,9 +50,13 @@ def parent_dirs(path: str) -> Iterator[str]:
         yield acc
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FsNode:
-    """One entry in the tree."""
+    """One entry in the tree.
+
+    Immutable: hosts that adopt one install layer share its records
+    (:meth:`Filesystem._lay_down`), so a change is a new node at the key.
+    """
 
     path: str
     kind: FileKind
@@ -257,6 +261,32 @@ class Filesystem:
         node = FsNode(key, FileKind.FILE, owner_package=owner, content=content, mode=mode)
         self._nodes[key] = node
         return node
+
+    def _layer_fits(
+        self, dirs: dict[str, FsNode], files: dict[str, FsNode]
+    ) -> bool:
+        """True if :meth:`_lay_down` of ``dirs`` and ``files`` leaves this
+        tree as one :meth:`_write_normal` per file would, with nothing to
+        raise or replace: no mount to route through, no file key already
+        taken, and every ancestor in ``dirs`` absent or a directory."""
+        nodes = self._nodes
+        if self._mounts or not nodes.keys().isdisjoint(files):
+            return False
+        for key in dirs:
+            node = nodes.get(key)
+            if node is not None and node.kind is not FileKind.DIRECTORY:
+                return False
+        return True
+
+    def _lay_down(
+        self, dirs: dict[str, FsNode], files: dict[str, FsNode]
+    ) -> None:
+        """Insert shared nodes in bulk: the ``dirs`` not yet present, root
+        first, then every file (callers check :meth:`_layer_fits` first)."""
+        nodes = self._nodes
+        for key, node in dirs.items():
+            nodes.setdefault(key, node)
+        nodes.update(files)
 
     def symlink(self, path: str, target: str, *, owner: str | None = None) -> FsNode:
         """Create a symlink at ``path`` pointing at ``target``."""

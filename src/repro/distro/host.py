@@ -8,8 +8,6 @@ manager, user database, environment-modules tree and the distro release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import CommandError, DistroError
 from ..hardware.node import Node
 from .distribution import DistroRelease

@@ -12,7 +12,7 @@ holds the installed tree (``/etc/modulefiles`` by convention) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ModuleEnvError
 
@@ -86,12 +86,11 @@ class ModuleSystem:
         return versions[version]
 
     def has(self, spec: str) -> bool:
-        """True if ``spec`` resolves."""
-        try:
-            self.resolve(spec)
-            return True
-        except ModuleEnvError:
-            return False
+        """True if ``spec`` resolves (answered by lookup, never raising)."""
+        name, sep, version = spec.partition("/")
+        if not sep:
+            version = self._defaults.get(name, "")
+        return version in self._modules.get(name, ())
 
     def names(self) -> list[str]:
         """Installed module names (without versions), sorted."""

@@ -9,7 +9,7 @@ provisioner enables and starts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import ServiceError

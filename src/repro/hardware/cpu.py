@@ -20,7 +20,7 @@ per-node power supplies and a low-profile CPU fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CatalogError
 

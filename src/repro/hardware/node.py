@@ -9,7 +9,7 @@ hold is a physically buildable machine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import AssemblyError
 from .cooling import CoolerModel, check_cooler_fit

@@ -3,7 +3,8 @@
 Tracks which :class:`~repro.rpm.package.Package` objects are installed on a
 host and answers capability queries.  Mutation goes through
 :mod:`repro.rpm.transaction` — the DB's own ``_install_unchecked`` /
-``_erase_unchecked`` are the primitive operations transactions build on.
+``_erase_unchecked`` (and ``_adopt_unchecked``, a reused plan's whole
+install layer at once) are the primitive operations transactions build on.
 
 Capability queries (``providers_of`` / ``is_satisfied`` — the depsolver's
 innermost loop) are served from an inverted provides-name → packages index.
@@ -18,7 +19,6 @@ scans survive as oracles in ``tests/oracles/rpm_scans.py``.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 from ..distro.host import Host
 from ..errors import PackageNotFoundError, RpmError, ServiceError
@@ -180,6 +180,29 @@ class RpmDatabase:
             host.services.register(service, package=pkg.name)
         if pkg.module:
             host.modules.install(pkg.module)
+
+    def _adopt_unchecked(self, layer) -> None:
+        """Install a :class:`~repro.rpm.transaction.InstallLayer`'s packages
+        at once: enter them in order, lay down its shared nodes in bulk,
+        then register its services and install its modulefiles in order.
+        No checking — the transaction admits the layer first, and what a
+        failure part-way leaves is undone by erasing each package entered.
+        """
+        by_name = self._by_name
+        index = self._provides_index
+        for pkg in layer.packages:
+            by_name[pkg.name] = pkg
+            if index is not None:
+                index.add(pkg)
+        self._fingerprint = None
+        host = self.host
+        host.fs._lay_down(layer.dirs, layer.files)
+        register = host.services.register
+        for service, package in layer.services:
+            register(service, package=package)
+        install = host.modules.install
+        for module in layer.modules:
+            install(module)
 
     def _erase_unchecked(self, name: str) -> Package:
         """Erase a package and its payload (no dependant checking)."""

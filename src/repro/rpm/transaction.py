@@ -29,6 +29,12 @@ Without an explicit journal, commit uses a private in-memory one (same
 rollback path, no durability).  A :class:`~repro.errors.HeadnodeCrashError`
 raised mid-commit is *not* rolled back: the process just died; cleanup is
 recovery's job, not the corpse's.
+
+A plan reused across identical hosts (:meth:`Transaction.commit_planned`)
+is executed package by package once; from its second commit on it is an
+:class:`InstallLayer`, built once, that each admitting host adopts whole
+under a single journaled ``adopt`` op — the same end state, without the
+per-package, per-file loop on every host.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from functools import partial
 
 from ..analyze.diagnostic import Diagnostic, Severity
 from ..analyze import txn as _txn_rules  # noqa: F401 - registers TX7xx rules
+from ..distro.filesystem import FileKind, FsNode
+from ..distro.modules_env import ModuleFile
 from ..errors import (
     ConflictError,
     DependencyError,
@@ -56,6 +64,15 @@ __all__ = [
     "TransactionResult",
     "recover_transaction",
 ]
+
+
+@dataclass
+class _PlanReuse:
+    """Commits made through one :class:`TransactionPlan` so far and, from
+    the second, its layer (``None`` if its own payload collides)."""
+
+    commits: int = 0
+    layer: InstallLayer | None = None
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,78 @@ class TransactionPlan:
     erase_names: tuple[str, ...]
     #: topological execution order for the installs
     order_nevras: tuple[str, ...]
+    #: how far the plan has been reused — bookkeeping beside the frozen
+    #: match keys, never compared (see :meth:`Transaction.commit_planned`)
+    _reuse: _PlanReuse = field(
+        default_factory=_PlanReuse, init=False, repr=False, compare=False
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class InstallLayer:
+    """A reused plan's installs as one immutable unit, built once and
+    adopted whole by every later host that admits it.
+
+    It holds exactly what installing the plan's packages one by one, in
+    plan order, leaves on a host that holds none of it: every payload key
+    mapped to one node owned by its (last) writer, every ancestor directory
+    as a shared unowned node, and the services and modulefiles in order.
+    Hosts share these records; :class:`FsNode` is frozen, so none of them
+    can change through one host.
+    """
+
+    packages: tuple[Package, ...]
+    names: tuple[str, ...]
+    nevras: tuple[str, ...]
+    #: ancestor directory key -> unowned directory node, root first
+    dirs: dict[str, FsNode]
+    #: payload key -> the node the last package writing it leaves
+    files: dict[str, FsNode]
+    #: ``(service, package)`` registrations, in order
+    services: tuple[tuple[str, str], ...]
+    modules: tuple[ModuleFile, ...]
+
+    @classmethod
+    def build(cls, packages: tuple[Package, ...]) -> InstallLayer | None:
+        """The layer of ``packages`` (in install order), or ``None`` when
+        their own payloads collide — a file at ``/``, at another file's
+        ancestor or under another file, a service two packages register,
+        or one modulefile twice — so installing them one by one raises on
+        any host."""
+        dirs: dict[str, FsNode] = {}
+        files: dict[str, FsNode] = {}
+        services: dict[str, str] = {}
+        registrations: list[tuple[str, str]] = []
+        modules: dict[str, ModuleFile] = {}
+        for pkg in packages:
+            name = pkg.name
+            for key, ancestors, content, mode in pkg.payload:
+                if key == "/" or key in dirs:
+                    return None
+                for ancestor in ancestors:
+                    if ancestor in files:
+                        return None
+                    if ancestor not in dirs:
+                        dirs[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
+                files[key] = FsNode(key, FileKind.FILE, name, content, mode)
+            for service in pkg.services:
+                if services.setdefault(service, name) != name:
+                    return None
+                registrations.append((service, name))
+            module = pkg.module
+            if module is not None:
+                if module.fullname in modules:
+                    return None
+                modules[module.fullname] = module
+        return cls(
+            packages=packages,
+            names=tuple(p.name for p in packages),
+            nevras=tuple(p.nevra for p in packages),
+            dirs=dirs,
+            files=files,
+            services=tuple(registrations),
+            modules=tuple(modules.values()),
+        )
 
 
 @dataclass
@@ -365,8 +454,15 @@ class Transaction:
         erase set — are checked against *this* transaction; a match means
         validation and ordering would reproduce the plan exactly, so both
         are skipped.  A mismatch raises :class:`TransactionError` without
-        touching the DB (fall back to :meth:`commit`).  Execution,
-        journaling, and rollback are identical to :meth:`commit`.
+        touching the DB (fall back to :meth:`commit`).
+
+        The plan's first commit executes, journals and rolls back exactly
+        as :meth:`commit` does, package by package.  The second builds the
+        plan's :class:`InstallLayer` (install-only plans), and from then on
+        a host that admits the layer (:meth:`_admits`) adopts it whole
+        under one journaled ``adopt`` op; any other host takes the
+        package-by-package path.  Either way the host, the DB and the
+        result end the same.
         """
         if self.is_empty:
             raise TransactionError("empty transaction")
@@ -382,6 +478,13 @@ class Transaction:
                 f"shared plan (different DB state, architecture, or package "
                 f"set); commit() it individually"
             )
+        ordered = tuple(by_nevra[n] for n in plan.order_nevras)
+        reuse = plan._reuse
+        reuse.commits += 1
+        if reuse.commits == 2 and not plan.erase_names:
+            reuse.layer = InstallLayer.build(ordered)
+        if reuse.layer is not None and self._admits(reuse.layer, ordered):
+            return self._adopt(reuse.layer)
 
         result = TransactionResult()
         upgrades_old: dict[str, Package] = {}
@@ -416,7 +519,7 @@ class Transaction:
                     upgrades_old[name] = old
                 else:
                     result.erased.append(old)
-            for pkg in (by_nevra[n] for n in plan.order_nevras):
+            for pkg in ordered:
                 if self.delivery is not None:
                     # Lazy content delivery: the package's bytes arrive
                     # chunk-by-chunk only now, on first reference.
@@ -443,6 +546,51 @@ class Transaction:
         journal.commit(txn)
         return result
 
+    def _admits(self, layer: InstallLayer, packages: tuple[Package, ...]) -> bool:
+        """True if adopting ``layer`` leaves this host exactly as installing
+        ``packages`` one by one would, with nothing on the way to raise:
+        the layer's own packages (only install-only plans have a layer), no
+        delivery to fetch them in order, and a host that holds none of the
+        layer — no file at its keys (so no file conflict), no non-directory
+        at its directories, no mount, none of its modulefiles, and none of
+        its services registered by another package.  Mutates nothing."""
+        if self.delivery is not None or packages != layer.packages:
+            return False
+        host = self.db.host
+        if not host.fs._layer_fits(layer.dirs, layer.files):
+            return False
+        has_module = host.modules.has
+        if any(has_module(m.fullname) for m in layer.modules):
+            return False
+        registered = host.services._services
+        return all(
+            registered[service].package == owner
+            for service, owner in layer.services
+            if service in registered
+        )
+
+    def _adopt(self, layer: InstallLayer) -> TransactionResult:
+        """Install ``layer`` under one ``adopt`` op of an ``rpm.txn``
+        journal transaction, recorded before anything changes; undo erases
+        whichever of its packages landed, as for ``install`` ops."""
+        journal = self.journal if self.journal is not None else Journal()
+        txn = journal.begin("rpm.txn", host=self.db.host.name)
+        op = journal.intent(
+            txn, "adopt", names=layer.names, nevras=layer.nevras
+        )
+        try:
+            self.db._adopt_unchecked(layer)
+            journal.applied(txn, op)
+        except HeadnodeCrashError:
+            raise
+        except Exception as exc:
+            journal.roll_back(txn, partial(_undo_op, self.db))
+            raise TransactionError(
+                f"transaction failed and was rolled back: {exc}"
+            ) from exc
+        journal.commit(txn)
+        return TransactionResult(installed=list(layer.packages))
+
 
 def _undo_op(db: RpmDatabase, op: JournalOp, *, packages=None) -> None:
     """Force one journaled primitive to not-happened, landed or half-landed.
@@ -450,8 +598,15 @@ def _undo_op(db: RpmDatabase, op: JournalOp, *, packages=None) -> None:
     An install is erased only if this op's package is what the DB holds —
     :meth:`RpmDatabase._install_unchecked` refuses before its first
     mutation, so a name that is absent (or another build) means the op
-    never started.  An erase is finished, then its package re-installed.
+    never started.  An adopt is an install of each of its packages, undone
+    newest first.  An erase is finished, then its package re-installed.
     """
+    if op.op == "adopt":
+        landed = zip(op.payload["names"], op.payload["nevras"])
+        for name, nevra in reversed(list(landed)):
+            if db.has(name) and db.get(name).nevra == nevra:
+                db._erase_unchecked(name)
+        return
     name = op.payload["name"]
     if op.op == "install":
         if db.has(name) and db.get(name).nevra == op.payload["nevra"]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import NodeOfflineError, SchedulerError
 from ..fleet import FleetTable

@@ -15,7 +15,7 @@ management on and off and reports energy saved vs added wait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SchedulerError
 from ..hardware.chassis import Machine

@@ -207,6 +207,28 @@ class TestModules:
         system.remove("openmpi", "1.6.4")
         assert system.resolve("openmpi").version == "1.8.1"
 
+    @pytest.mark.parametrize("spec", [
+        "openmpi",          # a name, through its default
+        "openmpi/1.6.4",    # name/version
+        "lammps",           # an unknown name
+        "lammps/1.0",
+        "openmpi/9.9",      # an unknown version
+        "stale",            # a name whose default points to a missing version
+        "stale/1.0",
+        "stale/2.0",
+        "",
+    ])
+    def test_has_answers_as_resolve_does(self, spec):
+        system = self.make_system()
+        system.install(ModuleFile("stale", "1.0"))
+        system._defaults["stale"] = "2.0"
+        try:
+            system.resolve(spec)
+            resolves = True
+        except ModuleEnvError:
+            resolves = False
+        assert system.has(spec) is resolves
+
     def test_resolve_unknown_raises(self):
         with pytest.raises(ModuleEnvError):
             self.make_system().resolve("lammps")

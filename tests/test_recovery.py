@@ -36,7 +36,6 @@ from repro.recovery import (
     canonical_json,
     diff_states,
     recover_incomplete,
-    register_world_factory,
     state_digest,
     world_factories,
 )
@@ -270,6 +269,62 @@ class TestTransactionWal:
         assert len(resolved) == 1
         assert resolved[0].state is TxnState.ROLLED_BACK
         assert not db.has("a")          # no phantom packages
+        assert journal.open_txns() == []
+
+    @pytest.mark.parametrize("reload", [False, True])
+    def test_recover_an_open_adopt_restores_the_host(
+        self, littlefe_machine, tmp_path, reload
+    ):
+        """A crash after a reused plan's layer landed, before its ``adopt``
+        op was marked applied, leaves that one intent open; recovery —
+        from the live journal or its write-ahead file — erases every
+        package the op lists, and the host is its pre-commit self."""
+        from repro.distro import CENTOS_6_5, Host
+
+        class DiesBeforeApplied(Journal):
+            def applied(self, txn, op):
+                raise HeadnodeCrashError("power cut after the layer landed")
+
+        pkgs = (
+            mk("fftw", libraries=("libfftw3.so.3",), files=("/etc/fftw.conf",)),
+            mk("gromacs", commands=("mdrun", "grompp"), services=("gmxd",)),
+        )
+
+        def queued(db, journal=None):
+            txn = Transaction(db, journal=journal)
+            for pkg in pkgs:
+                txn.install(pkg)
+            return txn
+
+        def state(db):
+            host = db.host
+            return (
+                db.fingerprint(),
+                [(n.path, n.kind, n.owner_package, n.content, n.mode)
+                 for n in host.fs.walk()],
+                [(s.name, s.package) for s in host.services.all_services()],
+                host.modules.avail(),
+            )
+
+        first = queued(RpmDatabase(Host(littlefe_machine.head, CENTOS_6_5)))
+        plan = first.plan()
+        first.commit_planned(plan)
+        db = RpmDatabase(Host(littlefe_machine.head, CENTOS_6_5))
+        before = state(db)
+        journal = DiesBeforeApplied(path=tmp_path / "wal.jsonl")
+        with pytest.raises(HeadnodeCrashError):
+            queued(db, journal).commit_planned(plan)
+        assert db.names() == {"fftw", "gromacs"}
+        (jtxn,) = journal.open_txns("rpm.txn")
+        assert [(op.op, op.state) for op in jtxn.ops] == [
+            ("adopt", OpState.INTENT)
+        ]
+        if reload:
+            journal = Journal.load(tmp_path / "wal.jsonl")
+        (resolved,) = recover_transaction(journal, db)
+        assert resolved.state is TxnState.ROLLED_BACK
+        assert [op.state for op in resolved.ops] == [OpState.UNDONE]
+        assert state(db) == before
         assert journal.open_txns() == []
 
     def test_check_reports_tx707_until_recovered(self, db, monkeypatch):

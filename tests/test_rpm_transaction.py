@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.distro.filesystem import FileKind
 from repro.recovery import Journal, OpState, TxnState
-from repro.rpm import Flag, Package, Requirement, RpmDatabase, Transaction
+from repro.rpm import Package, Requirement, RpmDatabase, Transaction
 
 from .oracles.rpm_scans import unsatisfied_requirements
 
@@ -540,3 +540,188 @@ def test_commit_failing_inside_any_primitive_restores_the_host(data):
     (jtxn,) = journal.transactions("rpm.txn")
     assert jtxn.state is TxnState.ROLLED_BACK
     assert jtxn.ops and all(op.state is OpState.UNDONE for op in jtxn.ops)
+
+
+# --- a reused plan's layer: adopted whole, equal to the package-by-package commit
+
+
+#: payload paths drawn with overlaps: a file that is another's ancestor, a
+#: file under /home (an NFS mount when drawn), /usr/bin/tool (also a
+#: command's key), and ``/`` itself
+_LAYER_FILES = ("/opt/a", "/opt/a/x", "/opt/b/y", "/usr/bin/tool", "/home/u/f", "/")
+
+
+def _layer_pkg(data, i):
+    def draw(strategy, kind):
+        return data.draw(strategy, label=f"p{i}-{kind}")
+
+    return mk(
+        f"p{i}",
+        files=tuple(draw(st.lists(st.sampled_from(_LAYER_FILES), max_size=2,
+                                  unique=True), "files")),
+        commands=tuple(draw(st.lists(st.sampled_from(("tool", f"p{i}-run")),
+                                     max_size=2, unique=True), "commands")),
+        services=tuple(draw(st.lists(st.sampled_from(("shared", f"p{i}d")),
+                                     max_size=2, unique=True), "services")),
+        modulefile=draw(st.sampled_from(("", "m/1", "m/2", f"p{i}/1.0")),
+                        "module"),
+    )
+
+
+def _prepare(host, pre):
+    """Give ``host`` the drawn pre-state ``pre`` outside its RPM database,
+    so its DB fingerprint still matches the plan; a step the tree refuses
+    is skipped the same way on a host and on its twin."""
+    from repro.distro import ModuleFile
+    from repro.errors import FilesystemError
+
+    steps = {
+        "non-dir": lambda: host.fs.write(pre["non-dir"], "squatter"),
+        "foreign": lambda: host.fs.write(pre["foreign"], "vendor", owner="vendor"),
+        "mount": lambda: host.fs.mount("/home", pre["mount"], "/export/home"),
+        "module": lambda: host.modules.install(ModuleFile(*pre["module"].split("/"))),
+        "service": lambda: host.services.register("shared", package="vendor"),
+    }
+    for kind, step in steps.items():
+        if kind in pre:
+            try:
+                step()
+            except FilesystemError:
+                pass
+
+
+def _outcome(commit):
+    try:
+        result = commit()
+    except Exception as exc:  # the type and message are compared
+        return "error", type(exc), str(exc)
+    return (
+        "ok",
+        [p.nevra for p in result.installed],
+        result.upgraded,
+        result.erased,
+        result.file_conflicts,
+    )
+
+
+def _end_state(db):
+    host = db.host
+    remote = host.fs._mounts.get("/home", (None,))[0]
+    return (
+        [(n.path, n.kind, n.owner_package, n.content, n.mode)
+         for n in host.fs.walk()],
+        [(n.path, n.kind, n.owner_package) for n in remote.walk()]
+        if remote is not None else None,
+        db.fingerprint(),
+        db.verify_all(),
+        [(s.name, s.package, s.state, s.enabled)
+         for s in host.services.all_services()],
+        host.modules.avail(),
+        [db.is_satisfied(Requirement(f"p{i}")) for i in range(4)],
+    )
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_adopted_layer_equals_per_package_commit(data):
+    """One shared plan committed on host A, then on hosts B and C: each
+    ends — tree, DB, ``rpm -Va``, services, modules, capability index, and
+    the result or the error — exactly as its twin committed through
+    ``commit()``.  Drawn: packages whose files, commands, services and
+    modulefiles overlap (colliding ones included), and host pre-states
+    with a vendor-owned file at a layer key, a non-directory at a layer
+    ancestor, an NFS mount on /home, an installed modulefile, or a vendor
+    service.  A clean host whose twin commits cleanly adopts the layer."""
+    from repro.distro import CENTOS_6_5, Filesystem, Host
+    from repro.hardware import build_littlefe_modified
+
+    machine = build_littlefe_modified().machine
+    pkgs = [_layer_pkg(data, i) for i in range(data.draw(st.integers(1, 4),
+                                                         label="packages"))]
+
+    def queued(db, journal=None):
+        txn = Transaction(db, journal=journal)
+        for pkg in pkgs:
+            txn.install(pkg)
+        return txn
+
+    first = queued(RpmDatabase(Host(machine.head, CENTOS_6_5)))
+    plan = first.plan()
+    _outcome(lambda: first.commit_planned(plan))
+    for node in machine.compute_nodes[:2]:
+        kinds = data.draw(st.lists(st.sampled_from(
+            ("non-dir", "foreign", "mount", "module", "service")),
+            max_size=2, unique=True), label=f"{node.name}-pre")
+        pre = {kind: None for kind in kinds}
+        if "non-dir" in pre:
+            pre["non-dir"] = data.draw(st.sampled_from(("/opt/a", "/opt/b")))
+        if "foreign" in pre:
+            pre["foreign"] = data.draw(st.sampled_from(_LAYER_FILES[:-1]))
+        if "module" in pre:
+            pre["module"] = data.draw(st.sampled_from(("m/1", "m/0")))
+        dbs = []
+        for _twin in range(2):
+            host = Host(node, CENTOS_6_5)
+            if "mount" in pre:
+                remote = Filesystem()
+                remote.mkdir("/export/home")
+                pre["mount"] = remote
+            _prepare(host, pre)
+            db = RpmDatabase(host)
+            db.is_satisfied(Requirement("anything"))  # build the index
+            dbs.append(db)
+        journal = Journal()
+        adopted = _outcome(lambda: queued(dbs[0], journal).commit_planned(plan))
+        reference = _outcome(lambda: queued(dbs[1]).commit())
+        assert adopted == reference
+        assert _end_state(dbs[0]) == _end_state(dbs[1])
+        (jtxn,) = journal.transactions("rpm.txn")
+        if not kinds and reference[0] == "ok":
+            assert [op.op for op in jtxn.ops] == ["adopt"]
+
+
+def test_reused_plan_writes_its_payload_once(littlefe_machine, monkeypatch):
+    """The contract that keeps per-host payload writes from creeping back:
+    one plan committed on 50 fresh hosts calls ``_write_normal`` for its
+    payload on the first host only; every later host journals one
+    ``adopt`` op, shares the first adopter's file records, and ends with
+    the same installed set — a count, not a wall time."""
+    from repro.distro import CENTOS_6_5, Filesystem, Host
+
+    pkgs = (
+        mk("fftw", "3.3.3", libraries=("libfftw3.so.3",)),
+        mk("gromacs", "4.6.5", files=("/opt/gromacs/share/top/oplsaa.ff",),
+           commands=("mdrun", "grompp"), services=("gmxd",),
+           modulefile="gromacs/4.6.5", requires=(Requirement("fftw"),)),
+    )
+    hosts = [Host(littlefe_machine.head, CENTOS_6_5) for _ in range(50)]
+    writers = []
+    real = Filesystem._write_normal
+
+    def counting(fs, *args):
+        writers.append(fs)
+        return real(fs, *args)
+
+    monkeypatch.setattr(Filesystem, "_write_normal", counting)
+    plan = None
+    journals, fingerprints = [], []
+    for host in hosts:
+        db = RpmDatabase(host)
+        journal = Journal()
+        txn = Transaction(db, journal=journal)
+        for pkg in pkgs:
+            txn.install(pkg)
+        plan = plan or txn.plan()
+        txn.commit_planned(plan)
+        journals.append(journal)
+        fingerprints.append(db.fingerprint())
+    assert len(writers) == sum(len(p.payload) for p in pkgs)
+    assert all(fs is hosts[0].fs for fs in writers)
+    for journal in journals[1:]:
+        (jtxn,) = journal.transactions("rpm.txn")
+        assert jtxn.state is TxnState.COMMITTED
+        assert [op.op for op in jtxn.ops] == ["adopt"]
+    assert len(set(fingerprints)) == 1
+    assert hosts[1].fs.lookup("/usr/bin/mdrun") is hosts[49].fs.lookup(
+        "/usr/bin/mdrun"
+    )

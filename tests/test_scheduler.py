@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import JobError, SchedulerError
-from repro.hardware import build_limulus_hpc200, build_littlefe_modified
+from repro.hardware import build_littlefe_modified
 from repro.scheduler import (
     ClusterResources,
     Job,
