@@ -13,7 +13,7 @@ cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = ["Severity", "Diagnostic"]

@@ -11,7 +11,7 @@ stanzas" or as large as a fully provisioned cluster
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..hardware.chassis import ChassisModel, Machine
 from ..hardware.node import Node

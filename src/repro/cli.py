@@ -12,7 +12,7 @@ would.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distro.host import Host
 from .distro.modules_env import ModuleSession

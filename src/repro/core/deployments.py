@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..distro.distribution import CENTOS_6_5
 from ..errors import DeploymentError
-from ..hardware.chassis import Machine, RACK_1U, populate
+from ..hardware.chassis import Machine, populate
 from ..hardware.cooling import CoolerModel
 from ..hardware.cpu import calibrated_cpu
 from ..hardware.gpu import calibrated_gpu
@@ -31,7 +30,7 @@ from ..hardware.memory import DDR3_8G_UDIMM
 from ..hardware.motherboard import MotherboardModel
 from ..hardware.nic import GIGE_ONBOARD
 from ..hardware.node import Node, NodeRole, assemble_node
-from ..hardware.power import ATX_450W, PsuModel
+from ..hardware.power import PsuModel
 from ..hardware.builder import build_limulus_hpc200, build_littlefe_modified
 
 __all__ = [

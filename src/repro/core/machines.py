@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..distro.distribution import SCIENTIFIC_LINUX_6_5, DistroRelease
-from ..distro.host import Host
+from ..distro.host import Host, base_os_layer
 from ..errors import ReproError
 from ..hardware.builder import build_limulus_hpc200
 from ..hardware.chassis import Machine
@@ -99,7 +99,8 @@ def build_existing_cluster(
 
     Every host gets the OS base plus the vendor stack; diskless compute
     nodes boot the shared image (``diskless_image=True``) — no Rocks
-    involved anywhere.
+    involved anywhere.  The hosts share one base-OS tree, built once per
+    call.
     """
     network = build_cluster_network(machine)
     base = base_os_packages(release)
@@ -118,8 +119,9 @@ def build_existing_cluster(
         host.services.boot()
         return YumClient(host, db)
 
+    base_os = base_os_layer(release)
     head = machine.head
-    frontend = Host(head, release)
+    frontend = Host(head, release, base_os=base_os)
     cluster = ExistingCluster(
         machine=machine,
         network=network,
@@ -129,7 +131,9 @@ def build_existing_cluster(
     )
     cluster.clients[frontend.name] = provision(frontend)
     for node in machine.compute_nodes:
-        host = Host(node, release, diskless_image=node.diskless)
+        host = Host(
+            node, release, diskless_image=node.diskless, base_os=base_os
+        )
         cluster.compute[host.name] = host
         cluster.clients[host.name] = provision(host)
     return cluster

@@ -22,7 +22,7 @@ catalogue plus the OS base so every install closure resolves.
 
 from __future__ import annotations
 
-from ..rpm.package import Capability, Flag, Package, Requirement
+from ..rpm.package import Flag, Package, Requirement
 
 __all__ = [
     "CATEGORY_COMPILERS",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..distro.distribution import CENTOS_6_3, CENTOS_6_5, DistroRelease
 from ..errors import ReproError
 from ..rpm.package import Package
-from .packages_xsede import xsede_package_names, xsede_packages
+from .packages_xsede import xsede_packages
 
 __all__ = [
     "XcbcRelease",

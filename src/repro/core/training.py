@@ -15,7 +15,7 @@ module and produces a transcript.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ReproError, TrainingError

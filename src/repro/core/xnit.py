@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..errors import YumError
 from ..rpm.package import Package
 from ..yum.client import YumClient
-from ..yum.repoconfig import XSEDE_REPO_STANZA, RepoStanza
+from ..yum.repoconfig import XSEDE_REPO_STANZA
 from ..yum.repository import Repository
 from .packages_xsede import xnit_extra_packages, xsede_package_names
 from .release import CURRENT_RELEASE, packages_for_release

@@ -4,6 +4,11 @@ The :class:`Host` is the object every higher layer operates on — the RPM
 database lives on it, yum transactions mutate it, Rocks provisions it, the
 compatibility audit inspects it.  It ties together the filesystem, service
 manager, user database, environment-modules tree and the distro release.
+
+The tree of a fresh install is the same on every host of a release, so it
+is one layer of shared, immutable records (:func:`base_os_layer`): a caller
+that builds many hosts of one release builds the layer once and hands it to
+each :class:`Host`.  Only ``/etc/hostname`` is the host's own.
 """
 
 from __future__ import annotations
@@ -11,12 +16,12 @@ from __future__ import annotations
 from ..errors import CommandError, DistroError
 from ..hardware.node import Node
 from .distribution import DistroRelease
-from .filesystem import FileKind, Filesystem
+from .filesystem import FileKind, Filesystem, FsNode, parent_dirs
 from .modules_env import ModuleSystem
 from .services import ServiceManager
 from .users import UserDatabase
 
-__all__ = ["Host"]
+__all__ = ["Host", "base_os_layer"]
 
 #: Directories searched for executables, in order (XSEDE convention keeps
 #: cluster software under /opt and /usr/local as well as the system paths).
@@ -28,6 +33,59 @@ DEFAULT_PATH = (
     "/sbin",
     "/opt/bin",
 )
+
+#: The canonical directories of a fresh install.
+BASE_OS_DIRS = (
+    "/bin",
+    "/sbin",
+    "/usr/bin",
+    "/usr/sbin",
+    "/usr/lib64",
+    "/usr/local/bin",
+    "/usr/share",
+    "/etc",
+    "/etc/yum.repos.d",
+    "/etc/modulefiles",
+    "/var/log",
+    "/var/lib/rpm",
+    "/home",
+    "/opt",
+    "/tmp",
+    "/root",
+)
+
+
+def base_os_layer(
+    release: DistroRelease,
+) -> tuple[dict[str, FsNode], dict[str, FsNode]]:
+    """The tree every fresh install of ``release`` lays down.
+
+    Returned as ``(dirs, files)`` for :meth:`Filesystem._lay_down`: the
+    canonical directories and their ancestors as unowned nodes, root
+    first, then the release marker and the shell.  Hosts may share one
+    layer; its records are frozen.
+    """
+    dirs: dict[str, FsNode] = {}
+    for path in BASE_OS_DIRS:
+        for key in (*parent_dirs(path), path):
+            if key not in dirs:
+                dirs[key] = FsNode(key, FileKind.DIRECTORY)
+    files = {
+        "/etc/redhat-release": FsNode(
+            "/etc/redhat-release",
+            FileKind.FILE,
+            content=release.release_string + "\n",
+        ),
+        # The shell itself.
+        "/bin/bash": FsNode(
+            "/bin/bash",
+            FileKind.FILE,
+            owner_package="bash",
+            content="#!ELF bash",
+            mode=0o755,
+        ),
+    }
+    return dirs, files
 
 
 class Host:
@@ -45,6 +103,9 @@ class Host:
     diskless_image:
         True when the host runs a network-mounted image rather than a local
         install.
+    base_os:
+        The :func:`base_os_layer` of ``release`` to share with other hosts;
+        without one the host builds its own.
     """
 
     def __init__(
@@ -53,6 +114,7 @@ class Host:
         release: DistroRelease,
         *,
         diskless_image: bool = False,
+        base_os: tuple[dict[str, FsNode], dict[str, FsNode]] | None = None,
     ) -> None:
         if node.diskless and not diskless_image:
             raise DistroError(
@@ -66,44 +128,27 @@ class Host:
         self.services = ServiceManager()
         self.users = UserDatabase()
         self.modules = ModuleSystem()
+        self.fs._lay_down(*(base_os or base_os_layer(release)))
         self.hostname = node.name
-        self._lay_down_base_os()
-
-    # -- base install ---------------------------------------------------------
-
-    def _lay_down_base_os(self) -> None:
-        """Create the canonical tree and release marker of a fresh install."""
-        for path in (
-            "/bin",
-            "/sbin",
-            "/usr/bin",
-            "/usr/sbin",
-            "/usr/lib64",
-            "/usr/local/bin",
-            "/usr/share",
-            "/etc",
-            "/etc/yum.repos.d",
-            "/etc/modulefiles",
-            "/var/log",
-            "/var/lib/rpm",
-            "/home",
-            "/opt",
-            "/tmp",
-            "/root",
-        ):
-            self.fs.mkdir(path, exist_ok=True)
-        self.fs.write(
-            "/etc/redhat-release", self.release.release_string + "\n"
-        )
-        self.fs.write("/etc/hostname", self.hostname + "\n")
-        # The shell itself.
-        self.fs.write("/bin/bash", "#!ELF bash", mode=0o755, owner="bash")
 
     # -- identity ---------------------------------------------------------------
 
     @property
+    def hostname(self) -> str:
+        """The host's name, kept equal to ``/etc/hostname``: the board's
+        name until an installer renames the host (Rocks calls compute
+        nodes ``compute-<rack>-<rank>``)."""
+        return self._hostname
+
+    @hostname.setter
+    def hostname(self, name: str) -> None:
+        self._hostname = name
+        self.fs.write("/etc/hostname", name + "\n")
+
+    @property
     def name(self) -> str:
-        """The hostname (same as the hardware node name)."""
+        """The hostname (:attr:`hostname`), which need not be the hardware
+        node's name."""
         return self.hostname
 
     @property

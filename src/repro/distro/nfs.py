@@ -11,7 +11,7 @@ an export to a client host using the filesystem's mount machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DistroError
 from .host import Host

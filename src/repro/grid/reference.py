@@ -10,8 +10,6 @@ examples have a real far end for job scripts and data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.packages_xsede import xsede_packages
 from ..core.machines import ExistingCluster, build_existing_cluster
 from ..distro.distribution import CENTOS_6_5

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AssemblyError
 from .chassis import (
     LIMULUS_DESKSIDE,
     LITTLEFE_V4_FRAME,
@@ -20,7 +19,6 @@ from .chassis import (
 )
 from .cooling import (
     INTEL_STOCK_LGA1150,
-    PASSIVE_SINK_PLUS_FAN,
     ROSEWILL_RCX_Z775_LP,
     CoolerModel,
 )

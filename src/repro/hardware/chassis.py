@@ -17,7 +17,7 @@ held :class:`Machine` is always buildable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import AssemblyError

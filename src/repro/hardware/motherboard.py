@@ -12,10 +12,10 @@ Two boards carry the paper's narrative:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CatalogError
-from .nic import NicModel, GIGE_ONBOARD, FASTE_ONBOARD
+from .nic import NicModel, GIGE_ONBOARD
 
 __all__ = [
     "MotherboardModel",

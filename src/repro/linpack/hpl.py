@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import LinpackError
 from ..hardware.chassis import Machine
-from .model import HplPrediction, predict_machine, problem_size
+from .model import HplPrediction, predict_machine
 
 __all__ = ["HplRunResult", "run_hpl_small", "HplReport", "benchmark_machine"]
 

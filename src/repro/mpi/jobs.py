@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import MpiError
-from ..hardware.chassis import Machine
 from ..network.fabric import Fabric
-from ..scheduler.job import Job, JobState
+from ..scheduler.job import Job
 from ..sim import SimKernel
 from .collectives import allreduce
 from .simulator import MpiWorld

@@ -15,7 +15,6 @@ alpha per switch hop.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from ..errors import NetworkError

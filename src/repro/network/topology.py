@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..errors import NetworkError
 from ..hardware.chassis import Machine
-from ..hardware.node import NodeRole
 from .dhcp import DhcpServer
 from .fabric import Endpoint, Fabric, Switch
 

@@ -17,7 +17,7 @@ models Lustre's operationally relevant shape:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ReproError
 

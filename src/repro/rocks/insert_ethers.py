@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..errors import RocksError
 from ..network.dhcp import DhcpServer
-from ..network.pxe import BootImage, PxeServer
+from ..network.pxe import PxeServer
 from .database import InstallState, RocksDatabase
 
 __all__ = ["InsertEthers"]

@@ -19,21 +19,22 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..distro.distribution import CENTOS_6_5, DistroRelease
-from ..distro.host import Host
+from ..distro.host import Host, base_os_layer
 from ..errors import HeadnodeCrashError, ProvisionError, ReproError, RocksError
 from ..fleet import fold_names
 from ..hardware.chassis import Machine
 from ..network.pxe import BootImage, PxeServer
 from ..network.topology import ClusterNetwork, build_cluster_network
 from ..rpm.database import RpmDatabase
-from ..rpm.transaction import Transaction
+from ..rpm.package import Package
+from ..rpm.transaction import Transaction, TransactionPlan
 from ..yum.depsolver import resolve_install
 from ..yum.repository import Repository, RepoSet
 from .database import InstallState, RocksDatabase
 from .insert_ethers import InsertEthers
 from .kickstart import GraphNode, KickstartGraph, Profile
 from .roll import Roll
-from .rolls_catalog import all_standard_rolls, base_os_packages, base_roll
+from .rolls_catalog import all_standard_rolls, base_os_packages
 
 __all__ = [
     "ProvisionedCluster",
@@ -115,6 +116,18 @@ class ProvisionedCluster:
         return sorted(self.rolls)
 
 
+@dataclass(frozen=True)
+class _Kickstart:
+    """One profile's kickstart, resolved once: the install queue, its
+    validated plan, the services to enable and the post-install log files
+    (path, text) to write, in order."""
+
+    installs: dict[str, Package]
+    plan: TransactionPlan
+    services: tuple[str, ...]
+    post_files: tuple[tuple[str, str], ...]
+
+
 class RocksInstaller:
     """Drives one from-scratch installation."""
 
@@ -153,7 +166,8 @@ class RocksInstaller:
         self._crash_macs: set[str] = set()
         #: MAC -> compute board, kept in step by :meth:`replace_node`
         self._nodes = {n.mac_address: n for n in machine.compute_nodes}
-        #: validated plans shared by identical kickstarts, reset per run
+        #: the plan cache, reset per run: a :class:`_Kickstart` per
+        #: identical-kickstart key and the release's base-OS layer
         self._plans: dict = {}
 
     def inject_kickstart_crash(self, mac: str) -> None:
@@ -218,6 +232,14 @@ class RocksInstaller:
                     dist.add(pkg)
         return dist
 
+    def _new_host(self, node) -> Host:
+        """A fresh host on ``node``, sharing the run's base-OS layer (one
+        per release, kept in the plan cache)."""
+        layer = self._plans.get(self.release)
+        if layer is None:
+            layer = self._plans[self.release] = base_os_layer(self.release)
+        return Host(node, self.release, base_os=layer)
+
     def _kickstart_host(
         self,
         host: Host,
@@ -228,43 +250,58 @@ class RocksInstaller:
         """Install a profile's package closure onto a host and enable its
         services — one node's kickstart.
 
-        Identical kickstarts (same profile, architecture, DB fingerprint
-        and package set) validate and order once: the first builds a
-        :class:`~repro.rpm.transaction.TransactionPlan`, the rest commit
-        through it — across waves and later replace/reinstall/lazy installs.
+        Identical kickstarts (same profile, architecture, DB fingerprint,
+        distribution content and graph revision) resolve, validate and
+        order once: the first walks the graph, depsolves and builds a
+        :class:`~repro.rpm.transaction.TransactionPlan` into a
+        :class:`_Kickstart` record, the rest queue the record's packages in
+        one step and commit through its plan — across waves and later
+        replace/reinstall/lazy installs.  A roll applied since (a new graph
+        revision or distribution checksum) makes a new record.
         """
         db = RpmDatabase(host)
-        repos = RepoSet([distribution])
-        wanted = graph.resolve_packages(profile)
-        resolution = resolve_install(wanted, repos, db)
         txn = Transaction(db, delivery=self.delivery)
-        for pkg in resolution.to_install:
-            txn.install(pkg)
         key = (
             profile,
             host.arch,
             db.fingerprint(),
-            tuple(sorted(p.nevra for p in resolution.to_install)),
+            distribution.repomd_checksum(),
+            graph,
+            graph.revision,
         )
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = txn.plan()
-        txn.commit_planned(plan)
-        for service in graph.resolve_services(profile):
+        kickstart = self._plans.get(key)
+        if kickstart is None:
+            wanted = graph.resolve_packages(profile)
+            resolution = resolve_install(wanted, RepoSet([distribution]), db)
+            for pkg in resolution.to_install:
+                txn.install(pkg)
+            kickstart = self._plans[key] = _Kickstart(
+                installs=dict(txn._installs),
+                plan=txn.plan(),
+                services=tuple(graph.resolve_services(profile)),
+                post_files=tuple(
+                    (
+                        f"/var/log/rocks-post/{action.replace(' ', '-')}",
+                        f"executed: {action}\n",
+                    )
+                    for action in graph.resolve_actions(profile)
+                ),
+            )
+        else:
+            txn._install_all(kickstart.installs)
+        txn.commit_planned(kickstart.plan)
+        for service in kickstart.services:
             host.services.enable(service)
         host.services.boot()
-        for action in graph.resolve_actions(profile):
-            host.fs.write(
-                f"/var/log/rocks-post/{action.replace(' ', '-')}",
-                f"executed: {action}\n",
-            )
+        for path, text in kickstart.post_files:
+            host.fs.write(path, text)
         return db
 
     def _kickstart_compute(
         self, cluster: ProvisionedCluster, mac: str, hostname: str
     ) -> tuple[Host, RpmDatabase]:
         """Kickstart the compute board with ``mac`` as ``hostname``."""
-        host = Host(self._nodes[mac], self.release)
+        host = self._new_host(self._nodes[mac])
         host.hostname = hostname
         db = self._kickstart_host(
             host, cluster.graph, cluster.distribution, Profile.COMPUTE
@@ -335,7 +372,7 @@ class RocksInstaller:
 
         # 1. Frontend install (from the install media, no PXE involved).
         head = self.machine.head
-        frontend = Host(head, self.release)
+        frontend = self._new_host(head)
         frontend_db = self._kickstart_host(
             frontend, graph, distribution, Profile.FRONTEND
         )

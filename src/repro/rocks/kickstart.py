@@ -8,6 +8,9 @@ install" (Section 3) sufficient to change what every appliance gets.
 
 :class:`KickstartGraph` keeps the structure explicit and validates it:
 unknown endpoints and cycles raise :class:`KickstartError`.
+:attr:`KickstartGraph.revision` counts the mutations, so a cache of a
+resolved profile (the installer's plan cache) can tell a graph a roll has
+since extended from the one it resolved.
 """
 
 from __future__ import annotations
@@ -45,10 +48,14 @@ class KickstartGraph:
     def __init__(self) -> None:
         self._nodes: dict[str, GraphNode] = {}
         self._edges: dict[str, list[str]] = {}
+        #: bumped by every :meth:`add_node` and :meth:`add_edge` call, the
+        #: graph's only mutators
+        self.revision = 0
 
     def add_node(self, node: GraphNode) -> GraphNode:
         """Add a graph node; re-adding merges package/service lists (rolls
         may extend an existing node)."""
+        self.revision += 1
         existing = self._nodes.get(node.name)
         if existing is not None:
             for pkg in node.packages:
@@ -75,6 +82,7 @@ class KickstartGraph:
                 raise KickstartError(f"edge references unknown graph node {name!r}")
         if parent == child:
             raise KickstartError(f"self-edge on {parent!r}")
+        self.revision += 1
         if child not in self._edges[parent]:
             self._edges[parent].append(child)
 

@@ -9,7 +9,7 @@ afterwards carries the roll's software.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import RollError
 from ..rpm.package import Package

@@ -17,7 +17,7 @@ definitions — the single source of truth).
 from __future__ import annotations
 
 from ..distro.distribution import DistroRelease
-from ..rpm.package import Capability, Flag, Package, Requirement
+from ..rpm.package import Capability, Package, Requirement
 from .kickstart import Profile
 from .roll import Roll, RollGraphFragment
 

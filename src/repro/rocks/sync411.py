@@ -11,8 +11,6 @@ mount /home, then start a :class:`Sync411` session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..distro.host import Host
 from ..distro.nfs import NfsServer, nfs_mount
 from ..errors import RocksError

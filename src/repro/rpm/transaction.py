@@ -239,6 +239,12 @@ class Transaction:
         self._installs[pkg.name] = pkg
         return self
 
+    def _install_all(self, installs: dict[str, Package]) -> None:
+        """Queue ``installs`` on an empty transaction with one dict copy
+        instead of one :meth:`install` per package: ``installs`` is a queue
+        (name -> package) another transaction built through :meth:`install`."""
+        self._installs = dict(installs)
+
     def erase(self, name: str) -> "Transaction":
         """Queue an erase of an installed package."""
         self._erases.add(name)

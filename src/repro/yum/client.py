@@ -8,14 +8,14 @@ the workflow of Section 3: ``install``, ``update``, ``check-update``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..distro.host import Host
 from ..errors import DependencyError, YumError
 from ..rpm.database import RpmDatabase
 from ..rpm.transaction import Transaction, TransactionResult
 from .depsolver import Resolution, resolve_install, resolve_update
-from .repoconfig import RepoStanza, parse_repo_file
+from .repoconfig import parse_repo_file
 from .repository import Repository, RepoSet
 
 __all__ = ["YumClient", "UpdateInfo"]

@@ -11,7 +11,7 @@ plus domain bundles); this module is the mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import YumError
 from .client import YumClient

@@ -25,7 +25,6 @@ random mutation (docs/PERF.md).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from ..errors import PackageNotFoundError, RepoPriorityError, YumError
 from ..rpm.package import Package, ProvidesIndex, Requirement

@@ -20,7 +20,7 @@ Two policies are modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import YumError
 from ..rpm.transaction import TransactionResult

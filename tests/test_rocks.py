@@ -2,6 +2,8 @@
 reinstall, and update rolls."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     KickstartError,
@@ -311,3 +313,140 @@ class TestUpdateRoll:
         host = installer.reinstall_node(cluster, "compute-0-2")
         db = cluster.db_for(host)
         assert db.get("modules").version == "3.2.11"
+
+
+# -- the plan cache: one resolved kickstart and one base OS per run --------------
+
+
+def _host_state(host, db):
+    return (
+        [(n.path, n.kind, n.owner_package, n.content, n.mode)
+         for n in host.fs.walk()],
+        db.fingerprint(),
+        [(s.name, s.package, s.state, s.enabled)
+         for s in host.services.all_services()],
+        host.modules.avail(),
+    )
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:  # the type and message are compared
+        return "error", type(exc), str(exc)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_property_cached_kickstart_equals_a_fresh_walk(data):
+    """A compute node reinstalled through the installer's plan cache ends —
+    tree, RPM fingerprint, services and their state, modules — exactly as
+    a host with its own base OS kickstarted by walking the graph afresh
+    (``tests/oracles/kickstart_walk.py``).  Between reinstalls the graph
+    grows (packages, services or post actions on a node the compute
+    profile includes, a new include edge) and the distribution gains
+    newer builds, so a stale record would show as a difference."""
+    from dataclasses import replace
+
+    from repro.hardware import build_littlefe_modified
+
+    from .oracles.kickstart_walk import fresh_host, kickstart_host
+
+    installer = RocksInstaller(build_littlefe_modified().machine)
+    cluster = installer.run()
+    graph, dist = cluster.graph, cluster.distribution
+    names = sorted(cluster.compute)
+    packages = sorted(dist.names())
+    services = ["crond", "httpd", "pbs_mom", "pbs_server", "rocks-dhcpd", "sshd"]
+    for step in range(data.draw(st.integers(1, 6), label="steps")):
+        kind = data.draw(st.sampled_from(("node", "edge", "build", "none")))
+        if kind == "node":
+            graph.add_node(GraphNode(
+                name=data.draw(st.sampled_from(
+                    sorted(graph.reachable_from([Profile.COMPUTE])))),
+                packages=data.draw(st.lists(st.sampled_from(packages), max_size=2)),
+                enable_services=data.draw(st.lists(st.sampled_from(services), max_size=2)),
+                post_actions=data.draw(st.lists(
+                    st.sampled_from(("tune kernel", f"step {step}")), max_size=2)),
+            ))
+        elif kind == "edge":
+            graph.add_edge(Profile.COMPUTE, data.draw(st.sampled_from(
+                ("base-frontend-services", "torque-server", "os-base"))))
+        elif kind == "build":
+            old = dist.latest(data.draw(st.sampled_from(packages)))
+            dist.add(replace(old, version=f"99.{step}"))
+        name = data.draw(st.sampled_from(names), label="reinstall")
+        node = installer._nodes[cluster.rocksdb.get(name).mac]
+        cached = _outcome(lambda: installer.reinstall_node(cluster, name))
+        fresh = fresh_host(node, cluster.release, name)
+        walked = _outcome(
+            lambda: kickstart_host(fresh, graph, dist, Profile.COMPUTE))
+        assert cached[0] == walked[0]
+        if cached[0] == "error":
+            assert cached[1:] == walked[1:]
+            continue
+        host = cached[1]
+        assert _host_state(host, cluster.db_for(host)) == _host_state(fresh, walked[1])
+
+
+def test_a_run_resolves_each_profile_once_and_shares_one_base_os(monkeypatch):
+    """The count guard for the plan cache: one ``run()`` of a machine with
+    50 compute nodes walks the graph for packages and depsolves once per
+    profile; every host shares the base-OS records (``/etc``,
+    ``/bin/bash``), and each host's tree is that of a host built alone,
+    ``/etc/hostname`` apart."""
+    from collections import Counter
+
+    from repro.core.deployments import build_synthetic_fleet
+    from repro.rocks import installer as installer_module
+
+    from .oracles.kickstart_walk import fresh_host, kickstart_host
+
+    walks, resolves = Counter(), []
+    real_walk = KickstartGraph.resolve_packages
+    real_resolve = installer_module.resolve_install
+
+    def walk(graph, profile):
+        walks[profile] += 1
+        return real_walk(graph, profile)
+
+    def resolve(wanted, repos, db):
+        resolves.append(db.host.name)
+        return real_resolve(wanted, repos, db)
+
+    monkeypatch.setattr(KickstartGraph, "resolve_packages", walk)
+    monkeypatch.setattr(installer_module, "resolve_install", resolve)
+    machine = build_synthetic_fleet(51)
+    cluster = RocksInstaller(machine).run()
+    monkeypatch.undo()
+    assert len(cluster.compute) == 50
+    assert walks == {Profile.FRONTEND: 1, Profile.COMPUTE: 1}
+    assert len(resolves) == 2
+    hosts = cluster.hosts()
+    for path in ("/etc", "/bin/bash"):
+        assert len({id(h.fs.lookup(path)) for h in hosts}) == 1
+
+    def tree(host):
+        return [(n.path, n.kind, n.owner_package, n.content, n.mode)
+                for n in host.fs.walk() if n.path != "/etc/hostname"]
+
+    for name, (host, _db) in cluster.compute.items():
+        alone = fresh_host(host.node, cluster.release, host.node.name)
+        kickstart_host(alone, cluster.graph, cluster.distribution, Profile.COMPUTE)
+        assert tree(host) == tree(alone), name
+
+
+def test_etc_hostname_is_the_hostname_on_every_installed_host(littlefe_machine):
+    """``/etc/hostname`` follows every rename: the frontend keeps its
+    board's name, compute nodes carry their Rocks names, a reinstalled or
+    replaced node too."""
+    installer = RocksInstaller(littlefe_machine)
+    cluster = installer.run()
+    installer.reinstall_node(cluster, "compute-0-1")
+    installer.replace_node(cluster, "compute-0-2", new_mac="02:00:00:00:aa:01")
+    hosts = cluster.hosts()
+    assert hosts[0] is cluster.frontend
+    assert cluster.frontend.hostname == littlefe_machine.head.name
+    assert {h.hostname for h in hosts[1:]} == set(cluster.compute)
+    for host in hosts:
+        assert host.fs.read("/etc/hostname") == host.hostname + "\n"
