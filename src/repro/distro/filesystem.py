@@ -9,9 +9,8 @@ I/O is ever performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import FilesystemError
 
@@ -50,12 +49,12 @@ def parent_dirs(path: str) -> Iterator[str]:
         yield acc
 
 
-@dataclass(frozen=True, slots=True)
-class FsNode:
+class FsNode(NamedTuple):
     """One entry in the tree.
 
     Immutable: hosts that adopt one install layer share its records
     (:meth:`Filesystem._lay_down`), so a change is a new node at the key.
+    A tuple, because hot paths build thousands of them positionally.
     """
 
     path: str
@@ -258,7 +257,7 @@ class Filesystem:
         if existing is not None and existing.kind is FileKind.DIRECTORY:
             raise FilesystemError(f"is a directory: {key}")
         self._make_parents(ancestors)
-        node = FsNode(key, FileKind.FILE, owner_package=owner, content=content, mode=mode)
+        node = FsNode(key, FileKind.FILE, owner, content, mode)
         self._nodes[key] = node
         return node
 
@@ -270,23 +269,25 @@ class Filesystem:
         raise or replace: no mount to route through, no file key already
         taken, and every ancestor in ``dirs`` absent or a directory."""
         nodes = self._nodes
-        if self._mounts or not nodes.keys().isdisjoint(files):
+        if self._mounts or not nodes.keys().isdisjoint(files.keys()):
             return False
-        for key in dirs:
-            node = nodes.get(key)
-            if node is not None and node.kind is not FileKind.DIRECTORY:
+        for key in nodes.keys() & dirs.keys():
+            if nodes[key].kind is not FileKind.DIRECTORY:
                 return False
         return True
 
     def _lay_down(
         self, dirs: dict[str, FsNode], files: dict[str, FsNode]
     ) -> None:
-        """Insert shared nodes in bulk: the ``dirs`` not yet present, root
-        first, then every file (callers check :meth:`_layer_fits` first)."""
-        nodes = self._nodes
-        for key, node in dirs.items():
-            nodes.setdefault(key, node)
-        nodes.update(files)
+        """Insert shared nodes in bulk: the ``dirs`` not yet present and
+        every file (callers check :meth:`_layer_fits` first).  The tree is
+        rebuilt as one merge that starts from a copy of ``files``, usually
+        the largest part, and lets a node already here win over a layer
+        directory.  No reader depends on the tree's insertion order."""
+        merged = dict(files)
+        merged.update(dirs)
+        merged.update(self._nodes)
+        self._nodes = merged
 
     def symlink(self, path: str, target: str, *, owner: str | None = None) -> FsNode:
         """Create a symlink at ``path`` pointing at ``target``."""

@@ -106,6 +106,9 @@ class Host:
     base_os:
         The :func:`base_os_layer` of ``release`` to share with other hosts;
         without one the host builds its own.
+    hostname:
+        The name the host is installed as (``/etc/hostname``); the node's
+        name unless given (Rocks names compute nodes ``compute-<rack>-<rank>``).
     """
 
     def __init__(
@@ -115,6 +118,7 @@ class Host:
         *,
         diskless_image: bool = False,
         base_os: tuple[dict[str, FsNode], dict[str, FsNode]] | None = None,
+        hostname: str | None = None,
     ) -> None:
         if node.diskless and not diskless_image:
             raise DistroError(
@@ -129,15 +133,15 @@ class Host:
         self.users = UserDatabase()
         self.modules = ModuleSystem()
         self.fs._lay_down(*(base_os or base_os_layer(release)))
-        self.hostname = node.name
+        self.hostname = node.name if hostname is None else hostname
 
     # -- identity ---------------------------------------------------------------
 
     @property
     def hostname(self) -> str:
         """The host's name, kept equal to ``/etc/hostname``: the board's
-        name until an installer renames the host (Rocks calls compute
-        nodes ``compute-<rack>-<rank>``)."""
+        name unless the host was installed or renamed as another (Rocks
+        calls compute nodes ``compute-<rack>-<rank>``)."""
         return self._hostname
 
     @hostname.setter

@@ -53,6 +53,19 @@ class ModuleSystem:
         if default or module.name not in self._defaults:
             self._defaults[module.name] = module.version
 
+    def _install_all(
+        self,
+        modules: dict[str, dict[str, ModuleFile]],
+        defaults: dict[str, str],
+    ) -> None:
+        """Install whole name tables in one step: ``modules`` maps a name to
+        its versions, ``defaults`` a name to its default version.  None of
+        the names may be installed yet (the caller checks)."""
+        self._modules.update(
+            {name: dict(versions) for name, versions in modules.items()}
+        )
+        self._defaults.update(defaults)
+
     def remove(self, name: str, version: str) -> None:
         """Remove one modulefile version."""
         versions = self._modules.get(name, {})

@@ -55,6 +55,13 @@ class ServiceManager:
         self._services[name] = svc
         return svc
 
+    def _register_all(self, owners: dict[str, str]) -> None:
+        """Register each service of ``owners`` (service -> package) in one
+        step; none of them may be registered yet (the caller checks)."""
+        self._services.update(
+            {name: Service(name, package) for name, package in owners.items()}
+        )
+
     def unregister_package(self, package: str) -> list[str]:
         """Drop (stopping first) every service owned by ``package``."""
         dropped = []

@@ -26,7 +26,6 @@ from ..hardware.chassis import Machine
 from ..network.pxe import BootImage, PxeServer
 from ..network.topology import ClusterNetwork, build_cluster_network
 from ..rpm.database import RpmDatabase
-from ..rpm.package import Package
 from ..rpm.transaction import Transaction, TransactionPlan
 from ..yum.depsolver import resolve_install
 from ..yum.repository import Repository, RepoSet
@@ -118,11 +117,10 @@ class ProvisionedCluster:
 
 @dataclass(frozen=True)
 class _Kickstart:
-    """One profile's kickstart, resolved once: the install queue, its
-    validated plan, the services to enable and the post-install log files
-    (path, text) to write, in order."""
+    """One profile's kickstart, resolved once: its validated plan (which
+    holds the install queue), the services to enable and the post-install
+    log files (path, text) to write, in order."""
 
-    installs: dict[str, Package]
     plan: TransactionPlan
     services: tuple[str, ...]
     post_files: tuple[tuple[str, str], ...]
@@ -232,13 +230,14 @@ class RocksInstaller:
                     dist.add(pkg)
         return dist
 
-    def _new_host(self, node) -> Host:
-        """A fresh host on ``node``, sharing the run's base-OS layer (one
-        per release, kept in the plan cache)."""
+    def _new_host(self, node, hostname: str | None = None) -> Host:
+        """A fresh host on ``node`` named ``hostname`` (the node's name by
+        default), sharing the run's base-OS layer (one per release, kept
+        in the plan cache)."""
         layer = self._plans.get(self.release)
         if layer is None:
             layer = self._plans[self.release] = base_os_layer(self.release)
-        return Host(node, self.release, base_os=layer)
+        return Host(node, self.release, base_os=layer, hostname=hostname)
 
     def _kickstart_host(
         self,
@@ -254,8 +253,8 @@ class RocksInstaller:
         distribution content and graph revision) resolve, validate and
         order once: the first walks the graph, depsolves and builds a
         :class:`~repro.rpm.transaction.TransactionPlan` into a
-        :class:`_Kickstart` record, the rest queue the record's packages in
-        one step and commit through its plan — across waves and later
+        :class:`_Kickstart` record, the rest queue the plan's install queue
+        in one step and commit through its plan — across waves and later
         replace/reinstall/lazy installs.  A roll applied since (a new graph
         revision or distribution checksum) makes a new record.
         """
@@ -276,7 +275,6 @@ class RocksInstaller:
             for pkg in resolution.to_install:
                 txn.install(pkg)
             kickstart = self._plans[key] = _Kickstart(
-                installs=dict(txn._installs),
                 plan=txn.plan(),
                 services=tuple(graph.resolve_services(profile)),
                 post_files=tuple(
@@ -288,7 +286,7 @@ class RocksInstaller:
                 ),
             )
         else:
-            txn._install_all(kickstart.installs)
+            txn._install_all(kickstart.plan.installs)
         txn.commit_planned(kickstart.plan)
         for service in kickstart.services:
             host.services.enable(service)
@@ -301,8 +299,7 @@ class RocksInstaller:
         self, cluster: ProvisionedCluster, mac: str, hostname: str
     ) -> tuple[Host, RpmDatabase]:
         """Kickstart the compute board with ``mac`` as ``hostname``."""
-        host = self._new_host(self._nodes[mac])
-        host.hostname = hostname
+        host = self._new_host(self._nodes[mac], hostname)
         db = self._kickstart_host(
             host, cluster.graph, cluster.distribution, Profile.COMPUTE
         )

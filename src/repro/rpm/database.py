@@ -183,26 +183,22 @@ class RpmDatabase:
 
     def _adopt_unchecked(self, layer) -> None:
         """Install a :class:`~repro.rpm.transaction.InstallLayer`'s packages
-        at once: enter them in order, lay down its shared nodes in bulk,
-        then register its services and install its modulefiles in order.
-        No checking — the transaction admits the layer first, and what a
+        at once by merging its prebuilt tables: the packages, the shared
+        nodes, fresh service records and fresh modulefile tables.  No
+        checking — the transaction admits the layer first (none of its
+        files, services or module names is on the host), and what a
         failure part-way leaves is undone by erasing each package entered.
         """
-        by_name = self._by_name
+        self._by_name.update(layer.by_name)
         index = self._provides_index
-        for pkg in layer.packages:
-            by_name[pkg.name] = pkg
-            if index is not None:
+        if index is not None:
+            for pkg in layer.packages:
                 index.add(pkg)
         self._fingerprint = None
         host = self.host
         host.fs._lay_down(layer.dirs, layer.files)
-        register = host.services.register
-        for service, package in layer.services:
-            register(service, package=package)
-        install = host.modules.install
-        for module in layer.modules:
-            install(module)
+        host.services._register_all(layer.services)
+        host.modules._install_all(layer.modules, layer.module_defaults)
 
     def _erase_unchecked(self, name: str) -> Package:
         """Erase a package and its payload (no dependant checking)."""

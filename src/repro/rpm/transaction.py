@@ -92,12 +92,16 @@ class TransactionPlan:
     #: :meth:`RpmDatabase.fingerprint` of the DB the plan was validated on
     db_fingerprint: str
     host_arch: str
-    #: sorted nevras of the queued installs (the set identity)
-    install_nevras: tuple[str, ...]
     #: sorted names of the queued erases
     erase_names: tuple[str, ...]
-    #: topological execution order for the installs
+    #: topological execution order for the installs (the set identity)
     order_nevras: tuple[str, ...]
+    #: the install queue (name -> package) that was validated, and its
+    #: packages in execution order — what :meth:`Transaction.commit_planned`
+    #: matches on and executes; bookkeeping beside the frozen match keys,
+    #: never compared
+    installs: dict[str, Package] = field(repr=False, compare=False)
+    ordered: tuple[Package, ...] = field(repr=False, compare=False)
     #: how far the plan has been reused — bookkeeping beside the frozen
     #: match keys, never compared (see :meth:`Transaction.commit_planned`)
     _reuse: _PlanReuse = field(
@@ -111,23 +115,30 @@ class InstallLayer:
     adopted whole by every later host that admits it.
 
     It holds exactly what installing the plan's packages one by one, in
-    plan order, leaves on a host that holds none of it: every payload key
-    mapped to one node owned by its (last) writer, every ancestor directory
-    as a shared unowned node, and the services and modulefiles in order.
-    Hosts share these records; :class:`FsNode` is frozen, so none of them
-    can change through one host.
+    plan order, leaves on a host that holds none of it, as tables a host
+    merges whole (:meth:`RpmDatabase._adopt_unchecked`): the packages by
+    name, every payload key mapped to one node owned by its (last) writer,
+    every ancestor directory as a shared unowned node, each service's
+    owning package, and each module name's versions and default.  Hosts
+    share the file records (:class:`FsNode` is immutable) and copy the
+    rest, so none of it can change through one host.
     """
 
     packages: tuple[Package, ...]
     names: tuple[str, ...]
     nevras: tuple[str, ...]
+    #: package name -> package, in install order
+    by_name: dict[str, Package]
     #: ancestor directory key -> unowned directory node, root first
     dirs: dict[str, FsNode]
     #: payload key -> the node the last package writing it leaves
     files: dict[str, FsNode]
-    #: ``(service, package)`` registrations, in order
-    services: tuple[tuple[str, str], ...]
-    modules: tuple[ModuleFile, ...]
+    #: service -> the package registering it, in registration order
+    services: dict[str, str]
+    #: module name -> version -> modulefile, in install order
+    modules: dict[str, dict[str, ModuleFile]]
+    #: module name -> its first installed version (the default)
+    module_defaults: dict[str, str]
 
     @classmethod
     def build(cls, packages: tuple[Package, ...]) -> InstallLayer | None:
@@ -139,8 +150,7 @@ class InstallLayer:
         dirs: dict[str, FsNode] = {}
         files: dict[str, FsNode] = {}
         services: dict[str, str] = {}
-        registrations: list[tuple[str, str]] = []
-        modules: dict[str, ModuleFile] = {}
+        modules: dict[str, dict[str, ModuleFile]] = {}
         for pkg in packages:
             name = pkg.name
             for key, ancestors, content, mode in pkg.payload:
@@ -155,20 +165,24 @@ class InstallLayer:
             for service in pkg.services:
                 if services.setdefault(service, name) != name:
                     return None
-                registrations.append((service, name))
             module = pkg.module
             if module is not None:
-                if module.fullname in modules:
+                versions = modules.setdefault(module.name, {})
+                if module.version in versions:
                     return None
-                modules[module.fullname] = module
+                versions[module.version] = module
         return cls(
             packages=packages,
             names=tuple(p.name for p in packages),
             nevras=tuple(p.nevra for p in packages),
+            by_name={p.name: p for p in packages},
             dirs=dirs,
             files=files,
-            services=tuple(registrations),
-            modules=tuple(modules.values()),
+            services=services,
+            modules=modules,
+            module_defaults={
+                name: next(iter(versions)) for name, versions in modules.items()
+            },
         )
 
 
@@ -432,14 +446,14 @@ class Transaction:
         problems = self.check_diagnostics()
         if problems:
             self._raise_check_problems(problems)
+        ordered = tuple(self._install_order())
         return TransactionPlan(
             db_fingerprint=self.db.fingerprint(),
             host_arch=self.db.host.arch,
-            install_nevras=tuple(
-                sorted(p.nevra for p in self._installs.values())
-            ),
             erase_names=tuple(sorted(self._erases)),
-            order_nevras=tuple(p.nevra for p in self._install_order()),
+            order_nevras=tuple(p.nevra for p in ordered),
+            installs=dict(self._installs),
+            ordered=ordered,
         )
 
     def commit(self) -> TransactionResult:
@@ -456,10 +470,14 @@ class Transaction:
     def commit_planned(self, plan: TransactionPlan) -> TransactionResult:
         """Execute against a pre-validated :class:`TransactionPlan`.
 
-        The plan's match keys — DB fingerprint, host arch, install set,
+        The plan's match keys — DB fingerprint, host arch, install queue,
         erase set — are checked against *this* transaction; a match means
         validation and ordering would reproduce the plan exactly, so both
-        are skipped.  A mismatch raises :class:`TransactionError` without
+        are skipped.  The install queue matches when it maps each name to a
+        package equal to the one the plan validated (its NEVRA, its
+        requirements, conflicts and payload alike), which for a queue
+        seeded from :attr:`TransactionPlan.installs` is one identity test
+        per entry.  A mismatch raises :class:`TransactionError` without
         touching the DB (fall back to :meth:`commit`).
 
         The plan's first commit executes, journals and rolls back exactly
@@ -472,11 +490,10 @@ class Transaction:
         """
         if self.is_empty:
             raise TransactionError("empty transaction")
-        by_nevra = {p.nevra: p for p in self._installs.values()}
         if (
-            self.db.fingerprint() != plan.db_fingerprint
+            self._installs != plan.installs
+            or self.db.fingerprint() != plan.db_fingerprint
             or self.db.host.arch != plan.host_arch
-            or tuple(sorted(by_nevra)) != plan.install_nevras
             or tuple(sorted(self._erases)) != plan.erase_names
         ):
             raise TransactionError(
@@ -484,12 +501,12 @@ class Transaction:
                 f"shared plan (different DB state, architecture, or package "
                 f"set); commit() it individually"
             )
-        ordered = tuple(by_nevra[n] for n in plan.order_nevras)
+        ordered = plan.ordered
         reuse = plan._reuse
         reuse.commits += 1
         if reuse.commits == 2 and not plan.erase_names:
             reuse.layer = InstallLayer.build(ordered)
-        if reuse.layer is not None and self._admits(reuse.layer, ordered):
+        if reuse.layer is not None and self._admits(reuse.layer):
             return self._adopt(reuse.layer)
 
         result = TransactionResult()
@@ -552,27 +569,22 @@ class Transaction:
         journal.commit(txn)
         return result
 
-    def _admits(self, layer: InstallLayer, packages: tuple[Package, ...]) -> bool:
+    def _admits(self, layer: InstallLayer) -> bool:
         """True if adopting ``layer`` leaves this host exactly as installing
-        ``packages`` one by one would, with nothing on the way to raise:
-        the layer's own packages (only install-only plans have a layer), no
+        its packages one by one would, with nothing on the way to raise: no
         delivery to fetch them in order, and a host that holds none of the
         layer — no file at its keys (so no file conflict), no non-directory
-        at its directories, no mount, none of its modulefiles, and none of
-        its services registered by another package.  Mutates nothing."""
-        if self.delivery is not None or packages != layer.packages:
+        at its directories, no mount, no modulefile under any of its module
+        names and no service under any of its service names.  A host that
+        already has one of those names takes the package-by-package path.
+        Mutates nothing."""
+        if self.delivery is not None:
             return False
         host = self.db.host
-        if not host.fs._layer_fits(layer.dirs, layer.files):
-            return False
-        has_module = host.modules.has
-        if any(has_module(m.fullname) for m in layer.modules):
-            return False
-        registered = host.services._services
-        return all(
-            registered[service].package == owner
-            for service, owner in layer.services
-            if service in registered
+        return (
+            host.fs._layer_fits(layer.dirs, layer.files)
+            and layer.modules.keys().isdisjoint(host.modules._modules)
+            and layer.services.keys().isdisjoint(host.services._services)
         )
 
     def _adopt(self, layer: InstallLayer) -> TransactionResult:

@@ -102,6 +102,11 @@ class Repository:
                     versions.remove(pkg)
                     if not versions:
                         del self._packages[name]
+                    else:
+                        # An EVR without a release ties with every release
+                        # of its version, so dropping one can leave two
+                        # neighbours out of order: sort as add does.
+                        versions.sort(key=lambda p: p.evr)
                     self._provides_index.discard(pkg)
                     for obs in pkg.obsoletes:
                         bucket = self._obsoletes_index[obs.name]
@@ -119,7 +124,8 @@ class Repository:
         return set(self._packages)
 
     def versions_of(self, name: str) -> list[Package]:
-        """All published versions of a name, oldest first."""
+        """All published versions of a name, oldest first (as sorted by
+        :meth:`add` and :meth:`remove`; a copy)."""
         return list(self._packages.get(name, []))
 
     def latest(self, name: str) -> Package:
@@ -239,13 +245,18 @@ class RepoSet:
     # -- candidate selection -----------------------------------------------------
 
     def candidates_by_name(self, name: str) -> list[Package]:
-        """All candidate versions of ``name`` after priority filtering."""
+        """All candidate versions of ``name`` after priority filtering,
+        oldest first.  One contributing repository's list is already in
+        that order, without duplicates (:meth:`Repository.add`), so it is
+        returned as a copy; several are merged and sorted."""
         offering = [r for r in self.enabled_repos() if r.has(name)]
+        if self.use_priorities and offering:
+            best = offering[0].priority  # enabled_repos() is priority-sorted
+            offering = [r for r in offering if r.priority == best]
+        if len(offering) == 1:
+            return offering[0].versions_of(name)
         if not offering:
             return []
-        if self.use_priorities:
-            best = min(r.priority for r in offering)
-            offering = [r for r in offering if r.priority == best]
         out: list[Package] = []
         seen: set[str] = set()
         for repo in offering:

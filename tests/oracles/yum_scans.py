@@ -1,10 +1,10 @@
 """Pre-index scan queries of the yum repository classes, kept verbatim.
 
-Each ``scan_*`` query is the body of a former ``_scan_*`` method of
-:class:`Repository` or :class:`RepoSet`, moved out of ``src/`` unchanged
-(``self`` is the object the method used to live on).  The two digest scans
-recompute, from the published packages alone, the values the resolution
-cache is keyed on.  All of them walk every published NEVRA by design:
+Each ``scan_*`` query is the former body of a query of :class:`Repository`
+or :class:`RepoSet` (most of them once ``_scan_*`` methods), moved out of
+``src/`` unchanged (``self`` is the object the method used to live on).  The
+two digest scans recompute, from the published packages alone, the values
+the resolution cache is keyed on.  All of them walk or re-sort by design:
 ``tests/test_perf_indexes.py`` asserts the indexed queries and memoised
 digests in ``src/repro/yum/repository.py`` return exactly what these
 return after random mutation.
@@ -21,6 +21,7 @@ __all__ = [
     "scan_versions_of",
     "scan_providers_of",
     "scan_obsoleters_of",
+    "scan_candidates_by_name",
     "scan_reposet_providers_of",
     "scan_repomd_checksum",
     "scan_reposet_fingerprint",
@@ -56,6 +57,25 @@ def scan_obsoleters_of(self: Repository, target: Package) -> list[Package]:
     return sorted(out, key=lambda p: (p.name, p.evr))
 
 
+def scan_candidates_by_name(self: RepoSet, name: str) -> list[Package]:
+    """Reference oracle for :meth:`RepoSet.candidates_by_name`: every
+    contributing repository's versions merged, deduplicated and re-sorted."""
+    offering = [r for r in self.enabled_repos() if r.has(name)]
+    if not offering:
+        return []
+    if self.use_priorities:
+        best = min(r.priority for r in offering)
+        offering = [r for r in offering if r.priority == best]
+    out: list[Package] = []
+    seen: set[str] = set()
+    for repo in offering:
+        for pkg in repo.versions_of(name):
+            if pkg.nevra not in seen:
+                seen.add(pkg.nevra)
+                out.append(pkg)
+    return sorted(out, key=lambda p: p.evr)
+
+
 def scan_reposet_providers_of(self: RepoSet, req: Requirement) -> list[Package]:
     """Reference oracle for :meth:`RepoSet.providers_of`: scan-based."""
     names: set[str] = set()
@@ -64,7 +84,9 @@ def scan_reposet_providers_of(self: RepoSet, req: Requirement) -> list[Package]:
             names.add(pkg.name)
     out: list[Package] = []
     for name in sorted(names):
-        out.extend(p for p in self.candidates_by_name(name) if p.satisfies(req))
+        out.extend(
+            p for p in scan_candidates_by_name(self, name) if p.satisfies(req)
+        )
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distro import FileKind, Filesystem, normpath, parent_dirs
+from repro.distro import FileKind, Filesystem, FsNode, normpath, parent_dirs
 from repro.errors import FilesystemError
 
 
@@ -36,6 +36,16 @@ class TestFilesystemBasics:
         fs.write("/opt/gromacs/bin/mdrun", "x", mode=0o755)
         assert fs.is_dir("/opt/gromacs/bin")
         assert fs.get("/opt/gromacs/bin/mdrun").executable
+
+    def test_nodes_are_immutable_and_compare_by_value(self):
+        fs = Filesystem()
+        node = fs.write("/usr/bin/gcc", "x", owner="gcc", mode=0o755)
+        for attr in ("content", "owner_package", "mode", "kind"):
+            with pytest.raises(AttributeError):
+                setattr(node, attr, None)
+        assert fs.get("/usr/bin/gcc") is node
+        assert node == FsNode("/usr/bin/gcc", FileKind.FILE, "gcc", "x", 0o755)
+        assert node != FsNode("/usr/bin/gcc", FileKind.FILE, "gcc", "y", 0o755)
 
     def test_read_back(self):
         fs = Filesystem()

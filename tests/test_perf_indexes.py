@@ -44,8 +44,8 @@ NAMES = ["alpha", "bravo", "charlie", "delta"]
 CAPS = ["mpi-impl", "libfoo.so", "batch-system"]
 
 
-def _package(name_i, version_i, cap_i, obsoletes_i):
-    kw = {}
+def _package(name_i, version_i, cap_i, obsoletes_i, release="1"):
+    kw = {"release": release}
     if cap_i is not None:
         # Past CAPS the index wraps onto NAMES: a package may provide another
         # package's name, or (explicitly, a second time) its own.
@@ -66,6 +66,25 @@ packages = st.builds(
 #: (action, package, query after this step?)
 edit_sequences = st.lists(
     st.tuples(st.sampled_from(["add", "remove"]), packages, st.booleans()),
+    min_size=1,
+    max_size=12,
+)
+
+#: as ``edit_sequences``, with releases drawn too — an empty one compares
+#: equal to every release of its version, so EVR order is not total
+released_edit_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove"]),
+        st.builds(
+            _package,
+            st.integers(0, len(NAMES) - 1),
+            st.integers(1, 2),
+            st.one_of(st.none(), st.integers(0, len(CAPS) + len(NAMES) - 1)),
+            st.one_of(st.none(), st.integers(0, len(NAMES) - 1)),
+            st.sampled_from(["1", "2", ""]),
+        ),
+        st.booleans(),
+    ),
     min_size=1,
     max_size=12,
 )
@@ -128,12 +147,28 @@ class TestRepositoryIndex:
 
 
 class TestRepoSetIndex:
-    @given(edit_sequences, edit_sequences)
+    @given(
+        released_edit_sequences,
+        released_edit_sequences,
+        st.sampled_from([(90, 50, True), (50, 50, True), (90, 50, False)]),
+    )
+    @example(  # dropping the release-less version between 1.0-2 and 1.0-1
+        [("add", _package(0, 1, None, None, release), False)
+         for release in ("2", "", "1")]
+        + [("remove", _package(0, 1, None, None, ""), True)],
+        [],
+        (90, 50, True),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_queries_match_scans_under_mutation(self, base_edits, xsede_edits):
-        base = Repository("base", priority=90)
-        xsede = Repository("xsede", priority=50)
-        repos = RepoSet([base, xsede])
+    def test_queries_match_scans_under_mutation(
+        self, base_edits, xsede_edits, config
+    ):
+        """Drawn: priorities that differ or are equal, the priorities
+        plugin on or off, and releases (an empty one included)."""
+        base_priority, xsede_priority, use_priorities = config
+        base = Repository("base", priority=base_priority)
+        xsede = Repository("xsede", priority=xsede_priority)
+        repos = RepoSet([base, xsede], use_priorities=use_priorities)
         script = [(base, *step) for step in base_edits] + [
             (xsede, *step) for step in xsede_edits
         ]
@@ -146,6 +181,10 @@ class TestRepoSetIndex:
                 assert repos.providers_of(req) == yum_scans.scan_reposet_providers_of(
                     repos, req
                 )
+            for name in NAMES:
+                assert repos.candidates_by_name(
+                    name
+                ) == yum_scans.scan_candidates_by_name(repos, name)
 
     def test_epoch_is_content_addressed_across_instances(self):
         """Two RepoSets over repos with identical content share a

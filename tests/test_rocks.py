@@ -450,3 +450,24 @@ def test_etc_hostname_is_the_hostname_on_every_installed_host(littlefe_machine):
     assert {h.hostname for h in hosts[1:]} == set(cluster.compute)
     for host in hosts:
         assert host.fs.read("/etc/hostname") == host.hostname + "\n"
+
+
+def test_each_installed_host_writes_etc_hostname_once(littlefe_machine, monkeypatch):
+    """A compute host is created under its Rocks name, so its
+    ``/etc/hostname`` is written once — not with its board's name first
+    and again on a rename."""
+    from collections import Counter
+
+    from repro.distro import Filesystem
+
+    writers = Counter()
+    real = Filesystem.write
+
+    def counting(fs, path, *args, **kwargs):
+        if path == "/etc/hostname":
+            writers[id(fs)] += 1
+        return real(fs, path, *args, **kwargs)
+
+    monkeypatch.setattr(Filesystem, "write", counting)
+    cluster = RocksInstaller(littlefe_machine).run()
+    assert writers == Counter({id(host.fs): 1 for host in cluster.hosts()})

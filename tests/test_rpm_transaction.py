@@ -570,10 +570,11 @@ def _layer_pkg(data, i):
 
 def _prepare(host, pre):
     """Give ``host`` the drawn pre-state ``pre`` outside its RPM database,
-    so its DB fingerprint still matches the plan; a step the tree refuses
-    is skipped the same way on a host and on its twin."""
+    so its DB fingerprint still matches the plan; a step the tree or the
+    service manager refuses is skipped the same way on a host and on its
+    twin."""
     from repro.distro import ModuleFile
-    from repro.errors import FilesystemError
+    from repro.errors import FilesystemError, ServiceError
 
     steps = {
         "non-dir": lambda: host.fs.write(pre["non-dir"], "squatter"),
@@ -581,12 +582,16 @@ def _prepare(host, pre):
         "mount": lambda: host.fs.mount("/home", pre["mount"], "/export/home"),
         "module": lambda: host.modules.install(ModuleFile(*pre["module"].split("/"))),
         "service": lambda: host.services.register("shared", package="vendor"),
+        # a layer package's own service, already registered and enabled:
+        # registering it again keeps this record, so the layer is not adopted
+        "own-service": lambda: host.services.enable(host.services.register(
+            pre["own-service"][0], package=pre["own-service"][1]).name),
     }
     for kind, step in steps.items():
         if kind in pre:
             try:
                 step()
-            except FilesystemError:
+            except (FilesystemError, ServiceError):
                 pass
 
 
@@ -630,8 +635,9 @@ def test_property_adopted_layer_equals_per_package_commit(data):
     ``commit()``.  Drawn: packages whose files, commands, services and
     modulefiles overlap (colliding ones included), and host pre-states
     with a vendor-owned file at a layer key, a non-directory at a layer
-    ancestor, an NFS mount on /home, an installed modulefile, or a vendor
-    service.  A clean host whose twin commits cleanly adopts the layer."""
+    ancestor, an NFS mount on /home, an installed modulefile, a vendor
+    service, or a layer package's own service, enabled.  A clean host whose
+    twin commits cleanly adopts the layer."""
     from repro.distro import CENTOS_6_5, Filesystem, Host
     from repro.hardware import build_littlefe_modified
 
@@ -650,7 +656,7 @@ def test_property_adopted_layer_equals_per_package_commit(data):
     _outcome(lambda: first.commit_planned(plan))
     for node in machine.compute_nodes[:2]:
         kinds = data.draw(st.lists(st.sampled_from(
-            ("non-dir", "foreign", "mount", "module", "service")),
+            ("non-dir", "foreign", "mount", "module", "service", "own-service")),
             max_size=2, unique=True), label=f"{node.name}-pre")
         pre = {kind: None for kind in kinds}
         if "non-dir" in pre:
@@ -659,6 +665,9 @@ def test_property_adopted_layer_equals_per_package_commit(data):
             pre["foreign"] = data.draw(st.sampled_from(_LAYER_FILES[:-1]))
         if "module" in pre:
             pre["module"] = data.draw(st.sampled_from(("m/1", "m/0")))
+        if "own-service" in pre:
+            owned = [(s, p.name) for p in pkgs for s in p.services]
+            pre["own-service"] = data.draw(st.sampled_from(owned or [("p0d", "p0")]))
         dbs = []
         for _twin in range(2):
             host = Host(node, CENTOS_6_5)
@@ -683,10 +692,13 @@ def test_property_adopted_layer_equals_per_package_commit(data):
 def test_reused_plan_writes_its_payload_once(littlefe_machine, monkeypatch):
     """The contract that keeps per-host payload writes from creeping back:
     one plan committed on 50 fresh hosts calls ``_write_normal`` for its
-    payload on the first host only; every later host journals one
-    ``adopt`` op, shares the first adopter's file records, and ends with
-    the same installed set — a count, not a wall time."""
-    from repro.distro import CENTOS_6_5, Filesystem, Host
+    payload, ``ServiceManager.register`` for its services and
+    ``ModuleSystem.install`` for its modulefiles on the first host only;
+    every later host journals one ``adopt`` op, shares the first adopter's
+    file records, and ends with the same installed set — a count, not a
+    wall time."""
+    from repro.distro import CENTOS_6_5, Filesystem, Host, ModuleSystem
+    from repro.distro.services import ServiceManager
 
     pkgs = (
         mk("fftw", "3.3.3", libraries=("libfftw3.so.3",)),
@@ -703,6 +715,18 @@ def test_reused_plan_writes_its_payload_once(littlefe_machine, monkeypatch):
         return real(fs, *args)
 
     monkeypatch.setattr(Filesystem, "_write_normal", counting)
+    registrars, module_installers = [], []
+
+    def recording(calls, real):
+        def record(owner, *args, **kwargs):
+            calls.append(owner)
+            return real(owner, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(ServiceManager, "register",
+                        recording(registrars, ServiceManager.register))
+    monkeypatch.setattr(ModuleSystem, "install",
+                        recording(module_installers, ModuleSystem.install))
     plan = None
     journals, fingerprints = [], []
     for host in hosts:
@@ -717,6 +741,13 @@ def test_reused_plan_writes_its_payload_once(littlefe_machine, monkeypatch):
         fingerprints.append(db.fingerprint())
     assert len(writers) == sum(len(p.payload) for p in pkgs)
     assert all(fs is hosts[0].fs for fs in writers)
+    assert registrars == [hosts[0].services]
+    assert module_installers == [hosts[0].modules]
+    for host in hosts[1:]:
+        assert [(s.name, s.package) for s in host.services.all_services()] == [
+            ("gmxd", "gromacs")
+        ]
+        assert host.modules.avail() == ["gromacs/4.6.5(default)"]
     for journal in journals[1:]:
         (jtxn,) = journal.transactions("rpm.txn")
         assert jtxn.state is TxnState.COMMITTED
@@ -725,3 +756,50 @@ def test_reused_plan_writes_its_payload_once(littlefe_machine, monkeypatch):
     assert hosts[1].fs.lookup("/usr/bin/mdrun") is hosts[49].fs.lookup(
         "/usr/bin/mdrun"
     )
+
+
+@pytest.mark.parametrize("case", ["db-state", "arch", "install-set", "contents"])
+def test_commit_planned_refuses_a_transaction_the_plan_does_not_match(
+    littlefe_machine, case
+):
+    """A transaction that differs from a reused plan's — in its DB state,
+    its host's architecture, its install set, or a queued package with
+    the plan's NEVRA but other requirements — raises before anything
+    changes, even once the plan has a layer to adopt."""
+    from repro.distro import CENTOS_6_5, Host
+
+    from .test_extensions import raspberry_pi_host
+
+    lib = mk("lib", libraries=("libx.so.1",))
+    app = mk("app", files=("/opt/app/bin/run",), requires=(Requirement("lib"),))
+
+    def queued(db, pkgs):
+        txn = Transaction(db)
+        for pkg in pkgs:
+            txn.install(pkg)
+        return txn
+
+    plan = None
+    for _ in range(2):  # the second commit builds the plan's layer
+        txn = queued(RpmDatabase(Host(littlefe_machine.head, CENTOS_6_5)),
+                     (lib, app))
+        plan = plan or txn.plan()
+        txn.commit_planned(plan)
+
+    host = raspberry_pi_host() if case == "arch" else Host(
+        littlefe_machine.head, CENTOS_6_5
+    )
+    db = RpmDatabase(host)
+    queue = (lib, app)
+    if case == "db-state":
+        db._install_unchecked(mk("vendor"))
+    elif case == "install-set":
+        queue = (lib,)
+    elif case == "contents":
+        queue = (lib, mk("app", files=("/opt/app/bin/run",),
+                         requires=(Requirement("missing"),)))
+        assert queue[1].nevra == app.nevra
+    before = (db.fingerprint(), list(host.fs.walk()))
+    with pytest.raises(TransactionError, match="does not match the"):
+        queued(db, queue).commit_planned(plan)
+    assert (db.fingerprint(), list(host.fs.walk())) == before
