@@ -53,6 +53,11 @@ class ModuleSystem:
         if default or module.name not in self._defaults:
             self._defaults[module.name] = module.version
 
+    def _holds_none(self, names) -> bool:
+        """True if no modulefile under any of ``names`` is installed here,
+        so :meth:`_install_all` of them replaces nothing."""
+        return self._modules.keys().isdisjoint(names)
+
     def _install_all(
         self,
         modules: dict[str, dict[str, ModuleFile]],
@@ -60,7 +65,7 @@ class ModuleSystem:
     ) -> None:
         """Install whole name tables in one step: ``modules`` maps a name to
         its versions, ``defaults`` a name to its default version.  None of
-        the names may be installed yet (the caller checks)."""
+        the names may be installed yet (see :meth:`_holds_none`)."""
         self._modules.update(
             {name: dict(versions) for name, versions in modules.items()}
         )

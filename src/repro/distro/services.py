@@ -55,9 +55,14 @@ class ServiceManager:
         self._services[name] = svc
         return svc
 
+    def _holds_none(self, names) -> bool:
+        """True if no service of ``names`` is registered here, so
+        :meth:`_register_all` of them replaces nothing."""
+        return self._services.keys().isdisjoint(names)
+
     def _register_all(self, owners: dict[str, str]) -> None:
         """Register each service of ``owners`` (service -> package) in one
-        step; none of them may be registered yet (the caller checks)."""
+        step; none of them may be registered yet (see :meth:`_holds_none`)."""
         self._services.update(
             {name: Service(name, package) for name, package in owners.items()}
         )

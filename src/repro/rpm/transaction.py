@@ -94,14 +94,12 @@ class TransactionPlan:
     host_arch: str
     #: sorted names of the queued erases
     erase_names: tuple[str, ...]
-    #: topological execution order for the installs (the set identity)
-    order_nevras: tuple[str, ...]
-    #: the install queue (name -> package) that was validated, and its
-    #: packages in execution order — what :meth:`Transaction.commit_planned`
-    #: matches on and executes; bookkeeping beside the frozen match keys,
-    #: never compared
+    #: the installs in topological execution order (the set identity)
+    ordered: tuple[Package, ...] = field(repr=False)
+    #: the validated install queue (name -> package) that
+    #: :meth:`Transaction.commit_planned` matches on: ``ordered`` as a map,
+    #: kept so the match is one dict comparison; never compared
     installs: dict[str, Package] = field(repr=False, compare=False)
-    ordered: tuple[Package, ...] = field(repr=False, compare=False)
     #: how far the plan has been reused — bookkeeping beside the frozen
     #: match keys, never compared (see :meth:`Transaction.commit_planned`)
     _reuse: _PlanReuse = field(
@@ -125,7 +123,6 @@ class InstallLayer:
     """
 
     packages: tuple[Package, ...]
-    names: tuple[str, ...]
     nevras: tuple[str, ...]
     #: package name -> package, in install order
     by_name: dict[str, Package]
@@ -139,6 +136,11 @@ class InstallLayer:
     modules: dict[str, dict[str, ModuleFile]]
     #: module name -> its first installed version (the default)
     module_defaults: dict[str, str]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The package names, in install order."""
+        return tuple(self.by_name)
 
     @classmethod
     def build(cls, packages: tuple[Package, ...]) -> InstallLayer | None:
@@ -173,7 +175,6 @@ class InstallLayer:
                 versions[module.version] = module
         return cls(
             packages=packages,
-            names=tuple(p.name for p in packages),
             nevras=tuple(p.nevra for p in packages),
             by_name={p.name: p for p in packages},
             dirs=dirs,
@@ -451,9 +452,8 @@ class Transaction:
             db_fingerprint=self.db.fingerprint(),
             host_arch=self.db.host.arch,
             erase_names=tuple(sorted(self._erases)),
-            order_nevras=tuple(p.nevra for p in ordered),
-            installs=dict(self._installs),
             ordered=ordered,
+            installs=dict(self._installs),
         )
 
     def commit(self) -> TransactionResult:
@@ -583,8 +583,8 @@ class Transaction:
         host = self.db.host
         return (
             host.fs._layer_fits(layer.dirs, layer.files)
-            and layer.modules.keys().isdisjoint(host.modules._modules)
-            and layer.services.keys().isdisjoint(host.services._services)
+            and host.modules._holds_none(layer.modules.keys())
+            and host.services._holds_none(layer.services.keys())
         )
 
     def _adopt(self, layer: InstallLayer) -> TransactionResult:

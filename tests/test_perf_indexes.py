@@ -78,7 +78,7 @@ released_edit_sequences = st.lists(
         st.builds(
             _package,
             st.integers(0, len(NAMES) - 1),
-            st.integers(1, 2),
+            st.integers(1, 3),
             st.one_of(st.none(), st.integers(0, len(CAPS) + len(NAMES) - 1)),
             st.one_of(st.none(), st.integers(0, len(NAMES) - 1)),
             st.sampled_from(["1", "2", ""]),
@@ -159,7 +159,7 @@ class TestRepoSetIndex:
         [],
         (90, 50, True),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_queries_match_scans_under_mutation(
         self, base_edits, xsede_edits, config
     ):
@@ -321,7 +321,7 @@ class TestTransactionIndex:
         order = [p.nevra for p in scan_install_order(txn)]
         assert [p.nevra for p in txn._install_order()] == order
         if not problems and not txn.is_empty:
-            assert list(txn.plan().order_nevras) == order
+            assert [p.nevra for p in txn.plan().ordered] == order
 
 
 def _resolve(closure, goals, repos, db):

@@ -359,7 +359,7 @@ class TestTransactionOrderingAndAtomicity:
 
         monkeypatch.setattr(Package, "satisfies", counting)
         plan = txn.plan()
-        assert plan.order_nevras == tuple(p.nevra for p in chain)
+        assert plan.ordered == tuple(chain)
         assert 0 < calls <= 4 * declared
 
     @pytest.mark.parametrize("hosts", [1, 50])
