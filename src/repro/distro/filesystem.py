@@ -261,16 +261,24 @@ class Filesystem:
         self._nodes[key] = node
         return node
 
+    def _holds_none(self, keys: dict[str, FsNode]) -> bool:
+        """True if no mount routes a key and none of ``keys`` is here, so
+        no lookup of one would find a node.  O(len(keys)): a dict view's
+        ``isdisjoint`` probes with the smaller side."""
+        return not self._mounts and self._nodes.keys().isdisjoint(keys.keys())
+
     def _layer_fits(
         self, dirs: dict[str, FsNode], files: dict[str, FsNode]
     ) -> bool:
         """True if :meth:`_lay_down` of ``dirs`` and ``files`` leaves this
         tree as one :meth:`_write_normal` per file would, with nothing to
         raise or replace: no mount to route through, no file key already
-        taken, and every ancestor in ``dirs`` absent or a directory."""
-        nodes = self._nodes
-        if self._mounts or not nodes.keys().isdisjoint(files.keys()):
+        taken, and every ancestor in ``dirs`` absent or a directory.
+        O(layer), not O(tree): the view intersection, like ``isdisjoint``,
+        iterates its smaller side."""
+        if not self._holds_none(files):
             return False
+        nodes = self._nodes
         for key in nodes.keys() & dirs.keys():
             if nodes[key].kind is not FileKind.DIRECTORY:
                 return False
@@ -279,15 +287,14 @@ class Filesystem:
     def _lay_down(
         self, dirs: dict[str, FsNode], files: dict[str, FsNode]
     ) -> None:
-        """Insert shared nodes in bulk: the ``dirs`` not yet present and
-        every file (callers check :meth:`_layer_fits` first).  The tree is
-        rebuilt as one merge that starts from a copy of ``files``, usually
-        the largest part, and lets a node already here win over a layer
-        directory.  No reader depends on the tree's insertion order."""
-        merged = dict(files)
-        merged.update(dirs)
-        merged.update(self._nodes)
-        self._nodes = merged
+        """Insert shared nodes in place: the ``dirs`` not yet present and
+        every file (callers check :meth:`_layer_fits` first).  O(layer); no
+        reader depends on the tree's insertion order."""
+        nodes = self._nodes
+        for key, node in dirs.items():
+            if key not in nodes:
+                nodes[key] = node
+        nodes.update(files)
 
     def symlink(self, path: str, target: str, *, owner: str | None = None) -> FsNode:
         """Create a symlink at ``path`` pointing at ``target``."""

@@ -122,7 +122,8 @@ class Journal:
 
     In-memory always; give ``path`` to also append each record to a JSONL
     write-ahead file the moment it is written (before the caller mutates
-    anything — the ordering crash consistency rests on).
+    anything — the ordering crash consistency rests on).  Without a file,
+    no record is built.
     """
 
     def __init__(self, *, path=None) -> None:
@@ -136,8 +137,8 @@ class Journal:
     # -- the write-ahead file --------------------------------------------------
 
     def _append(self, record: dict[str, Any]) -> None:
-        if self.path is None:
-            return
+        """Append one record to the write-ahead file (callers build the
+        record only when :attr:`path` is set)."""
         with self.path.open("a") as fh:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -215,9 +216,10 @@ class Journal:
         txn = JournalTxn(txn_id=self._next_txn, kind=kind, meta=dict(meta))
         self._next_txn += 1
         self._txns[txn.txn_id] = txn
-        self._append(
-            {"event": "begin", "txn_id": txn.txn_id, "kind": kind, "meta": txn.meta}
-        )
+        if self.path is not None:
+            self._append(
+                {"event": "begin", "txn_id": txn.txn_id, "kind": kind, "meta": txn.meta}
+            )
         return txn
 
     def intent(
@@ -228,18 +230,19 @@ class Journal:
             raise JournalError(
                 f"transaction {txn.txn_id} is {txn.state.value}; cannot add ops"
             )
-        record = JournalOp(seq=self._next_op, op=op, payload=dict(payload), obj=obj)
+        record = JournalOp(seq=self._next_op, op=op, payload=payload, obj=obj)
         self._next_op += 1
         txn.ops.append(record)
-        self._append(
-            {
-                "event": "intent",
-                "txn_id": txn.txn_id,
-                "seq": record.seq,
-                "op": op,
-                "payload": record.payload,
-            }
-        )
+        if self.path is not None:
+            self._append(
+                {
+                    "event": "intent",
+                    "txn_id": txn.txn_id,
+                    "seq": record.seq,
+                    "op": op,
+                    "payload": payload,
+                }
+            )
         return record
 
     def applied(self, txn: JournalTxn, op: JournalOp) -> None:
@@ -247,7 +250,8 @@ class Journal:
         if op.state is not OpState.INTENT:
             raise JournalError(f"op {op.seq} is {op.state.value}; cannot apply")
         op.state = OpState.APPLIED
-        self._append({"event": "applied", "txn_id": txn.txn_id, "seq": op.seq})
+        if self.path is not None:
+            self._append({"event": "applied", "txn_id": txn.txn_id, "seq": op.seq})
 
     def undone(self, txn: JournalTxn, op: JournalOp) -> None:
         """Record that recovery made an operation definitely-not-in-effect.
@@ -259,7 +263,8 @@ class Journal:
         if op.state is OpState.UNDONE:
             raise JournalError(f"op {op.seq} is already undone")
         op.state = OpState.UNDONE
-        self._append({"event": "undone", "txn_id": txn.txn_id, "seq": op.seq})
+        if self.path is not None:
+            self._append({"event": "undone", "txn_id": txn.txn_id, "seq": op.seq})
 
     def commit(self, txn: JournalTxn) -> None:
         """Close a transaction as fully applied."""
@@ -268,7 +273,8 @@ class Journal:
                 f"transaction {txn.txn_id} is {txn.state.value}; cannot commit"
             )
         txn.state = TxnState.COMMITTED
-        self._append({"event": "commit", "txn_id": txn.txn_id})
+        if self.path is not None:
+            self._append({"event": "commit", "txn_id": txn.txn_id})
 
     def roll_back(self, txn: JournalTxn, undo: Callable[[JournalOp], None]) -> None:
         """Undo an open transaction: THE rollback loop.
@@ -292,7 +298,8 @@ class Journal:
                 undo(op)
                 self.undone(txn, op)
         txn.state = TxnState.ROLLED_BACK
-        self._append({"event": "rolled-back", "txn_id": txn.txn_id})
+        if self.path is not None:
+            self._append({"event": "rolled-back", "txn_id": txn.txn_id})
 
     def abort(self, txn: JournalTxn, *, note: str = "") -> None:
         """Close a transaction as cleanly abandoned (its owner undid or
@@ -305,7 +312,8 @@ class Journal:
         txn.state = TxnState.ABORTED
         if note:
             txn.meta["abort_note"] = note
-        self._append({"event": "abort", "txn_id": txn.txn_id})
+        if self.path is not None:
+            self._append({"event": "abort", "txn_id": txn.txn_id})
 
     # -- reading ---------------------------------------------------------------
 

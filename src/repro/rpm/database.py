@@ -46,7 +46,7 @@ class RpmDatabase:
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()
-            for nevra in sorted(p.nevra for p in self._by_name.values()):
+            for nevra in sorted([p.nevra for p in self._by_name.values()]):
                 digest.update(nevra.encode())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
@@ -157,6 +157,14 @@ class RpmDatabase:
         the modulefile present, so whatever the host holds under
         ``pkg.name`` (and that modulefile) after a failure part-way is this
         call's own writes, and :meth:`_erase_unchecked` undoes exactly those.
+
+        The payload goes down as the package's own node table
+        (:attr:`Package.node_table`, shared by every host that installs
+        it) when the tree admits it whole — no mount, no payload key
+        present, every present ancestor a directory — and otherwise one
+        :meth:`~repro.distro.filesystem.Filesystem._write_normal` per
+        entry, which replaces, routes and raises as the case needs.  Both
+        leave the same tree.
         """
         host = self.host
         if pkg.name in self._by_name:
@@ -173,9 +181,14 @@ class RpmDatabase:
         if self._provides_index is not None:
             self._provides_index.add(pkg)
         self._fingerprint = None
-        write = host.fs._write_normal
-        for key, ancestors, content, mode in pkg.payload:
-            write(key, ancestors, content, pkg.name, mode)
+        fs = host.fs
+        table = pkg.node_table
+        if table is not None and fs._layer_fits(*table):
+            fs._lay_down(*table)
+        else:
+            write = fs._write_normal
+            for key, ancestors, content, mode in pkg.payload:
+                write(key, ancestors, content, pkg.name, mode)
         for service in pkg.services:
             host.services.register(service, package=pkg.name)
         if pkg.module:

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from ..distro.filesystem import normpath, parent_dirs
+from ..distro.filesystem import FileKind, FsNode, normpath, parent_dirs
 from ..distro.modules_env import ModuleFile
 from ..errors import RpmError
 from .version import EVR, parse_evr
@@ -239,6 +239,30 @@ class Package:
             entries.append((key, tuple(parent_dirs(key)), content, mode))
         return tuple(entries)
 
+    @cached_property
+    def node_table(self) -> tuple[dict[str, FsNode], dict[str, FsNode]] | None:
+        """The tree records writing :attr:`payload` onto free keys leaves:
+        ``(dirs, files)`` — each ancestor directory as an unowned node, root
+        first, and each key's file owned by this package (the last entry
+        at a key wins) — or ``None`` when the payload collides with itself
+        (a file at ``/``, at another entry's ancestor, or under another
+        entry), so writing it raises on any host.  Built once per package;
+        every host that installs it shares the records
+        (:meth:`~repro.distro.filesystem.Filesystem._lay_down`)."""
+        dirs: dict[str, FsNode] = {}
+        files: dict[str, FsNode] = {}
+        name = self.name
+        for key, ancestors, content, mode in self.payload:
+            if key == "/" or key in dirs:
+                return None
+            for ancestor in ancestors:
+                if ancestor in files:
+                    return None
+                if ancestor not in dirs:
+                    dirs[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
+            files[key] = FsNode(key, FileKind.FILE, name, content, mode)
+        return dirs, files
+
     def default_paths(self) -> list[str]:
         """Every path this package materialises (files, commands,
         libraries, modulefile), normalised."""
@@ -254,6 +278,11 @@ class ProvidesIndex:
     :meth:`Requirement.matches` rejects a capability whose name differs from
     the requirement's, so the bucket for ``req.name`` holds every package
     that can satisfy ``req``; callers test those instead of the whole set.
+    The bucket holds exactly the packages that provide the name, so an
+    unversioned requirement is answered from it alone and only a versioned
+    one reaches :meth:`Package.satisfies`.  Both queries take ``without``,
+    package names to leave out: a transaction asks the installed set's
+    index about the set it will leave, minus what it erases or replaces.
     """
 
     def __init__(self, pkgs: Iterable[Package] = ()) -> None:
@@ -277,11 +306,19 @@ class ProvidesIndex:
             if not bucket:
                 self._by_name.pop(name, None)
 
-    def providers(self, req: Requirement) -> list[Package]:
-        """Indexed packages satisfying ``req``, in insertion order."""
-        return [p for p in self._by_name.get(req.name, ()) if p.satisfies(req)]
+    def providers(self, req: Requirement, without=()) -> list[Package]:
+        """Indexed packages satisfying ``req``, in insertion order, bar
+        those named in ``without``."""
+        bucket = self._by_name.get(req.name, ())
+        if not req.version:
+            return [p for p in bucket if p.name not in without]
+        return [p for p in bucket if p.name not in without and p.satisfies(req)]
 
-    def is_satisfied(self, req: Requirement) -> bool:
-        """True if some indexed package satisfies ``req``."""
-        return any(p.satisfies(req) for p in self._by_name.get(req.name, ()))
+    def is_satisfied(self, req: Requirement, without=()) -> bool:
+        """True if some indexed package not named in ``without`` satisfies
+        ``req``."""
+        for pkg in self._by_name.get(req.name, ()):
+            if pkg.name not in without and (not req.version or pkg.satisfies(req)):
+                return True
+        return False
 

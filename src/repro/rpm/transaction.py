@@ -45,7 +45,7 @@ from functools import partial
 
 from ..analyze.diagnostic import Diagnostic, Severity
 from ..analyze import txn as _txn_rules  # noqa: F401 - registers TX7xx rules
-from ..distro.filesystem import FileKind, FsNode
+from ..distro.filesystem import FsNode
 from ..distro.modules_env import ModuleFile
 from ..errors import (
     ConflictError,
@@ -117,9 +117,10 @@ class InstallLayer:
     merges whole (:meth:`RpmDatabase._adopt_unchecked`): the packages by
     name, every payload key mapped to one node owned by its (last) writer,
     every ancestor directory as a shared unowned node, each service's
-    owning package, and each module name's versions and default.  Hosts
-    share the file records (:class:`FsNode` is immutable) and copy the
-    rest, so none of it can change through one host.
+    owning package, and each module name's versions and default.  The
+    tree records are the packages' own (:attr:`Package.node_table`), so
+    every host shares them (:class:`FsNode` is immutable) and copies the
+    rest; none of it can change through one host.
     """
 
     packages: tuple[Package, ...]
@@ -144,26 +145,29 @@ class InstallLayer:
 
     @classmethod
     def build(cls, packages: tuple[Package, ...]) -> InstallLayer | None:
-        """The layer of ``packages`` (in install order), or ``None`` when
-        their own payloads collide — a file at ``/``, at another file's
-        ancestor or under another file, a service two packages register,
-        or one modulefile twice — so installing them one by one raises on
-        any host."""
+        """The layer of ``packages`` (in install order), composed from
+        their node tables, or ``None`` when their own payloads collide — a
+        file at ``/``, at another file's ancestor or under another file, a
+        service two packages register, or one modulefile twice — so
+        installing them one by one raises on any host."""
         dirs: dict[str, FsNode] = {}
         files: dict[str, FsNode] = {}
         services: dict[str, str] = {}
         modules: dict[str, dict[str, ModuleFile]] = {}
         for pkg in packages:
             name = pkg.name
-            for key, ancestors, content, mode in pkg.payload:
-                if key == "/" or key in dirs:
-                    return None
-                for ancestor in ancestors:
-                    if ancestor in files:
-                        return None
-                    if ancestor not in dirs:
-                        dirs[ancestor] = FsNode(ancestor, FileKind.DIRECTORY)
-                files[key] = FsNode(key, FileKind.FILE, name, content, mode)
+            table = pkg.node_table
+            if table is None:
+                return None
+            pkg_dirs, pkg_files = table
+            if not dirs.keys().isdisjoint(pkg_files.keys()):
+                return None
+            if not files.keys().isdisjoint(pkg_dirs.keys()):
+                return None
+            for key, node in pkg_dirs.items():
+                if key not in dirs:
+                    dirs[key] = node
+            files.update(pkg_files)
             for service in pkg.services:
                 if services.setdefault(service, name) != name:
                     return None
@@ -271,24 +275,21 @@ class Transaction:
 
     # -- validation --------------------------------------------------------------
 
-    def _final_set(self) -> dict[str, Package]:
-        """The package set that will be installed after commit."""
-        final = {
-            name: pkg
-            for name, pkg in ((p.name, p) for p in self.db.installed())
-            if name not in self._erases and name not in self._installs
-        }
-        final.update(self._installs)
-        return final
-
     def check_diagnostics(self) -> list[Diagnostic]:
         """Validate; returns structured diagnostics (empty = ok).
 
         Each problem carries a stable ``TX7xx`` rule code (catalogued in
         :mod:`repro.analyze.txn` and docs/ANALYZE.md).  Order is the
         validation order — arch, erases, installs, requires, conflicts —
-        not severity order.  The requires and conflicts passes share one
-        :class:`ProvidesIndex` over the final set: linear in what is declared.
+        not severity order.
+
+        The requires and conflicts passes ask about the final set without
+        building an index over it: they read the database's own index
+        (:meth:`RpmDatabase._index`, where a query has built it) with the
+        names erased or replaced left out, overlaid with an index of the
+        queued installs — linear in what is declared.  Every final package's requirements are still
+        checked, so a database that was already broken reports what it
+        holds.
         """
 
         def problem(code: str, message: str, location: str) -> Diagnostic:
@@ -343,13 +344,26 @@ class Transaction:
                         f"erase+install or Transaction.upgrade",
                         f"transaction:install/{name}",
                     ))
-        final = self._final_set()
-        by_name = sorted(final.values(), key=lambda p: p.name)
-        provided = ProvidesIndex(by_name)
+        # The final set: what stays installed, then the queued installs.
+        gone = self._erases.union(self._installs)
+        final = {n: p for n, p in self.db._by_name.items() if n not in gone}
+        final.update(self._installs)
+        by_name = [final[name] for name in sorted(final)]
+        # The database's own index where a query has built it (on an XNIT
+        # host, the depsolver's).  Where none has, a throwaway one: kept,
+        # it would outlive the check and index every later install on a
+        # host nothing queries (an XCBC kickstart, a near-empty database).
+        installed = self.db._provides_index
+        if installed is None:
+            installed = ProvidesIndex(self.db._by_name.values())
+        queued = ProvidesIndex(self._installs.values())
         # Dependency closure of the final state.
         for pkg in by_name:
             for req in pkg.requires:
-                if not provided.is_satisfied(req):
+                if not (
+                    installed.is_satisfied(req, gone)
+                    or queued.is_satisfied(req)
+                ):
                     problems.append(problem(
                         "TX705",
                         f"{pkg.nevra} requires {req} which nothing provides",
@@ -360,7 +374,10 @@ class Transaction:
         clashes: set[tuple[str, str]] = set()
         for pkg in by_name:
             for conflict in pkg.conflicts:
-                for other in provided.providers(conflict):
+                for other in (
+                    installed.providers(conflict, gone)
+                    + queued.providers(conflict)
+                ):
                     if other.name != pkg.name:
                         clashes.add((pkg.name, other.name))
                         if other.conflicts:
@@ -514,8 +531,13 @@ class Transaction:
         # Detect cross-package file conflicts before touching anything:
         # paths an incoming package will write that are currently owned by a
         # package that is neither being erased nor the same name.
+        # A package whose keys are all free (no mount, no node at any of
+        # them) has nothing to conflict with.
         fs = self.db.host.fs
         for pkg in self._installs.values():
+            table = pkg.node_table
+            if table is not None and fs._holds_none(table[1]):
+                continue
             for path, _ancestors, _content, _mode in pkg.payload:
                 node = fs._node(path)
                 owner = node.owner_package if node is not None else None

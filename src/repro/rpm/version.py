@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cmp_to_key
 
 from ..errors import RpmError
 
-__all__ = ["rpmvercmp", "EVR", "parse_evr", "compare_evr"]
+__all__ = ["rpmvercmp", "EVR", "EVR_ORDER", "parse_evr", "compare_evr"]
 
 
 def _is_sep(ch: str) -> bool:
@@ -101,10 +101,14 @@ _EVR_RE = re.compile(
 )
 
 
-@total_ordering
 @dataclass(frozen=True)
 class EVR:
-    """An epoch:version-release triple with RPM ordering."""
+    """An epoch:version-release triple with RPM ordering.
+
+    The comparison operators are RPM's dependency-matching rule, in which
+    a missing release equals every release of its version, so they do not
+    define a total order.  Sorts use :data:`EVR_ORDER`, which does.
+    """
 
     epoch: int
     version: str
@@ -117,12 +121,13 @@ class EVR:
     def _cmp(self, other: "EVR") -> int:
         if self.epoch != other.epoch:
             return 1 if self.epoch > other.epoch else -1
-        c = rpmvercmp(self.version, other.version)
-        if c != 0:
-            return c
+        if self.version != other.version:
+            c = rpmvercmp(self.version, other.version)
+            if c != 0:
+                return c
         # A missing release compares equal to any release (RPM's behaviour
         # when matching versioned dependencies like ``>= 1.2``).
-        if not self.release or not other.release:
+        if not self.release or not other.release or self.release == other.release:
             return 0
         return rpmvercmp(self.release, other.release)
 
@@ -136,8 +141,36 @@ class EVR:
             return NotImplemented
         return self._cmp(other) < 0
 
+    def __le__(self, other: "EVR") -> bool:
+        if not isinstance(other, EVR):
+            return NotImplemented
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other: "EVR") -> bool:
+        if not isinstance(other, EVR):
+            return NotImplemented
+        return self._cmp(other) > 0
+
+    def __ge__(self, other: "EVR") -> bool:
+        if not isinstance(other, EVR):
+            return NotImplemented
+        return self._cmp(other) >= 0
+
+    def _order(self, other: "EVR") -> int:
+        """:meth:`_cmp` made total for sorting: a missing release sorts
+        before every release of its version."""
+        c = self._cmp(other)
+        if c == 0 and bool(self.release) != bool(other.release):
+            return 1 if self.release else -1
+        return c
+
     def __hash__(self) -> int:
         return hash((self.epoch, self.version, self.release))
+
+
+#: sort key over EVRs that orders them totally (:meth:`EVR._order`), so a
+#: sorted list does not depend on the order its members arrived in
+EVR_ORDER = cmp_to_key(EVR._order)
 
 
 def parse_evr(text: str) -> EVR:

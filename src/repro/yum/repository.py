@@ -25,9 +25,11 @@ random mutation (docs/PERF.md).
 from __future__ import annotations
 
 import hashlib
+from weakref import WeakSet
 
 from ..errors import PackageNotFoundError, RepoPriorityError, YumError
 from ..rpm.package import Package, ProvidesIndex, Requirement
+from ..rpm.version import EVR_ORDER
 
 __all__ = ["Repository", "RepoSet", "DEFAULT_PRIORITY", "priority_problem"]
 
@@ -45,6 +47,17 @@ def priority_problem(priority: int) -> str | None:
     if 1 <= priority <= DEFAULT_PRIORITY:
         return None
     return f"priority={priority} is outside 1..{DEFAULT_PRIORITY}"
+
+
+def _evr_order(pkg: Package):
+    """Sort key of a package by EVR, total (:data:`EVR_ORDER`): the
+    oldest-first order of a name's versions."""
+    return EVR_ORDER(pkg.evr)
+
+
+def _name_evr_order(pkg: Package):
+    """Sort key of a package by name, then EVR (:func:`_evr_order`)."""
+    return pkg.name, EVR_ORDER(pkg.evr)
 
 
 class Repository:
@@ -67,12 +80,41 @@ class Repository:
         self.repo_id = repo_id
         self.name = name or repo_id
         self.baseurl = baseurl or f"http://repo.example.org/{repo_id}/"
-        self.priority = priority
-        self.enabled = enabled
+        self._priority = priority
+        self._enabled = enabled
+        #: the :class:`RepoSet`\ s holding this repository, whose enabled
+        #: order the two setters below drop (weakly held: a set made per
+        #: host does not outlive its host through the repository)
+        self._sets: WeakSet[RepoSet] = WeakSet()
         self._packages: dict[str, list[Package]] = {}
         self._provides_index = ProvidesIndex()
         self._obsoletes_index: dict[str, list[Package]] = {}
         self._checksum: str | None = None
+
+    @property
+    def priority(self) -> int:
+        """yum-plugin-priorities value: 1 is the strongest claim."""
+        return self._priority
+
+    @priority.setter
+    def priority(self, value: int) -> None:
+        self._priority = value
+        self._drop_orders()
+
+    @property
+    def enabled(self) -> bool:
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = value
+        self._drop_orders()
+
+    def _drop_orders(self) -> None:
+        """Drop the enabled order of every :class:`RepoSet` holding this
+        repository: its priority or enabled flag is what that order sorts."""
+        for repos in self._sets:
+            repos._order = None
 
     # -- publishing ----------------------------------------------------------
 
@@ -83,7 +125,7 @@ class Repository:
         if any(v.nevra == pkg.nevra for v in versions):
             raise YumError(f"repo {self.repo_id}: {pkg.nevra} already published")
         versions.append(pkg)
-        versions.sort(key=lambda p: p.evr)
+        versions.sort(key=_evr_order)
         self._provides_index.add(pkg)
         for obs in pkg.obsoletes:
             self._obsoletes_index.setdefault(obs.name, []).append(pkg)
@@ -102,11 +144,6 @@ class Repository:
                     versions.remove(pkg)
                     if not versions:
                         del self._packages[name]
-                    else:
-                        # An EVR without a release ties with every release
-                        # of its version, so dropping one can leave two
-                        # neighbours out of order: sort as add does.
-                        versions.sort(key=lambda p: p.evr)
                     self._provides_index.discard(pkg)
                     for obs in pkg.obsoletes:
                         bucket = self._obsoletes_index[obs.name]
@@ -125,7 +162,7 @@ class Repository:
 
     def versions_of(self, name: str) -> list[Package]:
         """All published versions of a name, oldest first (as sorted by
-        :meth:`add` and :meth:`remove`; a copy)."""
+        :meth:`add`; a copy)."""
         return list(self._packages.get(name, []))
 
     def latest(self, name: str) -> Package:
@@ -142,9 +179,7 @@ class Repository:
 
     def providers_of(self, req: Requirement) -> list[Package]:
         """Every published package satisfying ``req`` (index lookup)."""
-        return sorted(
-            self._provides_index.providers(req), key=lambda p: (p.name, p.evr)
-        )
+        return sorted(self._provides_index.providers(req), key=_name_evr_order)
 
     def obsoleters_of(self, target: Package) -> list[Package]:
         """Published packages (other than ``target``'s name) that obsolete
@@ -157,7 +192,7 @@ class Repository:
             for p in candidates
             if p.name != target.name and p.obsoletes_package(target)
         ]
-        return sorted(out, key=lambda p: (p.name, p.evr))
+        return sorted(out, key=_name_evr_order)
 
     def all_packages(self) -> list[Package]:
         """Every published package, sorted by (name, EVR)."""
@@ -195,15 +230,18 @@ class RepoSet:
     all enabled repositories contribute and the newest EVR wins regardless of
     origin — the failure mode the ablation bench demonstrates.
 
-    A RepoSet holds no derived state: every query reads the member
-    repositories' own indexes, so a mutated repo (or a toggled
-    ``enabled``/``priority``) is seen by the next call.  :meth:`fingerprint`
-    identifies the configuration for the caches layered above (the
-    depsolver's resolution LRU).
+    A RepoSet's one derived value is its enabled, priority-sorted
+    repository order (:meth:`enabled_repos`), absent (``None``) or current:
+    :meth:`add_repo` drops it, and so does a member's ``enabled`` or
+    ``priority`` setter.  Every query reads the member repositories' own
+    indexes, so a mutated repo is seen by the next call.
+    :meth:`fingerprint` identifies the configuration for the caches
+    layered above (the depsolver's resolution LRU).
     """
 
     def __init__(self, repos: list[Repository] | None = None, *, use_priorities: bool = True):
         self._repos: dict[str, Repository] = {}
+        self._order: tuple[Repository, ...] | None = None
         self.use_priorities = use_priorities
         for repo in repos or []:
             self.add_repo(repo)
@@ -212,13 +250,18 @@ class RepoSet:
         if repo.repo_id in self._repos:
             raise YumError(f"duplicate repo id {repo.repo_id}")
         self._repos[repo.repo_id] = repo
+        repo._sets.add(self)
+        self._order = None
 
-    def enabled_repos(self) -> list[Repository]:
-        """Enabled repositories sorted by (priority, id)."""
-        return sorted(
-            (r for r in self._repos.values() if r.enabled),
-            key=lambda r: (r.priority, r.repo_id),
-        )
+    def enabled_repos(self) -> tuple[Repository, ...]:
+        """Enabled repositories sorted by (priority, id), sorted on the
+        first call after a change to the set or to a member's flag."""
+        if self._order is None:
+            self._order = tuple(sorted(
+                (r for r in self._repos.values() if r.enabled),
+                key=lambda r: (r.priority, r.repo_id),
+            ))
+        return self._order
 
     def repolist(self) -> list[tuple[str, int, int]]:
         """``yum repolist``: (id, priority, package count) for enabled repos."""
@@ -249,10 +292,10 @@ class RepoSet:
         oldest first.  One contributing repository's list is already in
         that order, without duplicates (:meth:`Repository.add`), so it is
         returned as a copy; several are merged and sorted."""
-        offering = [r for r in self.enabled_repos() if r.has(name)]
-        if self.use_priorities and offering:
-            best = offering[0].priority  # enabled_repos() is priority-sorted
-            offering = [r for r in offering if r.priority == best]
+        offering = [r for r in self.enabled_repos() if name in r._packages]
+        if len(offering) > 1 and self.use_priorities:
+            best = offering[0]._priority  # enabled_repos() is priority-sorted
+            offering = [r for r in offering if r._priority == best]
         if len(offering) == 1:
             return offering[0].versions_of(name)
         if not offering:
@@ -264,7 +307,7 @@ class RepoSet:
                 if pkg.nevra not in seen:
                     seen.add(pkg.nevra)
                     out.append(pkg)
-        return sorted(out, key=lambda p: p.evr)
+        return sorted(out, key=_evr_order)
 
     def latest_by_name(self, name: str) -> Package:
         """Newest candidate of ``name`` (after priority filtering)."""

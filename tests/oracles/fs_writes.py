@@ -11,15 +11,21 @@ written), then the install loop wrote each one through ``Filesystem.write``.
 keeps its own copy of the old ``write`` and mount-table route, so it shares
 no code with the writer it checks beyond ``normpath`` and ``parent_dirs``;
 ``tests/test_distro_filesystem.py`` holds the two equal.
+
+:func:`install_per_file` is ``RpmDatabase._install_unchecked`` before a
+package's payload went down as its shared node table: the same refusals
+and database entry, :func:`write_payload`, then the package's services
+and modulefile.  ``tests/test_rpm_transaction.py`` installs through it on
+the twin host its properties compare against.
 """
 
 from __future__ import annotations
 
 from repro.distro import FileKind, Filesystem, FsNode, normpath, parent_dirs
-from repro.errors import FilesystemError
-from repro.rpm import Package
+from repro.errors import FilesystemError, RpmError
+from repro.rpm import Package, RpmDatabase
 
-__all__ = ["raw_payload", "write_payload"]
+__all__ = ["raw_payload", "write_payload", "install_per_file"]
 
 
 def raw_payload(pkg: Package) -> list[tuple[str, str, int]]:
@@ -84,3 +90,27 @@ def write_payload(fs: Filesystem, pkg: Package) -> None:
         _route(fs, path)
     for path, content, mode in entries:
         _write(fs, path, content, pkg.name, mode)
+
+
+def install_per_file(db: RpmDatabase, pkg: Package) -> None:
+    """Install ``pkg`` on ``db``'s host one payload path at a time."""
+    host = db.host
+    if pkg.name in db._by_name:
+        raise RpmError(
+            f"{host.name}: package {pkg.name} is already installed "
+            f"({db._by_name[pkg.name].nevra})"
+        )
+    if pkg.module and host.modules.has(pkg.module.fullname):
+        raise RpmError(
+            f"{host.name}: cannot install {pkg.nevra}: modulefile "
+            f"exists: {pkg.module.fullname}"
+        )
+    db._by_name[pkg.name] = pkg
+    if db._provides_index is not None:
+        db._provides_index.add(pkg)
+    db._fingerprint = None
+    write_payload(host.fs, pkg)
+    for service in pkg.services:
+        host.services.register(service, package=pkg.name)
+    if pkg.module:
+        host.modules.install(pkg.module)

@@ -97,7 +97,13 @@ def scan_check_diagnostics(self: Transaction) -> list[Diagnostic]:
                     f"erase+install or Transaction.upgrade",
                     f"transaction:install/{name}",
                 ))
-    final = self._final_set()
+    # The final set (formerly ``Transaction._final_set``).
+    final = {
+        name: pkg
+        for name, pkg in ((p.name, p) for p in self.db.installed())
+        if name not in self._erases and name not in self._installs
+    }
+    final.update(self._installs)
     # Dependency closure of the final state.
     for pkg in sorted(final.values(), key=lambda p: p.name):
         for req in pkg.requires:

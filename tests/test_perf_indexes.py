@@ -70,21 +70,21 @@ edit_sequences = st.lists(
     max_size=12,
 )
 
-#: as ``edit_sequences``, with releases drawn too — an empty one compares
-#: equal to every release of its version, so EVR order is not total
+#: a package as ``packages`` draws one, with a release drawn too — an
+#: empty one compares equal to every release of its version under ``<``;
+#: sorts place it before every release of its version (``EVR_ORDER``)
+released_packages = st.builds(
+    _package,
+    st.integers(0, len(NAMES) - 1),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(0, len(CAPS) + len(NAMES) - 1)),
+    st.one_of(st.none(), st.integers(0, len(NAMES) - 1)),
+    st.sampled_from(["1", "2", ""]),
+)
+
+#: as ``edit_sequences``, over ``released_packages``
 released_edit_sequences = st.lists(
-    st.tuples(
-        st.sampled_from(["add", "remove"]),
-        st.builds(
-            _package,
-            st.integers(0, len(NAMES) - 1),
-            st.integers(1, 3),
-            st.one_of(st.none(), st.integers(0, len(CAPS) + len(NAMES) - 1)),
-            st.one_of(st.none(), st.integers(0, len(NAMES) - 1)),
-            st.sampled_from(["1", "2", ""]),
-        ),
-        st.booleans(),
-    ),
+    st.tuples(st.sampled_from(["add", "remove"]), released_packages, st.booleans()),
     min_size=1,
     max_size=12,
 )
@@ -146,11 +146,27 @@ class TestRepositoryIndex:
                 )
 
 
+#: (step, repository, change): before the drawn step of the script, flip
+#: a repository's ``enabled`` flag or set its ``priority`` — the third
+#: repository's too, before and after it joins the set
+config_changes = st.lists(
+    st.tuples(
+        st.integers(0, 23),
+        st.sampled_from(["base", "xsede", "extra"]),
+        st.sampled_from(["enabled", 10, 50, 90]),
+    ),
+    max_size=4,
+)
+
+
 class TestRepoSetIndex:
     @given(
         released_edit_sequences,
         released_edit_sequences,
         st.sampled_from([(90, 50, True), (50, 50, True), (90, 50, False)]),
+        config_changes,
+        st.one_of(st.none(), st.integers(0, 23)),
+        st.lists(released_packages, max_size=3),
     )
     @example(  # dropping the release-less version between 1.0-2 and 1.0-1
         [("add", _package(0, 1, None, None, release), False)
@@ -158,24 +174,43 @@ class TestRepoSetIndex:
         + [("remove", _package(0, 1, None, None, ""), True)],
         [],
         (90, 50, True),
+        [],
+        None,
+        [],
     )
     @settings(max_examples=120, deadline=None)
     def test_queries_match_scans_under_mutation(
-        self, base_edits, xsede_edits, config
+        self, base_edits, xsede_edits, config, changes, join_at, extra_pkgs
     ):
         """Drawn: priorities that differ or are equal, the priorities
-        plugin on or off, and releases (an empty one included)."""
+        plugin on or off, releases (an empty one included), ``enabled`` and
+        ``priority`` changes part-way through, and a third repository that
+        joins the set part-way (``add_repo``)."""
         base_priority, xsede_priority, use_priorities = config
         base = Repository("base", priority=base_priority)
         xsede = Repository("xsede", priority=xsede_priority)
+        extra = Repository("extra", priority=70)
+        for pkg in extra_pkgs:
+            _apply(extra, "add", pkg)
+        members = {"base": base, "xsede": xsede, "extra": extra}
         repos = RepoSet([base, xsede], use_priorities=use_priorities)
         script = [(base, *step) for step in base_edits] + [
             (xsede, *step) for step in xsede_edits
         ]
-        for repo, action, pkg, query in _queried(script):
+        for i, (repo, action, pkg, query) in enumerate(_queried(script)):
+            for step, member, change in changes:
+                if step == i:
+                    target = members[member]
+                    if change == "enabled":
+                        target.enabled = not target.enabled
+                    else:
+                        target.priority = change
+            if i == join_at:
+                repos.add_repo(extra)
             _apply(repo, action, pkg)
             if not query:
                 continue
+            assert list(repos.enabled_repos()) == yum_scans.scan_enabled_repos(repos)
             assert repos.fingerprint() == yum_scans.scan_reposet_fingerprint(repos)
             for req in QUERIES:
                 assert repos.providers_of(req) == yum_scans.scan_reposet_providers_of(

@@ -1,5 +1,7 @@
 """RPM database and transaction tests: ordering, atomicity, integrity."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,9 @@ from repro.errors import (
 )
 from repro.distro.filesystem import FileKind
 from repro.recovery import Journal, OpState, TxnState
-from repro.rpm import Package, Requirement, RpmDatabase, Transaction
+from repro.rpm import Flag, Package, Requirement, RpmDatabase, Transaction
 
+from .oracles.fs_writes import install_per_file
 from .oracles.rpm_scans import unsatisfied_requirements
 
 
@@ -332,18 +335,19 @@ class TestTransactionOrderingAndAtomicity:
         assert "Install 2" in result.summary()
         assert result.change_count == 2
 
-    def test_plan_satisfies_calls_scale_linearly(self, db, monkeypatch):
-        """The contract that keeps the whole-set scan from creeping back:
-        planning a 300-package chain over 300 unrelated installed packages
-        asks ``Package.satisfies`` a constant number of times per declared
-        requirement or conflict — a count, not a wall time.  The scanning
-        validator and orderer asked ~10^5 times here."""
+    @staticmethod
+    def _plan_chain(db, monkeypatch, *version):
+        """Plan a 300-package chain, each link requiring the one before
+        (``>= 1.0`` when ``version`` is ``(Flag.GE, "1.0")``), over 300
+        unrelated installed packages; return the ``Package.satisfies``
+        calls and the requirements and conflicts the chain declares."""
         for i in range(300):
             db._install_unchecked(mk(f"site-{i:03d}"))
         txn = Transaction(db)
         chain = [mk("link-000", conflicts=(Requirement("vendor-mpi"),))]
         chain += [
-            mk(f"link-{i:03d}", requires=(Requirement(f"link-{i - 1:03d}"),))
+            mk(f"link-{i:03d}",
+               requires=(Requirement(f"link-{i - 1:03d}", *version),))
             for i in range(1, 300)
         ]
         for pkg in reversed(chain):
@@ -360,7 +364,23 @@ class TestTransactionOrderingAndAtomicity:
         monkeypatch.setattr(Package, "satisfies", counting)
         plan = txn.plan()
         assert plan.ordered == tuple(chain)
+        return calls, declared
+
+    def test_plan_satisfies_calls_scale_linearly(self, db, monkeypatch):
+        """The contract that keeps the whole-set scan from creeping back:
+        planning a 300-package chain of versioned requirements over 300
+        unrelated installed packages asks ``Package.satisfies`` a constant
+        number of times per declared requirement or conflict — a count,
+        not a wall time.  The scanning validator and orderer asked ~10^5
+        times here."""
+        calls, declared = self._plan_chain(db, monkeypatch, Flag.GE, "1.0")
         assert 0 < calls <= 4 * declared
+
+    def test_plan_of_unversioned_chain_calls_no_satisfies(self, db, monkeypatch):
+        """An unversioned requirement or conflict is answered from the
+        index bucket alone: every package in it provides the name."""
+        calls, _declared = self._plan_chain(db, monkeypatch)
+        assert calls == 0
 
     @pytest.mark.parametrize("hosts", [1, 50])
     def test_payload_paths_normalised_once_per_package(
@@ -568,17 +588,21 @@ def _layer_pkg(data, i):
     )
 
 
-def _prepare(host, pre):
-    """Give ``host`` the drawn pre-state ``pre`` outside its RPM database,
-    so its DB fingerprint still matches the plan; a step the tree or the
-    service manager refuses is skipped the same way on a host and on its
-    twin."""
+def _prepare(db, pre):
+    """Give ``db``'s host the drawn pre-state ``pre``, outside its RPM
+    database (so its DB fingerprint still matches a plan) bar a
+    ``vendor-pkg``; a step the tree or the service manager refuses is
+    skipped the same way on a host and on its twin."""
     from repro.distro import ModuleFile
     from repro.errors import FilesystemError, ServiceError
 
+    host = db.host
     steps = {
         "non-dir": lambda: host.fs.write(pre["non-dir"], "squatter"),
         "foreign": lambda: host.fs.write(pre["foreign"], "vendor", owner="vendor"),
+        # an installed vendor package owning a payload key: a file conflict
+        "vendor-pkg": lambda: db._install_unchecked(
+            mk("vendor", files=(pre["vendor-pkg"],))),
         "mount": lambda: host.fs.mount("/home", pre["mount"], "/export/home"),
         "module": lambda: host.modules.install(ModuleFile(*pre["module"].split("/"))),
         "service": lambda: host.services.register("shared", package="vendor"),
@@ -636,9 +660,10 @@ def test_property_adopted_layer_equals_per_package_commit(data):
     modulefiles overlap (colliding ones included), and host pre-states
     with a vendor-owned file at a layer key, a non-directory at a layer
     ancestor, an NFS mount on /home, an installed modulefile, a vendor
-    service, or a layer package's own service, enabled.  A clean host whose
-    twin commits cleanly adopts the layer."""
-    from repro.distro import CENTOS_6_5, Filesystem, Host
+    service, or a layer package's own service, enabled.  The twin installs
+    each package one payload path at a time (``install_per_file``).  A
+    clean host whose twin commits cleanly adopts the layer."""
+    from repro.distro import CENTOS_6_5, Host
     from repro.hardware import build_littlefe_modified
 
     machine = build_littlefe_modified().machine
@@ -668,17 +693,8 @@ def test_property_adopted_layer_equals_per_package_commit(data):
         if "own-service" in pre:
             owned = [(s, p.name) for p in pkgs for s in p.services]
             pre["own-service"] = data.draw(st.sampled_from(owned or [("p0d", "p0")]))
-        dbs = []
-        for _twin in range(2):
-            host = Host(node, CENTOS_6_5)
-            if "mount" in pre:
-                remote = Filesystem()
-                remote.mkdir("/export/home")
-                pre["mount"] = remote
-            _prepare(host, pre)
-            db = RpmDatabase(host)
-            db.is_satisfied(Requirement("anything"))  # build the index
-            dbs.append(db)
+        dbs = _twins(node, pre)
+        dbs[1]._install_unchecked = partial(install_per_file, dbs[1])
         journal = Journal()
         adopted = _outcome(lambda: queued(dbs[0], journal).commit_planned(plan))
         reference = _outcome(lambda: queued(dbs[1]).commit())
@@ -689,24 +705,119 @@ def test_property_adopted_layer_equals_per_package_commit(data):
             assert [op.op for op in jtxn.ops] == ["adopt"]
 
 
+def _twins(node, pre):
+    """Two databases on fresh hosts of ``node``, each given the pre-state
+    ``pre`` (its own remote tree for a mount) and a built capability index."""
+    from repro.distro import CENTOS_6_5, Filesystem, Host
+
+    dbs = []
+    for _twin in range(2):
+        db = RpmDatabase(Host(node, CENTOS_6_5))
+        if "mount" in pre:
+            remote = Filesystem()
+            remote.mkdir("/export/home")
+            pre["mount"] = remote
+        _prepare(db, pre)
+        db.is_satisfied(Requirement("anything"))  # build the index
+        dbs.append(db)
+    return dbs
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_node_table_install_equals_per_file_writes(data):
+    """Packages committed on a host, where each payload whose keys are
+    free goes down as the package's node table, end — tree, DB, ``rpm
+    -Va``, services, modules, capability index, file conflicts, and the
+    result or the error — exactly as on a twin that writes each payload
+    path through ``tests/oracles/fs_writes.py`` and then registers the
+    services and the modulefile.  Drawn: packages whose files, commands,
+    services and modulefiles overlap (colliding ones included), and host
+    pre-states with an installed vendor package or a bare vendor file at
+    a payload key, a non-directory at an ancestor, an NFS mount on /home,
+    an installed modulefile and a service held by another package.  The
+    file conflicts are also those the oracle's routed lookups find."""
+    from repro.hardware import build_littlefe_modified
+
+    from .oracles.fs_writes import _route, raw_payload
+
+    node = build_littlefe_modified().machine.compute_nodes[0]
+    pkgs = [_layer_pkg(data, i) for i in range(data.draw(st.integers(1, 3),
+                                                         label="packages"))]
+    kinds = data.draw(st.lists(st.sampled_from(
+        ("vendor-pkg", "foreign", "non-dir", "mount", "module", "service")),
+        max_size=3, unique=True), label="pre")
+    pre = {kind: None for kind in kinds}
+    keys = sorted({key for pkg in pkgs for key in pkg.default_paths()} - {"/"})
+    for kind in ("vendor-pkg", "foreign"):
+        if kind in pre:
+            pre[kind] = data.draw(st.sampled_from(keys or _LAYER_FILES[:-1]),
+                                  label=kind)
+    if "non-dir" in pre:
+        pre["non-dir"] = data.draw(st.sampled_from(("/opt/a", "/opt/b")))
+    if "module" in pre:
+        pre["module"] = data.draw(st.sampled_from(("m/1", "m/0")))
+    dbs = _twins(node, pre)
+    dbs[1]._install_unchecked = partial(install_per_file, dbs[1])
+    fs = dbs[1].host.fs
+    conflicts = []
+    for pkg in pkgs:
+        for path, _content, _mode in raw_payload(pkg):
+            target, key = _route(fs, path)
+            found = target._nodes.get(key)
+            owner = found.owner_package if found is not None else None
+            if owner and owner != pkg.name and dbs[1].has(owner):
+                conflicts.append(f"{key} ({owner} -> {pkg.name})")
+
+    def commit(db):
+        txn = Transaction(db)
+        for pkg in pkgs:
+            txn.install(pkg)
+        return txn.commit()
+
+    outcome = _outcome(lambda: commit(dbs[0]))
+    assert outcome == _outcome(lambda: commit(dbs[1]))
+    assert _end_state(dbs[0]) == _end_state(dbs[1])
+    if outcome[0] == "ok":
+        assert outcome[-1] == conflicts
+
+
 def test_reused_plan_writes_its_payload_once(littlefe_machine, monkeypatch):
     """The contract that keeps per-host payload writes from creeping back:
-    one plan committed on 50 fresh hosts calls ``_write_normal`` for its
-    payload, ``ServiceManager.register`` for its services and
+    one plan committed on 50 fresh hosts makes no payload ``_write_normal``
+    call on a host whose payload keys are free — each package's own node
+    table goes down whole, so every host holds the package's node objects
+    — and calls ``ServiceManager.register`` for its services and
     ``ModuleSystem.install`` for its modulefiles on the first host only;
-    every later host journals one ``adopt`` op, shares the first adopter's
-    file records, and ends with the same installed set — a count, not a
-    wall time."""
+    every later host journals one ``adopt`` op and ends with the same
+    installed set — a count, not a wall time."""
+    _commit_one_plan_on_fifty_hosts(littlefe_machine, monkeypatch, None)
+
+
+def test_a_vendor_file_sends_one_host_down_the_per_file_path(
+    littlefe_machine, monkeypatch
+):
+    """As above, with a vendor file at one payload key of host 7: just
+    that host commits package by package, and just the package owning
+    the key is written one path at a time."""
+    _commit_one_plan_on_fifty_hosts(littlefe_machine, monkeypatch, 7)
+
+
+def _commit_one_plan_on_fifty_hosts(littlefe_machine, monkeypatch, vendor_host):
+    """Commit one two-package plan on 50 fresh hosts, ``vendor_host`` (if
+    any) holding a vendor file at ``/usr/bin/mdrun``, counting payload
+    writes, service registrations and modulefile installs per host."""
     from repro.distro import CENTOS_6_5, Filesystem, Host, ModuleSystem
     from repro.distro.services import ServiceManager
 
-    pkgs = (
-        mk("fftw", "3.3.3", libraries=("libfftw3.so.3",)),
-        mk("gromacs", "4.6.5", files=("/opt/gromacs/share/top/oplsaa.ff",),
-           commands=("mdrun", "grompp"), services=("gmxd",),
-           modulefile="gromacs/4.6.5", requires=(Requirement("fftw"),)),
-    )
+    fftw = mk("fftw", "3.3.3", libraries=("libfftw3.so.3",))
+    gromacs = mk("gromacs", "4.6.5", files=("/opt/gromacs/share/top/oplsaa.ff",),
+                 commands=("mdrun", "grompp"), services=("gmxd",),
+                 modulefile="gromacs/4.6.5", requires=(Requirement("fftw"),))
+    pkgs = (fftw, gromacs)
     hosts = [Host(littlefe_machine.head, CENTOS_6_5) for _ in range(50)]
+    if vendor_host is not None:
+        hosts[vendor_host].fs.write("/usr/bin/mdrun", "vendor", owner="vendor")
     writers = []
     real = Filesystem._write_normal
 
@@ -739,23 +850,32 @@ def test_reused_plan_writes_its_payload_once(littlefe_machine, monkeypatch):
         txn.commit_planned(plan)
         journals.append(journal)
         fingerprints.append(db.fingerprint())
-    assert len(writers) == sum(len(p.payload) for p in pkgs)
-    assert all(fs is hosts[0].fs for fs in writers)
-    assert registrars == [hosts[0].services]
-    assert module_installers == [hosts[0].modules]
-    for host in hosts[1:]:
+    per_package = [hosts[0]]
+    if vendor_host is None:
+        assert writers == []
+    else:
+        per_package.append(hosts[vendor_host])
+        assert writers == [hosts[vendor_host].fs] * len(gromacs.payload)
+    assert registrars == [host.services for host in per_package]
+    assert module_installers == [host.modules for host in per_package]
+    for i, host in enumerate(hosts):
         assert [(s.name, s.package) for s in host.services.all_services()] == [
             ("gmxd", "gromacs")
         ]
         assert host.modules.avail() == ["gromacs/4.6.5(default)"]
-    for journal in journals[1:]:
+        for pkg in pkgs:
+            for key, node in pkg.node_table[1].items():
+                held = host.fs.lookup(key)
+                if i == vendor_host and pkg is gromacs:
+                    assert held == node and held is not node
+                else:
+                    assert held is node
+    for i, journal in enumerate(journals[1:], start=1):
         (jtxn,) = journal.transactions("rpm.txn")
         assert jtxn.state is TxnState.COMMITTED
-        assert [op.op for op in jtxn.ops] == ["adopt"]
+        ops = ["install", "install"] if i == vendor_host else ["adopt"]
+        assert [op.op for op in jtxn.ops] == ops
     assert len(set(fingerprints)) == 1
-    assert hosts[1].fs.lookup("/usr/bin/mdrun") is hosts[49].fs.lookup(
-        "/usr/bin/mdrun"
-    )
 
 
 @pytest.mark.parametrize("case", ["db-state", "arch", "install-set", "contents"])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import RpmError
 from repro.rpm import EVR, compare_evr, parse_evr, rpmvercmp
+from repro.rpm.version import EVR_ORDER
 
 
 class TestRpmVerCmp:
@@ -109,6 +110,30 @@ def test_evr_total_ordering_consistent(a, b):
     assert (ea == eb) == (eb == ea)
     # exactly one of <, ==, > holds
     assert sum([ea < eb, ea == eb, ea > eb]) == 1
+
+
+evr_strings = st.tuples(
+    version_strings, st.sampled_from(["", "-1", "-2", "-10"])
+).map("".join)
+
+
+@given(evr_strings, evr_strings)
+@settings(max_examples=150)
+def test_evr_operators_and_sort_order(a, b):
+    """``<=``, ``>`` and ``>=`` are the dependency-matching ``_cmp`` (a
+    missing release equals every release), each defined directly; the
+    sort key ``EVR_ORDER`` agrees with it wherever it orders two EVRs and
+    puts a missing release before every release of its version."""
+    ea, eb = parse_evr(a), parse_evr(b)
+    c = ea._cmp(eb)
+    assert (ea < eb, ea <= eb, ea > eb, ea >= eb) == (c < 0, c <= 0, c > 0, c >= 0)
+    order = ea._order(eb)
+    assert order == -eb._order(ea)
+    if c != 0:
+        assert order == c
+    elif bool(ea.release) != bool(eb.release):
+        assert order == (1 if ea.release else -1)
+    assert (EVR_ORDER(ea) < EVR_ORDER(eb)) == (order < 0)
 
 
 @given(version_strings)

@@ -1,5 +1,7 @@
 """Repository, priorities, and .repo config tests."""
 
+import itertools
+
 import pytest
 
 from repro.errors import (
@@ -113,6 +115,34 @@ class TestRepoSetPriorities:
         repos = self.make_pair()
         ids = [r[0] for r in repos.repolist()]
         assert ids == ["xsede", "centos-base"]
+
+
+@pytest.mark.parametrize(
+    "order", list(itertools.permutations(["1.0-2", "1.0", "1.0-1"]))
+)
+def test_latest_is_the_newest_release_in_any_publish_order(order):
+    """A version without a release ties with every release of it under
+    the dependency-matching ``<``, so a sort by that rule left the newest
+    wherever the publish order put it; sorts take ``EVR_ORDER``, in which
+    the missing release comes first.  Checked on one repository, and on
+    two equal-priority ones whose lists the set merges."""
+    builds = [
+        mk("alpha", version, release=release)
+        for version, _, release in (evr.partition("-") for evr in order)
+    ]
+    repo = Repository("xsede")
+    for pkg in builds:
+        repo.add(pkg)
+    left, right = Repository("left", priority=50), Repository("right", priority=50)
+    left.add(builds[0])
+    for pkg in builds[1:]:
+        right.add(pkg)
+    assert repo.latest("alpha").nevra == "alpha-1.0-2.x86_64"
+    assert [p.evr_string for p in repo.versions_of("alpha")] == [
+        "1.0", "1.0-1", "1.0-2"
+    ]
+    for repos in (RepoSet([repo]), RepoSet([left, right])):
+        assert repos.latest_by_name("alpha").nevra == "alpha-1.0-2.x86_64"
 
 
 class TestRepoConfig:
