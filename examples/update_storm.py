@@ -14,9 +14,11 @@ survives on three robustness mechanisms from :mod:`repro.repod`:
   one origin fetch (``repod.coalesce``), and while the origin is down a
   proxy serves its previous copy (``repod.stale``) so campuses stay
   installable on the old release;
-* **retry budgets** — each campus's clients share a token bucket
-  (``repod.retry_budget``); when it runs dry, clients stop retrying, so
-  the recovering origin sees decaying load instead of a thundering herd.
+* **retry budgets** — each campus's clients share a token bucket; a
+  retry it pays for names the bucket on its ``fault.retry`` record, and a
+  denial is a ``repod.retry_budget`` record.  When it runs dry, clients
+  stop retrying, so the recovering origin sees decaying load instead of a
+  thundering herd.
 
 Run with ``--naive-style`` for the ablation (no budget, hammering retry
 loops) and watch origin arrivals multiply.  Two runs with the same seed
@@ -78,6 +80,9 @@ def main(argv=None) -> None:
     counts = {k: v for k, v in sorted(trace.by_kind.items())
               if k.startswith("repod.")}
     print(f"repod.* events: {counts}")
+    paid = sum(1 for e in trace.events
+               if e.kind == "fault.retry" and "budget" in e.data)
+    print(f"fault.retry paid from a budget: {paid}")
     if report.problems:
         print("INVARIANT VIOLATIONS:")
         for problem in report.problems:

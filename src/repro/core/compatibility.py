@@ -12,6 +12,7 @@ with XCBC to another" claim between two hosts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..distro.host import Host
 from ..rpm.database import RpmDatabase
@@ -77,6 +78,29 @@ class CompatibilityReport:
         return "\n".join(lines)
 
 
+class _Expected(NamedTuple):
+    """What a catalogue asks of every host: derived once per audit call."""
+
+    catalogue: list[Package]
+    names: list[str]
+    commands: list[str]
+    libraries: list[str]
+    modules: list[str]
+    scheduler: bool  # the catalogue includes a batch system at all
+
+
+def _expected(catalogue: list[Package] | None) -> _Expected:
+    catalogue = catalogue if catalogue is not None else xsede_packages()
+    return _Expected(
+        catalogue,
+        [p.name for p in catalogue],
+        sorted({c for p in catalogue for c in p.commands}),
+        sorted({lib for p in catalogue for lib in p.libraries}),
+        sorted({p.modulefile for p in catalogue if p.modulefile}),
+        any(c in SCHEDULER_COMMANDS for p in catalogue for c in p.commands),
+    )
+
+
 def audit_host(
     host: Host,
     db: RpmDatabase,
@@ -84,11 +108,14 @@ def audit_host(
     catalogue: list[Package] | None = None,
 ) -> CompatibilityReport:
     """Score one host against the XSEDE run-alike catalogue."""
-    catalogue = catalogue if catalogue is not None else xsede_packages()
+    return _audit(host, db, _expected(catalogue))
+
+
+def _audit(host: Host, db: RpmDatabase, expected: _Expected) -> CompatibilityReport:
     report = CompatibilityReport(host=host.name)
 
     # 1. package coverage (by name)
-    names = [p.name for p in catalogue]
+    names = expected.names
     missing_pkgs = tuple(n for n in names if not db.has(n))
     report.dimensions.append(
         DimensionScore(
@@ -99,7 +126,7 @@ def audit_host(
     # 2. versions are the same (installed packages at catalogue EVR)
     version_misses = []
     version_hits = 0
-    for pkg in catalogue:
+    for pkg in expected.catalogue:
         if db.has(pkg.name):
             if db.get(pkg.name).evr >= pkg.evr:
                 version_hits += 1
@@ -113,7 +140,7 @@ def audit_host(
     )
 
     # 3. commands work the same way
-    expected_commands = sorted({c for p in catalogue for c in p.commands})
+    expected_commands = expected.commands
     missing_commands = tuple(c for c in expected_commands if not host.has_command(c))
     report.dimensions.append(
         DimensionScore(
@@ -125,7 +152,7 @@ def audit_host(
     )
 
     # 4. libraries in the same place (/usr/lib64, the XSEDE convention)
-    expected_libs = sorted({lib for p in catalogue for lib in p.libraries})
+    expected_libs = expected.libraries
     missing_libs = tuple(
         lib for lib in expected_libs if not host.fs.exists(f"/usr/lib64/{lib}")
     )
@@ -139,7 +166,7 @@ def audit_host(
     )
 
     # 5. environment modules
-    expected_modules = sorted({p.modulefile for p in catalogue if p.modulefile})
+    expected_modules = expected.modules
     missing_modules = tuple(
         m for m in expected_modules if not host.modules.has(m)
     )
@@ -154,7 +181,7 @@ def audit_host(
 
     # 6. scheduler command surface — only when the catalogue includes a
     # batch system at all (custom catalogues may not)
-    if any(c in SCHEDULER_COMMANDS for p in catalogue for c in p.commands):
+    if expected.scheduler:
         missing_sched = tuple(
             c for c in SCHEDULER_COMMANDS if not host.has_command(c)
         )
@@ -174,15 +201,15 @@ def audit_cluster(cluster, *, catalogue: list[Package] | None = None) -> dict[st
 
     Accepts either cluster shape (:class:`ProvisionedCluster` /
     :class:`ExistingCluster`): both answer ``hosts()`` and ``db_for(host)``.
+    What the catalogue expects is derived once for the whole cluster; each
+    report equals :func:`audit_host` of its host.
     """
     try:
         hosts, db_for = cluster.hosts, cluster.db_for
     except AttributeError:
         raise TypeError(f"cannot audit {type(cluster)!r}") from None
-    return {
-        host.name: audit_host(host, db_for(host), catalogue=catalogue)
-        for host in hosts()
-    }
+    expected = _expected(catalogue)
+    return {host.name: _audit(host, db_for(host), expected) for host in hosts()}
 
 
 @dataclass

@@ -110,11 +110,14 @@ class RetryBudget:
     is what turns a fleet-wide outage into decaying load instead of a
     synchronized retry storm.
 
-    Wire a kernel in and every decision is published as a
-    ``repod.retry_budget`` trace event (the budget was built for the XNIT
-    repository service, but it is generic); without one it is pure
-    bookkeeping.  Refill is computed lazily from elapsed simulated time,
-    so the bucket never schedules events of its own.
+    Wire a kernel in and every denial is published as a
+    ``repod.retry_budget`` trace event with ``allowed: false`` (the budget
+    was built for the XNIT repository service, but it is generic); a grant
+    is not traced here, because the retry it pays for is: a budgeted
+    :class:`~repro.repod.RepoClient` names the ``budget`` and the
+    ``tokens`` left on its ``fault.retry`` record.  Without a kernel the
+    bucket is pure bookkeeping.  Refill is computed lazily from elapsed
+    simulated time, so the bucket never schedules events of its own.
     """
 
     def __init__(
@@ -153,19 +156,18 @@ class RetryBudget:
     def try_spend(self, now_s: float, *, op: str = "retry") -> bool:
         """Spend one token for a retry of ``op``; False = retry denied."""
         balance = self.tokens(now_s)
-        allowed = balance >= 1.0
-        if allowed:
+        if balance >= 1.0:
             self._tokens = balance - 1.0
             self.granted += 1
-        else:
-            self.denied += 1
+            return True
+        self.denied += 1
         if self.kernel is not None:
             self.kernel.trace.emit(
                 "repod.retry_budget", t_s=now_s, subsystem="faults",
-                owner=self.owner, op=op, allowed=allowed,
-                tokens=round(self._tokens, 6),
+                owner=self.owner, op=op, allowed=False,
+                tokens=round(balance, 6),
             )
-        return allowed
+        return False
 
     def state_dict(self) -> dict[str, float | int | str]:
         return {

@@ -22,8 +22,9 @@ kernel, with robustness — not raw capacity — as the headline:
   (:func:`repod_confluence_problems`) chaos invariant 8 runs.
 
 Every decision lands on the trace bus as ``repod.*`` events (request /
-shed / coalesce / stale / retry_budget) — same seed, byte-identical
-JSONL, even mid-storm.  See docs/DELIVERY.md.
+shed / coalesce / stale, and retry_budget for a denied retry; a granted
+one names its budget on the client's ``fault.retry``) — same seed,
+byte-identical JSONL, even mid-storm.  See docs/DELIVERY.md.
 """
 
 from .client import RepoClient, RequestRecord

@@ -26,12 +26,17 @@ from ..errors import RepodError
 __all__ = ["RepoClient", "RequestRecord"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
-    """One artifact's journey: attempts made and the terminal outcome."""
+    """One artifact's journey: attempts made and the terminal outcome.
+
+    ``req`` is the ``client:artifact`` id, built once: the ``op`` of every
+    retry and budget decision and the ``req`` of the terminal record.
+    """
 
     artifact: str
     started_s: float
+    req: str = ""
     attempts: int = 0
     outcome: str = ""  # ok | stale | failed
     source: str = ""
@@ -76,7 +81,10 @@ class RepoClient:
             self.done = True
             return
         artifact = queue.popleft()
-        record = RequestRecord(artifact=artifact, started_s=self.kernel.now_s)
+        record = RequestRecord(
+            artifact=artifact, started_s=self.kernel.now_s,
+            req=f"{self.name}:{artifact}",
+        )
         self.records[artifact] = record
         self._attempt(record, queue)
 
@@ -103,19 +111,24 @@ class RepoClient:
 
     def _maybe_retry(self, record: RequestRecord, result, queue) -> None:
         now_s = self.kernel.now_s
-        op = f"{self.name}:{record.artifact}"
+        op = record.req
+        budget = self.budget
         delay_s, stop = self.policy.next_delay(
             record.attempts, record.started_s, now_s, self.kernel.rng,
-            budget=self.budget, op=op,
+            budget=budget, op=op,
         )
         if stop is not None:
             # Out of attempts or patience, or the bucket is dry (the
             # storm-brake doing its job): a terminal failure, not a pile-on.
             self._finish(record, result, queue)
             return
+        # A granted retry is recorded here, once: who paid, and what is left.
+        grant = {} if budget is None else {
+            "budget": budget.owner, "tokens": round(budget.tokens(now_s), 6),
+        }
         self.kernel.trace.emit(
             "fault.retry", t_s=now_s, subsystem="repod",
-            op=op, attempt=record.attempts, delay_s=round(delay_s, 6),
+            op=op, attempt=record.attempts, delay_s=round(delay_s, 6), **grant,
         )
         self.kernel.at(
             now_s + delay_s, lambda: self._attempt(record, queue),
@@ -136,7 +149,7 @@ class RepoClient:
         record.finished_s = self.kernel.now_s
         self.kernel.trace.emit(
             "repod.request", t_s=self.kernel.now_s, subsystem="repod",
-            req=f"{self.name}:{record.artifact}", client=self.name,
+            req=record.req, client=self.name,
             artifact=record.artifact, outcome=record.outcome,
             source=record.source,
             elapsed_s=round(record.finished_s - record.started_s, 6),

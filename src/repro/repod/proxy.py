@@ -55,6 +55,11 @@ class SiteProxy:
         self.name = name
         self.origin = origin
         self.kernel = kernel
+        #: the ``source`` of each delivery, built once and shared by every
+        #: result (and so every terminal record) that names it
+        self._hit = f"{name}-hit"
+        self._miss = f"{name}-miss"
+        self._stale = f"{name}-stale"
         #: artifact -> _CacheEntry; invalidated by bumping _content_epoch,
         #: never by mutation — entries older than the epoch are stale.
         self._content: dict[str, _CacheEntry] = {}
@@ -110,7 +115,7 @@ class SiteProxy:
                 on_result,
                 FetchResult(
                     artifact, True, payload=entry.payload, serial=entry.serial,
-                    source=f"{self.name}-hit",
+                    source=self._hit,
                 ),
             )
             return
@@ -167,7 +172,7 @@ class SiteProxy:
                     on_result,
                     FetchResult(
                         artifact, True, payload=result.payload,
-                        serial=result.serial, source=f"{self.name}-miss",
+                        serial=result.serial, source=self._miss,
                     ),
                 )
             return
@@ -184,7 +189,7 @@ class SiteProxy:
                     on_result,
                     FetchResult(
                         artifact, True, payload=stale.payload,
-                        serial=stale.serial, source=f"{self.name}-stale",
+                        serial=stale.serial, source=self._stale,
                     ),
                 )
             return

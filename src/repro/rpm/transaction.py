@@ -275,7 +275,9 @@ class Transaction:
 
     # -- validation --------------------------------------------------------------
 
-    def check_diagnostics(self) -> list[Diagnostic]:
+    def check_diagnostics(
+        self, *, queued: ProvidesIndex | None = None
+    ) -> list[Diagnostic]:
         """Validate; returns structured diagnostics (empty = ok).
 
         Each problem carries a stable ``TX7xx`` rule code (catalogued in
@@ -289,7 +291,9 @@ class Transaction:
         names erased or replaced left out, overlaid with an index of the
         queued installs — linear in what is declared.  Every final package's requirements are still
         checked, so a database that was already broken reports what it
-        holds.
+        holds.  ``queued`` is an index of the queued installs a caller has
+        already built (:meth:`plan` shares one with :meth:`_install_order`);
+        without it the check builds its own.
         """
 
         def problem(code: str, message: str, location: str) -> Diagnostic:
@@ -356,7 +360,8 @@ class Transaction:
         installed = self.db._provides_index
         if installed is None:
             installed = ProvidesIndex(self.db._by_name.values())
-        queued = ProvidesIndex(self._installs.values())
+        if queued is None:
+            queued = ProvidesIndex(self._installs.values())
         # Dependency closure of the final state.
         for pkg in by_name:
             for req in pkg.requires:
@@ -406,16 +411,20 @@ class Transaction:
 
     # -- ordering --------------------------------------------------------------
 
-    def _install_order(self) -> list[Package]:
+    def _install_order(
+        self, provided: ProvidesIndex | None = None
+    ) -> list[Package]:
         """Topological order of queued installs: dependencies first.
 
         Edges run provider -> dependant, considering only providers inside
-        this transaction (already-installed providers impose no ordering).
+        this transaction (already-installed providers impose no ordering);
+        ``provided`` is an index of those installs, built here if not given.
         Kahn's algorithm with name-sorted tie-breaking keeps the order
         deterministic; any cycle remainder is co-installed in name order.
         """
         pkgs = self._installs
-        provided = ProvidesIndex(pkgs.values())
+        if provided is None:
+            provided = ProvidesIndex(pkgs.values())
         dependants: dict[str, set[str]] = {n: set() for n in pkgs}
         indegree: dict[str, int] = {n: 0 for n in pkgs}
         for name, pkg in pkgs.items():
@@ -461,10 +470,11 @@ class Transaction:
         """
         if self.is_empty:
             raise TransactionError("empty transaction")
-        problems = self.check_diagnostics()
+        queued = ProvidesIndex(self._installs.values())
+        problems = self.check_diagnostics(queued=queued)
         if problems:
             self._raise_check_problems(problems)
-        ordered = tuple(self._install_order())
+        ordered = tuple(self._install_order(queued))
         return TransactionPlan(
             db_fingerprint=self.db.fingerprint(),
             host_arch=self.db.host.arch,

@@ -214,10 +214,17 @@ def validate_jsonl(text: str) -> tuple[int, list[str]]:
     encoding of its object: sorted keys, compact separators, ASCII escapes,
     the last line newline-terminated too.  Problems are prefixed with their
     1-based line number.
+
+    As at emit, the schema check runs once per shape: ``kind``, ``sub``, the
+    envelope's value types and the data keys and value types.  Whether a
+    line passes :func:`validate_event` depends on nothing else, so a line
+    whose shape has passed skips it.  The ``seq`` and canonical checks run
+    on every line.
     """
     problems: list[str] = []
     count = 0
     last_seq = -1
+    passed: set[tuple] = set()
     lines = text.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if lineno == len(lines) and not line:
@@ -231,9 +238,19 @@ def validate_jsonl(text: str) -> tuple[int, list[str]]:
         if not isinstance(obj, dict):
             problems.append(f"line {lineno}: not a JSON object")
             continue
-        for problem in validate_event(obj):
-            problems.append(f"line {lineno}: {problem}")
+        kind, sub, data = obj.get("kind"), obj.get("sub"), obj.get("data")
         seq = obj.get("seq")
+        shape = None
+        if type(kind) is str and type(sub) is str and type(data) is dict:
+            shape = (
+                kind, sub, type(seq), type(obj.get("t")),
+                tuple(data), tuple(map(type, data.values())),
+            )
+        if shape not in passed:  # an uncacheable line (shape None) never is
+            found = validate_event(obj)
+            problems.extend(f"line {lineno}: {problem}" for problem in found)
+            if shape is not None and not found:
+                passed.add(shape)
         if type(seq) is int:  # a bool seq is an envelope problem, not an order
             if seq <= last_seq:
                 problems.append(f"line {lineno}: seq {seq} not increasing")

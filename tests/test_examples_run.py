@@ -5,6 +5,7 @@ API — if one breaks, a user-facing walkthrough broke."""
 import importlib.util
 import io
 import pathlib
+import re
 import sys
 from contextlib import redirect_stdout
 
@@ -100,7 +101,10 @@ def test_update_storm():
     assert "goodput 100.0%" in output
     assert "invariant audit: clean" in output
     assert "repod.coalesce" in output and "repod.stale" in output
-    assert "repod.shed" in output and "repod.retry_budget" in output
+    assert "repod.shed" in output
+    # each granted retry is one fault.retry record that names its budget
+    granted = re.search(r"budget granted=(\d+)", output).group(1)
+    assert f"fault.retry paid from a budget: {granted}\n" in output
 
 
 def test_lazy_delivery():

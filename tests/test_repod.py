@@ -6,6 +6,8 @@ failing, clients retry under a budget instead of storming, every request
 reaches a terminal state exactly once, and — same seed — the whole storm
 replays byte-identically."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,8 @@ from repro.rpm.package import Package
 from repro.sim import SimKernel
 from repro.yum.mirror import MirrorLink, RepoMirror
 from repro.yum.repository import Repository
+
+from .oracles import retry_budget
 
 KB = 1024
 
@@ -284,8 +288,13 @@ class TestRepoClient:
         # attempt 1 free, retry 2 paid for, retry 3 denied -> terminal
         assert client.records["alpha"].attempts == 2
         assert budget.granted == 1 and budget.denied == 1
+        # the grant rides on its retry; the denial is its own record
+        retries = [e for e in kernel.trace.events if e.kind == "fault.retry"]
+        assert [(e.data["op"], e.data["budget"], e.data["tokens"]) for e in retries] == [
+            ("c0:alpha", "retry-budget", 0.0)
+        ]
         events = [e for e in kernel.trace.events if e.kind == "repod.retry_budget"]
-        assert [e.data["allowed"] for e in events] == [True, False]
+        assert [(e.data["op"], e.data["allowed"]) for e in events] == [("c0:alpha", False)]
 
     def test_patience_bounds_the_retry_ladder(self):
         kernel = SimKernel(seed=0)
@@ -448,11 +457,14 @@ class TestRetryBudget:
     def test_decisions_are_traced_when_a_kernel_is_wired(self):
         kernel = SimKernel(seed=0)
         budget = RetryBudget(capacity=1.0, refill_per_s=0.0, kernel=kernel)
-        budget.try_spend(0.0, op="x")
-        budget.try_spend(0.0, op="x")
+        assert budget.try_spend(0.0, op="x")
+        assert not budget.try_spend(0.0, op="x")
+        # a grant is recorded by the retry it pays for; a denial here
         events = [e for e in kernel.trace.events if e.kind == "repod.retry_budget"]
-        assert [e.data["allowed"] for e in events] == [True, False]
-        assert events[0].data["tokens"] == pytest.approx(0.0)
+        assert [e.data for e in events] == [
+            {"owner": "retry-budget", "op": "x", "allowed": False, "tokens": 0.0}
+        ]
+        assert len(kernel.trace) == 1
 
 
 # --- the update storm -------------------------------------------------------------
@@ -672,3 +684,38 @@ class TestRetryBudgetProperty:
             kernel.trace.events,
             servers=[origin], proxies=[proxy], clients=fleet,
         ) == []
+
+
+# --- the grant fold ---------------------------------------------------------------
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    clients=st.integers(min_value=1, max_value=6),
+    capacity=st.floats(min_value=1.0, max_value=14.0),
+    refill=st.floats(min_value=0.0, max_value=0.04),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_folded_grants_expand_to_every_decision(seed, clients, capacity, refill):
+    """A governed storm traces each granted retry once, on its ``fault.retry``
+    record.  Put the old grant record back in front of each and the trace is,
+    record for record, the one every-decision budget (``tests/oracles``)
+    writes; the storm's report is the same either way."""
+
+    def storm():
+        scenario = UpdateStormScenario(
+            seed=seed, clients_per_campus=clients,
+            budget_capacity=capacity, budget_refill_per_s=refill,
+        )
+        return scenario, scenario.run()
+
+    with patch.object(RetryBudget, "try_spend", retry_budget.try_spend), \
+            patch.object(RepoClient, "_maybe_retry", retry_budget.maybe_retry):
+        oracle, oracle_report = storm()
+    shipped, report = storm()
+    assert report.state_dict() == oracle_report.state_dict()
+    assert shipped.kernel.trace.count("repod.retry_budget") == report.budget_denied
+    expected = [
+        (e.t_s, e.kind, e.subsystem, dict(e.data)) for e in oracle.kernel.trace.events
+    ]
+    assert retry_budget.expand_grants(shipped.kernel.trace.events) == expected

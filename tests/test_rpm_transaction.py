@@ -16,6 +16,7 @@ from repro.errors import (
 from repro.distro.filesystem import FileKind
 from repro.recovery import Journal, OpState, TxnState
 from repro.rpm import Flag, Package, Requirement, RpmDatabase, Transaction
+from repro.rpm import transaction
 
 from .oracles.fs_writes import install_per_file
 from .oracles.rpm_scans import unsatisfied_requirements
@@ -236,6 +237,29 @@ class TestCheckDiagnostics:
     def test_clean_transaction_has_no_diagnostics(self, db):
         txn = Transaction(db).install(mk("openmpi"))
         assert txn.check_diagnostics() == []
+
+    def test_one_plan_indexes_the_queued_installs_once(self, db, monkeypatch):
+        """Validation and ordering share the plan's one index of the queued
+        set; a check called on its own still builds its own."""
+        built = []
+
+        class Counted(transaction.ProvidesIndex):
+            def __init__(self, pkgs=()):
+                pkgs = list(pkgs)
+                built.append(sorted(p.name for p in pkgs))
+                super().__init__(pkgs)
+
+        monkeypatch.setattr(transaction, "ProvidesIndex", Counted)
+        txn = Transaction(db)
+        txn.install(mk("app", requires=(Requirement("lib"),)))
+        txn.install(mk("lib"))
+        queued = ["app", "lib"]
+        plan = txn.plan()
+        assert [p.name for p in plan.ordered] == ["lib", "app"]
+        assert built.count(queued) == 1
+        built.clear()
+        assert txn.check_diagnostics() == []
+        assert built.count(queued) == 1
 
 
 class TestTransactionOrderingAndAtomicity:

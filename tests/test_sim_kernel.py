@@ -683,6 +683,30 @@ class TestTraceExport:
             len(bus), [f"line {k + 1}: not canonical JSON"]
         )
 
+    @pytest.mark.parametrize("where, value", [
+        ("data", "3"), ("data", 3.0), ("data", True), ("data", None),
+        ("t", "1.5"), ("t", None), ("seq", 1.0), ("seq", False), ("sub", 7),
+    ])
+    def test_a_line_of_a_passed_shape_is_still_checked(self, where, value):
+        """The file check skips the schema for a shape that has passed; a
+        later line with the same kind and keys but another value type is
+        a new shape, and is checked."""
+        bus = TraceBus()
+        for i in range(3):
+            bus.emit("job.submit", t_s=1.5, subsystem="scheduler",
+                     job=f"j{i}", user="u", cores=4)
+        lines = bus.to_jsonl().split("\n")
+        obj = json.loads(lines[1])
+        if where == "data":
+            obj["data"]["cores"] = value
+        else:
+            obj[where] = value
+        lines[1] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        text = "\n".join(lines)
+        count, problems = validate_jsonl(text)
+        assert (count, problems) == trace_check.validate_jsonl(text)
+        assert problems and all(p.startswith("line 2: ") for p in problems)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_property_file_check_agrees_with_the_redump_oracle(self, data):

@@ -130,6 +130,28 @@ class TestAuditCluster:
             else:
                 assert report.overall == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("which", ["xcbc", "xnit", "custom"])
+    def test_cluster_audit_equals_each_hosts_own(self, which, xcbc_littlefe, xnit_limulus):
+        """The cluster audit derives the catalogue's expectations once; every
+        host's report is still the one its own audit gives."""
+        from repro.core import audit_cluster, audit_host, xsede_packages
+
+        cluster = xnit_limulus if which == "xnit" else xcbc_littlefe.cluster
+        catalogue = None
+        if which == "custom":  # no batch system, and one package nobody has
+            catalogue = [p for p in xsede_packages() if p.libraries or p.modulefile][:6]
+            assert not any(c in ("qsub", "qstat", "qdel") for p in catalogue for c in p.commands)
+            catalogue.append(Package(name="onlything", version="1.0", commands=("onlything",)))
+        reports = audit_cluster(cluster, catalogue=catalogue)
+        assert list(reports) == [host.name for host in cluster.hosts()]
+        for host in cluster.hosts():
+            alone = audit_host(host, cluster.db_for(host), catalogue=catalogue)
+            assert reports[host.name].dimensions == alone.dimensions
+            assert reports[host.name] == alone
+        if which == "custom":
+            assert "scheduler commands" not in [d.name for d in alone.dimensions]
+            assert alone.dimension("package coverage").missing == ("onlything",)
+
     def test_rejects_unknown_shape(self):
         from repro.core import audit_cluster
 

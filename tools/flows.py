@@ -329,7 +329,7 @@ FLOWS: list[Flow] = [
     Flow("fleet", _fleet,
          kinds=frozenset({"install.wave", "monitor.rack", "monitor.rollup"}), **GATED),
     Flow("storm", _storm, kinds=frozenset({"repod.request", "repod.shed", "repod.coalesce",
-                                           "repod.stale", "repod.retry_budget"}), **GATED),
+                                           "repod.stale", "fault.retry"}), **GATED),
     Flow("lazy", _lazy, kinds=frozenset({"cas.publish", "cas.replicate", "cas.fetch",
                                          "cas.rollback"}), **GATED),
     Flow("checkpoint", _resumed, kinds=frozenset({"recover.node", "recover.gmond"}),
